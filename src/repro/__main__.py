@@ -18,6 +18,16 @@ import sys
 from typing import List, Optional
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_program(path: str):
     from repro.lang import compile_source
 
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("source")
     prof_p.add_argument("--samples", type=int, default=64)
     prof_p.add_argument("--stride", type=int, default=17)
-    prof_p.add_argument("--ticks", type=int, default=200)
+    prof_p.add_argument("--ticks", type=_positive_int, default=200)
     prof_p.add_argument("--top", type=int, default=10)
     prof_p.add_argument("--perfect", action="store_true")
     prof_p.add_argument(

@@ -38,7 +38,7 @@ from repro.sampling.arnold_grove import ArnoldGroveSampler, SamplingConfig
 from repro.adaptive.baseline import compile_baseline
 from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
 from repro.adaptive.optimizing import optimize_method
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ReproError
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import RunResult, VirtualMachine
@@ -164,6 +164,12 @@ def _make_resilience(
     return None
 
 
+def _check_ticks(ticks: int) -> None:
+    # The timer interval is the dry run's cycles over ``ticks``.
+    if ticks < 1:
+        raise ReproError(f"ticks must be >= 1, got {ticks}")
+
+
 def profile(
     program: Program,
     samples: int = 64,
@@ -187,6 +193,7 @@ def profile(
     profiling faults are absorbed by the degradation policies and the
     report's :attr:`~ProfileReport.health` ledger records them.
     """
+    _check_ticks(ticks)
     verify_program(program)
     costs = costs if costs is not None else CostModel()
     resilience = _make_resilience(fault_plan, resilience)
@@ -252,6 +259,7 @@ def profile_adaptive(
     pass ``fault_plan`` to additionally inject deterministic faults into
     opt-compilation, sampling, and path regeneration.
     """
+    _check_ticks(ticks)
     verify_program(program)
     costs = costs if costs is not None else CostModel()
     resilience = _make_resilience(fault_plan, resilience, policy)

@@ -9,6 +9,7 @@ which the replay-compilation methodology (paper section 5) depends on.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -17,6 +18,29 @@ T = TypeVar("T")
 _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+
+#: Draws per jump-ahead block (:meth:`DeterministicRng.random_block`).
+JUMP_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table() -> tuple:
+    """The jump-ahead table: uint64 arrays ``(mul, add)`` such that the
+    state ``j`` draws after state ``s`` is ``mul[j-1] * s + add[j-1]``
+    (mod 2**64), for ``j`` = 1 .. JUMP_BLOCK.  Read-only once built."""
+    import numpy as np
+
+    mul = np.empty(JUMP_BLOCK, dtype=np.uint64)
+    add = np.empty(JUMP_BLOCK, dtype=np.uint64)
+    mul[0], add[0] = _MULTIPLIER, _INCREMENT
+    done = 1
+    while done < JUMP_BLOCK:
+        # j + done draws = j draws after the first ``done``.
+        n = min(done, JUMP_BLOCK - done)
+        mul[done:done + n] = mul[:n] * mul[done - 1]
+        add[done:done + n] = mul[:n] * add[done - 1] + add[:n]
+        done += n
+    return mul, add
 
 
 def stable_hash(text: str) -> int:
@@ -68,6 +92,37 @@ class DeterministicRng:
     def random(self) -> float:
         """Return a uniform float in [0, 1)."""
         return self.next_u32() / 4294967296.0
+
+    def random_block(self, n: int):
+        """Return the next ``n`` :meth:`random` draws as a NumPy array.
+
+        The state does not move: :meth:`skip` commits however many of
+        the draws the caller consumes.  Each element is bit-identical to
+        the scalar draw — the uint64 jump-ahead wraps exactly like the
+        masked integer update, and ``hi32 / 2**32`` is exact in float64.
+        Requires NumPy and ``1 <= n <= JUMP_BLOCK``.
+        """
+        import numpy as np
+
+        mul, add = _jump_table()
+        states = mul[:n] * np.uint64(self._state)
+        states += add[:n]
+        states >>= np.uint64(32)
+        return states / 4294967296.0
+
+    def skip(self, n: int) -> None:
+        """Advance the state as ``n`` calls to :meth:`next_u32` would."""
+        # Compose the LCG step with itself by binary powering.
+        mul, add = 1, 0
+        step_mul, step_add = _MULTIPLIER, _INCREMENT
+        while n:
+            if n & 1:
+                mul = (mul * step_mul) & _MASK64
+                add = (add * step_mul + step_add) & _MASK64
+            step_add = (step_add * (step_mul + 1)) & _MASK64
+            step_mul = (step_mul * step_mul) & _MASK64
+            n >>= 1
+        self._state = (mul * self._state + add) & _MASK64
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability."""

@@ -11,24 +11,112 @@ next executed yieldpoint observes ``cycles >= next_tick`` and calls
 interrupt handler does.  Yieldpoints executed while the flag is set invoke
 the sampler, which charges (dilated) handler cycles and eventually clears
 the flag — the set-don't-reset trick of Arnold-Grove sampling.
+
+When many intervals have elapsed since the last yieldpoint (a compile
+charge lands as one jump in ``cycles``), :meth:`on_tick` catches the
+timer up in one step: ``ticks`` counts every interval, while the sampler
+and the once-per-tick method sample see a single tick — every tick after
+the first would land with the flag already up and change nothing.
+:func:`advance_timer` replays the jittered schedule bit for bit
+(DESIGN.md §10, timer catch-up).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VMError
 from repro.profiling.callgraph import CallGraphProfile
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import PathProfile
 from repro.util.flags import samplefast_enabled
-from repro.util.rng import DeterministicRng
+from repro.util.rng import JUMP_BLOCK, DeterministicRng
 from repro.vm.blockjit import blockjit_enabled, execute_blockjit
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import CompiledMethod, execute
 
+try:  # NumPy is optional: without it every catch-up takes the scalar loop.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by NumPy-free installs
+    _np = None
+
 DEFAULT_FUEL = 500_000_000
+
+#: Catch-ups spanning at least this many nominal intervals take the
+#: NumPy block path; shorter ones loop (DESIGN.md §10, timer catch-up).
+BULK_MIN_INTERVALS = 48
+
+
+def advance_timer(
+    next_tick: float,
+    cycles: float,
+    interval: float,
+    jitter: float,
+    rng: Optional[DeterministicRng],
+) -> Tuple[int, float]:
+    """Advance ``next_tick`` past ``cycles``; return ``(ticks, next_tick)``.
+
+    Each tick adds ``interval * (1.0 + (draw - 0.5) * 2 * jitter)``,
+    drawing from ``rng`` (no jitter when ``rng`` is None).  Both paths
+    make the same draws and the same left-to-right float additions, so
+    the result and the RNG state are bit-identical whichever runs.
+    """
+    if _np is not None and cycles - next_tick >= BULK_MIN_INTERVALS * interval:
+        return _advance_blocks(next_tick, cycles, interval, jitter, rng)
+    count = 0
+    if rng is None:
+        while cycles >= next_tick:
+            next_tick += interval
+            count += 1
+    else:
+        draw = rng.random
+        while cycles >= next_tick:
+            next_tick += interval * (1.0 + (draw() - 0.5) * 2 * jitter)
+            count += 1
+    return count, next_tick
+
+
+def _advance_blocks(
+    next_tick: float,
+    cycles: float,
+    interval: float,
+    jitter: float,
+    rng: Optional[DeterministicRng],
+) -> Tuple[int, float]:
+    """The block form of :func:`advance_timer`'s loop.
+
+    Intervals are positive, so the running sums never decrease and the
+    ticks taken are the leading sums at or below ``cycles``.  A block is
+    sized to the most intervals the gap can hold (no jittered interval
+    is shorter than ``interval * (1 - jitter)``), capped at
+    ``JUMP_BLOCK``; draws past the last tick taken are never committed.
+    """
+    shortest = interval * (1.0 - jitter)
+    count = 0
+    while True:
+        size = int(min((cycles - next_tick) / shortest + 2.0, JUMP_BLOCK))
+        sums = _np.empty(size + 1)
+        sums[0] = next_tick
+        steps = sums[1:]
+        if rng is None:
+            steps.fill(interval)
+        else:
+            scale = rng.random_block(size)
+            scale -= 0.5
+            scale *= 2
+            scale *= jitter
+            scale += 1.0
+            _np.multiply(scale, interval, out=steps)
+        # add.accumulate is a sequential scan: sums[i] = sums[i-1] + step.
+        _np.add.accumulate(sums, out=sums)
+        taken = min(int(_np.searchsorted(sums, cycles, side="right")), size)
+        count += taken
+        next_tick = float(sums[taken])
+        if rng is not None:
+            rng.skip(taken)
+        if next_tick > cycles:
+            return count, next_tick
 
 
 class RunResult:
@@ -99,6 +187,13 @@ class VirtualMachine:
     ) -> None:
         if main not in code:
             raise VMError(f"code cache has no main method {main!r}")
+        # The timer must move forward on every tick: a non-positive (or
+        # NaN) interval, or jitter that can stretch an interval to zero
+        # or below, would never catch up with the clock.
+        if tick_interval is not None and not tick_interval > 0.0:
+            raise VMError(f"tick_interval must be > 0, got {tick_interval!r}")
+        if not 0.0 <= tick_jitter < 1.0:
+            raise VMError(f"tick_jitter must be in [0, 1), got {tick_jitter!r}")
         self.code = code
         self.main = main
         self.costs = costs if costs is not None else CostModel()
@@ -173,17 +268,24 @@ class VirtualMachine:
     # -- timer/yieldpoint plumbing (called from the interpreter) -----------
 
     def on_tick(self) -> None:
-        """The virtual timer interrupt: raise the flag, notify the sampler."""
-        while self.cycles >= self.next_tick:
-            interval = self.tick_interval
-            if self._jitter_rng is not None:
-                offset = (self._jitter_rng.random() - 0.5) * 2 * self.tick_jitter
-                interval = interval * (1.0 + offset)
-            self.next_tick += interval
-            self.ticks += 1
-            self._tick_method_sampled = False
-            if self.sampler is not None:
-                self.sampler.on_tick(self)
+        """The virtual timer interrupt: raise the flag, notify the sampler.
+
+        Every interval that has elapsed counts in ``ticks``, but the
+        sampler hears one tick per catch-up (see :class:`SamplerLike`).
+        """
+        if self.cycles < self.next_tick:
+            return
+        count, self.next_tick = advance_timer(
+            self.next_tick,
+            self.cycles,
+            self.tick_interval,
+            self.tick_jitter,
+            self._jitter_rng,
+        )
+        self.ticks += count
+        self._tick_method_sampled = False
+        if self.sampler is not None:
+            self.sampler.on_tick(self)
 
     def dispatch_yieldpoint(
         self, cm: CompiledMethod, path_reg: int, is_sample_point: bool
@@ -277,7 +379,15 @@ class VirtualMachine:
 
 
 class SamplerLike:
-    """Interface samplers implement (see :mod:`repro.sampling`)."""
+    """Interface samplers implement (see :mod:`repro.sampling`).
+
+    The VM calls ``on_tick`` once per timer catch-up, however many
+    intervals elapsed (``vm.ticks`` counts them all).  That is exact
+    only if a tick arriving while the sampler's burst is still armed is
+    a no-op: two back-to-back ``on_tick`` calls with no yieldpoint
+    between must equal one.  The in-tree samplers guarantee it
+    (``tests/test_sampling.py`` pins it on both datapaths).
+    """
 
     def on_tick(self, vm: VirtualMachine) -> None:  # pragma: no cover
         raise NotImplementedError

@@ -136,6 +136,22 @@ def test_api_path_blocks():
     assert blocks, "path should traverse at least one block"
 
 
+@pytest.mark.parametrize("ticks", [0, -3])
+def test_api_profile_rejects_nonpositive_ticks(ticks):
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError, match="ticks"):
+        api.profile(counting_program(100), ticks=ticks)
+
+
+@pytest.mark.parametrize("ticks", [0, -3])
+def test_api_profile_adaptive_rejects_nonpositive_ticks(ticks):
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError, match="ticks"):
+        api.profile_adaptive(counting_program(100), ticks=ticks)
+
+
 def test_api_rejects_invalid_program():
     from repro.bytecode.method import Program
     from repro.errors import VerificationError

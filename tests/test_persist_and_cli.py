@@ -128,6 +128,15 @@ def test_cli_profile(source_file, capsys):
     assert "helper#b0" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--adaptive"]])
+def test_cli_profile_rejects_zero_ticks(source_file, capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", source_file, "--ticks", "0", *mode])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--ticks: must be >= 1" in err
+
+
 def test_cli_profile_perfect(source_file, capsys):
     assert main(["profile", source_file, "--perfect"]) == 0
     out = capsys.readouterr().out

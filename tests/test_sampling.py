@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.util.flags as flags
 from repro.errors import ReproError
 from repro.sampling.arnold_grove import (
     ArnoldGroveSampler,
@@ -56,6 +57,18 @@ def drive(sampler, vm, n):
         else:
             events.append("noop")
     return events
+
+
+#: How the overlapping-tick tests deliver each timer tick: once, or as
+#: two back-to-back ``on_tick`` calls (a catch-up over two intervals,
+#: which must equal one), on both the buffered and the legacy datapath.
+TICK_DELIVERIES = [(1, "1"), (2, "1"), (1, "0"), (2, "0")]
+
+
+def tick(sampler, vm, times):
+    """Deliver one timer tick as ``times`` back-to-back on_tick calls."""
+    for _ in range(times):
+        sampler.on_tick(vm)
 
 
 def test_config_validation():
@@ -127,19 +140,21 @@ def test_regular_ag_initial_skip_then_stride_between():
     ]
 
 
-def test_regular_ag_tick_during_draining_burst():
+def test_regular_ag_tick_during_draining_burst(monkeypatch):
     """A tick landing between two regular-AG samples must not restart the
     burst or advance the rotation."""
-    vm = FakeVM()
-    sampler = make_sampler(3, 2, simplified=False)
-    sampler.on_tick(vm)  # rotation 0: no initial skip
-    assert drive(sampler, vm, 2) == ["sample", "stride"]
-    sampler.on_tick(vm)  # lands mid-burst, in the STRIDING state
-    assert drive(sampler, vm, 4) == ["sample", "stride", "sample", "idle"]
-    # The overlapping tick did not consume a rotation step: the next
-    # fresh burst uses rotation 1 (one initial skip).
-    sampler.on_tick(vm)
-    assert drive(sampler, vm, 2) == ["stride", "sample"]
+    for times, fast in TICK_DELIVERIES:
+        monkeypatch.setenv(flags.SAMPLEFAST_ENV, fast)
+        vm = FakeVM()
+        sampler = make_sampler(3, 2, simplified=False)
+        tick(sampler, vm, times)  # rotation 0: no initial skip
+        assert drive(sampler, vm, 2) == ["sample", "stride"]
+        tick(sampler, vm, times)  # lands mid-burst, in the STRIDING state
+        assert drive(sampler, vm, 4) == ["sample", "stride", "sample", "idle"]
+        # The overlapping tick did not consume a rotation step: the next
+        # fresh burst uses rotation 1 (one initial skip).
+        tick(sampler, vm, times)
+        assert drive(sampler, vm, 2) == ["stride", "sample"]
 
 
 def test_regular_ag_reset_mid_burst():
@@ -177,15 +192,24 @@ def test_reset_keeps_buffered_samples():
     assert vm.path_profile.frequency(cm.profile_key, 0) == 1.0
 
 
-def test_burst_survives_overlapping_tick():
-    """A tick landing mid-burst must not restart the burst."""
-    vm = FakeVM()
-    sampler = make_sampler(4, 1)
-    sampler.on_tick(vm)
-    drive(sampler, vm, 2)  # 2 of 4 samples taken
-    sampler.on_tick(vm)  # overlapping tick
-    events = drive(sampler, vm, 4)
-    assert events == ["sample", "sample", "idle", "idle"]
+def test_burst_survives_overlapping_tick(monkeypatch):
+    """A tick landing mid-burst must not restart the burst.
+
+    This is the contract that lets ``VirtualMachine.on_tick`` notify the
+    sampler once per catch-up, however many intervals elapsed.
+    """
+    for times, fast in TICK_DELIVERIES:
+        monkeypatch.setenv(flags.SAMPLEFAST_ENV, fast)
+        vm = FakeVM()
+        sampler = make_sampler(4, 3)
+        tick(sampler, vm, times)  # rotation 0: no initial skip
+        assert drive(sampler, vm, 2) == ["sample", "sample"]
+        tick(sampler, vm, times)  # overlapping tick
+        events = drive(sampler, vm, 4)
+        assert events == ["sample", "sample", "idle", "idle"]
+        # Only the first tick armed a burst: the next uses rotation 1.
+        tick(sampler, vm, times)
+        assert drive(sampler, vm, 2) == ["stride", "sample"]
 
 
 def test_reset_clears_state():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import DeterministicRng, stable_hash
+from repro.profiling.edges import numpy_available
+from repro.util.rng import JUMP_BLOCK, DeterministicRng, stable_hash
 
 
 def test_same_seed_same_stream():
@@ -105,3 +106,26 @@ def test_chance_extremes():
     rng = DeterministicRng(23)
     assert not any(rng.chance(0.0) for _ in range(50))
     assert all(rng.chance(1.0) for _ in range(50))
+
+
+@pytest.mark.skipif(not numpy_available(), reason="random_block needs NumPy")
+@pytest.mark.parametrize("n", [1, 2, 17, JUMP_BLOCK])
+def test_random_block_equals_scalar_draws(n):
+    for seed in (0, 7, 2**63 + 5):
+        block_rng = DeterministicRng(seed)
+        scalar_rng = DeterministicRng(seed)
+        block = block_rng.random_block(n)
+        assert block.tolist() == [scalar_rng.random() for _ in range(n)]
+        # The block only peeks; skip() commits the consumed draws.
+        block_rng.skip(n)
+        assert block_rng.next_u32() == scalar_rng.next_u32()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, JUMP_BLOCK - 1, JUMP_BLOCK, 3 * JUMP_BLOCK + 2])
+def test_skip_equals_repeated_draws(n):
+    jumped = DeterministicRng(42)
+    stepped = DeterministicRng(42)
+    jumped.skip(n)
+    for _ in range(n):
+        stepped.next_u32()
+    assert jumped.next_u32() == stepped.next_u32()

@@ -1,7 +1,10 @@
 """Tests for the VM runtime: timer, ticks, jitter, accounting."""
 
+import math
+
 import pytest
 
+from repro.errors import VMError
 from repro.sampling.arnold_grove import TimerMethodSampler, make_sampler
 from repro.vm.costs import CostModel
 from repro.vm.runtime import VirtualMachine
@@ -100,3 +103,27 @@ def test_sampling_without_pep_instrumentation_is_harmless():
     assert result.samples_taken > 0
     assert vm.path_profile.total_samples() == 0
     assert len(vm.edge_profile) == 0
+
+
+@pytest.mark.parametrize("interval", [0.0, -5.0, math.nan])
+def test_rejects_timer_interval_that_never_advances(interval):
+    """A zero, negative or NaN interval would spin forever in on_tick."""
+    with pytest.raises(VMError, match="tick_interval"):
+        make_vm(counting_program(100), tick_interval=interval)
+
+
+@pytest.mark.parametrize("jitter", [-0.1, 1.0, 1.5, math.nan])
+def test_rejects_jitter_outside_unit_interval(jitter):
+    """Jitter of 1 or more can stretch an interval to zero or below."""
+    with pytest.raises(VMError, match="tick_jitter"):
+        make_vm(counting_program(100), tick_interval=500.0, tick_jitter=jitter)
+
+
+def test_accepts_timer_edge_settings():
+    program = counting_program(100)
+    assert make_vm(program, tick_interval=math.inf).run().ticks == 0
+    vm = make_vm(
+        program, tick_interval=500.0, tick_jitter=0.999,
+        sampler=TimerMethodSampler(),
+    )
+    assert vm.run().ticks > 0
