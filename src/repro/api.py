@@ -158,6 +158,12 @@ def _make_resilience(
     policy: Optional[DegradationPolicy] = None,
 ) -> Optional[ResilienceManager]:
     if resilience is not None:
+        if fault_plan is not None or policy is not None:
+            # The manager already owns its plan and policy; silently
+            # dropping these would run without the faults asked for.
+            raise ReproError(
+                "pass either resilience or fault_plan/policy, not both"
+            )
         return resilience
     if fault_plan is not None or policy is not None:
         return ResilienceManager(plan=fault_plan, policy=policy)
@@ -191,7 +197,8 @@ def profile(
     ``fault_plan`` (or a prebuilt ``resilience`` manager) attaches the
     fault-injection + graceful-degradation layer: injected compile and
     profiling faults are absorbed by the degradation policies and the
-    report's :attr:`~ProfileReport.health` ledger records them.
+    report's :attr:`~ProfileReport.health` ledger records them.  Passing
+    both raises :class:`~repro.errors.ReproError`.
     """
     _check_ticks(ticks)
     verify_program(program)
@@ -257,7 +264,10 @@ def profile_adaptive(
     *always* attached (a production VM degrades, it does not crash), so
     the returned report's :attr:`~ProfileReport.health` is never None;
     pass ``fault_plan`` to additionally inject deterministic faults into
-    opt-compilation, sampling, and path regeneration.
+    opt-compilation, sampling, and path regeneration.  A prebuilt
+    ``resilience`` manager carries its own plan and policy, so passing
+    it with ``fault_plan`` or ``policy`` raises
+    :class:`~repro.errors.ReproError`.
     """
     _check_ticks(ticks)
     verify_program(program)

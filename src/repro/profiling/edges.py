@@ -18,7 +18,6 @@ expansion into a precomputed integer slot array replayed with
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -85,21 +84,8 @@ class EdgeProfile:
     # crossover ~20 slots; typical sample drains run 4-17; re-measured
     # unchanged under the tracefast backend — the drain runs in the
     # yieldpoint handler, outside any generated method body, so the
-    # codegen tier does not move the crossover).  Overridable via
-    # REPRO_NUMPY_MIN_SLOTS for crossover experiments on machines where
-    # the NumPy fixed cost differs; the setting is wall-clock-only
-    # (both paths are bit-identical) so no cache key carries it.
+    # codegen tier does not move the crossover).
     NUMPY_MIN_SLOTS = 32
-
-    @staticmethod
-    def _resolve_min_slots() -> int:
-        raw = os.environ.get("REPRO_NUMPY_MIN_SLOTS", "").strip()
-        if raw:
-            try:
-                return max(1, int(raw))
-            except ValueError:
-                pass
-        return EdgeProfile.NUMPY_MIN_SLOTS
 
     def record_slot_batches(
         self, batches: Sequence[Tuple[Sequence[int], float]]
@@ -117,7 +103,7 @@ class EdgeProfile:
         sequential pure-Python reference loop regardless of order.
         """
         arr = self._arr
-        min_slots = self._resolve_min_slots()
+        min_slots = self.NUMPY_MIN_SLOTS
         idx_parts = []
         count_parts = []
         for slots, count in batches:

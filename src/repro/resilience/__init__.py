@@ -21,6 +21,7 @@ See DESIGN.md section 7 for the model.
 from repro.resilience.faults import (
     ENGINE_FAULT_SITES,
     FAULT_SITES,
+    SAMPLER_FAULT_SITES,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -32,6 +33,7 @@ from repro.resilience.manager import DegradationPolicy, ResilienceManager
 __all__ = [
     "ENGINE_FAULT_SITES",
     "FAULT_SITES",
+    "SAMPLER_FAULT_SITES",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

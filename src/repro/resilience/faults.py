@@ -55,6 +55,13 @@ FAULT_SITES = (
     "cache-merge",
 )
 
+#: The sites the Arnold-Grove sampler checks for each recorded sample,
+#: in the order it checks them.  Each check advances the site's stream,
+#: so a plan that configures any of them pins the sampler to recording
+#: one sample at a time; with none configured, the sampler's checks
+#: return before drawing and samples may be buffered (DESIGN.md §10).
+SAMPLER_FAULT_SITES = ("sample", "path-reconstruct", "path-table")
+
 #: Engine-level sites exercised by the supervised sweep engine
 #: (DESIGN.md section 12).  Unlike the VM-level sites above — which draw
 #: from a per-site stream advanced once per check — engine sites are

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.resilience.faults import SAMPLER_FAULT_SITES, FaultInjector, FaultPlan
 from repro.resilience.health import HealthReport
 
 #: Instrumentation modes that depend on path regeneration; when a method's
@@ -85,6 +85,7 @@ class ResilienceManager:
         "policy",
         "health",
         "injector",
+        "sampler_faults",
         "_retry_at",
         "_blacklisted",
         "_recon_streak",
@@ -101,6 +102,11 @@ class ResilienceManager:
         self.health = health if health is not None else HealthReport()
         self.injector = (
             FaultInjector(plan, self.health) if plan is not None else None
+        )
+        # Whether the plan configures a site the sampler checks per
+        # sample; only such runs must record samples one at a time.
+        self.sampler_faults = plan is not None and any(
+            site in plan.specs for site in SAMPLER_FAULT_SITES
         )
         # method -> sample count at which an opt-compile retry is allowed.
         self._retry_at: Dict[str, int] = {}

@@ -122,6 +122,7 @@ class ArnoldGroveSampler:
         "_rc_ok",
         "_rc_np",
         "_rc_pk",
+        "_rc_res",
         "_c_sample",
         "_c_stride",
         "_c_expand",
@@ -159,14 +160,17 @@ class ArnoldGroveSampler:
         self._buf_last_cm: Optional[CompiledMethod] = None
         self._buf_last_path = -1
         # Record-path probe cache, keyed by (vm, cm) identity: resolver
-        # presence, resilience, and the DAG's path-number range are
+        # presence, the fault plan, and the DAG's path-number range are
         # fixed per (vm, cm), so the per-sample record decision reduces
-        # to two identity checks and a range compare.
+        # to two identity checks and a range compare.  Only a failed
+        # reconstruction changes the K-strikes state the probe read;
+        # it re-arms the probe (see _record).
         self._rc_vm: Optional[VirtualMachine] = None
         self._rc_cm: Optional[CompiledMethod] = None
         self._rc_ok = False
         self._rc_np = 0
         self._rc_pk = ""
+        self._rc_res = None
         # Dilated handler costs, refreshed from the VM's cost model at
         # every tick (identical divisions, so identical floats to the
         # per-sample computation they replace).
@@ -257,6 +261,13 @@ class ArnoldGroveSampler:
                         self._rearm_record_cache(vm, cm)
                     if self._rc_ok and 0 <= path_reg < self._rc_np:
                         # Buffered record (see _drain for the apply).
+                        res = self._rc_res
+                        if res is not None:
+                            # First buffered sample since the probe
+                            # re-armed on a resilient run: a success,
+                            # as in _record (see _rearm_record_cache).
+                            self._rc_res = None
+                            res.note_reconstruction_success(cm.source_name)
                         self._buf_cm.append(cm)
                         self._buf_path.append(path_reg)
                         self._buf_n.append(1)
@@ -279,8 +290,10 @@ class ArnoldGroveSampler:
                         if self._kblpp:
                             self._kpush(vm, cm, path_reg)
                     else:
-                        # Resolver-less method, resilient run, or a path
-                        # number that cannot reconstruct: the original
+                        # Resolver-less method, a plan with sampler
+                        # fault sites, a method whose path profiling
+                        # K-strikes disabled, or a path number that
+                        # cannot reconstruct: the original
                         # sample-at-a-time datapath handles every such
                         # case (including raising) exactly as before.
                         cost += self._record(vm, cm, path_reg)
@@ -414,6 +427,12 @@ class ArnoldGroveSampler:
             # Drop the sample; K consecutive failures on one method
             # disable its path profiling (edge-only fallback).
             resilience.note_reconstruction_failure(source, exc)
+            # The failure moved K-strikes state that the buffered
+            # datapath's probe cache and RLE run stand for: re-arm the
+            # probe and break the run, so the method's next buffered
+            # sample re-reads the disable flag and resets the streak.
+            self._rc_cm = None
+            self._buf_last_cm = None
             if self._kblpp:
                 self._kbreak(cm)
             return cost
@@ -503,21 +522,36 @@ class ArnoldGroveSampler:
         """Refresh the per-(vm, cm) record-path probe (see __init__).
 
         ``_rc_ok`` means the buffered datapath may record for this
-        (vm, cm): the method has a resolver (it was compiled with PEP)
-        and the run has no resilience layer.  Fault-injection sites and
-        K-strikes accounting are order-sensitive per sample — buffering
-        would reorder them — so resilient runs keep the original
-        sample-at-a-time datapath via ``_record``.
+        (vm, cm): the method has a resolver (it was compiled with PEP),
+        the fault plan (if any) configures no sampler site, and
+        K-strikes has not disabled the method's path profiling.
+        Sampler sites draw per sample, so buffering would reorder their
+        streams; those plans keep the sample-at-a-time ``_record``.
+        With none configured, ``_record``'s checks of those sites
+        return before drawing, and an in-range path always
+        reconstructs, so a buffered sample does exactly what a
+        successful ``_record`` would — including resetting the
+        method's K-strikes streak.  Streaks only grow in ``_record``,
+        which re-arms this probe when one does, so ``_rc_res`` makes
+        the first buffered sample after each re-arm do that reset.
         """
         self._rc_vm = vm
         self._rc_cm = cm
         resolver = cm.resolver
-        if resolver is None or vm.resilience is not None:
+        resilience = vm.resilience
+        if resolver is None or (
+            resilience is not None
+            and (
+                resilience.sampler_faults
+                or not resilience.path_profiling_enabled(cm.source_name)
+            )
+        ):
             self._rc_ok = False
             return
         self._rc_ok = True
         self._rc_np = resolver.dag.num_paths
         self._rc_pk = cm.profile_key
+        self._rc_res = resilience
 
     def _drain(self, vm: VirtualMachine) -> None:
         """Apply buffered samples: aggregate, then batch-update tables.
@@ -559,9 +593,7 @@ class ArnoldGroveSampler:
             ckey = (profile_key, path_reg)
             slots = slot_cache_get(ckey)
             if slots is None:
-                resolver = cm.resolver
-                path_profile.ensure_dense(profile_key, resolver.dag.num_paths)
-                events = resolver.branch_events(path_reg)
+                events = cm.resolver.branch_events(path_reg)
                 slot_for = edge_profile.slot_for
                 slots = array(
                     "q", [slot_for(branch, taken) for branch, taken in events]

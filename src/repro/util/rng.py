@@ -43,11 +43,20 @@ def _jump_table() -> tuple:
     return mul, add
 
 
+#: Distinct texts :func:`stable_hash` remembers, least recently used
+#: evicted first.  Compilation-cache fingerprints rehash the same
+#: disassembly texts many times per run; one adaptive pass over the
+#: workload suite hashes about 300 distinct texts.
+STABLE_HASH_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=STABLE_HASH_MEMO)
 def stable_hash(text: str) -> int:
     """Return a deterministic 64-bit hash of ``text``.
 
     ``hash()`` is salted per-process for strings, so it cannot be used to
     derive reproducible seeds.  This is FNV-1a, which is stable everywhere.
+    The byte loop runs once per distinct text (see :data:`STABLE_HASH_MEMO`).
     """
     value = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):

@@ -230,8 +230,10 @@ class VirtualMachine:
         self.edge_slot_cache: Dict = {}
         if samplefast_enabled():
             # Pre-size dense path tables from each method's Ball-Larus
-            # path count; methods compiled into the run later (adaptive
-            # recompiles) are registered at their first drained sample.
+            # path count.  Methods compiled into the run later (adaptive
+            # recompiles) keep the sparse dict, as on the per-sample
+            # datapath: the controller's dominance checks read them
+            # back in full, which a dict does in its few sampled paths.
             for _cm in code.values():
                 if _cm.dag is not None:
                     self.path_profile.ensure_dense(

@@ -1,10 +1,25 @@
-"""Shared guest-program fixtures used across the test suite."""
+"""Shared guest-program fixtures and runs used across the test suite."""
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
+from repro.adaptive.optimizing import optimize_method
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.instructions import Br, Const, Jmp, Ret
 from repro.bytecode.method import Method, Program
+from repro.persist import edge_profile_to_dict, path_profile_to_dict, payload_checksum
+from repro.resilience import FaultPlan, ResilienceManager
+from repro.sampling.arnold_grove import SamplingConfig
+from repro.vm.costs import CostModel
+from repro.vm.runtime import VirtualMachine
+from repro.workloads.generator import GeneratorSpec
+
+#: The generated-corpus program shape the parity tests draw seeds from.
+CORPUS_SPEC = GeneratorSpec(
+    n_helpers=8, max_depth=2, max_stmts=5, max_trip=3, work_budget=300
+)
 
 
 def diamond_loop_method(name: str = "m") -> Method:
@@ -118,3 +133,58 @@ def call_program() -> Program:
     f.emit(acc)
     f.ret(acc)
     return pb.build()
+
+
+def adaptive_run(
+    program: Program,
+    ticks: int,
+    jitter_seed: int,
+    plan: Optional[FaultPlan] = None,
+) -> dict:
+    """Fig. 11's adaptive configuration with its 0.2 tick jitter.
+
+    An opt-2 dry run calibrates the timer to ``ticks`` ticks, then the
+    adaptive system runs PEP(64,17) under a resilience layer that
+    injects ``plan``'s faults, if any.  Returns the run's observables:
+    digest (profiles, output, cycles), counters, health, the shadow
+    k-path table, and the controller's compile, trace and warm logs.
+    """
+    costs = CostModel()
+    base_code = {
+        method.name: optimize_method(method, program, 2, None, costs)[0]
+        for method in program.iter_methods()
+    }
+    base = VirtualMachine(base_code, program.main, costs=costs).run()
+    system = AdaptiveSystem(
+        program,
+        costs=costs,
+        config=AdaptiveConfig(pep=SamplingConfig(64, 17)),
+        resilience=ResilienceManager(plan=plan),
+    )
+    vm = system.make_vm(
+        tick_interval=max(base.cycles / ticks, 1.0),
+        tick_jitter=0.2,
+        jitter_seed=jitter_seed,
+    )
+    result = vm.run()
+    digest = payload_checksum(
+        {
+            "paths": path_profile_to_dict(vm.path_profile),
+            "edges": edge_profile_to_dict(vm.edge_profile),
+            "output": list(vm.output),
+            "return_value": result.return_value,
+            "cycles": result.cycles,
+        }
+    )
+    return {
+        "digest": digest,
+        "cycles": result.cycles,
+        "ticks": result.ticks,
+        "samples": result.samples_taken,
+        "strides": result.strides_skipped,
+        "health": result.health.to_dict(),
+        "kpaths": list(vm.kpath_profile.items()),
+        "compile_log": list(system.compile_log),
+        "superblock_log": list(system.superblock_log),
+        "warm_log": list(system.warmjit_log),
+    }

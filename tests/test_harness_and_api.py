@@ -18,6 +18,7 @@ from repro.harness.experiment import (
     run_config,
 )
 from repro.harness.report import render_accuracy_figure, render_overhead_figure
+from repro.resilience import DegradationPolicy, FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.workloads.suite import get_workload
 
@@ -150,6 +151,35 @@ def test_api_profile_adaptive_rejects_nonpositive_ticks(ticks):
 
     with pytest.raises(ReproError, match="ticks"):
         api.profile_adaptive(counting_program(100), ticks=ticks)
+
+
+def test_api_profile_rejects_resilience_with_fault_plan():
+    from repro.errors import ReproError
+
+    # The manager owns its plan; the extra one used to be dropped silently.
+    with pytest.raises(ReproError, match="resilience"):
+        api.profile(
+            counting_program(100),
+            fault_plan=FaultPlan({"opt-compile": 1.0}, seed=4),
+            resilience=ResilienceManager(),
+        )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"fault_plan": FaultPlan({"opt-compile": 1.0}, seed=4)},
+        {"policy": DegradationPolicy(max_reconstruction_failures=1)},
+    ],
+    ids=["fault_plan", "policy"],
+)
+def test_api_profile_adaptive_rejects_conflicting_resilience(extra):
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError, match="resilience"):
+        api.profile_adaptive(
+            counting_program(100), resilience=ResilienceManager(), **extra
+        )
 
 
 def test_api_rejects_invalid_program():

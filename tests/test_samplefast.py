@@ -5,18 +5,32 @@ yieldpoints, dense profile tables, buffered sample recording — must be
 observationally invisible: every digest, cycle count, tick count, and
 HealthReport is bit-identical with ``REPRO_SAMPLEFAST=0`` (the legacy
 sample-at-a-time datapath) and ``=1``.  These tests pin that equivalence
-across the workload suite and exercise the flat tables' dict-shaped API
-directly.
+across the workload suite, on replay-style and resilient adaptive runs,
+and exercise the flat tables' dict-shaped API directly.
 """
 
 import pytest
 
 import repro.util.flags as flags
 from repro.bytecode.method import BranchRef
+from repro.persist import edge_profile_to_dict, path_profile_to_dict
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import DENSE_PATH_CAP, PathProfile
-from repro.workloads.suite import benchmark_suite
+from repro.resilience import (
+    SAMPLER_FAULT_SITES,
+    DegradationPolicy,
+    FaultPlan,
+    ResilienceManager,
+)
+from repro.sampling.arnold_grove import make_sampler
+from repro.vm import codecache
+from repro.vm.costs import CostModel
+from repro.vm.runtime import VirtualMachine
+from repro.workloads.generator import random_program
+from repro.workloads.suite import benchmark_suite, get_workload
 
+from tests.compile_util import compile_simple
+from tests.helpers import CORPUS_SPEC, adaptive_run, counting_program
 from tests.test_adaptive_system import hot_loop_program
 
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
@@ -53,11 +67,10 @@ def test_workload_datapath_parity(workload, monkeypatch):
 
 
 def test_fault_injection_parity(monkeypatch):
-    """Resilient runs delegate to the legacy per-sample datapath, so
-    fault sequences, HealthReports, and profiles match exactly."""
+    """Plans that configure a sampler fault site keep the per-sample
+    datapath (every other resilient run buffers), so fault sequences,
+    HealthReports, and profiles match exactly."""
     from repro import api
-    from repro.persist import edge_profile_to_dict, path_profile_to_dict
-    from repro.resilience import FaultPlan
 
     program = hot_loop_program(4000)
 
@@ -81,6 +94,131 @@ def test_fault_injection_parity(monkeypatch):
     assert edge_profile_to_dict(fast.edges) == edge_profile_to_dict(
         legacy.edges
     )
+
+
+# -- resilient adaptive runs -------------------------------------------------
+
+#: Resilient plans that configure no sampler fault site, so the default
+#: datapath buffers their samples.
+BUFFERED_PLANS = [None, FaultPlan({"opt-compile": 0.5}, seed=4)]
+
+
+def _datapaths(monkeypatch, run):
+    """``run()`` on the default datapath, then on the per-sample one.
+
+    Both compile cold: cached methods arrive with their traces
+    installed, which would empty the second run's trace and warm logs.
+    """
+    results = []
+    for fast in ("1", "0"):
+        with monkeypatch.context() as patch:
+            patch.setenv(codecache.ENV_DISABLE, "0")
+            patch.setenv(flags.SAMPLEFAST_ENV, fast)
+            results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_adaptive_datapath_parity(workload, monkeypatch):
+    """Resilient adaptive runs buffer their samples, bit for bit."""
+    spec = get_workload(workload)
+    program = spec.build(0.5)
+    for plan in BUFFERED_PLANS:
+        fast, legacy = _datapaths(
+            monkeypatch,
+            lambda: adaptive_run(program, spec.ticks_target, 3, plan),
+        )
+        assert fast == legacy
+        assert fast["samples"] > 0
+
+
+@pytest.mark.parametrize("seed", range(0, 96, 16))
+def test_random_program_adaptive_datapath_parity(seed, monkeypatch):
+    program = random_program(seed, CORPUS_SPEC)
+    for plan in BUFFERED_PLANS:
+        fast, legacy = _datapaths(
+            monkeypatch, lambda: adaptive_run(program, 200, 11, plan)
+        )
+        assert fast == legacy
+
+
+def test_resilient_runs_buffer_unless_sampler_sites_are_planned(monkeypatch):
+    """Only the drain fills ``vm.edge_slot_cache``: it is the witness
+    that a run recorded its samples through the buffered datapath."""
+    monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1")
+    program = hot_loop_program(3000)
+    costs = CostModel()
+
+    def run(plan):
+        code = compile_simple(program, mode="pep", costs=costs)
+        vm = VirtualMachine(
+            code,
+            program.main,
+            costs=costs,
+            tick_interval=500.0,
+            sampler=make_sampler(16, 5),
+            resilience=ResilienceManager(plan=plan),
+        )
+        vm.run()
+        assert vm.samples_taken > 0
+        return vm
+
+    assert run(None).edge_slot_cache
+    assert run(FaultPlan({"opt-compile": 1.0})).edge_slot_cache
+    for site in SAMPLER_FAULT_SITES:
+        assert not run(FaultPlan({site: 0.0})).edge_slot_cache
+
+
+def _k_strikes_run(monkeypatch, fast, sequence):
+    """Feed ``sequence`` of path numbers to one burst, K = 2."""
+    monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1" if fast else "0")
+    program = counting_program(50)
+    costs = CostModel()
+    code = compile_simple(program, mode="pep", costs=costs)
+    cm = next(c for c in code.values() if c.resolver is not None)
+    res = ResilienceManager(
+        policy=DegradationPolicy(max_reconstruction_failures=2)
+    )
+    sampler = make_sampler(len(sequence) + 1, 1)
+    vm = VirtualMachine(
+        code, program.main, costs=costs, sampler=sampler, resilience=res
+    )
+    sampler.on_tick(vm)
+    bad = cm.dag.num_paths + 3
+    cost = 0.0
+    for path in sequence:
+        cost += sampler.on_yieldpoint(vm, cm, bad if path is None else path, True)
+    sampler.flush(vm)
+    return (
+        res.health.to_dict(),
+        res.path_profiling_enabled(cm.source_name),
+        cost,
+        path_profile_to_dict(vm.path_profile),
+        edge_profile_to_dict(vm.edge_profile),
+    )
+
+
+@pytest.mark.parametrize(
+    "sequence, disabled",
+    [
+        # A success between failures resets the streak: never disabled,
+        # even though the same path repeats (an RLE run on the buffer).
+        ([0, None] * 4, False),
+        ([0, None, 1, None, 1, None, 0, None], False),
+        # Two failures in a row disable; later samples are dropped.
+        ([0, None, None, 0, 1, 0], True),
+        ([None, 0, None, None, 0], True),
+    ],
+)
+def test_k_strikes_sequence_datapath_parity(monkeypatch, sequence, disabled):
+    """A failed sample breaks the buffer's RLE run and re-arms its probe,
+    so the next buffered sample resets the streak as ``_record`` does."""
+    fast = _k_strikes_run(monkeypatch, True, sequence)
+    legacy = _k_strikes_run(monkeypatch, False, sequence)
+    assert fast == legacy
+    health, enabled = fast[0], fast[1]
+    assert enabled is not disabled
+    assert health["reconstruction_failures"] == sequence.count(None)
 
 
 # -- flat path tables --------------------------------------------------------

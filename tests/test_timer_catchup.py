@@ -12,21 +12,16 @@ import random
 
 import pytest
 
-from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
-from repro.adaptive.optimizing import optimize_method
-from repro.persist import edge_profile_to_dict, path_profile_to_dict, payload_checksum
 from repro.profiling.edges import numpy_available
-from repro.resilience import ResilienceManager
-from repro.sampling.arnold_grove import SamplingConfig, TimerMethodSampler
+from repro.sampling.arnold_grove import TimerMethodSampler
 from repro.util.rng import JUMP_BLOCK, DeterministicRng
-from repro.vm import runtime
-from repro.vm.costs import CostModel
+from repro.vm import codecache, runtime
 from repro.vm.runtime import BULK_MIN_INTERVALS, VirtualMachine, advance_timer
-from repro.workloads.generator import GeneratorSpec, random_program
+from repro.workloads.generator import random_program
 from repro.workloads.suite import benchmark_suite, get_workload
 
 from tests.compile_util import compile_simple
-from tests.helpers import counting_program
+from tests.helpers import CORPUS_SPEC, adaptive_run, counting_program
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the block path needs NumPy"
@@ -164,39 +159,9 @@ def test_sampler_hears_each_on_tick_once_in_a_run():
 # -- VM-level parity: scalar loop versus block path -------------------------
 
 
-def _adaptive_run(program, ticks, jitter_seed):
-    """Fig. 11's adaptive configuration with its 0.2 tick jitter."""
-    costs = CostModel()
-    base_code = {
-        method.name: optimize_method(method, program, 2, None, costs)[0]
-        for method in program.iter_methods()
-    }
-    base = VirtualMachine(base_code, program.main, costs=costs).run()
-    system = AdaptiveSystem(
-        program,
-        costs=costs,
-        config=AdaptiveConfig(pep=SamplingConfig(64, 17)),
-        resilience=ResilienceManager(),
-    )
-    vm = system.make_vm(
-        tick_interval=max(base.cycles / ticks, 1.0),
-        tick_jitter=0.2,
-        jitter_seed=jitter_seed,
-    )
-    result = vm.run()
-    digest = payload_checksum(
-        {
-            "paths": path_profile_to_dict(vm.path_profile),
-            "edges": edge_profile_to_dict(vm.edge_profile),
-            "output": list(vm.output),
-            "return_value": result.return_value,
-            "cycles": result.cycles,
-        }
-    )
-    return digest, result.ticks, result.samples_taken, result.strides_skipped
-
-
 def _scalar_and_blocks(monkeypatch, run):
+    # Both runs compile cold, so the second one logs its promotions too.
+    monkeypatch.setenv(codecache.ENV_DISABLE, "0")
     with monkeypatch.context() as patch:
         patch.setattr(runtime, "_np", None)
         scalar = run()
@@ -212,20 +177,17 @@ def test_workload_scalar_block_parity(workload, monkeypatch):
     spec = get_workload(workload)
     program = spec.build(1.0)
     scalar, blocks = _scalar_and_blocks(
-        monkeypatch, lambda: _adaptive_run(program, spec.ticks_target, 3)
+        monkeypatch, lambda: adaptive_run(program, spec.ticks_target, 3)
     )
     assert blocks == scalar
-    assert scalar[1] > 0
+    assert scalar["ticks"] > 0
 
 
 @needs_numpy
 @pytest.mark.parametrize("seed", range(0, 96, 8))
 def test_random_program_scalar_block_parity(seed, monkeypatch):
-    spec = GeneratorSpec(
-        n_helpers=8, max_depth=2, max_stmts=5, max_trip=3, work_budget=300
-    )
-    program = random_program(seed, spec)
+    program = random_program(seed, CORPUS_SPEC)
     scalar, blocks = _scalar_and_blocks(
-        monkeypatch, lambda: _adaptive_run(program, 200, 11)
+        monkeypatch, lambda: adaptive_run(program, 200, 11)
     )
     assert blocks == scalar

@@ -1,10 +1,22 @@
 """Tests for the deterministic RNG."""
 
+import random
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.profiling.edges import numpy_available
-from repro.util.rng import JUMP_BLOCK, DeterministicRng, stable_hash
+from repro.util.rng import JUMP_BLOCK, STABLE_HASH_MEMO, DeterministicRng, stable_hash
+
+
+def fnv1a(text: str) -> int:
+    """The byte-wise FNV-1a loop that :func:`stable_hash` memoises."""
+    value = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        value ^= byte
+        value = (value * 0x100000001B3) & ((1 << 64) - 1)
+    return value
 
 
 def test_same_seed_same_stream():
@@ -34,6 +46,29 @@ def test_stable_hash_known_value():
     # FNV-1a of the empty string is the offset basis.
     assert stable_hash("") == 0xCBF29CE484222325
     assert stable_hash("a") != stable_hash("b")
+
+
+def test_stable_hash_memo_matches_fnv1a():
+    draw = random.Random(5)
+    alphabets = (
+        string.printable,
+        "aé€𝄞\x00\x1f|ÿ",  # 1- to 4-byte UTF-8, separators, NUL
+    )
+    texts = [
+        "".join(draw.choice(alphabet) for _ in range(draw.randint(0, 40)))
+        for alphabet in alphabets
+        for _ in range(STABLE_HASH_MEMO)
+    ]
+    # More distinct texts than the memo holds, each hashed twice: once
+    # cold and once after later texts may have evicted it.
+    assert len(set(texts)) > STABLE_HASH_MEMO
+    for _ in range(2):
+        for text in texts:
+            assert stable_hash(text) == fnv1a(text)
+    # Repeated calls on a hot text hit the memo and agree.
+    hot = "\x1f".join(texts[:50])
+    assert {stable_hash(hot) for _ in range(5)} == {fnv1a(hot)}
+    assert stable_hash.cache_info().currsize <= STABLE_HASH_MEMO
 
 
 @given(st.integers(min_value=-100, max_value=100), st.integers(min_value=0, max_value=200))
