@@ -6,9 +6,10 @@ it by *generating Python source* for every :class:`LoweredBlock`:
 operands are constant-folded into the text, registers become function
 locals, trap guards are inlined with their exact messages and locations,
 and PEP path-register adds / yieldpoint checks are baked in at their
-exact positions.  The source is ``compile()``/``exec()``-ed once per
-method and the run loop becomes block-level dispatch: call the block
-closure, follow the returned successor closure.
+exact positions.  The source is generated once per method, each of its
+functions is ``compile()``-d at its first call, and the run loop becomes
+block-level dispatch: call the block closure, follow the returned
+successor closure.
 
 Bit-identity contract
 ---------------------
@@ -39,21 +40,34 @@ exits by returning the successor segment's closure (jump/branch), the
 ``_CALL`` sentinel (guest call pushed; the driver switches frames), or
 ``None`` (guest return; value in ``JitState.ret_value``).
 
+Compilation at first entry
+--------------------------
+:func:`ensure_jit` binds every segment name to a *placeholder*
+(:func:`placeholder`): a function over one shared template code object
+whose first call compiles the real segment, binds it in the namespace
+and the segment table, and runs it.  A segment that never runs is never
+compiled.  A placeholder whose name has been rebound since (a trace or
+ladder installed over it) forwards to the current binding and compiles
+nothing.
+
 Caching
 -------
 Generated source is attached to the :class:`CompiledMethod`
 (``jit_source``) and rides along when the content-addressed
 :mod:`repro.vm.codecache` persists compiled methods, so warm runs (and
-engine-pool workers, which receive methods by pickle) skip codegen and
-only re-``exec``.  Compiled code objects are additionally memoised
-process-wide keyed by the source text itself.
+engine-pool workers, which receive methods by pickle) skip codegen.
+Compiled segment code objects are additionally memoised process-wide
+under the source text itself, so a method whose source the process has
+already run binds those segments at once.
 
 Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 """
 
 from __future__ import annotations
 
+import builtins
 import os
+from types import CellType, CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FuelExhaustedError, VMError
@@ -99,12 +113,27 @@ _CALL = object()
 #: the flag is down the gate is exactly ``next_tick``.
 _NEG_INF = float("-inf")
 
-# Process-wide memo of compiled code objects, keyed by the generated
-# source text itself (true content addressing: identical lowered bodies
-# produce identical source).  Bounded crudely — codegen is cheap relative
-# to a run, so an occasional flush only costs a recompile.
-_CODE_OBJECTS: Dict[str, object] = {}
+# Process-wide memos of compiled code, keyed by the generated source
+# text itself (true content addressing: identical lowered bodies produce
+# identical source).  ``_CODE_OBJECTS`` maps a whole trace or ladder
+# source to its module code object; ``_SEGMENT_CODE`` maps a blockjit
+# method source to the code objects of the segments compiled so far.
+# Each is bounded crudely at ``_CODE_OBJECTS_BOUND`` sources — an
+# occasional flush only costs a recompile.
+_CODE_OBJECTS: Dict[str, CodeType] = {}
+_SEGMENT_CODE: Dict[str, Dict[str, CodeType]] = {}
 _CODE_OBJECTS_BOUND = 4096
+
+
+def compile_memo(source: str, filename: str) -> CodeType:
+    """The module code object of a whole trace or ladder ``source``."""
+    code_obj = _CODE_OBJECTS.get(source)
+    if code_obj is None:
+        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
+            _CODE_OBJECTS.clear()
+        code_obj = compile(source, filename, "exec")
+        _CODE_OBJECTS[source] = code_obj
+    return code_obj
 
 
 def blockjit_enabled() -> bool:
@@ -695,32 +724,125 @@ def _namespace(cm: CompiledMethod) -> dict:
     return ns
 
 
-def ensure_jit(cm: CompiledMethod) -> dict:
-    """Return the method's segment table, generating/compiling on demand.
+def _stub_code() -> CodeType:
+    fill = stub = None
 
-    ``jit_source`` survives pickling (codecache persistence, engine-pool
-    workers); ``jit_entries`` holds per-process closures and is always
-    rebuilt here.
+    def _stub(vm, frame, regs, st):
+        current = stub.__globals__[stub.__name__]
+        if current is stub:
+            current = fill(stub)
+        return current(vm, frame, regs, st)
+
+    return _stub.__code__
+
+
+#: The code object every placeholder shares, so making one never calls
+#: ``compile()``.
+_STUB_CODE = _stub_code()
+
+
+def placeholder(ns: dict, name: str, fill) -> FunctionType:
+    """A segment-signature function for ``ns[name]`` that compiles late.
+
+    Each call looks ``name`` up in ``ns``.  While the name is still
+    bound to this placeholder, ``fill(placeholder)`` compiles and binds
+    the real function and returns it; otherwise the current binding (an
+    install made since, or the function an earlier fill bound) runs and
+    nothing compiles.  ``__globals__`` is ``ns``, so callers that find a
+    method's namespace through its segment table keep working.
+    """
+    cells = {"fill": CellType(fill), "stub": CellType()}
+    stub = FunctionType(
+        _STUB_CODE, ns, name, None,
+        tuple(cells[var] for var in _STUB_CODE.co_freevars),
+    )
+    cells["stub"].cell_contents = stub
+    return stub
+
+
+def _segment_text(source: str, name: str) -> str:
+    """The text of segment ``name`` in a blockjit method source.
+
+    Segment bodies are indented, so each column-0 ``def`` starts one.
+    """
+    start = source.index(f"\ndef {name}(") + 1
+    end = source.find("\ndef ", start)
+    return source[start:] if end < 0 else source[start:end]
+
+
+class _SegmentFill:
+    """Compiles one method namespace's segments at their first calls."""
+
+    __slots__ = ("source", "entries", "keys")
+
+    def __init__(self, source: str, entries: dict) -> None:
+        self.source = source
+        self.entries = entries
+        self.keys: Dict[str, Tuple[str, int]] = {}  # name -> entry key
+
+    def __call__(self, stub: FunctionType) -> FunctionType:
+        name = stub.__name__
+        codes = _SEGMENT_CODE.get(self.source)
+        if codes is None:
+            if len(_SEGMENT_CODE) >= _CODE_OBJECTS_BOUND:
+                _SEGMENT_CODE.clear()
+            codes = _SEGMENT_CODE[self.source] = {}
+        code = codes.get(name)
+        if code is None:
+            text = _segment_text(self.source, name)
+            module = compile(text, "<blockjit>", "exec")
+            code = next(c for c in module.co_consts if isinstance(c, CodeType))
+            codes[name] = code
+        fn = FunctionType(code, stub.__globals__, name)
+        stub.__globals__[name] = fn
+        self.entries[self.keys[name]] = fn
+        return fn
+
+
+def bind_segments(cm: CompiledMethod, ns: dict, entries: dict) -> None:
+    """Bind every plain segment of ``cm`` in ``ns`` and ``entries``.
+
+    Segments whose code the memo already holds are bound as real
+    functions at once; the rest get placeholders.
+    """
+    source = cm.jit_source
+    codes = _SEGMENT_CODE.get(source, {})
+    fill = None
+    for bi, block in enumerate(cm.blocks.values()):
+        for ip in _entry_ips(block):
+            name = f"_f{bi}_{ip}"
+            code = codes.get(name)
+            if code is not None:
+                fn = FunctionType(code, ns, name)
+            else:
+                if fill is None:
+                    fill = _SegmentFill(source, entries)
+                fill.keys[name] = (block.label, ip)
+                fn = placeholder(ns, name, fill)
+            ns[name] = fn
+            entries[(block.label, ip)] = fn
+
+
+def ensure_jit(cm: CompiledMethod) -> dict:
+    """Return the method's segment table, generating source on demand.
+
+    The whole source is generated here, because ``jit_source`` is what
+    the codecache persists; each segment compiles at its first call
+    (:func:`bind_segments`).  ``jit_source`` survives pickling
+    (codecache persistence, engine-pool workers); ``jit_entries`` holds
+    per-process closures and is always rebuilt here.
     """
     entries = cm.jit_entries
     if entries is not None:
         return entries
-    source = cm.jit_source
-    if source is None:
-        source = generate_source(cm)
-        cm.jit_source = source
-    code_obj = _CODE_OBJECTS.get(source)
-    if code_obj is None:
-        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
-            _CODE_OBJECTS.clear()
-        code_obj = compile(source, "<blockjit>", "exec")
-        _CODE_OBJECTS[source] = code_obj
+    if cm.jit_source is None:
+        cm.jit_source = generate_source(cm)
     ns = _namespace(cm)
-    exec(code_obj, ns)
+    # What exec() would add; functions built over ``ns`` resolve their
+    # builtins through it.
+    ns["__builtins__"] = builtins
     entries = {}
-    for bi, block in enumerate(cm.blocks.values()):
-        for ip in _entry_ips(block):
-            entries[(block.label, ip)] = ns[f"_f{bi}_{ip}"]
+    bind_segments(cm, ns, entries)
     cm.jit_entries = entries
     if cm.sb_source is not None:
         # A pickled superblock (codecache warm run, engine-pool worker)
@@ -761,6 +883,7 @@ def execute_blockjit(vm, fuel: int) -> int:
     Methods are jitted lazily at first entry — the adaptive system swaps
     recompiled methods into ``vm.code`` mid-run, and callee lookup stays
     dynamic, so a method may first be reached long after the run starts.
+    Segments compile later still, at their own first calls.
     """
     code = vm.code
     main_cm = code.get(vm.main)

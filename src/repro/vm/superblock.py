@@ -58,12 +58,11 @@ from repro.profiling.regenerate import dag_fingerprint, reconstruct_path
 from repro.util.flags import superblock_enabled
 from repro.util.rng import stable_hash
 from repro.vm.blockjit import (
-    _CODE_OBJECTS,
-    _CODE_OBJECTS_BOUND,
     _mask,
     _MethodCodegen,
     _Segment,
     _cmp_text,
+    compile_memo,
     ensure_jit,
 )
 from repro.vm.interpreter import (
@@ -612,12 +611,7 @@ def _head_index(cm: CompiledMethod, head_label: str) -> int:
 def _install(
     cm: CompiledMethod, source: str, head: LoweredBlock, entries: dict
 ) -> None:
-    code_obj = _CODE_OBJECTS.get(source)
-    if code_obj is None:
-        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
-            _CODE_OBJECTS.clear()
-        code_obj = compile(source, "<superblock>", "exec")
-        _CODE_OBJECTS[source] = code_obj
+    code_obj = compile_memo(source, "<superblock>")
     # The plain segments share one namespace per method; exec there so
     # the superblock sees _pk/_cm/_blk*/_og* and — crucially — rebinding
     # the head's global name retargets every dynamic successor lookup.
@@ -632,13 +626,15 @@ def _install(
 def install_superblock(
     cm: CompiledMethod, path_number: int, costs=None
 ) -> bool:
-    """Compile + install the trace for ``path_number``; first-wins.
+    """Generate + install the trace for ``path_number``; first-wins.
 
     Returns True when a trace artefact is installed (now or previously),
     False when the path is not an eligible loop trace.  Charges zero
     virtual cycles and touches no profiles: installation is observable
     only in wall clock.  Safe mid-run — the installed code is
-    behaviorally identical to entering the head's plain segment.
+    behaviorally identical to entering the head's plain segment.  The
+    classic trace compiles here; a tracefast ladder compiles at its
+    first entry (:func:`repro.vm.tracefast.install_source`).
 
     This is the tier-selecting front door (DESIGN.md §13): when the
     tracefast backend is enabled (``REPRO_TRACEFAST``, default on) the

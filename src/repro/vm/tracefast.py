@@ -50,9 +50,12 @@ policy, advice carry-over, and the codecache artefact contract
 with the superblock tier.  The fingerprint hashes the resolved
 tracefast flag, so artefacts generated by one backend never reinstall
 under the other — a flag flip misses cleanly, exactly like stale
-advice.  An optional AOT sub-tier (:mod:`repro.vm.aot`) compiles the
-generated module natively when a toolchain exists; any failure falls
-back to the pure-Python ``exec`` path.
+advice.  Promotion generates and fingerprints the ladder; the exec path
+compiles it at its first entry, through placeholders bound over every
+entry (:func:`install_source`).  An optional AOT sub-tier
+(:mod:`repro.vm.aot`) compiles the generated module natively when a
+toolchain exists and binds it at install; any failure falls back to the
+pure-Python ``exec`` path.
 """
 
 from __future__ import annotations
@@ -68,14 +71,15 @@ from repro.util.flags import (
     warmjit_enabled,
 )
 from repro.vm.blockjit import (
-    _CODE_OBJECTS,
-    _CODE_OBJECTS_BOUND,
     _MethodCodegen,
     _Segment,
     _cmp_text,
     _entry_ips,
     _mask,
+    bind_segments,
+    compile_memo,
     ensure_jit,
+    placeholder,
 )
 from repro.vm.interpreter import (
     OP_BINI,
@@ -1358,14 +1362,41 @@ def generate_method_source(
 # -- installation -----------------------------------------------------------
 
 
-def _compiled(source: str):
-    code_obj = _CODE_OBJECTS.get(source)
-    if code_obj is None:
-        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
-            _CODE_OBJECTS.clear()
-        code_obj = compile(source, "<tracefast>", "exec")
-        _CODE_OBJECTS[source] = code_obj
-    return code_obj
+class _LadderFill:
+    """Compiles and execs one installed ladder at its first entry."""
+
+    __slots__ = ("cm", "source", "entries", "head")
+
+    def __init__(self, cm: CompiledMethod, source: str, entries: dict) -> None:
+        self.cm = cm
+        self.source = source
+        self.entries = entries
+        self.head = None  # the placeholder ``sb_entry`` was pinned to
+
+    def __call__(self, stub):
+        cm = self.cm
+        ns = stub.__globals__
+        entries = self.entries
+        try:
+            code_obj = compile_memo(self.source, "<tracefast>")
+        except (SyntaxError, ValueError, RecursionError):
+            # Drop the artefact the way reinstall_persisted drops a
+            # stale one: back to the plain segments, silently.  The
+            # codecache shares methods across runs, so the run that
+            # first enters the ladder need not be the one that promoted
+            # it — there is no promotion here to degrade.
+            bind_segments(cm, ns, entries)
+            cm.sb_source = None
+            cm.sb_path = None
+            cm.sb_fingerprint = None
+            cm.sb_entry = None
+            return ns[stub.__name__]
+        exec(code_obj, ns)
+        for bi, block, ip in _entries_list(cm):
+            entries[(block.label, ip)] = ns[f"_f{bi}_{ip}"]
+        if cm.sb_entry is self.head:
+            cm.sb_entry = ns[self.head.__name__]
+        return ns[stub.__name__]
 
 
 def install_source(
@@ -1374,15 +1405,18 @@ def install_source(
     trace: Optional[List[LoweredBlock]],
     entries: dict,
 ) -> None:
-    """Exec (or AOT-load) ``source`` and rebind every entry to it.
+    """Bind every entry to ``source``'s wrappers, compiled at first entry.
 
     All ``_f{bi}_{ip}`` names in the method's shared namespace and all
-    segment-table slots are retargeted at the whole-method wrappers, so
-    plain-segment successor returns, driver lookups, and call resumes
-    all enter ``_m`` — including from code already in flight.
-    ``trace=None`` installs a warm ladder: ``sb_entry`` pins the
-    method-entry wrapper (promotion marker and pickling-era null slot,
-    same as a real trace's head entry).
+    segment-table slots are retargeted at placeholders of the
+    whole-method wrappers, so plain-segment successor returns, driver
+    lookups, and call resumes all enter the ladder — including from code
+    already in flight.  The first placeholder called compiles and execs
+    the whole source (a source that fails to compile drops the artefact
+    and falls back to the plain segments).  An AOT-loaded module binds
+    its wrappers at once.  ``trace=None`` installs a warm ladder:
+    ``sb_entry`` pins the method-entry wrapper (promotion marker and
+    pickling-era null slot, same as a real trace's head entry).
     """
     ns = next(iter(entries.values())).__globals__
     # Inline splices reference per-site guard/origin globals beyond the
@@ -1394,16 +1428,22 @@ def install_source(
         from repro.vm import aot
 
         # Any AOT failure (no toolchain, build error, import error)
-        # returns None: the pure-Python exec below is the fallback.
+        # returns None: the pure-Python ladder below is the fallback.
         loaded = aot.load_functions(cm, source)
     if loaded is not None:
         ns.update(loaded)
+        fill = None
     else:
-        exec(_compiled(source), ns)
+        fill = _LadderFill(cm, source, entries)
     for bi, block, ip in _entries_list(cm):
-        entries[(block.label, ip)] = ns[f"_f{bi}_{ip}"]
+        name = f"_f{bi}_{ip}"
+        if fill is not None:
+            ns[name] = placeholder(ns, name, fill)
+        entries[(block.label, ip)] = ns[name]
     head = trace[0].label if trace else cm.entry.label
     cm.sb_entry = entries[(head, 0)]
+    if fill is not None:
+        fill.head = cm.sb_entry
 
 
 def install_tracefast(

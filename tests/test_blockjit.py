@@ -375,13 +375,17 @@ def test_generated_source_is_content_addressed():
     # and labels are positional/injected), so the process-wide code
     # object memo actually hits.
     costs = CostModel()
-    a = compile_simple(counting_program(30), costs=costs)["main"]
+    code = compile_simple(counting_program(30), costs=costs)
+    a = code["main"]
     b = compile_simple(counting_program(30), costs=costs)["main"]
     assert generate_source(a) == generate_source(b)
-    ensure_jit(a)
-    before = len(blockjit._CODE_OBJECTS)
-    ensure_jit(b)
-    assert len(blockjit._CODE_OBJECTS) == before  # memo hit, no recompile
+    # Segments compile at their first call: run ``a`` to fill the memo.
+    VirtualMachine(code, "main", costs=costs, blockjit=True).run()
+    before = len(blockjit._SEGMENT_CODE)
+    entries = ensure_jit(b)
+    assert len(blockjit._SEGMENT_CODE) == before  # memo hit, no recompile
+    for key, fn in entries.items():
+        assert fn.__code__ is a.jit_entries[key].__code__
 
 
 # -- engine pool: parallel sweeps under blockjit ----------------------------
