@@ -18,9 +18,10 @@ Usage::
 non-zero (and prints a GitHub ``::warning::`` annotation) when the last
 ``--window`` history entries show a strictly monotonic climb in
 ``sampling_wall_overhead`` or a strictly monotonic decline in
-``tracefast_speedup``, ``warmjit_speedup``, ``kblpp_speedup`` or
-``pgo_speedup`` — each run a little worse than the previous one, the
-shape a per-PR regression gate with a fixed tolerance never catches.  Rendering mode has no dependencies and never fails the build:
+``tracefast_speedup``, ``kblpp_speedup`` or ``pgo_speedup`` — each run
+a little worse than the previous one, the shape a per-PR regression
+gate with a fixed tolerance never catches.  Rendering mode has no
+dependencies and never fails the build:
 a missing or partially corrupt history renders whatever lines are
 usable.
 """
@@ -82,7 +83,6 @@ def render_table(entries: list) -> str:
         ("sampling", lambda e: _fmt(e.get("sampling_wall_overhead"), ".2f")),
         ("superblk", lambda e: _fmt(e.get("superblock_speedup"), ".2f")),
         ("tracefast", lambda e: _fmt(e.get("tracefast_speedup"), ".2f")),
-        ("warmjit", lambda e: _fmt(e.get("warmjit_speedup"), ".2f")),
         ("kblpp", lambda e: _fmt(e.get("kblpp_speedup"), ".2f")),
         ("foldcov", lambda e: _fmt(e.get("fold_coverage"), ".3f")),
         ("pgo", lambda e: _fmt(e.get("pgo_speedup"), ".2f")),
@@ -202,14 +202,13 @@ def _check_series(
 def check_trend(entries: list, window: int = DEFAULT_TREND_WINDOW) -> int:
     """Alert on creeping regressions across recent bench runs.
 
-    Five monitored series: ``sampling_wall_overhead`` climbing (every
+    Four monitored series: ``sampling_wall_overhead`` climbing (every
     recent PR made sampling a little slower), ``tracefast_speedup``
     declining (every recent PR shaved a little off the trace backend's
-    win), ``warmjit_speedup`` declining (the warm token ladder's win
-    over plain blockjit eroding), ``kblpp_speedup`` declining (the
-    k-iteration trace's bimodal-loop win eroding), and ``pgo_speedup``
-    declining (the layout+inline win eroding run over run).  Any one
-    alone trips the alert.
+    win), ``kblpp_speedup`` declining (the k-iteration trace's
+    bimodal-loop win eroding), and ``pgo_speedup`` declining (the
+    layout+inline win eroding run over run).  Any one alone trips the
+    alert.
     """
     rc_sampling = _check_series(
         entries, "sampling_wall_overhead", window, bad_direction=1
@@ -217,16 +216,13 @@ def check_trend(entries: list, window: int = DEFAULT_TREND_WINDOW) -> int:
     rc_tracefast = _check_series(
         entries, "tracefast_speedup", window, bad_direction=-1
     )
-    rc_warmjit = _check_series(
-        entries, "warmjit_speedup", window, bad_direction=-1
-    )
     rc_kblpp = _check_series(
         entries, "kblpp_speedup", window, bad_direction=-1
     )
     rc_pgo = _check_series(
         entries, "pgo_speedup", window, bad_direction=-1
     )
-    return rc_sampling or rc_tracefast or rc_warmjit or rc_kblpp or rc_pgo
+    return rc_sampling or rc_tracefast or rc_kblpp or rc_pgo
 
 
 def main(argv=None) -> int:

@@ -136,7 +136,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"  blockjit={totals['blockjit_methods']} "
             f"superblock={totals['superblock_installs']} "
             f"tracefast={totals['tracefast_installs']} "
-            f"warmjit={totals['warmjit_installs']} "
             f"pgo_inline_sites={totals['pgo_inline_sites']} "
             f"min_coverage={totals['min_coverage_methods']} "
             f"probes={totals['probes_placed']}/{totals['probes_full']}"

@@ -27,7 +27,6 @@ from repro.util.flags import (
     kblpp_k,
     superblock_enabled,
     tracefast_enabled,
-    warmjit_enabled,
 )
 from repro.vm.costs import CostModel
 from repro.vm.superblock import (
@@ -37,7 +36,6 @@ from repro.vm.superblock import (
     install_superblock,
     trace_blocks,
 )
-from repro.vm.tracefast import WARM_PATH
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -52,7 +50,6 @@ class AdaptiveConfig:
         "superblock",
         "superblock_threshold",
         "superblock_min_samples",
-        "warmjit_min_samples",
         "kpath_threshold",
     )
 
@@ -64,7 +61,6 @@ class AdaptiveConfig:
         superblock: Optional[bool] = None,
         superblock_threshold: float = 0.5,
         superblock_min_samples: float = 8.0,
-        warmjit_min_samples: float = 4.0,
         kpath_threshold: Optional[float] = None,
     ) -> None:
         # thresholds: (samples needed, opt level), ascending.
@@ -82,13 +78,6 @@ class AdaptiveConfig:
         self.superblock = superblock
         self.superblock_threshold = superblock_threshold
         self.superblock_min_samples = superblock_min_samples
-        # Warm-ladder promotion (DESIGN.md §15): a method that keeps
-        # getting sampled but never forms a dominant path still gets
-        # whole-method tracefast codegen (plain token-ladder arms) once
-        # its *method* samples reach this floor.  Deliberately below
-        # superblock_min_samples — warm is the consolation tier, and a
-        # later dominance event upgrades the ladder to a real trace.
-        self.warmjit_min_samples = warmjit_min_samples
         # Dominance threshold over the k-path window table (DESIGN.md
         # §16).  None derives ``superblock_threshold / k``: overlapping
         # windows split a cyclic kernel's mass across its k rotations
@@ -128,12 +117,13 @@ class AdaptiveSystem:
         self.code: Dict[str, CompiledMethod] = {}
         # Superblock promotion events: (source_name, profile_key, path).
         self.superblock_log: List[Tuple[str, str, int]] = []
-        # Warm-ladder promotion events: (source_name, profile_key).
+        # Always empty: the warm ladder is retired (DESIGN.md §15).  The
+        # benchmark still reads it for ``controller.warm_promotions``;
+        # the benchmark change of ROADMAP item 2 drops both.
         self.warmjit_log: List[Tuple[str, str]] = []
         # Profile keys already considered for formation (one decision
         # per compiled version; recompiles get a fresh key).
         self._sb_attempted: set = set()
-        self._warm_attempted: set = set()
         self._superblock = superblock_enabled(self.config.superblock)
         # k-iteration fallback (DESIGN.md §16): when no 1-path dominates
         # a method, its k-path table may still show a dominant
@@ -153,10 +143,6 @@ class AdaptiveSystem:
         # tracefast tier when enabled, the classic §11 superblock
         # otherwise.  Resolved once so one run uses one tier.
         self._tracefast = tracefast_enabled()
-        # Warm-ladder tier (DESIGN.md §15): tracefast codegen with no
-        # trace arm, for warm methods without a dominant path.  Only
-        # meaningful when the tracefast backend itself is selected.
-        self._warmjit = self._tracefast and warmjit_enabled()
         self._bootstrap()
 
     def _bootstrap(self) -> None:
@@ -364,7 +350,7 @@ class AdaptiveSystem:
         cm = vm.code.get(source_name)
         if cm is None or cm.dag is None or cm.resolver is None:
             return
-        if cm.sb_entry is not None and cm.sb_path != WARM_PATH:
+        if cm.sb_entry is not None:
             return
         key = cm.profile_key
         if key in self._sb_attempted:
@@ -380,14 +366,11 @@ class AdaptiveSystem:
             # 1-paths split the samples may still have a dominant
             # k-window.  Eligibility is checked *before* the dominance
             # verdict is burned, so an unstitchable k-path (multi-header
-            # window, fault-demoted table) falls through to the warm
-            # ladder with 1-path dominance left open.
+            # window, fault-demoted table) leaves 1-path dominance open.
             path = self._find_kpath(vm, cm, key)
         if path is None:
-            # No dominant path (yet): the warm ladder is the consolation
-            # tier.  Dominance stays open — a later verdict upgrades the
-            # ladder to a real trace (the one relaxation of first-wins).
-            self._maybe_warmjit(vm, cm, source_name, key)
+            # No dominant path (yet): the method stays on plain blockjit
+            # and a later sample may still find one.
             return
         # A dominance verdict is final for this version: mark before the
         # attempt so a structurally ineligible path (or an injected
@@ -482,54 +465,3 @@ class AdaptiveSystem:
             self._kpath_rejected.add((key, encoded))
             return None
         return encoded
-
-    def _maybe_warmjit(
-        self,
-        vm: VirtualMachine,
-        cm: CompiledMethod,
-        source_name: str,
-        key: str,
-    ) -> None:
-        """Promote a warm no-dominant-path method to the token ladder.
-
-        Same contract as superblock promotion — one decision per
-        compiled version, zero virtual cycles, no profile writes, no
-        RNG draws on unconfigured fault plans — at a lower sample floor
-        (``warmjit_min_samples``).  With the tier off (or the tracefast
-        backend unselected) this is a pure no-op, so ``REPRO_WARMJIT=0``
-        runs are byte-identical to PR-8 even under a warmjit fault plan.
-        """
-        if not self._warmjit:
-            return
-        if cm.sb_entry is not None or key in self._warm_attempted:
-            return
-        if self.samples.get(source_name, 0) < self.config.warmjit_min_samples:
-            return
-        # One verdict per version, exactly like dominance: a failed or
-        # faulted attempt degrades to plain blockjit permanently for
-        # this compiled version, not per-sample.
-        self._warm_attempted.add(key)
-        resilience = self.resilience
-        injector = resilience.injector if resilience is not None else None
-        if injector is not None and injector.should_fire(
-            "warmjit-compile", key
-        ):
-            resilience.health.record_degradation(
-                "warmjit-degrade",
-                f"{source_name}: injected warmjit-compile fault; "
-                "staying on plain blockjit",
-            )
-            return
-        try:
-            installed = install_superblock(cm, WARM_PATH, self.costs)
-        except Exception as exc:
-            if resilience is not None:
-                resilience.health.record_degradation(
-                    "warmjit-degrade",
-                    f"{source_name}: warm ladder compile failed ({exc}); "
-                    "staying on plain blockjit",
-                )
-                return
-            raise
-        if installed:
-            self.warmjit_log.append((source_name, key))

@@ -36,10 +36,6 @@ from repro.util.rng import DeterministicRng
 #: * ``tracefast-compile``  — whole-method tracefast codegen (DESIGN.md
 #:   §13); firing degrades the method to plain blockjit — not to the
 #:   superblock backend — with a ``tracefast-degrade`` health entry
-#: * ``warmjit-compile``    — warm token-ladder promotion (DESIGN.md
-#:   §15); firing degrades the method to plain blockjit with a
-#:   ``warmjit-degrade`` health entry.  A later dominant-path trace can
-#:   still promote the method — the sites are independent.
 FAULT_SITES = (
     "opt-compile",
     "sample",
@@ -48,7 +44,6 @@ FAULT_SITES = (
     "advice-load",
     "superblock-compile",
     "tracefast-compile",
-    "warmjit-compile",
     "worker-crash",
     "worker-hang",
     "receipt-write",

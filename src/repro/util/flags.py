@@ -100,16 +100,6 @@ FIXEDCOST_ENV = "REPRO_FIXEDCOST"
 #: PR-7/PR-8 chained emission byte for byte.
 FIXEDCOST: Optional[bool] = None
 
-WARMJIT_ENV = "REPRO_WARMJIT"
-
-#: Module override for warm-method whole-method codegen (DESIGN.md §15):
-#: methods that stay warm without ever forming a dominant Ball-Larus
-#: path are still compiled into a tracefast token-ladder ``_m`` function
-#: (plain arms only, laid out in ``pgo_layout`` order), promoted by the
-#: adaptive controller at a warm threshold below superblock promotion.
-#: Pure wall-clock steering; ``REPRO_WARMJIT=0`` is the kill switch.
-WARMJIT: Optional[bool] = None
-
 KBLPP_ENV = "REPRO_KBLPP"
 
 #: Module override for k-iteration Ball-Larus path profiling (DESIGN.md
@@ -277,23 +267,6 @@ def fixedcost_enabled(explicit: Optional[bool] = None) -> bool:
     return _env_enabled(FIXEDCOST_ENV)
 
 
-def warmjit_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the warm-method whole-method-codegen setting.
-
-    Effective only when the tracefast backend itself is on (the warm
-    ladder is tracefast codegen without a trace arm).
-    ``REPRO_WARMJIT=0`` is the kill switch: the controller stops
-    promoting warm methods and persisted warm ladders are not
-    re-installed (the artefacts stay for a later enabled process, like
-    the superblock kill switch).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if WARMJIT is not None:
-        return bool(WARMJIT)
-    return _env_enabled(WARMJIT_ENV)
-
-
 def kblpp_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the k-iteration path-profiling setting.
 
@@ -302,9 +275,9 @@ def kblpp_enabled(explicit: Optional[bool] = None) -> bool:
     k-path table and the controller's k-path fallback.
     ``REPRO_KBLPP=0`` is the kill switch: the sampler stops chaining
     windows, the controller never consults the k-table, and persisted
-    k-path traces are kept but not re-installed (the warm-ladder
-    idiom).  Digests are bit-identical either way — the k-table is a
-    shadow structure that charges no virtual cycles.
+    k-path traces are kept but not re-installed (as under
+    ``REPRO_SUPERBLOCK=0``).  Digests are bit-identical either way —
+    the k-table is a shadow structure that charges no virtual cycles.
     """
     if explicit is not None:
         return bool(explicit)

@@ -40,7 +40,6 @@ from repro.util.flags import (
     pgo_inline_enabled,
     pgo_layout_enabled,
     samplefast_enabled,
-    warmjit_enabled,
 )
 from repro.util.rng import stable_hash
 from repro.vm.costs import CostModel
@@ -93,7 +92,12 @@ DEFAULT_BOUND = 2048
 # revives under a different k (or with the tier off) via a key hit.
 # Format-7 entries predate the encoding, so a format-7 cache loaded
 # under format 8 is dropped wholesale.
-_FORMAT = 8
+# Format 9: the warm token ladder is retired (DESIGN.md §15), so the
+# keys lose the resolved ``REPRO_WARMJIT`` flag and no ``sb_*`` slot
+# carries ``sb_path == -1`` any more.  A format-8 cache may hold warm
+# ladders, so it is dropped wholesale: persisted ladders miss instead
+# of loading.
+_FORMAT = 9
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -200,12 +204,10 @@ def optimize_key(
         pgo_layout_enabled(),
         pgo_inline_enabled(),
         bool(min_coverage),
-        # Resolved fixed-point / warm-ladder components (format 7): the
-        # fold verdict is taken at lowering and baked into every
-        # generated source's chain shape, and a persisted warm ladder
-        # must never revive under REPRO_WARMJIT=0 via a key hit.
+        # Resolved fixed-point component (format 7): the fold verdict
+        # is taken at lowering and baked into every generated source's
+        # chain shape.
         fixedcost_enabled(),
-        warmjit_enabled(),
         # Resolved k-iteration components (format 8): a cached method
         # may carry a k-trace in its sb_* slots, and the window width
         # is baked into its fingerprint — neither may conflate across

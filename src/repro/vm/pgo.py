@@ -654,7 +654,6 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         "blockjit_methods": 0,
         "superblock_installs": 0,
         "tracefast_installs": 0,
-        "warmjit_installs": 0,
         "pgo_inline_sites": 0,
         "min_coverage_methods": 0,
         "probes_placed": 0,
@@ -673,9 +672,7 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         cm = code[name]
         backend = None
         if cm.sb_source is not None:
-            if cm.sb_path == -1:
-                backend = "warm-ladder"
-            elif "def _m(" in cm.sb_source:
+            if "def _m(" in cm.sb_source:
                 backend = "tracefast"
             else:
                 backend = "superblock"
@@ -701,8 +698,6 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
             totals["tracefast_installs"] += 1
         elif backend == "superblock":
             totals["superblock_installs"] += 1
-        elif backend == "warm-ladder":
-            totals["warmjit_installs"] += 1
         fold = (
             "certified" if cm.fold_q
             else "legacy" if cm.fold_q is None

@@ -80,8 +80,9 @@ MAX_TRACE_BLOCKS = 64
 
 #: ``sb_path`` encoding for k-iteration traces (DESIGN.md §16): k-DAG
 #: path number ``n`` is stored as ``KPATH_BASE - n``, keeping the whole
-#: k space below the warm sentinel (``tracefast.WARM_PATH == -1``) and
-#: disjoint from 1-path numbers (``>= 0``).
+#: k space disjoint from 1-path numbers (``>= 0``).  -1 is unused: it
+#: marked the retired warm ladder (DESIGN.md §15), and the base stays
+#: at -2 so k-trace numbers and fingerprints keep their values.
 KPATH_BASE = -2
 
 
@@ -584,16 +585,14 @@ def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
         # Format 7: the fold verdict selects the tracefast chain shape
         # (fixed-point vs legacy-gated vs textual), so sources from
         # different verdicts — including a REPRO_FIXEDCOST flip, which
-        # moves fold_q between None and 20 — must never cross.  The
-        # warm ladder (path_number == -1) flows through the path
-        # component naturally.
+        # moves fold_q between None and 20 — must never cross.
         f"fq{cm.fold_q}"
         # k-iteration traces (DESIGN.md §16) additionally pin the
         # resolved window length: their path number lives in the k-DAG's
         # space, so a REPRO_KBLPP_K change must miss (and drop the
         # artefact) instead of decoding the number in the wrong space.
-        # Plain traces and warm ladders omit the component entirely,
-        # keeping their fingerprints byte-stable across k changes.
+        # Plain traces omit the component entirely, keeping their
+        # fingerprints byte-stable across k changes.
         + (f"|kb{kblpp_k()}" if is_kpath(path_number) else "")
     )
 
@@ -645,11 +644,6 @@ def install_superblock(
     ``costs`` (the run's :class:`~repro.vm.costs.CostModel`) is optional
     and only unlocks tracefast's exact cost-chain folding — omitting it
     is always safe, merely slower.
-
-    ``path_number == tracefast.WARM_PATH`` (-1) requests the warm
-    token ladder, a tracefast-only artefact: with the tracefast backend
-    off the request degrades cleanly to False (``trace_blocks`` rejects
-    the sentinel), exactly like an ineligible path.
     """
     from repro.util.flags import tracefast_enabled
 
@@ -693,43 +687,20 @@ def reinstall_persisted(cm: CompiledMethod, entries: dict) -> None:
     if not superblock_enabled():
         return
     path = cm.sb_path
-    if path == -1:
-        # A persisted warm ladder (tracefast.WARM_PATH).  With either
-        # the tracefast backend or the warm tier switched off, keep the
-        # artefacts untouched and install nothing — the same semantics
-        # the REPRO_SUPERBLOCK kill switch gives real traces: a later
-        # enabled process revives them.
-        from repro.util.flags import tracefast_enabled, warmjit_enabled
-
-        if not (tracefast_enabled() and warmjit_enabled()):
-            return
-        ok = False
-        if cm.dag is not None and cm.sb_source is not None:
-            try:
-                if cm.sb_fingerprint == superblock_fingerprint(cm, path):
-                    from repro.vm import tracefast
-
-                    tracefast.install_source(cm, cm.sb_source, None, entries)
-                    ok = True
-            except Exception:
-                ok = False
-        if not ok:
-            cm.sb_source = None
-            cm.sb_path = None
-            cm.sb_fingerprint = None
-            cm.sb_entry = None
-        return
     if is_kpath(path):
         # A persisted multi-iteration k-trace (DESIGN.md §16).  Under
         # the REPRO_KBLPP kill switch keep the artefacts untouched and
-        # install nothing — the warm-ladder idiom: a later enabled
-        # process revives them.  When on, the generic validation below
-        # applies; the fingerprint embeds the resolved k, so a
-        # REPRO_KBLPP_K change misses and the stale trace is dropped.
+        # install nothing — as REPRO_SUPERBLOCK=0 does for every trace:
+        # a later enabled process revives them.  When on, the generic
+        # validation below applies; the fingerprint embeds the resolved
+        # k, so a REPRO_KBLPP_K change misses and the stale trace is
+        # dropped.
         from repro.util.flags import kblpp_enabled
 
         if not kblpp_enabled():
             return
+    # A stale -1 (a retired warm ladder) fails ``trace_blocks`` below
+    # and is dropped like any other stale trace.
     ok = False
     if path is not None and cm.dag is not None and cm.sb_source is not None:
         try:

@@ -68,7 +68,6 @@ from repro.util.flags import (
     pgo_inline_enabled,
     pgo_layout_enabled,
     tracefast_aot_enabled,
-    warmjit_enabled,
 )
 from repro.vm.blockjit import (
     _MethodCodegen,
@@ -96,16 +95,6 @@ from repro.vm.interpreter import (
     LoweredBlock,
 )
 from repro.vm.superblock import _origin_names
-
-
-#: Sentinel ``sb_path`` for the warm-method token ladder (DESIGN.md
-#: §15): a whole-method ``_m`` compiled with *no* dominant trace arm —
-#: plain ladder arms only, laid out in ``pgo_layout`` order.  Persisted
-#: through the same ``sb_source``/``sb_path``/``sb_fingerprint`` slots
-#: as real traces; :func:`repro.vm.superblock.trace_blocks` rejects it
-#: (no Ball-Larus path numbered -1 exists), which is what keeps the
-#: classic superblock backend from ever consuming warm artefacts.
-WARM_PATH = -1
 
 
 #: Cost constants are "clean" when they are exact multiples of 2**-12
@@ -1180,58 +1169,8 @@ def entry_tokens(cm: CompiledMethod) -> Dict[Tuple[str, int], int]:
     }
 
 
-def _warm_layout(cm: CompiledMethod) -> Dict[str, int]:
-    """Static ladder rank for warm methods: natural-loop depth per label.
-
-    A warm method has no dominant path (and usually no PGO layout
-    advice), so the token ladder falls back to a static schedule:
-    blocks in deeper loops are *tested* first.  Loop membership comes
-    from natural loops over the lowered CFG — a successor edge jumping
-    backwards in block order is a back edge (the builder lays headers
-    out before their bodies), and the loop is the header plus everything
-    that reaches the back-edge source without passing the header.  Pure
-    emission order, wall-clock only: tokens and wrapper names stay
-    canonical, exactly like the ``pgo_layout`` reorder.
-    """
-    order = list(cm.blocks)
-    index = {label: i for i, label in enumerate(order)}
-    succ: Dict[str, list] = {}
-    for label, block in cm.blocks.items():
-        term = block.term
-        t = term[0]
-        if t == T_JMP:
-            succ[label] = [term[2].label]
-        elif t == T_BR:
-            succ[label] = [term[5].label, term[6].label]
-        elif t == T_BRCMP:
-            succ[label] = [term[10].label, term[11].label]
-        else:
-            succ[label] = []
-    pred: Dict[str, list] = {label: [] for label in order}
-    for u, targets in succ.items():
-        for v in targets:
-            if v in pred:
-                pred[v].append(u)
-    depth = {label: 0 for label in order}
-    for u in order:
-        for h in succ[u]:
-            if h not in index or index[h] > index[u]:
-                continue
-            loop = {h}
-            stack = [u]
-            while stack:
-                x = stack.pop()
-                if x in loop:
-                    continue
-                loop.add(x)
-                stack.extend(pred.get(x, ()))
-            for x in loop:
-                depth[x] += 1
-    return depth
-
-
 def generate_method_source(
-    cm: CompiledMethod, trace: Optional[List[LoweredBlock]], costs=None
+    cm: CompiledMethod, trace: List[LoweredBlock], costs=None
 ) -> str:
     """Generate the whole-method tracefast source (a pure function of
     the lowered blocks, the trace order, the resolved samplefast/PGO
@@ -1247,16 +1186,10 @@ def generate_method_source(
     ``REPRO_FIXEDCOST=0`` kill switch), and pure textual chains when
     certification rejected the method (``fold_q == 0``).  ``costs=None``
     disables legacy folding (conservative: parity is unconditional
-    either way).
-
-    ``trace=None`` emits the *warm ladder* (``WARM_PATH``): the same
-    token-dispatch ``_m`` with no trace arm — every entry is a plain
-    ladder arm, laid out in ``pgo_layout`` order.  Warm methods get the
-    slotted-frame register promotion and chain batching without ever
-    having formed a dominant Ball-Larus path."""
+    either way)."""
     entries_list = _entries_list(cm)
     tokens = entry_tokens(cm)
-    head_label = trace[0].label if trace else None
+    head_label = trace[0].label
     fold_q = cm.fold_q
     fold_ok = fold_q is None and costs is not None and _fold_safe(cm, costs)
     inline_sites: Dict[Tuple[str, int], tuple] = {}
@@ -1286,13 +1219,6 @@ def generate_method_source(
         # byte-identical to the canonical order).
         rank = {label: i for i, label in enumerate(cm.pgo_layout)}
         plain_arms.sort(key=lambda e: rank.get(e[1].label, len(rank)))
-    elif trace is None:
-        # Warm ladder with no layout advice: schedule statically, loop
-        # blocks first (see _warm_layout) — every iteration of a warm
-        # method's loop re-scans the ladder from the top, so the arms
-        # it lands on most should be the first tested.
-        depth = _warm_layout(cm)
-        plain_arms.sort(key=lambda e: -depth.get(e[1].label, 0))
 
     def emit_body(seg: _TfSeg) -> None:
         origin_names = _origin_names(cm)
@@ -1306,15 +1232,14 @@ def generate_method_source(
         # may carry another tier's dirty constants — chains based there
         # never fold under the legacy Q12 gate (fixed-point accounting
         # needs no such caution: the grid is certified globally).
-        if trace:
-            seg.base = 1
-            seg.clean = False
-            seg.emit(f"if _e == {tokens[(head_label, 0)]}:")
-            seg.emit("while True:", 2)
-            seg.base = 3
-            _emit_trace_tf(cg, seg, trace, tokens, origin_names, inline_sites)
-            seg.pending = []
-            seg.pep = 0
+        seg.base = 1
+        seg.clean = False
+        seg.emit(f"if _e == {tokens[(head_label, 0)]}:")
+        seg.emit("while True:", 2)
+        seg.base = 3
+        _emit_trace_tf(cg, seg, trace, tokens, origin_names, inline_sites)
+        seg.pending = []
+        seg.pep = 0
         for bi, block, ip in plain_arms:
             seg.base = 1
             seg.clean = False
@@ -1333,15 +1258,9 @@ def generate_method_source(
     seg.dirty = set(probe.dirty)
     emit_body(seg)
 
-    header = (
-        "# Generated by repro.vm.tracefast — whole-method token dispatch "
-        f"with the trace over blocks {[b.label for b in trace]!r} inlined."
-        if trace
-        else "# Generated by repro.vm.tracefast — whole-method token "
-        "dispatch, warm ladder (no dominant trace)."
-    )
     lines = [
-        header,
+        "# Generated by repro.vm.tracefast — whole-method token dispatch "
+        f"with the trace over blocks {[b.label for b in trace]!r} inlined.",
         "def _m(vm, frame, regs, st, _e):",
         "    _fuel = st.fuel",
         "    _cyc = st.cyc",
@@ -1402,7 +1321,7 @@ class _LadderFill:
 def install_source(
     cm: CompiledMethod,
     source: str,
-    trace: Optional[List[LoweredBlock]],
+    trace: List[LoweredBlock],
     entries: dict,
 ) -> None:
     """Bind every entry to ``source``'s wrappers, compiled at first entry.
@@ -1414,9 +1333,7 @@ def install_source(
     already in flight.  The first placeholder called compiles and execs
     the whole source (a source that fails to compile drops the artefact
     and falls back to the plain segments).  An AOT-loaded module binds
-    its wrappers at once.  ``trace=None`` installs a warm ladder:
-    ``sb_entry`` pins the method-entry wrapper (promotion marker and
-    pickling-era null slot, same as a real trace's head entry).
+    its wrappers at once.  ``sb_entry`` pins the trace head's wrapper.
     """
     ns = next(iter(entries.values())).__globals__
     # Inline splices reference per-site guard/origin globals beyond the
@@ -1440,8 +1357,7 @@ def install_source(
         if fill is not None:
             ns[name] = placeholder(ns, name, fill)
         entries[(block.label, ip)] = ns[name]
-    head = trace[0].label if trace else cm.entry.label
-    cm.sb_entry = entries[(head, 0)]
+    cm.sb_entry = entries[(trace[0].label, 0)]
     if fill is not None:
         fill.head = cm.sb_entry
 
@@ -1456,33 +1372,16 @@ def install_tracefast(
     superblock slots (``sb_source``/``sb_path``/``sb_fingerprint``) —
     the fingerprint's resolved-tracefast component keeps the backends'
     artefacts from ever crossing.
-
-    ``path_number == WARM_PATH`` installs the warm ladder (no trace
-    arm).  First-wins is relaxed in exactly one direction: a real
-    dominant trace may *upgrade* an installed warm ladder (the ladder
-    was the consolation tier; the trace is strictly better), while a
-    warm install never displaces anything.
     """
     from repro.vm.superblock import superblock_fingerprint, trace_blocks
 
-    def _settled() -> bool:
-        if cm.sb_entry is None:
-            return False
-        # An installed warm ladder yields to a real trace request.
-        return path_number == WARM_PATH or cm.sb_path != WARM_PATH
-
-    if _settled():
+    if cm.sb_entry is not None:
         return True
-    if path_number == WARM_PATH:
-        if not warmjit_enabled() or cm.dag is None:
-            return False
-        trace = None
-    else:
-        trace = trace_blocks(cm, path_number)
-        if trace is None:
-            return False
+    trace = trace_blocks(cm, path_number)
+    if trace is None:
+        return False
     entries = ensure_jit(cm)
-    if _settled():
+    if cm.sb_entry is not None:
         # ensure_jit re-installed a persisted source just now.
         return True
     fingerprint = superblock_fingerprint(cm, path_number)

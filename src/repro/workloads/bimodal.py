@@ -7,8 +7,8 @@ single acyclic path ever dominates — yet one 2-iteration window does.
 This is exactly the shape k-iteration path profiling (k-BLPP, arXiv
 1304.5197) exists for: the dominant k-path stitches both arms into one
 multi-iteration superblock with the loop back edge as an intra-trace
-fall-through, where 1-path trace formation can at best install the warm
-token ladder.
+fall-through, where 1-path trace formation finds no dominant path and
+leaves the kernel on plain blockjit.
 
 The kernels alternate *deterministically* (parity or a flipped toggle);
 LCG-derived guest data feeds the arms' arithmetic but never the branch,

@@ -147,7 +147,7 @@ def adaptive_run(
     adaptive system runs PEP(64,17) under a resilience layer that
     injects ``plan``'s faults, if any.  Returns the run's observables:
     digest (profiles, output, cycles), counters, health, the shadow
-    k-path table, and the controller's compile, trace and warm logs.
+    k-path table, and the controller's compile and trace logs.
     """
     costs = CostModel()
     base_code = {
@@ -186,5 +186,4 @@ def adaptive_run(
         "kpaths": list(vm.kpath_profile.items()),
         "compile_log": list(system.compile_log),
         "superblock_log": list(system.superblock_log),
-        "warm_log": list(system.warmjit_log),
     }

@@ -236,12 +236,12 @@ def test_save_is_atomic(tmp_path):
 
 
 def test_old_format_cache_dropped_wholesale(tmp_path):
-    # A cache persisted by an older format (format 6: no fixed-point
-    # fold verdict, no warm-ladder artefacts; format 7: no k-iteration
-    # trace encoding or resolved k in the keys) must not be partially
-    # reused: each bump changed what the keys/fingerprints hash, so
-    # every old entry is untrustworthy and the load drops the whole
-    # file.
+    # A cache persisted by an older format (format 7: no k-iteration
+    # trace encoding or resolved k in the keys; format 8: warm-ladder
+    # artefacts and the resolved REPRO_WARMJIT flag in the keys) must
+    # not be partially reused: each bump changed what the keys or
+    # fingerprints hash, or what the sb_* slots may hold, so every old
+    # entry is untrustworthy and the load drops the whole file.
     program = counting_program(10)
     cm, cycles = _compile(program)
     path = str(tmp_path / "cache.pkl")
@@ -250,8 +250,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 8
-    payload["format"] = 7
+    assert payload["format"] == codecache._FORMAT == 9
+    payload["format"] = 8
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 

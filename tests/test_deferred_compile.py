@@ -56,7 +56,6 @@ def _isolate(monkeypatch):
     monkeypatch.setattr(blockjit, "_SEGMENT_CODE", {})
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
     monkeypatch.setattr(flags, "TRACEFAST", True)
-    monkeypatch.setattr(flags, "WARMJIT", True)
     monkeypatch.setattr(flags, "TRACEFAST_AOT", False)
 
 
@@ -185,14 +184,13 @@ def test_memo_warm_ensure_jit_binds_no_placeholders(compiled):
 # -- ladders -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_sb_entry_follows_the_fill(warm, compiled):
+def test_sb_entry_follows_the_fill(compiled):
     program = hot_helper_program(calls=6, inner=8)
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
-    path = tracefast.WARM_PATH if warm else _trace_path(cm)
+    path = _trace_path(cm)
     assert install_superblock(cm, path, CostModel())
-    head = (cm.entry.label if warm else trace_blocks(cm, path)[0].label, 0)
+    head = (trace_blocks(cm, path)[0].label, 0)
     assert _is_placeholder(cm.sb_entry)
     assert cm.jit_entries[head] is cm.sb_entry
     assert all(_is_placeholder(fn) for fn in cm.jit_entries.values())
@@ -204,26 +202,45 @@ def test_sb_entry_follows_the_fill(warm, compiled):
     assert compiled.count(cm.sb_source) == 1
 
 
-def test_trace_upgrade_before_first_entry_skips_the_warm_ladder(compiled):
+def test_regenerated_ladder_replaces_one_that_never_ran(
+    monkeypatch, compiled
+):
     program = hot_helper_program(calls=6, inner=8)
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
-    entry = (cm.entry.label, 0)
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
-    warm_source, warm_entry = cm.sb_source, cm.jit_entries[entry]
     path = _trace_path(cm)
     assert install_superblock(cm, path, CostModel())
-    assert cm.sb_path == path
-    # A caller that looked the warm placeholder up before the upgrade:
-    # it forwards to the trace ladder, which compiles instead.
-    cm.jit_entries[entry] = warm_entry
-    assert _observe(program, code, True) == _oracle(program, "pep")
-    assert warm_source not in compiled
-    assert compiled.count(cm.sb_source) == 1
-    ns = warm_entry.__globals__
-    assert ns[warm_entry.__name__] is cm.jit_entries[entry]
+    stale = cm.sb_entry
+    cells = dict(zip(stale.__code__.co_freevars, stale.__closure__))
+    old_fill = cells["fill"].cell_contents
+    fills = []
+    real_call = tracefast._LadderFill.__call__
+
+    def spy(self, stub):
+        fills.append(self)
+        return real_call(self, stub)
+
+    monkeypatch.setattr(tracefast._LadderFill, "__call__", spy)
+    # What _refresh_inline_callers does to a caller whose inline advice
+    # moved, here on a ladder nothing has entered yet.
+    cm.sb_entry = None
+    cm.sb_source = None
+    cm.sb_fingerprint = None
+    assert install_superblock(cm, cm.sb_path, CostModel())
+    assert cm.sb_path == path and _is_placeholder(cm.sb_entry)
+    assert cm.sb_entry is not stale
+    # A caller that looked the head up before the regeneration runs the
+    # new ladder; the old fill never runs.
+    fresh = compile_simple(program, mode="pep")["helper"]
+    head = (trace_blocks(cm, path)[0].label, 0)
+    expected = _call_leaf(program, code, fresh, ensure_jit(fresh)[head], 3)
+    assert _call_leaf(program, code, cm, stale, 3) == expected
+    assert fills and all(fill is not old_fill for fill in fills)
+    assert not _is_placeholder(cm.sb_entry)
+    assert cm.jit_entries[head] is cm.sb_entry
+    assert stale.__globals__[stale.__name__] is cm.sb_entry
     assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
-    assert cm.sb_path == path and not _is_placeholder(cm.sb_entry)
+    assert compiled.count(cm.sb_source) == 1
 
 
 def test_plain_placeholder_after_ladder_install_runs_the_ladder(compiled):
@@ -315,22 +332,15 @@ def _forced_generation(monkeypatch, when):
     return raised
 
 
-@pytest.mark.parametrize(
-    "seed, policy, when",
-    [
-        (32, "tracefast-degrade", lambda cm, trace: trace is not None),
-        (16, "warmjit-degrade", lambda cm, trace: trace is None),
-    ],
-    ids=["trace", "warm"],
-)
-def test_generation_failure_degrades_at_promotion(
-    seed, policy, when, monkeypatch
-):
-    program = random_program(seed, CORPUS_SPEC)
+def test_generation_failure_degrades_at_promotion(monkeypatch):
+    program = random_program(32, CORPUS_SPEC)
     clean = adaptive_run(program, 200, 3)
-    raised = _forced_generation(monkeypatch, when)
+    raised = _forced_generation(monkeypatch, lambda cm, trace: True)
     forced = adaptive_run(program, 200, 3)
-    degrades = [d for d in forced["health"]["degradations"] if d[0] == policy]
+    degrades = [
+        d for d in forced["health"]["degradations"]
+        if d[0] == "tracefast-degrade"
+    ]
     assert degrades and len(degrades) == len(raised)
     assert forced["health"]["degradations"] == degrades
     assert not clean["health"]["degradations"]

@@ -1,7 +1,6 @@
-"""Fixed-point cost folding and the warm token ladder (DESIGN.md §15).
+"""Fixed-point cost folding (DESIGN.md §15).
 
-Two PR-9 mechanisms under one contract — bit-identity with the
-sequential interpreter:
+Bit-identity with the sequential interpreter:
 
 * **Universal folding.**  ``lower_method`` certifies a method against
   the Q20 grid (``costs.fold_clean`` over ``chargeable_values()``) and
@@ -9,11 +8,10 @@ sequential interpreter:
   cost chain to one constant with *no* per-constant cleanliness gate.
   ``REPRO_FIXEDCOST=0`` reverts to the legacy gated codegen and must be
   a pure wall-clock toggle.
-* **Warm token ladder.**  A warm method with *no* dominant path still
-  compiles into a whole-method ``_m`` dispatch (``WARM_PATH == -1``),
-  promoted by the controller below superblock promotion.
-  ``REPRO_WARMJIT=0`` is the kill switch; persisted warm artefacts
-  survive it for a later enabled process.
+* **No dominant path.**  The warm token ladder that once compiled such
+  methods is retired: they stay on plain blockjit, and a persisted
+  ladder (``sb_path == -1``) is dropped on load — except under the
+  ``REPRO_SUPERBLOCK=0`` kill switch, which leaves it untouched.
 """
 
 from __future__ import annotations
@@ -22,15 +20,12 @@ import pickle
 
 import pytest
 
-from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.method import Program
 from repro.errors import FuelExhaustedError
 from repro.persist import payload_checksum
-from repro.resilience import FaultPlan, ResilienceManager
-from repro.sampling.arnold_grove import SamplingConfig
 from repro.util import flags
-from repro.vm import blockjit, costs as costs_mod, tracefast
+from repro.vm import blockjit, costs as costs_mod
 from repro.vm.costs import (
     FOLD_BOUND,
     FOLD_SHIFT,
@@ -41,6 +36,7 @@ from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import (
     find_dominant_path,
     install_superblock,
+    superblock_fingerprint,
     trace_blocks,
 )
 from repro.workloads.suite import benchmark_suite
@@ -53,10 +49,10 @@ ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
-    # Shared codecache entries would leak fold verdicts and warm
-    # artefacts across tests; and the CI kill-switch smokes export
-    # REPRO_FIXEDCOST=0 / REPRO_WARMJIT=0 globally, so tests about the
-    # enabled mechanisms pin the overrides themselves.
+    # Shared codecache entries would leak fold verdicts and trace
+    # artefacts across tests; and the CI kill-switch smoke exports
+    # REPRO_FIXEDCOST=0 globally, so tests about the enabled mechanism
+    # pin the override themselves.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
     monkeypatch.setattr(flags, "FIXEDCOST", True)
 
@@ -66,7 +62,7 @@ def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
 
     The 3-way ladder on ``i % 3`` spreads path mass evenly (~1/3 each),
     so no path reaches the 0.5 dominance threshold and the helper never
-    earns a trace superblock — it is the warm-ladder promotion target.
+    earns a trace superblock — it stays on plain blockjit.
     (Two balanced arms would not do: ``find_dominant_path`` accepts a
     path at *exactly* the threshold, so a 50/50 split still dominates.)
     """
@@ -103,26 +99,6 @@ def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
     f.emit(total)
     f.ret(total)
     return pb.build()
-
-
-def _warm_run(program: Program, warm: bool, resilience=None,
-              tick_interval: float = 600.0):
-    """One adaptive run with tracefast on and warmjit pinned on/off.
-
-    k-BLPP is pinned off: the braided kernel has no dominant 1-path by
-    construction, but its periodic arms DO yield a dominant k-window, and
-    the controller's k-fallback would upgrade the warm ladder to a
-    multi-iteration trace — these tests exercise the warm tier itself.
-    """
-    old_tf, old_wj, old_kb = flags.TRACEFAST, flags.WARMJIT, flags.KBLPP
-    flags.TRACEFAST, flags.WARMJIT, flags.KBLPP = True, warm, False
-    try:
-        return _adaptive_run(
-            program, superblock=True, resilience=resilience,
-            tick_interval=tick_interval,
-        )
-    finally:
-        flags.TRACEFAST, flags.WARMJIT, flags.KBLPP = old_tf, old_wj, old_kb
 
 
 # -- the Q20 grid ------------------------------------------------------------
@@ -249,25 +225,10 @@ def test_fuel_abort_parity_across_folding(fuel):
     assert len(seen) == 1
 
 
-# -- warm token ladder -------------------------------------------------------
+# -- no dominant path -------------------------------------------------------
 
 
-def _warm_flags(monkeypatch):
-    monkeypatch.setattr(flags, "TRACEFAST", True)
-    monkeypatch.setattr(flags, "SUPERBLOCK", True)
-    monkeypatch.setattr(flags, "WARMJIT", True)
-
-
-def _warm_cm(monkeypatch):
-    _warm_flags(monkeypatch)
-    code = compile_simple(braided_helper_program(), mode="pep")
-    cm = code["helper"]
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
-    return cm
-
-
-def test_braided_helper_has_no_dominant_path(monkeypatch):
-    _warm_flags(monkeypatch)
+def test_braided_helper_has_no_dominant_path():
     program = braided_helper_program()
     system, vm, _ = _adaptive_run(program, superblock=True)
     counts: dict = {}
@@ -278,89 +239,67 @@ def test_braided_helper_has_no_dominant_path(monkeypatch):
     assert find_dominant_path(counts, 0.5, 1.0) is None
 
 
-def test_warm_install_builds_token_ladder(monkeypatch):
-    cm = _warm_cm(monkeypatch)
-    assert cm.sb_path == tracefast.WARM_PATH
-    assert cm.sb_entry is not None
-    assert "def _m(" in cm.sb_source
-    assert "warm ladder" in cm.sb_source
-    # The ladder rebinds the *method entry* (there is no trace head).
-    assert cm.jit_entries[(cm.entry.label, 0)] is cm.sb_entry
+def test_no_dominant_path_stays_on_plain_blockjit(monkeypatch):
+    # k-BLPP is pinned off: the braided kernel has no dominant 1-path by
+    # construction, but its periodic arms DO yield a dominant k-window,
+    # and the controller's k-fallback would stitch it into a trace.
+    monkeypatch.setattr(flags, "TRACEFAST", True)
+    monkeypatch.setattr(flags, "KBLPP", False)
+    program = braided_helper_program()
+    system, vm, result = _adaptive_run(program, superblock=True)
+    helper = system.code["helper"]
+    sampled = sum(vm.path_profile.method_paths(helper.profile_key).values())
+    assert sampled >= 4.0, "helper never reached the promotion floor"
+    assert not system.superblock_log
+    assert helper.sb_path is None and helper.sb_entry is None
+    assert helper.jit_entries, "helper never ran on blockjit"
+    monkeypatch.setenv(blockjit.ENV_DISABLE, "0")
+    _, oracle_vm, oracle_res = _adaptive_run(program, superblock=True)
+    assert _digest(vm, result) == _digest(oracle_vm, oracle_res)
 
 
-def test_warm_install_requires_warmjit_flag(monkeypatch):
+def _retired_warm_artefact(monkeypatch):
+    """A pickled helper carrying what a format-8 warm ladder persisted:
+    the retired ``-1`` sentinel, with a fingerprint that still matches
+    it.  Returns ``(program, code, clone)``."""
     monkeypatch.setattr(flags, "TRACEFAST", True)
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
-    monkeypatch.setattr(flags, "WARMJIT", False)
-    code = compile_simple(braided_helper_program(), mode="pep")
+    program = hot_helper_program(calls=6, inner=8)
+    code = compile_simple(program, mode="pep")
     cm = code["helper"]
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel()) is False
-    assert cm.sb_entry is None
-
-
-def test_real_trace_upgrades_warm_ladder(monkeypatch):
-    # The one first-wins relaxation: a dominant-path trace displaces an
-    # installed warm ladder; everything else stays first-wins.
-    _warm_flags(monkeypatch)
-    code = compile_simple(hot_helper_program(), mode="pep")
-    cm = code["helper"]
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
-    assert cm.sb_path == tracefast.WARM_PATH
-    warm_entry = cm.sb_entry
-
     path = next(
         p for p in range(cm.dag.num_paths)
         if trace_blocks(cm, p) is not None
     )
     assert install_superblock(cm, path, CostModel())
-    assert cm.sb_path == path
-    assert cm.sb_entry is not warm_entry
-
-    # ... and the settled trace is NOT displaced back to warm.
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
-    assert cm.sb_path == path
-
-
-def test_warm_run_digest_parity_and_engagement(monkeypatch):
-    program = braided_helper_program()
-    on_sys, on_vm, on_res = _warm_run(program, warm=True)
-    off_sys, off_vm, off_res = _warm_run(program, warm=False)
-    assert on_sys.warmjit_log, "warm ladder never promoted — vacuous"
-    assert on_sys.warmjit_log[0][0] == "helper"
-    # Advice carries across recompiles: the *final* helper version
-    # still holds the ladder.
-    assert on_sys.code["helper"].sb_path == tracefast.WARM_PATH
-    assert not off_sys.warmjit_log
-    assert off_sys.code["helper"].sb_path is None
-    assert _digest(on_vm, on_res) == _digest(off_vm, off_res)
-
-
-def test_warm_pickle_revives_through_ensure_jit(monkeypatch):
-    cm = _warm_cm(monkeypatch)
     clone = pickle.loads(pickle.dumps(cm))
-    assert clone.sb_entry is None  # callables never pickle
-    assert clone.sb_path == tracefast.WARM_PATH
-    entries = blockjit.ensure_jit(clone)
-    assert clone.sb_entry is not None
-    assert entries[(clone.entry.label, 0)] is clone.sb_entry
+    clone.sb_path = -1
+    clone.sb_fingerprint = superblock_fingerprint(clone, -1)
+    return program, code, clone
 
 
 def test_warm_kill_switch_keeps_persisted_artifacts(monkeypatch):
-    cm = _warm_cm(monkeypatch)
-    clone = pickle.loads(pickle.dumps(cm))
-    monkeypatch.setattr(flags, "WARMJIT", False)
+    _, _, clone = _retired_warm_artefact(monkeypatch)
+    stored = (clone.sb_source, clone.sb_path, clone.sb_fingerprint)
+    monkeypatch.setattr(flags, "SUPERBLOCK", False)
     blockjit.ensure_jit(clone)
+    # The superblock kill switch judges no persisted artefact, the
+    # retired one included: it stays untouched, and nothing installs.
     assert clone.sb_entry is None
-    # Artefacts stay for a later enabled process: the fingerprint still
-    # matches, only the switch is down.
-    assert clone.sb_source is not None
-    assert clone.sb_path == tracefast.WARM_PATH
+    assert (clone.sb_source, clone.sb_path, clone.sb_fingerprint) == stored
+    # A later enabled process judges it, and drops it.
+    monkeypatch.setattr(flags, "SUPERBLOCK", True)
+    later = pickle.loads(pickle.dumps(clone))
+    entries = blockjit.ensure_jit(later)
+    assert (
+        later.sb_source, later.sb_path, later.sb_fingerprint, later.sb_entry
+    ) == (None, None, None, None)
+    assert (later.entry.label, 0) in entries
 
 
 def test_warm_stale_fingerprint_drops_cleanly(monkeypatch):
-    cm = _warm_cm(monkeypatch)
-    clone = pickle.loads(pickle.dumps(cm))
-    clone.sb_fingerprint = (clone.sb_fingerprint or 0) ^ 1
+    _, _, clone = _retired_warm_artefact(monkeypatch)
+    clone.sb_fingerprint ^= 1
     entries = blockjit.ensure_jit(clone)
     assert clone.sb_entry is None
     assert clone.sb_source is None
@@ -368,44 +307,46 @@ def test_warm_stale_fingerprint_drops_cleanly(monkeypatch):
     assert (clone.entry.label, 0) in entries
 
 
-def test_warmjit_compile_fault_degrades(monkeypatch):
-    program = braided_helper_program()
-    plan = FaultPlan({"warmjit-compile": 1.0}, seed=11)
-    res_mgr = ResilienceManager(plan=plan)
-    system, vm, result = _warm_run(program, warm=True, resilience=res_mgr)
-    assert not system.warmjit_log
-    assert system.code["helper"].sb_path is None
-    degradations = [
-        (policy, detail)
-        for policy, detail in res_mgr.health.degradations
-        if policy == "warmjit-degrade"
-    ]
-    assert degradations
-    # Degrading is bit-identical to the tier simply being off.
-    base_sys, base_vm, base_res = _warm_run(
-        program, warm=False, resilience=ResilienceManager()
-    )
-    assert _digest(vm, result) == _digest(base_vm, base_res)
+def test_stale_warm_ladder_artefact_is_dropped(monkeypatch):
+    # Dropped even though its fingerprint matches: -1 names no trace.
+    program, code, clone = _retired_warm_artefact(monkeypatch)
+    entries = blockjit.ensure_jit(clone)
+    assert (
+        clone.sb_source, clone.sb_path, clone.sb_fingerprint, clone.sb_entry
+    ) == (None, None, None, None)
+
+    def observe(code, on):
+        vm = VirtualMachine(code, program.main, costs=CostModel(), blockjit=on)
+        result = vm.run()
+        return (
+            result.return_value, result.cycles, list(vm.output),
+            sorted(vm.path_profile.items()),
+        )
+
+    oracle = observe(compile_simple(program, mode="pep"), False)
+    code["helper"] = clone
+    assert observe(code, True) == oracle
+    entry = entries[(clone.entry.label, 0)]
+    assert entry.__code__.co_filename == "<blockjit>"  # a plain segment
+    assert "_m" not in entry.__globals__
 
 
 # -- whole-suite kill-switch parity (all bundled workloads) ---------------
 
 
-def _flag_checksum(workload: str, fixedcost: bool, warmjit: bool) -> str:
+def _flag_checksum(workload: str, fixedcost: bool) -> str:
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
-    old = (flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST, flags.WARMJIT)
-    flags.TRACEFAST, flags.SUPERBLOCK = True, True
-    flags.FIXEDCOST, flags.WARMJIT = fixedcost, warmjit
+    old = (flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST)
+    flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST = True, True, fixedcost
     try:
         program = suite[workload].build(0.3)
         report = api.profile_adaptive(
             program, samples=16, stride=3, ticks=100
         )
     finally:
-        (flags.TRACEFAST, flags.SUPERBLOCK,
-         flags.FIXEDCOST, flags.WARMJIT) = old
+        flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST = old
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),
@@ -422,9 +363,5 @@ def _flag_checksum(workload: str, fixedcost: bool, warmjit: bool) -> str:
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_workload_digest_parity_every_flag_combo(workload):
-    combos = [(True, True), (False, True), (True, False), (False, False)]
-    digests = {
-        _flag_checksum(workload, fixedcost=fc, warmjit=wj)
-        for fc, wj in combos
-    }
+    digests = {_flag_checksum(workload, fixedcost=fc) for fc in (True, False)}
     assert len(digests) == 1

@@ -159,7 +159,7 @@ def test_kpath_encoding_roundtrip():
         assert decode_kpath(encoded) == knumber
     # The neighbouring sentinels stay distinct.
     assert not is_kpath(None)
-    assert not is_kpath(-1)  # tracefast.WARM_PATH
+    assert not is_kpath(-1)  # unused since the warm ladder retired
     assert not is_kpath(0)
 
 
@@ -486,8 +486,8 @@ def test_kblpp_kill_switch_keeps_but_does_not_install(monkeypatch):
     clone = pickle.loads(pickle.dumps(cm))
     monkeypatch.setattr(flags, "KBLPP", False)
     blockjit.ensure_jit(clone)
-    # The warm-ladder idiom: nothing installs, artefacts survive for a
-    # later enabled process (the fingerprint still matches).
+    # As under REPRO_SUPERBLOCK=0: nothing installs, artefacts survive
+    # for a later enabled process (the fingerprint still matches).
     assert clone.sb_entry is None
     assert clone.sb_source is not None
     assert is_kpath(clone.sb_path)
@@ -512,13 +512,11 @@ def test_fingerprint_folds_k_only_for_ktraces(monkeypatch):
     fp_k2 = superblock_fingerprint(cm, encoded)
     monkeypatch.setattr(flags, "KBLPP_K", 3)
     assert superblock_fingerprint(cm, encoded) != fp_k2
-    # Non-k artefacts stay byte-stable across a k change.
-    from repro.vm.tracefast import WARM_PATH
-
+    # Plain 1-path traces stay byte-stable across a k change.
     monkeypatch.setattr(flags, "KBLPP_K", 2)
-    fp_warm = superblock_fingerprint(cm, WARM_PATH)
+    fp_plain = superblock_fingerprint(cm, 0)
     monkeypatch.setattr(flags, "KBLPP_K", 3)
-    assert superblock_fingerprint(cm, WARM_PATH) == fp_warm
+    assert superblock_fingerprint(cm, 0) == fp_plain
 
 
 # -- fault-plan parity -------------------------------------------------------

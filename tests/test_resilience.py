@@ -114,13 +114,19 @@ def test_fault_sites_cover_the_hot_layers():
         "advice-load",
         "superblock-compile",
         "tracefast-compile",
-        "warmjit-compile",
         # Engine-level sites (supervised sweep engine, DESIGN.md §12).
         "worker-crash",
         "worker-hang",
         "receipt-write",
         "cache-merge",
     }
+
+
+def test_retired_warmjit_site_is_unknown():
+    # The warm ladder and its fault site are gone: a plan that still
+    # names the site is rejected like any other unknown site.
+    with pytest.raises(ReproError, match="unknown fault site"):
+        FaultPlan({"warmjit-compile": 1.0})
 
 
 def test_engine_fault_sites_are_a_subset_of_fault_sites():

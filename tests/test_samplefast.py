@@ -107,7 +107,7 @@ def _datapaths(monkeypatch, run):
     """``run()`` on the default datapath, then on the per-sample one.
 
     Both compile cold: cached methods arrive with their traces
-    installed, which would empty the second run's trace and warm logs.
+    installed, which would empty the second run's trace log.
     """
     results = []
     for fast in ("1", "0"):

@@ -22,7 +22,7 @@ from repro.persist import payload_checksum
 from repro.resilience import FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.util import flags
-from repro.vm import blockjit, tracefast
+from repro.vm import blockjit
 from repro.vm.costs import CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import (
@@ -354,11 +354,8 @@ def test_superblock_compile_fault_degrades_to_plain_blockjit():
         program, superblock=True, resilience=res_mgr
     )
     assert not system.superblock_log
-    # The *trace* promotion degraded; the warm token ladder is a
-    # separate tier with its own fault site and may still install
-    # (bit-identical by construction, wall clock only).
     helper = system.code["helper"]
-    assert helper.sb_path in (None, tracefast.WARM_PATH)
+    assert helper.sb_path is None
     degradations = [
         (policy, detail)
         for policy, detail in res_mgr.health.degradations

@@ -22,7 +22,7 @@ import pytest
 from repro.persist import payload_checksum
 from repro.resilience import FaultPlan, ResilienceManager
 from repro.util import flags
-from repro.vm import blockjit, tracefast
+from repro.vm import blockjit
 from repro.vm.costs import FOLD_SHIFT, CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import (
@@ -321,10 +321,7 @@ def test_tracefast_compile_fault_degrades_to_plain_blockjit():
     res_mgr = ResilienceManager(plan=plan)
     system, vm, result = _tf_run(program, tf=True, resilience=res_mgr)
     assert not system.superblock_log
-    # The *trace* promotion degraded; the warm token ladder is a
-    # separate tier with its own fault site and may still install
-    # (bit-identical by construction, wall clock only).
-    assert system.code["helper"].sb_path in (None, tracefast.WARM_PATH)
+    assert system.code["helper"].sb_path is None
     degradations = [
         (policy, detail)
         for policy, detail in res_mgr.health.degradations
