@@ -32,7 +32,7 @@ from repro.metrics.wall import DEFAULT_THRESHOLD, hot_paths as _hot_path_set
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.flow import profile_flows
 from repro.profiling.paths import PathProfile
-from repro.profiling.regenerate import PathResolver
+from repro.profiling.regenerate import PathResolver, derive_edge_profile
 from repro.resilience import DegradationPolicy, FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import ArnoldGroveSampler, SamplingConfig
 from repro.adaptive.baseline import compile_baseline
@@ -234,9 +234,16 @@ def profile(
         for cm in code.values()
         if cm.resolver is not None
     }
+    # Perfect mode records paths via count[r]++; derive the edge profile
+    # offline, as the paper does for ground truth (section 5.1).
+    edges = (
+        derive_edge_profile(vm.path_profile, resolvers)
+        if perfect
+        else vm.edge_profile
+    )
     return ProfileReport(
         paths=vm.path_profile,
-        edges=_final_edges(vm, resolvers, perfect),
+        edges=edges,
         resolvers=resolvers,
         result=result,
         base_cycles=base_result.cycles,
@@ -303,18 +310,3 @@ def profile_adaptive(
         base_cycles=base_result.cycles,
         code=system.code,
     )
-
-
-def _final_edges(vm, resolvers, perfect: bool) -> EdgeProfile:
-    if not perfect:
-        return vm.edge_profile
-    # Perfect mode records paths via count[r]++; derive the edge profile
-    # offline, as the paper does for ground truth (section 5.1).
-    edges = EdgeProfile()
-    for key, path_number, freq in vm.path_profile.items():
-        resolver = resolvers.get(key)
-        if resolver is None:
-            continue
-        for branch, taken in resolver.branch_events(path_number):
-            edges.record(branch, taken, freq)
-    return edges

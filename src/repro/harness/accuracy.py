@@ -5,7 +5,8 @@ Implements the paper's comparison protocol:
 * the *perfect* path profile comes from instrumentation-based path
   profiling (section 5.1); the *perfect* edge profile is derived from it
   by expanding every recorded path (avoiding the uninterruptible-header
-  asymmetry, section 6.4);
+  asymmetry, section 6.4); direct per-branch edge instrumentation, which
+  only the section 6.4 footnote compares against, is replayed on demand;
 * PEP's estimated profiles come from a sampled run with the same advice
   and therefore identical path numbering;
 * path accuracy is Wall weight-matching over branch-flow (section 6.3);
@@ -16,64 +17,58 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.adaptive import replay
 from repro.metrics.overlap import absolute_overlap, relative_overlap
 from repro.metrics.wall import path_profile_accuracy
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import PathProfile
-from repro.profiling.regenerate import PathResolver
+from repro.profiling.regenerate import PathResolver, derive_edge_profile
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.harness.experiment import ExperimentContext, run_config, RunConfig
 
 
-def derive_edge_profile(
-    paths: PathProfile,
-    resolvers: Dict[str, PathResolver],
-) -> EdgeProfile:
-    """Expand a path profile into taken/not-taken counts (section 3.3)."""
-    edges = EdgeProfile()
-    for key, path_number, freq in paths.items():
-        resolver = resolvers.get(key)
-        if resolver is None:
-            continue
-        for branch, taken in resolver.branch_events(path_number):
-            edges.record(branch, taken, freq)
-    return edges
-
-
 class PerfectProfiles:
-    """Ground truth for one workload: paths, derived edges, resolvers."""
+    """Ground truth for one workload: paths, derived edges, resolvers.
 
-    __slots__ = ("paths", "edges", "resolvers", "direct_edges")
+    ``direct_edges``, the direct per-branch instrumentation profile for
+    the section 6.4 footnote, is replayed on first read and memoised.
+    That replay is untimed, has no sampler and compiles its image from
+    the same context, so its result does not depend on when it runs.
+    An error in it surfaces on that first read, not inside
+    :func:`collect_perfect_profiles`.
+    """
+
+    __slots__ = ("paths", "edges", "resolvers", "_ctx", "_direct_edges")
 
     def __init__(
         self,
+        ctx: ExperimentContext,
         paths: PathProfile,
         edges: EdgeProfile,
         resolvers: Dict[str, PathResolver],
-        direct_edges: EdgeProfile,
     ) -> None:
+        self._ctx = ctx
         self.paths = paths
         self.edges = edges
         self.resolvers = resolvers
-        self.direct_edges = direct_edges
+        self._direct_edges: Optional[EdgeProfile] = None
+
+    @property
+    def direct_edges(self) -> EdgeProfile:
+        if self._direct_edges is None:
+            vm, _ = replay.run_iteration_with_vm(self._ctx.image("edges"))
+            self._direct_edges = vm.edge_profile.copy()
+        return self._direct_edges
 
 
 def collect_perfect_profiles(ctx: ExperimentContext) -> PerfectProfiles:
-    """Run the full-instrumentation configurations to get ground truth."""
+    """Run the full-path instrumentation replay to get ground truth."""
     image = ctx.image("full-path")
-    from repro.adaptive.replay import run_iteration_with_vm
-
-    vm, _ = run_iteration_with_vm(image)
+    vm, _ = replay.run_iteration_with_vm(image)
     resolvers = image.resolvers()
     paths = vm.path_profile.copy()
     edges = derive_edge_profile(paths, resolvers)
-
-    # Direct per-branch instrumentation, for the "compare to
-    # instrumentation-based edge profiling instead" footnote (section 6.4).
-    edge_image = ctx.image("edges")
-    vm2, _ = run_iteration_with_vm(edge_image)
-    direct = vm2.edge_profile.copy()
-    return PerfectProfiles(paths, edges, resolvers, direct)
+    return PerfectProfiles(ctx, paths, edges, resolvers)
 
 
 def collect_pep_profiles(

@@ -9,9 +9,10 @@
 4. calibrate the virtual timer so the run receives the workload's target
    number of ticks — the scaled equivalent of "one tick per 20 ms".
 
-Contexts are cached per (workload, scale): every figure for a benchmark
-reuses the same advice and the same tick interval, exactly as the paper
-reuses one advice file across configurations.
+Default-cost contexts are cached per (workload, scale): every figure for
+a benchmark reuses the same advice and the same tick interval, exactly as
+the paper reuses one advice file across configurations.  A context built
+with a caller's ``CostModel`` is neither looked up nor stored.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class ExperimentContext:
         self.advice = advice
         self.base_cycles = base_cycles
         self.tick_interval = tick_interval
-        self._images: Dict[Tuple, ReplayImage] = {}
+        self._images: Dict[Optional[str], ReplayImage] = {}
 
     def image(
         self,
@@ -124,10 +125,15 @@ class ExperimentContext:
         profile_override=None,
         cache: bool = True,
     ) -> ReplayImage:
-        """Replay-compile (and cache) an image for one instrumentation mode."""
-        key = (instrumentation, id(profile_override))
-        if cache and key in self._images:
-            return self._images[key]
+        """Replay-compile (and cache) an image for one instrumentation mode.
+
+        An image compiled from a ``profile_override`` is never cached: the
+        override is a mutable :class:`~repro.profiling.edges.EdgeProfile`,
+        so no key could tell its later contents apart.
+        """
+        cache = cache and profile_override is None
+        if cache and instrumentation in self._images:
+            return self._images[instrumentation]
         image = replay_compile(
             self.program,
             self.advice,
@@ -136,7 +142,7 @@ class ExperimentContext:
             profile_override=profile_override,
         )
         if cache:
-            self._images[key] = image
+            self._images[instrumentation] = image
         return image
 
 
@@ -152,7 +158,9 @@ def prepare(
     """Build, record advice, measure Base, calibrate the timer."""
     scale = scale if scale is not None else default_scale()
     key = (workload.name, scale)
-    if use_cache and costs is None and key in _CONTEXT_CACHE:
+    # Only default-cost contexts are cached: the key has no cost model.
+    use_cache = use_cache and costs is None
+    if use_cache and key in _CONTEXT_CACHE:
         return _CONTEXT_CACHE[key]
     costs = costs if costs is not None else CostModel()
 
@@ -170,7 +178,7 @@ def prepare(
     ctx = ExperimentContext(
         workload, scale, costs, program, advice, base_cycles, tick_interval
     )
-    ctx._images[(None, id(None))] = base_image
+    ctx._images[None] = base_image
     if use_cache and key not in _CONTEXT_CACHE:
         _CONTEXT_CACHE[key] = ctx
     return ctx
@@ -190,16 +198,11 @@ def run_config(
     configurations run untimed (no ticks), like the paper's second replay
     iteration of Base and instrumentation-only runs.
     """
-    # Images are cacheable even for sampled runs: first-time expansion
+    # Images are cached even for sampled runs: first-time expansion
     # costs are accounted per-VM (vm.expanded_paths), so one run's
     # path->edges expansion warmth cannot subsidise another's handler
     # charges even when compiled code (and its resolver memo) is shared.
-    cacheable = profile_override is None
-    image = ctx.image(
-        config.instrumentation,
-        profile_override=profile_override,
-        cache=cacheable,
-    )
+    image = ctx.image(config.instrumentation, profile_override=profile_override)
     tick = ctx.tick_interval if config.sampling is not None else None
     from repro.adaptive.replay import run_iteration_with_vm as _run
 

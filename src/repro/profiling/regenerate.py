@@ -8,6 +8,9 @@ sequence whose values sum to the path number (paper sections 3.2/3.3).
 
 PEP computes a path's edges only on first sample and caches the result
 (paper section 4.3); :class:`PathResolver` implements that cache.
+:func:`derive_edge_profile` expands a whole path profile through those
+resolvers into the edge profile it implies, which is how the perfect
+edge profile is derived from the perfect path profile (section 5.1).
 
 The memo is *shared* per (method name, DAG fingerprint): adaptive
 recompilation produces a new :class:`~repro.vm.interpreter.CompiledMethod`
@@ -28,6 +31,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.bytecode.method import BranchRef
 from repro.cfg.dag import DagEdge, PDag
 from repro.errors import PathReconstructionError
+from repro.profiling.edges import EdgeProfile
+from repro.profiling.paths import PathProfile
 from repro.util.rng import stable_hash
 
 BranchEvent = Tuple[BranchRef, bool]
@@ -250,3 +255,21 @@ class PathResolver:
         entry = (events, len(events))
         memo.put(path_number, entry)
         return entry
+
+
+def derive_edge_profile(
+    paths: PathProfile,
+    resolvers: Dict[str, PathResolver],
+) -> EdgeProfile:
+    """Expand a path profile into taken/not-taken counts (section 3.3).
+
+    Paths of methods with no resolver are skipped.
+    """
+    edges = EdgeProfile()
+    for key, path_number, freq in paths.items():
+        resolver = resolvers.get(key)
+        if resolver is None:
+            continue
+        for branch, taken in resolver.branch_events(path_number):
+            edges.record(branch, taken, freq)
+    return edges

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import api
+from repro.adaptive.replay import replay_compile, run_iteration_with_vm
 from repro.harness.accuracy import (
+    collect_pep_profiles,
     collect_perfect_profiles,
     derive_edge_profile,
     edge_accuracy,
@@ -12,12 +14,15 @@ from repro.harness.accuracy import (
 from repro.harness.experiment import (
     BASE,
     INSTR_ONLY,
+    PERFECT_EDGE,
     ExperimentContext,
     pep_config,
     prepare,
     run_config,
 )
 from repro.harness.report import render_accuracy_figure, render_overhead_figure
+from repro.metrics.overlap import relative_overlap
+from repro.persist import edge_profile_to_dict
 from repro.resilience import DegradationPolicy, FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.workloads.suite import get_workload
@@ -65,6 +70,51 @@ def test_image_caching_behaviour(ctx):
     assert fresh is not ctx.image("pep")
 
 
+def test_image_never_caches_profile_overrides(ctx):
+    override = ctx.advice.onetime_profile.copy()
+    _, before = run_iteration_with_vm(
+        ctx.image("pep", profile_override=override)
+    )
+    # Flip the same override object in place: same id, new contents.
+    flipped = override.flipped()
+    override.clear()
+    override.merge(flipped)
+    _, after = run_iteration_with_vm(
+        ctx.image("pep", profile_override=override)
+    )
+    uncached = replay_compile(
+        ctx.program,
+        ctx.advice,
+        costs=ctx.costs,
+        instrumentation="pep",
+        profile_override=override,
+    )
+    _, expected = run_iteration_with_vm(uncached)
+    assert after.cycles == expected.cycles
+    assert after.cycles != before.cycles
+
+
+def test_prepare_does_not_cache_custom_cost_contexts():
+    from repro.harness.experiment import _CONTEXT_CACHE
+    from repro.vm.costs import CostModel
+
+    workload = get_workload("compress")
+    scale = 0.35  # no other test prepares at this scale
+    costs = CostModel()
+    costs.branch_op = 20.0
+    try:
+        custom = prepare(workload, scale=scale, costs=costs)
+        default = prepare(workload, scale=scale)
+        assert default is not custom
+        assert default.costs is not costs
+        fresh = prepare(workload, scale=scale, use_cache=False)
+        assert default.base_cycles == fresh.base_cycles
+        assert custom.base_cycles > default.base_cycles
+        assert prepare(workload, scale=scale) is default
+    finally:
+        _CONTEXT_CACHE.pop((workload.name, scale), None)
+
+
 def test_perfect_profiles_consistency(ctx):
     perfect = collect_perfect_profiles(ctx)
     assert perfect.paths.total_samples() > 0
@@ -75,6 +125,45 @@ def test_perfect_profiles_consistency(ctx):
         assert perfect.direct_edges.total(branch) == pytest.approx(
             perfect.edges.total(branch)
         )
+
+
+def test_direct_edges_replay_on_first_read(ctx, monkeypatch):
+    import repro.adaptive.replay as replay
+
+    calls = []
+    real = replay.run_iteration_with_vm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(replay, "run_iteration_with_vm", counting)
+    perfect = collect_perfect_profiles(ctx)
+    assert len(calls) == 1  # the full-path replay only
+    first = perfect.direct_edges
+    assert len(calls) == 2
+    assert perfect.direct_edges is first
+    assert len(calls) == 2
+
+
+def test_direct_edges_equal_an_eager_edge_replay(ctx):
+    perfect = collect_perfect_profiles(ctx)
+    run_config(ctx, pep_config(64, 17))  # a sampled run in between
+    vm, _ = run_config(ctx, PERFECT_EDGE)
+    assert edge_profile_to_dict(perfect.direct_edges) == (
+        edge_profile_to_dict(vm.edge_profile)
+    )
+
+
+def test_edge_accuracy_against_direct(ctx):
+    sampling = SamplingConfig(64, 17)
+    perfect = collect_perfect_profiles(ctx)
+    vm, _ = run_config(ctx, PERFECT_EDGE)
+    _, pep_edges = collect_pep_profiles(ctx, sampling)
+    expected = relative_overlap(vm.edge_profile, pep_edges)
+    assert edge_accuracy(
+        ctx, sampling, perfect, against_direct=True
+    ) == expected
 
 
 def test_accuracy_bounds(ctx):
