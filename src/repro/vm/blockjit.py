@@ -11,6 +11,14 @@ functions is ``compile()``-d at its first call, and the run loop becomes
 block-level dispatch: call the block closure, follow the returned
 successor closure.
 
+Only the hot path is inlined.  The two cold exits every segment can
+take live out of line in module helpers bound into each method's
+namespace: :func:`out_of_fuel` (the fuel counterpart of
+``interpreter._trap``) and :func:`yieldpoint_slow` (the countdown
+yieldpoint's tick/sample/dispatch sequence).  The trace emitters
+(:mod:`repro.vm.superblock`, :mod:`repro.vm.tracefast`) call the same
+two helpers.
+
 Bit-identity contract
 ---------------------
 Generated code must be *bit-identical* to the interpreter in every
@@ -39,6 +47,13 @@ per-segment fuel prologue reproduces its accounting exactly.  A segment
 exits by returning the successor segment's closure (jump/branch), the
 ``_CALL`` sentinel (guest call pushed; the driver switches frames), or
 ``None`` (guest return; value in ``JitState.ret_value``).
+
+Registers live in segment locals and reach ``frame.regs`` only at
+exits, and only when a later segment can read them: a backward liveness
+pass over the method's segments (:func:`_live_in`) keeps, at each jump,
+branch arm and call, the dirty registers live into the successor
+segment (for a call, its resume segment, less the register the return
+writes).  Returns and traps write nothing back; the frame is dead.
 
 Compilation at first entry
 --------------------------
@@ -140,6 +155,87 @@ def blockjit_enabled() -> bool:
     """True unless ``REPRO_BLOCKJIT`` disables the block engine."""
     flag = os.environ.get(ENV_DISABLE, "1").strip().lower()
     return flag not in ("0", "off", "no", "false")
+
+
+# -- cold exits, out of line -------------------------------------------------
+
+
+def out_of_fuel(vm, cyc: float, method, block: str, index: int) -> None:
+    """Fuel exhaustion: the fuel counterpart of ``interpreter._trap``.
+
+    Flushes the accumulated ``cyc`` into ``vm.cycles`` and raises the
+    interpreter's exact error.  ``method`` is a profile key, so an
+    inlined callee's site can pass its own.
+    """
+    vm.cycles += cyc
+    raise FuelExhaustedError(
+        "instruction budget exhausted",
+        method=method,
+        block=block,
+        instruction_index=index,
+        cycles=vm.cycles,
+    )
+
+
+def yieldpoint_slow(vm, cm, st, t: float, path_reg: int, flag) -> float:
+    """The countdown yieldpoint's slow path (DESIGN.md §10).
+
+    Called once ``t`` (the just-stored ``vm.cycles``) reaches
+    ``st.gate``: runs the exact legacy tick/flag sequence against the VM
+    attributes, re-derives the gate, and returns the handler cost.  The
+    caller has just zeroed its accumulator, so assigning the result is
+    the legacy ``_cyc += cost`` bit for bit.  After the once-per-tick
+    method sample, dispatch reduces to the sampler call, saving a frame
+    per armed yieldpoint.
+    """
+    cost = 0.0
+    if t >= vm.next_tick:
+        vm.on_tick()
+    if vm.flag:
+        smp = vm.sampler
+        if vm._tick_method_sampled and smp is not None:
+            cost += smp.on_yieldpoint(vm, cm, path_reg, flag)
+        else:
+            cost += vm.dispatch_yieldpoint(cm, path_reg, flag)
+        st.gate = _NEG_INF if vm.flag else vm.next_tick
+    else:
+        st.gate = vm.next_tick
+    return cost
+
+
+def fuel_exit(cyc: str, method: str, block: str, index: int) -> str:
+    """Source of a fuel-exhaustion exit, for every emitter."""
+    return f"_fuel_out(vm, {cyc}, {method}, {block!r}, {index})"
+
+
+def emit_yieldpoint(seg, samplefast: bool, flush: str, path_reg: str, flag) -> None:
+    """Emit one yieldpoint that flushes ``flush`` into ``vm.cycles``.
+
+    Shared by every emitter; ``path_reg`` names the path register
+    (``st.path_reg`` here, tracefast's ``_pr`` local).  The countdown
+    template (DESIGN.md §10) stores the bit-identical ``vm.cycles`` and
+    keeps one compare inline, against ``st.gate`` (``next_tick`` while
+    the flag is down, -inf while it is up); past it,
+    :func:`yieldpoint_slow` does the rest.  The legacy
+    (``REPRO_SAMPLEFAST=0``) template keeps the interpreter's
+    flush/tick/flag sequence inline.
+    """
+    if samplefast:
+        seg.emit(f"_t = vm.cycles + {flush}")
+        seg.emit("vm.cycles = _t")
+        seg.emit("_cyc = 0.0")
+        seg.emit("if _t >= st.gate:")
+        seg.emit(f"_cyc = _yield_slow(vm, _cm, st, _t, {path_reg}, {flag!r})", 2)
+    else:
+        # Identical flush/tick/flag sequence to the interpreter; the
+        # handler call is what lets samplers, the adaptive system, and
+        # resilience fault sites fire unchanged under blockjit.
+        seg.emit(f"vm.cycles += {flush}")
+        seg.emit("_cyc = 0.0")
+        seg.emit("if vm.cycles >= vm.next_tick:")
+        seg.emit("vm.on_tick()", 2)
+        seg.emit("if vm.flag:")
+        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, {path_reg}, {flag!r})", 2)
 
 
 # -- codegen ----------------------------------------------------------------
@@ -292,6 +388,79 @@ class _Segment:
         for reg in sorted(self.dirty):
             self.emit(f"regs[{reg}] = r{reg}", depth)
 
+    def exit_writebacks(self, succ: str, depth: int = 1, kill: int = 0) -> None:
+        """Writebacks before an exit to segment ``succ``.
+
+        The trace emitters flush every dirty register here;
+        :class:`_PlainSegment` narrows to the registers live into
+        ``succ``, less the ``kill`` bitset.
+        """
+        self.writebacks(depth)
+
+
+class _PlainSegment(_Segment):
+    """One plain blockjit segment, rendered once liveness is known.
+
+    Exits record where their writebacks go instead of emitting them;
+    :meth:`render` fills each with the dirty registers live into that
+    exit's successor.
+    """
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+        self.head: List[str] = []
+        # (body index, depth, successor name, kill bitset) per exit
+        self.exits: List[Tuple[int, int, str, int]] = []
+
+    def exit_writebacks(self, succ: str, depth: int = 1, kill: int = 0) -> None:
+        self.exits.append((len(self.body), depth, succ, kill))
+
+    def render(self, live: Dict[str, int]) -> str:
+        lines = list(self.head)
+        for reg in self.loads:
+            lines.append(f"    r{reg} = regs[{reg}]")
+        body = self.body
+        dirty = sorted(self.dirty)
+        start = 0
+        for at, depth, succ, kill in self.exits:
+            lines.extend(body[start:at])
+            out = live[succ] & ~kill
+            pad = "    " * depth
+            for reg in dirty:
+                if out >> reg & 1:
+                    lines.append(f"{pad}regs[{reg}] = r{reg}")
+            start = at
+        lines.extend(body[start:])
+        return "\n".join(lines) + "\n"
+
+
+def _live_in(segments: List[_PlainSegment]) -> Dict[str, int]:
+    """Registers live into each segment, as bitsets by segment name.
+
+    A segment's uses are its ``loads`` (read before written), its defs
+    its ``dirty`` set, and its successors the targets its exits
+    recorded.  The backward fixed point only grows each set from its
+    uses, so it terminates.
+    """
+    uses = {seg.name: sum(1 << reg for reg in seg.loads) for seg in segments}
+    keep = {seg.name: ~sum(1 << reg for reg in seg.dirty) for seg in segments}
+    live = dict(uses)
+    order = segments[::-1]
+    changed = True
+    while changed:
+        changed = False
+        for seg in order:
+            out = 0
+            for _, _, succ, kill in seg.exits:
+                out |= live[succ] & ~kill
+            name = seg.name
+            new = uses[name] | (out & keep[name])
+            if new != live[name]:
+                live[name] = new
+                changed = True
+    return live
+
 
 class _MethodCodegen:
     def __init__(self, cm: CompiledMethod) -> None:
@@ -319,7 +488,6 @@ class _MethodCodegen:
         # the shape the method was certified for — codegen never
         # re-consults the flag.
         self._fixed = bool(cm.fold_q)
-        self.functions: List[str] = []
 
     # -- top level ----------------------------------------------------------
 
@@ -333,23 +501,28 @@ class _MethodCodegen:
         if advice and pgo_layout_enabled():
             rank = {label: i for i, label in enumerate(advice)}
             ordered.sort(key=lambda pair: rank.get(pair[1].label, len(rank)))
-        for bi, block in ordered:
-            for ip in _entry_ips(block):
-                self.functions.append(self._gen_segment(bi, block, ip))
+        segments = [
+            self._gen_segment(bi, block, ip)
+            for bi, block in ordered
+            for ip in _entry_ips(block)
+        ]
+        live = _live_in(segments)
+        functions = [seg.render(live) for seg in segments]
         header = (
             "# Generated by repro.vm.blockjit — one function per "
             "(block, entry-ip) segment.\n"
-            "# Injected globals: _pk, _cm, _Frame, _trap, _Fuel, _CALL, "
-            "_NI, _blk*, _og*.\n"
+            "# Injected globals: _pk, _cm, _Frame, _trap, _fuel_out, "
+            "_yield_slow, _CALL, _blk*, _og*.\n"
         )
-        return header + "\n".join(self.functions)
+        return header + "\n".join(functions)
 
     # -- segments -----------------------------------------------------------
 
-    def _gen_segment(self, bi: int, block: LoweredBlock, ip: int) -> str:
+    def _gen_segment(self, bi: int, block: LoweredBlock, ip: int) -> _PlainSegment:
         ops = block.ops
         n = len(ops)
-        seg = _Segment()
+        name = f"_f{bi}_{ip}"
+        seg = _PlainSegment(name)
         seg.fixed = self._fixed
         j = ip
         ended = False
@@ -363,23 +536,17 @@ class _MethodCodegen:
             j += 1
         if not ended:
             self._gen_term(seg, block)
-        label = block.label
-        lines = [f"def _f{bi}_{ip}(vm, frame, regs, st):"]
         # Fuel is charged on every block (re)entry, exactly like the
         # interpreter's `fuel -= n - ip + 1` at loop top.
-        lines.append(f"    _fuel = st.fuel - {n - ip + 1}")
-        lines.append("    st.fuel = _fuel")
-        lines.append("    if _fuel < 0:")
-        lines.append("        vm.cycles += st.cyc")
-        lines.append(
-            "        raise _Fuel('instruction budget exhausted', method=_pk, "
-            f"block={label!r}, instruction_index={ip}, cycles=vm.cycles)"
-        )
-        lines.append("    _cyc = st.cyc")
-        for reg in seg.loads:
-            lines.append(f"    r{reg} = regs[{reg}]")
-        lines.extend(seg.body)
-        return "\n".join(lines) + "\n"
+        seg.head = [
+            f"def {name}(vm, frame, regs, st):",
+            f"    _fuel = st.fuel - {n - ip + 1}",
+            "    st.fuel = _fuel",
+            "    if _fuel < 0:",
+            "        " + fuel_exit("st.cyc", "_pk", block.label, ip),
+            "    _cyc = st.cyc",
+        ]
+        return seg
 
     # -- ops ----------------------------------------------------------------
 
@@ -481,60 +648,9 @@ class _MethodCodegen:
             seg.emit("vm.path_profile.record(_pk, st.path_reg)")
             seg.emit("vm.path_count_updates += 1")
         elif c == OP_YIELD:
-            if self._samplefast:
-                # Countdown yieldpoint (DESIGN.md §10): one compare
-                # against ``st.gate`` (next_tick while the flag is down,
-                # -inf while it is up) guards an inlined slow path that
-                # runs the exact legacy tick/flag sequence against the VM
-                # attributes, then re-derives the gate.  ``vm.cycles`` is
-                # still stored every yieldpoint with the bit-identical
-                # value.  After the once-per-tick method sample, dispatch
-                # reduces to the sampler call (its 0.0 cost seed adds
-                # exactly: costs are non-negative, so 0.0 + x == x
-                # bitwise), saving a frame per armed yieldpoint.
-                expr = seg.cyc_expr()
-                seg.pending = []
-                seg.emit(f"_t = vm.cycles + {expr}")
-                seg.emit("vm.cycles = _t")
-                seg.emit("_cyc = 0.0")
-                seg.emit("if _t >= st.gate:")
-                seg.emit("if _t >= vm.next_tick:", 2)
-                seg.emit("vm.on_tick()", 3)
-                seg.emit("if vm.flag:", 2)
-                seg.emit("_smp = vm.sampler", 3)
-                seg.emit(
-                    "if vm._tick_method_sampled and _smp is not None:", 3
-                )
-                seg.emit(
-                    "_cyc += _smp.on_yieldpoint"
-                    f"(vm, _cm, st.path_reg, {op[2]!r})",
-                    4,
-                )
-                seg.emit("else:", 3)
-                seg.emit(
-                    "_cyc += vm.dispatch_yieldpoint"
-                    f"(_cm, st.path_reg, {op[2]!r})",
-                    4,
-                )
-                seg.emit("st.gate = _NI if vm.flag else vm.next_tick", 3)
-                seg.emit("else:", 2)
-                seg.emit("st.gate = vm.next_tick", 3)
-            else:
-                # Identical flush/tick/flag sequence to the interpreter;
-                # the handler call is what lets samplers, the adaptive
-                # system, and resilience fault sites fire unchanged
-                # under blockjit.
-                expr = seg.cyc_expr()
-                seg.pending = []
-                seg.emit(f"vm.cycles += {expr}")
-                seg.emit("_cyc = 0.0")
-                seg.emit("if vm.cycles >= vm.next_tick:")
-                seg.emit("vm.on_tick()", 2)
-                seg.emit("if vm.flag:")
-                seg.emit(
-                    f"_cyc += vm.dispatch_yieldpoint(_cm, st.path_reg, {op[2]!r})",
-                    2,
-                )
+            expr = seg.cyc_expr()
+            seg.pending = []
+            emit_yieldpoint(seg, self._samplefast, expr, "st.path_reg", op[2])
         else:  # pragma: no cover - lowering emits only known codes
             raise VMError(f"blockjit cannot compile opcode {c}")
 
@@ -600,7 +716,10 @@ class _MethodCodegen:
             f"{block.label!r}, {j})",
             2,
         )
-        seg.writebacks()
+        # The callee resumes this frame at the next segment, after its
+        # return has written the destination register.
+        kill = 0 if op[2] is None else 1 << op[2]
+        seg.exit_writebacks(f"_f{bi}_{j + 1}", kill=kill)
         seg.emit(f"st.cyc = {seg.cyc_expr()}")
         seg.pending = []
         seg.emit("return _CALL")
@@ -620,10 +739,11 @@ class _MethodCodegen:
             seg.emit(f"st.ret_value = {value}")
             seg.emit("return None")
         elif t == T_JMP:
-            seg.writebacks()
+            succ = self._succ_name(term[2])
+            seg.exit_writebacks(succ)
             seg.emit(f"st.cyc = {seg.cyc_expr()}")
             seg.pending = []
-            seg.emit(f"return {self._succ_name(term[2])}")
+            seg.emit(f"return {succ}")
         elif t == T_BR:
             a = seg.rd(term[3])
             b = seg.rd(term[4])
@@ -692,9 +812,10 @@ class _MethodCodegen:
         if origin is not None:
             seg.emit(f"vm.edge_profile.record({origin}, {taken})", 2)
             seg.cost(edge_cost, 2)
-        seg.writebacks(2)
+        name = self._succ_name(succ)
+        seg.exit_writebacks(name, 2)
         seg.emit(f"st.cyc = {seg.cyc_expr()}", 2)
-        seg.emit(f"return {self._succ_name(succ)}", 2)
+        seg.emit(f"return {name}", 2)
 
 
 def generate_source(cm: CompiledMethod) -> str:
@@ -711,11 +832,9 @@ def _namespace(cm: CompiledMethod) -> dict:
         "_cm": cm,
         "_Frame": Frame,
         "_trap": _trap,
-        "_Fuel": FuelExhaustedError,
+        "_fuel_out": out_of_fuel,
+        "_yield_slow": yieldpoint_slow,
         "_CALL": _CALL,
-        # Always bound, whichever yieldpoint style this method's source
-        # uses: persisted sources may predate the current flag setting.
-        "_NI": _NEG_INF,
     }
     for bi, block in enumerate(cm.blocks.values()):
         ns[f"_blk{bi}"] = block
@@ -872,8 +991,8 @@ class JitState:
         self.fuel = fuel
         self.path_reg = 0
         self.ret_value = 0
-        # Countdown-yieldpoint trigger threshold (see the OP_YIELD
-        # template in _MethodCodegen._gen_op).
+        # Countdown-yieldpoint trigger threshold (see
+        # :func:`emit_yieldpoint` and :func:`yieldpoint_slow`).
         self.gate = _NEG_INF
 
 

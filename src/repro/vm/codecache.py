@@ -97,7 +97,13 @@ DEFAULT_BOUND = 2048
 # carries ``sb_path == -1`` any more.  A format-8 cache may hold warm
 # ladders, so it is dropped wholesale: persisted ladders miss instead
 # of loading.
-_FORMAT = 9
+# Format 10: persisted ``jit_source`` and ``sb_source`` change shape.
+# Their fuel exits and countdown-yieldpoint slow paths call the
+# ``_fuel_out``/``_yield_slow`` helpers, and the method namespace no
+# longer binds the ``_Fuel``/``_NI`` globals older sources reference.
+# Blockjit exits also write back only live registers.  A format-9 cache
+# is dropped wholesale.
+_FORMAT = 10
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -322,11 +328,14 @@ class CompilationCache:
         for item in entries:
             try:
                 key, (cm, cycles) = item
+                key = tuple(key)
+                hash(key)
+                cycles = float(cycles)
             except (TypeError, ValueError):
                 continue
             if not isinstance(cm, CompiledMethod):
                 continue
-            self.put(tuple(key), cm, float(cycles))
+            self.put(key, cm, cycles)
             loaded += 1
         return loaded
 

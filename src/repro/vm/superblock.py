@@ -64,6 +64,7 @@ from repro.vm.blockjit import (
     _cmp_text,
     compile_memo,
     ensure_jit,
+    fuel_exit,
 )
 from repro.vm.interpreter import (
     OP_CALL,
@@ -491,12 +492,7 @@ def _emit_trace(
         # The cold raise observes the exact accumulated cycles; under
         # fixed-point accounting any pending chain folds into the read
         # without the hot path ever flushing.
-        seg.emit(f"vm.cycles += {seg.cyc_expr()}", 2)
-        seg.emit(
-            "raise _Fuel('instruction budget exhausted', method=_pk, "
-            f"block={label!r}, instruction_index=0, cycles=vm.cycles)",
-            2,
-        )
+        seg.emit(fuel_exit(seg.cyc_expr(), "_pk", label, 0), 2)
         called = False
         for j, op in enumerate(ops):
             if op[0] == OP_CALL:

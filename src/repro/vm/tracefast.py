@@ -77,7 +77,9 @@ from repro.vm.blockjit import (
     _mask,
     bind_segments,
     compile_memo,
+    emit_yieldpoint,
     ensure_jit,
+    fuel_exit,
     placeholder,
 )
 from repro.vm.interpreter import (
@@ -297,29 +299,7 @@ def _emit_yield(cg: _MethodCodegen, seg: _TfSeg, op: tuple) -> None:
     # charges — all certified clean dyadics whenever folding is enabled,
     # so chains based here may fold.
     seg.clean = True
-    if cg._samplefast:
-        seg.emit(f"_t = vm.cycles + {expr}")
-        seg.emit("vm.cycles = _t")
-        seg.emit("_cyc = 0.0")
-        seg.emit("if _t >= st.gate:")
-        seg.emit("if _t >= vm.next_tick:", 2)
-        seg.emit("vm.on_tick()", 3)
-        seg.emit("if vm.flag:", 2)
-        seg.emit("_smp = vm.sampler", 3)
-        seg.emit("if vm._tick_method_sampled and _smp is not None:", 3)
-        seg.emit(f"_cyc += _smp.on_yieldpoint(vm, _cm, _pr, {op[2]!r})", 4)
-        seg.emit("else:", 3)
-        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, _pr, {op[2]!r})", 4)
-        seg.emit("st.gate = _NI if vm.flag else vm.next_tick", 3)
-        seg.emit("else:", 2)
-        seg.emit("st.gate = vm.next_tick", 3)
-    else:
-        seg.emit(f"vm.cycles += {expr}")
-        seg.emit("_cyc = 0.0")
-        seg.emit("if vm.cycles >= vm.next_tick:")
-        seg.emit("vm.on_tick()", 2)
-        seg.emit("if vm.flag:")
-        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, _pr, {op[2]!r})", 2)
+    emit_yieldpoint(seg, cg._samplefast, expr, "_pr", op[2])
 
 
 def _tf_op(cg: _MethodCodegen, seg: _TfSeg, label: str, j: int, op: tuple) -> None:
@@ -653,13 +633,7 @@ def _emit_callee_path(
         label = cblock.label
         iseg.raw(f"_fuel = _fuel - {n + 1}")
         iseg.raw("if _fuel < 0:")
-        iseg.raw(f"vm.cycles += {iseg.cyc_expr()}", 2)
-        iseg.raw(
-            "raise _Fuel('instruction budget exhausted', "
-            f"method={pk!r}, block={label!r}, instruction_index=0, "
-            "cycles=vm.cycles)",
-            2,
-        )
+        iseg.raw(fuel_exit(iseg.cyc_expr(), repr(pk), label, 0), 2)
         j = 0
         while j < n:
             cop = ops[j]
@@ -817,13 +791,7 @@ def _emit_inline_call(
     n = len(block.ops)
     seg.emit(f"_fuel = _fuel - {n - j}")
     seg.emit("if _fuel < 0:")
-    seg.emit(f"vm.cycles += {seg.cyc_expr()}", 2)
-    seg.emit(
-        "raise _Fuel('instruction budget exhausted', method=_pk, "
-        f"block={block.label!r}, instruction_index={j + 1}, "
-        "cycles=vm.cycles)",
-        2,
-    )
+    seg.emit(fuel_exit(seg.cyc_expr(), "_pk", block.label, j + 1), 2)
 
 
 # -- plain (off-trace) arms -------------------------------------------------
@@ -948,12 +916,7 @@ def _emit_plain_block(
     # `_cyc` holds exactly what `st.cyc` would at this boundary.
     seg.emit(f"_fuel = _fuel - {n - ip + 1}")
     seg.emit("if _fuel < 0:")
-    seg.emit("vm.cycles += _cyc", 2)
-    seg.emit(
-        "raise _Fuel('instruction budget exhausted', method=_pk, "
-        f"block={label!r}, instruction_index={ip}, cycles=vm.cycles)",
-        2,
-    )
+    seg.emit(fuel_exit("_cyc", "_pk", label, ip), 2)
     j = ip
     while j < n:
         op = ops[j]
@@ -1104,12 +1067,7 @@ def _emit_trace_tf(
         # exhaustion flush takes the pending chain inline.
         seg.emit(f"_fuel = _fuel - {n + 1}")
         seg.emit("if _fuel < 0:")
-        seg.emit(f"vm.cycles += {seg.cyc_expr()}", 2)
-        seg.emit(
-            "raise _Fuel('instruction budget exhausted', method=_pk, "
-            f"block={label!r}, instruction_index=0, cycles=vm.cycles)",
-            2,
-        )
+        seg.emit(fuel_exit(seg.cyc_expr(), "_pk", label, 0), 2)
         called = False
         j = 0
         while j < n:

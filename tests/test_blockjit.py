@@ -19,8 +19,11 @@ from repro.bytecode.instructions import (
     ALoad,
     BinOp,
     BinOpImm,
+    Br,
     Call,
     Const,
+    Emit,
+    Jmp,
     NewArr,
     Ret,
 )
@@ -229,9 +232,8 @@ def test_stack_overflow_parity():
     assert seen[0] == seen[1]
 
 
-@pytest.mark.parametrize("fuel", [3, 57, 511, 4096])
-def test_fuel_exhaustion_parity(fuel):
-    program = counting_program(500)
+def _fuel_outcomes(program: Program, fuel: int):
+    """The fuel error under each engine, as comparable tuples."""
     costs = CostModel()
     code = compile_simple(program, costs=costs)
     seen = []
@@ -243,7 +245,98 @@ def test_fuel_exhaustion_parity(fuel):
         seen.append(
             (str(err), err.method, err.block, err.instruction_index, err.cycles)
         )
+    return seen
+
+
+@pytest.mark.parametrize("fuel", [3, 57, 511, 4096])
+def test_fuel_exhaustion_parity(fuel):
+    seen = _fuel_outcomes(counting_program(500), fuel)
     assert seen[0] == seen[1]
+
+
+def test_fuel_exhaustion_parity_on_call_resume():
+    # call_program's loop body calls its helper, so some budgets run out
+    # on re-entry after the return: a segment with ip > 0, whose fuel
+    # exit passes that ip to the helper.
+    indices = set()
+    for fuel in range(1, 40):
+        seen = _fuel_outcomes(call_program(), fuel)
+        assert seen[0] == seen[1]
+        indices.add(seen[1][3])
+    assert max(indices) > 0
+
+
+# -- live-only writebacks ----------------------------------------------------
+
+
+def _liveness_program() -> Program:
+    """One loop that exercises every liveness case of segment exits.
+
+    ``r3`` is a temporary that dies inside ``body``; ``r4`` is the call
+    argument, dead once passed; ``r1`` is written before the call and
+    live across its resume; ``r2`` is written after the resume and read
+    on the taken arm only; ``r0`` is incremented in ``latch`` and live
+    around the back edge to ``head``.
+    """
+    main = Method("main", num_params=0, num_regs=8)
+    entry = main.new_block("entry")
+    entry.append(Const(0, 0))
+    entry.append(Const(1, 0))
+    entry.append(Const(6, 6))
+    entry.append(Const(7, 2))
+    entry.terminator = Jmp("head")
+    main.new_block("head").terminator = Br("lt", 0, 6, "body", "exit")
+    body = main.new_block("body")
+    body.append(BinOpImm("mul", 3, 0, 3))
+    body.append(BinOpImm("add", 4, 3, 1))
+    body.append(BinOpImm("add", 1, 1, 10))
+    body.append(Call(5, "helper", [4]))
+    body.append(BinOpImm("add", 2, 5, 2))
+    body.terminator = Br("lt", 5, 7, "left", "latch")
+    left = main.new_block("left")
+    left.append(BinOp("add", 1, 1, 2))
+    left.terminator = Jmp("latch")
+    latch = main.new_block("latch")
+    latch.append(BinOpImm("add", 0, 0, 1))
+    latch.terminator = Jmp("head")
+    done = main.new_block("exit")
+    done.append(Emit(1))
+    done.terminator = Ret(1)
+    main.seal()
+    helper = Method("helper", num_params=1, num_regs=2)
+    hb = helper.new_block("entry")
+    hb.append(BinOpImm("mod", 1, 0, 4))
+    hb.terminator = Ret(1)
+    helper.seal()
+    program = Program("liveness", main="main")
+    program.add(main)
+    program.add(helper)
+    return program
+
+
+def test_writebacks_only_for_live_registers():
+    cm = compile_simple(_liveness_program())["main"]
+    source = generate_source(cm)
+    labels = list(cm.blocks)
+
+    def segment(label, ip=0):
+        return blockjit._segment_text(source, f"_f{labels.index(label)}_{ip}")
+
+    # The temporary and the spent call argument are never written back.
+    assert "regs[3] =" not in source
+    assert "regs[4] =" not in source
+    call_exit = segment("body")
+    assert "return _CALL" in call_exit
+    assert "regs[1] = r1" in call_exit  # live across the resume
+    taken, not_taken = segment("body", 4).split("    else:\n")
+    assert "regs[2] = r2" in taken  # `left` reads it
+    assert "regs[2] =" not in not_taken  # dead on the way to `latch`
+    assert "regs[0] = r0" in segment("latch")  # live around the back edge
+
+
+@pytest.mark.parametrize("mode", [None, "pep", "edges"])
+def test_live_only_writebacks_parity(mode):
+    _assert_identical(*_run_engines(_liveness_program(), mode=mode))
 
 
 # -- cross-workload digest equivalence (all bundled SPECjvm/DaCapo) ---------

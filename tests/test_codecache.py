@@ -223,6 +223,22 @@ def test_load_missing_and_corrupt_files(tmp_path):
     assert cache.load(str(not_methods)) == 0
     assert len(cache) == 0
 
+    # A current-format payload holding a real CompiledMethod under a key
+    # or cycle count that does not convert: each entry is skipped, never
+    # raised.
+    cm, _ = _compile(counting_program(10))
+    for key, cycles in ((None, 1.0), (("k",), "x"), (("k",), None),
+                        ([["k"]], 1.0)):
+        malformed = tmp_path / "malformed.pkl"
+        with open(malformed, "wb") as fh:
+            pickle.dump(
+                {"format": codecache._FORMAT,
+                 "entries": [(key, (cm, cycles))]},
+                fh,
+            )
+        assert cache.load(str(malformed)) == 0
+    assert len(cache) == 0
+
 
 def test_save_is_atomic(tmp_path):
     program = counting_program(10)
@@ -236,12 +252,14 @@ def test_save_is_atomic(tmp_path):
 
 
 def test_old_format_cache_dropped_wholesale(tmp_path):
-    # A cache persisted by an older format (format 7: no k-iteration
-    # trace encoding or resolved k in the keys; format 8: warm-ladder
-    # artefacts and the resolved REPRO_WARMJIT flag in the keys) must
+    # A cache persisted by an older format (format 8: warm-ladder
+    # artefacts and the resolved REPRO_WARMJIT flag in the keys;
+    # format 9: generated sources with inline fuel raises and yieldpoint
+    # slow paths against globals the namespace no longer binds) must
     # not be partially reused: each bump changed what the keys or
-    # fingerprints hash, or what the sb_* slots may hold, so every old
-    # entry is untrustworthy and the load drops the whole file.
+    # fingerprints hash, or what the persisted sources may reference,
+    # so every old entry is untrustworthy and the load drops the whole
+    # file.
     program = counting_program(10)
     cm, cycles = _compile(program)
     path = str(tmp_path / "cache.pkl")
@@ -250,8 +268,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 9
-    payload["format"] = 8
+    assert payload["format"] == codecache._FORMAT == 10
+    payload["format"] = 9
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 
