@@ -2,18 +2,17 @@
 """Performance trajectory recorder: writes ``BENCH_perf.json``.
 
 Times the hot layers the perf PRs touched — guest execution under the
-blockjit engine and the tuple interpreter (fused vs unfused
-superinstructions), the path-guided superblock trace and the
-whole-method tracefast backend stacked on top of it, the k-iteration
-trace on a bimodal loop, the fixed-point fold-coverage census and the
-AOT break-even ledger (DESIGN.md §15), the yieldpoint/sampling-check
-overhead, lowering
-with and without the compilation cache, path reconstruction with cold vs
-warm memos, and a small fig6 sweep through the experiment engine serial
-vs parallel — and records them, normalized by a pure-Python calibration
-loop so numbers are comparable across machines.  Every run also appends
-one summary line (git SHA + headline metrics) to ``BENCH_history.jsonl``
-so the perf trend is trackable across PRs.
+blockjit engine and the tuple interpreter, the path-guided superblock
+trace and the whole-method tracefast backend stacked on top of it, the
+k-iteration trace on a bimodal loop, the fixed-point fold-coverage
+census and the AOT break-even ledger (DESIGN.md §15), the
+yieldpoint/sampling-check overhead, lowering with and without the
+compilation cache, path reconstruction with cold vs warm memos, and a
+small fig6 sweep through the experiment engine serial vs parallel — and
+records them, normalized by a pure-Python calibration loop so numbers
+are comparable across machines.  Every run also appends one summary
+line (git SHA + headline metrics) to ``BENCH_history.jsonl`` so the
+perf trend is trackable across PRs.
 
 Usage::
 
@@ -120,7 +119,7 @@ def calibrate() -> dict:
 # -- interpreter throughput -------------------------------------------------
 
 
-def _lower_image(program, costs, fuse):
+def _lower_image(program, costs):
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.vm.interpreter import lower_method
 
@@ -128,7 +127,7 @@ def _lower_image(program, costs, fuse):
     for method in program.iter_methods():
         clone = method.clone()
         insert_yieldpoints(clone)
-        code[method.name] = lower_method(clone, "opt2", costs, fuse=fuse)
+        code[method.name] = lower_method(clone, "opt2", costs)
     return code
 
 
@@ -137,30 +136,19 @@ def bench_interpreter(quick: bool) -> dict:
     from repro.vm.runtime import VirtualMachine
     from repro.workloads.suite import get_workload
 
-    # compress is the tight-loop workload; ps has the branchiest CFG
-    # (the largest fraction of fused T_BRCMP terminators), so together
-    # they bracket how much dispatch cost matters.  Three variants run
-    # on the same workloads: the blockjit engine (the default, timed on
-    # the unfused image — fusion is a tuple-dispatch optimization and
-    # blockjit has no dispatch to fuse), and the tuple interpreter with
-    # and without superinstruction fusion.
+    # compress is the tight-loop workload; ps has the branchiest CFG,
+    # so together they bracket how much dispatch cost matters.  One
+    # image per workload runs on both engines: the blockjit engine (the
+    # default) and the tuple interpreter.
     names = ["compress", "ps"]
     scale = 1.0 if quick else 3.0
     reps = 3 if quick else 8
     costs = CostModel()
     programs = [get_workload(name).build(scale) for name in names]
-    variants = [
-        ("blockjit", False, True),
-        ("fused", True, False),
-        ("unfused", False, False),
-    ]
+    images = [(program, _lower_image(program, costs)) for program in programs]
     rates = {}
     totals = {}
-    for label, fuse, use_blockjit in variants:
-        images = [
-            (program, _lower_image(program, costs, fuse))
-            for program in programs
-        ]
+    for label, use_blockjit in (("blockjit", True), ("interp", False)):
         warm = 0.0
         for program, code in images:  # warmup (and parity probe)
             vm = VirtualMachine(
@@ -178,8 +166,8 @@ def bench_interpreter(quick: bool) -> dict:
                 cycles += vm.run().cycles
         wall = time.perf_counter() - t0
         rates[label] = cycles / wall
-    # Bit-identity safety net: every engine/encoding must account the
-    # exact same virtual cycles, else the timings compare different work.
+    # Bit-identity safety net: both engines must account the exact same
+    # virtual cycles, else the timings compare different work.
     if len(set(totals.values())) != 1:
         raise AssertionError(f"engine cycle totals diverged: {totals}")
     return {
@@ -189,43 +177,9 @@ def bench_interpreter(quick: bool) -> dict:
         # Primary throughput metric: the default engine (blockjit).
         "vcycles_per_sec": rates["blockjit"],
         "blockjit_vcycles_per_sec": rates["blockjit"],
-        "fused_vcycles_per_sec": rates["fused"],
-        "unfused_vcycles_per_sec": rates["unfused"],
-        "fusion_speedup": rates["fused"] / rates["unfused"],
-        "blockjit_speedup": rates["blockjit"] / rates["unfused"],
-        "fusion_note": _fusion_note(rates["fused"] / rates["unfused"]),
+        "interp_vcycles_per_sec": rates["interp"],
+        "blockjit_speedup": rates["blockjit"] / rates["interp"],
     }
-
-
-def _fusion_note(fusion_speedup: float) -> str:
-    """Describe the *measured* fusion outcome, not a stale snapshot.
-
-    Earlier schemas hardcoded the number seen on one machine, which went
-    stale as soon as the dispatch loop changed; the note now interprets
-    whatever this run measured.
-    """
-    measured = f"{fusion_speedup:.2f}x on this run"
-    if fusion_speedup >= 1.05:
-        verdict = (
-            f"fusion_speedup is {measured}: the saved tuple dispatch "
-            "outweighs the fused bodies' wider decode ladder here."
-        )
-    elif fusion_speedup >= 0.95:
-        verdict = (
-            f"fusion_speedup is noise-bound around 1.0x ({measured}): "
-            "the fused bodies' wider decode ladder costs about what the "
-            "saved dispatch earns."
-        )
-    else:
-        verdict = (
-            f"fusion_speedup is {measured}: the fused bodies' wider "
-            "decode ladder costs more than the saved dispatch earns."
-        )
-    return (
-        f"{verdict}  Either way FUSE_SUPERINSTRUCTIONS defaults off "
-        "(opt in via REPRO_FUSE=1 or fuse=True); the blockjit engine "
-        "compiles dispatch away entirely, which is the real fix."
-    )
 
 
 # -- yieldpoint / sampling-check overhead ------------------------------------
@@ -509,8 +463,7 @@ def bench_tracefast(quick: bool) -> dict:
     pilot finds the helper's dominant path, then two otherwise identical
     images install it through :func:`install_superblock` with
     ``flags.TRACEFAST`` pinned per image — the classic §11 single-trace
-    superblock on one, the §13 whole-method tracefast function (with the
-    run's cost model handed over so exact chain folding engages) on the
+    superblock on one, the §13 whole-method tracefast function on the
     other.  A cycle-parity probe asserts bit-identical virtual cycles
     before the timed reps; the reported ``tracefast_speedup`` is gated
     by ``TRACEFAST_SPEEDUP_FLOOR`` on full runs.
@@ -575,7 +528,7 @@ def bench_tracefast(quick: bool) -> dict:
     try:
         for label, pinned in (("superblock", False), ("tracefast", True)):
             flags.TRACEFAST = pinned
-            if not install_superblock(images[label]["helper"], dominant, costs):
+            if not install_superblock(images[label]["helper"], dominant):
                 return {
                     "workloads": ["hotloop"],
                     "tracefast_installed": False,
@@ -784,7 +737,7 @@ def bench_kblpp(quick: bool) -> dict:
     _tf_old = flags.TRACEFAST
     flags.TRACEFAST = True
     try:
-        if not install_superblock(images["kblpp"]["helper"], encoded, costs):
+        if not install_superblock(images["kblpp"]["helper"], encoded):
             return {
                 "workloads": ["bimodal"],
                 "kblpp_installed": False,
@@ -894,13 +847,10 @@ def bench_foldcov(quick: bool) -> dict:
     off it.
     """
     from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.util.flags import fixedcost_enabled
     from repro.vm.costs import FOLD_SHIFT, CostModel
     from repro.vm.interpreter import lower_method
     from repro.workloads.suite import benchmark_suite
 
-    if not fixedcost_enabled():
-        return {"fold_coverage": None, "note": "REPRO_FIXEDCOST=0"}
     scale = 0.3 if quick else 0.5
     tiers = ("baseline", "opt0", "opt1", "opt2")
     costs = CostModel()
@@ -1008,8 +958,7 @@ def bench_aot(quick: bool) -> dict:
         flags.TRACEFAST = True
         for label, pinned in (("exec", False), ("aot", True)):
             flags.TRACEFAST_AOT = pinned
-            if not install_superblock(images[label]["helper"], dominant,
-                                      costs):
+            if not install_superblock(images[label]["helper"], dominant):
                 out["note"] = f"path {dominant} is not installable"
                 return out
     finally:
@@ -1463,7 +1412,6 @@ def append_history(report: dict, path: str) -> None:
         "normalized_interp_rate": report.get("normalized_interp_rate"),
         "vcycles_per_sec": interp.get("vcycles_per_sec"),
         "blockjit_speedup": interp.get("blockjit_speedup"),
-        "fusion_speedup": interp.get("fusion_speedup"),
         "sampling_wall_overhead": sampling.get("sampling_wall_overhead"),
         "sampling_datapath": sampling.get("datapath"),
         "superblock_speedup": metrics.get("superblock", {}).get(
@@ -1676,8 +1624,7 @@ def main(argv=None) -> int:
     )
     print(
         f"bench_perf: blockjit speedup {interp['blockjit_speedup']:.2f}x "
-        f"over the tuple interpreter, fusion speedup "
-        f"{interp['fusion_speedup']:.2f}x, sampling wall overhead "
+        f"over the tuple interpreter, sampling wall overhead "
         f"{sampling['sampling_wall_overhead']:.2f}x, superblock hot-loop "
         f"speedup {sb_text}, tracefast speedup {tf_text} over the "
         f"superblock, k-trace bimodal speedup {kb_text} over plain "

@@ -143,7 +143,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(
             f"  fold: certified={totals['fold_certified']} "
             f"rejected={totals['fold_rejected']} "
-            f"legacy={totals['fold_legacy']} "
             "coverage="
             + (f"{coverage:.3f}" if coverage is not None else "n/a")
         )

@@ -15,7 +15,7 @@ from repro.bytecode.method import Method
 from repro.instrument.edge_instr import apply_edge_instrumentation
 from repro.instrument.yieldpoints import insert_yieldpoints
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import CompiledMethod, lower_method, resolve_fuse
+from repro.vm.interpreter import CompiledMethod, lower_method
 
 
 def compile_baseline(
@@ -29,14 +29,10 @@ def compile_baseline(
     """
     from repro.vm import codecache
 
-    # The fusion default is environment-dependent (REPRO_FUSE), so the
-    # *resolved* value must go into the persistent cache key — a key
-    # must never conflate fused and unfused artefacts across runs.
-    fuse = resolve_fuse()
     cache = codecache.active_cache()
     key = None
     if cache is not None:
-        key = codecache.baseline_key(method, version, costs, fuse=fuse)
+        key = codecache.baseline_key(method, version, costs)
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -44,7 +40,7 @@ def compile_baseline(
     clone = method.clone()
     insert_yieldpoints(clone)
     apply_edge_instrumentation(clone)
-    cm = lower_method(clone, "baseline", costs, version=version, fuse=fuse)
+    cm = lower_method(clone, "baseline", costs, version=version)
     compile_cycles = costs.compile_cost("baseline", method.instruction_count())
     if cache is not None and key is not None:
         cache.put(key, cm, compile_cycles)

@@ -327,7 +327,7 @@ class AdaptiveSystem:
                 caller.sb_source = None
                 caller.sb_fingerprint = None
                 try:
-                    install_superblock(caller, caller.sb_path, self.costs)
+                    install_superblock(caller, caller.sb_path)
                 except Exception:
                     # Degrade to plain blockjit rather than failing the
                     # recompile that triggered the refresh; the method
@@ -427,7 +427,7 @@ class AdaptiveSystem:
                     self.config.superblock_min_samples,
                 )
         try:
-            installed = install_superblock(cm, path, self.costs)
+            installed = install_superblock(cm, path)
         except Exception as exc:
             if resilience is not None:
                 resilience.health.record_degradation(

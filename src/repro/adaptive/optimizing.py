@@ -30,12 +30,7 @@ from repro.adaptive.passes import (
 from repro.profiling.edges import EdgeProfile
 from repro.vm import pgo
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import (
-    OP_CALL,
-    CompiledMethod,
-    lower_method,
-    resolve_fuse,
-)
+from repro.vm.interpreter import OP_CALL, CompiledMethod, lower_method
 
 # Profiling instrumentation the optimizing compiler can attach:
 #   None          - plain optimized code (the paper's Base)
@@ -117,22 +112,18 @@ def optimize_method(
     # Fault-injected compiles bypass the cache in both directions.
     from repro.vm import codecache
 
-    # Resolved fusion setting goes into both the cache key and the
-    # lowering call: the default is environment-dependent (REPRO_FUSE),
-    # and a persistent key must never conflate fused/unfused artefacts.
-    fuse = resolve_fuse()
     min_coverage = bool(min_coverage and instrumentation == "edges")
     cache = codecache.active_cache() if injector is None else None
     key: Optional[tuple] = None
     if cache is not None:
         key = codecache.optimize_key(
             method, program, level, instrumentation, unroll, version,
-            costs, edge_profile, fuse=fuse, min_coverage=min_coverage,
+            costs, edge_profile, min_coverage=min_coverage,
         )
         hit = cache.get(key)
         if hit is not None:
             if superblock_advice is not None:
-                _apply_superblock_advice(hit[0], superblock_advice, costs)
+                _apply_superblock_advice(hit[0], superblock_advice)
             return hit
 
     clone = method.clone()
@@ -171,7 +162,7 @@ def optimize_method(
             apply_edge_instrumentation(clone)
 
     tier = f"opt{level}"
-    cm = lower_method(clone, tier, costs, version=version, fuse=fuse)
+    cm = lower_method(clone, tier, costs, version=version)
     if inst is not None:
         cm.attach_dag(inst.dag)
     cm.probe_plan = probe_plan
@@ -187,13 +178,11 @@ def optimize_method(
     if cache is not None and key is not None:
         cache.put(key, cm, compile_cycles)
     if superblock_advice is not None:
-        _apply_superblock_advice(cm, superblock_advice, costs)
+        _apply_superblock_advice(cm, superblock_advice)
     return cm, compile_cycles
 
 
-def _apply_superblock_advice(
-    cm: CompiledMethod, advice: tuple, costs=None
-) -> None:
+def _apply_superblock_advice(cm: CompiledMethod, advice: tuple) -> None:
     """Carry a hot trace across a recompile; silent no-op on mismatch.
 
     A shared cache-hit instance may already hold a (different) trace —
@@ -236,6 +225,6 @@ def _apply_superblock_advice(
             revalidated[(label, j)] = plan
         cm.pgo_inline = revalidated or None
     try:
-        install_superblock(cm, path_number, costs)
+        install_superblock(cm, path_number)
     except Exception:
         pass

@@ -26,12 +26,7 @@ from typing import List, Optional
 from repro.errors import PathReconstructionError, ReproError
 from repro.profiling.edges import numpy_available
 from repro.profiling.kpaths import shared_schema
-from repro.util.flags import (
-    kblpp_enabled,
-    kblpp_k,
-    numpy_drain_enabled,
-    samplefast_enabled,
-)
+from repro.util.flags import kblpp_enabled, kblpp_k, samplefast_enabled
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -145,10 +140,10 @@ class ArnoldGroveSampler:
         # sample-at-a-time recording.  Resolved once at construction.
         self._fast = samplefast_enabled()
         # Batch the drain's edge-slot updates through NumPy when it is
-        # importable (REPRO_NUMPY_DRAIN=0 keeps the pure-Python loop as
-        # the gated reference).  Bit-identical either way: counts are
-        # integer-valued floats, so add order cannot matter.
-        self._np_drain = numpy_available() and numpy_drain_enabled()
+        # importable; without NumPy the pure-Python loop runs.
+        # Bit-identical either way: counts are integer-valued floats, so
+        # add order cannot matter.
+        self._np_drain = numpy_available()
         self._between = not config.simplified and config.stride > 1
         # Run-length-encoded sample buffer: parallel lists of
         # (method, path, repeat count).  Hot loops sample the same path

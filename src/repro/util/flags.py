@@ -2,10 +2,10 @@
 
 The sampling fast path (countdown yieldpoints, dense profile tables,
 buffered sample recording — see DESIGN.md §10) is controlled by
-``REPRO_SAMPLEFAST``.  It follows the same resolution idiom as
-:func:`repro.vm.interpreter.resolve_fuse`: an explicit argument wins,
-then the module flag (tests may pin it), then the environment variable,
-then the built-in default of *on*.
+``REPRO_SAMPLEFAST``.  Every flag here resolves the same way: an
+explicit argument wins, then the module flag (tests may pin it), then
+the environment variable, then the built-in default (*on* for every
+boolean switch).
 
 Both datapaths are bit-identical in every observable (profiles, virtual
 cycles, fault-injection sequences — ``tests/test_samplefast.py`` proves
@@ -28,14 +28,6 @@ SUPERBLOCK_ENV = "REPRO_SUPERBLOCK"
 
 #: Module override for path-guided superblock formation (DESIGN.md §11).
 SUPERBLOCK: Optional[bool] = None
-
-NUMPY_DRAIN_ENV = "REPRO_NUMPY_DRAIN"
-
-#: Module override for the NumPy-backed batch edge-profile drain.  The
-#: pure-Python loop stays available as the gated reference; both produce
-#: bit-identical profiles (sample counts are integer-valued floats, so
-#: the adds are exact in any order).
-NUMPY_DRAIN: Optional[bool] = None
 
 TRACEFAST_ENV = "REPRO_TRACEFAST"
 
@@ -86,19 +78,6 @@ PGO_PROBES_ENV = "REPRO_PGO_PROBES"
 #: edge-instrumentation mode and reconstruct the full edge profile at
 #: drain time (Knuth / Ball-Larus minimum instrumentation).
 PGO_PROBES: Optional[bool] = None
-
-FIXEDCOST_ENV = "REPRO_FIXEDCOST"
-
-#: Module override for fixed-point cost folding (DESIGN.md §15): when a
-#: method's lowered charges are certified on the fixed-point grid
-#: (``CostModel.fold_scale``, computed at lowering as
-#: ``CompiledMethod.fold_q``), both codegen backends fold *every*
-#: straight-line cost chain into one scaled-integer constant — no
-#: clean-dyadic gate, no dirty-accumulator tracking.  Grid arithmetic is
-#: exact in floats, so folding is bit-identical to the sequential adds;
-#: ``REPRO_FIXEDCOST=0`` is the kill switch that reverts codegen to the
-#: PR-7/PR-8 chained emission byte for byte.
-FIXEDCOST: Optional[bool] = None
 
 KBLPP_ENV = "REPRO_KBLPP"
 
@@ -250,23 +229,6 @@ def pgo_probes_enabled(explicit: Optional[bool] = None) -> bool:
     return _env_enabled(PGO_PROBES_ENV)
 
 
-def fixedcost_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the fixed-point cost-folding setting.
-
-    ``REPRO_FIXEDCOST=0`` reverts both codegen backends to the legacy
-    clean-dyadic gate and chained cost emission (bit-identical digests —
-    grid arithmetic is exact either way, the flag only moves wall
-    clock).  The resolved value participates in codecache keys and
-    superblock/tracefast fingerprints: folded and chained sources must
-    never be conflated across processes.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if FIXEDCOST is not None:
-        return bool(FIXEDCOST)
-    return _env_enabled(FIXEDCOST_ENV)
-
-
 def kblpp_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the k-iteration path-profiling setting.
 
@@ -310,12 +272,3 @@ def kblpp_k(explicit: Optional[int] = None) -> int:
         value = KBLPP_K_DEFAULT
     return max(1, min(KBLPP_K_MAX, value))
 
-
-def numpy_drain_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the NumPy batch-drain setting (effective only if NumPy
-    actually imports; callers gate on availability separately)."""
-    if explicit is not None:
-        return bool(explicit)
-    if NUMPY_DRAIN is not None:
-        return bool(NUMPY_DRAIN)
-    return _env_enabled(NUMPY_DRAIN_ENV)

@@ -31,9 +31,9 @@ two certified-equal shapes (DESIGN.md §15): when the method's
 fixed-point certification passed (``cm.fold_q`` truthy), straight-line
 cost chains fold to one scaled-integer constant per flush point — exact
 because every charge lies on the 2**-20 grid where float addition never
-rounds; otherwise (``REPRO_FIXEDCOST=0``, or a genuinely dirty injected
-cost) float adds are emitted per-op, in the same order, on a local
-accumulator — never pre-summed, because float addition is
+rounds; otherwise (``cm.fold_q == 0``: a caller's cost model put a
+charge off the grid) float adds are emitted per-op, in the same order,
+on a local accumulator — never pre-summed, because float addition is
 non-associative off the grid.  ``tests/test_blockjit.py`` proves the
 contract across all bundled workloads.
 
@@ -96,7 +96,6 @@ from repro.vm.interpreter import (
     OP_BINI,
     OP_CALL,
     OP_CONST,
-    OP_CONSTBIN,
     OP_EMIT,
     OP_MOVE,
     OP_NEG,
@@ -107,7 +106,6 @@ from repro.vm.interpreter import (
     OP_PEPINIT,
     OP_YIELD,
     T_BR,
-    T_BRCMP,
     T_JMP,
     T_RET,
     _MAX_ARRAY,
@@ -306,11 +304,8 @@ def _edge_origins(cm: CompiledMethod) -> List[object]:
     origins: List[object] = []
     for block in cm.blocks.values():
         term = block.term
-        t = term[0]
-        if t == T_BR and term[10]:
+        if term[0] == T_BR and term[10]:
             origins.append(term[9])
-        elif t == T_BRCMP and term[15]:
-            origins.append(term[14])
     return origins
 
 
@@ -323,9 +318,8 @@ class _Segment:
     accumulator reads :meth:`cyc_expr` — one folded constant per chain.
     Certification (``CompiledMethod.fold_q``) guarantees the fold is
     bit-identical; with ``fixed`` off, ``pending`` stays empty and
-    ``cyc_expr`` degenerates to the literal ``_cyc``, so every legacy
-    emission site can read it unconditionally without changing a byte
-    of the legacy source.
+    ``cyc_expr`` degenerates to the literal ``_cyc``, so every emission
+    site can read it unconditionally and the textual chain is unchanged.
     """
 
     def __init__(self) -> None:
@@ -475,8 +469,7 @@ class _MethodCodegen:
         self._origin_names: Dict[str, str] = {}
         for block in self.blocks:
             term = block.term
-            t = term[0]
-            if (t == T_BR and term[10]) or (t == T_BRCMP and term[15]):
+            if term[0] == T_BR and term[10]:
                 self._origin_names[block.label] = f"_og{len(self._origin_names)}"
         # Resolved once so a method's segments all share one yieldpoint
         # style; the style is baked into the source text, which is what
@@ -485,8 +478,7 @@ class _MethodCodegen:
         # Fixed-point accounting verdict (DESIGN.md §15): decided at
         # lowering time and carried on the method, so lazily regenerated
         # sources (ensure_jit after a pickle round-trip) always match
-        # the shape the method was certified for — codegen never
-        # re-consults the flag.
+        # the shape the method was certified for.
         self._fixed = bool(cm.fold_q)
 
     # -- top level ----------------------------------------------------------
@@ -567,19 +559,6 @@ class _MethodCodegen:
             b = seg.rd(op[5])
             self._guards_reg(seg, op[2], b, label, j)
             seg.emit(f"{seg.wr(op[3])} = {_bin_expr(op[2], a, b)}")
-        elif c == OP_CONSTBIN:
-            # Const write first (its register may alias the other
-            # operand or the destination), exactly as unfused.
-            cv = op[4]
-            seg.emit(f"{seg.wr(op[3])} = {cv!r}")
-            other = seg.rd(op[6])
-            if op[7]:  # const on the left; runtime guard on the right
-                self._guards_reg(seg, op[2], other, label, j)
-                expr = _bin_expr(op[2], repr(cv), other)
-            else:
-                self._guards_imm(seg, op[2], cv, label, j)
-                expr = _bin_expr(op[2], other, repr(cv))
-            seg.emit(f"{seg.wr(op[5])} = {expr}")
         elif c == OP_NEG:
             src = seg.rd(op[3])
             seg.emit(f"{seg.wr(op[2])} = -{src}")
@@ -762,36 +741,6 @@ class _MethodCodegen:
             self._gen_arm(
                 seg, False, term[7], term[8],
                 origin if mask & 2 else None, term[11], term[6],
-            )
-            seg.pending = []
-        elif t == T_BRCMP:
-            k = term[2]
-            if k < 0:
-                # const->br form: the branch reads an already-live
-                # register (read happens before the const write in the
-                # unfused order; fusion guarantees the registers differ).
-                tvar = seg.rd(term[3])
-            else:
-                a = seg.rd(term[4])
-                b = repr(term[5]) if term[6] else seg.rd(term[5])
-                seg.emit(
-                    f"{seg.wr(term[3])} = 1 if {a} {_cmp_text(k)} {b} else 0"
-                )
-                tvar = f"r{term[3]}"
-            seg.emit(f"{seg.wr(term[7])} = {term[8]!r}")
-            mask = _mask(term[15])
-            origin = self._origin_names.get(block.label)
-            shared = list(seg.pending)
-            seg.emit(f"if {tvar} {_cmp_text(term[9])} {term[8]!r}:")
-            self._gen_arm(
-                seg, True, term[12], term[13],
-                origin if mask & 1 else None, term[16], term[10],
-            )
-            seg.pending = list(shared)
-            seg.emit("else:")
-            self._gen_arm(
-                seg, False, term[12], term[13],
-                origin if mask & 2 else None, term[16], term[11],
             )
             seg.pending = []
         else:  # pragma: no cover - lowering emits only known terminators

@@ -34,7 +34,6 @@ from repro.bytecode.disasm import format_instr, format_terminator
 from repro.bytecode.method import Method, Program
 from repro.profiling.edges import EdgeProfile
 from repro.util.flags import (
-    fixedcost_enabled,
     kblpp_enabled,
     kblpp_k,
     pgo_inline_enabled,
@@ -103,7 +102,13 @@ DEFAULT_BOUND = 2048
 # longer binds the ``_Fuel``/``_NI`` globals older sources reference.
 # Blockjit exits also write back only live registers.  A format-9 cache
 # is dropped wholesale.
-_FORMAT = 10
+# Format 11: the legacy fold shape and superinstruction fusion are
+# retired (DESIGN.md §9, §15), so the keys lose the resolved
+# ``REPRO_FIXEDCOST`` flag and the ``fuse`` field, and every persisted
+# method carries ``fold_q`` 20 or 0, never ``None``.  A format-10 cache
+# may hold legacy-shaped sources under the old key layout, so it is
+# dropped wholesale.
+_FORMAT = 11
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -188,7 +193,6 @@ def optimize_key(
     version: int,
     costs: CostModel,
     edge_profile: Optional[EdgeProfile],
-    fuse: Optional[bool] = None,
     samplefast: Optional[bool] = None,
     min_coverage: bool = False,
 ) -> tuple:
@@ -202,7 +206,6 @@ def optimize_key(
         version,
         fingerprint_costs(costs),
         fingerprint_profile(edge_profile),
-        fuse,
         samplefast_enabled(samplefast),
         # Resolved PGO components (format 6): layout advice shapes the
         # persisted jit_source, and the probe-placement bit decides the
@@ -210,10 +213,6 @@ def optimize_key(
         pgo_layout_enabled(),
         pgo_inline_enabled(),
         bool(min_coverage),
-        # Resolved fixed-point component (format 7): the fold verdict
-        # is taken at lowering and baked into every generated source's
-        # chain shape.
-        fixedcost_enabled(),
         # Resolved k-iteration components (format 8): a cached method
         # may carry a k-trace in its sb_* slots, and the window width
         # is baked into its fingerprint — neither may conflate across
@@ -227,7 +226,6 @@ def baseline_key(
     method: Method,
     version: int,
     costs: CostModel,
-    fuse: Optional[bool] = None,
     samplefast: Optional[bool] = None,
 ) -> tuple:
     return (
@@ -235,15 +233,12 @@ def baseline_key(
         fingerprint_method(method),
         version,
         fingerprint_costs(costs),
-        fuse,
         samplefast_enabled(samplefast),
         # Baseline compilation takes no PGO advice (no profile exists
         # yet), but its jit_source is still emitted layout-aware when
         # the flag is on (canonical order, byte-identical source) — the
         # resolved flag keeps the keyspace aligned with optimize_key.
         pgo_layout_enabled(),
-        # Format 7: the fold verdict shapes baseline jit_source too.
-        fixedcost_enabled(),
     )
 
 

@@ -53,7 +53,7 @@ FOLD_SCALE = float(1 << FOLD_SHIFT)
 FOLD_BOUND = 2.0 ** 24
 
 #: Methods whose lowered charges failed :func:`fold_clean` certification
-#: and fell back to the legacy float codegen path.  The bench fold_coverage
+#: (``fold_q == 0``) and so emit textual float chains.  The bench fold_coverage
 #: gate and the tier-1 suite both assert this stays zero under the default
 #: cost model; only genuinely unrepresentable *injected* costs (ablation
 #: benches mutating fields to non-dyadic values) bump it.

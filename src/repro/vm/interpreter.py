@@ -7,30 +7,20 @@ the tier multiplier (baseline code runs ~3x slower than optimized code).
 
 The interpreter itself lives in :func:`execute`; it is deliberately a
 single flat loop over tuple-encoded ops — the fastest shape available in
-pure Python — because the benchmark harness runs hundreds of millions of
-guest operations.
-
-Lowering additionally *fuses* the hottest adjacent op pairs into
-superinstructions (``const``→``bin`` and ``cmp``→``br``), halving
-dispatch overhead on those pairs.  Fusion is purely an encoding change:
-a fused op charges exactly the sum of its constituents' virtual cycles
-and performs the same register writes in the same order, so profiles and
-cycle accounting are bit-identical with fusion on or off (the
-``fuse`` parameter of :func:`lower_method` exists so tests can prove
-this).
+pure Python — and it is the oracle every generated-code tier must
+reproduce bit for bit (cycles, profiles, traps, fuel).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bytecode.instructions import Br, Jmp, Ret
 from repro.bytecode.method import Method
 from repro.cfg.dag import PDag
 from repro.errors import FuelExhaustedError, GuestTrapError, VMError
 from repro.profiling.regenerate import PathResolver
-from repro.util.flags import fixedcost_enabled, samplefast_enabled
+from repro.util.flags import samplefast_enabled
 from repro.vm.costs import (
     FOLD_SHIFT,
     CostModel,
@@ -77,56 +67,11 @@ OP_PEPINIT = 12
 OP_PEPADD = 13
 OP_PATHCOUNT = 14
 OP_YIELD = 15
-# Superinstruction: a const immediately feeding one operand of a binop.
-# Tuple layout: (code, cost, kind, const_dst, const_val, dst, other_reg,
-# const_on_left) — cost is the exact sum of the two fused ops' costs.
-OP_CONSTBIN = 16
 
 # Terminator codes.
 T_RET = 0
 T_JMP = 1
 T_BR = 2
-# Superinstruction terminator: comparison + const + branch-on-result, the
-# shape every front-end ``if (expr)`` lowers to (cmp into t; const z;
-# br ne t, z).  Tuple layout:
-# (T_BRCMP, cost, cmp_kind, cmp_dst, cmp_a, cmp_b, cmp_b_is_imm,
-#  const_dst, const_val, br_kind, then_block, else_block, layout_then,
-#  mislayout_penalty, origin, count_arms, edge_cost)
-# cmp_kind == -1 encodes the const->br form: no comparison is performed
-# and cmp_dst names the already-live register the branch reads.
-T_BRCMP = 3
-
-# Default for :func:`lower_method`'s ``fuse`` parameter.  ``None`` means
-# "resolve at lowering time" via :func:`resolve_fuse`: an explicit
-# argument wins, then this module flag (tests may pin it), then the
-# ``REPRO_FUSE`` environment variable, then the built-in default of
-# *off* — BENCH_perf.json measured fusion as a ~1% loss under CPython
-# 3.11 (``fusion_speedup ≈ 0.99``: the wider OP_CONSTBIN/T_BRCMP decode
-# bodies cost more than the saved dispatch), and the blockjit engine
-# compiles dispatch away entirely, so fusion no longer earns its place
-# as the default.  The encoding and the ``fuse`` parameter remain for
-# the equivalence tests and for ``REPRO_FUSE=1`` experiments.
-# Crucially the resolved default does NOT depend on whether blockjit is
-# active: the same lowered image must run under both engines so their
-# digests stay byte-identical.
-FUSE_SUPERINSTRUCTIONS: Optional[bool] = None
-
-
-def resolve_fuse(fuse: Optional[bool] = None) -> bool:
-    """Resolve the effective superinstruction-fusion setting.
-
-    Compilers must pass this resolved value into their codecache keys
-    (not the raw ``None``): the cache persists across processes, and a
-    key must never conflate fused and unfused artefacts.
-    """
-    if fuse is not None:
-        return bool(fuse)
-    if FUSE_SUPERINSTRUCTIONS is not None:
-        return bool(FUSE_SUPERINSTRUCTIONS)
-    env = os.environ.get("REPRO_FUSE")
-    if env is not None and env.strip():
-        return env.strip().lower() not in ("0", "off", "no", "false")
-    return False
 
 _MAX_ARRAY = 1 << 24
 
@@ -228,10 +173,10 @@ class CompiledMethod:
         # Fixed-point certification verdict (DESIGN.md §15), set by
         # :func:`lower_method`: the grid shift (every lowered charge and
         # cost-model injectable is an exact multiple of ``2**-fold_q``,
-        # so codegen may fold whole cost chains), ``0`` when
-        # certification failed (per-method float fallback), or ``None``
-        # under ``REPRO_FIXEDCOST=0`` (legacy clean-dyadic codegen).
-        self.fold_q: Optional[int] = None
+        # so codegen may fold whole cost chains), or ``0`` when
+        # certification failed (per-method float fallback: textual
+        # chains).
+        self.fold_q: int = 0
 
     def __getstate__(self) -> dict:
         state = {slot: getattr(self, slot) for slot in self.__slots__}
@@ -256,16 +201,9 @@ def lower_method(
     tier: str,
     costs: CostModel,
     version: int = 0,
-    fuse: Optional[bool] = None,
 ) -> CompiledMethod:
-    """Lower a (possibly instrumented) method to executable form.
-
-    ``fuse`` enables superinstruction fusion (default: resolved by
-    :func:`resolve_fuse`).  Fusion never changes results, profiles, or
-    virtual-cycle accounting — only dispatch count.
-    """
-    if fuse is None:
-        fuse = resolve_fuse()
+    """Lower a (possibly instrumented) method to executable form and
+    stamp its fixed-point certification verdict (``cm.fold_q``)."""
     mult = costs.tier_multiplier(tier)
     cm = CompiledMethod(
         method.name,
@@ -283,8 +221,6 @@ def lower_method(
         ops = lowered.ops
         for instr in block.instrs:
             ops.append(_lower_instr(instr, mult, costs))
-        if fuse:
-            _fuse_const_bin(ops)
         term = block.terminator
         if term is None:
             raise VMError(f"{method.name}:{label}: unterminated block")
@@ -293,7 +229,7 @@ def lower_method(
         elif isinstance(term, Jmp):
             lowered.term = (T_JMP, costs.jmp_op * mult, cm.blocks[term.label])
         elif isinstance(term, Br):
-            br = (
+            lowered.term = (
                 T_BR,
                 costs.branch_op * mult,
                 KIND_CODES[term.kind],
@@ -307,20 +243,16 @@ def lower_method(
                 _arm_mask(getattr(term, "count_arms", False)),
                 costs.edge_count * mult,
             )
-            fused = _fuse_cmp_br(ops, br) if fuse else None
-            lowered.term = fused if fused is not None else br
         else:
             raise VMError(f"{method.name}:{label}: unknown terminator {term.op!r}")
 
     if method.entry is None:
         raise VMError(f"{method.name}: no entry block")
     cm.entry = cm.blocks[method.entry]
-    if fixedcost_enabled():
-        if _fold_certified(cm, costs):
-            cm.fold_q = FOLD_SHIFT
-        else:
-            cm.fold_q = 0
-            record_fold_rejection()
+    if _fold_certified(cm, costs):
+        cm.fold_q = FOLD_SHIFT
+    else:
+        record_fold_rejection()
     return cm
 
 
@@ -334,9 +266,7 @@ def _fold_certified(cm: CompiledMethod, costs: CostModel) -> bool:
     *entry-based* folding sound: the carried ``st.cyc`` arrives at a
     method entry bearing other methods' charges at other tiers, so the
     chain base is provably grid-valued only when the whole program's
-    cost universe is.  The value-set mirrors the legacy
-    ``tracefast._fold_safe``, but against the wide Q20 grid instead of
-    the per-method Q12 clean-dyadic gate."""
+    cost universe is."""
     clean = fold_clean
     for value in costs.chargeable_values():
         if not clean(value):
@@ -350,53 +280,9 @@ def _fold_certified(cm: CompiledMethod, costs: CostModel) -> bool:
             continue
         if not clean(term[1]):
             return False
-        t = term[0]
-        if t == T_BR:
-            if not clean(term[8]) or not clean(term[11]):
-                return False
-        elif t == T_BRCMP:
-            if not clean(term[13]) or not clean(term[16]):
-                return False
+        if term[0] == T_BR and not (clean(term[8]) and clean(term[11])):
+            return False
     return True
-
-
-def _fuse_const_bin(ops: List[tuple]) -> None:
-    """Fuse ``const r, v; bin k, d, a, b`` pairs where the const feeds
-    exactly one binop operand.  The fused op still writes the const's
-    register first (it may be live afterwards), so register state after
-    the pair is identical to the unfused sequence.
-    """
-    n = len(ops)
-    if n < 2:
-        return
-    fused: List[tuple] = []
-    i = 0
-    while i < n:
-        op = ops[i]
-        if op[0] == OP_CONST and i + 1 < n:
-            nxt = ops[i + 1]
-            if nxt[0] == OP_BIN:
-                cdst = op[2]
-                const_on_left = nxt[4] == cdst
-                const_on_right = nxt[5] == cdst
-                if const_on_left != const_on_right:
-                    fused.append(
-                        (
-                            OP_CONSTBIN,
-                            op[1] + nxt[1],
-                            nxt[2],
-                            cdst,
-                            op[3],
-                            nxt[3],
-                            nxt[5] if const_on_left else nxt[4],
-                            const_on_left,
-                        )
-                    )
-                    i += 2
-                    continue
-        fused.append(op)
-        i += 1
-    ops[:] = fused
 
 
 def _arm_mask(count_arms) -> int:
@@ -414,91 +300,6 @@ def _arm_mask(count_arms) -> int:
     if not count_arms:
         return 0
     return int(count_arms)
-
-
-def _fuse_cmp_br(ops: List[tuple], br: tuple) -> Optional[tuple]:
-    """Fuse a branch with the instructions that feed its operands.
-
-    Two tail shapes are recognised, both emitted constantly by the
-    structured front end:
-
-    * ``cmp t, a, b; const z, v; br k t, z`` — a comparison materialised
-      into a register, then branched on (``if (flag)`` on a stored
-      boolean).  Encoded with ``cmp_kind >= 12``.
-    * ``const z, v; br k t, z`` — the front end materialises the literal
-      right-hand side of every ``if (expr op LIT)`` into a fresh
-      register right before the branch.  Encoded with ``cmp_kind == -1``
-      (no comparison component; ``cmp_dst`` names the register to read).
-
-    The fused terminator performs the same register writes in the same
-    order and charges the exact sum of the constituent costs, so cycle
-    accounting and register state are bit-identical to the unfused
-    sequence.  Only comparisons are fused as the compute component —
-    they cannot trap, so no mid-superinstruction fault handling is
-    needed.
-    """
-    if not ops:
-        return None
-    cop = ops[-1]
-    if cop[0] != OP_CONST:
-        return None
-    treg = br[3]
-    zreg = cop[2]
-    # The branch must compare something against the just-materialised
-    # const, and the two registers must differ (the unfused sequence
-    # writes the const before the branch reads; fusion reads first).
-    if br[4] != zreg or treg == zreg:
-        return None
-    if len(ops) >= 2:
-        bop = ops[-2]
-        code = bop[0]
-        if (
-            code in (OP_BIN, OP_BINI)
-            and bop[2] >= 12  # only comparisons: 0/1 result, never traps
-            and bop[3] == treg
-        ):
-            ops.pop()
-            ops.pop()
-            return (
-                T_BRCMP,
-                bop[1] + cop[1] + br[1],
-                bop[2],
-                treg,
-                bop[4],
-                bop[5],
-                code == OP_BINI,
-                zreg,
-                cop[3],
-                br[2],
-                br[5],
-                br[6],
-                br[7],
-                br[8],
-                br[9],
-                br[10],
-                br[11],
-            )
-    # Degenerate form: fold just the const into the branch.
-    ops.pop()
-    return (
-        T_BRCMP,
-        cop[1] + br[1],
-        -1,
-        treg,
-        0,
-        0,
-        False,
-        zreg,
-        cop[3],
-        br[2],
-        br[5],
-        br[6],
-        br[7],
-        br[8],
-        br[9],
-        br[10],
-        br[11],
-    )
 
 
 def _lower_instr(instr, mult: float, costs: CostModel) -> tuple:
@@ -657,16 +458,6 @@ def execute(vm, fuel: int) -> int:
                     a = regs[op[4]]
                     b = regs[op[5]]
                     regs[op[3]] = binop(k, a, b, cm, vm)
-                elif c == OP_CONSTBIN:
-                    # Const write first (its register may alias an
-                    # operand or the destination), exactly as unfused.
-                    cv = op[4]
-                    regs[op[3]] = cv
-                    other = regs[op[6]]
-                    if op[7]:
-                        regs[op[5]] = binop(op[2], cv, other, cm, vm)
-                    else:
-                        regs[op[5]] = binop(op[2], other, cv, cm, vm)
                 elif c == OP_CONST:
                     regs[op[2]] = op[3]
                 elif c == OP_MOVE:
@@ -802,51 +593,6 @@ def execute(vm, fuel: int) -> int:
                 block = term[5] if taken else term[6]
             elif t == T_JMP:
                 block = term[2]
-            elif t == T_BRCMP:
-                # Fused cmp + const + branch-on-result.  Comparisons
-                # never trap, so the ladder is inlined; both register
-                # writes happen in unfused order (cmp_dst then
-                # const_dst; the fusion guard ensures they differ).
-                k = term[2]
-                if k < 0:  # const->br form: no comparison component
-                    tval = regs[term[3]]
-                else:
-                    a = regs[term[4]]
-                    b = term[5] if term[6] else regs[term[5]]
-                    if k == 12:
-                        tval = 1 if a < b else 0
-                    elif k == 13:
-                        tval = 1 if a <= b else 0
-                    elif k == 14:
-                        tval = 1 if a > b else 0
-                    elif k == 15:
-                        tval = 1 if a >= b else 0
-                    elif k == 16:
-                        tval = 1 if a == b else 0
-                    else:
-                        tval = 1 if a != b else 0
-                    regs[term[3]] = tval
-                zv = term[8]
-                regs[term[7]] = zv
-                bk = term[9]
-                if bk == 12:
-                    taken = tval < zv
-                elif bk == 13:
-                    taken = tval <= zv
-                elif bk == 14:
-                    taken = tval > zv
-                elif bk == 15:
-                    taken = tval >= zv
-                elif bk == 16:
-                    taken = tval == zv
-                else:
-                    taken = tval != zv
-                if taken != term[12]:
-                    cyc += term[13]
-                if term[15] & (1 if taken else 2):  # per-arm probe mask
-                    edge_record(term[14], taken)
-                    cyc += term[16]
-                block = term[10] if taken else term[11]
             else:  # T_RET
                 src = term[2]
                 value = regs[src] if src is not None else 0

@@ -58,7 +58,6 @@ from repro.util.rng import stable_hash
 from repro.vm.interpreter import (
     OP_CALL,
     T_BR,
-    T_BRCMP,
     T_JMP,
     T_RET,
     CompiledMethod,
@@ -97,13 +96,9 @@ def layout_order(
     if profile is not None:
         for block in cm.blocks.values():
             term = block.term
-            t = term[0]
-            if t == T_BR:
-                origin, then_blk, else_blk = term[9], term[5], term[6]
-            elif t == T_BRCMP:
-                origin, then_blk, else_blk = term[14], term[10], term[11]
-            else:
+            if term[0] != T_BR:
                 continue
+            origin, then_blk, else_blk = term[9], term[5], term[6]
             if origin is None:
                 continue
             heat[then_blk.label] += profile.arm_count(origin, True)
@@ -221,8 +216,6 @@ def _valid_inline_chain(callee: CompiledMethod, labels) -> bool:
             ok = term[2].label == nxt
         elif t == T_BR:
             ok = term[5].label == nxt or term[6].label == nxt
-        elif t == T_BRCMP:
-            ok = term[10].label == nxt or term[11].label == nxt
         else:
             ok = False
         if not ok:
@@ -491,11 +484,8 @@ def lowered_branch_origins(cm: CompiledMethod) -> List[object]:
     origins: List[object] = []
     for block in cm.blocks.values():
         term = block.term
-        t = term[0]
-        if t == T_BR and term[9] is not None:
+        if term[0] == T_BR and term[9] is not None:
             origins.append(term[9])
-        elif t == T_BRCMP and term[14] is not None:
-            origins.append(term[14])
     return origins
 
 
@@ -661,12 +651,9 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         # Fixed-point fold coverage (DESIGN.md §15): methods whose
         # lowering certified the Q20 grid vs. methods that fell back to
         # float chains.  ``fold_rejected`` should be 0 under the
-        # default cost model (the bench gates fold_coverage == 1.0);
-        # ``fold_legacy`` counts methods lowered with the
-        # REPRO_FIXEDCOST kill switch off.
+        # default cost model (the bench gates fold_coverage == 1.0).
         "fold_certified": 0,
         "fold_rejected": 0,
-        "fold_legacy": 0,
     }
     for name in sorted(code):
         cm = code[name]
@@ -685,8 +672,7 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         else:
             for block in cm.blocks.values():
                 term = block.term
-                t = term[0]
-                mask = term[10] if t == T_BR else term[15] if t == T_BRCMP else 0
+                mask = term[10] if term[0] == T_BR else 0
                 if mask:
                     probe_mode = "full"
                     totals["probes_placed"] += bin(mask).count("1")
@@ -698,11 +684,7 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
             totals["tracefast_installs"] += 1
         elif backend == "superblock":
             totals["superblock_installs"] += 1
-        fold = (
-            "certified" if cm.fold_q
-            else "legacy" if cm.fold_q is None
-            else "rejected"
-        )
+        fold = "certified" if cm.fold_q else "rejected"
         totals[f"fold_{fold}"] += 1
         totals["pgo_inline_sites"] += inline_sites
         methods[name] = {

@@ -69,7 +69,6 @@ from repro.vm.blockjit import (
 from repro.vm.interpreter import (
     OP_CALL,
     T_BR,
-    T_BRCMP,
     T_JMP,
     CompiledMethod,
     LoweredBlock,
@@ -296,8 +295,6 @@ def _validated_blocks(
             ok = term[2].label == nxt
         elif t == T_BR:
             ok = term[5].label == nxt or term[6].label == nxt
-        elif t == T_BRCMP:
-            ok = term[10].label == nxt or term[11].label == nxt
         else:
             ok = False
         if not ok:
@@ -319,8 +316,7 @@ def _origin_names(cm: CompiledMethod) -> Dict[str, str]:
     counter = 0
     for block in cm.blocks.values():
         term = block.term
-        t = term[0]
-        if (t == T_BR and term[10]) or (t == T_BRCMP and term[15]):
+        if term[0] == T_BR and term[10]:
             names[block.label] = f"_og{counter}"
             counter += 1
     return names
@@ -425,43 +421,6 @@ def _emit_term(
         if term[5].label == next_label and not is_last and not both:
             seg.pending = after_true
         elif term[6].label == next_label and not is_last and not both:
-            seg.pending = after_false
-        else:
-            seg.pending = []
-    elif t == T_BRCMP:
-        k = term[2]
-        if k < 0:
-            # const->br form: branch register read precedes the const
-            # write, exactly as the unfused order demands.
-            tvar = seg.rd(term[3])
-        else:
-            a = seg.rd(term[4])
-            b = repr(term[5]) if term[6] else seg.rd(term[5])
-            seg.emit(f"{seg.wr(term[3])} = 1 if {a} {_cmp_text(k)} {b} else 0")
-            tvar = f"r{term[3]}"
-        seg.emit(f"{seg.wr(term[7])} = {term[8]!r}")
-        mask = _mask(term[15])
-        origin = origin_names.get(block.label)
-        both = term[10].label == next_label and term[11].label == next_label
-        shared = list(seg.pending)
-        seg.emit(f"if {tvar} {_cmp_text(term[9])} {term[8]!r}:")
-        _emit_arm(
-            cg, seg, True, term[12], term[13],
-            origin if mask & 1 else None, term[16],
-            term[10], next_label, is_last, both,
-        )
-        after_true = seg.pending
-        seg.pending = list(shared)
-        seg.emit("else:")
-        _emit_arm(
-            cg, seg, False, term[12], term[13],
-            origin if mask & 2 else None, term[16],
-            term[11], next_label, is_last, both,
-        )
-        after_false = seg.pending
-        if term[10].label == next_label and not is_last and not both:
-            seg.pending = after_true
-        elif term[11].label == next_label and not is_last and not both:
             seg.pending = after_false
         else:
             seg.pending = []
@@ -578,10 +537,9 @@ def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
         # (layout order, inline plans) are part of the generated source;
         # a flag flip or advice change must miss, never reuse.
         f"pgo{pgo_fingerprint(cm)}|"
-        # Format 7: the fold verdict selects the tracefast chain shape
-        # (fixed-point vs legacy-gated vs textual), so sources from
-        # different verdicts — including a REPRO_FIXEDCOST flip, which
-        # moves fold_q between None and 20 — must never cross.
+        # Format 7: the fold verdict selects the chain shape (folded at
+        # fold_q 20, textual at 0), so sources from different verdicts
+        # must never cross.
         f"fq{cm.fold_q}"
         # k-iteration traces (DESIGN.md §16) additionally pin the
         # resolved window length: their path number lives in the k-DAG's
@@ -618,9 +576,7 @@ def _install(
     cm.sb_entry = fn
 
 
-def install_superblock(
-    cm: CompiledMethod, path_number: int, costs=None
-) -> bool:
+def install_superblock(cm: CompiledMethod, path_number: int) -> bool:
     """Generate + install the trace for ``path_number``; first-wins.
 
     Returns True when a trace artefact is installed (now or previously),
@@ -637,16 +593,13 @@ def install_superblock(
     :mod:`repro.vm.tracefast`; otherwise the classic single-trace
     superblock below is built.  Both backends share the promotion
     policy, the advice carry-over, and the ``sb_*`` persistence slots.
-    ``costs`` (the run's :class:`~repro.vm.costs.CostModel`) is optional
-    and only unlocks tracefast's exact cost-chain folding — omitting it
-    is always safe, merely slower.
     """
     from repro.util.flags import tracefast_enabled
 
     if tracefast_enabled():
         from repro.vm import tracefast
 
-        return tracefast.install_tracefast(cm, path_number, costs)
+        return tracefast.install_tracefast(cm, path_number)
     if cm.sb_entry is not None:
         return True
     trace = trace_blocks(cm, path_number)

@@ -29,13 +29,10 @@ def compile_simple(
     smart: bool = True,
     invert_smart: bool = False,
     tier: str = "opt2",
-    fuse: Optional[bool] = None,
 ) -> Dict[str, CompiledMethod]:
     """Compile every method at one tier with the requested instrumentation.
 
     mode: None (plain), 'pep', 'full-hash', 'classic', or 'edges'.
-    ``fuse`` is forwarded to :func:`lower_method` (None = module default);
-    the superinstruction equivalence tests lower both ways and compare.
     """
     costs = costs or CostModel()
     code: Dict[str, CompiledMethod] = {}
@@ -60,7 +57,7 @@ def compile_simple(
         elif mode is not None:
             raise ValueError(f"unknown mode {mode!r}")
         verify_method(clone, program, allow_instrumentation=True)
-        cm = lower_method(clone, tier, costs, fuse=fuse)
+        cm = lower_method(clone, tier, costs)
         if inst is not None:
             cm.attach_dag(inst.dag)
         code[method.name] = cm
@@ -76,12 +73,10 @@ def run_program(
     costs: Optional[CostModel] = None,
     smart: bool = True,
     fuel: int = 50_000_000,
-    fuse: Optional[bool] = None,
 ):
     """Compile and run; returns (vm, result)."""
     code = compile_simple(
         program, mode=mode, edge_profile=edge_profile, costs=costs, smart=smart,
-        fuse=fuse,
     )
     vm = VirtualMachine(
         code,

@@ -1,8 +1,7 @@
 """Blockjit <-> interpreter bit-identity, the engine's load-bearing contract.
 
-Every test holds the *compiled image* fixed and toggles only the engine
-(mirroring the ``fuse`` equivalence suite, which holds the engine fixed
-and toggles the encoding): same return values, same outputs, same exact
+Every test holds the *compiled image* fixed and toggles only the engine:
+same return values, same outputs, same exact
 virtual cycles, same path/edge profiles, same traps with the same
 locations and cycle counts — across every bundled workload, under fault
 injection, and with the codecache warm or cold.
@@ -134,18 +133,6 @@ def test_engine_equivalence_random_programs_sampled(seed):
             program, mode="pep", sampler=(8, 5), tick_interval=400.0
         )
     )
-
-
-def test_engine_equivalence_with_fusion_enabled():
-    # Blockjit compiles the fused encoding (OP_CONSTBIN / T_BRCMP) too.
-    costs = CostModel()
-    program = counting_program(25)
-    code = compile_simple(program, mode="pep", costs=costs, fuse=True)
-    runs = []
-    for bj in (False, True):
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=bj)
-        runs.append((vm, vm.run()))
-    _assert_identical(*runs)
 
 
 # -- trap and fuel parity ----------------------------------------------------

@@ -255,7 +255,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # A cache persisted by an older format (format 8: warm-ladder
     # artefacts and the resolved REPRO_WARMJIT flag in the keys;
     # format 9: generated sources with inline fuel raises and yieldpoint
-    # slow paths against globals the namespace no longer binds) must
+    # slow paths against globals the namespace no longer binds; format
+    # 10: keys carrying the retired fixed-cost and fusion fields) must
     # not be partially reused: each bump changed what the keys or
     # fingerprints hash, or what the persisted sources may reference,
     # so every old entry is untrustworthy and the load drops the whole
@@ -268,8 +269,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 10
-    payload["format"] = 9
+    assert payload["format"] == codecache._FORMAT == 11
+    payload["format"] = 10
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 

@@ -27,7 +27,6 @@ from repro.bytecode.builder import ProgramBuilder
 from repro.resilience import ResilienceManager
 from repro.vm import aot, blockjit, tracefast
 from repro.vm.blockjit import JitState, ensure_jit
-from repro.vm.costs import CostModel
 from repro.vm.interpreter import Frame
 from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import install_superblock, trace_blocks
@@ -189,7 +188,7 @@ def test_sb_entry_follows_the_fill(compiled):
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
     path = _trace_path(cm)
-    assert install_superblock(cm, path, CostModel())
+    assert install_superblock(cm, path)
     head = (trace_blocks(cm, path)[0].label, 0)
     assert _is_placeholder(cm.sb_entry)
     assert cm.jit_entries[head] is cm.sb_entry
@@ -209,7 +208,7 @@ def test_regenerated_ladder_replaces_one_that_never_ran(
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
     path = _trace_path(cm)
-    assert install_superblock(cm, path, CostModel())
+    assert install_superblock(cm, path)
     stale = cm.sb_entry
     cells = dict(zip(stale.__code__.co_freevars, stale.__closure__))
     old_fill = cells["fill"].cell_contents
@@ -226,7 +225,7 @@ def test_regenerated_ladder_replaces_one_that_never_ran(
     cm.sb_entry = None
     cm.sb_source = None
     cm.sb_fingerprint = None
-    assert install_superblock(cm, cm.sb_path, CostModel())
+    assert install_superblock(cm, cm.sb_path)
     assert cm.sb_path == path and _is_placeholder(cm.sb_entry)
     assert cm.sb_entry is not stale
     # A caller that looked the head up before the regeneration runs the
@@ -249,7 +248,7 @@ def test_plain_placeholder_after_ladder_install_runs_the_ladder(compiled):
     cm = code["helper"]
     plain = dict(ensure_jit(cm))
     assert all(_is_placeholder(fn) for fn in plain.values())
-    assert install_superblock(cm, _trace_path(cm), CostModel())
+    assert install_superblock(cm, _trace_path(cm))
     entry = (cm.entry.label, 0)
     cm.jit_entries[entry] = plain[entry]
     assert _observe(program, code, True) == _oracle(program, "pep")
@@ -268,7 +267,7 @@ def test_classic_head_install_sits_over_placeholders(monkeypatch, compiled):
     plain = dict(ensure_jit(cm))
     path = _trace_path(cm)
     head = (trace_blocks(cm, path)[0].label, 0)
-    assert install_superblock(cm, path, CostModel())
+    assert install_superblock(cm, path)
     assert "def _sb(" in cm.sb_source
     # The classic install stays eager and rebinds the head name only.
     assert compiled.count(cm.sb_source) == 1
@@ -306,7 +305,7 @@ def test_aot_loaded_ladder_binds_at_once(monkeypatch):
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
     main_entries = ensure_jit(code["main"])
-    assert install_superblock(cm, _trace_path(cm), CostModel())
+    assert install_superblock(cm, _trace_path(cm))
     # The ladder is bound at once; the plain segments around it compile
     # at their first calls.
     assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
@@ -322,11 +321,11 @@ def _forced_generation(monkeypatch, when):
     real = tracefast.generate_method_source
     raised = []
 
-    def generate(cm, trace, costs=None):
+    def generate(cm, trace):
         if when(cm, trace):
             raised.append(cm.profile_key)
             raise RuntimeError("forced generation failure")
-        return real(cm, trace, costs)
+        return real(cm, trace)
 
     monkeypatch.setattr(tracefast, "generate_method_source", generate)
     return raised
@@ -370,7 +369,7 @@ def test_ladder_compile_failure_falls_back_to_plain_segments(
     program = hot_helper_program(calls=6, inner=8)
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
-    assert install_superblock(cm, _trace_path(cm), CostModel())
+    assert install_superblock(cm, _trace_path(cm))
 
     def compile_memo(source, filename):
         raise error("forced compile failure")

@@ -6,8 +6,8 @@ Bit-identity with the sequential interpreter:
   the Q20 grid (``costs.fold_clean`` over ``chargeable_values()``) and
   stamps ``cm.fold_q``; generated code then folds every straight-line
   cost chain to one constant with *no* per-constant cleanliness gate.
-  ``REPRO_FIXEDCOST=0`` reverts to the legacy gated codegen and must be
-  a pure wall-clock toggle.
+  A rejected method (``fold_q == 0``) emits textual chains instead, and
+  the verdict must be a pure wall-clock choice.
 * **No dominant path.**  The warm token ladder that once compiled such
   methods is retired: they stay on plain blockjit, and a persisted
   ladder (``sb_path == -1``) is dropped on load — except under the
@@ -25,7 +25,7 @@ from repro.bytecode.method import Program
 from repro.errors import FuelExhaustedError
 from repro.persist import payload_checksum
 from repro.util import flags
-from repro.vm import blockjit, costs as costs_mod
+from repro.vm import blockjit, costs as costs_mod, interpreter
 from repro.vm.costs import (
     FOLD_BOUND,
     FOLD_SHIFT,
@@ -50,11 +50,8 @@ ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
     # Shared codecache entries would leak fold verdicts and trace
-    # artefacts across tests; and the CI kill-switch smoke exports
-    # REPRO_FIXEDCOST=0 globally, so tests about the enabled mechanism
-    # pin the override themselves.
+    # artefacts across tests.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
-    monkeypatch.setattr(flags, "FIXEDCOST", True)
 
 
 def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
@@ -167,16 +164,6 @@ def test_dirty_injected_charge_demotes(monkeypatch):
     assert costs_mod.FOLD_REJECTIONS == len(code)
 
 
-def test_kill_switch_leaves_fold_q_unset():
-    old = flags.FIXEDCOST
-    flags.FIXEDCOST = False
-    try:
-        code = compile_simple(hot_helper_program())
-    finally:
-        flags.FIXEDCOST = old
-    assert all(cm.fold_q is None for cm in code.values())
-
-
 def test_demoted_method_runs_bit_identically():
     # fold_q == 0 falls back to textual chains; the digest must not
     # move.  (The dirty multiplier itself changes cycles, so both runs
@@ -203,16 +190,14 @@ def test_fuel_abort_parity_across_folding(fuel):
     # Fuel exhaustion can land anywhere inside a folded chain; the trap
     # path must reconstruct the exact sequential cycle count.  The
     # abort signature (site + cycles) must agree across the
-    # interpreter, blockjit, and both fold regimes.
+    # interpreter, blockjit, and both fold verdicts.
     program = hot_helper_program(calls=40, inner=24)
     seen = set()
-    for fixed in (True, False):
-        old = flags.FIXEDCOST
-        flags.FIXEDCOST = fixed
-        try:
-            code = compile_simple(program, mode="pep")
-        finally:
-            flags.FIXEDCOST = old
+    for reject in (False, True):
+        code = compile_simple(program, mode="pep")
+        if reject:
+            for cm in code.values():
+                cm.fold_q = 0
         for bj in (False, True):
             vm = VirtualMachine(
                 code, program.main, costs=CostModel(), blockjit=bj
@@ -271,7 +256,7 @@ def _retired_warm_artefact(monkeypatch):
         p for p in range(cm.dag.num_paths)
         if trace_blocks(cm, p) is not None
     )
-    assert install_superblock(cm, path, CostModel())
+    assert install_superblock(cm, path)
     clone = pickle.loads(pickle.dumps(cm))
     clone.sb_path = -1
     clone.sb_fingerprint = superblock_fingerprint(clone, -1)
@@ -331,22 +316,22 @@ def test_stale_warm_ladder_artefact_is_dropped(monkeypatch):
     assert "_m" not in entry.__globals__
 
 
-# -- whole-suite kill-switch parity (all bundled workloads) ---------------
+# -- whole-suite fold-verdict parity (all bundled workloads) ---------------
 
 
-def _flag_checksum(workload: str, fixedcost: bool) -> str:
+def _flag_checksum(workload: str) -> str:
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
-    old = (flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST)
-    flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST = True, True, fixedcost
+    old = (flags.TRACEFAST, flags.SUPERBLOCK)
+    flags.TRACEFAST, flags.SUPERBLOCK = True, True
     try:
         program = suite[workload].build(0.3)
         report = api.profile_adaptive(
             program, samples=16, stride=3, ticks=100
         )
     finally:
-        flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST = old
+        flags.TRACEFAST, flags.SUPERBLOCK = old
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),
@@ -362,6 +347,11 @@ def _flag_checksum(workload: str, fixedcost: bool) -> str:
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_workload_digest_parity_every_flag_combo(workload):
-    digests = {_flag_checksum(workload, fixedcost=fc) for fc in (True, False)}
-    assert len(digests) == 1
+def test_workload_digest_parity_every_flag_combo(workload, monkeypatch):
+    # Certified lowering (folded chains) against forced rejection
+    # (textual chains) on every method of the adaptive run.
+    certified = _flag_checksum(workload)
+    monkeypatch.setattr(costs_mod, "FOLD_REJECTIONS", 0)
+    monkeypatch.setattr(interpreter, "_fold_certified", lambda cm, costs: False)
+    assert _flag_checksum(workload) == certified
+    assert costs_mod.FOLD_REJECTIONS > 0, "no method was rejected — vacuous"

@@ -1,77 +1,35 @@
-"""Superinstruction fusion and interpreter fast-path equivalence.
+"""Interpreter fast-path equivalence: the countdown yieldpoint gate and
+the NumPy batch drain.
 
-The contract under test: lowering with ``fuse=True`` (const->bin and
-cmp->br superinstructions) must be observationally identical to
-``fuse=False`` — same outputs, same return values, same *exact* virtual
-cycles, same path and edge profiles — because a fused op charges the sum
-of its constituents' costs and performs the same register writes in the
-same order.
+Each fast path must be observationally identical to its reference —
+same outputs, same return values, same *exact* virtual cycles, same
+path and edge profiles.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bytecode.builder import ProgramBuilder
-from repro.bytecode.instructions import BinOp, BinOpImm, Br, Const, Emit, Ret
-from repro.bytecode.method import Method, Program
-from repro.errors import GuestTrapError
 from repro.profiling.paths import PathProfile
 from repro.sampling.arnold_grove import make_sampler
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import (
-    KIND_CODES,
-    OP_CONSTBIN,
-    T_BRCMP,
-    lower_method,
-)
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import GeneratorSpec, random_program
 
 from tests.compile_util import compile_simple, run_program
-from tests.helpers import call_program, counting_program
-
-# (kind, const operand value, other operand value) — values chosen so no
-# kind traps and every kind produces a distinguishable result.
-_KIND_CASES = [
-    ("add", 7, 5),
-    ("sub", 7, 5),
-    ("mul", 7, 5),
-    ("div", 3, 17),
-    ("mod", 3, 17),
-    ("and", 6, 12),
-    ("or", 6, 12),
-    ("xor", 6, 12),
-    ("shl", 2, 5),
-    ("shr", 2, 40),
-    ("min", 7, 5),
-    ("max", 7, 5),
-    ("lt", 7, 5),
-    ("le", 5, 5),
-    ("gt", 7, 5),
-    ("ge", 5, 7),
-    ("eq", 5, 5),
-    ("ne", 7, 5),
-]
+from tests.helpers import counting_program
 
 
-def _run_both(program: Program, **kwargs):
-    """Run fused and unfused; returns the two (vm, result) pairs."""
-    fused = run_program(program, fuse=True, **kwargs)
-    unfused = run_program(program, fuse=False, **kwargs)
-    return fused, unfused
-
-
-def _assert_identical(fused, unfused):
-    vm_f, res_f = fused
-    vm_u, res_u = unfused
-    assert res_f.return_value == res_u.return_value
-    assert vm_f.output == vm_u.output
-    assert res_f.cycles == res_u.cycles  # exact, not approximate
-    assert res_f.ticks == res_u.ticks
-    assert res_f.samples_taken == res_u.samples_taken
-    assert _path_dict(vm_f.path_profile) == _path_dict(vm_u.path_profile)
-    assert _edge_dict(vm_f) == _edge_dict(vm_u)
+def _assert_identical(a, b):
+    vm_a, res_a = a
+    vm_b, res_b = b
+    assert res_a.return_value == res_b.return_value
+    assert vm_a.output == vm_b.output
+    assert res_a.cycles == res_b.cycles  # exact, not approximate
+    assert res_a.ticks == res_b.ticks
+    assert res_a.samples_taken == res_b.samples_taken
+    assert _path_dict(vm_a.path_profile) == _path_dict(vm_b.path_profile)
+    assert _edge_dict(vm_a) == _edge_dict(vm_b)
 
 
 def _path_dict(profile: PathProfile):
@@ -84,291 +42,6 @@ def _edge_dict(vm):
     return {
         repr(branch): counts for branch, counts in vm.edge_profile.items()
     }
-
-
-# -- const->bin superinstruction --------------------------------------------
-
-
-def _const_bin_method(kind: str, cval: int, other: int, const_on_left: bool,
-                      alias_dst: bool = False) -> Program:
-    """const r1, cval; bin kind, dst, ... with the const as one operand."""
-    method = Method("main", num_params=0, num_regs=3)
-    entry = method.new_block("entry")
-    entry.append(Const(2, other))
-    entry.append(Const(1, cval))
-    dst = 1 if alias_dst else 0  # alias_dst: binop overwrites the const reg
-    if const_on_left:
-        entry.append(BinOp(kind, dst, 1, 2))
-    else:
-        entry.append(BinOp(kind, dst, 2, 1))
-    entry.append(Emit(dst))
-    entry.append(Emit(2))
-    entry.terminator = Ret(dst)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    return program
-
-
-@pytest.mark.parametrize("kind,cval,other", _KIND_CASES)
-@pytest.mark.parametrize("const_on_left", [True, False])
-def test_const_bin_fusion_every_kind(kind, cval, other, const_on_left):
-    program = _const_bin_method(kind, cval, other, const_on_left)
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-@pytest.mark.parametrize("kind", ["add", "sub", "xor", "lt", "eq"])
-def test_const_bin_fusion_dst_aliases_const_reg(kind):
-    # dst == const_dst: the binop result overwrites the const's register.
-    program = _const_bin_method(kind, 7, 5, True, alias_dst=True)
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-def test_const_bin_fusion_actually_fuses():
-    program = _const_bin_method("add", 7, 5, True)
-    costs = CostModel()
-    cm = lower_method(program.method("main").clone(), "opt2", costs, fuse=True)
-    codes = [op[0] for block in cm.blocks.values() for op in block.ops]
-    assert OP_CONSTBIN in codes
-    cm_plain = lower_method(
-        program.method("main").clone(), "opt2", costs, fuse=False
-    )
-    plain_codes = [
-        op[0] for block in cm_plain.blocks.values() for op in block.ops
-    ]
-    assert OP_CONSTBIN not in plain_codes
-    # Static cost conservation: total op cost per block is unchanged.
-    for label, block in cm.blocks.items():
-        fused_cost = sum(op[1] for op in block.ops) + block.term[1]
-        plain_block = cm_plain.blocks[label]
-        plain_cost = sum(op[1] for op in plain_block.ops) + plain_block.term[1]
-        assert fused_cost == plain_cost
-
-
-def test_const_bin_fusion_skips_const_feeding_both_operands():
-    # bin dst, c, c with both operands the const register must not fuse
-    # (the encoding carries only one non-const operand).
-    method = Method("main", num_params=0, num_regs=2)
-    entry = method.new_block("entry")
-    entry.append(Const(1, 21))
-    entry.append(BinOp("add", 0, 1, 1))
-    entry.append(Emit(0))
-    entry.terminator = Ret(0)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    codes = [op[0] for block in cm.blocks.values() for op in block.ops]
-    assert OP_CONSTBIN not in codes
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-    assert fused[0].output == [42]
-
-
-def test_const_bin_fused_trap_is_identical():
-    # Division by zero through the fused op: same error, same location.
-    method = Method("main", num_params=0, num_regs=3)
-    entry = method.new_block("entry")
-    entry.append(Const(2, 5))
-    entry.append(Const(1, 0))
-    entry.append(BinOp("div", 0, 2, 1))  # 5 // 0: traps
-    entry.terminator = Ret(0)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    errors = []
-    for fuse in (True, False):
-        with pytest.raises(GuestTrapError) as info:
-            run_program(program, fuse=fuse)
-        # The embedded instruction index is a *lowered* position and
-        # legitimately shifts when fusion removes ops; everything else
-        # (trap kind, method, cycle count) must match exactly.
-        message = str(info.value).split(" at ")[0]
-        errors.append((message, info.value.cycles))
-    assert errors[0] == errors[1]
-
-
-# -- cmp->br superinstruction -----------------------------------------------
-
-
-def _cmp_br_method(kind: str, imm: bool) -> Program:
-    """cmp t, a, b; const z, 0; br ne t, z — the front-end if() shape."""
-    method = Method("main", num_params=0, num_regs=4)
-    entry = method.new_block("entry")
-    entry.append(Const(0, 7))
-    entry.append(Const(1, 5))
-    entry.append(Emit(0))  # spacer: keeps const->bin fusion out of the tail
-    if imm:
-        entry.append(BinOpImm(kind, 2, 0, 5))
-    else:
-        entry.append(BinOp(kind, 2, 0, 1))
-    entry.append(Const(3, 0))
-    entry.terminator = Br("ne", 2, 3, "yes", "no")
-    yes = method.new_block("yes")
-    yes.append(Const(0, 1))
-    yes.append(Emit(0))
-    yes.terminator = Ret(0)
-    no = method.new_block("no")
-    no.append(Const(0, 2))
-    no.append(Emit(0))
-    no.terminator = Ret(0)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    return program
-
-
-@pytest.mark.parametrize("kind", ["lt", "le", "gt", "ge", "eq", "ne"])
-@pytest.mark.parametrize("imm", [True, False])
-def test_cmp_br_fusion_every_comparison(kind, imm):
-    program = _cmp_br_method(kind, imm)
-    costs = CostModel()
-    cm = lower_method(program.method("main").clone(), "opt2", costs, fuse=True)
-    assert cm.blocks["entry"].term[0] == T_BRCMP
-    assert cm.blocks["entry"].term[2] == KIND_CODES[kind]
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-@pytest.mark.parametrize("kind", ["lt", "le", "gt", "ge", "eq", "ne"])
-def test_const_br_degenerate_fusion(kind):
-    # const z, v; br k t, z — the front end's ``if (expr op LIT)`` shape.
-    # No cmp component: encoded with cmp_kind == -1.
-    method = Method("main", num_params=0, num_regs=3)
-    entry = method.new_block("entry")
-    entry.append(Const(0, 6))
-    entry.append(BinOpImm("mul", 1, 0, 7))  # non-cmp producer stays an op
-    entry.append(Const(2, 42))
-    entry.terminator = Br(kind, 1, 2, "yes", "no")
-    yes = method.new_block("yes")
-    yes.append(Emit(1))
-    yes.terminator = Ret(1)
-    no = method.new_block("no")
-    no.append(Emit(2))
-    no.terminator = Ret(2)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    term = cm.blocks["entry"].term
-    assert term[0] == T_BRCMP
-    assert term[2] == -1
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-def test_const_br_fusion_skips_when_branch_lhs_is_const_reg():
-    # br k z, z: both operands are the materialised const — reading the
-    # lhs before the const write would see a stale value, so no fusion.
-    method = Method("main", num_params=0, num_regs=2)
-    entry = method.new_block("entry")
-    entry.append(Const(1, 0))
-    entry.terminator = Br("eq", 1, 1, "yes", "no")
-    method.new_block("yes").terminator = Ret(1)
-    method.new_block("no").terminator = Ret(1)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    assert cm.blocks["entry"].term[0] != T_BRCMP
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-def test_cmp_br_fusion_skips_when_cmp_result_register_reused():
-    # br compares t against a register that is NOT the materialised
-    # const: must stay a plain T_BR.
-    method = Method("main", num_params=0, num_regs=4)
-    entry = method.new_block("entry")
-    entry.append(Const(0, 7))
-    entry.append(BinOp("lt", 2, 0, 0))
-    entry.append(Const(3, 0))
-    entry.terminator = Br("ne", 3, 2, "yes", "no")  # operands swapped
-    method.new_block("yes").terminator = Ret(0)
-    method.new_block("no").terminator = Ret(0)
-    method.seal()
-    program = Program("t", main="main")
-    program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    assert cm.blocks["entry"].term[0] != T_BRCMP
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-def test_builder_if_pattern_lowers_to_brcmp():
-    # The structured front end's if()/while() shape must actually hit
-    # the fusion (that is the point of the superinstruction).
-    program = counting_program(10)
-    costs = CostModel()
-    cm = lower_method(program.method("main").clone(), "opt2", costs, fuse=True)
-    terms = [block.term[0] for block in cm.blocks.values()]
-    assert T_BRCMP in terms
-
-
-# -- whole-program equivalence ----------------------------------------------
-
-
-def test_fused_equivalence_counting_program_sampled():
-    program = counting_program(40)
-    sampler_a = make_sampler(4, 3)
-    sampler_b = make_sampler(4, 3)
-    fused = run_program(
-        program, mode="pep", sampler=sampler_a, tick_interval=500.0, fuse=True
-    )
-    unfused = run_program(
-        program, mode="pep", sampler=sampler_b, tick_interval=500.0, fuse=False
-    )
-    _assert_identical(fused, unfused)
-
-
-def test_fused_equivalence_call_program():
-    fused, unfused = _run_both(call_program(), mode="edges")
-    _assert_identical(fused, unfused)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_fused_equivalence_random_programs(seed):
-    # Property sweep: random structured programs exercise every opcode
-    # the generator can emit (loops, calls, arrays, all binop kinds).
-    program = random_program(
-        seed, GeneratorSpec(n_helpers=2, work_budget=300)
-    )
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_fused_equivalence_random_programs_sampled(seed):
-    program = random_program(
-        seed + 100, GeneratorSpec(n_helpers=1, work_budget=200)
-    )
-    fused = run_program(
-        program, mode="pep", sampler=make_sampler(8, 5),
-        tick_interval=400.0, fuse=True,
-    )
-    unfused = run_program(
-        program, mode="pep", sampler=make_sampler(8, 5),
-        tick_interval=400.0, fuse=False,
-    )
-    _assert_identical(fused, unfused)
-
-
-def test_fused_equivalence_classic_and_full_instrumentation():
-    program = counting_program(25)
-    for mode in ("full-hash", "classic"):
-        fused = run_program(program, mode=mode, fuse=True)
-        unfused = run_program(program, mode=mode, fuse=False)
-        _assert_identical(fused, unfused)
 
 
 # -- countdown yieldpoint gate ----------------------------------------------
@@ -457,40 +130,35 @@ def test_interpreter_gate_matches_blockjit_sampled():
 # -- NumPy batch drain -------------------------------------------------------
 
 
-def test_numpy_drain_digest_equivalence():
+def test_numpy_drain_digest_equivalence(monkeypatch):
     # Satellite of DESIGN.md §10: draining the sampler's RLE buffer
     # through record_slot_batches must be bit-identical to the
     # pure-Python reference loop (counts are integer-valued floats, so
-    # the adds are exact in any order).
+    # the adds are exact in any order).  The sampler picks its drain at
+    # construction, so hiding NumPy from it forces the reference loop.
     from repro.profiling.edges import numpy_available
-    from repro.util import flags
+    from repro.sampling import arnold_grove
 
     if not numpy_available():
         pytest.skip("NumPy not importable in this environment")
     program = counting_program(400)
-    old = flags.NUMPY_DRAIN
-    try:
-        flags.NUMPY_DRAIN = True
-        with_np = run_program(
-            program, mode="pep", sampler=make_sampler(8, 3),
-            tick_interval=300.0,
-        )
-        flags.NUMPY_DRAIN = False
-        reference = run_program(
-            program, mode="pep", sampler=make_sampler(8, 3),
-            tick_interval=300.0,
-        )
-    finally:
-        flags.NUMPY_DRAIN = old
+    with_np = run_program(
+        program, mode="pep", sampler=make_sampler(8, 3),
+        tick_interval=300.0,
+    )
+    monkeypatch.setattr(arnold_grove, "numpy_available", lambda: False)
+    reference = run_program(
+        program, mode="pep", sampler=make_sampler(8, 3),
+        tick_interval=300.0,
+    )
     _assert_identical(with_np, reference)
 
 
 def test_numpy_drain_batch_path_is_exercised():
     # Guard against the scatter path silently never running: when NumPy
-    # is importable and the flag is up, the drain must route through
-    # record_slot_batches (and never the reference loop).
+    # is importable, the drain must route through record_slot_batches
+    # (and never the reference loop).
     from repro.profiling.edges import EdgeProfile, numpy_available
-    from repro.util import flags
 
     if not numpy_available():
         pytest.skip("NumPy not importable in this environment")
@@ -506,11 +174,9 @@ def test_numpy_drain_batch_path_is_exercised():
         calls["slots"] += 1
         return orig_slots(self, slots, count)
 
-    old = flags.NUMPY_DRAIN
     EdgeProfile.record_slot_batches = spy_batch
     EdgeProfile.record_slots = spy_slots
     try:
-        flags.NUMPY_DRAIN = True
         run_program(
             counting_program(400), mode="pep", sampler=make_sampler(8, 3),
             tick_interval=300.0,
@@ -518,7 +184,6 @@ def test_numpy_drain_batch_path_is_exercised():
     finally:
         EdgeProfile.record_slot_batches = orig_batch
         EdgeProfile.record_slots = orig_slots
-        flags.NUMPY_DRAIN = old
     assert calls["batch"] > 0
     assert calls["slots"] == 0
 
@@ -557,20 +222,3 @@ def test_record_slot_batches_vectorized_exactness():
     assert any(
         len(slots) >= EdgeProfile.NUMPY_MIN_SLOTS for slots, _ in batches
     )
-
-
-def test_baseline_tier_equivalence():
-    # Baseline tier multiplies every cost by 3; fusion must preserve the
-    # multiplied sums exactly too.
-    program = counting_program(15)
-    costs = CostModel()
-    results = []
-    for fuse in (True, False):
-        code = {
-            m.name: lower_method(m.clone(), "baseline", costs, fuse=fuse)
-            for m in program.iter_methods()
-        }
-        vm = VirtualMachine(code, program.main, costs=costs)
-        results.append(vm.run())
-    assert results[0].cycles == results[1].cycles
-    assert results[0].return_value == results[1].return_value

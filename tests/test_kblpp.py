@@ -429,7 +429,7 @@ def _stitchable_encoded(cm):
 def _engaged_kcm():
     _, cm = _helper_cm()
     encoded = _stitchable_encoded(cm)
-    assert install_superblock(cm, encoded, CostModel())
+    assert install_superblock(cm, encoded)
     assert cm.sb_path == encoded
     assert is_kpath(cm.sb_path)
     return cm
@@ -457,9 +457,7 @@ def test_ktrace_execution_bit_identity():
     for traced in (False, True):
         code, cm = _helper_cm(program)
         if traced:
-            assert install_superblock(
-                cm, _stitchable_encoded(cm), CostModel()
-            )
+            assert install_superblock(cm, _stitchable_encoded(cm))
         vm = VirtualMachine(
             code, program.main, costs=CostModel(), tick_interval=500.0,
             sampler=make_sampler(8, 3), blockjit=True,

@@ -143,7 +143,7 @@ def test_random_programs_semantics_invariant_under_instrumentation(seed):
     outputs = set()
     for mode in (None, "pep", "full-hash", "classic", "edges"):
         # Fuel is per lowered instruction, so the cushion must cover the
-        # unfused default encoding plus instrumentation overhead.
+        # instrumentation overhead.
         _, result = run_program(program, mode=mode, fuel=8_000_000)
         outputs.add((tuple(result.output), result.return_value))
     assert len(outputs) == 1

@@ -4,7 +4,7 @@ A superblock is an alternative compilation of existing lowered blocks —
 never a semantic change.  Every test here holds that contract to the
 bit: same return values, outputs, exact virtual cycles, path/edge
 profiles, ticks and samples whether the hot trace is installed or not,
-across engines, tiers, fusion settings, fault plans, adaptive recompiles
+across engines, tiers, fault plans, adaptive recompiles
 mid-run, and codecache-style pickle round-trips.  ``REPRO_SUPERBLOCK=0``
 is the kill switch and must be a pure wall-clock toggle.
 """
@@ -247,15 +247,6 @@ def test_static_image_parity_three_ways():
     plain_jit = _digest(*_run_image(program, install=False, use_blockjit=True))
     interp = _digest(*_run_image(program, install=False, use_blockjit=False))
     assert superblock == plain_jit == interp
-
-
-@pytest.mark.parametrize("fuse_env", ["0", "1"])
-def test_static_image_parity_fused_and_unfused(fuse_env, monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE", fuse_env)
-    program = hot_helper_program(calls=60, inner=25)
-    superblock = _digest(*_run_image(program, install=True, use_blockjit=True))
-    plain_jit = _digest(*_run_image(program, install=False, use_blockjit=True))
-    assert superblock == plain_jit
 
 
 def test_superblock_fuel_exhaustion_parity():

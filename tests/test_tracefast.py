@@ -32,8 +32,6 @@ from repro.vm.superblock import (
     trace_blocks,
 )
 from repro.vm.tracefast import (
-    _clean_const,
-    _fold_safe,
     entry_tokens,
     generate_method_source,
     install_tracefast,
@@ -102,7 +100,7 @@ def test_aot_flag_environment_resolution(monkeypatch):
     assert flags.tracefast_aot_enabled() is True  # default on (gated)
 
 
-# -- codegen: source shape, tokens, fold gate --------------------------------
+# -- codegen: source shape, tokens, fold verdict -----------------------------
 
 
 def _traced_cm():
@@ -138,53 +136,19 @@ def test_entry_tokens_are_deterministic():
     assert remap == entry_tokens(cm_b)
 
 
-def test_clean_const_gate():
-    # Clean: multiples of 2**-12 below 2**24 (float addition over these
-    # is exact, hence associative, hence foldable bit-identically).
-    assert _clean_const(0.0)
-    assert _clean_const(1.0)
-    assert _clean_const(2.5)
-    assert _clean_const(0.000244140625)  # 2**-12 exactly
-    assert _clean_const(-60.0)
-    # Dirty: full-mantissa values or magnitudes past the exactness bound.
-    assert not _clean_const(1.15)
-    assert not _clean_const(0.1)
-    assert not _clean_const(2.0**25)
-    assert not _clean_const(float("nan"))
-    assert not _clean_const(float("inf"))
-
-
-def test_fold_safe_rejects_dirty_cost_model():
-    cm, _, _ = _traced_cm()
-    clean = CostModel()
-    assert _fold_safe(cm, clean)
-    dirty = CostModel()
-    dirty.pep_pass_cost_per_instr = 0.1  # not a 2**-12 multiple
-    assert not _fold_safe(cm, dirty)
-
-
-def test_fold_only_with_certified_costs(monkeypatch):
-    # Pin fixed-point accounting on (the CI kill-switch smoke exports
-    # REPRO_FIXEDCOST=0 globally; the first half of this test is about
-    # the certified path).
-    monkeypatch.setattr(flags, "FIXEDCOST", True)
+def test_rejected_fold_verdict_emits_textual_chains():
     cm, _, trace = _traced_cm()
-    # Fixed-point accounting (the default): lowering already certified
-    # the whole cost universe on the Q20 grid (fold_q), so every chain
-    # folds regardless of the ``costs`` argument.
+    # Certified lowering (the default): every straight-line cost chain
+    # folds to one constant on the Q20 grid.
     assert cm.fold_q == FOLD_SHIFT
-    assert generate_method_source(cm, trace, CostModel()) == (
-        generate_method_source(cm, trace, None)
-    )
-    # Legacy lowering (REPRO_FIXEDCOST=0 -> fold_q is None): folding is
-    # gated on a certified cost model, per-method.
-    cm.fold_q = None
-    folded = generate_method_source(cm, trace, CostModel())
-    unfolded = generate_method_source(cm, trace, None)
-    assert folded != unfolded
-    # The fold collapses straight-line cost chains into one constant,
-    # so the folded body performs strictly fewer runtime additions.
-    assert folded.count(" + ") < unfolded.count(" + ")
+    folded = generate_method_source(cm, trace)
+    # A rejected verdict (a caller's cost model off the grid) keeps the
+    # sequential float adds as textual chains, so the body performs
+    # strictly more runtime additions.
+    cm.fold_q = 0
+    textual = generate_method_source(cm, trace)
+    assert folded != textual
+    assert folded.count(" + ") < textual.count(" + ")
 
 
 # -- installation ------------------------------------------------------------
@@ -192,7 +156,7 @@ def test_fold_only_with_certified_costs(monkeypatch):
 
 def test_install_tracefast_rebinds_every_entry():
     cm, path, trace = _traced_cm()
-    assert install_tracefast(cm, path, CostModel()) is True
+    assert install_tracefast(cm, path) is True
     assert cm.sb_entry is not None
     assert cm.sb_path == path
     assert cm.sb_source is not None
@@ -209,11 +173,11 @@ def test_install_tracefast_rebinds_every_entry():
 
 def test_install_superblock_front_door_selects_tracefast():
     cm, path, _ = _traced_cm()
-    assert install_superblock(cm, path, CostModel()) is True
+    assert install_superblock(cm, path) is True
     assert "def _m(" in cm.sb_source  # tracefast source, not classic _sb
     flags.TRACEFAST = False
     cm2, path2, _ = _traced_cm()
-    assert install_superblock(cm2, path2, CostModel()) is True
+    assert install_superblock(cm2, path2) is True
     assert "def _sb(" in cm2.sb_source  # classic single-trace backend
 
 
@@ -229,7 +193,7 @@ def test_install_tracefast_rejects_acyclic_path():
 # -- static-image parity -----------------------------------------------------
 
 
-def _run_image(program, install, tf, use_blockjit=True, costs=None,
+def _run_image(program, install, tf, use_blockjit=True, textual=False,
                sampler=(8, 3), tick_interval=500.0):
     from repro.sampling.arnold_grove import make_sampler
 
@@ -237,9 +201,14 @@ def _run_image(program, install, tf, use_blockjit=True, costs=None,
     flags.TRACEFAST = tf
     try:
         code = _pep_image(program)
+        if textual:
+            # Force the rejected fold verdict image-wide: every source
+            # generated below keeps its cost chains textual.
+            for cm in code.values():
+                cm.fold_q = 0
         if install:
             cm = code["helper"]
-            assert install_superblock(cm, _installable_path(cm), costs)
+            assert install_superblock(cm, _installable_path(cm))
         vm = VirtualMachine(
             code, program.main, costs=CostModel(),
             tick_interval=tick_interval, sampler=make_sampler(*sampler),
@@ -252,16 +221,16 @@ def _run_image(program, install, tf, use_blockjit=True, costs=None,
 
 def test_static_image_parity_four_ways():
     program = hot_helper_program(calls=80, inner=30)
-    tracefast_folded = _digest(
-        *_run_image(program, install=True, tf=True, costs=CostModel())
+    tracefast_folded = _digest(*_run_image(program, install=True, tf=True))
+    tracefast_textual = _digest(
+        *_run_image(program, install=True, tf=True, textual=True)
     )
-    tracefast_plainchain = _digest(*_run_image(program, install=True, tf=True))
     classic = _digest(*_run_image(program, install=True, tf=False))
     plain_jit = _digest(*_run_image(program, install=False, tf=True))
     interp = _digest(
         *_run_image(program, install=False, tf=True, use_blockjit=False)
     )
-    assert (tracefast_folded == tracefast_plainchain == classic
+    assert (tracefast_folded == tracefast_textual == classic
             == plain_jit == interp)
 
 
@@ -276,7 +245,7 @@ def test_fuel_exhaustion_parity():
         try:
             code = _pep_image(program)
             cm = code["helper"]
-            install_superblock(cm, _installable_path(cm), CostModel())
+            install_superblock(cm, _installable_path(cm))
             vm = VirtualMachine(
                 code, program.main, costs=CostModel(), blockjit=True
             )
@@ -373,7 +342,7 @@ def test_other_fault_sites_are_bit_identical_across_backends():
 def _engaged_cm():
     code = _pep_image(hot_helper_program())
     cm = code["helper"]
-    assert install_superblock(cm, _installable_path(cm), CostModel())
+    assert install_superblock(cm, _installable_path(cm))
     assert "def _m(" in cm.sb_source
     return cm
 
@@ -417,7 +386,7 @@ def test_pickle_roundtrip_run_parity():
     for roundtrip in (False, True):
         code = _pep_image(program)
         cm = code["helper"]
-        install_superblock(cm, _installable_path(cm), CostModel())
+        install_superblock(cm, _installable_path(cm))
         if roundtrip:
             code = {
                 name: pickle.loads(pickle.dumps(m))
@@ -452,8 +421,7 @@ def test_aot_fallback_digest_parity(monkeypatch):
     for aot_on in (True, False):
         monkeypatch.setattr(flags, "TRACEFAST_AOT", aot_on)
         digests.append(
-            _digest(*_run_image(program, install=True, tf=True,
-                                costs=CostModel()))
+            _digest(*_run_image(program, install=True, tf=True))
         )
     assert digests[0] == digests[1]
 
