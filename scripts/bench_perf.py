@@ -3,9 +3,9 @@
 
 Times the hot layers the perf PRs touched — guest execution under the
 blockjit engine and the tuple interpreter, the path-guided superblock
-trace and the whole-method tracefast backend stacked on top of it, the
-k-iteration trace on a bimodal loop, the fixed-point fold-coverage
-census and the AOT break-even ledger (DESIGN.md §15), the
+trace stacked on top of it, the k-iteration trace on a bimodal loop,
+the fixed-point fold-coverage census (DESIGN.md §15), the
+minimum-coverage probe saving (DESIGN.md §14), the
 yieldpoint/sampling-check overhead, lowering with and without the
 compilation cache, path reconstruction with cold vs warm memos, and a
 small fig6 sweep through the experiment engine serial vs parallel — and
@@ -43,7 +43,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-SCHEMA = 9
+SCHEMA = 10
 REGRESSION_TOLERANCE = 0.25  # fail --check on >25% normalized slowdown
 # Minimum acceptable serial/parallel speedup when the runner actually
 # has cores to parallelize over (generous: contention on loaded CI
@@ -67,22 +67,6 @@ SAMPLING_REGRESSION_TOLERANCE = 0.10
 # blockjit on full runs (DESIGN.md §11); quick runs are too short for
 # the ratio to gate without flaking, so they only report it.
 SUPERBLOCK_SPEEDUP_FLOOR = 1.2
-# Minimum hot-loop speedup of the tracefast whole-method backend over
-# the classic superblock trace on full runs (DESIGN.md §13: promoted
-# registers, token-ladder transfers).  Recalibrated for schema 7:
-# 1.5x was measured against an *unfolded* classic backend — universal
-# fold certification (DESIGN.md §15) now folds the classic trace's
-# chains too, so tracefast's remaining edge is the slotted frame and
-# in-ladder transfers alone (1.06-1.09x measured).  Below 1.0 the
-# backend would be losing to the tier it replaced; the floor guards
-# that edge with a little noise headroom.
-TRACEFAST_SPEEDUP_FLOOR = 1.02
-# Minimum hot-call speedup of PGO layout + dominant-path callee
-# inlining over the same tracefast image with the flags off (DESIGN.md
-# §14): the spliced callee path saves a full interpreter call per
-# guard-passing iteration, which is worth well over 10% on a
-# call-dominated loop.  Full runs only, same flake reasoning as above.
-PGO_SPEEDUP_FLOOR = 1.1
 # Minimum speedup of a k-iteration superblock trace (DESIGN.md §16) over
 # plain blockjit on the bimodal alternating-arm workload — the tier that
 # loop stays on without k-BLPP, since no 1-path dominates it.  The
@@ -349,17 +333,12 @@ def bench_superblock(quick: bool) -> dict:
     (registers as locals, no per-block dispatch), not sampling costs.
     A cycle-parity probe asserts both images account the exact same
     virtual cycles before any timing is trusted.
-
-    ``flags.TRACEFAST`` is pinned off for the stage: this measurement
-    tracks the *classic* §11 single-trace backend; the whole-method
-    tracefast tier gets its own stage below.
     """
     import gc
 
     from repro.instrument.pep import apply_pep
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
     from repro.util.flags import superblock_enabled
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
@@ -404,13 +383,7 @@ def bench_superblock(quick: bool) -> dict:
         }
 
     images = {"plain": pep_image(), "superblock": pep_image()}
-    _tf_old = flags.TRACEFAST
-    flags.TRACEFAST = False
-    try:
-        installed = install_superblock(images["superblock"]["helper"], dominant)
-    finally:
-        flags.TRACEFAST = _tf_old
-    if not installed:
+    if not install_superblock(images["superblock"]["helper"], dominant):
         return {
             "workloads": ["hotloop"],
             "superblock_installed": False,
@@ -453,127 +426,6 @@ def bench_superblock(quick: bool) -> dict:
         "plain_vcycles_per_sec": cycles / best["plain"],
         "superblock_vcycles_per_sec": cycles / best["superblock"],
         "superblock_speedup": best["plain"] / best["superblock"],
-    }
-
-
-def bench_tracefast(quick: bool) -> dict:
-    """Hot-loop throughput: classic superblock vs the tracefast backend.
-
-    Same harness shape as :func:`bench_superblock`, one tier up: the
-    pilot finds the helper's dominant path, then two otherwise identical
-    images install it through :func:`install_superblock` with
-    ``flags.TRACEFAST`` pinned per image — the classic §11 single-trace
-    superblock on one, the §13 whole-method tracefast function on the
-    other.  A cycle-parity probe asserts bit-identical virtual cycles
-    before the timed reps; the reported ``tracefast_speedup`` is gated
-    by ``TRACEFAST_SPEEDUP_FLOOR`` on full runs.
-    """
-    import gc
-
-    from repro.instrument.pep import apply_pep
-    from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
-    from repro.util.flags import tracefast_enabled
-    from repro.vm.costs import CostModel
-    from repro.vm.interpreter import lower_method
-    from repro.vm.runtime import VirtualMachine
-    from repro.vm.superblock import find_dominant_path, install_superblock
-
-    calls = 200 if quick else 400
-    reps = 4 if quick else 8
-    program = _hot_loop_program(calls=calls, inner=64)
-    costs = CostModel()
-
-    def pep_image():
-        code = {}
-        for method in program.iter_methods():
-            clone = method.clone()
-            insert_yieldpoints(clone)
-            inst = apply_pep(clone, None)
-            cm = lower_method(clone, "opt2", costs)
-            if inst is not None:
-                cm.attach_dag(inst.dag)
-            code[method.name] = cm
-        return code
-
-    if not tracefast_enabled():
-        return {
-            "workloads": ["hotloop"],
-            "tracefast_installed": False,
-            "note": "REPRO_TRACEFAST=0",
-        }
-
-    pilot_code = pep_image()
-    pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
-    pilot_cycles = pilot_vm.run().cycles
-    sampled_vm = VirtualMachine(
-        pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
-    )
-    sampled_vm.run()
-    helper_key = pilot_code["helper"].profile_key
-    dominant = find_dominant_path(
-        sampled_vm.path_profile.method_paths(helper_key), 0.5, 8.0
-    )
-    if dominant is None:
-        return {
-            "workloads": ["hotloop"],
-            "tracefast_installed": False,
-            "note": "no dominant path sampled",
-        }
-
-    images = {"superblock": pep_image(), "tracefast": pep_image()}
-    _tf_old = flags.TRACEFAST
-    try:
-        for label, pinned in (("superblock", False), ("tracefast", True)):
-            flags.TRACEFAST = pinned
-            if not install_superblock(images[label]["helper"], dominant):
-                return {
-                    "workloads": ["hotloop"],
-                    "tracefast_installed": False,
-                    "note": f"path {dominant} is not an installable loop trace",
-                }
-    finally:
-        flags.TRACEFAST = _tf_old
-
-    # Cycle-parity probe (also the warmup): the whole-method function
-    # must account the exact virtual cycles of the superblock trace (and
-    # hence of plain blockjit) or the timing is invalid.
-    probes = {}
-    for label, code in images.items():
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-        res = vm.run()
-        probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-    if probes["superblock"] != probes["tracefast"]:
-        raise AssertionError(f"tracefast diverged from superblock: {probes}")
-
-    best = {label: float("inf") for label in images}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for label, code in images.items():
-                vm = VirtualMachine(
-                    code, program.main, costs=costs, blockjit=True
-                )
-                t0 = time.perf_counter()
-                vm.run()
-                best[label] = min(best[label], time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    cycles = probes["superblock"][0]
-    return {
-        "workloads": ["hotloop"],
-        "calls": calls,
-        "reps": reps,
-        "dominant_path": dominant,
-        "tracefast_installed": True,
-        "cycles": cycles,
-        "superblock_vcycles_per_sec": cycles / best["superblock"],
-        "tracefast_vcycles_per_sec": cycles / best["tracefast"],
-        "tracefast_speedup": best["superblock"] / best["tracefast"],
     }
 
 
@@ -674,8 +526,7 @@ def bench_kblpp(quick: bool) -> dict:
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.profiling.kpaths import shared_schema
     from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
-    from repro.util.flags import kblpp_enabled, kblpp_k, tracefast_enabled
+    from repro.util.flags import kblpp_enabled, kblpp_k
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
     from repro.vm.runtime import VirtualMachine
@@ -705,11 +556,11 @@ def bench_kblpp(quick: bool) -> dict:
             code[method.name] = cm
         return code
 
-    if not (tracefast_enabled() and kblpp_enabled()):
+    if not kblpp_enabled():
         return {
             "workloads": ["bimodal"],
             "kblpp_installed": False,
-            "note": "REPRO_TRACEFAST=0 or REPRO_KBLPP=0",
+            "note": "REPRO_KBLPP=0",
         }
 
     # Pilot: sample the plain image to fill the shadow window table.
@@ -734,17 +585,12 @@ def bench_kblpp(quick: bool) -> dict:
         }
 
     images = {"blockjit": pep_image(), "kblpp": pep_image()}
-    _tf_old = flags.TRACEFAST
-    flags.TRACEFAST = True
-    try:
-        if not install_superblock(images["kblpp"]["helper"], encoded):
-            return {
-                "workloads": ["bimodal"],
-                "kblpp_installed": False,
-                "note": f"k-window {dominant} declined to install",
-            }
-    finally:
-        flags.TRACEFAST = _tf_old
+    if not install_superblock(images["kblpp"]["helper"], encoded):
+        return {
+            "workloads": ["bimodal"],
+            "kblpp_installed": False,
+            "note": f"k-window {dominant} declined to install",
+        }
 
     # Cycle-parity probe (also the warmup): the k-trace must account the
     # exact virtual cycles of plain blockjit or the timing is invalid.
@@ -878,298 +724,39 @@ def bench_foldcov(quick: bool) -> dict:
     }
 
 
-# -- AOT break-even (DESIGN.md §13/§15) --------------------------------------
-
-
-def bench_aot(quick: bool) -> dict:
-    """AOT break-even: build-cost ledger vs the per-run exec-path saving.
-
-    When the Cython toolchain is present, the tracefast image is
-    installed twice — exec backend vs AOT backend — and the build
-    ledger (:func:`repro.vm.aot.build_ledger`, actual cythonize+compile
-    seconds only, cache-hit imports excluded) is divided by the per-run
-    wall saving to report ``breakeven_runs``: how many steady-state runs
-    a build must amortise over before it wins.  Without the toolchain
-    the stage just reports the (empty) ledger and the configured budget
-    (``REPRO_TRACEFAST_AOT_BUDGET_S``), under which exhausted builds
-    degrade to exec.
-    """
-    import gc
-
-    from repro.instrument.pep import apply_pep
-    from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
-    from repro.util.flags import tracefast_enabled
-    from repro.vm import aot
-    from repro.vm.costs import CostModel
-    from repro.vm.interpreter import lower_method
-    from repro.vm.runtime import VirtualMachine
-    from repro.vm.superblock import find_dominant_path, install_superblock
-
-    out = {
-        "aot_available": aot.aot_available(),
-        "build_budget_s": aot.build_budget_s(),
-    }
-    out.update(aot.build_ledger())
-    if not out["aot_available"] or not tracefast_enabled():
-        out["note"] = (
-            "REPRO_TRACEFAST=0" if out["aot_available"]
-            else "AOT toolchain unavailable"
-        )
-        return out
-
-    calls = 200 if quick else 400
-    reps = 4 if quick else 8
-    program = _hot_loop_program(calls=calls, inner=64)
-    costs = CostModel()
-
-    def pep_image():
-        code = {}
-        for method in program.iter_methods():
-            clone = method.clone()
-            insert_yieldpoints(clone)
-            inst = apply_pep(clone, None)
-            cm = lower_method(clone, "opt2", costs)
-            if inst is not None:
-                cm.attach_dag(inst.dag)
-            code[method.name] = cm
-        return code
-
-    pilot_code = pep_image()
-    pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
-    pilot_cycles = pilot_vm.run().cycles
-    sampled_vm = VirtualMachine(
-        pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
-    )
-    sampled_vm.run()
-    helper_key = pilot_code["helper"].profile_key
-    dominant = find_dominant_path(
-        sampled_vm.path_profile.method_paths(helper_key), 0.5, 8.0
-    )
-    if dominant is None:
-        out["note"] = "no dominant path sampled"
-        return out
-
-    images = {"exec": pep_image(), "aot": pep_image()}
-    _old = (flags.TRACEFAST, flags.TRACEFAST_AOT)
-    try:
-        flags.TRACEFAST = True
-        for label, pinned in (("exec", False), ("aot", True)):
-            flags.TRACEFAST_AOT = pinned
-            if not install_superblock(images[label]["helper"], dominant):
-                out["note"] = f"path {dominant} is not installable"
-                return out
-    finally:
-        flags.TRACEFAST, flags.TRACEFAST_AOT = _old
-    out.update(aot.build_ledger())  # the installs above may have built
-
-    probes = {}
-    for label, code in images.items():
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-        res = vm.run()
-        probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-    if probes["exec"] != probes["aot"]:
-        raise AssertionError(f"AOT diverged from exec: {probes}")
-
-    best = {label: float("inf") for label in images}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for label, code in images.items():
-                vm = VirtualMachine(
-                    code, program.main, costs=costs, blockjit=True
-                )
-                t0 = time.perf_counter()
-                vm.run()
-                best[label] = min(best[label], time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    saving = best["exec"] - best["aot"]
-    out.update(
-        {
-            "calls": calls,
-            "reps": reps,
-            "exec_wall_s": best["exec"],
-            "aot_wall_s": best["aot"],
-            "aot_speedup": best["exec"] / best["aot"],
-            # None when AOT did not actually win on this run (or nothing
-            # was built this process): there is no finite break-even.
-            "breakeven_runs": (
-                out["build_seconds"] / saving
-                if saving > 0 and out["build_seconds"] > 0 else None
-            ),
-        }
-    )
-    return out
-
-
 # -- profile-guided optimization ---------------------------------------------
 
 
-def _hot_call_program(calls: int, inner: int):
-    """main -> outer's hot loop -> a leaf too big for the static inliner.
-
-    The leaf's *cold* arm carries the long straight-line run, so the
-    method's total instruction count clears the bytecode inliner's
-    ceiling and the call survives into outer's promoted trace — while
-    the *dominant* path is a handful of instructions.  That is the shape
-    dominant-path inlining targets: per-call machinery (trace exit,
-    callee dispatch, token-ladder re-entry) dwarfs the spliced body, so
-    the guarded splice recovers most of each call's cost.
-    """
-    from repro.bytecode.builder import ProgramBuilder
-
-    pb = ProgramBuilder("pgo_hotcall")
-    leaf = pb.function("leaf", ["x"])
-    x = leaf.p("x")
-    acc = leaf.local(0)
-
-    def hot_arm():
-        leaf.assign(acc, x + 1)
-        leaf.ret(acc)
-
-    def cold_arm():
-        leaf.assign(acc, x * 3)
-        for _ in range(32):
-            leaf.assign(acc, acc + x)
-        leaf.ret(acc)
-
-    leaf.if_(x < 1_000_000, hot_arm, cold_arm)
-
-    outer = pb.function("outer", ["n"])
-    n = outer.p("n")
-    total = outer.local(0)
-    outer.for_range(
-        0, inner, 1,
-        lambda i: outer.assign(total, total + outer.call("leaf", i + n)),
-    )
-    outer.ret(total)
-
-    f = pb.function("main")
-    grand = f.local(0)
-    f.for_range(
-        0, calls, 1, lambda i: f.assign(grand, grand + f.call("outer", i))
-    )
-    f.emit(grand)
-    f.ret(grand)
-    return pb.build()
-
-
 def bench_pgo(quick: bool) -> dict:
-    """PGO layout + inlining speedup, plus the probe-placement saving.
+    """Minimum-coverage probe saving on the one-shot edges pipeline.
 
-    Two measurements (DESIGN.md §14), both against the flag-off twin:
-
-    * An adaptive warmup run over a call-dominated hot loop promotes the
-      caller into a tracefast trace; with ``REPRO_PGO_LAYOUT`` and
-      ``REPRO_PGO_INLINE`` pinned on, the leaf callee's dominant path is
-      spliced into the trace behind an identity guard.  The two final
-      images (flags on / flags off) then run unsampled for the timed
-      best-of-reps; a cycle-parity probe asserts bit-identical virtual
-      cycles, return value and output first — layout and inlining are
-      wall-clock-only transforms, so any cycle drift voids the timing.
-    * The one-shot edges pipeline compiles a workload with
-      ``REPRO_PGO_PROBES`` on and off; the probed image places counters
-      on a spanning-tree complement only, so it both *places* fewer
-      probes and *charges* fewer edge_count cycles for the same
-      reconstructed profile.  That pair of reductions is the metric —
-      this half is arithmetic over the compiled plans, not a timing.
+    The pipeline compiles a workload with ``REPRO_PGO_PROBES`` on and
+    off (DESIGN.md §14); the probed image places counters on a
+    spanning-tree complement only, so it both *places* fewer probes and
+    *charges* fewer edge_count cycles for the same reconstructed
+    profile.  That pair of reductions is the metric — arithmetic over
+    the compiled plans, not a timing.
     """
-    import gc
-
-    from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
     from repro.adaptive.replay import (
         record_advice,
         replay_compile,
         run_iteration,
     )
-    from repro.sampling.arnold_grove import SamplingConfig
     from repro.util import flags
-    from repro.util.flags import pgo_enabled, tracefast_enabled
+    from repro.util.flags import pgo_enabled
     from repro.vm import pgo
-    from repro.vm.runtime import VirtualMachine
     from repro.workloads.suite import get_workload
 
-    if not pgo_enabled() or not tracefast_enabled():
+    if not pgo_enabled():
         return {
-            "workloads": ["pgo_hotcall"],
-            "pgo_installed": False,
-            "note": "REPRO_PGO=0 or REPRO_TRACEFAST=0",
+            "probes_measured": False,
+            "note": "REPRO_PGO=0",
         }
 
-    calls = 250 if quick else 500
-    reps = 4 if quick else 8
-    program = _hot_call_program(calls=calls, inner=36)
-
-    def pinned(label):
-        flags.TRACEFAST = True
-        flags.PGO = True
-        flags.PGO_LAYOUT = label == "on"
-        flags.PGO_INLINE = label == "on"
-
-    saved = (
-        flags.TRACEFAST, flags.PGO, flags.PGO_LAYOUT, flags.PGO_INLINE,
-        flags.PGO_PROBES,
-    )
+    probe_program = get_workload("compress").build(1.0 if quick else 2.0)
+    plan_stats = {}
+    saved = flags.PGO_PROBES
     try:
-        # Warmup: one adaptive run per variant promotes the caller and
-        # (flags on) attaches the inline advice; the final compiled
-        # image is what the timed reps execute, unsampled.
-        images = {}
-        for label in ("on", "off"):
-            pinned(label)
-            config = AdaptiveConfig(
-                pep=SamplingConfig(8, 3), superblock_min_samples=4.0
-            )
-            system = AdaptiveSystem(program, config=config)
-            system.make_vm(tick_interval=400.0).run()
-            images[label] = (system.code, system.costs)
-        engaged = pgo.engagement_summary(images["on"][0])["totals"]
-        if engaged["pgo_inline_sites"] < 1:
-            return {
-                "workloads": ["pgo_hotcall"],
-                "pgo_installed": False,
-                "note": "no inline advice engaged — timing would be vacuous",
-            }
-
-        # Cycle-parity probe (also the warmup of any cold segments).
-        probes = {}
-        for label, (code, costs) in images.items():
-            pinned(label)
-            vm = VirtualMachine(
-                dict(code), program.main, costs=costs, blockjit=True
-            )
-            res = vm.run()
-            probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-        if probes["on"] != probes["off"]:
-            raise AssertionError(f"PGO flags moved bits: {probes}")
-
-        best = {label: float("inf") for label in images}
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                for label, (code, costs) in images.items():
-                    pinned(label)
-                    vm = VirtualMachine(
-                        dict(code), program.main, costs=costs, blockjit=True
-                    )
-                    t0 = time.perf_counter()
-                    vm.run()
-                    best[label] = min(
-                        best[label], time.perf_counter() - t0
-                    )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        # Probe-placement saving on the one-shot edges pipeline.
-        probe_program = get_workload("compress").build(1.0 if quick else 2.0)
-        plan_stats = {}
         for label, enable in (("on", True), ("off", False)):
             flags.PGO_PROBES = enable
             advice = record_advice(probe_program, tick_interval=400.0)
@@ -1179,31 +766,18 @@ def bench_pgo(quick: bool) -> dict:
             totals = pgo.engagement_summary(image.code)["totals"]
             plan_stats[label] = {
                 "placed": totals["probes_placed"],
-                "full": totals["probes_full"],
                 "cycles": run_iteration(image).cycles,
             }
     finally:
-        (
-            flags.TRACEFAST, flags.PGO, flags.PGO_LAYOUT, flags.PGO_INLINE,
-            flags.PGO_PROBES,
-        ) = saved
+        flags.PGO_PROBES = saved
 
-    cycles = probes["on"][0]
     placed = plan_stats["on"]["placed"]
     # The flag-off twin instruments every arm, so its placement count is
     # the full baseline (and equals its own full_probes by construction).
     full = plan_stats["off"]["placed"]
     off_cycles = plan_stats["off"]["cycles"]
     return {
-        "workloads": ["pgo_hotcall"],
-        "calls": calls,
-        "reps": reps,
-        "pgo_installed": True,
-        "pgo_inline_sites": engaged["pgo_inline_sites"],
-        "cycles": cycles,
-        "pgo_off_vcycles_per_sec": cycles / best["off"],
-        "pgo_on_vcycles_per_sec": cycles / best["on"],
-        "pgo_speedup": best["off"] / best["on"],
+        "probes_measured": True,
         "probe_workload": "compress",
         "probes_placed": placed,
         "probes_full": full,
@@ -1417,12 +991,8 @@ def append_history(report: dict, path: str) -> None:
         "superblock_speedup": metrics.get("superblock", {}).get(
             "superblock_speedup"
         ),
-        "tracefast_speedup": metrics.get("tracefast", {}).get(
-            "tracefast_speedup"
-        ),
         "kblpp_speedup": metrics.get("kblpp", {}).get("kblpp_speedup"),
         "fold_coverage": metrics.get("foldcov", {}).get("fold_coverage"),
-        "pgo_speedup": metrics.get("pgo", {}).get("pgo_speedup"),
         "probe_reduction": metrics.get("pgo", {}).get("probe_reduction"),
         "cache_speedup": metrics.get("lowering", {}).get("cache_speedup"),
         "memo_speedup": metrics.get("reconstruction", {}).get("memo_speedup"),
@@ -1509,8 +1079,8 @@ def main(argv=None) -> int:
         "--stage",
         action="append",
         choices=[
-            "interpreter", "sampling", "superblock", "tracefast", "kblpp",
-            "foldcov", "aot", "pgo", "lowering", "reconstruction", "sweep",
+            "interpreter", "sampling", "superblock", "kblpp", "foldcov",
+            "pgo", "lowering", "reconstruction", "sweep",
         ],
         default=None,
         help="run only the named stage (repeatable; default: all). "
@@ -1532,10 +1102,8 @@ def main(argv=None) -> int:
         ("interpreter", lambda: bench_interpreter(args.quick)),
         ("sampling", lambda: bench_sampling(args.quick)),
         ("superblock", lambda: bench_superblock(args.quick)),
-        ("tracefast", lambda: bench_tracefast(args.quick)),
         ("kblpp", lambda: bench_kblpp(args.quick)),
         ("foldcov", lambda: bench_foldcov(args.quick)),
-        ("aot", lambda: bench_aot(args.quick)),
         ("pgo", lambda: bench_pgo(args.quick)),
         ("lowering", lambda: bench_lowering(args.quick)),
         ("reconstruction", lambda: bench_reconstruction(args.quick)),
@@ -1578,10 +1146,14 @@ def main(argv=None) -> int:
     if partial:
         for name in args.stage:
             stage_metrics = metrics.get(name, {})
-            for key in ("superblock_speedup", "tracefast_speedup",
-                        "kblpp_speedup", "pgo_speedup"):
+            for key in ("superblock_speedup", "kblpp_speedup"):
                 if key in stage_metrics:
                     print(f"bench_perf: {key} {stage_metrics[key]:.2f}x")
+            if "probe_reduction" in stage_metrics:
+                print(
+                    f"bench_perf: probe_reduction "
+                    f"{stage_metrics['probe_reduction']:.3f}"
+                )
             if stage_metrics.get("fold_coverage") is not None:
                 print(
                     f"bench_perf: fold_coverage "
@@ -1592,7 +1164,6 @@ def main(argv=None) -> int:
     interp = metrics["interpreter"]
     sampling = metrics["sampling"]
     superblock = metrics["superblock"]
-    tracefast = metrics["tracefast"]
     kblpp = metrics["kblpp"]
     foldcov = metrics["foldcov"]
     pgo = metrics["pgo"]
@@ -1601,15 +1172,9 @@ def main(argv=None) -> int:
         if superblock.get("superblock_installed")
         else "n/a"
     )
-    tf_text = (
-        f"{tracefast['tracefast_speedup']:.2f}x"
-        if tracefast.get("tracefast_installed")
-        else "n/a"
-    )
     pgo_text = (
-        f"{pgo['pgo_speedup']:.2f}x "
-        f"(probes {pgo['probes_placed']}/{pgo['probes_full']})"
-        if pgo.get("pgo_installed")
+        f"{pgo['probes_placed']}/{pgo['probes_full']}"
+        if pgo.get("probes_measured")
         else "n/a"
     )
     fc_text = (
@@ -1626,10 +1191,9 @@ def main(argv=None) -> int:
         f"bench_perf: blockjit speedup {interp['blockjit_speedup']:.2f}x "
         f"over the tuple interpreter, sampling wall overhead "
         f"{sampling['sampling_wall_overhead']:.2f}x, superblock hot-loop "
-        f"speedup {sb_text}, tracefast speedup {tf_text} over the "
-        f"superblock, k-trace bimodal speedup {kb_text} over plain "
-        f"blockjit, fold coverage {fc_text}, pgo speedup {pgo_text}, "
-        f"parallel speedup "
+        f"speedup {sb_text}, k-trace bimodal speedup {kb_text} over plain "
+        f"blockjit, fold coverage {fc_text}, min-coverage probes "
+        f"{pgo_text}, parallel speedup "
         f"{sweep['parallel_speedup']:.2f}x ({sweep['jobs']} jobs on "
         f"{cpu_count} cores), digests_match={sweep['digests_match']}"
     )
@@ -1657,16 +1221,6 @@ def main(argv=None) -> int:
                 f"{SUPERBLOCK_SPEEDUP_FLOOR:.2f}x floor"
             )
             rc = 1
-    # Tracefast-over-superblock floor (full runs only, same reasoning;
-    # REPRO_TRACEFAST=0 runs report n/a and skip the gate).
-    if not args.quick and tracefast.get("tracefast_installed"):
-        if tracefast["tracefast_speedup"] < TRACEFAST_SPEEDUP_FLOOR:
-            print(
-                f"bench_perf: FATAL tracefast hot-loop speedup "
-                f"{tracefast['tracefast_speedup']:.3f}x below the "
-                f"{TRACEFAST_SPEEDUP_FLOOR:.2f}x floor"
-            )
-            rc = 1
     # k-trace-over-blockjit floor on the bimodal workload (full runs
     # only; REPRO_KBLPP=0 runs report n/a and skip the gate).
     if not args.quick and kblpp.get("kblpp_installed"):
@@ -1688,16 +1242,9 @@ def main(argv=None) -> int:
                 f"({foldcov['fold_rejected']} methods rejected)"
             )
             rc = 1
-    # PGO hot-call floor plus the probe-placement saving (full runs
-    # only; REPRO_PGO=0 runs report n/a and skip both gates).
-    if not args.quick and pgo.get("pgo_installed"):
-        if pgo["pgo_speedup"] < PGO_SPEEDUP_FLOOR:
-            print(
-                f"bench_perf: FATAL pgo hot-call speedup "
-                f"{pgo['pgo_speedup']:.3f}x below the "
-                f"{PGO_SPEEDUP_FLOOR:.2f}x floor"
-            )
-            rc = 1
+    # The probe-placement saving (full runs only; REPRO_PGO=0 runs
+    # report n/a and skip the gate).
+    if not args.quick and pgo.get("probes_measured"):
         if pgo["probe_reduction"] <= 0.0:
             print(
                 f"bench_perf: FATAL min-coverage placed "
@@ -1706,7 +1253,9 @@ def main(argv=None) -> int:
             )
             rc = 1
     if args.check:
-        rc = check_regression(report, args.check)
+        # Keep the worst verdict: a floor that already failed above
+        # must not be masked by a passing baseline comparison.
+        rc = max(rc, check_regression(report, args.check))
         # The parallel-speedup floor only means something when the
         # runner can actually run workers concurrently; on a single
         # core, parallel ≈ serial (plus pool overhead) is the expected

@@ -18,8 +18,7 @@ Usage::
 non-zero (and prints a GitHub ``::warning::`` annotation) when the last
 ``--window`` history entries show a strictly monotonic climb in
 ``sampling_wall_overhead`` or a strictly monotonic decline in
-``tracefast_speedup``, ``kblpp_speedup`` or ``pgo_speedup`` — each run
-a little worse than the previous one, the shape a per-PR regression
+``kblpp_speedup`` — each run a little worse than the previous one, the shape a per-PR regression
 gate with a fixed tolerance never catches.  Rendering mode has no
 dependencies and never fails the build:
 a missing or partially corrupt history renders whatever lines are
@@ -82,10 +81,8 @@ def render_table(entries: list) -> str:
         ("blockjit", lambda e: _fmt(e.get("blockjit_speedup"), ".2f")),
         ("sampling", lambda e: _fmt(e.get("sampling_wall_overhead"), ".2f")),
         ("superblk", lambda e: _fmt(e.get("superblock_speedup"), ".2f")),
-        ("tracefast", lambda e: _fmt(e.get("tracefast_speedup"), ".2f")),
         ("kblpp", lambda e: _fmt(e.get("kblpp_speedup"), ".2f")),
         ("foldcov", lambda e: _fmt(e.get("fold_coverage"), ".3f")),
-        ("pgo", lambda e: _fmt(e.get("pgo_speedup"), ".2f")),
         ("cache", lambda e: _fmt(e.get("cache_speedup"), ".1f")),
         ("memo", lambda e: _fmt(e.get("memo_speedup"), ".1f")),
         ("par", lambda e: _fmt(e.get("parallel_speedup"), ".2f")),
@@ -202,27 +199,18 @@ def _check_series(
 def check_trend(entries: list, window: int = DEFAULT_TREND_WINDOW) -> int:
     """Alert on creeping regressions across recent bench runs.
 
-    Four monitored series: ``sampling_wall_overhead`` climbing (every
-    recent PR made sampling a little slower), ``tracefast_speedup``
-    declining (every recent PR shaved a little off the trace backend's
-    win), ``kblpp_speedup`` declining (the k-iteration trace's
-    bimodal-loop win eroding), and ``pgo_speedup`` declining (the
-    layout+inline win eroding run over run).  Any one alone trips the
-    alert.
+    Two monitored series: ``sampling_wall_overhead`` climbing (every
+    recent PR made sampling a little slower) and ``kblpp_speedup``
+    declining (the k-iteration trace's bimodal-loop win eroding run
+    over run).  Either one alone trips the alert.
     """
     rc_sampling = _check_series(
         entries, "sampling_wall_overhead", window, bad_direction=1
     )
-    rc_tracefast = _check_series(
-        entries, "tracefast_speedup", window, bad_direction=-1
-    )
     rc_kblpp = _check_series(
         entries, "kblpp_speedup", window, bad_direction=-1
     )
-    rc_pgo = _check_series(
-        entries, "pgo_speedup", window, bad_direction=-1
-    )
-    return rc_sampling or rc_tracefast or rc_kblpp or rc_pgo
+    return rc_sampling or rc_kblpp
 
 
 def main(argv=None) -> int:
@@ -245,8 +233,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-trend",
         action="store_true",
-        help="exit nonzero when recent sampling overheads climb "
-        "monotonically (no rendering)",
+        help="exit nonzero when recent sampling overheads climb or "
+        "k-trace speedups decline monotonically (no rendering)",
     )
     parser.add_argument(
         "--window",

@@ -135,8 +135,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(
             f"  blockjit={totals['blockjit_methods']} "
             f"superblock={totals['superblock_installs']} "
-            f"tracefast={totals['tracefast_installs']} "
-            f"pgo_inline_sites={totals['pgo_inline_sites']} "
             f"min_coverage={totals['min_coverage_methods']} "
             f"probes={totals['probes_placed']}/{totals['probes_full']}"
         )
@@ -151,8 +149,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "blockjit" if row["blockjit"] else "interp"
             )
             extras = []
-            if row["pgo_inline_sites"]:
-                extras.append(f"inline_sites={row['pgo_inline_sites']}")
             if row["probe_mode"]:
                 extras.append(f"probes={row['probe_mode']}")
             if row["fold"] != "certified":
@@ -221,7 +217,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Run the perf-trajectory recorder (scripts/bench_perf.py).
 
     A thin passthrough so measurements are launchable from the installed
-    CLI (``repro bench --stage tracefast``) without knowing the scripts
+    CLI (``repro bench --stage superblock``) without knowing the scripts
     layout.  The script is loaded by file path: it is not a package
     module, and must stay runnable standalone.
     """
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p = sub.add_parser(
         "bench",
         help="run the perf recorder (scripts/bench_perf.py) — e.g. "
-        "`repro bench --stage tracefast --quick`",
+        "`repro bench --stage superblock --quick`",
     )
     perf_p.add_argument("--quick", action="store_true", help="CI-sized run")
     perf_p.add_argument(

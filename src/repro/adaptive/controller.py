@@ -22,12 +22,7 @@ from repro.sampling.arnold_grove import (
 )
 from repro.adaptive.baseline import compile_baseline
 from repro.adaptive.optimizing import optimize_method
-from repro.util.flags import (
-    kblpp_enabled,
-    kblpp_k,
-    superblock_enabled,
-    tracefast_enabled,
-)
+from repro.util.flags import kblpp_enabled, kblpp_k, superblock_enabled
 from repro.vm.costs import CostModel
 from repro.vm.superblock import (
     encode_kpath,
@@ -139,10 +134,6 @@ class AdaptiveSystem:
         # eligibility — cached so the controller does not re-expand the
         # same unstitchable window at every later sample.
         self._kpath_rejected: set = set()
-        # Backend for promoted traces (DESIGN.md §13): the whole-method
-        # tracefast tier when enabled, the classic §11 superblock
-        # otherwise.  Resolved once so one run uses one tier.
-        self._tracefast = tracefast_enabled()
         self._bootstrap()
 
     def _bootstrap(self) -> None:
@@ -229,11 +220,7 @@ class AdaptiveSystem:
         # Superblock advice: if the outgoing version had a hot trace,
         # hand its path number (plus the DAG fingerprint it belongs to)
         # to the recompile so the replacement starts hot when its P-DAG
-        # numbers paths identically; a changed DAG misses cleanly.  The
-        # PGO inline plans ride along the same way — the regenerated
-        # trace keeps its guarded splices (the identity guard re-checks
-        # the live callee at run time, so a stale plan only costs the
-        # guard miss).
+        # numbers paths identically; a changed DAG misses cleanly.
         superblock_advice = None
         if self._superblock:
             old_cm = self.code.get(source_name)
@@ -245,7 +232,6 @@ class AdaptiveSystem:
                 superblock_advice = (
                     old_cm.sb_path,
                     dag_fingerprint(old_cm.dag),
-                    old_cm.pgo_inline,
                 )
 
         version = self.versions[source_name] + 1
@@ -277,62 +263,8 @@ class AdaptiveSystem:
         self.compile_log.append((source_name, target))
         if cm.resolver is not None:
             self.resolvers[cm.profile_key] = cm.resolver
-        self._refresh_inline_callers(source_name)
         vm.charge_compile(compile_cycles)
         return compile_cycles
-
-    def _refresh_inline_callers(self, callee_name: str) -> None:
-        """Re-pin inline plans that advised the just-replaced callee.
-
-        The splice guard tests the live method table by identity, so a
-        callee recompile strands every caller's plan on the guard-miss
-        arm.  Revalidate each affected plan against the new lowering and
-        regenerate the caller's trace so the guard pins the live object
-        (or, when the dominant path no longer validates, drop the site
-        back to the normal call).  Zero virtual cycles, no profile
-        writes — like promotion itself, observable only in wall clock.
-        """
-        if not (self._superblock and self._tracefast):
-            return
-        from repro.vm import pgo
-
-        callee = self.code.get(callee_name)
-        for name, caller in self.code.items():
-            if name == callee_name or not caller.pgo_inline:
-                continue
-            if all(
-                plan.callee_name != callee_name
-                for plan in caller.pgo_inline.values()
-            ):
-                continue
-            fresh = {}
-            changed = False
-            for site, plan in caller.pgo_inline.items():
-                if plan.callee_name != callee_name:
-                    fresh[site] = plan
-                    continue
-                new_plan = pgo.revalidate_inline_plan(plan, callee)
-                if new_plan is not plan:
-                    changed = True
-                if new_plan is not None:
-                    fresh[site] = new_plan
-            if not changed:
-                continue
-            caller.pgo_inline = fresh or None
-            if caller.sb_path is not None and caller.sb_entry is not None:
-                # Force regeneration: the advice is baked into the
-                # source (and its fingerprint), so the installed trace
-                # is stale by construction.
-                caller.sb_entry = None
-                caller.sb_source = None
-                caller.sb_fingerprint = None
-                try:
-                    install_superblock(caller, caller.sb_path)
-                except Exception:
-                    # Degrade to plain blockjit rather than failing the
-                    # recompile that triggered the refresh; the method
-                    # stays runnable through its plain segments.
-                    pass
 
     # -- superblock formation -----------------------------------------------
 
@@ -387,52 +319,13 @@ class AdaptiveSystem:
                 "staying on plain blockjit",
             )
             return
-        # The tracefast backend has its own fault site; firing degrades
-        # to plain blockjit (NOT to the superblock backend — the method
-        # simply stays unpromoted).  The check only runs when the
-        # tracefast tier is selected, so REPRO_TRACEFAST=0 runs are
-        # byte-identical to PR-5 even under a tracefast-compile plan.
-        if (
-            self._tracefast
-            and injector is not None
-            and injector.should_fire("tracefast-compile", key)
-        ):
-            resilience.health.record_degradation(
-                "tracefast-degrade",
-                f"{source_name}: injected tracefast-compile fault; "
-                "staying on plain blockjit",
-            )
-            return
-        tier = "tracefast" if self._tracefast else "superblock"
-        if self._tracefast:
-            # Dominant-path inlining advice (DESIGN.md §14): computed
-            # from the sampled call graph and the callees' own path
-            # profiles at promotion time, attached to the method before
-            # codegen so the generated source (and its fingerprint,
-            # via pgo_fingerprint) reflects it.  A deterministic pure
-            # read of VM state — no cycles, no profile writes — and
-            # None whenever REPRO_PGO_INLINE is off.
-            from repro.vm import pgo
-            from repro.vm.superblock import trace_blocks
-
-            trace = trace_blocks(cm, path)
-            if trace is not None:
-                cm.pgo_inline = pgo.compute_inline_advice(
-                    cm,
-                    [b.label for b in trace],
-                    vm.code,
-                    vm.call_graph,
-                    vm.path_profile,
-                    self.config.superblock_threshold,
-                    self.config.superblock_min_samples,
-                )
         try:
             installed = install_superblock(cm, path)
         except Exception as exc:
             if resilience is not None:
                 resilience.health.record_degradation(
-                    f"{tier}-degrade",
-                    f"{source_name}: {tier} compile failed ({exc}); "
+                    "superblock-degrade",
+                    f"{source_name}: superblock compile failed ({exc}); "
                     "staying on plain blockjit",
                 )
                 return

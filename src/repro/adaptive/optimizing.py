@@ -30,7 +30,7 @@ from repro.adaptive.passes import (
 from repro.profiling.edges import EdgeProfile
 from repro.vm import pgo
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import OP_CALL, CompiledMethod, lower_method
+from repro.vm.interpreter import CompiledMethod, lower_method
 
 # Profiling instrumentation the optimizing compiler can attach:
 #   None          - plain optimized code (the paper's Base)
@@ -189,41 +189,18 @@ def _apply_superblock_advice(cm: CompiledMethod, advice: tuple) -> None:
     first-wins is fine, every superblock is behaviorally identical to
     plain blockjit.  Failures degrade to plain blockjit rather than
     failing the compile: the advice is an optimization hint, not part of
-    the compiled artefact's contract.
-
-    ``advice`` is ``(path_number, dag_fingerprint)`` plus an optional
-    third element: the outgoing version's PGO inline plans
-    (DESIGN.md §14).  Plans are revalidated against the fresh lowering
-    (same block label, same call, same callee) before the trace is
-    regenerated, so the splices survive a recompile whenever the P-DAG
-    does; the generated guard re-checks callee identity at run time.
+    the compiled artefact's contract.  ``advice`` is
+    ``(path_number, dag_fingerprint)``.
     """
     from repro.profiling.regenerate import dag_fingerprint
-    from repro.util.flags import pgo_inline_enabled, superblock_enabled
+    from repro.util.flags import superblock_enabled
     from repro.vm.superblock import install_superblock
 
-    path_number, dag_fp = advice[0], advice[1]
-    inline_plans = advice[2] if len(advice) > 2 else None
+    path_number, dag_fp = advice
     if cm.dag is None or not superblock_enabled():
         return
     if dag_fingerprint(cm.dag) != dag_fp:
         return
-    if (
-        inline_plans
-        and pgo_inline_enabled()
-        and cm.pgo_inline is None
-        and cm.sb_source is None
-    ):
-        revalidated = {}
-        for (label, j), plan in inline_plans.items():
-            block = cm.blocks.get(label)
-            if block is None or j >= len(block.ops):
-                continue
-            op = block.ops[j]
-            if op[0] != OP_CALL or op[3] != plan.callee_name:
-                continue
-            revalidated[(label, j)] = plan
-        cm.pgo_inline = revalidated or None
     try:
         install_superblock(cm, path_number)
     except Exception:

@@ -81,10 +81,9 @@ class EdgeProfile:
     # plain Python loop than to wrap in ndarray views: the NumPy path
     # costs ~2us of fixed per-entry setup against ~0.1us per looped
     # slot, so vectorization only pays off for wide entries (measured
-    # crossover ~20 slots; typical sample drains run 4-17; re-measured
-    # unchanged under the tracefast backend — the drain runs in the
-    # yieldpoint handler, outside any generated method body, so the
-    # codegen tier does not move the crossover).
+    # crossover ~20 slots; typical sample drains run 4-17).  The drain
+    # runs in the yieldpoint handler, outside any generated method body,
+    # so the codegen tier does not move the crossover.
     NUMPY_MIN_SLOTS = 32
 
     def record_slot_batches(

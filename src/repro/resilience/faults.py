@@ -31,11 +31,9 @@ from repro.util.rng import DeterministicRng
 #: * ``path-reconstruct``   — path-number -> edge-sequence regeneration
 #: * ``path-table``         — the path-profile table update for a sample
 #: * ``advice-load``        — reading a replay-advice file
-#: * ``superblock-compile`` — path-guided superblock formation; firing
-#:   degrades the method to plain blockjit (observables unchanged)
-#: * ``tracefast-compile``  — whole-method tracefast codegen (DESIGN.md
-#:   §13); firing degrades the method to plain blockjit — not to the
-#:   superblock backend — with a ``tracefast-degrade`` health entry
+#: * ``superblock-compile`` — path-guided superblock formation, 1-path
+#:   and k-path traces alike; firing degrades the method to plain
+#:   blockjit (observables unchanged)
 FAULT_SITES = (
     "opt-compile",
     "sample",
@@ -43,7 +41,6 @@ FAULT_SITES = (
     "path-table",
     "advice-load",
     "superblock-compile",
-    "tracefast-compile",
     "worker-crash",
     "worker-hang",
     "receipt-write",

@@ -1,16 +1,19 @@
 """Process-wide feature flags resolved from the environment.
 
-The sampling fast path (countdown yieldpoints, dense profile tables,
-buffered sample recording — see DESIGN.md §10) is controlled by
-``REPRO_SAMPLEFAST``.  Every flag here resolves the same way: an
-explicit argument wins, then the module flag (tests may pin it), then
-the environment variable, then the built-in default (*on* for every
-boolean switch).
+Seven knobs live here: the sampling fast path (``REPRO_SAMPLEFAST``,
+DESIGN.md §10), superblock traces (``REPRO_SUPERBLOCK``, §11), the PGO
+master switch and its two transforms (``REPRO_PGO``,
+``REPRO_PGO_LAYOUT``, ``REPRO_PGO_PROBES``, §14), and k-iteration path
+profiling with its window length (``REPRO_KBLPP``, ``REPRO_KBLPP_K``,
+§16).  Every flag resolves the same way: an explicit argument wins,
+then the module flag (tests may pin it), then the environment variable,
+then the built-in default (*on* for every boolean switch).
 
-Both datapaths are bit-identical in every observable (profiles, virtual
-cycles, fault-injection sequences — ``tests/test_samplefast.py`` proves
-it), so the flag only moves wall clock; ``REPRO_SAMPLEFAST=0`` is the
-kill switch that reverts to the legacy per-sample datapath.
+Setting a boolean switch to ``0`` is a kill switch that moves wall
+clock only: profiles, virtual cycles and fault-injection sequences stay
+bit-identical.  The one exception is probe placement
+(``REPRO_PGO_PROBES``, gated by ``REPRO_PGO``), which deliberately
+lowers the one-shot edges mode's charges.
 """
 
 from __future__ import annotations
@@ -29,47 +32,19 @@ SUPERBLOCK_ENV = "REPRO_SUPERBLOCK"
 #: Module override for path-guided superblock formation (DESIGN.md §11).
 SUPERBLOCK: Optional[bool] = None
 
-TRACEFAST_ENV = "REPRO_TRACEFAST"
-
-#: Module override for the slotted-frame trace backend (DESIGN.md §13):
-#: when a dominant path is promoted, compile the *whole method* into one
-#: generated function (registers promoted to locals across every block,
-#: token dispatch instead of the segment trampoline, batched cost/PEP
-#: chains) instead of the single-trace ``_sb`` function of §11.
-TRACEFAST: Optional[bool] = None
-
-TRACEFAST_AOT_ENV = "REPRO_TRACEFAST_AOT"
-
-#: Module override for the optional AOT sub-tier of the tracefast
-#: backend: when a supported ahead-of-time compiler (Cython) and a C
-#: toolchain are importable, the hottest generated trace modules are
-#: compiled to native extensions keyed by their content fingerprints.
-#: Inert (pure-Python tracefast) when the toolchain is missing.
-TRACEFAST_AOT: Optional[bool] = None
-
-
 PGO_ENV = "REPRO_PGO"
 
 #: Module override for the profile-guided optimization tier (DESIGN.md
-#: §14): master switch over the three PGO transforms below.  All three
-#: are bit-identical in every observable (``tests/test_pgo.py`` proves
-#: it); ``REPRO_PGO=0`` reverts codegen to the PR-7 shapes byte for
-#: byte.
+#: §14): master switch over the two PGO transforms below.  Layout is
+#: bit-identical in every observable (``tests/test_pgo.py`` proves it);
+#: probe placement reduces charges in the one-shot edges mode only.
 PGO: Optional[bool] = None
 
 PGO_LAYOUT_ENV = "REPRO_PGO_LAYOUT"
 
 #: Module override for profile-guided code layout: order blockjit's
-#: segment definitions and tracefast's token-ladder arms by observed
-#: edge heat so the hot successor is the first-tested arm.
+#: segment definitions by observed edge heat, hottest first.
 PGO_LAYOUT: Optional[bool] = None
-
-PGO_INLINE_ENV = "REPRO_PGO_INLINE"
-
-#: Module override for dominant-path callee inlining: splice a hot
-#: monomorphic callee's dominant Ball-Larus path into the caller's
-#: tracefast trace behind a guard that side-exits to the normal call.
-PGO_INLINE: Optional[bool] = None
 
 PGO_PROBES_ENV = "REPRO_PGO_PROBES"
 
@@ -140,41 +115,13 @@ def superblock_enabled(explicit: Optional[bool] = None) -> bool:
     return _env_enabled(SUPERBLOCK_ENV)
 
 
-def tracefast_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective tracefast-backend setting.
-
-    ``REPRO_TRACEFAST=0`` is the kill switch: promoted methods fall back
-    to the PR-5 single-trace superblock backend and persisted tracefast
-    sources are not re-installed (their fingerprints embed the resolved
-    flag, so a flag flip misses cleanly).  Both backends are bit-identical
-    in every observable (``tests/test_tracefast.py`` proves it); the flag
-    only moves wall clock.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if TRACEFAST is not None:
-        return bool(TRACEFAST)
-    return _env_enabled(TRACEFAST_ENV)
-
-
-def tracefast_aot_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the AOT sub-tier setting (effective only if a toolchain
-    actually imports; ``repro.vm.aot`` gates on availability separately).
-    ``REPRO_TRACEFAST_AOT=0`` forces the pure-Python tracefast path."""
-    if explicit is not None:
-        return bool(explicit)
-    if TRACEFAST_AOT is not None:
-        return bool(TRACEFAST_AOT)
-    return _env_enabled(TRACEFAST_AOT_ENV)
-
-
 def pgo_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the PGO master switch.
 
     ``REPRO_PGO=0`` is the tier-wide kill switch: every generated
-    artefact reverts to its PR-7 shape byte for byte.  The resolved
-    value participates in codecache keys and superblock fingerprints
-    through the three sub-flags below, never on its own.
+    artefact reverts to its layout-free shape byte for byte.  The
+    resolved value participates in codecache keys and superblock
+    fingerprints through the two sub-flags below, never on its own.
     """
     if explicit is not None:
         return bool(explicit)
@@ -188,7 +135,7 @@ def pgo_layout_enabled(explicit: Optional[bool] = None) -> bool:
 
     The master switch gates every sub-flag: ``REPRO_PGO=0`` disables
     layout even when ``REPRO_PGO_LAYOUT=1``.  Persisted artefacts shaped
-    by this flag (blockjit/tracefast sources in the codecache) embed the
+    by this flag (blockjit and trace sources in the codecache) embed the
     resolved value in their keys/fingerprints, so a flip drops stale
     advice wholesale instead of replaying it.
     """
@@ -199,19 +146,6 @@ def pgo_layout_enabled(explicit: Optional[bool] = None) -> bool:
     if PGO_LAYOUT is not None:
         return bool(PGO_LAYOUT)
     return _env_enabled(PGO_LAYOUT_ENV)
-
-
-def pgo_inline_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective dominant-path-inlining setting (master
-    switch gates it; see :func:`pgo_layout_enabled` for the key/
-    fingerprint contract)."""
-    if not pgo_enabled():
-        return False
-    if explicit is not None:
-        return bool(explicit)
-    if PGO_INLINE is not None:
-        return bool(PGO_INLINE)
-    return _env_enabled(PGO_INLINE_ENV)
 
 
 def pgo_probes_enabled(explicit: Optional[bool] = None) -> bool:
@@ -232,9 +166,9 @@ def pgo_probes_enabled(explicit: Optional[bool] = None) -> bool:
 def kblpp_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the k-iteration path-profiling setting.
 
-    Effective recording further requires the tracefast/superblock tiers
-    for the *promotion* half, but the flag itself only gates the shadow
-    k-path table and the controller's k-path fallback.
+    Effective recording further requires superblock formation for the
+    *promotion* half, but the flag itself only gates the shadow k-path
+    table and the controller's k-path fallback.
     ``REPRO_KBLPP=0`` is the kill switch: the sampler stops chaining
     windows, the controller never consults the k-table, and persisted
     k-path traces are kept but not re-installed (as under

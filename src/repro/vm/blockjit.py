@@ -15,9 +15,8 @@ Only the hot path is inlined.  The two cold exits every segment can
 take live out of line in module helpers bound into each method's
 namespace: :func:`out_of_fuel` (the fuel counterpart of
 ``interpreter._trap``) and :func:`yieldpoint_slow` (the countdown
-yieldpoint's tick/sample/dispatch sequence).  The trace emitters
-(:mod:`repro.vm.superblock`, :mod:`repro.vm.tracefast`) call the same
-two helpers.
+yieldpoint's tick/sample/dispatch sequence).  The trace emitter
+(:mod:`repro.vm.superblock`) calls the same two helpers.
 
 Bit-identity contract
 ---------------------
@@ -61,9 +60,9 @@ Compilation at first entry
 (:func:`placeholder`): a function over one shared template code object
 whose first call compiles the real segment, binds it in the namespace
 and the segment table, and runs it.  A segment that never runs is never
-compiled.  A placeholder whose name has been rebound since (a trace or
-ladder installed over it) forwards to the current binding and compiles
-nothing.
+compiled.  A placeholder whose name has been rebound since (a
+superblock trace installed over it) forwards to the current binding and
+compiles nothing.
 
 Caching
 -------
@@ -206,11 +205,11 @@ def fuel_exit(cyc: str, method: str, block: str, index: int) -> str:
     return f"_fuel_out(vm, {cyc}, {method}, {block!r}, {index})"
 
 
-def emit_yieldpoint(seg, samplefast: bool, flush: str, path_reg: str, flag) -> None:
+def emit_yieldpoint(seg, samplefast: bool, flush: str, flag) -> None:
     """Emit one yieldpoint that flushes ``flush`` into ``vm.cycles``.
 
-    Shared by every emitter; ``path_reg`` names the path register
-    (``st.path_reg`` here, tracefast's ``_pr`` local).  The countdown
+    Shared by blockjit segments and the superblock traces built from
+    them; the path register is ``st.path_reg``.  The countdown
     template (DESIGN.md §10) stores the bit-identical ``vm.cycles`` and
     keeps one compare inline, against ``st.gate`` (``next_tick`` while
     the flag is down, -inf while it is up); past it,
@@ -223,7 +222,7 @@ def emit_yieldpoint(seg, samplefast: bool, flush: str, path_reg: str, flag) -> N
         seg.emit("vm.cycles = _t")
         seg.emit("_cyc = 0.0")
         seg.emit("if _t >= st.gate:")
-        seg.emit(f"_cyc = _yield_slow(vm, _cm, st, _t, {path_reg}, {flag!r})", 2)
+        seg.emit(f"_cyc = _yield_slow(vm, _cm, st, _t, st.path_reg, {flag!r})", 2)
     else:
         # Identical flush/tick/flag sequence to the interpreter; the
         # handler call is what lets samplers, the adaptive system, and
@@ -233,7 +232,7 @@ def emit_yieldpoint(seg, samplefast: bool, flush: str, path_reg: str, flag) -> N
         seg.emit("if vm.cycles >= vm.next_tick:")
         seg.emit("vm.on_tick()", 2)
         seg.emit("if vm.flag:")
-        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, {path_reg}, {flag!r})", 2)
+        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, st.path_reg, {flag!r})", 2)
 
 
 # -- codegen ----------------------------------------------------------------
@@ -629,7 +628,7 @@ class _MethodCodegen:
         elif c == OP_YIELD:
             expr = seg.cyc_expr()
             seg.pending = []
-            emit_yieldpoint(seg, self._samplefast, expr, "st.path_reg", op[2])
+            emit_yieldpoint(seg, self._samplefast, expr, op[2])
         else:  # pragma: no cover - lowering emits only known codes
             raise VMError(f"blockjit cannot compile opcode {c}")
 
@@ -867,13 +866,28 @@ class _SegmentFill:
         return fn
 
 
-def bind_segments(cm: CompiledMethod, ns: dict, entries: dict) -> None:
-    """Bind every plain segment of ``cm`` in ``ns`` and ``entries``.
+def ensure_jit(cm: CompiledMethod) -> dict:
+    """Return the method's segment table, generating source on demand.
 
+    The whole source is generated here, because ``jit_source`` is what
+    the codecache persists; each segment compiles at its first call.
     Segments whose code the memo already holds are bound as real
-    functions at once; the rest get placeholders.
+    functions at once; the rest get placeholders.  ``jit_source``
+    survives pickling (codecache persistence, engine-pool workers);
+    ``jit_entries`` holds per-process closures and is always rebuilt
+    here.
     """
+    entries = cm.jit_entries
+    if entries is not None:
+        return entries
     source = cm.jit_source
+    if source is None:
+        source = cm.jit_source = generate_source(cm)
+    ns = _namespace(cm)
+    # What exec() would add; functions built over ``ns`` resolve their
+    # builtins through it.
+    ns["__builtins__"] = builtins
+    entries = {}
     codes = _SEGMENT_CODE.get(source, {})
     fill = None
     for bi, block in enumerate(cm.blocks.values()):
@@ -889,28 +903,6 @@ def bind_segments(cm: CompiledMethod, ns: dict, entries: dict) -> None:
                 fn = placeholder(ns, name, fill)
             ns[name] = fn
             entries[(block.label, ip)] = fn
-
-
-def ensure_jit(cm: CompiledMethod) -> dict:
-    """Return the method's segment table, generating source on demand.
-
-    The whole source is generated here, because ``jit_source`` is what
-    the codecache persists; each segment compiles at its first call
-    (:func:`bind_segments`).  ``jit_source`` survives pickling
-    (codecache persistence, engine-pool workers); ``jit_entries`` holds
-    per-process closures and is always rebuilt here.
-    """
-    entries = cm.jit_entries
-    if entries is not None:
-        return entries
-    if cm.jit_source is None:
-        cm.jit_source = generate_source(cm)
-    ns = _namespace(cm)
-    # What exec() would add; functions built over ``ns`` resolve their
-    # builtins through it.
-    ns["__builtins__"] = builtins
-    entries = {}
-    bind_segments(cm, ns, entries)
     cm.jit_entries = entries
     if cm.sb_source is not None:
         # A pickled superblock (codecache warm run, engine-pool worker)
@@ -976,10 +968,8 @@ def execute_blockjit(vm, fuel: int) -> int:
         nxt = fn(vm, frame, regs, st)
         if nxt is not None:
             if nxt is call:
-                # A callee frame was pushed by the segment.  Fresh
-                # frames start at (entry, 0) with path_reg 0; a frame
-                # materialised by a tracefast inline side exit resumes
-                # at its recorded position with its rebuilt path state.
+                # A callee frame was pushed by the segment; fresh
+                # frames start at (entry, 0) with path_reg 0.
                 frame = stack[-1]
                 regs = frame.regs
                 st.path_reg = frame.path_reg

@@ -36,7 +36,6 @@ from repro.profiling.edges import EdgeProfile
 from repro.util.flags import (
     kblpp_enabled,
     kblpp_k,
-    pgo_inline_enabled,
     pgo_layout_enabled,
     samplefast_enabled,
 )
@@ -61,17 +60,18 @@ DEFAULT_BOUND = 2048
 # P-DAG and the resolved samplefast flag; ``ensure_jit`` revalidates it
 # on warm loads, so stale superblock advice misses cleanly while the
 # plain blockjit entry still hits.
-# Format 5: the ``sb_*`` slots may now carry whole-method tracefast
-# sources (DESIGN.md §13) and ``sb_fingerprint`` hashes the resolved
-# tracefast flag, so the two trace backends' artefacts never cross.
-# Because format-4 fingerprints were computed without that component, a
-# format-4 cache loaded under format 5 is dropped wholesale (the
-# standard wrong-format path below) rather than partially reused.
+# Format 5: the ``sb_*`` slots may now carry whole-method sources from
+# a second trace backend (DESIGN.md §13, retired in format 12) and
+# ``sb_fingerprint`` hashes the resolved backend choice, so the two
+# backends' artefacts never cross.  Because format-4 fingerprints were
+# computed without that component, a format-4 cache loaded under format
+# 5 is dropped wholesale (the standard wrong-format path below) rather
+# than partially reused.
 # Format 6: CompiledMethod pickles additionally carry PGO advice
-# (``pgo_layout``/``pgo_inline``/``probe_plan``, DESIGN.md §14), the
-# keys gained the resolved ``REPRO_PGO_LAYOUT``/``REPRO_PGO_INLINE``
-# flags plus the effective minimum-coverage placement bit, and
-# ``sb_fingerprint`` folds in :func:`repro.vm.pgo.pgo_fingerprint`.
+# (layout order, callee-inlining plans, probe plan; DESIGN.md §14), the
+# keys gained the resolved layout and inlining flags plus the effective
+# minimum-coverage placement bit, and ``sb_fingerprint`` folds in
+# :func:`repro.vm.pgo.pgo_fingerprint`.
 # Format-5 entries know none of this, so a format-5 cache loaded under
 # format 6 is dropped wholesale — flag flips within format 6 miss
 # cleanly through the key/fingerprint components instead.
@@ -108,7 +108,13 @@ DEFAULT_BOUND = 2048
 # method carries ``fold_q`` 20 or 0, never ``None``.  A format-10 cache
 # may hold legacy-shaped sources under the old key layout, so it is
 # dropped wholesale.
-_FORMAT = 11
+# Format 12: the whole-method trace backend, its AOT sub-tier and PGO
+# callee inlining are retired (DESIGN.md §13, §14).  The keys lose the
+# resolved inlining flag, ``sb_fingerprint`` loses its backend and
+# inline-plan components, and no pickle carries inline plans any more.
+# A format-11 cache may hold whole-method sources in its ``sb_*`` slots,
+# so it is dropped wholesale.
+_FORMAT = 12
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -211,7 +217,6 @@ def optimize_key(
         # persisted jit_source, and the probe-placement bit decides the
         # branch masks — neither may conflate across a flag flip.
         pgo_layout_enabled(),
-        pgo_inline_enabled(),
         bool(min_coverage),
         # Resolved k-iteration components (format 8): a cached method
         # may carry a k-trace in its sb_* slots, and the window width

@@ -120,7 +120,6 @@ class CompiledMethod:
         "sb_fingerprint",
         "sb_entry",
         "pgo_layout",
-        "pgo_inline",
         "probe_plan",
         "fold_q",
     )
@@ -161,14 +160,12 @@ class CompiledMethod:
         self.sb_entry = None
         # Profile-guided optimization advice (see repro.vm.pgo /
         # DESIGN.md §14).  ``pgo_layout`` is the hot-first block-label
-        # order the codegen backends emit by; ``pgo_inline`` maps call
-        # sites inside a promoted trace to dominant-path inline plans;
-        # ``probe_plan`` records the minimum-coverage edge-probe
-        # placement so the drain can reconstruct the full edge profile.
-        # All three pickle with the method (they are advice *content*,
-        # fingerprinted alongside the sources they shaped).
+        # order blockjit emits its segments by; ``probe_plan`` records
+        # the minimum-coverage edge-probe placement so the drain can
+        # reconstruct the full edge profile.  Both pickle with the
+        # method (they are advice *content*, fingerprinted alongside
+        # the sources they shaped).
         self.pgo_layout: Optional[tuple] = None
-        self.pgo_inline: Optional[dict] = None
         self.probe_plan = None
         # Fixed-point certification verdict (DESIGN.md §15), set by
         # :func:`lower_method`: the grid shift (every lowered charge and

@@ -3,27 +3,15 @@
 The profiling side of this reproduction collects rich continuous edge
 and path profiles (the paper's PEP); until now they only steered *when*
 the adaptive controller recompiles, never *what* the generated code
-looks like.  This module closes the loop with the three classic PGO
+looks like.  This module closes the loop with two classic PGO
 transforms, each behind its own flag and each bit-identical on/off:
 
 * **Profile-guided layout** (``REPRO_PGO_LAYOUT``): a hot-first block
   order computed from the observed edge profile at compile time and
   attached to the compiled method as :data:`CompiledMethod.pgo_layout`.
-  The blockjit backend emits its segment definitions in that order and
-  the tracefast backend orders its token-ladder arms by it, so the hot
-  successor is the first-tested arm.  Pure emission order — the
-  semantic ``layout``/mislayout-penalty machinery of the interpreter is
-  untouched.
-
-* **Dominant-path callee inlining** (``REPRO_PGO_INLINE``): when a
-  promoted trace contains a monomorphic hot call (the dynamic call
-  graph knows the edge weight) whose callee has its own dominant
-  acyclic Ball-Larus path, the adaptive controller attaches an
-  :class:`InlineAdvice` plan per call site
-  (:data:`CompiledMethod.pgo_inline`).  The tracefast backend splices
-  the callee's dominant-path body into the caller's trace behind a
-  guard that side-exits to the normal call machinery — cost, fuel, PEP
-  and trap accounting bit-exact (see ``tracefast._emit_inline_call``).
+  The blockjit backend emits its segment definitions in that order.
+  Pure emission order — the semantic ``layout``/mislayout-penalty
+  machinery of the interpreter is untouched.
 
 * **Minimum-coverage probe placement** (``REPRO_PGO_PROBES``): in the
   dedicated one-shot edge-instrumentation mode, probe only a
@@ -37,7 +25,7 @@ transforms, each behind its own flag and each bit-identical on/off:
 
 Advice is *content*: it rides pickled CompiledMethods through the
 codecache, resolved PGO flags participate in the cache keys (format 6),
-and :func:`pgo_fingerprint` folds the advice into superblock/tracefast
+and :func:`pgo_fingerprint` folds the layout advice into superblock
 fingerprints so a flag flip or advice change drops stale generated
 sources wholesale instead of replaying them.
 """
@@ -49,30 +37,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bytecode.instructions import Br, Jmp, Ret
 from repro.bytecode.method import Method
-from repro.cfg.dag import EXIT_EDGE, EXIT_NODE, REAL
-from repro.errors import InstrumentationError, ReproError
+from repro.cfg.dag import EXIT_NODE
+from repro.errors import InstrumentationError
 from repro.profiling.edges import EdgeProfile
-from repro.profiling.regenerate import dag_fingerprint, reconstruct_path
-from repro.util.flags import pgo_inline_enabled, pgo_layout_enabled
+from repro.util.flags import pgo_layout_enabled
 from repro.util.rng import stable_hash
-from repro.vm.interpreter import (
-    OP_CALL,
-    T_BR,
-    T_JMP,
-    T_RET,
-    CompiledMethod,
-)
-
-#: A sampled (caller, callee) call-graph edge must carry at least this
-#: many samples before its callee is considered for inlining.
-MIN_INLINE_CALLS = 2.0
-
-#: Dominant callee paths longer than this are not worth splicing.
-MAX_INLINE_BLOCKS = 16
-
-#: At most this many call sites are inlined per promoted trace (each
-#: site nests the remainder of the trace one level deeper).
-MAX_INLINE_SITES = 2
+from repro.vm.interpreter import T_BR, CompiledMethod
 
 
 # -- profile-guided layout --------------------------------------------------
@@ -107,227 +77,22 @@ def layout_order(
     return tuple(sorted(labels, key=lambda lb: (-heat[lb], index[lb])))
 
 
-# -- dominant-path callee inlining ------------------------------------------
-
-
-class InlineAdvice:
-    """Plan for splicing one callee's dominant path into a caller trace.
-
-    Carries the callee CompiledMethod *object* (its lowered blocks are
-    what the splice is generated from) plus enough identity —
-    ``callee_key`` and the callee's DAG fingerprint via
-    :func:`pgo_fingerprint` — that the generated source's guard can
-    verify at run time it is about to execute the advised version and
-    fall back to the normal call otherwise.
-    """
-
-    __slots__ = ("callee_name", "callee_key", "callee_cm", "path", "labels")
-
-    def __init__(
-        self,
-        callee_name: str,
-        callee_key: str,
-        callee_cm: CompiledMethod,
-        path: int,
-        labels: Tuple[str, ...],
-    ) -> None:
-        self.callee_name = callee_name
-        self.callee_key = callee_key
-        self.callee_cm = callee_cm
-        self.path = path
-        self.labels = labels
-
-    def __repr__(self) -> str:
-        return (
-            f"<InlineAdvice {self.callee_key} path={self.path} "
-            f"blocks={list(self.labels)}>"
-        )
-
-
-def inline_path_blocks(
-    callee: CompiledMethod, path_number: int
-) -> Optional[Tuple[str, ...]]:
-    """Expand a callee path into an inlinable full-invocation chain.
-
-    Only *acyclic* paths qualify: the reconstructed edge sequence must
-    run from the method entry to EXIT over real edges (one complete
-    invocation that crosses no loop back edge), end in a ``ret`` block,
-    and contain no calls — nested inlining would need re-entrant frame
-    materialisation the guard side exit cannot express.  Every
-    consecutive pair is validated against the lowered terminators so
-    codegen can trust the chain.
-    """
-    dag = callee.dag
-    if dag is None:
-        return None
-    if not 0 <= path_number < dag.num_paths:
-        return None
-    try:
-        edges = reconstruct_path(dag, path_number)
-    except ReproError:
-        return None
-    if not edges or edges[0].src != dag.entry:
-        return None
-    if edges[-1].kind != EXIT_EDGE or edges[-1].dst != EXIT_NODE:
-        return None
-    labels: List[str] = [edges[0].src]
-    node = edges[0].src
-    for edge in edges[:-1]:
-        if edge.kind != REAL or edge.src != node:
-            return None
-        node = edge.dst
-        labels.append(node)
-    if edges[-1].src != node:
-        return None
-    if len(labels) != len(set(labels)) or len(labels) > MAX_INLINE_BLOCKS:
-        return None
-    if not _valid_inline_chain(callee, labels):
-        return None
-    return tuple(labels)
-
-
-def _valid_inline_chain(callee: CompiledMethod, labels) -> bool:
-    """Whether ``labels`` is a splice-able entry-to-ret chain in ``callee``.
-
-    The structural half of :func:`inline_path_blocks`, shared with
-    :func:`revalidate_inline_plan` so a plan can be re-checked against a
-    *recompiled* callee without a path-number round trip (path numbers
-    are DAG-relative; block labels survive recompilation).
-    """
-    if callee.entry is None or not labels or labels[0] != callee.entry.label:
-        return False
-    blocks = []
-    for label in labels:
-        block = callee.blocks.get(label)
-        if block is None:
-            return False
-        if any(op[0] == OP_CALL for op in block.ops):
-            return False
-        blocks.append(block)
-    for i, block in enumerate(blocks):
-        term = block.term
-        t = term[0]
-        if i == len(blocks) - 1:
-            if t != T_RET:
-                return False
-            continue
-        nxt = blocks[i + 1].label
-        if t == T_JMP:
-            ok = term[2].label == nxt
-        elif t == T_BR:
-            ok = term[5].label == nxt or term[6].label == nxt
-        else:
-            ok = False
-        if not ok:
-            return False
-    return True
-
-
-def revalidate_inline_plan(
-    plan: InlineAdvice, callee: Optional[CompiledMethod]
-) -> Optional[InlineAdvice]:
-    """Re-pin a plan to the callee's *current* compiled version.
-
-    The splice's runtime guard compares the looked-up method object
-    against the plan's pinned ``callee_cm`` by identity, so a callee
-    recompile turns every guard into a permanent miss — correct but
-    pointless.  Called by the adaptive controller when a callee is
-    replaced: if the advised label chain still validates against the
-    new lowering, a fresh plan pinned to the live object is returned
-    (the caller's trace is then regenerated); otherwise ``None`` drops
-    the site back to the normal call.  Pure wall-clock steering either
-    way — a stale or dropped plan only changes which arm of the
-    bit-exact guard executes.
-    """
-    if callee is None or callee.dag is None:
-        return None
-    if callee is plan.callee_cm:
-        return plan
-    if not _valid_inline_chain(callee, plan.labels):
-        return None
-    return InlineAdvice(
-        plan.callee_name, callee.profile_key, callee, plan.path, plan.labels
-    )
-
-
-def compute_inline_advice(
-    caller: CompiledMethod,
-    trace_labels,
-    code: Dict[str, CompiledMethod],
-    call_graph,
-    path_profile,
-    threshold: float,
-    min_samples: float,
-) -> Optional[Dict[Tuple[str, int], InlineAdvice]]:
-    """Inline plans for the hot monomorphic calls inside a trace.
-
-    ``trace_labels`` is the promoted trace's block-label sequence;
-    ``code`` the VM's live method table; hotness comes from the sampled
-    dynamic call graph (paper section 4.1) and the callee's dominance
-    from its own sampled path profile, judged by the same
-    threshold/min-samples policy that promoted the caller.
-    """
-    from repro.vm.superblock import find_dominant_path
-
-    if not pgo_inline_enabled():
-        return None
-    advice: Dict[Tuple[str, int], InlineAdvice] = {}
-    for label in trace_labels:
-        block = caller.blocks.get(label)
-        if block is None:
-            continue
-        for j, op in enumerate(block.ops):
-            if op[0] != OP_CALL:
-                continue
-            name = op[3]
-            if call_graph.count(caller.source_name, name) < MIN_INLINE_CALLS:
-                continue
-            callee = code.get(name)
-            if callee is None or callee is caller or callee.dag is None:
-                continue
-            counts = path_profile.method_paths(callee.profile_key)
-            path = find_dominant_path(counts, threshold, min_samples)
-            if path is None:
-                continue
-            labels = inline_path_blocks(callee, path)
-            if labels is None:
-                continue
-            advice[(label, j)] = InlineAdvice(
-                name, callee.profile_key, callee, path, labels
-            )
-            if len(advice) >= MAX_INLINE_SITES:
-                return advice
-    return advice or None
-
-
 # -- advice fingerprint -----------------------------------------------------
 
 
 def pgo_fingerprint(cm: CompiledMethod) -> int:
-    """Hash of the resolved PGO flags plus the advice they shaped.
+    """Hash of the resolved layout flag plus the advice it shaped.
 
     Folded into :func:`superblock.superblock_fingerprint` (and echoed
-    by the codecache keys), so flipping any ``REPRO_PGO*`` flag — or a
-    change in the advice itself, including the advised callee's DAG —
-    invalidates persisted generated sources wholesale.  With a flag
-    off, its advice contributes nothing: the fingerprint collapses to
-    the flag bits, matching sources generated with no advice attached.
+    by the codecache keys), so flipping ``REPRO_PGO``/``REPRO_PGO_LAYOUT``
+    — or a change in the layout advice itself — invalidates persisted
+    generated sources wholesale.  With the flag off, its advice
+    contributes nothing: the fingerprint collapses to the flag bit,
+    matching sources generated with no advice attached.
     """
     parts = [f"L{int(pgo_layout_enabled())}"]
     if pgo_layout_enabled() and cm.pgo_layout:
         parts.append(",".join(cm.pgo_layout))
-    parts.append(f"I{int(pgo_inline_enabled())}")
-    if pgo_inline_enabled() and cm.pgo_inline:
-        for (label, j), adv in sorted(cm.pgo_inline.items()):
-            callee_fp = (
-                dag_fingerprint(adv.callee_cm.dag)
-                if adv.callee_cm.dag is not None
-                else 0
-            )
-            parts.append(
-                f"{label}:{j}:{adv.callee_key}:{adv.path}:{callee_fp}:"
-                + ",".join(adv.labels)
-            )
     return stable_hash("|".join(parts))
 
 
@@ -635,16 +400,14 @@ def stuck_blocks(vm, error) -> Dict[CompiledMethod, Dict[str, float]]:
 def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
     """Per-method tier-engagement counters plus fleet totals.
 
-    Reported by ``repro profile`` (text and ``--json``): which backend
-    each method's code actually came from, how many PGO-inline sites
-    its trace carries, and which probe-placement mode instrumented it.
+    Reported by ``repro profile`` (text and ``--json``): whether each
+    method's code carries a superblock trace, and which probe-placement
+    mode instrumented it.
     """
     methods = {}
     totals = {
         "blockjit_methods": 0,
         "superblock_installs": 0,
-        "tracefast_installs": 0,
-        "pgo_inline_sites": 0,
         "min_coverage_methods": 0,
         "probes_placed": 0,
         "probes_full": 0,
@@ -657,12 +420,7 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
     }
     for name in sorted(code):
         cm = code[name]
-        backend = None
-        if cm.sb_source is not None:
-            if "def _m(" in cm.sb_source:
-                backend = "tracefast"
-            else:
-                backend = "superblock"
+        backend = "superblock" if cm.sb_source is not None else None
         probe_mode = None
         if cm.probe_plan is not None:
             probe_mode = "min-coverage"
@@ -677,22 +435,17 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
                     probe_mode = "full"
                     totals["probes_placed"] += bin(mask).count("1")
                     totals["probes_full"] += 2
-        inline_sites = len(cm.pgo_inline) if cm.pgo_inline else 0
         if cm.jit_entries is not None:
             totals["blockjit_methods"] += 1
-        if backend == "tracefast":
-            totals["tracefast_installs"] += 1
-        elif backend == "superblock":
+        if backend is not None:
             totals["superblock_installs"] += 1
         fold = "certified" if cm.fold_q else "rejected"
         totals[f"fold_{fold}"] += 1
-        totals["pgo_inline_sites"] += inline_sites
         methods[name] = {
             "version": cm.version,
             "tier": cm.tier,
             "blockjit": cm.jit_entries is not None,
             "trace_backend": backend,
-            "pgo_inline_sites": inline_sites,
             "probe_mode": probe_mode,
             "fold": fold,
         }

@@ -41,11 +41,11 @@ header enters the superblock, including mid-run installs.
 Persistence
 -----------
 The generated source (``sb_source``), its path number (``sb_path``) and
-a fingerprint (``sb_fingerprint``, hashing the P-DAG fingerprint + path
-number + resolved samplefast flag) ride pickled CompiledMethods through
-the codecache (format 4).  ``ensure_jit`` revalidates the fingerprint on
-warm loads, so stale superblock advice misses cleanly while the plain
-blockjit entries still hit.
+a fingerprint (``sb_fingerprint``, see :func:`superblock_fingerprint`)
+ride pickled CompiledMethods through the codecache (format 12).
+``ensure_jit`` revalidates the fingerprint on warm loads, so stale
+superblock advice misses cleanly while the plain blockjit entries still
+hit.
 """
 
 from __future__ import annotations
@@ -480,8 +480,7 @@ def generate_trace_source(
     # Both passes inherit the method's fixed-point certification verdict
     # (DESIGN.md §15): a certified method's trace folds every
     # straight-line cost chain exactly like its plain segments do, and
-    # the legacy (uncertified / kill-switch) text is byte-identical to
-    # the pre-§15 backend.
+    # a rejected one keeps textual per-op chains.
     probe = _Segment()
     probe.fixed = cg._fixed
     _emit_trace(cg, trace, probe, origin_names)
@@ -514,28 +513,24 @@ def generate_trace_source(
 def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
     """Ties a trace artefact to this version's P-DAG and codegen flags.
 
-    The samplefast flag is baked into the emitted yieldpoint template,
-    so a source generated under one datapath must never install under
-    the other (mirrors the codecache key's resolved flag).  The resolved
-    tracefast flag is hashed for the same reason: the §11 superblock and
-    §13 tracefast backends share the ``sb_*`` artefact slots, and a
-    source generated by one backend must never install under the other
-    — a flag flip misses cleanly, exactly like stale advice.
+    Five components: the P-DAG fingerprint, the path number, the
+    resolved samplefast flag, the PGO fingerprint and the fold verdict,
+    plus the resolved window length for k-traces.  The samplefast flag
+    is baked into the emitted yieldpoint template, so a source generated
+    under one datapath must never install under the other (mirrors the
+    codecache key's resolved flag) — a flag flip misses cleanly, exactly
+    like stale advice.
     """
-    from repro.util.flags import (
-        kblpp_k,
-        samplefast_enabled,
-        tracefast_enabled,
-    )
+    from repro.util.flags import kblpp_k, samplefast_enabled
     from repro.vm.pgo import pgo_fingerprint
 
     return stable_hash(
         "superblock|"
         f"{dag_fingerprint(cm.dag)}|{path_number}|"
-        f"{int(samplefast_enabled())}|tf{int(tracefast_enabled())}|"
-        # Format 6: the resolved PGO flags and the advice they shaped
-        # (layout order, inline plans) are part of the generated source;
-        # a flag flip or advice change must miss, never reuse.
+        f"{int(samplefast_enabled())}|"
+        # Format 6: the resolved layout flag and the layout order it
+        # shaped are part of the generated source; a flag flip or
+        # advice change must miss, never reuse.
         f"pgo{pgo_fingerprint(cm)}|"
         # Format 7: the fold verdict selects the chain shape (folded at
         # fold_q 20, textual at 0), so sources from different verdicts
@@ -584,22 +579,9 @@ def install_superblock(cm: CompiledMethod, path_number: int) -> bool:
     virtual cycles and touches no profiles: installation is observable
     only in wall clock.  Safe mid-run — the installed code is
     behaviorally identical to entering the head's plain segment.  The
-    classic trace compiles here; a tracefast ladder compiles at its
-    first entry (:func:`repro.vm.tracefast.install_source`).
-
-    This is the tier-selecting front door (DESIGN.md §13): when the
-    tracefast backend is enabled (``REPRO_TRACEFAST``, default on) the
-    promotion compiles the *whole method* through
-    :mod:`repro.vm.tracefast`; otherwise the classic single-trace
-    superblock below is built.  Both backends share the promotion
-    policy, the advice carry-over, and the ``sb_*`` persistence slots.
+    trace, 1-path or k-path, compiles here rather than at its first
+    entry.
     """
-    from repro.util.flags import tracefast_enabled
-
-    if tracefast_enabled():
-        from repro.vm import tracefast
-
-        return tracefast.install_tracefast(cm, path_number)
     if cm.sb_entry is not None:
         return True
     trace = trace_blocks(cm, path_number)
@@ -653,22 +635,10 @@ def reinstall_persisted(cm: CompiledMethod, entries: dict) -> None:
     ok = False
     if path is not None and cm.dag is not None and cm.sb_source is not None:
         try:
-            # The fingerprint embeds the resolved tracefast flag, so a
-            # match guarantees the stored source was generated by the
-            # currently selected backend — dispatch follows the flag.
             if cm.sb_fingerprint == superblock_fingerprint(cm, path):
                 trace = trace_blocks(cm, path)
                 if trace is not None:
-                    from repro.util.flags import tracefast_enabled
-
-                    if tracefast_enabled():
-                        from repro.vm import tracefast
-
-                        tracefast.install_source(
-                            cm, cm.sb_source, trace, entries
-                        )
-                    else:
-                        _install(cm, cm.sb_source, trace[0], entries)
+                    _install(cm, cm.sb_source, trace[0], entries)
                     ok = True
         except Exception:
             ok = False

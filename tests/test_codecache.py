@@ -256,8 +256,9 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # artefacts and the resolved REPRO_WARMJIT flag in the keys;
     # format 9: generated sources with inline fuel raises and yieldpoint
     # slow paths against globals the namespace no longer binds; format
-    # 10: keys carrying the retired fixed-cost and fusion fields) must
-    # not be partially reused: each bump changed what the keys or
+    # 10: keys carrying the retired fixed-cost and fusion fields; format
+    # 11: whole-method trace sources in the sb_* slots and the retired
+    # callee-inlining flag in the keys) must not be partially reused: each bump changed what the keys or
     # fingerprints hash, or what the persisted sources may reference,
     # so every old entry is untrustworthy and the load drops the whole
     # file.
@@ -269,8 +270,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 11
-    payload["format"] = 10
+    assert payload["format"] == codecache._FORMAT == 12
+    payload["format"] = 11
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 

@@ -1,18 +1,16 @@
 """Generated code compiles at its first call, not when it is generated.
 
-``ensure_jit`` binds every blockjit segment to a placeholder, and a
-ladder install (``tracefast.install_source``) binds every entry of the
-method to a placeholder of the ladder's wrappers (DESIGN.md §9, §13).
-These tests pin what that must and must not change:
+``ensure_jit`` binds every blockjit segment to a placeholder (DESIGN.md
+§9).  A superblock trace, by contrast, compiles at install time and
+rebinds the head's name over those placeholders.  These tests pin what
+that must and must not change:
 
 * a segment that never runs is never compiled;
 * a placeholder whose name was rebound since forwards to the current
   binding and compiles nothing;
-* ``jit_entries[(head, 0)] is cm.sb_entry`` before and after a fill;
 * a memo-warm ``ensure_jit`` binds real functions only;
-* a failure in source generation still degrades at promotion, and a
-  ladder that fails to compile at first entry falls back to the plain
-  segments without a trace in the HealthReport or the digest;
+* a failure in trace-source generation degrades at promotion, one
+  ``superblock-degrade`` per failure, without moving the digest;
 * adaptive runs of generated programs match the tuple-interpreter
   oracle bit for bit.
 """
@@ -24,8 +22,7 @@ import pytest
 
 import repro.util.flags as flags
 from repro.bytecode.builder import ProgramBuilder
-from repro.resilience import ResilienceManager
-from repro.vm import aot, blockjit, tracefast
+from repro.vm import blockjit, superblock
 from repro.vm.blockjit import JitState, ensure_jit
 from repro.vm.interpreter import Frame
 from repro.vm.runtime import VirtualMachine
@@ -34,8 +31,7 @@ from repro.workloads.generator import random_program
 
 from tests.compile_util import compile_simple
 from tests.helpers import CORPUS_SPEC, adaptive_run, counting_program
-from tests.test_pgo import _inline_run, inline_candidate_program
-from tests.test_superblock import _adaptive_run, _digest, hot_helper_program
+from tests.test_superblock import hot_helper_program
 
 #: The observables an adaptive run of the oracle must reproduce.
 ORACLE_KEYS = (
@@ -47,15 +43,11 @@ ORACLE_KEYS = (
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
     # Cold memos, so "never compiled" means exactly that; no shared
-    # CompiledMethods from the compilation cache; ladders on the exec
-    # path (the AOT job exports a working toolchain), unless a test
-    # pins otherwise.
+    # CompiledMethods from the compilation cache.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
     monkeypatch.setattr(blockjit, "_CODE_OBJECTS", {})
     monkeypatch.setattr(blockjit, "_SEGMENT_CODE", {})
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
-    monkeypatch.setattr(flags, "TRACEFAST", True)
-    monkeypatch.setattr(flags, "TRACEFAST_AOT", False)
 
 
 @pytest.fixture
@@ -73,8 +65,7 @@ def compiled(monkeypatch):
 
 
 def _is_placeholder(fn) -> bool:
-    # getattr: natively compiled (AOT) functions need not expose __code__.
-    return getattr(fn, "__code__", None) is blockjit._STUB_CODE
+    return fn.__code__ is blockjit._STUB_CODE
 
 
 def _observe(program, code, on: bool):
@@ -180,87 +171,10 @@ def test_memo_warm_ensure_jit_binds_no_placeholders(compiled):
     assert len(compiled) == before
 
 
-# -- ladders -----------------------------------------------------------------
+# -- superblock traces ------------------------------------------------------
 
 
-def test_sb_entry_follows_the_fill(compiled):
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    path = _trace_path(cm)
-    assert install_superblock(cm, path)
-    head = (trace_blocks(cm, path)[0].label, 0)
-    assert _is_placeholder(cm.sb_entry)
-    assert cm.jit_entries[head] is cm.sb_entry
-    assert all(_is_placeholder(fn) for fn in cm.jit_entries.values())
-    assert cm.sb_source not in compiled  # promotion generated, no compile
-    assert _observe(program, code, True) == _oracle(program, "pep")
-    assert not _is_placeholder(cm.sb_entry)
-    assert cm.jit_entries[head] is cm.sb_entry
-    assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
-    assert compiled.count(cm.sb_source) == 1
-
-
-def test_regenerated_ladder_replaces_one_that_never_ran(
-    monkeypatch, compiled
-):
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    path = _trace_path(cm)
-    assert install_superblock(cm, path)
-    stale = cm.sb_entry
-    cells = dict(zip(stale.__code__.co_freevars, stale.__closure__))
-    old_fill = cells["fill"].cell_contents
-    fills = []
-    real_call = tracefast._LadderFill.__call__
-
-    def spy(self, stub):
-        fills.append(self)
-        return real_call(self, stub)
-
-    monkeypatch.setattr(tracefast._LadderFill, "__call__", spy)
-    # What _refresh_inline_callers does to a caller whose inline advice
-    # moved, here on a ladder nothing has entered yet.
-    cm.sb_entry = None
-    cm.sb_source = None
-    cm.sb_fingerprint = None
-    assert install_superblock(cm, cm.sb_path)
-    assert cm.sb_path == path and _is_placeholder(cm.sb_entry)
-    assert cm.sb_entry is not stale
-    # A caller that looked the head up before the regeneration runs the
-    # new ladder; the old fill never runs.
-    fresh = compile_simple(program, mode="pep")["helper"]
-    head = (trace_blocks(cm, path)[0].label, 0)
-    expected = _call_leaf(program, code, fresh, ensure_jit(fresh)[head], 3)
-    assert _call_leaf(program, code, cm, stale, 3) == expected
-    assert fills and all(fill is not old_fill for fill in fills)
-    assert not _is_placeholder(cm.sb_entry)
-    assert cm.jit_entries[head] is cm.sb_entry
-    assert stale.__globals__[stale.__name__] is cm.sb_entry
-    assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
-    assert compiled.count(cm.sb_source) == 1
-
-
-def test_plain_placeholder_after_ladder_install_runs_the_ladder(compiled):
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    plain = dict(ensure_jit(cm))
-    assert all(_is_placeholder(fn) for fn in plain.values())
-    assert install_superblock(cm, _trace_path(cm))
-    entry = (cm.entry.label, 0)
-    cm.jit_entries[entry] = plain[entry]
-    assert _observe(program, code, True) == _oracle(program, "pep")
-    # The plain segments were never compiled: the stale placeholder
-    # forwarded into the ladder, which bound every entry.
-    assert cm.jit_source not in blockjit._SEGMENT_CODE
-    assert compiled.count(cm.sb_source) == 1
-    assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
-
-
-def test_classic_head_install_sits_over_placeholders(monkeypatch, compiled):
-    monkeypatch.setattr(flags, "TRACEFAST", False)
+def test_classic_head_install_sits_over_placeholders(compiled):
     program = hot_helper_program(calls=6, inner=8)
     code = compile_simple(program, mode="pep")
     cm = code["helper"]
@@ -269,7 +183,7 @@ def test_classic_head_install_sits_over_placeholders(monkeypatch, compiled):
     head = (trace_blocks(cm, path)[0].label, 0)
     assert install_superblock(cm, path)
     assert "def _sb(" in cm.sb_source
-    # The classic install stays eager and rebinds the head name only.
+    # The install is eager and rebinds the head name only.
     assert compiled.count(cm.sb_source) == 1
     assert cm.jit_entries[head] is cm.sb_entry
     assert not _is_placeholder(cm.sb_entry)
@@ -289,56 +203,23 @@ def test_classic_head_install_sits_over_placeholders(monkeypatch, compiled):
     assert stale.__name__ not in blockjit._SEGMENT_CODE[cm.jit_source]
 
 
-def test_aot_loaded_ladder_binds_at_once(monkeypatch):
-    def load_functions(cm, source):
-        # A stand-in for a built extension where no toolchain exists:
-        # the same functions, loaded at install time.
-        ns = blockjit._namespace(cm)
-        ns.update(tracefast._inline_namespace(cm))
-        exec(source, ns)
-        return {k: v for k, v in ns.items() if k == "_m" or k.startswith("_f")}
-
-    monkeypatch.setattr(flags, "TRACEFAST_AOT", True)
-    if not aot.aot_available():
-        monkeypatch.setattr(aot, "load_functions", load_functions)
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    main_entries = ensure_jit(code["main"])
-    assert install_superblock(cm, _trace_path(cm))
-    # The ladder is bound at once; the plain segments around it compile
-    # at their first calls.
-    assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
-    assert all(_is_placeholder(fn) for fn in main_entries.values())
-    assert _observe(program, code, True) == _oracle(program, "pep")
-
-
 # -- failures ----------------------------------------------------------------
-
-
-def _forced_generation(monkeypatch, when):
-    """Make ``generate_method_source`` raise whenever ``when(cm, trace)``."""
-    real = tracefast.generate_method_source
-    raised = []
-
-    def generate(cm, trace):
-        if when(cm, trace):
-            raised.append(cm.profile_key)
-            raise RuntimeError("forced generation failure")
-        return real(cm, trace)
-
-    monkeypatch.setattr(tracefast, "generate_method_source", generate)
-    return raised
 
 
 def test_generation_failure_degrades_at_promotion(monkeypatch):
     program = random_program(32, CORPUS_SPEC)
     clean = adaptive_run(program, 200, 3)
-    raised = _forced_generation(monkeypatch, lambda cm, trace: True)
+    raised = []
+
+    def generate(cm, trace):
+        raised.append(cm.profile_key)
+        raise RuntimeError("forced generation failure")
+
+    monkeypatch.setattr(superblock, "generate_trace_source", generate)
     forced = adaptive_run(program, 200, 3)
     degrades = [
         d for d in forced["health"]["degradations"]
-        if d[0] == "tracefast-degrade"
+        if d[0] == "superblock-degrade"
     ]
     assert degrades and len(degrades) == len(raised)
     assert forced["health"]["degradations"] == degrades
@@ -346,61 +227,6 @@ def test_generation_failure_degrades_at_promotion(monkeypatch):
     assert (forced["digest"], forced["cycles"]) == (
         clean["digest"], clean["cycles"]
     )
-
-
-def test_generation_failure_in_inline_refresh_is_swallowed(monkeypatch):
-    program = inline_candidate_program()
-    _, clean_vm, clean_res = _inline_run(program, inline=True)
-    # A refresh clears the caller's source but keeps its path; no
-    # promotion or advice install generates in that state.
-    raised = _forced_generation(
-        monkeypatch,
-        lambda cm, trace: cm.sb_source is None and cm.sb_path is not None,
-    )
-    _, vm, res = _inline_run(program, inline=True)
-    assert raised, "no inline refresh regenerated — test is vacuous"
-    assert _digest(vm, res) == _digest(clean_vm, clean_res)
-
-
-@pytest.mark.parametrize("error", [SyntaxError, ValueError, RecursionError])
-def test_ladder_compile_failure_falls_back_to_plain_segments(
-    error, monkeypatch
-):
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    assert install_superblock(cm, _trace_path(cm))
-
-    def compile_memo(source, filename):
-        raise error("forced compile failure")
-
-    monkeypatch.setattr(tracefast, "compile_memo", compile_memo)
-    assert _observe(program, code, True) == _oracle(program, "pep")
-    assert cm.sb_entry is None
-    assert (cm.sb_source, cm.sb_path, cm.sb_fingerprint) == (None, None, None)
-    for fn in cm.jit_entries.values():
-        assert _is_placeholder(fn) or fn.__code__.co_filename == "<blockjit>"
-    assert "_m" not in next(iter(cm.jit_entries.values())).__globals__
-
-
-def test_ladder_compile_failure_keeps_health_and_digest(monkeypatch):
-    program = hot_helper_program()
-    clean_sys, clean_vm, clean_res = _adaptive_run(
-        program, superblock=True, resilience=ResilienceManager()
-    )
-    assert clean_sys.code["helper"].sb_entry is not None
-
-    def compile_memo(source, filename):
-        raise SyntaxError("forced compile failure")
-
-    monkeypatch.setattr(tracefast, "compile_memo", compile_memo)
-    sys_, vm, res = _adaptive_run(
-        program, superblock=True, resilience=ResilienceManager()
-    )
-    assert sys_.superblock_log, "no trace promoted — test is vacuous"
-    assert sys_.code["helper"].sb_entry is None
-    assert res.health == clean_res.health
-    assert _digest(vm, res) == _digest(clean_vm, clean_res)
 
 
 # -- the start-up regime against the oracle ---------------------------------

@@ -228,7 +228,6 @@ def test_no_dominant_path_stays_on_plain_blockjit(monkeypatch):
     # k-BLPP is pinned off: the braided kernel has no dominant 1-path by
     # construction, but its periodic arms DO yield a dominant k-window,
     # and the controller's k-fallback would stitch it into a trace.
-    monkeypatch.setattr(flags, "TRACEFAST", True)
     monkeypatch.setattr(flags, "KBLPP", False)
     program = braided_helper_program()
     system, vm, result = _adaptive_run(program, superblock=True)
@@ -247,7 +246,6 @@ def _retired_warm_artefact(monkeypatch):
     """A pickled helper carrying what a format-8 warm ladder persisted:
     the retired ``-1`` sentinel, with a fingerprint that still matches
     it.  Returns ``(program, code, clone)``."""
-    monkeypatch.setattr(flags, "TRACEFAST", True)
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
     program = hot_helper_program(calls=6, inner=8)
     code = compile_simple(program, mode="pep")
@@ -313,7 +311,7 @@ def test_stale_warm_ladder_artefact_is_dropped(monkeypatch):
     assert observe(code, True) == oracle
     entry = entries[(clone.entry.label, 0)]
     assert entry.__code__.co_filename == "<blockjit>"  # a plain segment
-    assert "_m" not in entry.__globals__
+    assert "_sb" not in entry.__globals__
 
 
 # -- whole-suite fold-verdict parity (all bundled workloads) ---------------
@@ -323,15 +321,15 @@ def _flag_checksum(workload: str) -> str:
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
-    old = (flags.TRACEFAST, flags.SUPERBLOCK)
-    flags.TRACEFAST, flags.SUPERBLOCK = True, True
+    old = flags.SUPERBLOCK
+    flags.SUPERBLOCK = True
     try:
         program = suite[workload].build(0.3)
         report = api.profile_adaptive(
             program, samples=16, stride=3, ticks=100
         )
     finally:
-        flags.TRACEFAST, flags.SUPERBLOCK = old
+        flags.SUPERBLOCK = old
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),

@@ -63,10 +63,8 @@ def _isolate_codecache(monkeypatch):
 def _kblpp_on(monkeypatch):
     # Pin the feature on for every test in this file (the CI kill-switch
     # smoke exports REPRO_KBLPP=0 globally; these tests are about the
-    # enabled tier unless they pin the flag themselves).  The tracefast
-    # backend hosts the multi-iteration traces, so it is pinned too.
+    # enabled tier unless they pin the flag themselves).
     monkeypatch.setattr(flags, "KBLPP", True)
-    monkeypatch.setattr(flags, "TRACEFAST", True)
 
 
 @pytest.fixture(autouse=True)
@@ -523,7 +521,7 @@ def test_fingerprint_folds_k_only_for_ktraces(monkeypatch):
 def test_fault_plan_digest_parity_on_off():
     program = bimodal_program()
     plan = {"sample": 0.2, "path-reconstruct": 0.2, "path-table": 0.2,
-            "tracefast-compile": 0.5}
+            "superblock-compile": 0.5}
     digests = []
     for kblpp in (True, False):
         _, vm, result = _kblpp_run(
@@ -536,11 +534,15 @@ def test_fault_plan_digest_parity_on_off():
 
 def test_compile_fault_blocks_the_kpromotion():
     program = bimodal_program()
-    plan = FaultPlan({"tracefast-compile": 1.0}, seed=11)
-    system, vm, result = _kblpp_run(
-        program, True, resilience=ResilienceManager(plan=plan)
+    res_mgr = ResilienceManager(
+        plan=FaultPlan({"superblock-compile": 1.0}, seed=11)
     )
+    system, vm, result = _kblpp_run(program, True, resilience=res_mgr)
     assert not [e for e in system.superblock_log if is_kpath(e[2])]
+    assert any(
+        policy == "superblock-degrade"
+        for policy, _ in res_mgr.health.degradations
+    ), "the fault never fired — test is vacuous"
 
 
 # -- whole-suite parity (all 17 bundled workloads) ---------------------------

@@ -1,12 +1,13 @@
 """Profile-guided optimization advice: bit-identity and engagement (§14).
 
-Three transforms, three flags, one contract: layout, dominant-path
-callee inlining and minimum-coverage probe placement may move wall
-clock only.  Every test here pins virtual cycles, profiles, traps,
-fuel and health against the flag-off run — including aborted runs,
-flag flips through the codecache, and the master ``REPRO_PGO=0`` kill
-switch — and separately proves each transform actually engages (a
-parity test over code that never ran the new path is vacuous).
+Two transforms, two flags: layout may move wall clock only, and
+minimum-coverage probe placement may additionally lower the one-shot
+edges mode's charges while recovering the same edge profile.  The tests
+pin virtual cycles, profiles, traps, fuel and health against the
+flag-off run — including aborted runs, flag flips through the
+codecache, and the master ``REPRO_PGO=0`` kill switch — and separately
+prove each transform actually engages (a parity test over code that
+never ran the new path is vacuous).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.adaptive.replay import (
     replay_compile,
     run_iteration_with_vm,
 )
-from repro.bytecode.builder import ProgramBuilder
 from repro.errors import FuelExhaustedError
 from repro.profiling.edges import EdgeProfile
 from repro.util import flags
@@ -42,7 +42,6 @@ def _isolated(monkeypatch):
     # globally; these tests pin their own flags).
     monkeypatch.setattr(flags, "PGO", True)
     monkeypatch.setattr(flags, "PGO_LAYOUT", None)
-    monkeypatch.setattr(flags, "PGO_INLINE", None)
     monkeypatch.setattr(flags, "PGO_PROBES", None)
 
 
@@ -51,8 +50,7 @@ def _isolated(monkeypatch):
 
 def test_master_kill_switch_gates_every_sub_flag(monkeypatch):
     monkeypatch.setattr(flags, "PGO", None)
-    for env in (flags.PGO_ENV, flags.PGO_LAYOUT_ENV, flags.PGO_INLINE_ENV,
-                flags.PGO_PROBES_ENV):
+    for env in (flags.PGO_ENV, flags.PGO_LAYOUT_ENV, flags.PGO_PROBES_ENV):
         monkeypatch.delenv(env, raising=False)
     assert flags.pgo_enabled() is True  # default on
     assert flags.pgo_layout_enabled() is True
@@ -60,21 +58,21 @@ def test_master_kill_switch_gates_every_sub_flag(monkeypatch):
     assert flags.pgo_enabled() is False
     # Sub-flags are dead while the master is off, even when forced on.
     monkeypatch.setenv(flags.PGO_LAYOUT_ENV, "1")
-    monkeypatch.setenv(flags.PGO_INLINE_ENV, "1")
     monkeypatch.setenv(flags.PGO_PROBES_ENV, "1")
     assert flags.pgo_layout_enabled() is False
-    assert flags.pgo_inline_enabled() is False
     assert flags.pgo_probes_enabled() is False
 
 
 def test_sub_flags_resolve_independently(monkeypatch):
-    for env in (flags.PGO_ENV, flags.PGO_LAYOUT_ENV, flags.PGO_INLINE_ENV,
-                flags.PGO_PROBES_ENV):
+    for env in (flags.PGO_ENV, flags.PGO_LAYOUT_ENV, flags.PGO_PROBES_ENV):
         monkeypatch.delenv(env, raising=False)
     monkeypatch.setenv(flags.PGO_LAYOUT_ENV, "0")
     assert flags.pgo_layout_enabled() is False
-    assert flags.pgo_inline_enabled() is True
     assert flags.pgo_probes_enabled() is True
+    monkeypatch.setenv(flags.PGO_LAYOUT_ENV, "1")
+    monkeypatch.setenv(flags.PGO_PROBES_ENV, "0")
+    assert flags.pgo_layout_enabled() is True
+    assert flags.pgo_probes_enabled() is False
 
 
 # -- minimum-coverage probe placement ----------------------------------------
@@ -246,115 +244,20 @@ def test_layout_reorders_source_but_not_a_single_bit(monkeypatch):
     assert sorted(on_source.splitlines()) == sorted(off_source.splitlines())
 
 
-# -- dominant-path callee inlining -------------------------------------------
-
-
-def inline_candidate_program(calls: int = 220, inner: int = 36):
-    """main -> outer's hot loop -> a leaf too big for the static inliner.
-
-    The leaf's taken arm carries a long straight-line run so its
-    instruction count clears the bytecode inliner's 30-instruction
-    ceiling — the call survives into outer's promoted trace, where the
-    PGO inliner can splice the leaf's dominant path behind a guard.
-    """
-    pb = ProgramBuilder("inliner")
-    leaf = pb.function("leaf", ["x"])
-    x = leaf.p("x")
-    acc = leaf.local(0)
-
-    def hot_arm():
-        leaf.assign(acc, x + 1)
-        for _ in range(16):
-            leaf.assign(acc, acc + x)
-        leaf.ret(acc)
-
-    def cold_arm():
-        leaf.assign(acc, x * 3)
-        leaf.ret(acc)
-
-    leaf.if_(x < 1_000_000, hot_arm, cold_arm)
-
-    outer = pb.function("outer", ["n"])
-    n = outer.p("n")
-    total = outer.local(0)
-    outer.for_range(
-        0, inner, 1,
-        lambda i: outer.assign(total, total + outer.call("leaf", i + n)),
-    )
-    outer.ret(total)
-
-    f = pb.function("main")
-    grand = f.local(0)
-    f.for_range(
-        0, calls, 1, lambda i: f.assign(grand, grand + f.call("outer", i))
-    )
-    f.emit(grand)
-    f.ret(grand)
-    return pb.build()
-
-
-def _inline_run(program, inline, tracefast=True):
-    old_tf, old_in = flags.TRACEFAST, flags.PGO_INLINE
-    flags.TRACEFAST = tracefast
-    flags.PGO_INLINE = inline
-    try:
-        return _adaptive_run(program, superblock=True, tick_interval=400.0)
-    finally:
-        flags.TRACEFAST, flags.PGO_INLINE = old_tf, old_in
-
-
-def test_inline_advice_engages_and_moves_no_bits():
-    program = inline_candidate_program()
-    on_sys, on_vm, on_res = _inline_run(program, inline=True)
-    cm = on_sys.code["outer"]
-    assert cm.sb_source is not None and "def _m(" in cm.sb_source
-    assert cm.pgo_inline, "no inline advice computed — test is vacuous"
-    site, adv = next(iter(cm.pgo_inline.items()))
-    assert adv.callee_name == "leaf"
-    assert f"_icm" in cm.sb_source  # the guard actually tests the callee
-    off_sys, off_vm, off_res = _inline_run(program, inline=False)
-    assert not off_sys.code["outer"].pgo_inline
-    assert _digest(on_vm, on_res) == _digest(off_vm, off_res)
-
-
-def test_inline_guard_side_exit_parity_on_fuel_abort():
-    program = inline_candidate_program()
-    seen = []
-    for inline in (True, False):
-        old_tf, old_in = flags.TRACEFAST, flags.PGO_INLINE
-        flags.TRACEFAST, flags.PGO_INLINE = True, inline
-        try:
-            from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
-            from repro.sampling.arnold_grove import SamplingConfig
-
-            config = AdaptiveConfig(
-                pep=SamplingConfig(8, 3), superblock_min_samples=4.0
-            )
-            system = AdaptiveSystem(program, config=config)
-            vm = system.make_vm(tick_interval=400.0)
-            with pytest.raises(FuelExhaustedError) as info:
-                vm.run(fuel=220_000)
-        finally:
-            flags.TRACEFAST, flags.PGO_INLINE = old_tf, old_in
-        err = info.value
-        seen.append((
-            str(err), err.method, err.block, err.instruction_index,
-            err.cycles, sorted(vm.path_profile.items()),
-            sorted((repr(b), c) for b, c in vm.edge_profile.items()),
-        ))
-    assert seen[0] == seen[1]
+# -- engagement ----------------------------------------------------------------
 
 
 def test_engagement_summary_counts_the_tiers():
-    program = inline_candidate_program()
-    on_sys, _, _ = _inline_run(program, inline=True)
-    summary = pgo.engagement_summary(on_sys.code)
+    system, _, _ = _adaptive_run(hot_helper_program(), superblock=True)
+    summary = pgo.engagement_summary(system.code)
     totals = summary["totals"]
-    assert totals["tracefast_installs"] >= 1
-    assert totals["pgo_inline_sites"] >= 1
-    row = summary["methods"]["outer"]
-    assert row["trace_backend"] == "tracefast"
-    assert row["pgo_inline_sites"] >= 1
+    assert totals["superblock_installs"] >= 1
+    assert totals["blockjit_methods"] >= 1
+    assert totals["fold_coverage"] == 1.0
+    row = summary["methods"]["helper"]
+    assert row["trace_backend"] == "superblock"
+    assert row["fold"] == "certified"
+    assert summary["methods"]["main"]["trace_backend"] is None
 
 
 # -- codecache invalidation on flag flips ------------------------------------
@@ -372,39 +275,30 @@ def test_optimize_key_varies_with_every_pgo_flag(monkeypatch):
         )
 
     keys = set()
-    for layout, inline, probes in (
-        (None, None, None),
-        (False, None, None),
-        (None, False, None),
-        (None, None, False),
-    ):
+    for layout, probes in ((None, None), (False, None), (None, False)):
         monkeypatch.setattr(flags, "PGO_LAYOUT", layout)
-        monkeypatch.setattr(flags, "PGO_INLINE", inline)
         monkeypatch.setattr(flags, "PGO_PROBES", probes)
         keys.add(key())
-    assert len(keys) == 4
-    # The master switch kills all three at once: distinct from each.
+    assert len(keys) == 3
+    # The master switch kills both at once: distinct from each.
     monkeypatch.setattr(flags, "PGO", False)
     monkeypatch.setattr(flags, "PGO_LAYOUT", None)
-    monkeypatch.setattr(flags, "PGO_INLINE", None)
     monkeypatch.setattr(flags, "PGO_PROBES", None)
     keys.add(key())
-    assert len(keys) == 5
+    assert len(keys) == 4
 
 
 def test_flag_flip_invalidates_persisted_trace(monkeypatch):
-    # A trace generated with inlining on must MISS when reinstalled
-    # under inlining off: the advice is baked into the source.
+    # A trace generated with layout on must MISS when reinstalled under
+    # layout off: the resolved flag and its advice are fingerprinted.
     from repro.vm.superblock import reinstall_persisted, superblock_fingerprint
 
-    monkeypatch.setattr(flags, "TRACEFAST", True)
-    program = inline_candidate_program()
-    on_sys, _, _ = _inline_run(program, inline=True)
-    cm = on_sys.code["outer"]
-    assert cm.sb_entry is not None and cm.pgo_inline
+    system, _, _ = _adaptive_run(hot_helper_program(), superblock=True)
+    cm = system.code["helper"]
+    assert cm.sb_entry is not None and cm.pgo_layout
     fp_on = superblock_fingerprint(cm, cm.sb_path)
     assert cm.sb_fingerprint == fp_on
-    monkeypatch.setattr(flags, "PGO_INLINE", False)
+    monkeypatch.setattr(flags, "PGO_LAYOUT", False)
     assert superblock_fingerprint(cm, cm.sb_path) != fp_on
     # Simulate the codecache handing the pickled artefact to a process
     # with the flag flipped: the persisted source must be dropped.
@@ -423,15 +317,10 @@ def _workload_checksum(workload: str, pgo_on: bool) -> str:
     from repro.workloads.suite import benchmark_suite
 
     suite = {w.name: w for w in benchmark_suite()}
-    saved = (
-        flags.TRACEFAST, flags.SUPERBLOCK, flags.PGO,
-        flags.PGO_LAYOUT, flags.PGO_INLINE, flags.PGO_PROBES,
-    )
-    flags.TRACEFAST = True
+    saved = (flags.SUPERBLOCK, flags.PGO, flags.PGO_LAYOUT, flags.PGO_PROBES)
     flags.SUPERBLOCK = True
     flags.PGO = pgo_on
     flags.PGO_LAYOUT = pgo_on
-    flags.PGO_INLINE = pgo_on
     flags.PGO_PROBES = pgo_on
     try:
         program = suite[workload].build(0.3)
@@ -439,10 +328,8 @@ def _workload_checksum(workload: str, pgo_on: bool) -> str:
             program, samples=16, stride=3, ticks=100
         )
     finally:
-        (
-            flags.TRACEFAST, flags.SUPERBLOCK, flags.PGO,
-            flags.PGO_LAYOUT, flags.PGO_INLINE, flags.PGO_PROBES,
-        ) = saved
+        (flags.SUPERBLOCK, flags.PGO, flags.PGO_LAYOUT,
+         flags.PGO_PROBES) = saved
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),
@@ -465,9 +352,9 @@ def _all_workload_names():
 
 @pytest.mark.parametrize("workload", _all_workload_names())
 def test_workload_digest_parity_pgo_on_off(workload):
-    # All PGO steering on (layout + inline; probes has no engagement
-    # surface in the adaptive pipeline) vs the master kill switch off:
-    # every observable bit of the adaptive run must be identical.
+    # All PGO steering on (layout; probes has no engagement surface in
+    # the adaptive pipeline) vs the master kill switch off: every
+    # observable bit of the adaptive run must be identical.
     on = _workload_checksum(workload, pgo_on=True)
     off = _workload_checksum(workload, pgo_on=False)
     assert on == off

@@ -113,7 +113,6 @@ def test_fault_sites_cover_the_hot_layers():
         "path-table",
         "advice-load",
         "superblock-compile",
-        "tracefast-compile",
         # Engine-level sites (supervised sweep engine, DESIGN.md §12).
         "worker-crash",
         "worker-hang",
@@ -122,11 +121,13 @@ def test_fault_sites_cover_the_hot_layers():
     }
 
 
-def test_retired_warmjit_site_is_unknown():
-    # The warm ladder and its fault site are gone: a plan that still
-    # names the site is rejected like any other unknown site.
+@pytest.mark.parametrize("site", ["warmjit-compile", "tracefast-compile"])
+def test_retired_warmjit_site_is_unknown(site):
+    # The warm ladder, the whole-method trace backend and their fault
+    # sites are gone: a plan that still names either site is rejected
+    # like any other unknown site.
     with pytest.raises(ReproError, match="unknown fault site"):
-        FaultPlan({"warmjit-compile": 1.0})
+        FaultPlan({site: 1.0})
 
 
 def test_engine_fault_sites_are_a_subset_of_fault_sites():

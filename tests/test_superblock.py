@@ -23,7 +23,7 @@ from repro.resilience import FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.util import flags
 from repro.vm import blockjit
-from repro.vm.costs import CostModel
+from repro.vm.costs import FOLD_SHIFT, CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import (
     MAX_TRACE_BLOCKS,
@@ -196,6 +196,23 @@ def test_generated_source_shape():
     assert "st.fuel" in source  # per-block fuel charges are baked in
 
 
+def test_rejected_fold_verdict_emits_textual_chains():
+    code = _pep_image(hot_helper_program())
+    cm = code["helper"]
+    trace = trace_blocks(cm, _installable_path(cm))
+    # Certified lowering (the default): every straight-line cost chain
+    # folds to one constant on the Q20 grid.
+    assert cm.fold_q == FOLD_SHIFT
+    folded = generate_trace_source(cm, trace)
+    # A rejected verdict (a caller's cost model off the grid) keeps the
+    # sequential float adds (``_cyc += c`` per charge) as textual
+    # chains, so the trace performs strictly more runtime additions.
+    cm.fold_q = 0
+    textual = generate_trace_source(cm, trace)
+    assert folded != textual
+    assert folded.count("+") < textual.count("+")
+
+
 def test_install_superblock_rebinds_head_entry():
     code = _pep_image(hot_helper_program())
     cm = code["helper"]
@@ -224,10 +241,16 @@ def test_install_superblock_rejects_acyclic_path():
 
 
 def _run_image(program: Program, install: bool, use_blockjit: bool,
-               sampler=(8, 3), tick_interval: float = 500.0):
+               textual: bool = False, sampler=(8, 3),
+               tick_interval: float = 500.0):
     from repro.sampling.arnold_grove import make_sampler
 
     code = _pep_image(program)
+    if textual:
+        # Force the rejected fold verdict image-wide: every source
+        # generated below keeps its cost chains textual.
+        for cm in code.values():
+            cm.fold_q = 0
     if install:
         cm = code["helper"]
         path = _installable_path(cm)
@@ -247,6 +270,20 @@ def test_static_image_parity_three_ways():
     plain_jit = _digest(*_run_image(program, install=False, use_blockjit=True))
     interp = _digest(*_run_image(program, install=False, use_blockjit=False))
     assert superblock == plain_jit == interp
+
+
+def test_static_image_parity_four_ways():
+    # The three engines above plus a trace whose cost chains stay
+    # textual (rejected fold verdict): both lowerings of the trace move
+    # no bit against plain blockjit and the interpreter.
+    program = hot_helper_program(calls=80, inner=30)
+    folded = _digest(*_run_image(program, install=True, use_blockjit=True))
+    textual = _digest(
+        *_run_image(program, install=True, use_blockjit=True, textual=True)
+    )
+    plain_jit = _digest(*_run_image(program, install=False, use_blockjit=True))
+    interp = _digest(*_run_image(program, install=False, use_blockjit=False))
+    assert folded == textual == plain_jit == interp
 
 
 def test_superblock_fuel_exhaustion_parity():
@@ -378,7 +415,7 @@ def test_superblock_with_other_fault_sites_is_bit_identical():
     assert runs[0][1] == runs[1][1]
 
 
-# -- persistence (codecache format 4) ----------------------------------------
+# -- persistence (codecache format 12) ---------------------------------------
 
 
 def _engaged_cm():
