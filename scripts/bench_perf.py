@@ -200,7 +200,6 @@ def bench_sampling(quick: bool) -> dict:
     from repro.instrument.pep import apply_pep
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.sampling.arnold_grove import make_sampler
-    from repro.util.flags import samplefast_enabled
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
     from repro.vm.runtime import VirtualMachine
@@ -263,7 +262,6 @@ def bench_sampling(quick: bool) -> dict:
         "scale": scale,
         "reps": reps,
         "tick_interval": tick,
-        "datapath": "samplefast" if samplefast_enabled() else "legacy",
         "sampled_ticks": results["sampled"]["ticks"],
         # Throughput fields keep the schema-2 aggregate methodology
         # (total cycles / total wall) so they stay comparable across
@@ -743,15 +741,8 @@ def bench_pgo(quick: bool) -> dict:
         run_iteration,
     )
     from repro.util import flags
-    from repro.util.flags import pgo_enabled
     from repro.vm import pgo
     from repro.workloads.suite import get_workload
-
-    if not pgo_enabled():
-        return {
-            "probes_measured": False,
-            "note": "REPRO_PGO=0",
-        }
 
     probe_program = get_workload("compress").build(1.0 if quick else 2.0)
     plan_stats = {}
@@ -777,7 +768,6 @@ def bench_pgo(quick: bool) -> dict:
     full = plan_stats["off"]["placed"]
     off_cycles = plan_stats["off"]["cycles"]
     return {
-        "probes_measured": True,
         "probe_workload": "compress",
         "probes_placed": placed,
         "probes_full": full,
@@ -987,7 +977,6 @@ def append_history(report: dict, path: str) -> None:
         "vcycles_per_sec": interp.get("vcycles_per_sec"),
         "blockjit_speedup": interp.get("blockjit_speedup"),
         "sampling_wall_overhead": sampling.get("sampling_wall_overhead"),
-        "sampling_datapath": sampling.get("datapath"),
         "superblock_speedup": metrics.get("superblock", {}).get(
             "superblock_speedup"
         ),
@@ -1172,11 +1161,6 @@ def main(argv=None) -> int:
         if superblock.get("superblock_installed")
         else "n/a"
     )
-    pgo_text = (
-        f"{pgo['probes_placed']}/{pgo['probes_full']}"
-        if pgo.get("probes_measured")
-        else "n/a"
-    )
     fc_text = (
         f"{foldcov['fold_coverage']:.3f}"
         if foldcov.get("fold_coverage") is not None
@@ -1193,7 +1177,7 @@ def main(argv=None) -> int:
         f"{sampling['sampling_wall_overhead']:.2f}x, superblock hot-loop "
         f"speedup {sb_text}, k-trace bimodal speedup {kb_text} over plain "
         f"blockjit, fold coverage {fc_text}, min-coverage probes "
-        f"{pgo_text}, parallel speedup "
+        f"{pgo['probes_placed']}/{pgo['probes_full']}, parallel speedup "
         f"{sweep['parallel_speedup']:.2f}x ({sweep['jobs']} jobs on "
         f"{cpu_count} cores), digests_match={sweep['digests_match']}"
     )
@@ -1203,14 +1187,13 @@ def main(argv=None) -> int:
     rc = 0
     # Absolute sampling-overhead ceiling (full runs only: quick runs are
     # too short for the ratio to be trustworthy at 1.3x resolution).
-    if not args.quick and sampling["datapath"] == "samplefast":
-        if sampling["sampling_wall_overhead"] > SAMPLING_OVERHEAD_CEILING:
-            print(
-                f"bench_perf: FATAL sampling wall overhead "
-                f"{sampling['sampling_wall_overhead']:.3f}x exceeds the "
-                f"{SAMPLING_OVERHEAD_CEILING:.2f}x ceiling"
-            )
-            rc = 1
+    overhead = sampling["sampling_wall_overhead"]
+    if not args.quick and overhead > SAMPLING_OVERHEAD_CEILING:
+        print(
+            f"bench_perf: FATAL sampling wall overhead {overhead:.3f}x "
+            f"exceeds the {SAMPLING_OVERHEAD_CEILING:.2f}x ceiling"
+        )
+        rc = 1
     # Superblock hot-loop floor (full runs only, and only when a trace
     # actually installed — REPRO_SUPERBLOCK=0 runs report n/a).
     if not args.quick and superblock.get("superblock_installed"):
@@ -1242,16 +1225,14 @@ def main(argv=None) -> int:
                 f"({foldcov['fold_rejected']} methods rejected)"
             )
             rc = 1
-    # The probe-placement saving (full runs only; REPRO_PGO=0 runs
-    # report n/a and skip the gate).
-    if not args.quick and pgo.get("probes_measured"):
-        if pgo["probe_reduction"] <= 0.0:
-            print(
-                f"bench_perf: FATAL min-coverage placed "
-                f"{pgo['probes_placed']} probes vs {pgo['probes_full']} "
-                f"full — no reduction"
-            )
-            rc = 1
+    # The probe-placement saving (full runs only).
+    if not args.quick and pgo["probe_reduction"] <= 0.0:
+        print(
+            f"bench_perf: FATAL min-coverage placed "
+            f"{pgo['probes_placed']} probes vs {pgo['probes_full']} "
+            f"full — no reduction"
+        )
+        rc = 1
     if args.check:
         # Keep the worst verdict: a floor that already failed above
         # must not be masked by a passing baseline comparison.

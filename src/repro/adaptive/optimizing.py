@@ -166,11 +166,6 @@ def optimize_method(
     if inst is not None:
         cm.attach_dag(inst.dag)
     cm.probe_plan = probe_plan
-    # Layout advice is computed from the same edge profile that drove
-    # apply_branch_layout, so it is covered by the cache key's profile
-    # fingerprint; the backends consult it only when the (keyed) layout
-    # flag is on, making the advice pure wall-clock steering.
-    cm.pgo_layout = pgo.layout_order(cm, edge_profile)
 
     compile_cycles = costs.compile_cost(tier, method.instruction_count())
     if instrumentation is not None:

@@ -106,9 +106,9 @@ class ProfileReport:
     def engagement(self) -> dict:
         """Per-method tier-engagement counters (DESIGN.md §14).
 
-        Which backend each method's final code came from, PGO-inline
-        site counts, and probe-placement modes; ``{}`` when the run did
-        not retain its compiled image.
+        Which backend each method's final code came from, its
+        probe-placement mode and fold verdict, and fleet totals;
+        ``{}`` when the run did not retain its compiled image.
         """
         if self.code is None:
             return {}

@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.errors import PathReconstructionError, ReproError
 from repro.profiling.edges import numpy_available
 from repro.profiling.kpaths import shared_schema
-from repro.util.flags import kblpp_enabled, kblpp_k, samplefast_enabled
+from repro.util.flags import kblpp_enabled, kblpp_k
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -104,7 +104,6 @@ class ArnoldGroveSampler:
         "_skip_left",
         "_samples_left",
         "_rotation",
-        "_fast",
         "_np_drain",
         "_between",
         "_buf_cm",
@@ -135,20 +134,16 @@ class ArnoldGroveSampler:
         self._skip_left = 0
         self._samples_left = 0
         self._rotation = 0
-        # Fast datapath (DESIGN.md §10): samples buffer into flat lists
-        # and drain in batches; REPRO_SAMPLEFAST=0 keeps the original
-        # sample-at-a-time recording.  Resolved once at construction.
-        self._fast = samplefast_enabled()
         # Batch the drain's edge-slot updates through NumPy when it is
         # importable; without NumPy the pure-Python loop runs.
         # Bit-identical either way: counts are integer-valued floats, so
         # add order cannot matter.
         self._np_drain = numpy_available()
         self._between = not config.simplified and config.stride > 1
-        # Run-length-encoded sample buffer: parallel lists of
-        # (method, path, repeat count).  Hot loops sample the same path
-        # many times in a row, so most samples are a single list-item
-        # increment.
+        # Run-length-encoded sample buffer (DESIGN.md §10): parallel
+        # lists of (method, path, repeat count), drained in batches.
+        # Hot loops sample the same path many times in a row, so most
+        # samples are a single list-item increment.
         self._buf_cm: List[CompiledMethod] = []
         self._buf_path: List[int] = []
         self._buf_n: List[int] = []
@@ -167,8 +162,8 @@ class ArnoldGroveSampler:
         self._rc_pk = ""
         self._rc_res = None
         # Dilated handler costs, refreshed from the VM's cost model at
-        # every tick (identical divisions, so identical floats to the
-        # per-sample computation they replace).
+        # every tick (the divisions _record makes per sample, so
+        # identical floats).
         self._c_sample = 0.0
         self._c_stride = 0.0
         self._c_expand = 0.0
@@ -190,10 +185,10 @@ class ArnoldGroveSampler:
     def reset(self) -> None:
         """Restart the burst state machine (rotation included).
 
-        Samples already buffered by the fast datapath are *not*
-        discarded: they were legitimately taken before the reset, and
-        the legacy datapath had already recorded them; the next drain
-        (tick, burst end, or :meth:`flush`) applies them.
+        Buffered samples are *not* discarded: they were legitimately
+        taken before the reset, exactly like the ones :meth:`_record`
+        applied on the spot; the next drain (tick, burst end, or
+        :meth:`flush`) applies them.
         """
         self._state = _IDLE
         self._skip_left = 0
@@ -206,13 +201,12 @@ class ArnoldGroveSampler:
 
     def on_tick(self, vm: VirtualMachine) -> None:
         vm.flag = True
-        if self._fast:
-            if self._buf_cm:
-                self._drain(vm)
-            costs = vm.costs
-            self._c_sample = costs.scaled_handler(costs.handler_sample)
-            self._c_stride = costs.scaled_handler(costs.handler_stride)
-            self._c_expand = costs.scaled_handler(costs.handler_expand_first)
+        if self._buf_cm:
+            self._drain(vm)
+        costs = vm.costs
+        self._c_sample = costs.scaled_handler(costs.handler_sample)
+        self._c_stride = costs.scaled_handler(costs.handler_stride)
+        self._c_expand = costs.scaled_handler(costs.handler_expand_first)
         if self._state != _IDLE:
             # The previous burst is still draining (very long bursts or
             # very short tick intervals); let it finish.
@@ -233,8 +227,6 @@ class ArnoldGroveSampler:
         path_reg: int,
         is_sample_point: bool,
     ) -> float:
-        if not self._fast:
-            return self._on_yieldpoint_legacy(vm, cm, path_reg, is_sample_point)
         state = self._state
         if state == _SAMPLING:
             cost = self._c_sample
@@ -288,9 +280,8 @@ class ArnoldGroveSampler:
                         # Resolver-less method, a plan with sampler
                         # fault sites, a method whose path profiling
                         # K-strikes disabled, or a path number that
-                        # cannot reconstruct: the original
-                        # sample-at-a-time datapath handles every such
-                        # case (including raising) exactly as before.
+                        # cannot reconstruct: the per-sample _record
+                        # handles every such case (including raising).
                         cost += self._record(vm, cm, path_reg)
             left = self._samples_left - 1
             self._samples_left = left
@@ -318,46 +309,6 @@ class ArnoldGroveSampler:
         # already drained); nothing for us to do.
         vm.flag = False
         return 0.0
-
-    def _on_yieldpoint_legacy(
-        self,
-        vm: VirtualMachine,
-        cm: CompiledMethod,
-        path_reg: int,
-        is_sample_point: bool,
-    ) -> float:
-        costs = vm.costs
-        if self._state == _STRIDING:
-            self._skip_left -= 1
-            vm.strides_skipped += 1
-            if self._skip_left == 0:
-                self._state = _SAMPLING
-            return costs.scaled_handler(costs.handler_stride)
-
-        if self._state != _SAMPLING:
-            # Flag raised by someone else (e.g. a method-only tick burst
-            # already drained); nothing for us to do.
-            vm.flag = False
-            return 0.0
-
-        cost = costs.scaled_handler(costs.handler_sample)
-        vm.samples_taken += 1
-        if is_sample_point and self.record_paths:
-            cost += self._record(vm, cm, path_reg)
-
-        self._samples_left -= 1
-        if self._samples_left == 0:
-            self._state = _IDLE
-            vm.flag = False
-            if self._kblpp:
-                self._kclear()
-        elif not self.config.simplified and self.config.stride > 1:
-            # Regular Arnold-Grove: stride between every pair of samples.
-            self._state = _STRIDING
-            self._skip_left = self.config.stride - 1
-            if self._kblpp:
-                self._kclear()
-        return cost
 
     def flush(self, vm: VirtualMachine) -> None:
         """Drain buffered samples into the VM's profiles (run end).
@@ -457,9 +408,9 @@ class ArnoldGroveSampler:
         """Chain a just-recorded 1-path sample into the k-window (§16).
 
         Called at the exact points where a sample lands in
-        ``vm.path_profile`` — the RLE bump and buffer append of the fast
-        datapath, and :meth:`_record`'s success path — so the two
-        datapaths chain sample-for-sample identical windows.  A full
+        ``vm.path_profile`` — the RLE bump and buffer append of the
+        buffered route, and :meth:`_record`'s success path — so both
+        routes chain sample-for-sample identical windows.  A full
         window slides by one (overlapping windows: the k-path stream has
         one entry per iteration, like the 1-path stream) and records its
         k-number into the shadow table when the chain invariant holds.
@@ -554,7 +505,7 @@ class ArnoldGroveSampler:
         Sample order is preserved in aggregate: counters are integers,
         so ``+k`` equals k successive ``+1``s exactly, and first-
         occurrence iteration order reproduces the table insertion order
-        the per-sample datapath produced.
+        that recording one sample at a time would produce.
         """
         buf_cm = self._buf_cm
         buf_path = self._buf_path

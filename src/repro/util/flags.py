@@ -1,19 +1,18 @@
 """Process-wide feature flags resolved from the environment.
 
-Seven knobs live here: the sampling fast path (``REPRO_SAMPLEFAST``,
-DESIGN.md §10), superblock traces (``REPRO_SUPERBLOCK``, §11), the PGO
-master switch and its two transforms (``REPRO_PGO``,
-``REPRO_PGO_LAYOUT``, ``REPRO_PGO_PROBES``, §14), and k-iteration path
-profiling with its window length (``REPRO_KBLPP``, ``REPRO_KBLPP_K``,
-§16).  Every flag resolves the same way: an explicit argument wins,
-then the module flag (tests may pin it), then the environment variable,
-then the built-in default (*on* for every boolean switch).
+Four knobs live here: superblock traces (``REPRO_SUPERBLOCK``,
+DESIGN.md §11), minimum-coverage probe placement
+(``REPRO_PGO_PROBES``, §14), and k-iteration path profiling with its
+window length (``REPRO_KBLPP``, ``REPRO_KBLPP_K``, §16).  Every flag
+resolves the same way: an explicit argument wins, then the module flag
+(tests may pin it), then the environment variable, then the built-in
+default (*on* for every boolean switch).
 
 Setting a boolean switch to ``0`` is a kill switch that moves wall
 clock only: profiles, virtual cycles and fault-injection sequences stay
 bit-identical.  The one exception is probe placement
-(``REPRO_PGO_PROBES``, gated by ``REPRO_PGO``), which deliberately
-lowers the one-shot edges mode's charges.
+(``REPRO_PGO_PROBES``), which deliberately lowers the one-shot edges
+mode's charges.
 """
 
 from __future__ import annotations
@@ -21,30 +20,10 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-SAMPLEFAST_ENV = "REPRO_SAMPLEFAST"
-
-#: Module override: tests may pin this to force a datapath regardless of
-#: the environment.  ``None`` means "consult the environment".
-SAMPLEFAST: Optional[bool] = None
-
 SUPERBLOCK_ENV = "REPRO_SUPERBLOCK"
 
 #: Module override for path-guided superblock formation (DESIGN.md §11).
 SUPERBLOCK: Optional[bool] = None
-
-PGO_ENV = "REPRO_PGO"
-
-#: Module override for the profile-guided optimization tier (DESIGN.md
-#: §14): master switch over the two PGO transforms below.  Layout is
-#: bit-identical in every observable (``tests/test_pgo.py`` proves it);
-#: probe placement reduces charges in the one-shot edges mode only.
-PGO: Optional[bool] = None
-
-PGO_LAYOUT_ENV = "REPRO_PGO_LAYOUT"
-
-#: Module override for profile-guided code layout: order blockjit's
-#: segment definitions by observed edge heat, hottest first.
-PGO_LAYOUT: Optional[bool] = None
 
 PGO_PROBES_ENV = "REPRO_PGO_PROBES"
 
@@ -84,21 +63,6 @@ def _env_enabled(name: str, default: bool = True) -> bool:
     return default
 
 
-def samplefast_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective sampling-fast-path setting.
-
-    Components that persist artefacts shaped by this flag (the blockjit
-    codecache keys) must store the *resolved* value, never the raw
-    ``None``, so cached artefacts from one mode are never replayed in
-    the other.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if SAMPLEFAST is not None:
-        return bool(SAMPLEFAST)
-    return _env_enabled(SAMPLEFAST_ENV)
-
-
 def superblock_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the effective superblock-formation setting.
 
@@ -115,47 +79,12 @@ def superblock_enabled(explicit: Optional[bool] = None) -> bool:
     return _env_enabled(SUPERBLOCK_ENV)
 
 
-def pgo_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the PGO master switch.
-
-    ``REPRO_PGO=0`` is the tier-wide kill switch: every generated
-    artefact reverts to its layout-free shape byte for byte.  The
-    resolved value participates in codecache keys and superblock
-    fingerprints through the two sub-flags below, never on its own.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if PGO is not None:
-        return bool(PGO)
-    return _env_enabled(PGO_ENV)
-
-
-def pgo_layout_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective profile-guided-layout setting.
-
-    The master switch gates every sub-flag: ``REPRO_PGO=0`` disables
-    layout even when ``REPRO_PGO_LAYOUT=1``.  Persisted artefacts shaped
-    by this flag (blockjit and trace sources in the codecache) embed the
-    resolved value in their keys/fingerprints, so a flip drops stale
-    advice wholesale instead of replaying it.
-    """
-    if not pgo_enabled():
-        return False
-    if explicit is not None:
-        return bool(explicit)
-    if PGO_LAYOUT is not None:
-        return bool(PGO_LAYOUT)
-    return _env_enabled(PGO_LAYOUT_ENV)
-
-
 def pgo_probes_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective minimum-coverage-probes setting (master
-    switch gates it).  Applies only to the dedicated one-shot
-    edge-instrumentation mode — baseline one-time instrumentation and
-    the sweep configurations are untouched, which is what keeps every
-    sweep digest bit-identical under the flip."""
-    if not pgo_enabled():
-        return False
+    """Resolve the effective minimum-coverage-probes setting.  Applies
+    only to the dedicated one-shot edge-instrumentation mode — baseline
+    one-time instrumentation and the sweep configurations are
+    untouched, which is what keeps every sweep digest bit-identical
+    under the flip."""
     if explicit is not None:
         return bool(explicit)
     if PGO_PROBES is not None:

@@ -85,7 +85,6 @@ from types import CellType, CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FuelExhaustedError, VMError
-from repro.util.flags import pgo_layout_enabled, samplefast_enabled
 from repro.vm.costs import FOLD_SCALE
 from repro.vm.interpreter import (
     OP_ALEN,
@@ -178,12 +177,12 @@ def yieldpoint_slow(vm, cm, st, t: float, path_reg: int, flag) -> float:
     """The countdown yieldpoint's slow path (DESIGN.md §10).
 
     Called once ``t`` (the just-stored ``vm.cycles``) reaches
-    ``st.gate``: runs the exact legacy tick/flag sequence against the VM
-    attributes, re-derives the gate, and returns the handler cost.  The
-    caller has just zeroed its accumulator, so assigning the result is
-    the legacy ``_cyc += cost`` bit for bit.  After the once-per-tick
-    method sample, dispatch reduces to the sampler call, saving a frame
-    per armed yieldpoint.
+    ``st.gate``: runs the interpreter's tick/flag sequence against the
+    VM attributes, re-derives the gate, and returns the handler cost.
+    The caller has just zeroed its accumulator, so assigning the result
+    is the interpreter's ``cyc += cost`` bit for bit.  After the
+    once-per-tick method sample, dispatch reduces to the sampler call,
+    saving a frame per armed yieldpoint.
     """
     cost = 0.0
     if t >= vm.next_tick:
@@ -205,7 +204,7 @@ def fuel_exit(cyc: str, method: str, block: str, index: int) -> str:
     return f"_fuel_out(vm, {cyc}, {method}, {block!r}, {index})"
 
 
-def emit_yieldpoint(seg, samplefast: bool, flush: str, flag) -> None:
+def emit_yieldpoint(seg, flush: str, flag) -> None:
     """Emit one yieldpoint that flushes ``flush`` into ``vm.cycles``.
 
     Shared by blockjit segments and the superblock traces built from
@@ -213,26 +212,13 @@ def emit_yieldpoint(seg, samplefast: bool, flush: str, flag) -> None:
     template (DESIGN.md §10) stores the bit-identical ``vm.cycles`` and
     keeps one compare inline, against ``st.gate`` (``next_tick`` while
     the flag is down, -inf while it is up); past it,
-    :func:`yieldpoint_slow` does the rest.  The legacy
-    (``REPRO_SAMPLEFAST=0``) template keeps the interpreter's
-    flush/tick/flag sequence inline.
+    :func:`yieldpoint_slow` does the rest.
     """
-    if samplefast:
-        seg.emit(f"_t = vm.cycles + {flush}")
-        seg.emit("vm.cycles = _t")
-        seg.emit("_cyc = 0.0")
-        seg.emit("if _t >= st.gate:")
-        seg.emit(f"_cyc = _yield_slow(vm, _cm, st, _t, st.path_reg, {flag!r})", 2)
-    else:
-        # Identical flush/tick/flag sequence to the interpreter; the
-        # handler call is what lets samplers, the adaptive system, and
-        # resilience fault sites fire unchanged under blockjit.
-        seg.emit(f"vm.cycles += {flush}")
-        seg.emit("_cyc = 0.0")
-        seg.emit("if vm.cycles >= vm.next_tick:")
-        seg.emit("vm.on_tick()", 2)
-        seg.emit("if vm.flag:")
-        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, st.path_reg, {flag!r})", 2)
+    seg.emit(f"_t = vm.cycles + {flush}")
+    seg.emit("vm.cycles = _t")
+    seg.emit("_cyc = 0.0")
+    seg.emit("if _t >= st.gate:")
+    seg.emit(f"_cyc = _yield_slow(vm, _cm, st, _t, st.path_reg, {flag!r})", 2)
 
 
 # -- codegen ----------------------------------------------------------------
@@ -462,18 +448,14 @@ class _MethodCodegen:
         self.block_index = {block.label: bi for bi, block in enumerate(self.blocks)}
         # Edge-origin globals are named by *block order* (the traversal
         # of :func:`_edge_origins`, which `_namespace` re-runs to bind
-        # them), never by segment emission order — layout advice may
-        # emit hot segments first, but ``_og{j}`` must keep meaning the
-        # j-th counted branch of the method.
+        # them), never by emission order — a trace emits its blocks in
+        # path order, but ``_og{j}`` must keep meaning the j-th counted
+        # branch of the method.
         self._origin_names: Dict[str, str] = {}
         for block in self.blocks:
             term = block.term
             if term[0] == T_BR and term[10]:
                 self._origin_names[block.label] = f"_og{len(self._origin_names)}"
-        # Resolved once so a method's segments all share one yieldpoint
-        # style; the style is baked into the source text, which is what
-        # the codecache keys (via the resolved samplefast flag) address.
-        self._samplefast = samplefast_enabled()
         # Fixed-point accounting verdict (DESIGN.md §15): decided at
         # lowering time and carried on the method, so lazily regenerated
         # sources (ensure_jit after a pickle round-trip) always match
@@ -483,18 +465,9 @@ class _MethodCodegen:
     # -- top level ----------------------------------------------------------
 
     def generate(self) -> str:
-        # Profile-guided layout (DESIGN.md §14): emit hot blocks'
-        # segments first.  Function *names* stay keyed by canonical
-        # block index, so the namespace and entry table are untouched;
-        # only the textual order (and thus code-object locality) moves.
-        ordered = list(enumerate(self.blocks))
-        advice = self.cm.pgo_layout
-        if advice and pgo_layout_enabled():
-            rank = {label: i for i, label in enumerate(advice)}
-            ordered.sort(key=lambda pair: rank.get(pair[1].label, len(rank)))
         segments = [
             self._gen_segment(bi, block, ip)
-            for bi, block in ordered
+            for bi, block in enumerate(self.blocks)
             for ip in _entry_ips(block)
         ]
         live = _live_in(segments)
@@ -628,7 +601,7 @@ class _MethodCodegen:
         elif c == OP_YIELD:
             expr = seg.cyc_expr()
             seg.pending = []
-            emit_yieldpoint(seg, self._samplefast, expr, op[2])
+            emit_yieldpoint(seg, expr, op[2])
         else:  # pragma: no cover - lowering emits only known codes
             raise VMError(f"blockjit cannot compile opcode {c}")
 

@@ -32,13 +32,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.bytecode.disasm import format_instr, format_terminator
 from repro.bytecode.method import Method, Program
+from repro.errors import ReproError
 from repro.profiling.edges import EdgeProfile
-from repro.util.flags import (
-    kblpp_enabled,
-    kblpp_k,
-    pgo_layout_enabled,
-    samplefast_enabled,
-)
+from repro.util.flags import kblpp_enabled, kblpp_k
 from repro.util.rng import stable_hash
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import CompiledMethod
@@ -70,8 +66,8 @@ DEFAULT_BOUND = 2048
 # Format 6: CompiledMethod pickles additionally carry PGO advice
 # (layout order, callee-inlining plans, probe plan; DESIGN.md §14), the
 # keys gained the resolved layout and inlining flags plus the effective
-# minimum-coverage placement bit, and ``sb_fingerprint`` folds in
-# :func:`repro.vm.pgo.pgo_fingerprint`.
+# minimum-coverage placement bit, and ``sb_fingerprint`` folds in a
+# hash of the layout flag and advice.
 # Format-5 entries know none of this, so a format-5 cache loaded under
 # format 6 is dropped wholesale — flag flips within format 6 miss
 # cleanly through the key/fingerprint components instead.
@@ -114,7 +110,13 @@ DEFAULT_BOUND = 2048
 # inline-plan components, and no pickle carries inline plans any more.
 # A format-11 cache may hold whole-method sources in its ``sb_*`` slots,
 # so it is dropped wholesale.
-_FORMAT = 12
+# Format 13: the legacy sampling datapath and PGO segment layout are
+# retired (DESIGN.md §10, §14).  The keys lose the resolved samplefast
+# and layout flags, ``sb_fingerprint`` loses its samplefast and layout
+# components, and no pickle carries layout advice any more.  Format-12
+# fingerprints hashed those components, so a format-12 cache is dropped
+# wholesale.
+_FORMAT = 13
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -199,7 +201,6 @@ def optimize_key(
     version: int,
     costs: CostModel,
     edge_profile: Optional[EdgeProfile],
-    samplefast: Optional[bool] = None,
     min_coverage: bool = False,
 ) -> tuple:
     return (
@@ -212,11 +213,9 @@ def optimize_key(
         version,
         fingerprint_costs(costs),
         fingerprint_profile(edge_profile),
-        samplefast_enabled(samplefast),
-        # Resolved PGO components (format 6): layout advice shapes the
-        # persisted jit_source, and the probe-placement bit decides the
-        # branch masks — neither may conflate across a flag flip.
-        pgo_layout_enabled(),
+        # The effective probe-placement bit (format 6) decides the
+        # branch masks, so probed and fully-instrumented artefacts
+        # never conflate.
         bool(min_coverage),
         # Resolved k-iteration components (format 8): a cached method
         # may carry a k-trace in its sb_* slots, and the window width
@@ -227,23 +226,12 @@ def optimize_key(
     )
 
 
-def baseline_key(
-    method: Method,
-    version: int,
-    costs: CostModel,
-    samplefast: Optional[bool] = None,
-) -> tuple:
+def baseline_key(method: Method, version: int, costs: CostModel) -> tuple:
     return (
         "base",
         fingerprint_method(method),
         version,
         fingerprint_costs(costs),
-        samplefast_enabled(samplefast),
-        # Baseline compilation takes no PGO advice (no profile exists
-        # yet), but its jit_source is still emitted layout-aware when
-        # the flag is on (canonical order, byte-identical source) — the
-        # resolved flag keeps the keyspace aligned with optimize_key.
-        pgo_layout_enabled(),
     )
 
 
@@ -340,14 +328,38 @@ class CompilationCache:
         return loaded
 
 
-GLOBAL = CompilationCache(
-    bound=int(os.environ.get(ENV_BOUND, DEFAULT_BOUND) or DEFAULT_BOUND)
-)
+GLOBAL = CompilationCache()
+
+
+def _env_bound() -> int:
+    """The LRU bound ``REPRO_CODECACHE_BOUND`` asks for (default 2048).
+
+    A bound below 1 would leave ``put`` nothing to evict, so it is
+    rejected like a value that is not an integer.
+    """
+    raw = os.environ.get(ENV_BOUND, "").strip()
+    if not raw:
+        return DEFAULT_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise ReproError(
+            f"{ENV_BOUND} must be an integer, got {raw!r}"
+        ) from None
+    if bound < 1:
+        raise ReproError(f"{ENV_BOUND} must be at least 1, got {bound}")
+    return bound
 
 
 def active_cache() -> Optional[CompilationCache]:
-    """The process-wide cache, or None when disabled via the environment."""
+    """The process-wide cache, or None when disabled via the environment.
+
+    The bound is read from the environment on every call, so a bad
+    ``REPRO_CODECACHE_BOUND`` fails the first compile that would use
+    the cache, with a :class:`~repro.errors.ReproError`.
+    """
     flag = os.environ.get(ENV_DISABLE, "1").strip().lower()
     if flag in ("0", "off", "no", "false"):
         return None
+    GLOBAL.bound = _env_bound()
     return GLOBAL

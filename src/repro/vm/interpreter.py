@@ -20,7 +20,6 @@ from repro.bytecode.method import Method
 from repro.cfg.dag import PDag
 from repro.errors import FuelExhaustedError, GuestTrapError, VMError
 from repro.profiling.regenerate import PathResolver
-from repro.util.flags import samplefast_enabled
 from repro.vm.costs import (
     FOLD_SHIFT,
     CostModel,
@@ -75,9 +74,6 @@ T_BR = 2
 
 _MAX_ARRAY = 1 << 24
 
-#: Countdown-gate sentinel: "the sample flag is up, take every slow path".
-_NEG_INF = float("-inf")
-
 
 class LoweredBlock:
     """A lowered basic block: op tuples plus a linked terminator tuple."""
@@ -119,7 +115,6 @@ class CompiledMethod:
         "sb_path",
         "sb_fingerprint",
         "sb_entry",
-        "pgo_layout",
         "probe_plan",
         "fold_q",
     )
@@ -158,14 +153,9 @@ class CompiledMethod:
         self.sb_path: Optional[int] = None
         self.sb_fingerprint: Optional[str] = None
         self.sb_entry = None
-        # Profile-guided optimization advice (see repro.vm.pgo /
-        # DESIGN.md §14).  ``pgo_layout`` is the hot-first block-label
-        # order blockjit emits its segments by; ``probe_plan`` records
-        # the minimum-coverage edge-probe placement so the drain can
-        # reconstruct the full edge profile.  Both pickle with the
-        # method (they are advice *content*, fingerprinted alongside
-        # the sources they shaped).
-        self.pgo_layout: Optional[tuple] = None
+        # Minimum-coverage edge-probe placement (see repro.vm.pgo /
+        # DESIGN.md §14), so the drain can reconstruct the full edge
+        # profile; it pickles with the method.
         self.probe_plan = None
         # Fixed-point certification verdict (DESIGN.md §15), set by
         # :func:`lower_method`: the grid shift (every lowered charge and
@@ -391,22 +381,6 @@ def execute(vm, fuel: int) -> int:
     path_record = path_profile.record
     binop = _binop
 
-    # Countdown yieldpoints (DESIGN.md §10/§11): mirror the timer state
-    # in locals so the flag-down yieldpoint is local arithmetic plus one
-    # attribute store.  ``vm.cycles`` is still written at every
-    # yieldpoint (the value is bit-identical: the same float add on a
-    # local), so trap/fuel/return paths and tick handlers read exactly
-    # what they always read.  ``gate`` folds the flag into the countdown
-    # (the blockjit ``st.gate`` trick): -inf while the sample flag is up
-    # — every yieldpoint takes the slow path — else the next tick
-    # boundary, making the flag-down hot path a single compare.  The
-    # mirrors are refreshed after the only two calls that may move them
-    # (``on_tick``, the yieldpoint slow path).
-    fastyield = samplefast_enabled()
-    total = vm.cycles
-    ntick = vm.next_tick
-    gate = _NEG_INF if vm.flag else ntick
-
     main_cm = code.get(vm.main)
     if main_cm is None:
         raise VMError(f"no compiled method for main {vm.main!r}")
@@ -464,38 +438,12 @@ def execute(vm, fuel: int) -> int:
                 elif c == OP_PEPINIT:
                     path_reg = 0
                 elif c == OP_YIELD:
-                    if fastyield:
-                        total += cyc
-                        cyc = 0.0
-                        vm.cycles = total
-                        if total >= gate:
-                            if total >= ntick:
-                                vm.on_tick()
-                                ntick = vm.next_tick
-                            if vm.flag:
-                                # Mid-burst yieldpoints skip the method-
-                                # sample bookkeeping dispatch would
-                                # re-skip anyway; the direct sampler call
-                                # adds the identical cost (0.0 + x == x).
-                                smp = vm.sampler
-                                if vm._tick_method_sampled and smp is not None:
-                                    cyc += smp.on_yieldpoint(
-                                        vm, cm, path_reg, op[2]
-                                    )
-                                else:
-                                    cyc += vm.dispatch_yieldpoint(
-                                        cm, path_reg, op[2]
-                                    )
-                                gate = _NEG_INF if vm.flag else ntick
-                            else:
-                                gate = ntick
-                    else:
-                        vm.cycles += cyc
-                        cyc = 0.0
-                        if vm.cycles >= vm.next_tick:
-                            vm.on_tick()
-                        if vm.flag:
-                            cyc += vm.dispatch_yieldpoint(cm, path_reg, op[2])
+                    vm.cycles += cyc
+                    cyc = 0.0
+                    if vm.cycles >= vm.next_tick:
+                        vm.on_tick()
+                    if vm.flag:
+                        cyc += vm.dispatch_yieldpoint(cm, path_reg, op[2])
                 elif c == OP_ALOAD:
                     arr = regs[op[3]]
                     idx = regs[op[4]]

@@ -1,17 +1,4 @@
-"""Profile-guided optimization advice (DESIGN.md §14).
-
-The profiling side of this reproduction collects rich continuous edge
-and path profiles (the paper's PEP); until now they only steered *when*
-the adaptive controller recompiles, never *what* the generated code
-looks like.  This module closes the loop with two classic PGO
-transforms, each behind its own flag and each bit-identical on/off:
-
-* **Profile-guided layout** (``REPRO_PGO_LAYOUT``): a hot-first block
-  order computed from the observed edge profile at compile time and
-  attached to the compiled method as :data:`CompiledMethod.pgo_layout`.
-  The blockjit backend emits its segment definitions in that order.
-  Pure emission order — the semantic ``layout``/mislayout-penalty
-  machinery of the interpreter is untouched.
+"""Minimum-coverage probe placement and tier engagement (DESIGN.md §14).
 
 * **Minimum-coverage probe placement** (``REPRO_PGO_PROBES``): in the
   dedicated one-shot edge-instrumentation mode, probe only a
@@ -23,11 +10,12 @@ transforms, each behind its own flag and each bit-identical on/off:
   untouched, which is what keeps every sweep digest bit-identical
   under the flip.
 
-Advice is *content*: it rides pickled CompiledMethods through the
-codecache, resolved PGO flags participate in the cache keys (format 6),
-and :func:`pgo_fingerprint` folds the layout advice into superblock
-fingerprints so a flag flip or advice change drops stale generated
-sources wholesale instead of replaying them.
+* **Engagement counters** (:func:`engagement_summary`): which tier each
+  method's code came from and how its edges were probed.
+
+The probe plan is *content*: it rides pickled CompiledMethods through
+the codecache, and the effective placement bit is part of the cache
+keys, so probed and fully-instrumented artefacts never conflate.
 """
 
 from __future__ import annotations
@@ -40,60 +28,7 @@ from repro.bytecode.method import Method
 from repro.cfg.dag import EXIT_NODE
 from repro.errors import InstrumentationError
 from repro.profiling.edges import EdgeProfile
-from repro.util.flags import pgo_layout_enabled
-from repro.util.rng import stable_hash
 from repro.vm.interpreter import T_BR, CompiledMethod
-
-
-# -- profile-guided layout --------------------------------------------------
-
-
-def layout_order(
-    cm: CompiledMethod, profile: Optional[EdgeProfile]
-) -> Optional[Tuple[str, ...]]:
-    """Hot-first block-label order for ``cm`` from the edge profile.
-
-    Heat of a block is the observed count of branch arms targeting it;
-    blocks only reachable through jumps keep heat 0 and their original
-    relative order (the sort is stable on the block insertion index).
-    With no profile the advice is the canonical block order, so the
-    generated sources are byte-identical to the layout-free shape.
-    """
-    if not pgo_layout_enabled():
-        return None
-    labels = list(cm.blocks)
-    heat = {label: 0.0 for label in labels}
-    if profile is not None:
-        for block in cm.blocks.values():
-            term = block.term
-            if term[0] != T_BR:
-                continue
-            origin, then_blk, else_blk = term[9], term[5], term[6]
-            if origin is None:
-                continue
-            heat[then_blk.label] += profile.arm_count(origin, True)
-            heat[else_blk.label] += profile.arm_count(origin, False)
-    index = {label: i for i, label in enumerate(labels)}
-    return tuple(sorted(labels, key=lambda lb: (-heat[lb], index[lb])))
-
-
-# -- advice fingerprint -----------------------------------------------------
-
-
-def pgo_fingerprint(cm: CompiledMethod) -> int:
-    """Hash of the resolved layout flag plus the advice it shaped.
-
-    Folded into :func:`superblock.superblock_fingerprint` (and echoed
-    by the codecache keys), so flipping ``REPRO_PGO``/``REPRO_PGO_LAYOUT``
-    — or a change in the layout advice itself — invalidates persisted
-    generated sources wholesale.  With the flag off, its advice
-    contributes nothing: the fingerprint collapses to the flag bit,
-    matching sources generated with no advice attached.
-    """
-    parts = [f"L{int(pgo_layout_enabled())}"]
-    if pgo_layout_enabled() and cm.pgo_layout:
-        parts.append(",".join(cm.pgo_layout))
-    return stable_hash("|".join(parts))
 
 
 # -- minimum-coverage probe placement ---------------------------------------

@@ -30,7 +30,6 @@ from repro.errors import VMError
 from repro.profiling.callgraph import CallGraphProfile
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import PathProfile
-from repro.util.flags import samplefast_enabled
 from repro.util.rng import JUMP_BLOCK, DeterministicRng
 from repro.vm.blockjit import blockjit_enabled, execute_blockjit
 from repro.vm.costs import CostModel
@@ -228,17 +227,16 @@ class VirtualMachine:
         # integer loop (DESIGN.md §10).  Per-VM, like the profiles the
         # slots index into.
         self.edge_slot_cache: Dict = {}
-        if samplefast_enabled():
-            # Pre-size dense path tables from each method's Ball-Larus
-            # path count.  Methods compiled into the run later (adaptive
-            # recompiles) keep the sparse dict, as on the per-sample
-            # datapath: the controller's dominance checks read them
-            # back in full, which a dict does in its few sampled paths.
-            for _cm in code.values():
-                if _cm.dag is not None:
-                    self.path_profile.ensure_dense(
-                        _cm.profile_key, _cm.dag.num_paths
-                    )
+        # Pre-size dense path tables from each method's Ball-Larus path
+        # count.  Methods compiled into the run later (adaptive
+        # recompiles) keep the sparse dict: the controller's dominance
+        # checks read them back in full, which a dict does in its few
+        # sampled paths.
+        for _cm in code.values():
+            if _cm.dag is not None:
+                self.path_profile.ensure_dense(
+                    _cm.profile_key, _cm.dag.num_paths
+                )
         self.guest_stack: Optional[list] = None  # set by execute()
 
         # Timer state.  Jitter models the real timer's phase noise relative
@@ -388,7 +386,7 @@ class SamplerLike:
     only if a tick arriving while the sampler's burst is still armed is
     a no-op: two back-to-back ``on_tick`` calls with no yieldpoint
     between must equal one.  The in-tree samplers guarantee it
-    (``tests/test_sampling.py`` pins it on both datapaths).
+    (``tests/test_sampling.py`` pins it).
     """
 
     def on_tick(self, vm: VirtualMachine) -> None:  # pragma: no cover

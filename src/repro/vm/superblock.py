@@ -472,8 +472,8 @@ def generate_trace_source(
     cm: CompiledMethod, trace: List[LoweredBlock]
 ) -> str:
     """Generate the superblock function for ``trace`` (pure function of
-    the lowered blocks, the trace order, and the resolved samplefast
-    flag — content-addressable like blockjit sources)."""
+    the lowered blocks and the trace order — content-addressable like
+    blockjit sources)."""
     cg = _MethodCodegen(cm)
     origin_names = _origin_names(cm)
     # Pass 1 discovers the registers the whole trace touches / dirties.
@@ -511,27 +511,17 @@ def generate_trace_source(
 
 
 def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
-    """Ties a trace artefact to this version's P-DAG and codegen flags.
+    """Ties a trace artefact to this version's P-DAG and codegen inputs.
 
-    Five components: the P-DAG fingerprint, the path number, the
-    resolved samplefast flag, the PGO fingerprint and the fold verdict,
-    plus the resolved window length for k-traces.  The samplefast flag
-    is baked into the emitted yieldpoint template, so a source generated
-    under one datapath must never install under the other (mirrors the
-    codecache key's resolved flag) — a flag flip misses cleanly, exactly
-    like stale advice.
+    Three components: the P-DAG fingerprint, the path number and the
+    fold verdict, plus the resolved window length for k-traces.  A
+    change in any of them misses cleanly, exactly like stale advice.
     """
-    from repro.util.flags import kblpp_k, samplefast_enabled
-    from repro.vm.pgo import pgo_fingerprint
+    from repro.util.flags import kblpp_k
 
     return stable_hash(
         "superblock|"
         f"{dag_fingerprint(cm.dag)}|{path_number}|"
-        f"{int(samplefast_enabled())}|"
-        # Format 6: the resolved layout flag and the layout order it
-        # shaped are part of the generated source; a flag flip or
-        # advice change must miss, never reuse.
-        f"pgo{pgo_fingerprint(cm)}|"
         # Format 7: the fold verdict selects the chain shape (folded at
         # fold_q 20, textual at 0), so sources from different verdicts
         # must never cross.

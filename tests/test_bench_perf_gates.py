@@ -19,8 +19,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: reports n/a.
 STAGE_METRICS = {
     "interpreter": {"vcycles_per_sec": 1.0e6, "blockjit_speedup": 3.0},
-    "sampling": {"sampling_wall_overhead": 1.2, "datapath": "samplefast"},
+    "sampling": {"sampling_wall_overhead": 1.2},
     "foldcov": {"fold_coverage": 0.5, "fold_rejected": 7},
+    "pgo": {"probes_placed": 10, "probes_full": 16, "probe_reduction": 0.375},
     "sweep": {"jobs": 1, "parallel_speedup": 1.0, "digests_match": True},
 }
 

@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.adaptive.optimizing import optimize_method
+from repro.errors import ReproError
 from repro.profiling.edges import EdgeProfile
 from repro.resilience import FaultInjector, FaultPlan
 from repro.vm import codecache
@@ -177,6 +178,23 @@ def test_lru_eviction_and_refresh():
     assert len(cache) == 2
 
 
+def test_bound_read_from_environment(monkeypatch):
+    monkeypatch.setenv(codecache.ENV_BOUND, "3")
+    assert codecache.active_cache().bound == 3
+    monkeypatch.delenv(codecache.ENV_BOUND)
+    assert codecache.active_cache().bound == codecache.DEFAULT_BOUND
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "lots"])
+def test_bad_bound_rejected(monkeypatch, value):
+    # A bound below 1 would leave put() nothing to evict.
+    from repro import api
+
+    monkeypatch.setenv(codecache.ENV_BOUND, value)
+    with pytest.raises(ReproError, match=codecache.ENV_BOUND):
+        api.profile_adaptive(counting_program(10))
+
+
 # -- persistence ------------------------------------------------------------
 
 
@@ -258,7 +276,9 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # slow paths against globals the namespace no longer binds; format
     # 10: keys carrying the retired fixed-cost and fusion fields; format
     # 11: whole-method trace sources in the sb_* slots and the retired
-    # callee-inlining flag in the keys) must not be partially reused: each bump changed what the keys or
+    # callee-inlining flag in the keys; format 12: the retired
+    # samplefast and layout flags in the keys and trace fingerprints)
+    # must not be partially reused: each bump changed what the keys or
     # fingerprints hash, or what the persisted sources may reference,
     # so every old entry is untrustworthy and the load drops the whole
     # file.
@@ -270,8 +290,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 12
-    payload["format"] = 11
+    assert payload["format"] == codecache._FORMAT == 13
+    payload["format"] = 12
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 

@@ -1,5 +1,5 @@
-"""Interpreter fast-path equivalence: the countdown yieldpoint gate and
-the NumPy batch drain.
+"""Fast-path equivalence: blockjit's countdown yieldpoint gate and the
+NumPy batch drain.
 
 Each fast path must be observationally identical to its reference —
 same outputs, same return values, same *exact* virtual cycles, same
@@ -46,57 +46,42 @@ def _edge_dict(vm):
 
 # -- countdown yieldpoint gate ----------------------------------------------
 #
-# The tuple interpreter's OP_YIELD hot path borrows blockjit's countdown
-# gate: a single `total >= gate` compare stands in for the two-compare
-# `total >= next_tick or flag` test (gate is -inf while the flag is up,
-# next_tick otherwise).  The gate is pure control flow — it must be
-# observationally identical to the legacy arm in cycles, ticks, samples,
-# and profiles.
+# Blockjit's yieldpoints guard the tick/flag sequence with one countdown
+# compare: `_t >= st.gate`, where the gate is -inf while the flag is up
+# and next_tick otherwise.  The tuple interpreter keeps the plain
+# flush/tick/flag sequence, so it is the independent reference: the gate
+# is pure control flow and must match it exactly in cycles, ticks,
+# samples, and profiles.
 
 
-def _run_interpreted(program, samplefast, mode=None, sampler_args=None,
-                     tick_interval=None, blockjit=False):
-    # The flag override wraps sampler construction too: ArnoldGroveSampler
-    # resolves its datapath once at construction, and mixing a fast
-    # sampler with a legacy interpreter arm is not a configuration the
-    # kill switch can produce.
-    from repro.util import flags
+def _run(program, blockjit, mode=None, sampler_args=None, tick_interval=None):
+    sampler = make_sampler(*sampler_args) if sampler_args is not None else None
+    code = compile_simple(program, mode=mode)
+    vm = VirtualMachine(
+        code, program.main, costs=CostModel(),
+        tick_interval=tick_interval, sampler=sampler, blockjit=blockjit,
+    )
+    return vm, vm.run()
 
-    old = flags.SAMPLEFAST
-    flags.SAMPLEFAST = samplefast
-    try:
-        sampler = (
-            make_sampler(*sampler_args) if sampler_args is not None else None
-        )
-        code = compile_simple(program, mode=mode)
-        vm = VirtualMachine(
-            code, program.main, costs=CostModel(),
-            tick_interval=tick_interval, sampler=sampler, blockjit=blockjit,
-        )
-        result = vm.run()
-    finally:
-        flags.SAMPLEFAST = old
-    return vm, result
+
+def _assert_gate_matches_interpreter(program, **kwargs):
+    jit = _run(program, True, **kwargs)
+    _assert_identical(jit, _run(program, False, **kwargs))
 
 
 def test_interpreter_gate_equivalence_sampled():
-    program = counting_program(400)
-    fast = _run_interpreted(
-        program, True, mode="pep", sampler_args=(8, 3), tick_interval=300.0
+    _assert_gate_matches_interpreter(
+        counting_program(400), mode="pep", sampler_args=(8, 3),
+        tick_interval=300.0,
     )
-    legacy = _run_interpreted(
-        program, False, mode="pep", sampler_args=(8, 3), tick_interval=300.0
-    )
-    _assert_identical(fast, legacy)
 
 
 def test_interpreter_gate_equivalence_unsampled_ticks():
     # Ticks without a sampler: the gate still has to fire on every tick
     # boundary (flag handling runs through dispatch_yieldpoint).
-    program = counting_program(200)
-    fast = _run_interpreted(program, True, tick_interval=150.0)
-    legacy = _run_interpreted(program, False, tick_interval=150.0)
-    _assert_identical(fast, legacy)
+    _assert_gate_matches_interpreter(
+        counting_program(200), tick_interval=150.0
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -104,27 +89,9 @@ def test_interpreter_gate_equivalence_random_programs(seed):
     program = random_program(
         seed + 200, GeneratorSpec(n_helpers=2, work_budget=250)
     )
-    fast = _run_interpreted(
-        program, True, mode="pep", sampler_args=(4, 5), tick_interval=200.0
+    _assert_gate_matches_interpreter(
+        program, mode="pep", sampler_args=(4, 5), tick_interval=200.0
     )
-    legacy = _run_interpreted(
-        program, False, mode="pep", sampler_args=(4, 5), tick_interval=200.0
-    )
-    _assert_identical(fast, legacy)
-
-
-def test_interpreter_gate_matches_blockjit_sampled():
-    # Same gate trick on both engines: the interpreter with the gate must
-    # still digest-match blockjit exactly.
-    program = counting_program(400)
-    interp = _run_interpreted(
-        program, True, mode="pep", sampler_args=(8, 3), tick_interval=300.0
-    )
-    jit = _run_interpreted(
-        program, True, mode="pep", sampler_args=(8, 3), tick_interval=300.0,
-        blockjit=True,
-    )
-    _assert_identical(interp, jit)
 
 
 # -- NumPy batch drain -------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Profile-guided optimization advice: bit-identity and engagement (§14).
+"""Minimum-coverage probe placement and tier engagement (§14).
 
-Two transforms, two flags: layout may move wall clock only, and
-minimum-coverage probe placement may additionally lower the one-shot
-edges mode's charges while recovering the same edge profile.  The tests
-pin virtual cycles, profiles, traps, fuel and health against the
-flag-off run — including aborted runs, flag flips through the
-codecache, and the master ``REPRO_PGO=0`` kill switch — and separately
-prove each transform actually engages (a parity test over code that
-never ran the new path is vacuous).
+Probe placement (``REPRO_PGO_PROBES``) lowers the one-shot edges mode's
+charges while recovering the same edge profile.  The tests pin the
+reconstructed profiles, outputs, and abort sites against the flag-off
+run — including aborted runs and shared-origin fallbacks — prove the
+placement actually engages (a parity test over code that never ran the
+new path is vacuous), and that adaptive runs never place a probe.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from repro.adaptive.replay import (
     run_iteration_with_vm,
 )
 from repro.errors import FuelExhaustedError
-from repro.profiling.edges import EdgeProfile
 from repro.util import flags
-from repro.vm import blockjit, codecache, pgo
+from repro.vm import codecache, pgo
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import T_BR
 
 from tests.helpers import call_program, counting_program, diamond_loop_method
 from tests.test_superblock import _adaptive_run, _digest, hot_helper_program
@@ -35,44 +31,24 @@ pytestmark = pytest.mark.usefixtures("_isolated")
 @pytest.fixture()
 def _isolated(monkeypatch):
     # The content-addressed codecache shares CompiledMethod instances
-    # across compiles; PGO flag flips inside one test must never be
-    # served a stale artefact by a previous test's cache entry.
+    # across compiles; flag flips inside one test must never be served
+    # a stale artefact by a previous test's cache entry.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
-    # Pin every PGO flag on (CI kill-switch smoke exports REPRO_PGO=0
-    # globally; these tests pin their own flags).
-    monkeypatch.setattr(flags, "PGO", True)
-    monkeypatch.setattr(flags, "PGO_LAYOUT", None)
     monkeypatch.setattr(flags, "PGO_PROBES", None)
 
 
 # -- flag resolution ---------------------------------------------------------
 
 
-def test_master_kill_switch_gates_every_sub_flag(monkeypatch):
-    monkeypatch.setattr(flags, "PGO", None)
-    for env in (flags.PGO_ENV, flags.PGO_LAYOUT_ENV, flags.PGO_PROBES_ENV):
-        monkeypatch.delenv(env, raising=False)
-    assert flags.pgo_enabled() is True  # default on
-    assert flags.pgo_layout_enabled() is True
-    monkeypatch.setenv(flags.PGO_ENV, "0")
-    assert flags.pgo_enabled() is False
-    # Sub-flags are dead while the master is off, even when forced on.
-    monkeypatch.setenv(flags.PGO_LAYOUT_ENV, "1")
-    monkeypatch.setenv(flags.PGO_PROBES_ENV, "1")
-    assert flags.pgo_layout_enabled() is False
-    assert flags.pgo_probes_enabled() is False
-
-
-def test_sub_flags_resolve_independently(monkeypatch):
-    for env in (flags.PGO_ENV, flags.PGO_LAYOUT_ENV, flags.PGO_PROBES_ENV):
-        monkeypatch.delenv(env, raising=False)
-    monkeypatch.setenv(flags.PGO_LAYOUT_ENV, "0")
-    assert flags.pgo_layout_enabled() is False
-    assert flags.pgo_probes_enabled() is True
-    monkeypatch.setenv(flags.PGO_LAYOUT_ENV, "1")
+def test_probes_flag_resolution(monkeypatch):
+    monkeypatch.delenv(flags.PGO_PROBES_ENV, raising=False)
+    assert flags.pgo_probes_enabled() is True  # default on
     monkeypatch.setenv(flags.PGO_PROBES_ENV, "0")
-    assert flags.pgo_layout_enabled() is True
     assert flags.pgo_probes_enabled() is False
+    # The module pin beats the environment; an explicit argument wins.
+    monkeypatch.setattr(flags, "PGO_PROBES", True)
+    assert flags.pgo_probes_enabled() is True
+    assert flags.pgo_probes_enabled(False) is False
 
 
 # -- minimum-coverage probe placement ----------------------------------------
@@ -193,57 +169,6 @@ def test_shared_origin_methods_fall_back_to_full_instrumentation():
     assert _digest(vm_on, res_on) == _digest(vm_off, res_off)
 
 
-# -- profile-guided layout ---------------------------------------------------
-
-
-def _biased_profile(cm):
-    profile = EdgeProfile()
-    for block in cm.blocks.values():
-        term = block.term
-        if term[0] == T_BR and term[9] is not None:
-            profile.record(term[9], False, 1000.0)
-            profile.record(term[9], True, 1.0)
-    return profile
-
-
-def test_layout_order_hot_first_and_canonical_without_profile():
-    from repro.adaptive.optimizing import optimize_method
-
-    program = counting_program(10)
-    cm, _ = optimize_method(
-        program.method("main"), program, 2, None, CostModel()
-    )
-    # No profile: the canonical block order, so generated sources stay
-    # byte-identical to the layout-free shape.
-    assert pgo.layout_order(cm, None) == tuple(cm.blocks)
-    order = pgo.layout_order(cm, _biased_profile(cm))
-    assert order is not None
-    assert sorted(order) == sorted(cm.blocks)  # a permutation, not a subset
-    assert order != tuple(cm.blocks)  # the bias actually moved something
-
-
-def test_layout_reorders_source_but_not_a_single_bit(monkeypatch):
-    from repro.adaptive.optimizing import optimize_method
-
-    program = counting_program(30)
-    method = program.method("main")
-    runs = {}
-    for layout in (True, False):
-        monkeypatch.setattr(flags, "PGO_LAYOUT", layout)
-        cm, _ = optimize_method(method, program, 2, None, CostModel())
-        cm.pgo_layout = pgo.layout_order(cm, _biased_profile(cm))
-        source = blockjit.generate_source(cm)
-        image = _edges_image(program, probes=False)
-        vm, res = run_iteration_with_vm(image)
-        runs[layout] = (source, _digest(vm, res))
-    on_source, on_digest = runs[True]
-    off_source, off_digest = runs[False]
-    assert on_digest == off_digest
-    # Same emitted segments, different emission order.
-    assert on_source != off_source
-    assert sorted(on_source.splitlines()) == sorted(off_source.splitlines())
-
-
 # -- engagement ----------------------------------------------------------------
 
 
@@ -260,101 +185,35 @@ def test_engagement_summary_counts_the_tiers():
     assert summary["methods"]["main"]["trace_backend"] is None
 
 
-# -- codecache invalidation on flag flips ------------------------------------
+# -- codecache keys ------------------------------------------------------------
 
 
 def test_optimize_key_varies_with_every_pgo_flag(monkeypatch):
     program = counting_program(10)
     method = program.method("main")
     costs = CostModel()
-
-    def key():
-        return codecache.optimize_key(
+    keys = set()
+    for probes in (True, False):
+        monkeypatch.setattr(flags, "PGO_PROBES", probes)
+        keys.add(codecache.optimize_key(
             method, program, 2, "edges", False, 0, costs, None,
             min_coverage=flags.pgo_probes_enabled(),
-        )
-
-    keys = set()
-    for layout, probes in ((None, None), (False, None), (None, False)):
-        monkeypatch.setattr(flags, "PGO_LAYOUT", layout)
-        monkeypatch.setattr(flags, "PGO_PROBES", probes)
-        keys.add(key())
-    assert len(keys) == 3
-    # The master switch kills both at once: distinct from each.
-    monkeypatch.setattr(flags, "PGO", False)
-    monkeypatch.setattr(flags, "PGO_LAYOUT", None)
-    monkeypatch.setattr(flags, "PGO_PROBES", None)
-    keys.add(key())
-    assert len(keys) == 4
+        ))
+    assert len(keys) == 2
 
 
-def test_flag_flip_invalidates_persisted_trace(monkeypatch):
-    # A trace generated with layout on must MISS when reinstalled under
-    # layout off: the resolved flag and its advice are fingerprinted.
-    from repro.vm.superblock import reinstall_persisted, superblock_fingerprint
-
-    system, _, _ = _adaptive_run(hot_helper_program(), superblock=True)
-    cm = system.code["helper"]
-    assert cm.sb_entry is not None and cm.pgo_layout
-    fp_on = superblock_fingerprint(cm, cm.sb_path)
-    assert cm.sb_fingerprint == fp_on
-    monkeypatch.setattr(flags, "PGO_LAYOUT", False)
-    assert superblock_fingerprint(cm, cm.sb_path) != fp_on
-    # Simulate the codecache handing the pickled artefact to a process
-    # with the flag flipped: the persisted source must be dropped.
-    cm.sb_entry = None
-    reinstall_persisted(cm, {})
-    assert cm.sb_entry is None
-    assert cm.sb_source is None  # stale artefact cleared, not replayed
+# -- adaptive runs -------------------------------------------------------------
 
 
-# -- whole-suite parity (all bundled workloads) ---------------------------
-
-
-def _workload_checksum(workload: str, pgo_on: bool) -> str:
+def test_adaptive_run_places_no_probes(monkeypatch):
+    # Placement exists only in the one-shot edges pipeline, so adaptive
+    # digests cannot depend on the flag: with it on, nothing is placed.
     import repro.api as api
-    from repro.persist import payload_checksum
-    from repro.workloads.suite import benchmark_suite
 
-    suite = {w.name: w for w in benchmark_suite()}
-    saved = (flags.SUPERBLOCK, flags.PGO, flags.PGO_LAYOUT, flags.PGO_PROBES)
-    flags.SUPERBLOCK = True
-    flags.PGO = pgo_on
-    flags.PGO_LAYOUT = pgo_on
-    flags.PGO_PROBES = pgo_on
-    try:
-        program = suite[workload].build(0.3)
-        report = api.profile_adaptive(
-            program, samples=16, stride=3, ticks=100
-        )
-    finally:
-        (flags.SUPERBLOCK, flags.PGO, flags.PGO_LAYOUT,
-         flags.PGO_PROBES) = saved
-    return payload_checksum(
-        {
-            "paths": sorted(report.paths.items()),
-            "edges": sorted((repr(b), c) for b, c in report.edges.items()),
-            "output": list(report.result.output),
-            "return_value": report.result.return_value,
-            "cycles": report.result.cycles,
-            "recompilations": report.result.recompilations,
-            "compile_cycles": report.result.compile_cycles,
-            "health": report.health.to_dict(),
-        }
+    monkeypatch.setattr(flags, "PGO_PROBES", True)
+    report = api.profile_adaptive(
+        hot_helper_program(), samples=16, stride=3, ticks=100
     )
-
-
-def _all_workload_names():
-    from repro.workloads.suite import benchmark_suite
-
-    return [w.name for w in benchmark_suite()]
-
-
-@pytest.mark.parametrize("workload", _all_workload_names())
-def test_workload_digest_parity_pgo_on_off(workload):
-    # All PGO steering on (layout; probes has no engagement surface in
-    # the adaptive pipeline) vs the master kill switch off: every
-    # observable bit of the adaptive run must be identical.
-    on = _workload_checksum(workload, pgo_on=True)
-    off = _workload_checksum(workload, pgo_on=False)
-    assert on == off
+    totals = report.engagement()["totals"]
+    assert totals["blockjit_methods"] >= 1
+    assert totals["min_coverage_methods"] == 0

@@ -173,14 +173,14 @@ def test_random_programs_with_uninterruptible_helpers(seed):
             assert base_out == (tuple(result.output), result.return_value)
 
 
-# -- PEP(S,K) grid: datapath x engine digest parity --------------------------
+# -- PEP(S,K) grid: engine digest parity ------------------------------------
 #
-# The samplefast datapath (countdown yieldpoints, flat tables, buffered
-# recording — DESIGN.md §10) and both execution engines must agree
-# bit-for-bit on every observable, across sampling configurations that
-# exercise the state machine differently: timer-based PEP(1,1), short
-# simplified bursts, the committed PEP(64,17), and the regular (stride-
-# between-samples) Arnold-Grove variant.
+# Blockjit (countdown yieldpoints) and the tuple interpreter (the plain
+# flush/tick/flag yieldpoint, DESIGN.md §10) must agree bit-for-bit on
+# every observable, across sampling configurations that exercise the
+# state machine differently: timer-based PEP(1,1), short simplified
+# bursts, the committed PEP(64,17), and the regular (stride-between-
+# samples) Arnold-Grove variant.
 
 PEP_GRID = [
     (1, 1, True),
@@ -190,8 +190,7 @@ PEP_GRID = [
 ]
 
 
-def _grid_cell(monkeypatch, samples, stride, simplified, blockjit_on, fast):
-    import repro.util.flags as flags
+def _grid_cell(monkeypatch, samples, stride, simplified, blockjit_on):
     import repro.vm.blockjit as blockjit
     from repro.harness.experiment import (
         config_to_spec,
@@ -200,7 +199,6 @@ def _grid_cell(monkeypatch, samples, stride, simplified, blockjit_on, fast):
     )
 
     monkeypatch.setenv(blockjit.ENV_DISABLE, "1" if blockjit_on else "0")
-    monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1" if fast else "0")
     spec = config_to_spec(pep_config(samples, stride, simplified=simplified))
     metrics = measure_cell("compress", 0.5, spec, seed=7)
     return (
@@ -216,15 +214,6 @@ def _grid_cell(monkeypatch, samples, stride, simplified, blockjit_on, fast):
 def test_pep_grid_datapath_engine_parity(
     samples, stride, simplified, monkeypatch
 ):
-    cells = {
-        (engine, fast): _grid_cell(
-            monkeypatch, samples, stride, simplified, engine, fast
-        )
-        for engine in (True, False)
-        for fast in (True, False)
-    }
-    reference = cells[(True, True)]
-    mismatched = {
-        key: cell for key, cell in cells.items() if cell != reference
-    }
-    assert not mismatched, f"diverged from blockjit+samplefast: {mismatched}"
+    jit = _grid_cell(monkeypatch, samples, stride, simplified, True)
+    interp = _grid_cell(monkeypatch, samples, stride, simplified, False)
+    assert jit == interp

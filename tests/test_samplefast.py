@@ -1,17 +1,20 @@
-"""Samplefast datapath parity and flat-profile-table semantics.
+"""Sampler recording-route parity and flat-profile-table semantics.
 
-The low-overhead sampling datapath (DESIGN.md §10) — countdown
-yieldpoints, dense profile tables, buffered sample recording — must be
-observationally invisible: every digest, cycle count, tick count, and
-HealthReport is bit-identical with ``REPRO_SAMPLEFAST=0`` (the legacy
-sample-at-a-time datapath) and ``=1``.  These tests pin that equivalence
-across the workload suite, on replay-style and resilient adaptive runs,
-and exercise the flat tables' dict-shaped API directly.
+The sampler records a sample one of two ways (DESIGN.md §10): buffered
+into a run-length-encoded ring and drained in batches, or on the spot
+through the per-sample ``_record``, which resolver-less methods,
+K-strikes failures and plans that configure a sampler fault site take.
+A zero-rate sampler-site plan such as ``FaultPlan({"sample": 0.0})``
+forces every sample through ``_record`` without firing a fault, so it
+is the reference the buffered route is checked against: every digest,
+cycle count, tick count, and HealthReport must be bit-identical.  These
+tests pin that equivalence across the workload suite, on replay-style
+and resilient adaptive runs, and exercise the flat tables' dict-shaped
+API directly.
 """
 
 import pytest
 
-import repro.util.flags as flags
 from repro.bytecode.method import BranchRef
 from repro.persist import edge_profile_to_dict, path_profile_to_dict
 from repro.profiling.edges import EdgeProfile
@@ -35,87 +38,85 @@ from tests.test_adaptive_system import hot_loop_program
 
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 
+#: A plan that configures a sampler site but never fires: it forces the
+#: per-sample ``_record`` route and changes nothing else.
+PER_SAMPLE = {"sample": 0.0}
 
-# -- end-to-end datapath parity ---------------------------------------------
+
+# -- end-to-end route parity -------------------------------------------------
 
 
-def _cell(workload: str, monkeypatch, fast: bool, scale: float = 0.5):
-    from repro.harness.experiment import (
-        config_to_spec,
-        measure_cell,
-        pep_config,
+def _cell(workload: str, per_sample: bool, scale: float = 0.5):
+    """A replay-methodology PEP(64,17) run of ``workload``."""
+    from repro.harness.experiment import prepare
+    from repro.persist import payload_checksum
+
+    ctx = prepare(get_workload(workload), scale=scale)
+    image = ctx.image("pep")
+    vm = VirtualMachine(
+        dict(image.code),
+        image.main,
+        costs=image.costs,
+        tick_interval=ctx.tick_interval,
+        sampler=make_sampler(64, 17),
+        resilience=(
+            ResilienceManager(plan=FaultPlan(PER_SAMPLE))
+            if per_sample
+            else None
+        ),
     )
-
-    monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1" if fast else "0")
-    spec = config_to_spec(pep_config(64, 17))
-    metrics = measure_cell(workload, scale, spec, seed=7)
+    result = vm.run()
+    # Only the drain fills the slot cache: the witness of which route
+    # recorded the samples.
+    assert bool(vm.edge_slot_cache) is not per_sample
+    digest = payload_checksum(
+        {
+            "paths": path_profile_to_dict(vm.path_profile),
+            "edges": edge_profile_to_dict(vm.edge_profile),
+            "output": list(vm.output),
+            "return_value": result.return_value,
+            "cycles": result.cycles,
+        }
+    )
     return (
-        metrics["digest"],
-        metrics["cycles"],
-        metrics["ticks"],
-        metrics["samples_taken"],
-        metrics["strides_skipped"],
+        digest,
+        result.cycles,
+        result.ticks,
+        result.samples_taken,
+        result.strides_skipped,
     )
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_workload_datapath_parity(workload, monkeypatch):
-    """Fast and legacy datapaths are bit-identical on every workload."""
-    legacy = _cell(workload, monkeypatch, fast=False)
-    fast = _cell(workload, monkeypatch, fast=True)
-    assert fast == legacy
-
-
-def test_fault_injection_parity(monkeypatch):
-    """Plans that configure a sampler fault site keep the per-sample
-    datapath (every other resilient run buffers), so fault sequences,
-    HealthReports, and profiles match exactly."""
-    from repro import api
-
-    program = hot_loop_program(4000)
-
-    def run(fast):
-        monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1" if fast else "0")
-        plan = FaultPlan(
-            {"sample": 0.2, "path-reconstruct": 0.2, "path-table": 0.2},
-            seed=9,
-        )
-        return api.profile(
-            program, samples=16, stride=5, ticks=150, fault_plan=plan
-        )
-
-    fast, legacy = run(True), run(False)
-    assert fast.health == legacy.health
-    assert fast.result.cycles == legacy.result.cycles
-    assert fast.result.output == legacy.result.output
-    assert path_profile_to_dict(fast.paths) == path_profile_to_dict(
-        legacy.paths
-    )
-    assert edge_profile_to_dict(fast.edges) == edge_profile_to_dict(
-        legacy.edges
-    )
+def test_workload_datapath_parity(workload):
+    """Buffered and per-sample recording are bit-identical on every
+    workload."""
+    buffered = _cell(workload, per_sample=False)
+    assert buffered == _cell(workload, per_sample=True)
 
 
 # -- resilient adaptive runs -------------------------------------------------
 
-#: Resilient plans that configure no sampler fault site, so the default
-#: datapath buffers their samples.
-BUFFERED_PLANS = [None, FaultPlan({"opt-compile": 0.5}, seed=4)]
+#: Resilient plans that configure no sampler fault site, so the sampler
+#: buffers their samples, each with its per-sample twin.
+PLAN_PAIRS = [
+    (None, FaultPlan(PER_SAMPLE)),
+    (
+        FaultPlan({"opt-compile": 0.5}, seed=4),
+        FaultPlan({"opt-compile": 0.5, **PER_SAMPLE}, seed=4),
+    ),
+]
 
 
-def _datapaths(monkeypatch, run):
-    """``run()`` on the default datapath, then on the per-sample one.
+def _routes(monkeypatch, run):
+    """``run(plan)`` for each plan pair: the buffered result, then the
+    per-sample one.
 
     Both compile cold: cached methods arrive with their traces
     installed, which would empty the second run's trace log.
     """
-    results = []
-    for fast in ("1", "0"):
-        with monkeypatch.context() as patch:
-            patch.setenv(codecache.ENV_DISABLE, "0")
-            patch.setenv(flags.SAMPLEFAST_ENV, fast)
-            results.append(run())
-    return results
+    monkeypatch.setenv(codecache.ENV_DISABLE, "0")
+    return [(run(buffered), run(twin)) for buffered, twin in PLAN_PAIRS]
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
@@ -123,29 +124,27 @@ def test_adaptive_datapath_parity(workload, monkeypatch):
     """Resilient adaptive runs buffer their samples, bit for bit."""
     spec = get_workload(workload)
     program = spec.build(0.5)
-    for plan in BUFFERED_PLANS:
-        fast, legacy = _datapaths(
-            monkeypatch,
-            lambda: adaptive_run(program, spec.ticks_target, 3, plan),
-        )
-        assert fast == legacy
-        assert fast["samples"] > 0
+    runs = _routes(
+        monkeypatch,
+        lambda plan: adaptive_run(program, spec.ticks_target, 3, plan),
+    )
+    for buffered, per_sample in runs:
+        assert buffered == per_sample
+        assert buffered["samples"] > 0
 
 
 @pytest.mark.parametrize("seed", range(0, 96, 16))
 def test_random_program_adaptive_datapath_parity(seed, monkeypatch):
     program = random_program(seed, CORPUS_SPEC)
-    for plan in BUFFERED_PLANS:
-        fast, legacy = _datapaths(
-            monkeypatch, lambda: adaptive_run(program, 200, 11, plan)
-        )
-        assert fast == legacy
+    for buffered, per_sample in _routes(
+        monkeypatch, lambda plan: adaptive_run(program, 200, 11, plan)
+    ):
+        assert buffered == per_sample
 
 
-def test_resilient_runs_buffer_unless_sampler_sites_are_planned(monkeypatch):
+def test_resilient_runs_buffer_unless_sampler_sites_are_planned():
     """Only the drain fills ``vm.edge_slot_cache``: it is the witness
-    that a run recorded its samples through the buffered datapath."""
-    monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1")
+    that a run recorded its samples through the buffered route."""
     program = hot_loop_program(3000)
     costs = CostModel()
 
@@ -169,15 +168,15 @@ def test_resilient_runs_buffer_unless_sampler_sites_are_planned(monkeypatch):
         assert not run(FaultPlan({site: 0.0})).edge_slot_cache
 
 
-def _k_strikes_run(monkeypatch, fast, sequence):
+def _k_strikes_run(per_sample, sequence):
     """Feed ``sequence`` of path numbers to one burst, K = 2."""
-    monkeypatch.setenv(flags.SAMPLEFAST_ENV, "1" if fast else "0")
     program = counting_program(50)
     costs = CostModel()
     code = compile_simple(program, mode="pep", costs=costs)
     cm = next(c for c in code.values() if c.resolver is not None)
     res = ResilienceManager(
-        policy=DegradationPolicy(max_reconstruction_failures=2)
+        plan=FaultPlan(PER_SAMPLE) if per_sample else None,
+        policy=DegradationPolicy(max_reconstruction_failures=2),
     )
     sampler = make_sampler(len(sequence) + 1, 1)
     vm = VirtualMachine(
@@ -210,13 +209,13 @@ def _k_strikes_run(monkeypatch, fast, sequence):
         ([None, 0, None, None, 0], True),
     ],
 )
-def test_k_strikes_sequence_datapath_parity(monkeypatch, sequence, disabled):
+def test_k_strikes_sequence_datapath_parity(sequence, disabled):
     """A failed sample breaks the buffer's RLE run and re-arms its probe,
     so the next buffered sample resets the streak as ``_record`` does."""
-    fast = _k_strikes_run(monkeypatch, True, sequence)
-    legacy = _k_strikes_run(monkeypatch, False, sequence)
-    assert fast == legacy
-    health, enabled = fast[0], fast[1]
+    buffered = _k_strikes_run(False, sequence)
+    per_sample = _k_strikes_run(True, sequence)
+    assert buffered == per_sample
+    health, enabled = buffered[0], buffered[1]
     assert enabled is not disabled
     assert health["reconstruction_failures"] == sequence.count(None)
 

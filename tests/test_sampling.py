@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.util.flags as flags
 from repro.errors import ReproError
 from repro.sampling.arnold_grove import (
     ArnoldGroveSampler,
@@ -61,8 +60,8 @@ def drive(sampler, vm, n):
 
 #: How the overlapping-tick tests deliver each timer tick: once, or as
 #: two back-to-back ``on_tick`` calls (a catch-up over two intervals,
-#: which must equal one), on both the buffered and the legacy datapath.
-TICK_DELIVERIES = [(1, "1"), (2, "1"), (1, "0"), (2, "0")]
+#: which must equal one).
+TICK_DELIVERIES = (1, 2)
 
 
 def tick(sampler, vm, times):
@@ -140,11 +139,10 @@ def test_regular_ag_initial_skip_then_stride_between():
     ]
 
 
-def test_regular_ag_tick_during_draining_burst(monkeypatch):
+def test_regular_ag_tick_during_draining_burst():
     """A tick landing between two regular-AG samples must not restart the
     burst or advance the rotation."""
-    for times, fast in TICK_DELIVERIES:
-        monkeypatch.setenv(flags.SAMPLEFAST_ENV, fast)
+    for times in TICK_DELIVERIES:
         vm = FakeVM()
         sampler = make_sampler(3, 2, simplified=False)
         tick(sampler, vm, times)  # rotation 0: no initial skip
@@ -174,9 +172,8 @@ def test_regular_ag_reset_mid_burst():
 def test_reset_keeps_buffered_samples():
     """reset() restarts the state machine but never loses taken samples.
 
-    With the buffered (samplefast) datapath the sample sits in the ring
-    buffer until a drain; with the legacy datapath it was recorded on
-    the spot.  Either way it must survive a reset.
+    The sample sits in the ring buffer until a drain; it must survive a
+    reset.
     """
     program = counting_program(50)
     costs = CostModel()
@@ -192,14 +189,13 @@ def test_reset_keeps_buffered_samples():
     assert vm.path_profile.frequency(cm.profile_key, 0) == 1.0
 
 
-def test_burst_survives_overlapping_tick(monkeypatch):
+def test_burst_survives_overlapping_tick():
     """A tick landing mid-burst must not restart the burst.
 
     This is the contract that lets ``VirtualMachine.on_tick`` notify the
     sampler once per catch-up, however many intervals elapsed.
     """
-    for times, fast in TICK_DELIVERIES:
-        monkeypatch.setenv(flags.SAMPLEFAST_ENV, fast)
+    for times in TICK_DELIVERIES:
         vm = FakeVM()
         sampler = make_sampler(4, 3)
         tick(sampler, vm, times)  # rotation 0: no initial skip
