@@ -23,6 +23,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.errors import ReproError
 from repro.harness.accuracy import PerfectProfiles, collect_perfect_profiles
 from repro.harness.experiment import ExperimentContext, prepare
 from repro.workloads.suite import Workload, benchmark_suite
@@ -33,8 +34,16 @@ _perfect_cache: Dict[str, PerfectProfiles] = {}
 
 
 def bench_scale() -> float:
+    """Workload scale for the figures (``REPRO_BENCH_SCALE``, default 6)."""
     raw = os.environ.get("REPRO_BENCH_SCALE")
-    return float(raw) if raw else _BENCH_SCALE_DEFAULT
+    if not raw:
+        return _BENCH_SCALE_DEFAULT
+    try:
+        return float(raw)
+    except ValueError:
+        raise ReproError(
+            f"REPRO_BENCH_SCALE must be a number, got {raw!r}"
+        ) from None
 
 
 def engine_jobs() -> int:
@@ -46,7 +55,12 @@ def engine_jobs() -> int:
     raw = os.environ.get("REPRO_JOBS")
     if not raw:
         return 1
-    jobs = int(raw)
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ReproError(
+            f"REPRO_JOBS must be an integer, got {raw!r}"
+        ) from None
     return (os.cpu_count() or 1) if jobs <= 0 else jobs
 
 

@@ -3,9 +3,8 @@
 
 Times the hot layers the perf PRs touched — guest execution under the
 blockjit engine and the tuple interpreter, the path-guided superblock
-trace stacked on top of it, the k-iteration trace on a bimodal loop,
-the fixed-point fold-coverage census (DESIGN.md §15), the
-minimum-coverage probe saving (DESIGN.md §14), the
+trace stacked on top of it, the fixed-point fold-coverage census
+(DESIGN.md §15), the minimum-coverage probe saving (DESIGN.md §14), the
 yieldpoint/sampling-check overhead, lowering with and without the
 compilation cache, path reconstruction with cold vs warm memos, and a
 small fig6 sweep through the experiment engine serial vs parallel — and
@@ -43,7 +42,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-SCHEMA = 10
+SCHEMA = 11
 REGRESSION_TOLERANCE = 0.25  # fail --check on >25% normalized slowdown
 # Minimum acceptable serial/parallel speedup when the runner actually
 # has cores to parallelize over (generous: contention on loaded CI
@@ -67,14 +66,6 @@ SAMPLING_REGRESSION_TOLERANCE = 0.10
 # blockjit on full runs (DESIGN.md §11); quick runs are too short for
 # the ratio to gate without flaking, so they only report it.
 SUPERBLOCK_SPEEDUP_FLOOR = 1.2
-# Minimum speedup of a k-iteration superblock trace (DESIGN.md §16) over
-# plain blockjit on the bimodal alternating-arm workload — the tier that
-# loop stays on without k-BLPP, since no 1-path dominates it.  The
-# 2-iteration trace keeps both arms in straight-line promoted-register
-# code where blockjit returns to the trampoline at every block.  1.7x is
-# the product of the two floors it replaces (the retired warm ladder
-# >= 1.3x blockjit, the k-trace >= 1.3x that ladder).  Full runs only.
-KBLPP_SPEEDUP_FLOOR = 1.7
 
 
 # -- calibration ------------------------------------------------------------
@@ -427,256 +418,6 @@ def bench_superblock(quick: bool) -> dict:
     }
 
 
-# -- k-iteration traces (DESIGN.md §16) --------------------------------------
-
-
-def _bimodal_program(calls: int, inner: int):
-    """main calls a helper whose loop strictly alternates two arms.
-
-    Each arm is ~half the 1-path mass (the prologue dilutes both below
-    the 0.5 dominance threshold on short trips; on long trips they sit
-    *at* 50/50), so 1-path formation leaves the helper on plain blockjit
-    — while one 2-iteration window is dominant and stitchable.  The
-    k-BLPP shape (arXiv 1304.5197).
-    """
-    from repro.bytecode.builder import ProgramBuilder
-
-    pb = ProgramBuilder("bimodal")
-    helper = pb.function("helper", ["n"])
-    n = helper.p("n")
-    acc = helper.local(0)
-
-    def body(i):
-        def arm_a():
-            helper.assign(acc, acc + n)
-            helper.assign(acc, acc + 1)
-            helper.assign(acc, acc + i)
-            helper.assign(acc, acc * 1)
-            helper.assign(acc, acc + 2)
-            helper.assign(acc, acc + i)
-            helper.assign(acc, acc - 1)
-            helper.assign(acc, acc + 1)
-
-        def arm_b():
-            helper.assign(acc, acc * 1)
-            helper.assign(acc, acc + 2)
-            helper.assign(acc, acc + i)
-            helper.assign(acc, acc + n)
-            helper.assign(acc, acc - 1)
-            helper.assign(acc, acc + i)
-            helper.assign(acc, acc + 1)
-            helper.assign(acc, acc + 1)
-
-        helper.if_((i % 2).eq(0), arm_a, arm_b)
-
-    helper.for_range(0, inner, 1, body)
-    helper.ret(acc)
-
-    f = pb.function("main")
-    total = f.local(0)
-    f.for_range(0, calls, 1,
-                lambda i: f.assign(total, total + f.call("helper", i)))
-    f.emit(total)
-    f.ret(total)
-    return pb.build()
-
-
-def _trace_continuation(schema, window_counts, head, expected_next):
-    """P(next window continues the trace) from a sampled window table.
-
-    Among full 2-windows starting with 1-path ``head``, the share whose
-    second component is ``expected_next`` — the probability execution
-    stays on a trace that just finished iterating ``head``.  None when
-    no window starts with ``head``.
-    """
-    on_trace = 0.0
-    total = 0.0
-    for number, count in window_counts.items():
-        window = schema.split_window(number)
-        if window is None or len(window) != 2 or window[0] != head:
-            continue
-        total += count
-        if window[1] == expected_next:
-            on_trace += count
-    return on_trace / total if total > 0 else None
-
-
-def bench_kblpp(quick: bool) -> dict:
-    """Bimodal-loop throughput: plain blockjit vs the k-trace.
-
-    A pilot *sampled* run collects the helper's shadow k-path window
-    table; the dominant stitchable window (the real §16 promotion
-    decision, via :func:`find_dominant_kpath` at the rotation-corrected
-    threshold) is stitched into a 2-iteration trace on one image while
-    the other stays on plain blockjit — the tier the same method lands
-    on without k-BLPP.  A cycle-parity probe asserts bit-identity before
-    the timed reps; ``kblpp_speedup`` is gated by
-    ``KBLPP_SPEEDUP_FLOOR`` on full runs.
-
-    Also emits the accuracy-vs-overhead PEP(S,K) grid: for each
-    sampling config, the trace-continuation probability of the best
-    1-path trace (k=1) vs the best 2-window trace (k=2) — the k=1
-    column shows exactly why the bimodal kernel needs k-BLPP.
-    """
-    import gc
-
-    from repro.instrument.pep import apply_pep
-    from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.profiling.kpaths import shared_schema
-    from repro.sampling.arnold_grove import make_sampler
-    from repro.util.flags import kblpp_enabled, kblpp_k
-    from repro.vm.costs import CostModel
-    from repro.vm.interpreter import lower_method
-    from repro.vm.runtime import VirtualMachine
-    from repro.vm.superblock import (
-        encode_kpath,
-        find_dominant_kpath,
-        find_dominant_path,
-        install_superblock,
-        trace_blocks,
-    )
-
-    calls = 30 if quick else 60
-    reps = 4 if quick else 8
-    program = _bimodal_program(calls=calls, inner=512)
-    costs = CostModel()
-    k = kblpp_k()
-
-    def pep_image():
-        code = {}
-        for method in program.iter_methods():
-            clone = method.clone()
-            insert_yieldpoints(clone)
-            inst = apply_pep(clone, None)
-            cm = lower_method(clone, "opt2", costs)
-            if inst is not None:
-                cm.attach_dag(inst.dag)
-            code[method.name] = cm
-        return code
-
-    if not kblpp_enabled():
-        return {
-            "workloads": ["bimodal"],
-            "kblpp_installed": False,
-            "note": "REPRO_KBLPP=0",
-        }
-
-    # Pilot: sample the plain image to fill the shadow window table.
-    pilot_code = pep_image()
-    pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
-    pilot_cycles = pilot_vm.run().cycles
-    sampled_vm = VirtualMachine(
-        pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
-    )
-    sampled_vm.run()
-    helper_cm = pilot_code["helper"]
-    helper_key = helper_cm.profile_key
-    window_counts = sampled_vm.kpath_profile.method_paths(helper_key)
-    dominant = find_dominant_kpath(window_counts, 0.5 / k, 8.0)
-    encoded = encode_kpath(dominant) if dominant is not None else None
-    if encoded is None or trace_blocks(helper_cm, encoded) is None:
-        return {
-            "workloads": ["bimodal"],
-            "kblpp_installed": False,
-            "note": "no stitchable dominant k-window sampled",
-        }
-
-    images = {"blockjit": pep_image(), "kblpp": pep_image()}
-    if not install_superblock(images["kblpp"]["helper"], encoded):
-        return {
-            "workloads": ["bimodal"],
-            "kblpp_installed": False,
-            "note": f"k-window {dominant} declined to install",
-        }
-
-    # Cycle-parity probe (also the warmup): the k-trace must account the
-    # exact virtual cycles of plain blockjit or the timing is invalid.
-    probes = {}
-    for label, code in images.items():
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-        res = vm.run()
-        probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-    if probes["blockjit"] != probes["kblpp"]:
-        raise AssertionError(f"k-trace diverged from blockjit: {probes}")
-
-    best = {label: float("inf") for label in images}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for label, code in images.items():
-                vm = VirtualMachine(
-                    code, program.main, costs=costs, blockjit=True
-                )
-                t0 = time.perf_counter()
-                vm.run()
-                best[label] = min(best[label], time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    # PEP(S,K) accuracy-vs-overhead grid (k=1 vs k=2 coverage).  The
-    # continuation metric needs 2-windows, so the grid is only emitted
-    # at the default k.
-    grid = {}
-    schema = shared_schema(helper_cm.dag, 2) if k == 2 else None
-    if schema is not None:
-        configs = [(4, 3), (16, 17), (64, 17)]
-        if quick:
-            configs = configs[:2]
-        for samples, stride in configs:
-            grid_code = pep_image()
-            grid_vm = VirtualMachine(
-                grid_code, program.main, costs=costs,
-                tick_interval=pilot_cycles / 200.0,
-                sampler=make_sampler(samples, stride),
-            )
-            grid_vm.run()
-            key = grid_code["helper"].profile_key
-            counts1 = grid_vm.path_profile.method_paths(key)
-            counts2 = grid_vm.kpath_profile.method_paths(key)
-            best_win = find_dominant_kpath(counts2, 0.5 / 2, 8.0)
-            cell = {
-                "samples_taken": grid_vm.samples_taken,
-                # On the bimodal kernel no 1-path is ever dominant, so
-                # the k=1 column scores the trace a greedy 1-path former
-                # *would* pick: the most-sampled path, continuation
-                # measured the same way as the k=2 trace.
-                "k1_dominant": find_dominant_path(counts1, 0.5, 8.0)
-                is not None,
-                "k1_trace_continuation": None,
-                "k2_trace_continuation": None,
-            }
-            if counts1:
-                top_1path = max(counts1, key=counts1.get)
-                cell["k1_trace_continuation"] = _trace_continuation(
-                    schema, counts2, top_1path, top_1path
-                )
-            if best_win is not None:
-                window = schema.split_window(best_win)
-                if window is not None and len(window) == 2:
-                    cell["k2_trace_continuation"] = _trace_continuation(
-                        schema, counts2, window[1], window[0]
-                    )
-            grid[f"PEP({samples},{stride})"] = cell
-
-    cycles = probes["blockjit"][0]
-    return {
-        "workloads": ["bimodal"],
-        "calls": calls,
-        "reps": reps,
-        "k": k,
-        "dominant_kwindow": dominant,
-        "kblpp_installed": True,
-        "cycles": cycles,
-        "blockjit_vcycles_per_sec": cycles / best["blockjit"],
-        "kblpp_vcycles_per_sec": cycles / best["kblpp"],
-        "kblpp_speedup": best["blockjit"] / best["kblpp"],
-        "pep_grid": grid,
-    }
-
-
 # -- fixed-point fold coverage (DESIGN.md §15) -------------------------------
 
 
@@ -980,7 +721,6 @@ def append_history(report: dict, path: str) -> None:
         "superblock_speedup": metrics.get("superblock", {}).get(
             "superblock_speedup"
         ),
-        "kblpp_speedup": metrics.get("kblpp", {}).get("kblpp_speedup"),
         "fold_coverage": metrics.get("foldcov", {}).get("fold_coverage"),
         "probe_reduction": metrics.get("pgo", {}).get("probe_reduction"),
         "cache_speedup": metrics.get("lowering", {}).get("cache_speedup"),
@@ -1068,7 +808,7 @@ def main(argv=None) -> int:
         "--stage",
         action="append",
         choices=[
-            "interpreter", "sampling", "superblock", "kblpp", "foldcov",
+            "interpreter", "sampling", "superblock", "foldcov",
             "pgo", "lowering", "reconstruction", "sweep",
         ],
         default=None,
@@ -1091,7 +831,6 @@ def main(argv=None) -> int:
         ("interpreter", lambda: bench_interpreter(args.quick)),
         ("sampling", lambda: bench_sampling(args.quick)),
         ("superblock", lambda: bench_superblock(args.quick)),
-        ("kblpp", lambda: bench_kblpp(args.quick)),
         ("foldcov", lambda: bench_foldcov(args.quick)),
         ("pgo", lambda: bench_pgo(args.quick)),
         ("lowering", lambda: bench_lowering(args.quick)),
@@ -1135,9 +874,11 @@ def main(argv=None) -> int:
     if partial:
         for name in args.stage:
             stage_metrics = metrics.get(name, {})
-            for key in ("superblock_speedup", "kblpp_speedup"):
-                if key in stage_metrics:
-                    print(f"bench_perf: {key} {stage_metrics[key]:.2f}x")
+            if "superblock_speedup" in stage_metrics:
+                print(
+                    f"bench_perf: superblock_speedup "
+                    f"{stage_metrics['superblock_speedup']:.2f}x"
+                )
             if "probe_reduction" in stage_metrics:
                 print(
                     f"bench_perf: probe_reduction "
@@ -1153,7 +894,6 @@ def main(argv=None) -> int:
     interp = metrics["interpreter"]
     sampling = metrics["sampling"]
     superblock = metrics["superblock"]
-    kblpp = metrics["kblpp"]
     foldcov = metrics["foldcov"]
     pgo = metrics["pgo"]
     sb_text = (
@@ -1166,18 +906,13 @@ def main(argv=None) -> int:
         if foldcov.get("fold_coverage") is not None
         else "n/a"
     )
-    kb_text = (
-        f"{kblpp['kblpp_speedup']:.2f}x"
-        if kblpp.get("kblpp_installed")
-        else "n/a"
-    )
     print(
         f"bench_perf: blockjit speedup {interp['blockjit_speedup']:.2f}x "
         f"over the tuple interpreter, sampling wall overhead "
         f"{sampling['sampling_wall_overhead']:.2f}x, superblock hot-loop "
-        f"speedup {sb_text}, k-trace bimodal speedup {kb_text} over plain "
-        f"blockjit, fold coverage {fc_text}, min-coverage probes "
-        f"{pgo['probes_placed']}/{pgo['probes_full']}, parallel speedup "
+        f"speedup {sb_text} over plain blockjit, fold coverage {fc_text}, "
+        f"min-coverage probes {pgo['probes_placed']}/{pgo['probes_full']}, "
+        f"parallel speedup "
         f"{sweep['parallel_speedup']:.2f}x ({sweep['jobs']} jobs on "
         f"{cpu_count} cores), digests_match={sweep['digests_match']}"
     )
@@ -1202,16 +937,6 @@ def main(argv=None) -> int:
                 f"bench_perf: FATAL superblock hot-loop speedup "
                 f"{superblock['superblock_speedup']:.3f}x below the "
                 f"{SUPERBLOCK_SPEEDUP_FLOOR:.2f}x floor"
-            )
-            rc = 1
-    # k-trace-over-blockjit floor on the bimodal workload (full runs
-    # only; REPRO_KBLPP=0 runs report n/a and skip the gate).
-    if not args.quick and kblpp.get("kblpp_installed"):
-        if kblpp["kblpp_speedup"] < KBLPP_SPEEDUP_FLOOR:
-            print(
-                f"bench_perf: FATAL k-trace bimodal speedup "
-                f"{kblpp['kblpp_speedup']:.3f}x below the "
-                f"{KBLPP_SPEEDUP_FLOOR:.2f}x floor"
             )
             rc = 1
     # Fold coverage is deterministic, so it gates quick runs too: the

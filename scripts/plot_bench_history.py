@@ -17,12 +17,11 @@ Usage::
 ``--check-trend`` is the creeping-regression alert for CI: it exits
 non-zero (and prints a GitHub ``::warning::`` annotation) when the last
 ``--window`` history entries show a strictly monotonic climb in
-``sampling_wall_overhead`` or a strictly monotonic decline in
-``kblpp_speedup`` — each run a little worse than the previous one, the shape a per-PR regression
-gate with a fixed tolerance never catches.  Rendering mode has no
-dependencies and never fails the build:
-a missing or partially corrupt history renders whatever lines are
-usable.
+``sampling_wall_overhead`` — each run a little worse than the previous
+one, the shape a per-PR regression gate with a fixed tolerance never
+catches.  Rendering mode has no dependencies and never fails the
+build: a missing or partially corrupt history renders whatever lines
+are usable.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ def render_table(entries: list) -> str:
         ("blockjit", lambda e: _fmt(e.get("blockjit_speedup"), ".2f")),
         ("sampling", lambda e: _fmt(e.get("sampling_wall_overhead"), ".2f")),
         ("superblk", lambda e: _fmt(e.get("superblock_speedup"), ".2f")),
-        ("kblpp", lambda e: _fmt(e.get("kblpp_speedup"), ".2f")),
         ("foldcov", lambda e: _fmt(e.get("fold_coverage"), ".3f")),
         ("cache", lambda e: _fmt(e.get("cache_speedup"), ".1f")),
         ("memo", lambda e: _fmt(e.get("memo_speedup"), ".1f")),
@@ -150,15 +148,11 @@ def render(entries: list) -> str:
 DEFAULT_TREND_WINDOW = 4
 
 
-def _check_series(
-    entries: list, key: str, window: int, bad_direction: int
-) -> int:
-    """Alert when ``key`` moves monotonically in the bad direction.
+def _check_series(entries: list, key: str, window: int) -> int:
+    """Alert when ``key`` climbs strictly monotonically.
 
-    ``bad_direction`` is +1 for metrics where climbing is the regression
-    (overheads) and -1 where shrinking is (speedups).  Needs at least
-    three usable points to call a trend (two points is a delta, not a
-    slope).  Returns 0 quiet, 1 alert.
+    Needs at least three usable points to call a trend (two points is
+    a delta, not a slope).  Returns 0 quiet, 1 alert.
     """
     usable = [
         (entry, entry[key])
@@ -173,9 +167,7 @@ def _check_series(
         )
         return 0
     values = [value for _, value in recent]
-    regressing = all(
-        (b - a) * bad_direction > 0 for a, b in zip(values, values[1:])
-    )
+    regressing = all(b > a for a, b in zip(values, values[1:]))
     trail = " -> ".join(f"{value:.3f}" for value in values)
     if not regressing:
         print(
@@ -184,9 +176,8 @@ def _check_series(
         )
         return 0
     shas = ", ".join(_sha7(entry) for entry, _ in recent)
-    verb = "climbed" if bad_direction > 0 else "declined"
     message = (
-        f"{key} {verb} monotonically over the last "
+        f"{key} climbed monotonically over the last "
         f"{len(recent)} bench runs ({trail}; commits {shas}) — each step "
         "may pass the per-PR gate, but the trend is a creeping regression"
     )
@@ -199,18 +190,10 @@ def _check_series(
 def check_trend(entries: list, window: int = DEFAULT_TREND_WINDOW) -> int:
     """Alert on creeping regressions across recent bench runs.
 
-    Two monitored series: ``sampling_wall_overhead`` climbing (every
-    recent PR made sampling a little slower) and ``kblpp_speedup``
-    declining (the k-iteration trace's bimodal-loop win eroding run
-    over run).  Either one alone trips the alert.
+    The monitored series is ``sampling_wall_overhead`` climbing: every
+    recent PR made sampling a little slower.
     """
-    rc_sampling = _check_series(
-        entries, "sampling_wall_overhead", window, bad_direction=1
-    )
-    rc_kblpp = _check_series(
-        entries, "kblpp_speedup", window, bad_direction=-1
-    )
-    return rc_sampling or rc_kblpp
+    return _check_series(entries, "sampling_wall_overhead", window)
 
 
 def main(argv=None) -> int:
@@ -233,8 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-trend",
         action="store_true",
-        help="exit nonzero when recent sampling overheads climb or "
-        "k-trace speedups decline monotonically (no rendering)",
+        help="exit nonzero when recent sampling overheads climb "
+        "monotonically (no rendering)",
     )
     parser.add_argument(
         "--window",

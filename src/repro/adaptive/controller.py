@@ -22,15 +22,9 @@ from repro.sampling.arnold_grove import (
 )
 from repro.adaptive.baseline import compile_baseline
 from repro.adaptive.optimizing import optimize_method
-from repro.util.flags import kblpp_enabled, kblpp_k, superblock_enabled
+from repro.util.flags import superblock_enabled
 from repro.vm.costs import CostModel
-from repro.vm.superblock import (
-    encode_kpath,
-    find_dominant_kpath,
-    find_dominant_path,
-    install_superblock,
-    trace_blocks,
-)
+from repro.vm.superblock import find_dominant_path, install_superblock
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -45,7 +39,6 @@ class AdaptiveConfig:
         "superblock",
         "superblock_threshold",
         "superblock_min_samples",
-        "kpath_threshold",
     )
 
     def __init__(
@@ -56,7 +49,6 @@ class AdaptiveConfig:
         superblock: Optional[bool] = None,
         superblock_threshold: float = 0.5,
         superblock_min_samples: float = 8.0,
-        kpath_threshold: Optional[float] = None,
     ) -> None:
         # thresholds: (samples needed, opt level), ascending.
         self.thresholds = thresholds
@@ -73,14 +65,6 @@ class AdaptiveConfig:
         self.superblock = superblock
         self.superblock_threshold = superblock_threshold
         self.superblock_min_samples = superblock_min_samples
-        # Dominance threshold over the k-path window table (DESIGN.md
-        # §16).  None derives ``superblock_threshold / k``: overlapping
-        # windows split a cyclic kernel's mass across its k rotations
-        # (an alternating loop's EO and OE windows each hold ~half the
-        # iteration-pair mass), so a window holding 1/k-th of the
-        # 1-path threshold marks a kernel holding the full threshold's
-        # share of iterations, up to burst-boundary dilution.
-        self.kpath_threshold = kpath_threshold
 
 
 class AdaptiveSystem:
@@ -120,20 +104,6 @@ class AdaptiveSystem:
         # per compiled version; recompiles get a fresh key).
         self._sb_attempted: set = set()
         self._superblock = superblock_enabled(self.config.superblock)
-        # k-iteration fallback (DESIGN.md §16): when no 1-path dominates
-        # a method, its k-path table may still show a dominant
-        # multi-iteration window worth stitching.  Only consulted when
-        # superblock formation itself is on.
-        self._kblpp = self._superblock and kblpp_enabled()
-        self._kpath_threshold = (
-            self.config.kpath_threshold
-            if self.config.kpath_threshold is not None
-            else self.config.superblock_threshold / kblpp_k()
-        )
-        # (profile key, encoded k-path) pairs that failed trace
-        # eligibility — cached so the controller does not re-expand the
-        # same unstitchable window at every later sample.
-        self._kpath_rejected: set = set()
         self._bootstrap()
 
     def _bootstrap(self) -> None:
@@ -293,13 +263,6 @@ class AdaptiveSystem:
             self.config.superblock_threshold,
             self.config.superblock_min_samples,
         )
-        if path is None and self._kblpp:
-            # k-iteration fallback (DESIGN.md §16): a bimodal loop whose
-            # 1-paths split the samples may still have a dominant
-            # k-window.  Eligibility is checked *before* the dominance
-            # verdict is burned, so an unstitchable k-path (multi-header
-            # window, fault-demoted table) leaves 1-path dominance open.
-            path = self._find_kpath(vm, cm, key)
         if path is None:
             # No dominant path (yet): the method stays on plain blockjit
             # and a later sample may still find one.
@@ -332,29 +295,3 @@ class AdaptiveSystem:
             raise
         if installed:
             self.superblock_log.append((source_name, key, path))
-
-    def _find_kpath(
-        self, vm: VirtualMachine, cm: CompiledMethod, key: str
-    ) -> Optional[int]:
-        """A stitchable dominant k-path, encoded, or None.
-
-        Reads the shadow ``vm.kpath_profile`` under the same dominance
-        rule as 1-paths, then pre-validates trace expansion so only a
-        window the backend can actually stitch (a mono-header cyclic
-        window) reaches promotion.  Pure reads, zero virtual cycles;
-        rejected windows are memoised per (version, number).
-        """
-        kpath = find_dominant_kpath(
-            vm.kpath_profile.method_paths(key),
-            self._kpath_threshold,
-            self.config.superblock_min_samples,
-        )
-        if kpath is None:
-            return None
-        encoded = encode_kpath(kpath)
-        if (key, encoded) in self._kpath_rejected:
-            return None
-        if trace_blocks(cm, encoded) is None:
-            self._kpath_rejected.add((key, encoded))
-            return None
-        return encoded

@@ -35,7 +35,6 @@ REAL = "real"  # an actual CFG edge (branch arm or jump)
 EXIT_EDGE = "exit"  # ret-block -> EXIT
 DUMMY_ENTRY = "dummy-entry"  # ENTRY -> loop body start (path begin)
 DUMMY_EXIT = "dummy-exit"  # path end -> EXIT
-CARRY = "carry"  # k-DAG only: header-top@i -> header-bottom@i+1 (§16)
 
 
 class DagEdge:

@@ -31,9 +31,8 @@ from repro.util.rng import DeterministicRng
 #: * ``path-reconstruct``   — path-number -> edge-sequence regeneration
 #: * ``path-table``         — the path-profile table update for a sample
 #: * ``advice-load``        — reading a replay-advice file
-#: * ``superblock-compile`` — path-guided superblock formation, 1-path
-#:   and k-path traces alike; firing degrades the method to plain
-#:   blockjit (observables unchanged)
+#: * ``superblock-compile`` — path-guided superblock formation; firing
+#:   degrades the method to plain blockjit (observables unchanged)
 FAULT_SITES = (
     "opt-compile",
     "sample",

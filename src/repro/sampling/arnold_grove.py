@@ -25,8 +25,6 @@ from typing import List, Optional
 
 from repro.errors import PathReconstructionError, ReproError
 from repro.profiling.edges import numpy_available
-from repro.profiling.kpaths import shared_schema
-from repro.util.flags import kblpp_enabled, kblpp_k
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -120,11 +118,6 @@ class ArnoldGroveSampler:
         "_c_sample",
         "_c_stride",
         "_c_expand",
-        "_kblpp",
-        "_k",
-        "_kschema",
-        "_kwin",
-        "_kwin_vm",
     )
 
     def __init__(self, config: SamplingConfig, record_paths: bool = True) -> None:
@@ -167,20 +160,6 @@ class ArnoldGroveSampler:
         self._c_sample = 0.0
         self._c_stride = 0.0
         self._c_expand = 0.0
-        # k-iteration window state (DESIGN.md §16, REPRO_KBLPP): per
-        # CompiledMethod, the last < k sampled 1-paths plus the method's
-        # k-schema and a one-entry window->number memo (the dominant
-        # k-path repeats the identical window every iteration).  Windows
-        # chain only *consecutive* samples, so anything that breaks
-        # consecutiveness — burst end, striding, reset, a dropped or
-        # failed sample, a VM switch — clears them.  Recording into
-        # ``vm.kpath_profile`` charges no virtual cycles: the k-table is
-        # a shadow structure outside every digest.
-        self._kblpp = kblpp_enabled() and record_paths
-        self._k = kblpp_k()
-        self._kschema: dict = {}
-        self._kwin: dict = {}
-        self._kwin_vm: Optional[VirtualMachine] = None
 
     def reset(self) -> None:
         """Restart the burst state machine (rotation included).
@@ -194,8 +173,6 @@ class ArnoldGroveSampler:
         self._skip_left = 0
         self._samples_left = 0
         self._rotation = 0
-        if self._kblpp:
-            self._kclear()
 
     # -- SamplerLike ---------------------------------------------------------
 
@@ -241,8 +218,6 @@ class ArnoldGroveSampler:
                     # marked the expansion, so this one is a single
                     # run-length bump.
                     self._buf_n[-1] += 1
-                    if self._kblpp:
-                        self._kpush(vm, cm, path_reg)
                 else:
                     if cm is not self._rc_cm or vm is not self._rc_vm:
                         self._rearm_record_cache(vm, cm)
@@ -274,8 +249,6 @@ class ArnoldGroveSampler:
                         if pkey not in expanded:
                             expanded.add(pkey)
                             cost += self._c_expand
-                        if self._kblpp:
-                            self._kpush(vm, cm, path_reg)
                     else:
                         # Resolver-less method, a plan with sampler
                         # fault sites, a method whose path profiling
@@ -288,16 +261,12 @@ class ArnoldGroveSampler:
             if left == 0:
                 self._state = _IDLE
                 vm.flag = False
-                if self._kblpp:
-                    self._kclear()
                 if self._buf_cm:
                     self._drain(vm)
             elif self._between:
                 # Regular Arnold-Grove: stride between every pair of samples.
                 self._state = _STRIDING
                 self._skip_left = self.config.stride - 1
-                if self._kblpp:
-                    self._kclear()
             return cost
         if state == _STRIDING:
             self._skip_left -= 1
@@ -339,8 +308,6 @@ class ArnoldGroveSampler:
         ):
             # Degraded: the K-strikes policy turned PEP path profiling off
             # for this method; the sample is simply not recorded.
-            if self._kblpp:
-                self._kbreak(cm)
             return 0.0
         if injector is not None and injector.should_fire(
             "sample", cm.profile_key
@@ -348,8 +315,6 @@ class ArnoldGroveSampler:
             # A corrupt sample is dropped at the handler boundary — the
             # profile sees nothing, the program never notices.
             resilience.drop_sample()
-            if self._kblpp:
-                self._kbreak(cm)
             return 0.0
         cost = 0.0
         # First-expansion accounting is per-VM (not per-memo): the shared
@@ -379,8 +344,6 @@ class ArnoldGroveSampler:
             # sample re-reads the disable flag and resets the streak.
             self._rc_cm = None
             self._buf_last_cm = None
-            if self._kblpp:
-                self._kbreak(cm)
             return cost
         vm.expanded_paths.add(pkey)
         if resilience is not None:
@@ -391,76 +354,12 @@ class ArnoldGroveSampler:
             # The path-table update faulted; the edge derivation below
             # still proceeds, so the edge profile keeps flowing.
             resilience.drop_sample()
-            if self._kblpp:
-                self._kbreak(cm)
         else:
             vm.path_profile.record(cm.profile_key, path_reg)
-            if self._kblpp:
-                self._kpush(vm, cm, path_reg)
         edge_profile = vm.edge_profile
         for branch, taken in events:
             edge_profile.record(branch, taken)
         return cost
-
-    def _kpush(
-        self, vm: VirtualMachine, cm: CompiledMethod, path_reg: int
-    ) -> None:
-        """Chain a just-recorded 1-path sample into the k-window (§16).
-
-        Called at the exact points where a sample lands in
-        ``vm.path_profile`` — the RLE bump and buffer append of the
-        buffered route, and :meth:`_record`'s success path — so both
-        routes chain sample-for-sample identical windows.  A full
-        window slides by one (overlapping windows: the k-path stream has
-        one entry per iteration, like the 1-path stream) and records its
-        k-number into the shadow table when the chain invariant holds.
-        """
-        if vm is not self._kwin_vm:
-            self._kwin.clear()
-            self._kwin_vm = vm
-        schema = self._kschema.get(cm)
-        if schema is None:
-            if cm in self._kschema:
-                return  # pinned infeasible (no DAG / path space too big)
-            resolver = cm.resolver
-            schema = shared_schema(
-                resolver.dag if resolver is not None else None, self._k
-            )
-            self._kschema[cm] = schema
-            if schema is None:
-                return
-        entry = self._kwin.get(cm)
-        if entry is None:
-            # Dense-or-demote exactly like the 1-path table: path spaces
-            # beyond DENSE_PATH_CAP fall back to the sparse dict.
-            vm.kpath_profile.ensure_dense(cm.profile_key, schema.num_kpaths)
-            entry = [[], None, None]
-            self._kwin[cm] = entry
-        window = entry[0]
-        window.append(path_reg)
-        if len(window) < self._k:
-            return
-        win = tuple(window)
-        del window[0]
-        if win == entry[1]:
-            kn = entry[2]
-        else:
-            kn = schema.window_number(win)
-            entry[1] = win
-            entry[2] = kn
-        if kn is not None:
-            vm.kpath_profile.record(cm.profile_key, kn)
-
-    def _kbreak(self, cm: CompiledMethod) -> None:
-        """Void one method's partial window (a sample was dropped)."""
-        entry = self._kwin.get(cm)
-        if entry is not None:
-            del entry[0][:]
-
-    def _kclear(self) -> None:
-        """Void every partial window (burst end / striding / reset)."""
-        for entry in self._kwin.values():
-            del entry[0][:]
 
     def _rearm_record_cache(
         self, vm: VirtualMachine, cm: CompiledMethod

@@ -34,7 +34,6 @@ from repro.bytecode.disasm import format_instr, format_terminator
 from repro.bytecode.method import Method, Program
 from repro.errors import ReproError
 from repro.profiling.edges import EdgeProfile
-from repro.util.flags import kblpp_enabled, kblpp_k
 from repro.util.rng import stable_hash
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import CompiledMethod
@@ -42,81 +41,20 @@ from repro.vm.interpreter import CompiledMethod
 ENV_DISABLE = "REPRO_CODECACHE"
 ENV_BOUND = "REPRO_CODECACHE_BOUND"
 DEFAULT_BOUND = 2048
-# Format 2: CompiledMethod pickles carry the blockjit-generated source
-# (``jit_source``) so warm runs skip codegen; per-process closures
-# (``jit_entries``) are dropped on pickle and rebuilt lazily.  Cache
-# keys also gained a resolved ``fuse`` field (previously always None).
-# Format 3: keys gained a resolved ``samplefast`` field — the blockjit
-# yieldpoint template (and thus the persisted ``jit_source``) differs
-# between the countdown and legacy datapaths (DESIGN.md §10), and a key
-# must never conflate the two.
-# Format 4: CompiledMethod pickles additionally carry the path-guided
-# superblock artefacts (``sb_source``/``sb_path``/``sb_fingerprint``,
-# DESIGN.md §11).  The fingerprint ties the trace to this version's
-# P-DAG and the resolved samplefast flag; ``ensure_jit`` revalidates it
-# on warm loads, so stale superblock advice misses cleanly while the
-# plain blockjit entry still hits.
-# Format 5: the ``sb_*`` slots may now carry whole-method sources from
-# a second trace backend (DESIGN.md §13, retired in format 12) and
-# ``sb_fingerprint`` hashes the resolved backend choice, so the two
-# backends' artefacts never cross.  Because format-4 fingerprints were
-# computed without that component, a format-4 cache loaded under format
-# 5 is dropped wholesale (the standard wrong-format path below) rather
-# than partially reused.
-# Format 6: CompiledMethod pickles additionally carry PGO advice
-# (layout order, callee-inlining plans, probe plan; DESIGN.md §14), the
-# keys gained the resolved layout and inlining flags plus the effective
-# minimum-coverage placement bit, and ``sb_fingerprint`` folds in a
-# hash of the layout flag and advice.
-# Format-5 entries know none of this, so a format-5 cache loaded under
-# format 6 is dropped wholesale — flag flips within format 6 miss
-# cleanly through the key/fingerprint components instead.
-# Format 7: CompiledMethod pickles additionally carry the fixed-point
-# fold verdict (``fold_q``, DESIGN.md §15) which selects the persisted
-# ``jit_source``/``sb_source`` chain shape, the keys gained the
-# resolved ``REPRO_FIXEDCOST``/``REPRO_WARMJIT`` flags, the ``sb_*``
-# slots may carry warm token ladders (``sb_path == -1``), and
-# ``sb_fingerprint`` folds in the fold verdict.  Format-6 entries
-# predate all of that (and the recalibrated dyadic tier multipliers
-# shift their cost fingerprints anyway), so a format-6 cache loaded
-# under format 7 is dropped wholesale.
-# Format 8: the ``sb_*`` slots may carry k-iteration superblock traces
-# (``sb_path <= -2``, DESIGN.md §16) whose fingerprints fold in the
-# resolved window width, and the keys gained the resolved
-# ``REPRO_KBLPP``/``REPRO_KBLPP_K`` pair so a persisted k-trace never
-# revives under a different k (or with the tier off) via a key hit.
-# Format-7 entries predate the encoding, so a format-7 cache loaded
-# under format 8 is dropped wholesale.
-# Format 9: the warm token ladder is retired (DESIGN.md §15), so the
-# keys lose the resolved ``REPRO_WARMJIT`` flag and no ``sb_*`` slot
-# carries ``sb_path == -1`` any more.  A format-8 cache may hold warm
-# ladders, so it is dropped wholesale: persisted ladders miss instead
-# of loading.
-# Format 10: persisted ``jit_source`` and ``sb_source`` change shape.
-# Their fuel exits and countdown-yieldpoint slow paths call the
-# ``_fuel_out``/``_yield_slow`` helpers, and the method namespace no
-# longer binds the ``_Fuel``/``_NI`` globals older sources reference.
-# Blockjit exits also write back only live registers.  A format-9 cache
-# is dropped wholesale.
-# Format 11: the legacy fold shape and superinstruction fusion are
-# retired (DESIGN.md §9, §15), so the keys lose the resolved
-# ``REPRO_FIXEDCOST`` flag and the ``fuse`` field, and every persisted
-# method carries ``fold_q`` 20 or 0, never ``None``.  A format-10 cache
-# may hold legacy-shaped sources under the old key layout, so it is
-# dropped wholesale.
-# Format 12: the whole-method trace backend, its AOT sub-tier and PGO
-# callee inlining are retired (DESIGN.md §13, §14).  The keys lose the
-# resolved inlining flag, ``sb_fingerprint`` loses its backend and
-# inline-plan components, and no pickle carries inline plans any more.
-# A format-11 cache may hold whole-method sources in its ``sb_*`` slots,
-# so it is dropped wholesale.
-# Format 13: the legacy sampling datapath and PGO segment layout are
-# retired (DESIGN.md §10, §14).  The keys lose the resolved samplefast
-# and layout flags, ``sb_fingerprint`` loses its samplefast and layout
-# components, and no pickle carries layout advice any more.  Format-12
-# fingerprints hashed those components, so a format-12 cache is dropped
-# wholesale.
-_FORMAT = 13
+# Format 14.  A key is ``optimize_key`` or ``baseline_key`` below.  A
+# value is (CompiledMethod, compile cycles); the pickled method carries
+# its blockjit source (``jit_source``), its fold verdict (``fold_q``, 20
+# or 0, DESIGN.md §15) and at most one 1-path superblock trace
+# (``sb_source``/``sb_path``/``sb_fingerprint``, DESIGN.md §11).  Its
+# closures (``jit_entries``, ``sb_entry``) do not pickle and are rebuilt
+# on first use; ``ensure_jit`` revalidates the trace fingerprint then.
+# Every earlier format keyed on, fingerprinted with, or persisted
+# something since retired: kill-switch flags, warm ladders, whole-method
+# traces, k-iteration traces, sources calling globals no longer bound.
+# Reusing part of such a cache could revive a stale artefact under a key
+# that now means something else, so a file stamped with any other
+# format loads nothing (DESIGN.md §8).
+_FORMAT = 14
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -217,12 +155,6 @@ def optimize_key(
         # branch masks, so probed and fully-instrumented artefacts
         # never conflate.
         bool(min_coverage),
-        # Resolved k-iteration components (format 8): a cached method
-        # may carry a k-trace in its sb_* slots, and the window width
-        # is baked into its fingerprint — neither may conflate across
-        # a REPRO_KBLPP flip or a k change.
-        kblpp_enabled(),
-        kblpp_k(),
     )
 
 

@@ -215,12 +215,6 @@ class VirtualMachine:
         # Profiles being collected during this run.
         self.edge_profile = EdgeProfile()
         self.path_profile = PathProfile()
-        # Shadow k-iteration path table (DESIGN.md §16): windows of k
-        # chained 1-path samples, recorded by the sampler when
-        # REPRO_KBLPP is on.  Never enters digests and charges no
-        # virtual cycles — it only steers trace formation, so the kill
-        # switch is bit-identical by construction.
-        self.kpath_profile = PathProfile()
         self.call_graph = CallGraphProfile()
         # (profile_key, path) -> array of edge-profile arm slots: the
         # sampler's drain replays a path's branch events as a batched

@@ -42,7 +42,7 @@ Persistence
 -----------
 The generated source (``sb_source``), its path number (``sb_path``) and
 a fingerprint (``sb_fingerprint``, see :func:`superblock_fingerprint`)
-ride pickled CompiledMethods through the codecache (format 12).
+ride pickled CompiledMethods through the codecache (format 14).
 ``ensure_jit`` revalidates the fingerprint on warm loads, so stale
 superblock advice misses cleanly while the plain blockjit entries still
 hit.
@@ -78,27 +78,14 @@ from repro.vm.interpreter import (
 #: unboundedly large functions); fall back to plain blockjit.
 MAX_TRACE_BLOCKS = 64
 
-#: ``sb_path`` encoding for k-iteration traces (DESIGN.md §16): k-DAG
-#: path number ``n`` is stored as ``KPATH_BASE - n``, keeping the whole
-#: k space disjoint from 1-path numbers (``>= 0``).  -1 is unused: it
-#: marked the retired warm ladder (DESIGN.md §15), and the base stays
-#: at -2 so k-trace numbers and fingerprints keep their values.
-KPATH_BASE = -2
-
-
-def encode_kpath(knumber: int) -> int:
-    """Encode a k-DAG path number for the ``sb_path``/promotion plumbing."""
-    return KPATH_BASE - knumber
-
 
 def is_kpath(path_number: Optional[int]) -> bool:
-    """True when an ``sb_path`` value names a k-iteration trace."""
-    return path_number is not None and path_number <= KPATH_BASE
+    """Always False: k-iteration traces are retired (DESIGN.md §16).
 
-
-def decode_kpath(path_number: int) -> int:
-    """Inverse of :func:`encode_kpath`."""
-    return KPATH_BASE - path_number
+    The benchmark still calls it to count ``controller.ktrace_promotions``;
+    the benchmark change of ROADMAP item 2 drops both.
+    """
+    return False
 
 
 # -- dominance --------------------------------------------------------------
@@ -131,23 +118,6 @@ def find_dominant_path(
     return best_path
 
 
-def find_dominant_kpath(
-    counts: Dict[int, float], threshold: float, min_samples: float
-) -> Optional[int]:
-    """Dominance over the shadow k-path table (``vm.kpath_profile``).
-
-    Same statistic as :func:`find_dominant_path` — the k-table is just
-    another path-number histogram — but read it only as a *fallback*
-    when no 1-path dominates: a bimodal loop alternating arms A,B has
-    two ~50% 1-paths yet a single dominant 2-window (overlapping
-    windows put AB and BA at ~half the window mass each, and the
-    threshold is inclusive, so either rotation qualifies; both stitch
-    the same cyclic trace).  Returns the raw k-DAG number; promotion
-    encodes it with :func:`encode_kpath`.
-    """
-    return find_dominant_path(counts, threshold, min_samples)
-
-
 # -- trace extraction -------------------------------------------------------
 
 
@@ -168,8 +138,6 @@ def trace_blocks(
     dag = cm.dag
     if dag is None or not dag.split_map:
         return None
-    if is_kpath(path_number):
-        return _ktrace_blocks(cm, path_number)
     if not 0 <= path_number < dag.num_paths:
         return None
     try:
@@ -196,90 +164,7 @@ def trace_blocks(
             labels.append(node)
     if node != top:
         return None
-    if len(labels) != len(set(labels)):
-        return None
-    return _validated_blocks(cm, labels)
-
-
-def _ktrace_blocks(
-    cm: CompiledMethod, path_number: int
-) -> Optional[List[LoweredBlock]]:
-    """Expand an encoded k-path into a multi-iteration loop trace (§16).
-
-    The k-DAG path must be a *mono-header cyclic window*: enter through
-    one header's bottom, carry back into that same header's bottom at
-    every window boundary, and end at that header's top — i.e. ``k``
-    consecutive iterations of one loop.  The stitched block order is the
-    1-trace shape repeated per slot, ``[top, bottom, mids0..., top,
-    bottom, mids1...]``, with the final arrival at the top closing the
-    loop to position 0; labels legitimately repeat (that is the
-    unrolling), so only the per-position terminator validation applies.
-    Mid-trace top positions replay the header's full yieldpoint/PEP
-    sequence — the loop back edge becomes an intra-trace fall-through
-    while every observable stays bit-identical.
-    """
-    from repro.cfg.dag import CARRY
-    from repro.cfg.kdag import split_klabel
-    from repro.profiling.kpaths import shared_schema
-    from repro.util.flags import kblpp_k
-
-    dag = cm.dag
-    schema = shared_schema(dag, kblpp_k())
-    if schema is None:
-        return None
-    knumber = decode_kpath(path_number)
-    if not 0 <= knumber < schema.num_kpaths:
-        return None
-    try:
-        edges = reconstruct_path(schema.kdag, knumber)
-    except ReproError:
-        return None
-    if len(edges) < 3:
-        return None
-    first = edges[0]
-    last = edges[-1]
-    if first.kind != DUMMY_ENTRY or last.kind != DUMMY_EXIT:
-        return None
-    top = split_klabel(last.src)[0]
-    bottom = split_klabel(first.dst)[0]
-    if dag.split_map.get(top) != bottom:
-        return None
-    labels = [top, bottom]
-    node = first.dst
-    carries = 0
-    for edge in edges[1:-1]:
-        if edge.src != node:
-            return None
-        node = edge.dst
-        if edge.kind == REAL:
-            base = split_klabel(node)[0]
-            if base != top:
-                labels.append(base)
-        elif edge.kind == CARRY:
-            # A carry at a different header means the window wanders
-            # between loops — numerable, but not stitchable into one
-            # cyclic trace.
-            if (
-                split_klabel(edge.src)[0] != top
-                or split_klabel(node)[0] != bottom
-            ):
-                return None
-            carries += 1
-            labels.append(top)
-            labels.append(bottom)
-        else:
-            return None
-    if node != last.src or carries != schema.k - 1:
-        return None
-    return _validated_blocks(cm, labels)
-
-
-def _validated_blocks(
-    cm: CompiledMethod, labels: List[str]
-) -> Optional[List[LoweredBlock]]:
-    """Fetch the lowered blocks and validate every consecutive pair
-    against the terminators (positional, so repeated labels are fine)."""
-    if len(labels) > MAX_TRACE_BLOCKS:
+    if len(labels) != len(set(labels)) or len(labels) > MAX_TRACE_BLOCKS:
         return None
     blocks: List[LoweredBlock] = []
     for label in labels:
@@ -514,11 +399,9 @@ def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
     """Ties a trace artefact to this version's P-DAG and codegen inputs.
 
     Three components: the P-DAG fingerprint, the path number and the
-    fold verdict, plus the resolved window length for k-traces.  A
-    change in any of them misses cleanly, exactly like stale advice.
+    fold verdict.  A change in any of them misses cleanly, exactly like
+    stale advice.
     """
-    from repro.util.flags import kblpp_k
-
     return stable_hash(
         "superblock|"
         f"{dag_fingerprint(cm.dag)}|{path_number}|"
@@ -526,13 +409,6 @@ def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
         # fold_q 20, textual at 0), so sources from different verdicts
         # must never cross.
         f"fq{cm.fold_q}"
-        # k-iteration traces (DESIGN.md §16) additionally pin the
-        # resolved window length: their path number lives in the k-DAG's
-        # space, so a REPRO_KBLPP_K change must miss (and drop the
-        # artefact) instead of decoding the number in the wrong space.
-        # Plain traces omit the component entirely, keeping their
-        # fingerprints byte-stable across k changes.
-        + (f"|kb{kblpp_k()}" if is_kpath(path_number) else "")
     )
 
 
@@ -569,8 +445,7 @@ def install_superblock(cm: CompiledMethod, path_number: int) -> bool:
     virtual cycles and touches no profiles: installation is observable
     only in wall clock.  Safe mid-run — the installed code is
     behaviorally identical to entering the head's plain segment.  The
-    trace, 1-path or k-path, compiles here rather than at its first
-    entry.
+    trace compiles here rather than at its first entry.
     """
     if cm.sb_entry is not None:
         return True
@@ -608,20 +483,8 @@ def reinstall_persisted(cm: CompiledMethod, entries: dict) -> None:
     if not superblock_enabled():
         return
     path = cm.sb_path
-    if is_kpath(path):
-        # A persisted multi-iteration k-trace (DESIGN.md §16).  Under
-        # the REPRO_KBLPP kill switch keep the artefacts untouched and
-        # install nothing — as REPRO_SUPERBLOCK=0 does for every trace:
-        # a later enabled process revives them.  When on, the generic
-        # validation below applies; the fingerprint embeds the resolved
-        # k, so a REPRO_KBLPP_K change misses and the stale trace is
-        # dropped.
-        from repro.util.flags import kblpp_enabled
-
-        if not kblpp_enabled():
-            return
-    # A stale -1 (a retired warm ladder) fails ``trace_blocks`` below
-    # and is dropped like any other stale trace.
+    # A stale negative path (a retired warm ladder or k-trace) fails
+    # ``trace_blocks`` below and is dropped like any other stale trace.
     ok = False
     if path is not None and cm.dag is not None and cm.sb_source is not None:
         try:

@@ -3,18 +3,17 @@
 Each builder centres on a *pulse* kernel: a short loop that strictly
 alternates between two arms, so its 1-path samples split ~evenly across
 the two iteration paths (diluted further by the prologue path) and no
-single acyclic path ever dominates — yet one 2-iteration window does.
-This is exactly the shape k-iteration path profiling (k-BLPP, arXiv
-1304.5197) exists for: the dominant k-path stitches both arms into one
-multi-iteration superblock with the loop back edge as an intra-trace
-fall-through, where 1-path trace formation finds no dominant path and
-leaves the kernel on plain blockjit.
+single acyclic path ever dominates.  Superblock formation (DESIGN.md
+§11) therefore never promotes a pulse kernel, and it runs on plain
+blockjit.  The kernels were added for k-iteration path profiling,
+which stitched two iterations into one trace; that tier is retired,
+and the kernels stay because every figure and every benchmark workload
+runs the full seventeen-workload suite.
 
 The kernels alternate *deterministically* (parity or a flipped toggle);
-LCG-derived guest data feeds the arms' arithmetic but never the branch,
-because a data-dependent coin would smear the window table the same way
-it smears the 1-path table.  Driver structure and calibration follow
-:mod:`repro.workloads.specjvm` (chunked workers, ``_per_chunk``).
+LCG-derived guest data feeds the arms' arithmetic but never the branch.
+Driver structure and calibration follow :mod:`repro.workloads.specjvm`
+(chunked workers, ``_per_chunk``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ SPEC JVM98 (compress, jess, db, javac, mpegaudio, mtrt, jack), a
 fixed-workload SPEC JBB2000 (pseudojbb), the DaCapo benchmarks that ran
 on Jikes RVM (antlr, bloat, fop, pmd, ps, xalan; hsqldb omitted as in
 the paper), and three bimodal alternating-arm kernels (zigzag, seesaw,
-pingpong) exercising the k-iteration tier (DESIGN.md §16).
+pingpong) whose loops have no dominant 1-path, so they run on plain
+blockjit (DESIGN.md §16).
 
 ``ticks_target`` scales each benchmark's virtual timer so a run receives
 a paper-proportional number of ticks: the paper's runs last ~4-30 s at
@@ -13,6 +14,7 @@ one tick per 20 ms (200-1500 ticks); jack is the short one.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List
 
 from repro.bytecode.method import Program
@@ -38,8 +40,13 @@ class Workload:
         self.group = group
 
     def build(self, scale: float = 1.0) -> Program:
-        if scale <= 0:
-            raise WorkloadError(f"{self.name}: scale must be positive")
+        # NaN fails every comparison and infinity is positive, so both
+        # need the explicit finiteness check.
+        if not (math.isfinite(scale) and scale > 0):
+            raise WorkloadError(
+                f"{self.name}: scale must be a positive finite number, "
+                f"got {scale!r}"
+            )
         return self.builder(scale)
 
     def __repr__(self) -> str:
@@ -62,7 +69,7 @@ _SUITE: List[Workload] = [
     Workload("ps", dacapo.build_ps, 90, "dacapo"),
     Workload("xalan", dacapo.build_xalan, 90, "dacapo"),
     # Bimodal alternating-arm kernels (DESIGN.md §16): no dominant
-    # 1-path, a dominant 2-iteration window — the k-BLPP shape.
+    # 1-path, so no superblock trace forms.
     Workload("zigzag", bimodal.build_zigzag, 70, "bimodal"),
     Workload("seesaw", bimodal.build_seesaw, 70, "bimodal"),
     Workload("pingpong", bimodal.build_pingpong, 70, "bimodal"),

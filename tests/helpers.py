@@ -146,8 +146,8 @@ def adaptive_run(
     An opt-2 dry run calibrates the timer to ``ticks`` ticks, then the
     adaptive system runs PEP(64,17) under a resilience layer that
     injects ``plan``'s faults, if any.  Returns the run's observables:
-    digest (profiles, output, cycles), counters, health, the shadow
-    k-path table, and the controller's compile and trace logs.
+    digest (profiles, output, cycles), counters, health, and the
+    controller's compile and trace logs.
     """
     costs = CostModel()
     base_code = {
@@ -183,7 +183,6 @@ def adaptive_run(
         "samples": result.samples_taken,
         "strides": result.strides_skipped,
         "health": result.health.to_dict(),
-        "kpaths": list(vm.kpath_profile.items()),
         "compile_log": list(system.compile_log),
         "superblock_log": list(system.superblock_log),
     }

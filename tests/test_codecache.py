@@ -277,11 +277,12 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # 10: keys carrying the retired fixed-cost and fusion fields; format
     # 11: whole-method trace sources in the sb_* slots and the retired
     # callee-inlining flag in the keys; format 12: the retired
-    # samplefast and layout flags in the keys and trace fingerprints)
-    # must not be partially reused: each bump changed what the keys or
-    # fingerprints hash, or what the persisted sources may reference,
-    # so every old entry is untrustworthy and the load drops the whole
-    # file.
+    # samplefast and layout flags in the keys and trace fingerprints;
+    # format 13: k-iteration traces in the sb_* slots and the retired
+    # REPRO_KBLPP/REPRO_KBLPP_K pair in the keys) must not be partially
+    # reused: each bump changed what the keys or fingerprints hash, or
+    # what the persisted sources may reference, so every old entry is
+    # untrustworthy and the load drops the whole file.
     program = counting_program(10)
     cm, cycles = _compile(program)
     path = str(tmp_path / "cache.pkl")
@@ -290,8 +291,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 13
-    payload["format"] = 12
+    assert payload["format"] == codecache._FORMAT == 14
+    payload["format"] = 13
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 

@@ -225,10 +225,8 @@ def test_braided_helper_has_no_dominant_path():
 
 
 def test_no_dominant_path_stays_on_plain_blockjit(monkeypatch):
-    # k-BLPP is pinned off: the braided kernel has no dominant 1-path by
-    # construction, but its periodic arms DO yield a dominant k-window,
-    # and the controller's k-fallback would stitch it into a trace.
-    monkeypatch.setattr(flags, "KBLPP", False)
+    # The braided kernel has no dominant 1-path by construction, so the
+    # controller forms no trace and the helper stays on plain blockjit.
     program = braided_helper_program()
     system, vm, result = _adaptive_run(program, superblock=True)
     helper = system.code["helper"]

@@ -37,9 +37,12 @@ def test_get_workload():
         get_workload("hsqldb")
 
 
-def test_workload_rejects_bad_scale():
+@pytest.mark.parametrize(
+    "scale", [0, float("nan"), float("inf")], ids=["0", "nan", "inf"]
+)
+def test_workload_rejects_bad_scale(scale):
     with pytest.raises(WorkloadError):
-        get_workload("jess").build(0)
+        get_workload("jess").build(scale)
 
 
 @pytest.mark.parametrize("workload", benchmark_suite(), ids=lambda w: w.name)
