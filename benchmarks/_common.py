@@ -1,7 +1,7 @@
 """Shared infrastructure for the figure-regeneration benches.
 
 Each bench file regenerates one of the paper's tables/figures: it runs the
-relevant configurations over the full 14-benchmark suite, prints the
+relevant configurations over the full 17-benchmark suite, prints the
 figure as a table (rows = benchmarks, columns = configurations), reports
 the regeneration time through pytest-benchmark, and asserts the *shape*
 of the paper's result (who wins, by roughly what factor).

@@ -424,7 +424,7 @@ def bench_superblock(quick: bool) -> dict:
 def bench_foldcov(quick: bool) -> dict:
     """Fold-coverage census: every suite method at every tier.
 
-    Deterministic (no timing): lowers the whole 14-workload suite at all
+    Deterministic (no timing): lowers the whole 17-workload suite at all
     four tiers under the default cost model and reports the fraction of
     methods certified for Q20 fixed-point folding.  Gated at exactly
     1.0 on every run — the recalibrated grid puts every default charge

@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         metavar="NAME",
-        help="workload subset (default: the full 14-benchmark suite)",
+        help="workload subset (default: the full 17-benchmark suite)",
     )
     sweep_p.add_argument(
         "--configs",

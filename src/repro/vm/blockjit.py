@@ -8,10 +8,10 @@ locals, trap guards are inlined with their exact messages and locations,
 and PEP path-register adds / yieldpoint checks are baked in at their
 exact positions.  The source is generated once per method, each of its
 functions is ``compile()``-d at its first call, and the run loop becomes
-block-level dispatch: call the block closure, follow the returned
+region-level dispatch: call the region closure, follow the returned
 successor closure.
 
-Only the hot path is inlined.  The two cold exits every segment can
+Only the hot path is inlined.  The two cold exits every block can
 take live out of line in module helpers bound into each method's
 namespace: :func:`out_of_fuel` (the fuel counterpart of
 ``interpreter._trap``) and :func:`yieldpoint_slow` (the countdown
@@ -36,31 +36,44 @@ on a local accumulator — never pre-summed, because float addition is
 non-associative off the grid.  ``tests/test_blockjit.py`` proves the
 contract across all bundled workloads.
 
-Segments
---------
-A block is split at ``OP_CALL`` boundaries into *segments*: one
-generated function per (block, entry-ip) pair, named ``_f{bi}_{ip}``.
-The interpreter re-charges fuel (``n - ip + 1``) every time control
-(re)enters a block — including resumption after a callee returns — so a
-per-segment fuel prologue reproduces its accounting exactly.  A segment
-exits by returning the successor segment's closure (jump/branch), the
-``_CALL`` sentinel (guest call pushed; the driver switches frames), or
-``None`` (guest return; value in ``JitState.ret_value``).
+Regions
+-------
+Each generated function is a *region*: a root entry followed inline by
+every block whose only CFG predecessor's terminator lies in that
+function.  A jump to such a block falls through into its code; each
+branch arm nests its successor under the arm's ``if``/``else``.  The
+roots (:func:`region_roots`) are the entry block, every block with
+other than one predecessor (a branch whose two arms share a target
+counts twice), every call-resume point ``(block, ip > 0)``, and every
+block that would nest more than :data:`MAX_REGION_DEPTH` arms deep
+(CPython's tokenizer caps indentation at 100 levels).  A region is a
+tree, so each block's code appears exactly once per method source.
+Roots are named ``_f{bi}_{ip}``; a region exits by returning a root's
+closure (jump/branch), the ``_CALL`` sentinel (guest call pushed; the
+driver switches frames), or ``None`` (guest return; value in
+``JitState.ret_value``).
 
-Registers live in segment locals and reach ``frame.regs`` only at
-exits, and only when a later segment can read them: a backward liveness
-pass over the method's segments (:func:`_live_in`) keeps, at each jump,
-branch arm and call, the dirty registers live into the successor
-segment (for a call, its resume segment, less the register the return
-writes).  Returns and traps write nothing back; the frame is dead.
+Every block charges its fuel on entry exactly as the interpreter does:
+``n - ip + 1`` at a root, including resumption after a callee returns,
+and ``n + 1`` at an inlined block.  Fuel and cycles stay in the locals
+``_fuel`` and ``_cyc`` across the region and reach ``st`` at its exits.
+
+Registers live in locals, bound per path: a register is loaded at its
+first read on each path, even if a sibling arm wrote it.  They reach
+``frame.regs`` only at exits, and only when a later region can read
+them: a backward liveness pass over the method's regions
+(:func:`_live_in`) keeps, at each exit, the registers written on the
+path to it that are live into its successor root (for a call, its
+resume root, less the register the return writes).  Returns and traps
+write nothing back; the frame is dead.
 
 Compilation at first entry
 --------------------------
-:func:`ensure_jit` binds every segment name to a *placeholder*
+:func:`ensure_jit` binds every root name to a *placeholder*
 (:func:`placeholder`): a function over one shared template code object
-whose first call compiles the real segment, binds it in the namespace
-and the segment table, and runs it.  A segment that never runs is never
-compiled.  A placeholder whose name has been rebound since (a
+whose first call compiles the real region, binds it in the namespace
+and the entry table, and runs it.  A region that is never entered is
+never compiled.  A placeholder whose name has been rebound since (a
 superblock trace installed over it) forwards to the current binding and
 compiles nothing.
 
@@ -70,9 +83,9 @@ Generated source is attached to the :class:`CompiledMethod`
 (``jit_source``) and rides along when the content-addressed
 :mod:`repro.vm.codecache` persists compiled methods, so warm runs (and
 engine-pool workers, which receive methods by pickle) skip codegen.
-Compiled segment code objects are additionally memoised process-wide
+Compiled region code objects are additionally memoised process-wide
 under the source text itself, so a method whose source the process has
-already run binds those segments at once.
+already run binds those regions at once.
 
 Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 """
@@ -115,9 +128,15 @@ from repro.vm.interpreter import (
 
 ENV_DISABLE = "REPRO_BLOCKJIT"
 
-#: Sentinel a segment returns after pushing a callee frame; the driver
-#: switches to the new frame's entry segment.
+#: Sentinel a region returns after pushing a callee frame; the driver
+#: switches to the new frame's entry root.
 _CALL = object()
+
+#: Deepest a region nests a block under branch arms; the next block
+#: down starts a new root.  CPython's tokenizer rejects more than 100
+#: indentation levels, and a block's code may sit this many arms deep
+#: plus a ``def``, a guard body, and a superblock trace's loop and arm.
+MAX_REGION_DEPTH = 32
 
 #: Countdown-yieldpoint gate value while the flag is up: every armed
 #: yieldpoint must reach the dispatcher until the burst drains; while
@@ -128,7 +147,7 @@ _NEG_INF = float("-inf")
 # text itself (true content addressing: identical lowered bodies produce
 # identical source).  ``_CODE_OBJECTS`` maps a whole trace or ladder
 # source to its module code object; ``_SEGMENT_CODE`` maps a blockjit
-# method source to the code objects of the segments compiled so far.
+# method source to the code objects of the regions compiled so far.
 # Each is bounded crudely at ``_CODE_OBJECTS_BOUND`` sources — an
 # occasional flush only costs a recompile.
 _CODE_OBJECTS: Dict[str, CodeType] = {}
@@ -199,15 +218,10 @@ def yieldpoint_slow(vm, cm, st, t: float, path_reg: int, flag) -> float:
     return cost
 
 
-def fuel_exit(cyc: str, method: str, block: str, index: int) -> str:
-    """Source of a fuel-exhaustion exit, for every emitter."""
-    return f"_fuel_out(vm, {cyc}, {method}, {block!r}, {index})"
-
-
 def emit_yieldpoint(seg, flush: str, flag) -> None:
     """Emit one yieldpoint that flushes ``flush`` into ``vm.cycles``.
 
-    Shared by blockjit segments and the superblock traces built from
+    Shared by blockjit regions and the superblock traces built from
     them; the path register is ``st.path_reg``.  The countdown
     template (DESIGN.md §10) stores the bit-identical ``vm.cycles`` and
     keeps one compare inline, against ``st.gate`` (``next_tick`` while
@@ -257,15 +271,6 @@ def _bin_expr(kind: int, a: str, b: str) -> str:
     raise VMError(f"unknown binop code {kind}")  # pragma: no cover
 
 
-def _entry_ips(block: LoweredBlock) -> List[int]:
-    """Segment entry points: block start plus every call-resume ip."""
-    ips = [0]
-    for j, op in enumerate(block.ops):
-        if op[0] == OP_CALL:
-            ips.append(j + 1)
-    return ips
-
-
 def _mask(counted) -> int:
     """Per-arm probe mask of a lowered ``count_arms`` field.
 
@@ -281,10 +286,9 @@ def _mask(counted) -> int:
 def _edge_origins(cm: CompiledMethod) -> List[object]:
     """Edge-instrumentation origin objects, in deterministic block order.
 
-    Codegen names them positionally (``_og0``, ``_og1``, ...); this
-    traversal must match the one in :func:`generate_source` so a
-    namespace built for *persisted* source still binds the right
-    objects.
+    Codegen names them positionally (``_og0``, ``_og1``, ...) by this
+    same traversal, so a namespace built for *persisted* source still
+    binds the right objects.
     """
     origins: List[object] = []
     for block in cm.blocks.values():
@@ -294,54 +298,151 @@ def _edge_origins(cm: CompiledMethod) -> List[object]:
     return origins
 
 
+def _bits(mask: int):
+    """The register numbers in bitset ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def region_roots(cm: CompiledMethod) -> List[Tuple[int, LoweredBlock, int]]:
+    """The entries that start a generated function, in block order.
+
+    Each root is ``(block index, block, entry ip)``: the method's entry
+    block, every block with other than one CFG predecessor (a branch
+    whose two arms share a target counts twice), every call-resume
+    point ``(block, ip > 0)``, and every block its predecessor's region
+    would nest more than :data:`MAX_REGION_DEPTH` branch arms deep.
+    Any other block is inlined under its only predecessor's terminator.
+    A block no root's tree reaches (an unreachable cycle of
+    single-predecessor blocks) becomes a root too, so every block's
+    code appears exactly once.
+    :func:`generate_source` and :func:`ensure_jit` both call this, so
+    they agree on every function name.
+    """
+    blocks = list(cm.blocks.values())
+    preds = dict.fromkeys(cm.blocks, 0)
+    resumes: Dict[str, List[int]] = {}
+    for block in blocks:
+        ips = [j + 1 for j, op in enumerate(block.ops) if op[0] == OP_CALL]
+        if ips:
+            resumes[block.label] = ips
+        term = block.term
+        if term[0] == T_JMP:
+            preds[term[2].label] += 1
+        elif term[0] == T_BR:
+            preds[term[5].label] += 1
+            preds[term[6].label] += 1
+    heads = {label for label, n in preds.items() if n != 1}
+    heads.add(cm.entry.label)
+    # Walk each region's tree from its root; a block's depth is the
+    # number of branch arms between it and its root.
+    todo = [(block, 0) for block in blocks if block.label in heads]
+    seen = set()
+    while True:
+        while todo:
+            block, depth = todo.pop()
+            seen.add(block.label)
+            if block.label in resumes:
+                depth = 0  # the terminator sits in the last resume root
+            term = block.term
+            if term[0] == T_JMP:
+                succs = (term[2],)
+            elif term[0] == T_BR:
+                succs = (term[5], term[6])
+                depth += 1
+            else:
+                continue
+            for succ in succs:
+                if succ.label in heads:
+                    continue
+                if depth > MAX_REGION_DEPTH:
+                    heads.add(succ.label)
+                    todo.append((succ, 0))
+                else:
+                    todo.append((succ, depth))
+        orphan = next((b for b in blocks if b.label not in seen), None)
+        if orphan is None:
+            break
+        heads.add(orphan.label)
+        todo.append((orphan, 0))
+    roots = []
+    for bi, block in enumerate(blocks):
+        if block.label in heads:
+            roots.append((bi, block, 0))
+        for ip in resumes.get(block.label, ()):
+            roots.append((bi, block, ip))
+    return roots
+
+
 class _Segment:
-    """Accumulates one generated function: loads, body, dirty registers.
+    """Accumulates one generated function's body along its paths.
+
+    Register binding is per path: ``bound`` holds the registers with a
+    live local on the path being emitted (a register is loaded at its
+    first read on each path) and ``dirty`` those written on it, both as
+    int bitsets; :meth:`fork` and :meth:`restore` save and reinstate
+    them, with the pending cost chain, around each branch arm.  ``uses``
+    and ``defs`` accumulate over all paths.  ``indent`` counts the
+    branch arms the current path is nested under.
 
     ``fixed`` selects the fixed-point accounting shape (DESIGN.md §15):
-    per-op cost constants collect in ``pending`` instead of emitting an
-    eager ``_cyc += c`` each, and every point that observes the
-    accumulator reads :meth:`cyc_expr` — one folded constant per chain.
+    per-op cost constants collect in ``pending``, scaled by
+    ``FOLD_SCALE`` to exact integers, instead of emitting an eager
+    ``_cyc += c`` each, and every point that observes the accumulator
+    reads :meth:`cyc_expr` — one folded constant per chain.
     Certification (``CompiledMethod.fold_q``) guarantees the fold is
     bit-identical; with ``fixed`` off, ``pending`` stays empty and
     ``cyc_expr`` degenerates to the literal ``_cyc``, so every emission
     site can read it unconditionally and the textual chain is unchanged.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, fixed: bool) -> None:
         self.body: List[str] = []
-        self.loads: List[int] = []  # first-use order, unique
-        self._bound: set = set()  # registers with a live local
-        self.dirty: set = set()  # locals that must be flushed on exit
-        self.fixed = False
-        self.pending: List[float] = []
+        self.bound = 0  # registers with a live local on this path
+        self.dirty = 0  # registers written on this path
+        self.uses = 0  # registers loaded on any path
+        self.defs = 0  # registers written on any path
+        self.indent = 0
+        self.fixed = fixed
+        self.pending: List[int] = []
 
     def rd(self, reg: int) -> str:
-        if reg not in self._bound:
-            self._bound.add(reg)
-            self.loads.append(reg)
+        bit = 1 << reg
+        if not self.bound & bit:
+            self.bound |= bit
+            self.uses |= bit
+            self.body.append("    " * (1 + self.indent) + f"r{reg} = regs[{reg}]")
         return f"r{reg}"
 
     def wr(self, reg: int) -> str:
-        self._bound.add(reg)
-        self.dirty.add(reg)
+        bit = 1 << reg
+        self.bound |= bit
+        self.dirty |= bit
+        self.defs |= bit
         return f"r{reg}"
+
+    def fork(self) -> tuple:
+        """The per-path state at a branch, for :meth:`restore`."""
+        return self.bound, self.dirty, list(self.pending)
+
+    def restore(self, state: tuple) -> None:
+        self.bound, self.dirty, pending = state
+        self.pending = list(pending)
 
     def cyc_expr(self) -> str:
         """The value ``_cyc`` would hold if pending costs flushed now.
 
-        Multi-constant chains fold to one constant computed in exact
-        scaled-integer arithmetic: each ``c * FOLD_SCALE`` is an exact
-        integer-valued product (certification), the int sum is exact,
-        and the single closing division is a power-of-two scaling — so
-        the folded constant equals the sequential float sum bit for bit.
+        A chain folds to one constant computed in exact scaled-integer
+        arithmetic: each pending ``c * FOLD_SCALE`` is an exact integer
+        (certification), the int sum is exact, and the single closing
+        division is a power-of-two scaling — so the folded constant
+        equals the sequential float sum bit for bit.
         """
-        pending = self.pending
-        if not pending:
+        if not self.pending:
             return "_cyc"
-        if len(pending) > 1:
-            total = sum(int(c * FOLD_SCALE) for c in pending) / FOLD_SCALE
-            return f"(_cyc + {total!r})"
-        return f"(_cyc + {pending[0]!r})"
+        return f"(_cyc + {sum(self.pending) / FOLD_SCALE!r})"
 
     def emit(self, line: str, depth: int = 1) -> None:
         # Trap guards pass the accumulator by the literal name ``_cyc``;
@@ -352,107 +453,98 @@ class _Segment:
             line = line.replace(
                 "_trap(vm, _cyc, ", f"_trap(vm, {self.cyc_expr()}, ", 1
             )
-        self.body.append("    " * depth + line)
+        self.body.append("    " * (depth + self.indent) + line)
 
-    def cost(self, amount: float, depth: int = 1) -> None:
+    def cost(self, amount: float) -> None:
         # Zero adds are skipped: x + 0.0 == x bitwise for the
         # non-negative accumulator values that occur here.
         if amount != 0.0:
             if self.fixed:
-                self.pending.append(amount)
+                self.pending.append(int(amount * FOLD_SCALE))
             else:
-                self.emit(f"_cyc += {amount!r}", depth)
+                self.emit(f"_cyc += {amount!r}")
 
-    def writebacks(self, depth: int = 1) -> None:
-        for reg in sorted(self.dirty):
-            self.emit(f"regs[{reg}] = r{reg}", depth)
+    def exit_writebacks(self, succ: str, kill: int = 0) -> None:
+        """Writebacks before an exit to root ``succ``.
 
-    def exit_writebacks(self, succ: str, depth: int = 1, kill: int = 0) -> None:
-        """Writebacks before an exit to segment ``succ``.
-
-        The trace emitters flush every dirty register here;
-        :class:`_PlainSegment` narrows to the registers live into
-        ``succ``, less the ``kill`` bitset.
+        A superblock trace flushes every dirty register here;
+        :class:`_Region` narrows to the registers live into ``succ``,
+        less the ``kill`` bitset.
         """
-        self.writebacks(depth)
+        for reg in _bits(self.dirty):
+            self.emit(f"regs[{reg}] = r{reg}")
 
 
-class _PlainSegment(_Segment):
-    """One plain blockjit segment, rendered once liveness is known.
+class _Region(_Segment):
+    """One region function, rendered once liveness is known.
 
-    Exits record where their writebacks go instead of emitting them;
-    :meth:`render` fills each with the dirty registers live into that
-    exit's successor.
+    Exits record where their writebacks go, with the path's dirty set,
+    instead of emitting them; :meth:`render` fills each with the dirty
+    registers live into that exit's successor.
     """
 
-    def __init__(self, name: str) -> None:
-        super().__init__()
+    def __init__(self, name: str, fixed: bool) -> None:
+        super().__init__(fixed)
         self.name = name
-        self.head: List[str] = []
-        # (body index, depth, successor name, kill bitset) per exit
-        self.exits: List[Tuple[int, int, str, int]] = []
+        # (body index, depth, successor root, kill bitset, dirty bitset)
+        self.exits: List[Tuple[int, int, str, int, int]] = []
 
-    def exit_writebacks(self, succ: str, depth: int = 1, kill: int = 0) -> None:
-        self.exits.append((len(self.body), depth, succ, kill))
+    def exit_writebacks(self, succ: str, kill: int = 0) -> None:
+        self.exits.append(
+            (len(self.body), 1 + self.indent, succ, kill, self.dirty)
+        )
 
     def render(self, live: Dict[str, int]) -> str:
-        lines = list(self.head)
-        for reg in self.loads:
-            lines.append(f"    r{reg} = regs[{reg}]")
+        lines = [f"def {self.name}(vm, frame, regs, st):"]
         body = self.body
-        dirty = sorted(self.dirty)
         start = 0
-        for at, depth, succ, kill in self.exits:
+        for at, depth, succ, kill, dirty in self.exits:
             lines.extend(body[start:at])
-            out = live[succ] & ~kill
             pad = "    " * depth
-            for reg in dirty:
-                if out >> reg & 1:
-                    lines.append(f"{pad}regs[{reg}] = r{reg}")
+            for reg in _bits(dirty & live[succ] & ~kill):
+                lines.append(f"{pad}regs[{reg}] = r{reg}")
             start = at
         lines.extend(body[start:])
         return "\n".join(lines) + "\n"
 
 
-def _live_in(segments: List[_PlainSegment]) -> Dict[str, int]:
-    """Registers live into each segment, as bitsets by segment name.
+def _live_in(regions: List[_Region]) -> Dict[str, int]:
+    """Registers live into each region, as bitsets by root name.
 
-    A segment's uses are its ``loads`` (read before written), its defs
-    its ``dirty`` set, and its successors the targets its exits
-    recorded.  The backward fixed point only grows each set from its
-    uses, so it terminates.
+    A region's uses are the registers it loads (each is read before
+    written on some path), and each exit passes on what is live into
+    its successor root, less its kill set and the registers written on
+    the path to it.  The backward fixed point only grows each set, so
+    it terminates.
     """
-    uses = {seg.name: sum(1 << reg for reg in seg.loads) for seg in segments}
-    keep = {seg.name: ~sum(1 << reg for reg in seg.dirty) for seg in segments}
-    live = dict(uses)
-    order = segments[::-1]
+    live = {region.name: region.uses for region in regions}
+    order = regions[::-1]
     changed = True
     while changed:
         changed = False
-        for seg in order:
-            out = 0
-            for _, _, succ, kill in seg.exits:
-                out |= live[succ] & ~kill
-            name = seg.name
-            new = uses[name] | (out & keep[name])
-            if new != live[name]:
-                live[name] = new
+        for region in order:
+            new = region.uses
+            for _, _, succ, kill, dirty in region.exits:
+                new |= live[succ] & ~(kill | dirty)
+            if new != live[region.name]:
+                live[region.name] = new
                 changed = True
     return live
 
 
 class _MethodCodegen:
     def __init__(self, cm: CompiledMethod) -> None:
-        self.cm = cm
-        self.blocks = list(cm.blocks.values())
-        self.block_index = {block.label: bi for bi, block in enumerate(self.blocks)}
+        blocks = list(cm.blocks.values())
+        self.block_index = {block.label: bi for bi, block in enumerate(blocks)}
+        self.roots = region_roots(cm)
+        self._root_blocks = {block.label for _, block, ip in self.roots if not ip}
         # Edge-origin globals are named by *block order* (the traversal
         # of :func:`_edge_origins`, which `_namespace` re-runs to bind
         # them), never by emission order — a trace emits its blocks in
         # path order, but ``_og{j}`` must keep meaning the j-th counted
         # branch of the method.
         self._origin_names: Dict[str, str] = {}
-        for block in self.blocks:
+        for block in blocks:
             term = block.term
             if term[0] == T_BR and term[10]:
                 self._origin_names[block.label] = f"_og{len(self._origin_names)}"
@@ -465,52 +557,70 @@ class _MethodCodegen:
     # -- top level ----------------------------------------------------------
 
     def generate(self) -> str:
-        segments = [
-            self._gen_segment(bi, block, ip)
-            for bi, block in enumerate(self.blocks)
-            for ip in _entry_ips(block)
-        ]
-        live = _live_in(segments)
-        functions = [seg.render(live) for seg in segments]
+        regions = [self._gen_region(bi, block, ip) for bi, block, ip in self.roots]
+        live = _live_in(regions)
+        functions = [region.render(live) for region in regions]
         header = (
-            "# Generated by repro.vm.blockjit — one function per "
-            "(block, entry-ip) segment.\n"
-            "# Injected globals: _pk, _cm, _Frame, _trap, _fuel_out, "
-            "_yield_slow, _CALL, _blk*, _og*.\n"
+            "# Generated by repro.vm.blockjit — one function per region: "
+            "a root (block, entry-ip)\n"
+            "# and the blocks inlined under it.  Injected globals: _pk, "
+            "_cm, _Frame, _trap,\n"
+            "# _fuel_out, _yield_slow, _CALL, _blk*, _og*.\n"
         )
         return header + "\n".join(functions)
 
-    # -- segments -----------------------------------------------------------
+    # -- regions ------------------------------------------------------------
 
-    def _gen_segment(self, bi: int, block: LoweredBlock, ip: int) -> _PlainSegment:
+    def _gen_region(self, bi: int, block: LoweredBlock, ip: int) -> _Region:
+        region = _Region(f"_f{bi}_{ip}", self._fixed)
+        region.emit("_cyc = st.cyc")
+        if not self._gen_block(region, block, ip, "st.fuel"):
+            self._gen_term(region, block)
+        return region
+
+    def _gen_block(
+        self, seg: _Segment, block: LoweredBlock, ip: int = 0, fuel: str = "_fuel"
+    ) -> bool:
+        """Emit ``block`` from ``ip`` up to its terminator or first call.
+
+        The fuel prologue charges the block's fuel on entry, exactly
+        like the interpreter's ``fuel -= n - ip + 1`` at each block
+        (re)entry, taking it from ``fuel``: ``st.fuel`` at a root, the
+        local ``_fuel`` in an inlined or traced block.  The exhaustion
+        exit observes the folded pending chain.  Returns True when a
+        call ended the block (the call is an exit).
+        """
         ops = block.ops
         n = len(ops)
-        name = f"_f{bi}_{ip}"
-        seg = _PlainSegment(name)
-        seg.fixed = self._fixed
-        j = ip
-        ended = False
-        while j < n:
+        label = block.label
+        seg.emit(f"_fuel = {fuel} - {n - ip + 1}")
+        seg.emit("if _fuel < 0:")
+        seg.emit(f"_fuel_out(vm, {seg.cyc_expr()}, _pk, {label!r}, {ip})", 2)
+        for j in range(ip, n):
             op = ops[j]
             if op[0] == OP_CALL:
-                self._gen_call(seg, bi, block, j, op)
-                ended = True
-                break
-            self._gen_op(seg, block.label, j, op)
-            j += 1
-        if not ended:
-            self._gen_term(seg, block)
-        # Fuel is charged on every block (re)entry, exactly like the
-        # interpreter's `fuel -= n - ip + 1` at loop top.
-        seg.head = [
-            f"def {name}(vm, frame, regs, st):",
-            f"    _fuel = st.fuel - {n - ip + 1}",
-            "    st.fuel = _fuel",
-            "    if _fuel < 0:",
-            "        " + fuel_exit("st.cyc", "_pk", block.label, ip),
-            "    _cyc = st.cyc",
-        ]
-        return seg
+                self._gen_call(seg, self.block_index[label], block, j, op)
+                return True
+            self._gen_op(seg, label, j, op)
+        return False
+
+    def _gen_succ(self, seg: _Segment, succ: LoweredBlock) -> None:
+        """Continue into ``succ``: exit to its root, or inline its code."""
+        if succ.label in self._root_blocks:
+            self._gen_exit(seg, self._succ_name(succ))
+        elif not self._gen_block(seg, succ):
+            self._gen_term(seg, succ)
+
+    def _gen_exit(
+        self, seg: _Segment, succ: str, value: Optional[str] = None, kill: int = 0
+    ) -> None:
+        """Leave the function for root ``succ``, returning ``value``
+        (by default ``succ``'s function)."""
+        seg.exit_writebacks(succ, kill)
+        seg.emit("st.fuel = _fuel")
+        seg.emit(f"st.cyc = {seg.cyc_expr()}")
+        seg.pending = []
+        seg.emit(f"return {value or succ}")
 
     # -- ops ----------------------------------------------------------------
 
@@ -667,13 +777,10 @@ class _MethodCodegen:
             f"{block.label!r}, {j})",
             2,
         )
-        # The callee resumes this frame at the next segment, after its
+        # The callee resumes this frame at the next root, after its
         # return has written the destination register.
         kill = 0 if op[2] is None else 1 << op[2]
-        seg.exit_writebacks(f"_f{bi}_{j + 1}", kill=kill)
-        seg.emit(f"st.cyc = {seg.cyc_expr()}")
-        seg.pending = []
-        seg.emit("return _CALL")
+        self._gen_exit(seg, f"_f{bi}_{j + 1}", "_CALL", kill)
 
     def _succ_name(self, succ: LoweredBlock) -> str:
         return f"_f{self.block_index[succ.label]}_0"
@@ -685,58 +792,51 @@ class _MethodCodegen:
         if t == T_RET:
             value = seg.rd(term[2]) if term[2] is not None else "0"
             # No register write-backs: the frame is dead.
+            seg.emit("st.fuel = _fuel")
             seg.emit(f"st.cyc = {seg.cyc_expr()}")
             seg.pending = []
             seg.emit(f"st.ret_value = {value}")
             seg.emit("return None")
         elif t == T_JMP:
-            succ = self._succ_name(term[2])
-            seg.exit_writebacks(succ)
-            seg.emit(f"st.cyc = {seg.cyc_expr()}")
-            seg.pending = []
-            seg.emit(f"return {succ}")
+            self._gen_succ(seg, term[2])
         elif t == T_BR:
             a = seg.rd(term[3])
             b = seg.rd(term[4])
             mask = _mask(term[10])
             origin = self._origin_names.get(block.label)
             # Each arm extends the shared pre-branch chain with its own
-            # penalty/edge constants before folding at its exit store.
-            shared = list(seg.pending)
+            # penalty/edge constants, then exits or nests its successor.
             seg.emit(f"if {a} {_cmp_text(term[2])} {b}:")
-            self._gen_arm(
-                seg, True, term[7], term[8],
-                origin if mask & 1 else None, term[11], term[5],
-            )
-            seg.pending = list(shared)
+            self._gen_arm(seg, True, term, origin if mask & 1 else None, term[5])
             seg.emit("else:")
-            self._gen_arm(
-                seg, False, term[7], term[8],
-                origin if mask & 2 else None, term[11], term[6],
-            )
-            seg.pending = []
+            self._gen_arm(seg, False, term, origin if mask & 2 else None, term[6])
         else:  # pragma: no cover - lowering emits only known terminators
             raise VMError(f"blockjit cannot compile terminator {t}")
+
+    def _arm_prefix(
+        self, seg: _Segment, taken: bool, term: tuple, origin: Optional[str]
+    ) -> None:
+        """An arm's mislayout penalty and edge record, in its nesting."""
+        if taken != term[7]:
+            seg.cost(term[8])
+        if origin is not None:
+            seg.emit(f"vm.edge_profile.record({origin}, {taken})")
+            seg.cost(term[11])
 
     def _gen_arm(
         self,
         seg: _Segment,
         taken: bool,
-        layout_then: bool,
-        penalty: float,
+        term: tuple,
         origin: Optional[str],
-        edge_cost: float,
         succ: LoweredBlock,
     ) -> None:
-        if taken != layout_then:
-            seg.cost(penalty, 2)
-        if origin is not None:
-            seg.emit(f"vm.edge_profile.record({origin}, {taken})", 2)
-            seg.cost(edge_cost, 2)
-        name = self._succ_name(succ)
-        seg.exit_writebacks(name, 2)
-        seg.emit(f"st.cyc = {seg.cyc_expr()}", 2)
-        seg.emit(f"return {name}", 2)
+        state = seg.fork()
+        seg.indent += 1
+        self._arm_prefix(seg, taken, term, origin)
+        self._gen_succ(seg, succ)
+        seg.indent -= 1
+        seg.restore(state)
 
 
 def generate_source(cm: CompiledMethod) -> str:
@@ -782,14 +882,14 @@ _STUB_CODE = _stub_code()
 
 
 def placeholder(ns: dict, name: str, fill) -> FunctionType:
-    """A segment-signature function for ``ns[name]`` that compiles late.
+    """A region-signature function for ``ns[name]`` that compiles late.
 
     Each call looks ``name`` up in ``ns``.  While the name is still
     bound to this placeholder, ``fill(placeholder)`` compiles and binds
     the real function and returns it; otherwise the current binding (an
     install made since, or the function an earlier fill bound) runs and
     nothing compiles.  ``__globals__`` is ``ns``, so callers that find a
-    method's namespace through its segment table keep working.
+    method's namespace through its entry table keep working.
     """
     cells = {"fill": CellType(fill), "stub": CellType()}
     stub = FunctionType(
@@ -801,9 +901,9 @@ def placeholder(ns: dict, name: str, fill) -> FunctionType:
 
 
 def _segment_text(source: str, name: str) -> str:
-    """The text of segment ``name`` in a blockjit method source.
+    """The text of root ``name``'s function in a blockjit method source.
 
-    Segment bodies are indented, so each column-0 ``def`` starts one.
+    Region bodies are indented, so each column-0 ``def`` starts one.
     """
     start = source.index(f"\ndef {name}(") + 1
     end = source.find("\ndef ", start)
@@ -811,7 +911,7 @@ def _segment_text(source: str, name: str) -> str:
 
 
 class _SegmentFill:
-    """Compiles one method namespace's segments at their first calls."""
+    """Compiles one method namespace's regions at their first calls."""
 
     __slots__ = ("source", "entries", "keys")
 
@@ -840,11 +940,12 @@ class _SegmentFill:
 
 
 def ensure_jit(cm: CompiledMethod) -> dict:
-    """Return the method's segment table, generating source on demand.
+    """Return the method's entry table, generating source on demand.
 
+    The table maps each region root ``(label, ip)`` to its function.
     The whole source is generated here, because ``jit_source`` is what
-    the codecache persists; each segment compiles at its first call.
-    Segments whose code the memo already holds are bound as real
+    the codecache persists; each region compiles at its first call.
+    Regions whose code the memo already holds are bound as real
     functions at once; the rest get placeholders.  ``jit_source``
     survives pickling (codecache persistence, engine-pool workers);
     ``jit_entries`` holds per-process closures and is always rebuilt
@@ -855,7 +956,11 @@ def ensure_jit(cm: CompiledMethod) -> dict:
         return entries
     source = cm.jit_source
     if source is None:
-        source = cm.jit_source = generate_source(cm)
+        cg = _MethodCodegen(cm)
+        source = cm.jit_source = cg.generate()
+        roots = cg.roots
+    else:
+        roots = region_roots(cm)
     ns = _namespace(cm)
     # What exec() would add; functions built over ``ns`` resolve their
     # builtins through it.
@@ -863,19 +968,18 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     entries = {}
     codes = _SEGMENT_CODE.get(source, {})
     fill = None
-    for bi, block in enumerate(cm.blocks.values()):
-        for ip in _entry_ips(block):
-            name = f"_f{bi}_{ip}"
-            code = codes.get(name)
-            if code is not None:
-                fn = FunctionType(code, ns, name)
-            else:
-                if fill is None:
-                    fill = _SegmentFill(source, entries)
-                fill.keys[name] = (block.label, ip)
-                fn = placeholder(ns, name, fill)
-            ns[name] = fn
-            entries[(block.label, ip)] = fn
+    for bi, block, ip in roots:
+        name = f"_f{bi}_{ip}"
+        code = codes.get(name)
+        if code is not None:
+            fn = FunctionType(code, ns, name)
+        else:
+            if fill is None:
+                fill = _SegmentFill(source, entries)
+            fill.keys[name] = (block.label, ip)
+            fn = placeholder(ns, name, fill)
+        ns[name] = fn
+        entries[(block.label, ip)] = fn
     cm.jit_entries = entries
     if cm.sb_source is not None:
         # A pickled superblock (codecache warm run, engine-pool worker)
@@ -891,10 +995,10 @@ def ensure_jit(cm: CompiledMethod) -> dict:
 
 
 class JitState:
-    """Mutable scalars threaded through segment calls.
+    """Mutable scalars threaded through region calls.
 
-    Hot per-op traffic stays in segment-function locals; this object is
-    only touched at segment boundaries (and at yieldpoints for
+    Hot per-op traffic stays in region-function locals; this object is
+    only touched at region boundaries (and at yieldpoints for
     ``path_reg``).
     """
 
@@ -916,7 +1020,7 @@ def execute_blockjit(vm, fuel: int) -> int:
     Methods are jitted lazily at first entry — the adaptive system swaps
     recompiled methods into ``vm.code`` mid-run, and callee lookup stays
     dynamic, so a method may first be reached long after the run starts.
-    Segments compile later still, at their own first calls.
+    Regions compile later still, at their own first calls.
     """
     code = vm.code
     main_cm = code.get(vm.main)
@@ -941,7 +1045,7 @@ def execute_blockjit(vm, fuel: int) -> int:
         nxt = fn(vm, frame, regs, st)
         if nxt is not None:
             if nxt is call:
-                # A callee frame was pushed by the segment; fresh
+                # A callee frame was pushed by the region; fresh
                 # frames start at (entry, 0) with path_reg 0.
                 frame = stack[-1]
                 regs = frame.regs

@@ -41,20 +41,22 @@ from repro.vm.interpreter import CompiledMethod
 ENV_DISABLE = "REPRO_CODECACHE"
 ENV_BOUND = "REPRO_CODECACHE_BOUND"
 DEFAULT_BOUND = 2048
-# Format 14.  A key is ``optimize_key`` or ``baseline_key`` below.  A
+# Format 15.  A key is ``optimize_key`` or ``baseline_key`` below.  A
 # value is (CompiledMethod, compile cycles); the pickled method carries
-# its blockjit source (``jit_source``), its fold verdict (``fold_q``, 20
-# or 0, DESIGN.md §15) and at most one 1-path superblock trace
+# its blockjit source (``jit_source``, one function per region root,
+# DESIGN.md §9), its fold verdict (``fold_q``, 20 or 0, DESIGN.md §15)
+# and at most one 1-path superblock trace
 # (``sb_source``/``sb_path``/``sb_fingerprint``, DESIGN.md §11).  Its
 # closures (``jit_entries``, ``sb_entry``) do not pickle and are rebuilt
 # on first use; ``ensure_jit`` revalidates the trace fingerprint then.
 # Every earlier format keyed on, fingerprinted with, or persisted
 # something since retired: kill-switch flags, warm ladders, whole-method
-# traces, k-iteration traces, sources calling globals no longer bound.
+# traces, k-iteration traces, sources calling globals no longer bound,
+# per-block segments whose names regions no longer define.
 # Reusing part of such a cache could revive a stale artefact under a key
 # that now means something else, so a file stamped with any other
 # format loads nothing (DESIGN.md §8).
-_FORMAT = 14
+_FORMAT = 15
 
 
 # -- fingerprints -----------------------------------------------------------

@@ -16,12 +16,15 @@ compiled into ONE generated-Python function:
   zero trampoline dispatch on the hot path;
 * intra-trace branches keep their exact compare as a guard: the
   on-trace arm falls through, the off-trace arm is a *side exit* that
-  writes back every trace-dirty register and returns the successor's
-  plain segment closure, falling back to the
-  :func:`~repro.vm.blockjit.execute_blockjit` trampoline;
+  continues into the successor's plain region code inline (nested
+  under the arm, exactly as the successor's region would emit it), and
+  leaves the trace where that code leaves its region: at a root, a call
+  or a return, writing back every trace-dirty register and falling back
+  to the :func:`~repro.vm.blockjit.execute_blockjit` trampoline;
 * per-block fuel charges, PEP increments, countdown-yieldpoint gates,
   trap guards, and per-op cost adds are baked in exactly as blockjit
-  emits them today (the op/guard emitters are literally reused).
+  emits them (each block's fuel prologue and ops come from the same
+  emitter as a block inlined in a plain region).
 
 Bit-identity contract
 ---------------------
@@ -34,7 +37,9 @@ zero virtual cycles (it only moves wall clock, like blockjit codegen).
 proves equality across all bundled workloads.
 
 Installation rebinds the head block's ``_f{bi}_0`` name in the method's
-shared segment namespace — segment returns resolve successor names
+shared region namespace.  A loop header is the entry block or has a
+predecessor outside the loop besides its back edge, so it is always a
+region root; region exits resolve successor names
 dynamically, so every jump/branch/driver lookup that targets the loop
 header enters the superblock, including mid-run installs.
 
@@ -42,7 +47,7 @@ Persistence
 -----------
 The generated source (``sb_source``), its path number (``sb_path``) and
 a fingerprint (``sb_fingerprint``, see :func:`superblock_fingerprint`)
-ride pickled CompiledMethods through the codecache (format 14).
+ride pickled CompiledMethods through the codecache (format 15).
 ``ensure_jit`` revalidates the fingerprint on warm loads, so stale
 superblock advice misses cleanly while the plain blockjit entries still
 hit.
@@ -58,16 +63,15 @@ from repro.profiling.regenerate import dag_fingerprint, reconstruct_path
 from repro.util.flags import superblock_enabled
 from repro.util.rng import stable_hash
 from repro.vm.blockjit import (
+    _bits,
     _mask,
     _MethodCodegen,
     _Segment,
     _cmp_text,
     compile_memo,
     ensure_jit,
-    fuel_exit,
 )
 from repro.vm.interpreter import (
-    OP_CALL,
     T_BR,
     T_JMP,
     CompiledMethod,
@@ -190,42 +194,25 @@ def trace_blocks(
 # -- codegen ----------------------------------------------------------------
 
 
-def _origin_names(cm: CompiledMethod) -> Dict[str, str]:
-    """Block label -> positional ``_og{j}`` namespace name.
-
-    Must replicate the traversal of :func:`blockjit._edge_origins` so
-    trace code binds the same origin objects as the plain segments
-    sharing its namespace.
-    """
-    names: Dict[str, str] = {}
-    counter = 0
-    for block in cm.blocks.values():
-        term = block.term
-        if term[0] == T_BR and term[10]:
-            names[block.label] = f"_og{counter}"
-            counter += 1
-    return names
-
-
 def _emit_arm(
     cg: _MethodCodegen,
     seg: _Segment,
     taken: bool,
-    layout_then: bool,
-    penalty: float,
+    term: tuple,
     origin: Optional[str],
-    edge_cost: float,
     succ: LoweredBlock,
     next_label: str,
     is_last: bool,
-    force_flush: bool = False,
-) -> None:
+    both: bool,
+) -> Optional[List[int]]:
+    """One arm of a trace guard; returns the pending chain an on-trace
+    fallthrough carries past the join (None when the arm leaves the
+    trace's straight line)."""
+    state = seg.fork()
+    seg.indent += 1
     start = len(seg.body)
-    if taken != layout_then:
-        seg.cost(penalty, 2)
-    if origin is not None:
-        seg.emit(f"vm.edge_profile.record({origin}, {taken})", 2)
-        seg.cost(edge_cost, 2)
+    cg._arm_prefix(seg, taken, term, origin)
+    carried = None
     if succ.label == next_label:
         # On-trace: fall through into the next block's code (or close
         # the loop).  The guard charged its penalty/edge costs exactly
@@ -234,35 +221,32 @@ def _emit_arm(
         # into the accumulator first (the loop body's text re-executes,
         # so costs cannot stay pending across the back edge); a
         # degenerate both-arms-fall-through branch flushes per arm
-        # (``force_flush``) because the join cannot carry two different
+        # (``both``) because the join cannot carry two different
         # pending chains.
+        if (is_last or both) and seg.pending:
+            seg.emit(f"_cyc = {seg.cyc_expr()}")
+            seg.pending = []
         if is_last:
-            if seg.pending:
-                seg.emit(f"_cyc = {seg.cyc_expr()}", 2)
-                seg.pending = []
-            seg.emit("continue", 2)
+            seg.emit("continue")
         else:
-            if force_flush and seg.pending:
-                seg.emit(f"_cyc = {seg.cyc_expr()}", 2)
-                seg.pending = []
             if len(seg.body) == start:
-                seg.emit("pass", 2)
+                seg.emit("pass")
+            carried = seg.pending
     else:
-        # Side exit: flush every trace-dirty register (iteration >= 2
-        # may hold values regs[] never saw) and fall back to the plain
-        # segment trampoline.  ``cyc_expr`` folds any pending chain
-        # into the store (legacy mode: the literal ``_cyc``).
-        seg.writebacks(2)
-        seg.emit(f"st.cyc = {seg.cyc_expr()}", 2)
-        seg.pending = []
-        seg.emit(f"return {cg._succ_name(succ)}", 2)
+        # Side exit: continue into the successor's plain region code,
+        # which exits to a root (or returns, or calls) with every
+        # trace-dirty register written back: iteration >= 2 may hold
+        # values regs[] never saw.
+        cg._gen_succ(seg, succ)
+    seg.indent -= 1
+    seg.restore(state)
+    return carried
 
 
 def _emit_term(
     cg: _MethodCodegen,
     seg: _Segment,
     block: LoweredBlock,
-    origin_names: Dict[str, str],
     next_label: str,
     is_last: bool,
 ) -> None:
@@ -281,76 +265,45 @@ def _emit_term(
         a = seg.rd(term[3])
         b = seg.rd(term[4])
         mask = _mask(term[10])
-        origin = origin_names.get(block.label)
+        origin = cg._origin_names.get(block.label)
         # Fixed-point accounting: each arm folds the shared pending
         # prefix plus its own penalty/edge constants independently
         # (mirrors blockjit's shared-pending branch handling); exactly
         # the on-trace fallthrough arm's pending survives the join.
         both = term[5].label == next_label and term[6].label == next_label
-        shared = list(seg.pending)
         seg.emit(f"if {a} {_cmp_text(term[2])} {b}:")
-        _emit_arm(
-            cg, seg, True, term[7], term[8],
-            origin if mask & 1 else None, term[11],
+        carried = _emit_arm(
+            cg, seg, True, term, origin if mask & 1 else None,
             term[5], next_label, is_last, both,
         )
-        after_true = seg.pending
-        seg.pending = list(shared)
         seg.emit("else:")
-        _emit_arm(
-            cg, seg, False, term[7], term[8],
-            origin if mask & 2 else None, term[11],
+        other = _emit_arm(
+            cg, seg, False, term, origin if mask & 2 else None,
             term[6], next_label, is_last, both,
         )
-        after_false = seg.pending
-        if term[5].label == next_label and not is_last and not both:
-            seg.pending = after_true
-        elif term[6].label == next_label and not is_last and not both:
-            seg.pending = after_false
-        else:
-            seg.pending = []
+        if carried is None:
+            carried = other
+        seg.pending = carried or []
     else:  # pragma: no cover - trace_blocks validated the terminators
         raise VMError(f"superblock cannot compile terminator {t}")
 
 
 def _emit_trace(
-    cg: _MethodCodegen,
-    trace: List[LoweredBlock],
-    seg: _Segment,
-    origin_names: Dict[str, str],
+    cg: _MethodCodegen, trace: List[LoweredBlock], seg: _Segment
 ) -> None:
     n_blocks = len(trace)
     for i, block in enumerate(trace):
-        next_label = trace[(i + 1) % n_blocks].label
-        is_last = i == n_blocks - 1
-        ops = block.ops
-        n = len(ops)
-        label = block.label
-        # Fuel is charged on every block (re)entry exactly like the
-        # plain segment prologue; `_cyc` equals what `st.cyc` would
-        # hold at this boundary (the store/load pair is skipped), so the
-        # exhaustion raise is bit-identical.
-        seg.emit(f"_fuel = st.fuel - {n + 1}")
-        seg.emit("st.fuel = _fuel")
-        seg.emit("if _fuel < 0:")
-        # The cold raise observes the exact accumulated cycles; under
-        # fixed-point accounting any pending chain folds into the read
-        # without the hot path ever flushing.
-        seg.emit(fuel_exit(seg.cyc_expr(), "_pk", label, 0), 2)
-        called = False
-        for j, op in enumerate(ops):
-            if op[0] == OP_CALL:
-                # A call leaves the trace through the plain machinery:
-                # the callee resumes into the ordinary (block, ip)
-                # segment, and control rejoins the superblock at the
-                # next arrival at the loop header.
-                cg._gen_call(seg, cg.block_index[label], block, j, op)
-                called = True
-                break
-            cg._gen_op(seg, label, j, op)
-        if called:
+        # The fuel prologue and ops come from the same emitter as a
+        # block inlined in a plain region: `_fuel` and `_cyc` stay
+        # locals across the trace, so the exhaustion exit sees the
+        # exact accumulated cycles.  A call leaves the trace through
+        # the plain machinery: the callee resumes into the ordinary
+        # (block, ip) root, and control rejoins the superblock at the
+        # next arrival at the loop header.
+        if cg._gen_block(seg, block):
             return
-        _emit_term(cg, seg, block, origin_names, next_label, is_last)
+        next_label = trace[(i + 1) % n_blocks].label
+        _emit_term(cg, seg, block, next_label, i == n_blocks - 1)
 
 
 def generate_trace_source(
@@ -360,33 +313,32 @@ def generate_trace_source(
     the lowered blocks and the trace order — content-addressable like
     blockjit sources)."""
     cg = _MethodCodegen(cm)
-    origin_names = _origin_names(cm)
-    # Pass 1 discovers the registers the whole trace touches / dirties.
-    # Both passes inherit the method's fixed-point certification verdict
-    # (DESIGN.md §15): a certified method's trace folds every
-    # straight-line cost chain exactly like its plain segments do, and
-    # a rejected one keeps textual per-op chains.
-    probe = _Segment()
-    probe.fixed = cg._fixed
-    _emit_trace(cg, trace, probe, origin_names)
-    touched = sorted(probe._bound | probe.dirty)
+    # Pass 1 discovers the registers the whole trace, side exits
+    # included, touches / dirties.  Both passes inherit the method's
+    # fixed-point certification verdict (DESIGN.md §15): a certified
+    # method's trace folds every straight-line cost chain exactly like
+    # its plain regions do, and a rejected one keeps textual per-op
+    # chains.
+    probe = _Segment(cg._fixed)
+    _emit_trace(cg, trace, probe)
+    touched = probe.uses | probe.defs
     # Pass 2 emits the real body: all touched registers are pre-bound
     # (loaded once at entry), and the dirty set is seeded to the full
-    # trace's so every side exit writes back everything it may have
+    # trace's so every exit writes back everything it may have
     # changed on any earlier iteration.
-    seg = _Segment()
-    seg.fixed = cg._fixed
-    seg._bound = set(touched)
-    seg.dirty = set(probe.dirty)
-    _emit_trace(cg, trace, seg, origin_names)
+    seg = _Segment(cg._fixed)
+    seg.bound = touched
+    seg.dirty = probe.defs
+    _emit_trace(cg, trace, seg)
     lines = [
         "# Generated by repro.vm.superblock — one straight-line loop "
         f"trace over blocks {[b.label for b in trace]!r}.",
         "def _sb(vm, frame, regs, st):",
     ]
-    for reg in touched:
+    for reg in _bits(touched):
         lines.append(f"    r{reg} = regs[{reg}]")
     lines.append("    _cyc = st.cyc")
+    lines.append("    _fuel = st.fuel")
     lines.append("    while True:")
     lines.extend("    " + line for line in seg.body)
     return "\n".join(lines) + "\n"
@@ -426,7 +378,7 @@ def _install(
     cm: CompiledMethod, source: str, head: LoweredBlock, entries: dict
 ) -> None:
     code_obj = compile_memo(source, "<superblock>")
-    # The plain segments share one namespace per method; exec there so
+    # The plain regions share one namespace per method; exec there so
     # the superblock sees _pk/_cm/_blk*/_og* and — crucially — rebinding
     # the head's global name retargets every dynamic successor lookup.
     ns = next(iter(entries.values())).__globals__
@@ -444,7 +396,7 @@ def install_superblock(cm: CompiledMethod, path_number: int) -> bool:
     False when the path is not an eligible loop trace.  Charges zero
     virtual cycles and touches no profiles: installation is observable
     only in wall clock.  Safe mid-run — the installed code is
-    behaviorally identical to entering the head's plain segment.  The
+    behaviorally identical to entering the head's plain region.  The
     trace compiles here rather than at its first entry.
     """
     if cm.sb_entry is not None:

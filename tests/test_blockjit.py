@@ -10,6 +10,7 @@ injection, and with the codecache warm or cold.
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
@@ -36,7 +37,7 @@ from repro.sampling.arnold_grove import make_sampler
 from repro.vm import blockjit, codecache
 from repro.vm.blockjit import ensure_jit, generate_source
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import lower_method
+from repro.vm.interpreter import OP_CALL, T_BR, T_JMP, lower_method
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import GeneratorSpec, random_program
 from repro.workloads.suite import benchmark_suite
@@ -257,13 +258,14 @@ def test_fuel_exhaustion_parity_on_call_resume():
 
 
 def _liveness_program() -> Program:
-    """One loop that exercises every liveness case of segment exits.
+    """One loop that exercises every liveness case of region exits.
 
     ``r3`` is a temporary that dies inside ``body``; ``r4`` is the call
     argument, dead once passed; ``r1`` is written before the call and
     live across its resume; ``r2`` is written after the resume and read
-    on the taken arm only; ``r0`` is incremented in ``latch`` and live
-    around the back edge to ``head``.
+    only by ``left``, which the resume's region inlines on its taken
+    arm; ``r0`` is incremented in ``latch`` and live around the back
+    edge to ``head``.
     """
     main = Method("main", num_params=0, num_regs=8)
     entry = main.new_block("entry")
@@ -306,24 +308,175 @@ def test_writebacks_only_for_live_registers():
     source = generate_source(cm)
     labels = list(cm.blocks)
 
-    def segment(label, ip=0):
+    def region(label, ip=0):
         return blockjit._segment_text(source, f"_f{labels.index(label)}_{ip}")
 
     # The temporary and the spent call argument are never written back.
     assert "regs[3] =" not in source
     assert "regs[4] =" not in source
-    call_exit = segment("body")
-    assert "return _CALL" in call_exit
+    # `body` is inlined in `head`'s region up to its call.
+    assert "return _CALL" in region("head")
+    call_exit = region("head").split("return _CALL")[0]
     assert "regs[1] = r1" in call_exit  # live across the resume
-    taken, not_taken = segment("body", 4).split("    else:\n")
-    assert "regs[2] = r2" in taken  # `left` reads it
-    assert "regs[2] =" not in not_taken  # dead on the way to `latch`
-    assert "regs[0] = r0" in segment("latch")  # live around the back edge
+    taken, not_taken = region("body", 4).split("    else:\n")
+    # `left` reads r2 from the local, so no exit stores r2, though both
+    # exits to `latch` leave it dirty; the r1 that `left` writes is live
+    # around the loop.
+    assert "regs[2] =" not in source
+    assert "regs[1] = r1" in taken
+    assert "regs[1] =" not in not_taken  # r1 is clean on this path
+    assert "regs[0] = r0" in region("latch")  # live around the back edge
 
 
 @pytest.mark.parametrize("mode", [None, "pep", "edges"])
 def test_live_only_writebacks_parity(mode):
     _assert_identical(*_run_engines(_liveness_program(), mode=mode))
+
+
+# -- regions -----------------------------------------------------------------
+
+
+def _arms_program() -> Program:
+    """A loop whose second-level arm reads what its sibling arm wrote.
+
+    ``head`` (the loop header, a root) branches on the parity of ``r0``:
+    ``left`` writes ``r2``; ``right`` branches again, and ``deep``,
+    inlined two branches deep, reads ``r2``.  On that path ``r2`` is
+    unbound, so ``deep`` loads it from the frame, where ``left``'s exit
+    on an earlier iteration stored it.
+    """
+    main = Method("main", num_params=0, num_regs=8)
+    entry = main.new_block("entry")
+    entry.append(Const(0, 0))
+    entry.append(Const(4, 0))
+    entry.append(Const(5, 5))
+    entry.append(Const(7, 0))
+    entry.terminator = Jmp("head")
+    head = main.new_block("head")
+    head.append(BinOpImm("and", 6, 0, 1))
+    head.terminator = Br("eq", 6, 7, "left", "right")
+    left = main.new_block("left")
+    left.append(BinOpImm("mul", 2, 0, 7))
+    left.append(BinOpImm("add", 2, 2, 1))
+    left.terminator = Jmp("latch")
+    main.new_block("right").terminator = Br("lt", 0, 5, "deep", "done")
+    deep = main.new_block("deep")
+    deep.append(BinOp("add", 4, 4, 2))
+    deep.append(BinOpImm("mul", 3, 4, 3))
+    deep.terminator = Jmp("latch")
+    latch = main.new_block("latch")
+    latch.append(BinOpImm("add", 0, 0, 1))
+    latch.terminator = Jmp("head")
+    done = main.new_block("done")
+    done.append(Emit(4))
+    done.terminator = Ret(4)
+    main.seal()
+    program = Program("arms", main="main")
+    program.add(main)
+    return program
+
+
+def _ladder_source(arms: int) -> str:
+    """MiniJ whose loop body is an ``arms``-arm ``if … else if …`` ladder."""
+    rungs = " else ".join(
+        f"if (k == {a}) {{ total = total + {a + 1}; }}" for a in range(arms)
+    )
+    return f"""
+fn main() {{
+    let total = 0;
+    for i in 0 .. 400 {{
+        let k = (i * 7) % {arms + 3};
+        {rungs} else {{ total = total - 1; }}
+    }}
+    emit total;
+    return total;
+}}
+"""
+
+
+@pytest.mark.parametrize("mode", [None, "pep", "edges"])
+def test_sibling_arm_write_reloads_in_nested_arm(mode):
+    _assert_identical(*_run_engines(_arms_program(), mode=mode))
+
+
+def test_fuel_runs_out_two_branches_deep():
+    blocks = set()
+    for fuel in range(1, 55):  # the run needs 55
+        seen = _fuel_outcomes(_arms_program(), fuel)
+        assert seen[0] == seen[1]
+        blocks.add((seen[1][2], seen[1][3]))
+    cm = compile_simple(_arms_program())["main"]
+    source = generate_source(cm)
+    # `deep` is inlined, nested under `head`'s and `right`'s arms.
+    assert f"def _f{list(cm.blocks).index('deep')}_0(" not in source
+    (check,) = [line for line in source.splitlines() if "'deep', 0)" in line]
+    assert check.startswith(" " * 16 + "_fuel_out(")
+    assert ("deep", 0) in blocks
+
+
+@pytest.mark.parametrize("mode", [None, "pep"])
+def test_deep_branch_ladder_parity(mode):
+    # Unbounded, the ladder's regions would nest past CPython's 100
+    # indentation levels and fail to compile.
+    from repro.lang import compile_source
+
+    program = compile_source(_ladder_source(150))
+    _assert_identical(*_run_engines(program, mode=mode))
+    cm = compile_simple(program, mode=mode)["main"]
+    depth = max(
+        len(line) - len(line.lstrip(" "))
+        for line in generate_source(cm).splitlines()
+    ) // 4
+    assert blockjit.MAX_REGION_DEPTH < depth <= blockjit.MAX_REGION_DEPTH + 3
+
+
+def _expected_roots(cm) -> list:
+    """Root names from the CFG: entry, blocks with other than one
+    predecessor, call resumes (no program here nests past the bound)."""
+    preds = dict.fromkeys(cm.blocks, 0)
+    for block in cm.blocks.values():
+        term = block.term
+        succs = {T_JMP: term[2:3], T_BR: term[5:7]}.get(term[0], ())
+        for succ in succs:
+            preds[succ.label] += 1
+    names = []
+    for bi, block in enumerate(cm.blocks.values()):
+        if block is cm.entry or preds[block.label] != 1:
+            names.append(f"_f{bi}_0")
+        for j, op in enumerate(block.ops):
+            if op[0] == OP_CALL:
+                names.append(f"_f{bi}_{j + 1}")
+    return names
+
+
+@pytest.mark.parametrize(
+    "build, mode",
+    [
+        (_arms_program, None),
+        (_liveness_program, "pep"),
+        (call_program, "edges"),
+        (lambda: counting_program(30), "pep"),
+        (lambda: random_program(3, GeneratorSpec(n_helpers=2)), "pep"),
+    ],
+    ids=["arms", "liveness-pep", "calls-edges", "counting-pep", "random-pep"],
+)
+def test_region_shape(build, mode):
+    code = compile_simple(build(), mode=mode)
+    inlined = 0
+    for cm in code.values():
+        source = generate_source(cm)
+        roots = _expected_roots(cm)
+        assert re.findall(r"^def (\w+)\(", source, re.M) == roots
+        # Each entry's fuel check appears exactly once: every block's
+        # code appears once in the method source.
+        for block in cm.blocks.values():
+            ips = [0] + [
+                j + 1 for j, op in enumerate(block.ops) if op[0] == OP_CALL
+            ]
+            for ip in ips:
+                assert source.count(f"_pk, {block.label!r}, {ip})") == 1
+        inlined += len(cm.blocks) - sum(name.endswith("_0") for name in roots)
+    assert inlined > 0
 
 
 # -- cross-workload digest equivalence (all bundled SPECjvm/DaCapo) ---------

@@ -279,7 +279,9 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # callee-inlining flag in the keys; format 12: the retired
     # samplefast and layout flags in the keys and trace fingerprints;
     # format 13: k-iteration traces in the sb_* slots and the retired
-    # REPRO_KBLPP/REPRO_KBLPP_K pair in the keys) must not be partially
+    # REPRO_KBLPP/REPRO_KBLPP_K pair in the keys; format 14: per-block
+    # segment sources and traces whose side exits return segment names
+    # that region sources no longer define) must not be partially
     # reused: each bump changed what the keys or fingerprints hash, or
     # what the persisted sources may reference, so every old entry is
     # untrustworthy and the load drops the whole file.
@@ -291,8 +293,8 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 14
-    payload["format"] = 13
+    assert payload["format"] == codecache._FORMAT == 15
+    payload["format"] = 14
     with open(path, "wb") as fh:
         pickle.dump(payload, fh)
 

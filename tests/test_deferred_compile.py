@@ -1,11 +1,11 @@
 """Generated code compiles at its first call, not when it is generated.
 
-``ensure_jit`` binds every blockjit segment to a placeholder (DESIGN.md
-§9).  A superblock trace, by contrast, compiles at install time and
-rebinds the head's name over those placeholders.  These tests pin what
-that must and must not change:
+``ensure_jit`` binds every blockjit region root to a placeholder
+(DESIGN.md §9).  A superblock trace, by contrast, compiles at install
+time and rebinds the head's name over those placeholders.  These tests
+pin what that must and must not change:
 
-* a segment that never runs is never compiled;
+* a root that is never entered is never compiled;
 * a placeholder whose name was rebound since forwards to the current
   binding and compiles nothing;
 * a memo-warm ``ensure_jit`` binds real functions only;
@@ -81,7 +81,7 @@ def _observe(program, code, on: bool):
 
 
 def _call_leaf(program, code, cm, fn, *args):
-    """One call of leaf method ``cm`` entered at segment ``fn``, driven
+    """One call of leaf method ``cm`` entered at root ``fn``, driven
     the way ``execute_blockjit`` drives it (no timer, no sampler)."""
     vm = VirtualMachine(code, program.main, blockjit=True)
     frame = Frame(cm)
@@ -106,15 +106,21 @@ def _trace_path(cm) -> int:
 
 
 def cold_arm_program():
-    """A loop whose ``i < 0`` arm never runs."""
+    """A loop whose ``i < 0`` arm never runs.
+
+    The arm is inlined in the loop's region, but it calls ``cold``, so
+    its call-resume point is a root of its own that is never entered.
+    """
     pb = ProgramBuilder("coldarm")
+    g = pb.function("cold", ["n"])
+    g.ret(g.p("n") * 2)
     f = pb.function("main")
     total = f.local(0)
     f.for_range(
         0, 12, 1,
         lambda i: f.if_(
             i < 0,
-            lambda: f.assign(total, total - 1000),
+            lambda: f.assign(total, total - f.call("cold", i)),
             lambda: f.assign(total, total + i),
         ),
     )
@@ -123,7 +129,7 @@ def cold_arm_program():
     return pb.build()
 
 
-# -- blockjit segments -------------------------------------------------------
+# -- blockjit regions --------------------------------------------------------
 
 
 def test_never_entered_segment_is_never_compiled(compiled):
@@ -132,7 +138,7 @@ def test_never_entered_segment_is_never_compiled(compiled):
     assert _observe(program, code, True) == _oracle(program)
     cm = code["main"]
     cold = [fn for fn in cm.jit_entries.values() if _is_placeholder(fn)]
-    assert cold, "every segment ran — test is vacuous"
+    assert cold, "every root ran — test is vacuous"
     memo = blockjit._SEGMENT_CODE[cm.jit_source]
 
     def text(fn):
@@ -146,7 +152,7 @@ def test_never_entered_segment_is_never_compiled(compiled):
         assert not any(text(fn) in src for src in compiled)
     ran = [fn for fn in cm.jit_entries.values() if not _is_placeholder(fn)]
     assert ran and all(fn.__code__ is memo[fn.__name__] for fn in ran)
-    # Each segment compiled once, on its own.
+    # Each root compiled once, on its own.
     assert sorted(compiled) == sorted(text(fn) for fn in ran)
 
 
@@ -193,14 +199,20 @@ def test_classic_head_install_sits_over_placeholders(compiled):
     # The head's superseded placeholder runs the trace, compiling and
     # rebinding nothing.
     stale = plain[head]
+    text = blockjit._segment_text(cm.jit_source, stale.__name__)
+
+    def head_compiled():
+        memo = blockjit._SEGMENT_CODE.get(cm.jit_source, {})
+        return stale.__name__ in memo or any(text in src for src in compiled)
+
     assert _call_leaf(program, code, cm, stale, 3) == _call_leaf(
         program, code, cm, cm.sb_entry, 3
     )
-    assert stale.__name__ not in blockjit._SEGMENT_CODE[cm.jit_source]
+    assert not head_compiled()
     assert stale.__globals__[stale.__name__] is cm.sb_entry
     assert cm.jit_entries[head] is cm.sb_entry
     assert _observe(program, code, True) == _oracle(program, "pep")
-    assert stale.__name__ not in blockjit._SEGMENT_CODE[cm.jit_source]
+    assert not head_compiled()
 
 
 # -- failures ----------------------------------------------------------------
