@@ -2,16 +2,15 @@
 """Performance trajectory recorder: writes ``BENCH_perf.json``.
 
 Times the hot layers the perf PRs touched — guest execution under the
-blockjit engine and the tuple interpreter, the path-guided superblock
-trace stacked on top of it, the fixed-point fold-coverage census
-(DESIGN.md §15), the minimum-coverage probe saving (DESIGN.md §14), the
-yieldpoint/sampling-check overhead, lowering with and without the
-compilation cache, path reconstruction with cold vs warm memos, and a
-small fig6 sweep through the experiment engine serial vs parallel — and
-records them, normalized by a pure-Python calibration loop so numbers
-are comparable across machines.  Every run also appends one summary
-line (git SHA + headline metrics) to ``BENCH_history.jsonl`` so the
-perf trend is trackable across PRs.
+blockjit engine and the tuple interpreter, the fixed-point
+fold-coverage census (DESIGN.md §15), the minimum-coverage probe saving
+(DESIGN.md §14), the yieldpoint/sampling-check overhead, lowering with
+and without the compilation cache, path reconstruction with cold vs
+warm memos, and a small fig6 sweep through the experiment engine
+serial vs parallel — and records them, normalized by a pure-Python
+calibration loop so numbers are comparable across machines.  Every
+run also appends one summary line (git SHA + headline metrics) to
+``BENCH_history.jsonl`` so the perf trend is trackable across PRs.
 
 Usage::
 
@@ -42,7 +41,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-SCHEMA = 11
+SCHEMA = 12
 REGRESSION_TOLERANCE = 0.25  # fail --check on >25% normalized slowdown
 # Minimum acceptable serial/parallel speedup when the runner actually
 # has cores to parallelize over (generous: contention on loaded CI
@@ -62,10 +61,6 @@ SAMPLING_OVERHEAD_CEILING = 1.50
 # --check also fails if the sampled/unsampled ratio regressed by more
 # than this fraction over the baseline report's ratio.
 SAMPLING_REGRESSION_TOLERANCE = 0.10
-# Minimum hot-loop speedup of a path-guided superblock trace over plain
-# blockjit on full runs (DESIGN.md §11); quick runs are too short for
-# the ratio to gate without flaking, so they only report it.
-SUPERBLOCK_SPEEDUP_FLOOR = 1.2
 
 
 # -- calibration ------------------------------------------------------------
@@ -267,154 +262,6 @@ def bench_sampling(quick: bool) -> dict:
         "sampling_wall_overhead": (
             results["sampled"]["best"] / results["unsampled"]["best"]
         ),
-    }
-
-
-# -- path-guided superblocks -------------------------------------------------
-
-
-def _hot_loop_program(calls: int, inner: int):
-    """main calls a loop-heavy helper ``calls`` times (DESIGN.md §11).
-
-    The helper re-enters on every call, so its PEP sample points fire
-    and its inner loop's cyclic Ball-Larus path dominates the profile —
-    the exact shape superblock formation targets.
-    """
-    from repro.bytecode.builder import ProgramBuilder
-
-    pb = ProgramBuilder("hotloop")
-    helper = pb.function("helper", ["n"])
-    n = helper.p("n")
-    acc = helper.local(0)
-
-    def body(i):
-        helper.assign(acc, acc + i)
-        helper.assign(acc, acc + n)
-        helper.assign(acc, acc * 1)
-        helper.assign(acc, acc + 2)
-        helper.assign(acc, acc - 1)
-        helper.assign(acc, acc + i)
-        helper.assign(acc, acc + 1)
-        helper.assign(acc, acc + i)
-        helper.assign(acc, acc + 1)
-        helper.assign(acc, acc + i)
-
-    helper.for_range(0, inner, 1, body)
-    helper.ret(acc)
-
-    f = pb.function("main")
-    total = f.local(0)
-    f.for_range(0, calls, 1,
-                lambda i: f.assign(total, total + f.call("helper", i)))
-    f.emit(total)
-    f.ret(total)
-    return pb.build()
-
-
-def bench_superblock(quick: bool) -> dict:
-    """Hot-loop throughput: plain blockjit vs the superblock trace.
-
-    A pilot *sampled* run over the plain image collects the helper's
-    path profile; the dominant path (the real promotion decision, via
-    :func:`find_dominant_path`) is then stitched into a superblock on a
-    second, otherwise identical image.  Both images run unsampled for
-    the timed reps — the comparison isolates the trace's execution win
-    (registers as locals, no per-block dispatch), not sampling costs.
-    A cycle-parity probe asserts both images account the exact same
-    virtual cycles before any timing is trusted.
-    """
-    import gc
-
-    from repro.instrument.pep import apply_pep
-    from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.sampling.arnold_grove import make_sampler
-    from repro.util.flags import superblock_enabled
-    from repro.vm.costs import CostModel
-    from repro.vm.interpreter import lower_method
-    from repro.vm.runtime import VirtualMachine
-    from repro.vm.superblock import find_dominant_path, install_superblock
-
-    calls = 200 if quick else 400
-    reps = 4 if quick else 8
-    program = _hot_loop_program(calls=calls, inner=64)
-    costs = CostModel()
-
-    def pep_image():
-        code = {}
-        for method in program.iter_methods():
-            clone = method.clone()
-            insert_yieldpoints(clone)
-            inst = apply_pep(clone, None)
-            cm = lower_method(clone, "opt2", costs)
-            if inst is not None:
-                cm.attach_dag(inst.dag)
-            code[method.name] = cm
-        return code
-
-    # Pilot: sample the plain image to find the helper's dominant path.
-    pilot_code = pep_image()
-    pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
-    pilot_cycles = pilot_vm.run().cycles
-    sampled_vm = VirtualMachine(
-        pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
-    )
-    sampled_vm.run()
-    helper_key = pilot_code["helper"].profile_key
-    dominant = find_dominant_path(
-        sampled_vm.path_profile.method_paths(helper_key), 0.5, 8.0
-    )
-    if dominant is None or not superblock_enabled():
-        return {
-            "workloads": ["hotloop"],
-            "superblock_installed": False,
-            "note": "no dominant path sampled or REPRO_SUPERBLOCK=0",
-        }
-
-    images = {"plain": pep_image(), "superblock": pep_image()}
-    if not install_superblock(images["superblock"]["helper"], dominant):
-        return {
-            "workloads": ["hotloop"],
-            "superblock_installed": False,
-            "note": f"path {dominant} is not an installable loop trace",
-        }
-
-    # Cycle-parity probe (also the warmup): the trace must account the
-    # exact virtual cycles of plain blockjit or the timing is invalid.
-    probes = {}
-    for label, code in images.items():
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-        res = vm.run()
-        probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-    if probes["plain"] != probes["superblock"]:
-        raise AssertionError(f"superblock diverged from blockjit: {probes}")
-
-    best = {label: float("inf") for label in images}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for label, code in images.items():
-                vm = VirtualMachine(
-                    code, program.main, costs=costs, blockjit=True
-                )
-                t0 = time.perf_counter()
-                vm.run()
-                best[label] = min(best[label], time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    cycles = probes["plain"][0]
-    return {
-        "workloads": ["hotloop"],
-        "calls": calls,
-        "reps": reps,
-        "dominant_path": dominant,
-        "superblock_installed": True,
-        "cycles": cycles,
-        "plain_vcycles_per_sec": cycles / best["plain"],
-        "superblock_vcycles_per_sec": cycles / best["superblock"],
-        "superblock_speedup": best["plain"] / best["superblock"],
     }
 
 
@@ -718,9 +565,6 @@ def append_history(report: dict, path: str) -> None:
         "vcycles_per_sec": interp.get("vcycles_per_sec"),
         "blockjit_speedup": interp.get("blockjit_speedup"),
         "sampling_wall_overhead": sampling.get("sampling_wall_overhead"),
-        "superblock_speedup": metrics.get("superblock", {}).get(
-            "superblock_speedup"
-        ),
         "fold_coverage": metrics.get("foldcov", {}).get("fold_coverage"),
         "probe_reduction": metrics.get("pgo", {}).get("probe_reduction"),
         "cache_speedup": metrics.get("lowering", {}).get("cache_speedup"),
@@ -808,8 +652,8 @@ def main(argv=None) -> int:
         "--stage",
         action="append",
         choices=[
-            "interpreter", "sampling", "superblock", "foldcov",
-            "pgo", "lowering", "reconstruction", "sweep",
+            "interpreter", "sampling", "foldcov", "pgo", "lowering",
+            "reconstruction", "sweep",
         ],
         default=None,
         help="run only the named stage (repeatable; default: all). "
@@ -830,7 +674,6 @@ def main(argv=None) -> int:
     stages = [
         ("interpreter", lambda: bench_interpreter(args.quick)),
         ("sampling", lambda: bench_sampling(args.quick)),
-        ("superblock", lambda: bench_superblock(args.quick)),
         ("foldcov", lambda: bench_foldcov(args.quick)),
         ("pgo", lambda: bench_pgo(args.quick)),
         ("lowering", lambda: bench_lowering(args.quick)),
@@ -874,11 +717,6 @@ def main(argv=None) -> int:
     if partial:
         for name in args.stage:
             stage_metrics = metrics.get(name, {})
-            if "superblock_speedup" in stage_metrics:
-                print(
-                    f"bench_perf: superblock_speedup "
-                    f"{stage_metrics['superblock_speedup']:.2f}x"
-                )
             if "probe_reduction" in stage_metrics:
                 print(
                     f"bench_perf: probe_reduction "
@@ -893,14 +731,8 @@ def main(argv=None) -> int:
 
     interp = metrics["interpreter"]
     sampling = metrics["sampling"]
-    superblock = metrics["superblock"]
     foldcov = metrics["foldcov"]
     pgo = metrics["pgo"]
-    sb_text = (
-        f"{superblock['superblock_speedup']:.2f}x"
-        if superblock.get("superblock_installed")
-        else "n/a"
-    )
     fc_text = (
         f"{foldcov['fold_coverage']:.3f}"
         if foldcov.get("fold_coverage") is not None
@@ -909,8 +741,8 @@ def main(argv=None) -> int:
     print(
         f"bench_perf: blockjit speedup {interp['blockjit_speedup']:.2f}x "
         f"over the tuple interpreter, sampling wall overhead "
-        f"{sampling['sampling_wall_overhead']:.2f}x, superblock hot-loop "
-        f"speedup {sb_text} over plain blockjit, fold coverage {fc_text}, "
+        f"{sampling['sampling_wall_overhead']:.2f}x, "
+        f"fold coverage {fc_text}, "
         f"min-coverage probes {pgo['probes_placed']}/{pgo['probes_full']}, "
         f"parallel speedup "
         f"{sweep['parallel_speedup']:.2f}x ({sweep['jobs']} jobs on "
@@ -929,16 +761,6 @@ def main(argv=None) -> int:
             f"exceeds the {SAMPLING_OVERHEAD_CEILING:.2f}x ceiling"
         )
         rc = 1
-    # Superblock hot-loop floor (full runs only, and only when a trace
-    # actually installed — REPRO_SUPERBLOCK=0 runs report n/a).
-    if not args.quick and superblock.get("superblock_installed"):
-        if superblock["superblock_speedup"] < SUPERBLOCK_SPEEDUP_FLOOR:
-            print(
-                f"bench_perf: FATAL superblock hot-loop speedup "
-                f"{superblock['superblock_speedup']:.3f}x below the "
-                f"{SUPERBLOCK_SPEEDUP_FLOOR:.2f}x floor"
-            )
-            rc = 1
     # Fold coverage is deterministic, so it gates quick runs too: the
     # recalibrated grid certifies every default-model method, and any
     # value below 1.0 means a cost constant drifted off the Q20 grid.

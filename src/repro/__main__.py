@@ -134,7 +134,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         coverage = totals.get("fold_coverage")
         print(
             f"  blockjit={totals['blockjit_methods']} "
-            f"superblock={totals['superblock_installs']} "
             f"min_coverage={totals['min_coverage_methods']} "
             f"probes={totals['probes_placed']}/{totals['probes_full']}"
         )
@@ -145,9 +144,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             + (f"{coverage:.3f}" if coverage is not None else "n/a")
         )
         for name, row in engagement["methods"].items():
-            backend = row["trace_backend"] or (
-                "blockjit" if row["blockjit"] else "interp"
-            )
+            backend = "blockjit" if row["blockjit"] else "interp"
             extras = []
             if row["probe_mode"]:
                 extras.append(f"probes={row['probe_mode']}")
@@ -217,7 +214,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Run the perf-trajectory recorder (scripts/bench_perf.py).
 
     A thin passthrough so measurements are launchable from the installed
-    CLI (``repro bench --stage superblock``) without knowing the scripts
+    CLI (``repro bench --stage sampling``) without knowing the scripts
     layout.  The script is loaded by file path: it is not a package
     module, and must stay runnable standalone.
     """
@@ -393,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p = sub.add_parser(
         "bench",
         help="run the perf recorder (scripts/bench_perf.py) — e.g. "
-        "`repro bench --stage superblock --quick`",
+        "`repro bench --stage sampling --quick`",
     )
     perf_p.add_argument("--quick", action="store_true", help="CI-sized run")
     perf_p.add_argument(

@@ -61,7 +61,6 @@ def optimize_method(
     instrumentation: Optional[str] = None,
     unroll: bool = False,
     injector=None,
-    superblock_advice: Optional[Tuple[int, int]] = None,
     min_coverage: bool = False,
 ) -> Tuple[CompiledMethod, float]:
     """Compile one method at opt level 0-2 with optional instrumentation.
@@ -75,12 +74,6 @@ def optimize_method(
     deterministic :class:`CompilationError` at the ``opt-compile`` site;
     callers with a :class:`~repro.resilience.ResilienceManager` treat it
     like any real compile failure (keep the current body, back off).
-
-    ``superblock_advice`` — ``(path_number, dag_fingerprint)`` from a
-    superseded compiled version — pre-installs the hot trace on the new
-    body when its P-DAG fingerprint matches (path numbers are only
-    meaningful relative to one DAG, so a mismatch misses cleanly).
-    Best-effort and observable only in wall clock: no cycles charged.
 
     ``min_coverage=True`` (meaningful only with ``instrumentation=
     "edges"``) places the per-branch counters on a spanning-tree
@@ -122,8 +115,6 @@ def optimize_method(
         )
         hit = cache.get(key)
         if hit is not None:
-            if superblock_advice is not None:
-                _apply_superblock_advice(hit[0], superblock_advice)
             return hit
 
     clone = method.clone()
@@ -172,31 +163,4 @@ def optimize_method(
         compile_cycles += costs.pep_pass_cost_per_instr * method.instruction_count()
     if cache is not None and key is not None:
         cache.put(key, cm, compile_cycles)
-    if superblock_advice is not None:
-        _apply_superblock_advice(cm, superblock_advice)
     return cm, compile_cycles
-
-
-def _apply_superblock_advice(cm: CompiledMethod, advice: tuple) -> None:
-    """Carry a hot trace across a recompile; silent no-op on mismatch.
-
-    A shared cache-hit instance may already hold a (different) trace —
-    first-wins is fine, every superblock is behaviorally identical to
-    plain blockjit.  Failures degrade to plain blockjit rather than
-    failing the compile: the advice is an optimization hint, not part of
-    the compiled artefact's contract.  ``advice`` is
-    ``(path_number, dag_fingerprint)``.
-    """
-    from repro.profiling.regenerate import dag_fingerprint
-    from repro.util.flags import superblock_enabled
-    from repro.vm.superblock import install_superblock
-
-    path_number, dag_fp = advice
-    if cm.dag is None or not superblock_enabled():
-        return
-    if dag_fingerprint(cm.dag) != dag_fp:
-        return
-    try:
-        install_superblock(cm, path_number)
-    except Exception:
-        pass

@@ -26,20 +26,17 @@ from repro.util.rng import DeterministicRng
 
 #: Injection sites threaded through the library.
 #:
-#: * ``opt-compile``        — optimizing compilation (adaptive recompile, api)
-#: * ``sample``             — path-sample handling in the Arnold-Grove sampler
-#: * ``path-reconstruct``   — path-number -> edge-sequence regeneration
-#: * ``path-table``         — the path-profile table update for a sample
-#: * ``advice-load``        — reading a replay-advice file
-#: * ``superblock-compile`` — path-guided superblock formation; firing
-#:   degrades the method to plain blockjit (observables unchanged)
+#: * ``opt-compile``      — optimizing compilation (adaptive recompile, api)
+#: * ``sample``           — path-sample handling in the Arnold-Grove sampler
+#: * ``path-reconstruct`` — path-number -> edge-sequence regeneration
+#: * ``path-table``       — the path-profile table update for a sample
+#: * ``advice-load``      — reading a replay-advice file
 FAULT_SITES = (
     "opt-compile",
     "sample",
     "path-reconstruct",
     "path-table",
     "advice-load",
-    "superblock-compile",
     "worker-crash",
     "worker-hang",
     "receipt-write",

@@ -1,28 +1,18 @@
 """Process-wide feature flags resolved from the environment.
 
-Two knobs live here: superblock traces (``REPRO_SUPERBLOCK``,
-DESIGN.md §11) and minimum-coverage probe placement
-(``REPRO_PGO_PROBES``, §14).  Every flag resolves the same way: an
-explicit argument wins, then the module flag (tests may pin it), then
-the environment variable, then the built-in default (*on* for every
-boolean switch).
+One knob lives here: minimum-coverage probe placement
+(``REPRO_PGO_PROBES``, DESIGN.md §14).  An explicit argument wins, then
+the module flag (tests may pin it), then the environment variable, then
+the built-in default (*on*).
 
-Setting a boolean switch to ``0`` is a kill switch that moves wall
-clock only: profiles, virtual cycles and fault-injection sequences stay
-bit-identical.  The one exception is probe placement
-(``REPRO_PGO_PROBES``), which deliberately lowers the one-shot edges
-mode's charges.
+The flag is not a pure wall-clock toggle: probe placement deliberately
+lowers the one-shot edges mode's charges.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Optional
-
-SUPERBLOCK_ENV = "REPRO_SUPERBLOCK"
-
-#: Module override for path-guided superblock formation (DESIGN.md §11).
-SUPERBLOCK: Optional[bool] = None
 
 PGO_PROBES_ENV = "REPRO_PGO_PROBES"
 
@@ -38,22 +28,6 @@ def _env_enabled(name: str, default: bool = True) -> bool:
     if env is not None and env.strip():
         return env.strip().lower() not in ("0", "off", "no", "false")
     return default
-
-
-def superblock_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective superblock-formation setting.
-
-    ``REPRO_SUPERBLOCK=0`` is the kill switch: the adaptive controller
-    stops forming superblocks and persisted superblock sources are not
-    re-installed.  Both settings are bit-identical in every observable
-    (``tests/test_superblock.py`` proves it); the flag only moves wall
-    clock.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if SUPERBLOCK is not None:
-        return bool(SUPERBLOCK)
-    return _env_enabled(SUPERBLOCK_ENV)
 
 
 def pgo_probes_enabled(explicit: Optional[bool] = None) -> bool:

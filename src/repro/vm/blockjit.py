@@ -15,8 +15,7 @@ Only the hot path is inlined.  The two cold exits every block can
 take live out of line in module helpers bound into each method's
 namespace: :func:`out_of_fuel` (the fuel counterpart of
 ``interpreter._trap``) and :func:`yieldpoint_slow` (the countdown
-yieldpoint's tick/sample/dispatch sequence).  The trace emitter
-(:mod:`repro.vm.superblock`) calls the same two helpers.
+yieldpoint's tick/sample/dispatch sequence).
 
 Bit-identity contract
 ---------------------
@@ -73,9 +72,9 @@ Compilation at first entry
 (:func:`placeholder`): a function over one shared template code object
 whose first call compiles the real region, binds it in the namespace
 and the entry table, and runs it.  A region that is never entered is
-never compiled.  A placeholder whose name has been rebound since (a
-superblock trace installed over it) forwards to the current binding and
-compiles nothing.
+never compiled.  A placeholder called after its name was bound
+(through a reference taken before its first call) forwards to the
+current binding and compiles nothing.
 
 Caching
 -------
@@ -135,7 +134,8 @@ _CALL = object()
 #: Deepest a region nests a block under branch arms; the next block
 #: down starts a new root.  CPython's tokenizer rejects more than 100
 #: indentation levels, and a block's code may sit this many arms deep
-#: plus a ``def``, a guard body, and a superblock trace's loop and arm.
+#: plus a ``def`` and a guard body.  The value is part of the generated
+#: code's shape (it decides the roots), so it stays fixed.
 MAX_REGION_DEPTH = 32
 
 #: Countdown-yieldpoint gate value while the flag is up: every armed
@@ -143,27 +143,14 @@ MAX_REGION_DEPTH = 32
 #: the flag is down the gate is exactly ``next_tick``.
 _NEG_INF = float("-inf")
 
-# Process-wide memos of compiled code, keyed by the generated source
+# Process-wide memo of compiled code, keyed by the generated source
 # text itself (true content addressing: identical lowered bodies produce
-# identical source).  ``_CODE_OBJECTS`` maps a whole trace or ladder
-# source to its module code object; ``_SEGMENT_CODE`` maps a blockjit
-# method source to the code objects of the regions compiled so far.
-# Each is bounded crudely at ``_CODE_OBJECTS_BOUND`` sources — an
-# occasional flush only costs a recompile.
-_CODE_OBJECTS: Dict[str, CodeType] = {}
+# identical source): ``_SEGMENT_CODE`` maps a blockjit method source to
+# the code objects of the regions compiled so far.  It is bounded
+# crudely at ``_CODE_OBJECTS_BOUND`` sources — an occasional flush only
+# costs a recompile.
 _SEGMENT_CODE: Dict[str, Dict[str, CodeType]] = {}
 _CODE_OBJECTS_BOUND = 4096
-
-
-def compile_memo(source: str, filename: str) -> CodeType:
-    """The module code object of a whole trace or ladder ``source``."""
-    code_obj = _CODE_OBJECTS.get(source)
-    if code_obj is None:
-        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
-            _CODE_OBJECTS.clear()
-        code_obj = compile(source, filename, "exec")
-        _CODE_OBJECTS[source] = code_obj
-    return code_obj
 
 
 def blockjit_enabled() -> bool:
@@ -221,11 +208,10 @@ def yieldpoint_slow(vm, cm, st, t: float, path_reg: int, flag) -> float:
 def emit_yieldpoint(seg, flush: str, flag) -> None:
     """Emit one yieldpoint that flushes ``flush`` into ``vm.cycles``.
 
-    Shared by blockjit regions and the superblock traces built from
-    them; the path register is ``st.path_reg``.  The countdown
-    template (DESIGN.md §10) stores the bit-identical ``vm.cycles`` and
-    keeps one compare inline, against ``st.gate`` (``next_tick`` while
-    the flag is down, -inf while it is up); past it,
+    The path register is ``st.path_reg``.  The countdown template
+    (DESIGN.md §10) stores the bit-identical ``vm.cycles`` and keeps
+    one compare inline, against ``st.gate`` (``next_tick`` while the
+    flag is down, -inf while it is up); past it,
     :func:`yieldpoint_slow` does the rest.
     """
     seg.emit(f"_t = vm.cycles + {flush}")
@@ -376,8 +362,9 @@ def region_roots(cm: CompiledMethod) -> List[Tuple[int, LoweredBlock, int]]:
     return roots
 
 
-class _Segment:
-    """Accumulates one generated function's body along its paths.
+class _Region:
+    """One region function's body, accumulated along its paths and
+    rendered once liveness is known.
 
     Register binding is per path: ``bound`` holds the registers with a
     live local on the path being emitted (a register is loaded at its
@@ -396,9 +383,14 @@ class _Segment:
     bit-identical; with ``fixed`` off, ``pending`` stays empty and
     ``cyc_expr`` degenerates to the literal ``_cyc``, so every emission
     site can read it unconditionally and the textual chain is unchanged.
+
+    Exits record where their writebacks go, with the path's dirty set,
+    instead of emitting them; :meth:`render` fills each with the dirty
+    registers live into that exit's successor.
     """
 
-    def __init__(self, fixed: bool) -> None:
+    def __init__(self, name: str, fixed: bool) -> None:
+        self.name = name
         self.body: List[str] = []
         self.bound = 0  # registers with a live local on this path
         self.dirty = 0  # registers written on this path
@@ -407,6 +399,8 @@ class _Segment:
         self.indent = 0
         self.fixed = fixed
         self.pending: List[int] = []
+        # (body index, depth, successor root, kill bitset, dirty bitset)
+        self.exits: List[Tuple[int, int, str, int, int]] = []
 
     def rd(self, reg: int) -> str:
         bit = 1 << reg
@@ -465,31 +459,8 @@ class _Segment:
                 self.emit(f"_cyc += {amount!r}")
 
     def exit_writebacks(self, succ: str, kill: int = 0) -> None:
-        """Writebacks before an exit to root ``succ``.
-
-        A superblock trace flushes every dirty register here;
-        :class:`_Region` narrows to the registers live into ``succ``,
-        less the ``kill`` bitset.
-        """
-        for reg in _bits(self.dirty):
-            self.emit(f"regs[{reg}] = r{reg}")
-
-
-class _Region(_Segment):
-    """One region function, rendered once liveness is known.
-
-    Exits record where their writebacks go, with the path's dirty set,
-    instead of emitting them; :meth:`render` fills each with the dirty
-    registers live into that exit's successor.
-    """
-
-    def __init__(self, name: str, fixed: bool) -> None:
-        super().__init__(fixed)
-        self.name = name
-        # (body index, depth, successor root, kill bitset, dirty bitset)
-        self.exits: List[Tuple[int, int, str, int, int]] = []
-
-    def exit_writebacks(self, succ: str, kill: int = 0) -> None:
+        """Mark an exit to root ``succ``; :meth:`render` writes back
+        the dirty registers live into it, less the ``kill`` bitset."""
         self.exits.append(
             (len(self.body), 1 + self.indent, succ, kill, self.dirty)
         )
@@ -540,9 +511,9 @@ class _MethodCodegen:
         self._root_blocks = {block.label for _, block, ip in self.roots if not ip}
         # Edge-origin globals are named by *block order* (the traversal
         # of :func:`_edge_origins`, which `_namespace` re-runs to bind
-        # them), never by emission order — a trace emits its blocks in
-        # path order, but ``_og{j}`` must keep meaning the j-th counted
-        # branch of the method.
+        # them), never by emission order — regions emit their blocks
+        # root by root, but ``_og{j}`` must keep meaning the j-th
+        # counted branch of the method.
         self._origin_names: Dict[str, str] = {}
         for block in blocks:
             term = block.term
@@ -579,14 +550,14 @@ class _MethodCodegen:
         return region
 
     def _gen_block(
-        self, seg: _Segment, block: LoweredBlock, ip: int = 0, fuel: str = "_fuel"
+        self, seg: _Region, block: LoweredBlock, ip: int = 0, fuel: str = "_fuel"
     ) -> bool:
         """Emit ``block`` from ``ip`` up to its terminator or first call.
 
         The fuel prologue charges the block's fuel on entry, exactly
         like the interpreter's ``fuel -= n - ip + 1`` at each block
         (re)entry, taking it from ``fuel``: ``st.fuel`` at a root, the
-        local ``_fuel`` in an inlined or traced block.  The exhaustion
+        local ``_fuel`` in an inlined block.  The exhaustion
         exit observes the folded pending chain.  Returns True when a
         call ended the block (the call is an exit).
         """
@@ -604,7 +575,7 @@ class _MethodCodegen:
             self._gen_op(seg, label, j, op)
         return False
 
-    def _gen_succ(self, seg: _Segment, succ: LoweredBlock) -> None:
+    def _gen_succ(self, seg: _Region, succ: LoweredBlock) -> None:
         """Continue into ``succ``: exit to its root, or inline its code."""
         if succ.label in self._root_blocks:
             self._gen_exit(seg, self._succ_name(succ))
@@ -612,7 +583,7 @@ class _MethodCodegen:
             self._gen_term(seg, succ)
 
     def _gen_exit(
-        self, seg: _Segment, succ: str, value: Optional[str] = None, kill: int = 0
+        self, seg: _Region, succ: str, value: Optional[str] = None, kill: int = 0
     ) -> None:
         """Leave the function for root ``succ``, returning ``value``
         (by default ``succ``'s function)."""
@@ -624,7 +595,7 @@ class _MethodCodegen:
 
     # -- ops ----------------------------------------------------------------
 
-    def _gen_op(self, seg: _Segment, label: str, j: int, op: tuple) -> None:
+    def _gen_op(self, seg: _Region, label: str, j: int, op: tuple) -> None:
         c = op[0]
         seg.cost(op[1])
         if c == OP_CONST:
@@ -716,7 +687,7 @@ class _MethodCodegen:
             raise VMError(f"blockjit cannot compile opcode {c}")
 
     def _guards_reg(
-        self, seg: _Segment, kind: int, b: str, label: str, j: int
+        self, seg: _Region, kind: int, b: str, label: str, j: int
     ) -> None:
         if kind == 3 or kind == 4:
             msg = "division by zero" if kind == 3 else "modulo by zero"
@@ -731,7 +702,7 @@ class _MethodCodegen:
             )
 
     def _guards_imm(
-        self, seg: _Segment, kind: int, imm, label: str, j: int
+        self, seg: _Region, kind: int, imm, label: str, j: int
     ) -> None:
         # Guards on a constant operand fold away entirely — or into an
         # unconditional trap with the exact interpreter message.
@@ -747,7 +718,7 @@ class _MethodCodegen:
     # -- calls and terminators ----------------------------------------------
 
     def _gen_call(
-        self, seg: _Segment, bi: int, block: LoweredBlock, j: int, op: tuple
+        self, seg: _Region, bi: int, block: LoweredBlock, j: int, op: tuple
     ) -> None:
         seg.cost(op[1])
         name = op[3]
@@ -785,7 +756,7 @@ class _MethodCodegen:
     def _succ_name(self, succ: LoweredBlock) -> str:
         return f"_f{self.block_index[succ.label]}_0"
 
-    def _gen_term(self, seg: _Segment, block: LoweredBlock) -> None:
+    def _gen_term(self, seg: _Region, block: LoweredBlock) -> None:
         term = block.term
         t = term[0]
         seg.cost(term[1])
@@ -813,27 +784,23 @@ class _MethodCodegen:
         else:  # pragma: no cover - lowering emits only known terminators
             raise VMError(f"blockjit cannot compile terminator {t}")
 
-    def _arm_prefix(
-        self, seg: _Segment, taken: bool, term: tuple, origin: Optional[str]
-    ) -> None:
-        """An arm's mislayout penalty and edge record, in its nesting."""
-        if taken != term[7]:
-            seg.cost(term[8])
-        if origin is not None:
-            seg.emit(f"vm.edge_profile.record({origin}, {taken})")
-            seg.cost(term[11])
-
     def _gen_arm(
         self,
-        seg: _Segment,
+        seg: _Region,
         taken: bool,
         term: tuple,
         origin: Optional[str],
         succ: LoweredBlock,
     ) -> None:
+        """One branch arm, nested: its mislayout penalty, its edge
+        record, then its successor."""
         state = seg.fork()
         seg.indent += 1
-        self._arm_prefix(seg, taken, term, origin)
+        if taken != term[7]:
+            seg.cost(term[8])
+        if origin is not None:
+            seg.emit(f"vm.edge_profile.record({origin}, {taken})")
+            seg.cost(term[11])
         self._gen_succ(seg, succ)
         seg.indent -= 1
         seg.restore(state)
@@ -886,10 +853,10 @@ def placeholder(ns: dict, name: str, fill) -> FunctionType:
 
     Each call looks ``name`` up in ``ns``.  While the name is still
     bound to this placeholder, ``fill(placeholder)`` compiles and binds
-    the real function and returns it; otherwise the current binding (an
-    install made since, or the function an earlier fill bound) runs and
-    nothing compiles.  ``__globals__`` is ``ns``, so callers that find a
-    method's namespace through its entry table keep working.
+    the real function and returns it; otherwise the current binding (the
+    function an earlier fill bound) runs and nothing compiles.
+    ``__globals__`` is ``ns``, so callers that find a method's namespace
+    through its entry table keep working.
     """
     cells = {"fill": CellType(fill), "stub": CellType()}
     stub = FunctionType(
@@ -981,13 +948,6 @@ def ensure_jit(cm: CompiledMethod) -> dict:
         ns[name] = fn
         entries[(block.label, ip)] = fn
     cm.jit_entries = entries
-    if cm.sb_source is not None:
-        # A pickled superblock (codecache warm run, engine-pool worker)
-        # rides along; revalidate + rebind it over the fresh entries.
-        # Imported lazily: superblock builds on this module.
-        from repro.vm.superblock import reinstall_persisted
-
-        reinstall_persisted(cm, entries)
     return entries
 
 

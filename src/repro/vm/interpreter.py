@@ -111,10 +111,6 @@ class CompiledMethod:
         "profile_key",
         "jit_source",
         "jit_entries",
-        "sb_source",
-        "sb_path",
-        "sb_fingerprint",
-        "sb_entry",
         "probe_plan",
         "fold_q",
     )
@@ -141,18 +137,10 @@ class CompiledMethod:
         self.profile_key = f"{source_name}#v{version}"
         # Blockjit artefacts (see repro.vm.blockjit): the generated
         # source is content (it travels with pickled methods, so the
-        # codecache persists it); the compiled segment closures are
+        # codecache persists it); the compiled region closures are
         # per-process and rebuilt lazily.
         self.jit_source: Optional[str] = None
         self.jit_entries: Optional[dict] = None
-        # Superblock artefacts (see repro.vm.superblock): the generated
-        # trace source, its path number, and a fingerprint tying both to
-        # this version's P-DAG + codegen flags; the installed entry
-        # function is per-process and rebuilt lazily like jit_entries.
-        self.sb_source: Optional[str] = None
-        self.sb_path: Optional[int] = None
-        self.sb_fingerprint: Optional[str] = None
-        self.sb_entry = None
         # Minimum-coverage edge-probe placement (see repro.vm.pgo /
         # DESIGN.md §14), so the drain can reconstruct the full edge
         # profile; it pickles with the method.
@@ -168,7 +156,6 @@ class CompiledMethod:
     def __getstate__(self) -> dict:
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["jit_entries"] = None  # closures don't pickle; rebuilt lazily
-        state["sb_entry"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -336,13 +336,12 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
     """Per-method tier-engagement counters plus fleet totals.
 
     Reported by ``repro profile`` (text and ``--json``): whether each
-    method's code carries a superblock trace, and which probe-placement
-    mode instrumented it.
+    method ran on blockjit, and which probe-placement mode instrumented
+    it.
     """
     methods = {}
     totals = {
         "blockjit_methods": 0,
-        "superblock_installs": 0,
         "min_coverage_methods": 0,
         "probes_placed": 0,
         "probes_full": 0,
@@ -355,7 +354,6 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
     }
     for name in sorted(code):
         cm = code[name]
-        backend = "superblock" if cm.sb_source is not None else None
         probe_mode = None
         if cm.probe_plan is not None:
             probe_mode = "min-coverage"
@@ -372,15 +370,12 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
                     totals["probes_full"] += 2
         if cm.jit_entries is not None:
             totals["blockjit_methods"] += 1
-        if backend is not None:
-            totals["superblock_installs"] += 1
         fold = "certified" if cm.fold_q else "rejected"
         totals[f"fold_{fold}"] += 1
         methods[name] = {
             "version": cm.version,
             "tier": cm.tier,
             "blockjit": cm.jit_entries is not None,
-            "trace_backend": backend,
             "probe_mode": probe_mode,
             "fold": fold,
         }

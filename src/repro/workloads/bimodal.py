@@ -1,14 +1,13 @@
-"""Bimodal alternating-arm loop workloads (DESIGN.md §16).
+"""Bimodal alternating-arm loop workloads (DESIGN.md §11).
 
 Each builder centres on a *pulse* kernel: a short loop that strictly
 alternates between two arms, so its 1-path samples split ~evenly across
-the two iteration paths (diluted further by the prologue path) and no
-single acyclic path ever dominates.  Superblock formation (DESIGN.md
-§11) therefore never promotes a pulse kernel, and it runs on plain
-blockjit.  The kernels were added for k-iteration path profiling,
-which stitched two iterations into one trace; that tier is retired,
-and the kernels stay because every figure and every benchmark workload
-runs the full seventeen-workload suite.
+the two iteration paths (diluted further by the prologue path).  The
+kernels were added for k-iteration path profiling, which stitched two
+iterations into one trace; that tier and every other trace tier are
+retired, so, like every method, the kernels run on region blockjit.
+They stay because every figure and every benchmark workload runs the
+full seventeen-workload suite.
 
 The kernels alternate *deterministically* (parity or a flipped toggle);
 LCG-derived guest data feeds the arms' arithmetic but never the branch.

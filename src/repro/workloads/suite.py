@@ -4,8 +4,7 @@ SPEC JVM98 (compress, jess, db, javac, mpegaudio, mtrt, jack), a
 fixed-workload SPEC JBB2000 (pseudojbb), the DaCapo benchmarks that ran
 on Jikes RVM (antlr, bloat, fop, pmd, ps, xalan; hsqldb omitted as in
 the paper), and three bimodal alternating-arm kernels (zigzag, seesaw,
-pingpong) whose loops have no dominant 1-path, so they run on plain
-blockjit (DESIGN.md §16).
+pingpong) whose loops strictly alternate two arms (DESIGN.md §11).
 
 ``ticks_target`` scales each benchmark's virtual timer so a run receives
 a paper-proportional number of ticks: the paper's runs last ~4-30 s at
@@ -68,8 +67,7 @@ _SUITE: List[Workload] = [
     Workload("pmd", dacapo.build_pmd, 75, "dacapo"),
     Workload("ps", dacapo.build_ps, 90, "dacapo"),
     Workload("xalan", dacapo.build_xalan, 90, "dacapo"),
-    # Bimodal alternating-arm kernels (DESIGN.md §16): no dominant
-    # 1-path, so no superblock trace forms.
+    # Bimodal alternating-arm kernels (DESIGN.md §11).
     Workload("zigzag", bimodal.build_zigzag, 70, "bimodal"),
     Workload("seesaw", bimodal.build_seesaw, 70, "bimodal"),
     Workload("pingpong", bimodal.build_pingpong, 70, "bimodal"),

@@ -135,6 +135,69 @@ def call_program() -> Program:
     return pb.build()
 
 
+def hot_helper_program(calls: int = 200, inner: int = 40) -> Program:
+    """main repeatedly calls a helper whose inner loop dominates.
+
+    The helper re-enters after every adaptive recompile (unlike a
+    monolithic main, which keeps its original frame for the whole run),
+    so its PEP-instrumented versions actually collect path samples.
+    """
+    pb = ProgramBuilder("hotloop")
+    helper = pb.function("helper", ["n"])
+    n = helper.p("n")
+    acc = helper.local(0)
+
+    def body(i):
+        helper.assign(acc, acc + i)
+        helper.assign(acc, acc + n)
+        helper.assign(acc, acc * 1)
+        helper.assign(acc, acc + 2)
+        helper.assign(acc, acc - 1)
+        helper.assign(acc, acc + i)
+        helper.assign(acc, acc + 1)
+        helper.assign(acc, acc + i)
+        helper.assign(acc, acc + 1)
+        helper.assign(acc, acc + i)
+
+    helper.for_range(0, inner, 1, body)
+    helper.ret(acc)
+
+    f = pb.function("main")
+    total = f.local(0)
+    f.for_range(0, calls, 1,
+                lambda i: f.assign(total, total + f.call("helper", i)))
+    f.emit(total)
+    f.ret(total)
+    return pb.build()
+
+
+def small_adaptive_run(program: Program):
+    """One PEP(8,3) adaptive run on a fixed, unjittered timer.
+
+    Returns ``(system, vm, result)``.
+    """
+    system = AdaptiveSystem(
+        program, config=AdaptiveConfig(pep=SamplingConfig(8, 3))
+    )
+    vm = system.make_vm(tick_interval=600.0)
+    return system, vm, vm.run()
+
+
+def vm_digest(vm, result) -> str:
+    """Checksum of a finished run's results, profiles and counters."""
+    return payload_checksum(
+        {
+            "return_value": result.return_value,
+            "output": list(vm.output),
+            "cycles": result.cycles,
+            "ticks": result.ticks,
+            "samples_taken": result.samples_taken,
+            "paths": sorted(vm.path_profile.items()),
+            "edges": sorted((repr(b), c) for b, c in vm.edge_profile.items()),
+        }
+    )
+
+
 def adaptive_run(
     program: Program,
     ticks: int,
@@ -147,7 +210,7 @@ def adaptive_run(
     adaptive system runs PEP(64,17) under a resilience layer that
     injects ``plan``'s faults, if any.  Returns the run's observables:
     digest (profiles, output, cycles), counters, health, and the
-    controller's compile and trace logs.
+    controller's compile log.
     """
     costs = CostModel()
     base_code = {
@@ -184,5 +247,4 @@ def adaptive_run(
         "strides": result.strides_skipped,
         "health": result.health.to_dict(),
         "compile_log": list(system.compile_log),
-        "superblock_log": list(system.superblock_log),
     }

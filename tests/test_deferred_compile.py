@@ -1,18 +1,14 @@
 """Generated code compiles at its first call, not when it is generated.
 
 ``ensure_jit`` binds every blockjit region root to a placeholder
-(DESIGN.md §9).  A superblock trace, by contrast, compiles at install
-time and rebinds the head's name over those placeholders.  These tests
-pin what that must and must not change:
+(DESIGN.md §9).  These tests pin what that must and must not change:
 
 * a root that is never entered is never compiled;
-* a placeholder whose name was rebound since forwards to the current
-  binding and compiles nothing;
+* a placeholder called after its first call filled it forwards to the
+  region it bound and compiles nothing;
 * a memo-warm ``ensure_jit`` binds real functions only;
-* a failure in trace-source generation degrades at promotion, one
-  ``superblock-degrade`` per failure, without moving the digest;
-* adaptive runs of generated programs match the tuple-interpreter
-  oracle bit for bit.
+* adaptive runs of generated programs and of the curated workloads
+  match the tuple-interpreter oracle bit for bit.
 """
 
 import builtins
@@ -20,18 +16,21 @@ import pickle
 
 import pytest
 
-import repro.util.flags as flags
 from repro.bytecode.builder import ProgramBuilder
-from repro.vm import blockjit, superblock
+from repro.vm import blockjit
 from repro.vm.blockjit import JitState, ensure_jit
 from repro.vm.interpreter import Frame
 from repro.vm.runtime import VirtualMachine
-from repro.vm.superblock import install_superblock, trace_blocks
 from repro.workloads.generator import random_program
+from repro.workloads.suite import benchmark_suite, get_workload
 
 from tests.compile_util import compile_simple
-from tests.helpers import CORPUS_SPEC, adaptive_run, counting_program
-from tests.test_superblock import hot_helper_program
+from tests.helpers import (
+    CORPUS_SPEC,
+    adaptive_run,
+    call_program,
+    counting_program,
+)
 
 #: The observables an adaptive run of the oracle must reproduce.
 ORACLE_KEYS = (
@@ -45,9 +44,7 @@ def _isolate(monkeypatch):
     # Cold memos, so "never compiled" means exactly that; no shared
     # CompiledMethods from the compilation cache.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
-    monkeypatch.setattr(blockjit, "_CODE_OBJECTS", {})
     monkeypatch.setattr(blockjit, "_SEGMENT_CODE", {})
-    monkeypatch.setattr(flags, "SUPERBLOCK", True)
 
 
 @pytest.fixture
@@ -95,14 +92,8 @@ def _call_leaf(program, code, cm, fn, *args):
     return st.ret_value, st.cyc, st.fuel
 
 
-def _oracle(program, mode=None):
-    return _observe(program, compile_simple(program, mode=mode), False)
-
-
-def _trace_path(cm) -> int:
-    return next(
-        p for p in range(cm.dag.num_paths) if trace_blocks(cm, p) is not None
-    )
+def _oracle(program):
+    return _observe(program, compile_simple(program), False)
 
 
 def cold_arm_program():
@@ -156,6 +147,22 @@ def test_never_entered_segment_is_never_compiled(compiled):
     assert sorted(compiled) == sorted(text(fn) for fn in ran)
 
 
+def test_stale_placeholder_forwards_and_compiles_nothing(compiled):
+    program = call_program()
+    code = compile_simple(program)
+    cm = code["helper"]
+    head = (cm.entry.label, 0)
+    stale = ensure_jit(cm)[head]
+    assert _is_placeholder(stale)
+    first = _call_leaf(program, code, cm, stale, 3)
+    filled = cm.jit_entries[head]
+    assert not _is_placeholder(filled)
+    assert stale.__globals__[stale.__name__] is filled
+    before = len(compiled)
+    assert _call_leaf(program, code, cm, stale, 3) == first
+    assert len(compiled) == before
+
+
 def test_memo_warm_ensure_jit_binds_no_placeholders(compiled):
     program = counting_program(30)
     code = compile_simple(program)
@@ -177,78 +184,22 @@ def test_memo_warm_ensure_jit_binds_no_placeholders(compiled):
     assert len(compiled) == before
 
 
-# -- superblock traces ------------------------------------------------------
+# -- adaptive runs against the oracle ----------------------------------------
+
+#: Generator seeds of corpus programs (the start-up regime), then the
+#: curated workloads.
+ORACLE_PROGRAMS = [*range(0, 96, 8), *(w.name for w in benchmark_suite())]
 
 
-def test_classic_head_install_sits_over_placeholders(compiled):
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    plain = dict(ensure_jit(cm))
-    path = _trace_path(cm)
-    head = (trace_blocks(cm, path)[0].label, 0)
-    assert install_superblock(cm, path)
-    assert "def _sb(" in cm.sb_source
-    # The install is eager and rebinds the head name only.
-    assert compiled.count(cm.sb_source) == 1
-    assert cm.jit_entries[head] is cm.sb_entry
-    assert not _is_placeholder(cm.sb_entry)
-    for key, fn in plain.items():
-        if key != head:
-            assert cm.jit_entries[key] is fn
-    # The head's superseded placeholder runs the trace, compiling and
-    # rebinding nothing.
-    stale = plain[head]
-    text = blockjit._segment_text(cm.jit_source, stale.__name__)
-
-    def head_compiled():
-        memo = blockjit._SEGMENT_CODE.get(cm.jit_source, {})
-        return stale.__name__ in memo or any(text in src for src in compiled)
-
-    assert _call_leaf(program, code, cm, stale, 3) == _call_leaf(
-        program, code, cm, cm.sb_entry, 3
-    )
-    assert not head_compiled()
-    assert stale.__globals__[stale.__name__] is cm.sb_entry
-    assert cm.jit_entries[head] is cm.sb_entry
-    assert _observe(program, code, True) == _oracle(program, "pep")
-    assert not head_compiled()
-
-
-# -- failures ----------------------------------------------------------------
-
-
-def test_generation_failure_degrades_at_promotion(monkeypatch):
-    program = random_program(32, CORPUS_SPEC)
-    clean = adaptive_run(program, 200, 3)
-    raised = []
-
-    def generate(cm, trace):
-        raised.append(cm.profile_key)
-        raise RuntimeError("forced generation failure")
-
-    monkeypatch.setattr(superblock, "generate_trace_source", generate)
-    forced = adaptive_run(program, 200, 3)
-    degrades = [
-        d for d in forced["health"]["degradations"]
-        if d[0] == "superblock-degrade"
-    ]
-    assert degrades and len(degrades) == len(raised)
-    assert forced["health"]["degradations"] == degrades
-    assert not clean["health"]["degradations"]
-    assert (forced["digest"], forced["cycles"]) == (
-        clean["digest"], clean["cycles"]
-    )
-
-
-# -- the start-up regime against the oracle ---------------------------------
-
-
-@pytest.mark.parametrize("seed", range(0, 96, 8))
-def test_random_program_adaptive_oracle_parity(seed, monkeypatch):
-    program = random_program(seed, CORPUS_SPEC)
-    jit = adaptive_run(program, 200, 3)
+@pytest.mark.parametrize("source", ORACLE_PROGRAMS)
+def test_random_program_adaptive_oracle_parity(source, monkeypatch):
+    if isinstance(source, int):
+        program, ticks = random_program(source, CORPUS_SPEC), 200
+    else:
+        workload = get_workload(source)
+        program, ticks = workload.build(0.5), workload.ticks_target
+    jit = adaptive_run(program, ticks, 3)
     monkeypatch.setenv(blockjit.ENV_DISABLE, "0")
-    oracle = adaptive_run(program, 200, 3)
+    oracle = adaptive_run(program, ticks, 3)
     for key in ORACLE_KEYS:
         assert jit[key] == oracle[key], key

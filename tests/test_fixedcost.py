@@ -8,15 +8,11 @@ Bit-identity with the sequential interpreter:
   cost chain to one constant with *no* per-constant cleanliness gate.
   A rejected method (``fold_q == 0``) emits textual chains instead, and
   the verdict must be a pure wall-clock choice.
-* **No dominant path.**  The warm token ladder that once compiled such
-  methods is retired: they stay on plain blockjit, and a persisted
-  ladder (``sb_path == -1``) is dropped on load — except under the
-  ``REPRO_SUPERBLOCK=0`` kill switch, which leaves it untouched.
+* **No dominant path.**  A method whose path samples spread evenly
+  runs on plain blockjit and matches the interpreter oracle.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -24,7 +20,6 @@ from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.method import Program
 from repro.errors import FuelExhaustedError
 from repro.persist import payload_checksum
-from repro.util import flags
 from repro.vm import blockjit, costs as costs_mod, interpreter
 from repro.vm.costs import (
     FOLD_BOUND,
@@ -33,24 +28,17 @@ from repro.vm.costs import (
     fold_clean,
 )
 from repro.vm.runtime import VirtualMachine
-from repro.vm.superblock import (
-    find_dominant_path,
-    install_superblock,
-    superblock_fingerprint,
-    trace_blocks,
-)
 from repro.workloads.suite import benchmark_suite
 
 from tests.compile_util import compile_simple
-from tests.test_superblock import _adaptive_run, _digest, hot_helper_program
+from tests.helpers import hot_helper_program, small_adaptive_run, vm_digest
 
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 
 
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
-    # Shared codecache entries would leak fold verdicts and trace
-    # artefacts across tests.
+    # Shared codecache entries would leak fold verdicts across tests.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
 
 
@@ -58,10 +46,7 @@ def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
     """main repeatedly calls a helper whose loop splits three ways.
 
     The 3-way ladder on ``i % 3`` spreads path mass evenly (~1/3 each),
-    so no path reaches the 0.5 dominance threshold and the helper never
-    earns a trace superblock — it stays on plain blockjit.
-    (Two balanced arms would not do: ``find_dominant_path`` accepts a
-    path at *exactly* the threshold, so a 50/50 split still dominates.)
+    so no path holds half the helper's samples.
     """
     pb = ProgramBuilder("braided")
     helper = pb.function("helper", ["n"])
@@ -213,103 +198,18 @@ def test_fuel_abort_parity_across_folding(fuel):
 # -- no dominant path -------------------------------------------------------
 
 
-def test_braided_helper_has_no_dominant_path():
-    program = braided_helper_program()
-    system, vm, _ = _adaptive_run(program, superblock=True)
-    counts: dict = {}
-    for key, path, freq in vm.path_profile.items():
-        if key.startswith("helper#"):
-            counts[path] = counts.get(path, 0.0) + freq
-    assert counts, "helper collected no path samples — test is vacuous"
-    assert find_dominant_path(counts, 0.5, 1.0) is None
-
-
 def test_no_dominant_path_stays_on_plain_blockjit(monkeypatch):
-    # The braided kernel has no dominant 1-path by construction, so the
-    # controller forms no trace and the helper stays on plain blockjit.
+    # The braided kernel has no dominant 1-path by construction; its
+    # helper runs on plain blockjit and matches the oracle bit for bit.
     program = braided_helper_program()
-    system, vm, result = _adaptive_run(program, superblock=True)
+    system, vm, result = small_adaptive_run(program)
     helper = system.code["helper"]
     sampled = sum(vm.path_profile.method_paths(helper.profile_key).values())
-    assert sampled >= 4.0, "helper never reached the promotion floor"
-    assert not system.superblock_log
-    assert helper.sb_path is None and helper.sb_entry is None
+    assert sampled >= 4.0, "helper collected almost no path samples"
     assert helper.jit_entries, "helper never ran on blockjit"
     monkeypatch.setenv(blockjit.ENV_DISABLE, "0")
-    _, oracle_vm, oracle_res = _adaptive_run(program, superblock=True)
-    assert _digest(vm, result) == _digest(oracle_vm, oracle_res)
-
-
-def _retired_warm_artefact(monkeypatch):
-    """A pickled helper carrying what a format-8 warm ladder persisted:
-    the retired ``-1`` sentinel, with a fingerprint that still matches
-    it.  Returns ``(program, code, clone)``."""
-    monkeypatch.setattr(flags, "SUPERBLOCK", True)
-    program = hot_helper_program(calls=6, inner=8)
-    code = compile_simple(program, mode="pep")
-    cm = code["helper"]
-    path = next(
-        p for p in range(cm.dag.num_paths)
-        if trace_blocks(cm, p) is not None
-    )
-    assert install_superblock(cm, path)
-    clone = pickle.loads(pickle.dumps(cm))
-    clone.sb_path = -1
-    clone.sb_fingerprint = superblock_fingerprint(clone, -1)
-    return program, code, clone
-
-
-def test_warm_kill_switch_keeps_persisted_artifacts(monkeypatch):
-    _, _, clone = _retired_warm_artefact(monkeypatch)
-    stored = (clone.sb_source, clone.sb_path, clone.sb_fingerprint)
-    monkeypatch.setattr(flags, "SUPERBLOCK", False)
-    blockjit.ensure_jit(clone)
-    # The superblock kill switch judges no persisted artefact, the
-    # retired one included: it stays untouched, and nothing installs.
-    assert clone.sb_entry is None
-    assert (clone.sb_source, clone.sb_path, clone.sb_fingerprint) == stored
-    # A later enabled process judges it, and drops it.
-    monkeypatch.setattr(flags, "SUPERBLOCK", True)
-    later = pickle.loads(pickle.dumps(clone))
-    entries = blockjit.ensure_jit(later)
-    assert (
-        later.sb_source, later.sb_path, later.sb_fingerprint, later.sb_entry
-    ) == (None, None, None, None)
-    assert (later.entry.label, 0) in entries
-
-
-def test_warm_stale_fingerprint_drops_cleanly(monkeypatch):
-    _, _, clone = _retired_warm_artefact(monkeypatch)
-    clone.sb_fingerprint ^= 1
-    entries = blockjit.ensure_jit(clone)
-    assert clone.sb_entry is None
-    assert clone.sb_source is None
-    assert clone.sb_path is None
-    assert (clone.entry.label, 0) in entries
-
-
-def test_stale_warm_ladder_artefact_is_dropped(monkeypatch):
-    # Dropped even though its fingerprint matches: -1 names no trace.
-    program, code, clone = _retired_warm_artefact(monkeypatch)
-    entries = blockjit.ensure_jit(clone)
-    assert (
-        clone.sb_source, clone.sb_path, clone.sb_fingerprint, clone.sb_entry
-    ) == (None, None, None, None)
-
-    def observe(code, on):
-        vm = VirtualMachine(code, program.main, costs=CostModel(), blockjit=on)
-        result = vm.run()
-        return (
-            result.return_value, result.cycles, list(vm.output),
-            sorted(vm.path_profile.items()),
-        )
-
-    oracle = observe(compile_simple(program, mode="pep"), False)
-    code["helper"] = clone
-    assert observe(code, True) == oracle
-    entry = entries[(clone.entry.label, 0)]
-    assert entry.__code__.co_filename == "<blockjit>"  # a plain segment
-    assert "_sb" not in entry.__globals__
+    _, oracle_vm, oracle_res = small_adaptive_run(program)
+    assert vm_digest(vm, result) == vm_digest(oracle_vm, oracle_res)
 
 
 # -- whole-suite fold-verdict parity (all bundled workloads) ---------------
@@ -319,15 +219,8 @@ def _flag_checksum(workload: str) -> str:
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
-    old = flags.SUPERBLOCK
-    flags.SUPERBLOCK = True
-    try:
-        program = suite[workload].build(0.3)
-        report = api.profile_adaptive(
-            program, samples=16, stride=3, ticks=100
-        )
-    finally:
-        flags.SUPERBLOCK = old
+    program = suite[workload].build(0.3)
+    report = api.profile_adaptive(program, samples=16, stride=3, ticks=100)
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),

@@ -22,8 +22,14 @@ from repro.util import flags
 from repro.vm import codecache, pgo
 from repro.vm.costs import CostModel
 
-from tests.helpers import call_program, counting_program, diamond_loop_method
-from tests.test_superblock import _adaptive_run, _digest, hot_helper_program
+from tests.helpers import (
+    call_program,
+    counting_program,
+    diamond_loop_method,
+    hot_helper_program,
+    small_adaptive_run,
+    vm_digest,
+)
 
 pytestmark = pytest.mark.usefixtures("_isolated")
 
@@ -166,23 +172,21 @@ def test_shared_origin_methods_fall_back_to_full_instrumentation():
         _edges_image(program, probes=False, level=2)
     )
     assert _edge_items(vm_on) == _edge_items(vm_off)
-    assert _digest(vm_on, res_on) == _digest(vm_off, res_off)
+    assert vm_digest(vm_on, res_on) == vm_digest(vm_off, res_off)
 
 
 # -- engagement ----------------------------------------------------------------
 
 
 def test_engagement_summary_counts_the_tiers():
-    system, _, _ = _adaptive_run(hot_helper_program(), superblock=True)
+    system, _, _ = small_adaptive_run(hot_helper_program())
     summary = pgo.engagement_summary(system.code)
     totals = summary["totals"]
-    assert totals["superblock_installs"] >= 1
     assert totals["blockjit_methods"] >= 1
     assert totals["fold_coverage"] == 1.0
     row = summary["methods"]["helper"]
-    assert row["trace_backend"] == "superblock"
+    assert row["blockjit"] is True
     assert row["fold"] == "certified"
-    assert summary["methods"]["main"]["trace_backend"] is None
 
 
 # -- codecache keys ------------------------------------------------------------

@@ -112,7 +112,6 @@ def test_fault_sites_cover_the_hot_layers():
         "path-reconstruct",
         "path-table",
         "advice-load",
-        "superblock-compile",
         # Engine-level sites (supervised sweep engine, DESIGN.md §12).
         "worker-crash",
         "worker-hang",
@@ -121,11 +120,13 @@ def test_fault_sites_cover_the_hot_layers():
     }
 
 
-@pytest.mark.parametrize("site", ["warmjit-compile", "tracefast-compile"])
+@pytest.mark.parametrize(
+    "site", ["warmjit-compile", "tracefast-compile", "superblock-compile"]
+)
 def test_retired_warmjit_site_is_unknown(site):
-    # The warm ladder, the whole-method trace backend and their fault
-    # sites are gone: a plan that still names either site is rejected
-    # like any other unknown site.
+    # The warm ladder, both trace emitters and their fault sites are
+    # gone: a plan that still names any of them is rejected like any
+    # other unknown site.
     with pytest.raises(ReproError, match="unknown fault site"):
         FaultPlan({site: 1.0})
 
@@ -413,8 +414,10 @@ def test_cli_profile_with_injection_prints_health(cli_source, capsys):
 def test_cli_profile_rejects_bad_inject_spec(cli_source):
     from repro.__main__ import main
 
-    with pytest.raises(ReproError):
-        main(["profile", cli_source, "--inject", "bogus-site=0.5"])
+    # A made-up site, and the retired superblock trace tier's site.
+    for spec in ("bogus-site=0.5", "superblock-compile=0.5"):
+        with pytest.raises(ReproError):
+            main(["profile", cli_source, "--inject", spec])
 
 
 # -- enriched VM errors (satellite) -------------------------------------------
