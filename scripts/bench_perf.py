@@ -4,13 +4,13 @@
 Times the hot layers the perf PRs touched — guest execution under the
 blockjit engine and the tuple interpreter, the fixed-point
 fold-coverage census (DESIGN.md §15), the minimum-coverage probe saving
-(DESIGN.md §14), the yieldpoint/sampling-check overhead, lowering with
-and without the compilation cache, path reconstruction with cold vs
-warm memos, and a small fig6 sweep through the experiment engine
-serial vs parallel — and records them, normalized by a pure-Python
-calibration loop so numbers are comparable across machines.  Every
-run also appends one summary line (git SHA + headline metrics) to
-``BENCH_history.jsonl`` so the perf trend is trackable across PRs.
+(DESIGN.md §14), the yieldpoint/sampling-check overhead, path
+reconstruction with cold vs warm memos, and a small fig6 sweep through
+the experiment engine serial vs parallel — and records them,
+normalized by a pure-Python calibration loop so numbers are comparable
+across machines.  Every run also appends one summary line (git SHA +
+headline metrics) to ``BENCH_history.jsonl`` so the perf trend is
+trackable across PRs.
 
 Usage::
 
@@ -41,7 +41,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-SCHEMA = 12
+SCHEMA = 13
 REGRESSION_TOLERANCE = 0.25  # fail --check on >25% normalized slowdown
 # Minimum acceptable serial/parallel speedup when the runner actually
 # has cores to parallelize over (generous: contention on loaded CI
@@ -368,50 +368,6 @@ def bench_pgo(quick: bool) -> dict:
     }
 
 
-# -- lowering and the compilation cache -------------------------------------
-
-
-def bench_lowering(quick: bool) -> dict:
-    from repro.adaptive.optimizing import optimize_method
-    from repro.vm import codecache
-    from repro.vm.costs import CostModel
-    from repro.workloads.suite import get_workload
-
-    program = get_workload("db").build(1.0)
-    costs = CostModel()
-    methods = list(program.iter_methods())
-    reps = 20 if quick else 100
-    cache = codecache.GLOBAL
-
-    def one_pass():
-        for method in methods:
-            optimize_method(method, program, 2, None, costs)
-
-    cache.clear()
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        cache.clear()  # every compile is a miss
-        one_pass()
-    cold_wall = time.perf_counter() - t0
-
-    cache.clear()
-    one_pass()  # warm the cache once
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        one_pass()  # every compile is a hit
-    warm_wall = time.perf_counter() - t0
-
-    compiles = reps * len(methods)
-    return {
-        "workload": "db",
-        "methods": len(methods),
-        "reps": reps,
-        "cold_compiles_per_sec": compiles / cold_wall,
-        "warm_compiles_per_sec": compiles / warm_wall,
-        "cache_speedup": cold_wall / warm_wall,
-    }
-
-
 # -- path reconstruction ----------------------------------------------------
 
 
@@ -567,7 +523,6 @@ def append_history(report: dict, path: str) -> None:
         "sampling_wall_overhead": sampling.get("sampling_wall_overhead"),
         "fold_coverage": metrics.get("foldcov", {}).get("fold_coverage"),
         "probe_reduction": metrics.get("pgo", {}).get("probe_reduction"),
-        "cache_speedup": metrics.get("lowering", {}).get("cache_speedup"),
         "memo_speedup": metrics.get("reconstruction", {}).get("memo_speedup"),
         "parallel_speedup": sweep.get("parallel_speedup"),
         "digests_match": sweep.get("digests_match"),
@@ -652,8 +607,8 @@ def main(argv=None) -> int:
         "--stage",
         action="append",
         choices=[
-            "interpreter", "sampling", "foldcov", "pgo", "lowering",
-            "reconstruction", "sweep",
+            "interpreter", "sampling", "foldcov", "pgo", "reconstruction",
+            "sweep",
         ],
         default=None,
         help="run only the named stage (repeatable; default: all). "
@@ -676,7 +631,6 @@ def main(argv=None) -> int:
         ("sampling", lambda: bench_sampling(args.quick)),
         ("foldcov", lambda: bench_foldcov(args.quick)),
         ("pgo", lambda: bench_pgo(args.quick)),
-        ("lowering", lambda: bench_lowering(args.quick)),
         ("reconstruction", lambda: bench_reconstruction(args.quick)),
         ("sweep", lambda: bench_sweep(args.quick, args.jobs)),
     ]

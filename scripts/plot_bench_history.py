@@ -80,7 +80,6 @@ def render_table(entries: list) -> str:
         ("blockjit", lambda e: _fmt(e.get("blockjit_speedup"), ".2f")),
         ("sampling", lambda e: _fmt(e.get("sampling_wall_overhead"), ".2f")),
         ("foldcov", lambda e: _fmt(e.get("fold_coverage"), ".3f")),
-        ("cache", lambda e: _fmt(e.get("cache_speedup"), ".1f")),
         ("memo", lambda e: _fmt(e.get("memo_speedup"), ".1f")),
         ("par", lambda e: _fmt(e.get("parallel_speedup"), ".2f")),
     ]

@@ -274,7 +274,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
-        persist_path=args.codecache,
         fault_plan=fault_plan,
         max_worker_restarts=args.max_worker_restarts,
     )
@@ -469,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SITE=PROB[:MAX]",
         help="inject deterministic engine faults, e.g. --inject "
         "worker-crash=0.5 --inject worker-hang=1.0:1 (sites: "
-        "worker-crash, worker-hang, receipt-write, cache-merge)",
+        "worker-crash, worker-hang, receipt-write)",
     )
     sweep_p.add_argument(
         "--fault-seed",
@@ -478,12 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the fault-injection RNG streams (default 0)",
     )
     sweep_p.add_argument("--json", action="store_true")
-    sweep_p.add_argument(
-        "--codecache",
-        default=None,
-        metavar="PATH",
-        help="persist/pre-load the compilation cache at PATH",
-    )
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 

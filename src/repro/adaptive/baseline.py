@@ -27,21 +27,8 @@ def compile_baseline(
 
     Returns the compiled method and the compile-time cycles charged.
     """
-    from repro.vm import codecache
-
-    cache = codecache.active_cache()
-    key = None
-    if cache is not None:
-        key = codecache.baseline_key(method, version, costs)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-
     clone = method.clone()
     insert_yieldpoints(clone)
     apply_edge_instrumentation(clone)
     cm = lower_method(clone, "baseline", costs, version=version)
-    compile_cycles = costs.compile_cost("baseline", method.instruction_count())
-    if cache is not None and key is not None:
-        cache.put(key, cm, compile_cycles)
-    return cm, compile_cycles
+    return cm, costs.compile_cost("baseline", method.instruction_count())

@@ -82,8 +82,7 @@ def optimize_method(
     drain time.  Only one-shot pipelines may enable it: edge counters
     are shared across recompiled versions of a method, and mixing
     probed and full placements on one counter set would break the
-    flow-conservation solve.  The effective value is part of the cache
-    key — probed and fully-instrumented artefacts never conflate.
+    flow-conservation solve.
 
     Returns the compiled method and the compile-time cycles charged
     (including PEP's extra pass cost when instrumenting).
@@ -98,24 +97,6 @@ def optimize_method(
         raise CompilationError(
             f"{method.name}: injected opt-compile fault (level {level})"
         )
-
-    # Content-addressed compile cache: lowering is deterministic, so a
-    # prior compile of identical inputs is returned directly (compile
-    # cycles are still charged — the cache saves wall-clock only).
-    # Fault-injected compiles bypass the cache in both directions.
-    from repro.vm import codecache
-
-    min_coverage = bool(min_coverage and instrumentation == "edges")
-    cache = codecache.active_cache() if injector is None else None
-    key: Optional[tuple] = None
-    if cache is not None:
-        key = codecache.optimize_key(
-            method, program, level, instrumentation, unroll, version,
-            costs, edge_profile, min_coverage=min_coverage,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
 
     clone = method.clone()
     if level >= 1:
@@ -161,6 +142,4 @@ def optimize_method(
     compile_cycles = costs.compile_cost(tier, method.instruction_count())
     if instrumentation is not None:
         compile_cycles += costs.pep_pass_cost_per_instr * method.instruction_count()
-    if cache is not None and key is not None:
-        cache.put(key, cm, compile_cycles)
     return cm, compile_cycles

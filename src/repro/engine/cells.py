@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.errors import EngineError
 from repro.util.rng import DeterministicRng
 
 # Trials beyond the first decorrelate timer phase by this fraction of one
@@ -151,8 +152,10 @@ def make_sweep_cells(
 
     Cell order — and therefore cell index and cell seed — is fixed by
     the argument order alone, so a sweep's cell list is identical in
-    every process that constructs it.
+    every process that constructs it.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise EngineError(f"trials must be at least 1, got {trials!r}")
     specs = list(config_specs)
     cells: List[CellSpec] = []
     index = 0

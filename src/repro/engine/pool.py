@@ -7,8 +7,8 @@ The earlier engine shipped whole workload shards through
 stalled its shard's budget and a killed worker erased every outcome the
 shard had produced; per-cell dispatch bounds the blast radius of any
 failure to one cell, and workers amortize preparation costs across
-cells through the per-process context and compilation caches exactly as
-the shard model did.
+cells through the per-process context cache exactly as the shard model
+did.
 
 Determinism contract: a cell's result depends only on its
 :class:`~repro.engine.cells.CellSpec` (workload, scale, config, seed) —
@@ -36,6 +36,7 @@ the engine itself):
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence
@@ -43,7 +44,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 from repro.engine.cells import CellResult, CellSpec, run_cell
 from repro.engine.journal import SweepJournal, sweep_fingerprint
 from repro.engine.supervisor import SweepSupervisor, run_cell_budgeted
-from repro.errors import CellExecutionError, JournalError
+from repro.errors import CellExecutionError, EngineError, JournalError
 from repro.resilience.health import SweepHealth
 
 # Attempts the engine-fault planner budgets for per cell: a cell is
@@ -61,12 +62,12 @@ class ExperimentPool:
     dispatches (the supervisor kills a worker that exceeds it) and on
     in-parent retries (run in a budgeted throwaway child).  ``retries``
     bounds the serial in-parent retries of failed or timed-out cells.
-    ``persist_path`` names a compilation-cache file: workers pre-load
-    it, and the parent saves its own (worker-merged) cache there after
-    the sweep.  ``journal_path`` names a sweep journal to append
-    receipts to (and resume from, if it already exists);
-    ``fault_plan`` enables the engine-level injection sites
-    (worker-crash, worker-hang, receipt-write, cache-merge).
+    ``journal_path`` names a sweep journal to append receipts to (and
+    resume from, if it already exists); ``fault_plan`` enables the
+    engine-level injection sites (worker-crash, worker-hang,
+    receipt-write).  A ``timeout`` that is not None must be a positive
+    finite number: NaN and infinity cannot be waited on, and a budget of
+    zero or less would declare every worker hung.
 
     After ``run``, :attr:`health` holds the sweep's
     :class:`~repro.resilience.health.SweepHealth` ledger.
@@ -78,7 +79,6 @@ class ExperimentPool:
         timeout: Optional[float] = None,
         retries: int = 1,
         strict: bool = False,
-        persist_path: Optional[str] = None,
         journal_path: Optional[str] = None,
         fault_plan=None,
         max_worker_restarts: int = 16,
@@ -88,11 +88,15 @@ class ExperimentPool:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             jobs = 1
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise EngineError(
+                f"timeout must be None or a positive finite number of "
+                f"seconds, got {timeout!r}"
+            )
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
         self.strict = strict
-        self.persist_path = persist_path
         self.journal_path = journal_path
         self.fault_plan = fault_plan
         self.max_worker_restarts = max_worker_restarts
@@ -150,7 +154,6 @@ class ExperimentPool:
         finally:
             if journal is not None:
                 journal.close()
-        self._persist()
         ordered = [
             results[spec.index]
             for spec in sorted(cells, key=lambda s: s.index)
@@ -222,17 +225,10 @@ class ExperimentPool:
             site: self._plan_faults(site, attempt_keys)
             for site in ("worker-crash", "worker-hang")
         }
-        n_workers = min(self.jobs, len(cells))
-        cache_drops = self._plan_faults(
-            "cache-merge", [f"worker-{w}" for w in range(n_workers)]
-        )
         supervisor = SweepSupervisor(
-            jobs=n_workers,
+            jobs=min(self.jobs, len(cells)),
             timeout=self.timeout,
-            persist_path=self.persist_path,
-            collect_cache=self.persist_path is not None,
             worker_faults=worker_faults,
-            cache_drops=cache_drops,
             health=self.health,
             max_worker_restarts=self.max_worker_restarts,
             backoff_base=self.backoff_base,
@@ -335,12 +331,3 @@ class ExperimentPool:
                 self._finish_cell(spec, outcome, None, frozenset())
             )
         return results
-
-    def _persist(self) -> None:
-        if not self.persist_path:
-            return
-        from repro.vm import codecache
-
-        cache = codecache.active_cache()
-        if cache is not None and len(cache):
-            cache.save(self.persist_path)

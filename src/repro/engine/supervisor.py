@@ -53,7 +53,7 @@ from repro.errors import (
 # no per-cell budget exists to derive a longer stall from; the sweep
 # then completes late instead of deadlocking an unbudgeted run.
 _DEFAULT_HANG_SECONDS = 5.0
-# How long to wait for a worker's shutdown cache shipment / join.
+# How long to wait for a stopping worker to exit.
 _SHUTDOWN_GRACE = 10.0
 
 
@@ -64,57 +64,21 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _init_worker(codecache_path: Optional[str]) -> None:
-    """Worker initializer: optionally pre-warm the compilation cache.
-
-    Loaded CompiledMethods arrive with their blockjit-generated source
-    (``jit_source``) but without compiled closures — those are
-    per-process and rebuilt lazily on first execution (see
-    :func:`repro.vm.blockjit.ensure_jit`), so workers skip codegen but
-    still ``exec`` locally.  The same applies to the cache entries
-    workers ship back to the parent at shutdown.
-    """
-    if codecache_path and os.path.exists(codecache_path):
-        from repro.vm import codecache
-
-        cache = codecache.active_cache()
-        if cache is not None:
-            cache.load(codecache_path)
-
-
-def _worker_main(
-    worker_id: int,
-    conn,
-    codecache_path: Optional[str],
-    collect_cache: bool,
-    hang_seconds: float,
-) -> None:
+def _worker_main(conn, hang_seconds: float) -> None:
     """Long-lived worker loop: recv task, ack, run cell, send outcome.
 
     Messages from the parent: ``("run", spec, attempt, fault_sites)`` or
-    ``("stop",)``.  Messages to the parent: ``("start", index, attempt)``
-    (the heartbeat ack), ``("done", index, attempt, metrics, duration)``,
-    ``("fail", index, attempt, error, error_type, duration)``, and — in
-    reply to ``stop`` — ``("cache", worker_id, entries)``.
+    ``("stop",)``, on which the worker exits.  Messages to the parent:
+    ``("start", index, attempt)`` (the heartbeat ack),
+    ``("done", index, attempt, metrics, duration)`` and
+    ``("fail", index, attempt, error, error_type, duration)``.
     """
-    _init_worker(codecache_path)
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
         if message[0] == "stop":
-            entries: List[tuple] = []
-            if collect_cache:
-                from repro.vm import codecache
-
-                cache = codecache.active_cache()
-                if cache is not None:
-                    entries = list(cache.entries.items())
-            try:
-                conn.send(("cache", worker_id, entries))
-            except (BrokenPipeError, OSError):
-                pass
             return
         _, spec, attempt, fault_sites = message
         try:
@@ -209,10 +173,9 @@ def _budgeted_main(conn, spec: CellSpec) -> None:
 class _Worker:
     """Parent-side handle for one supervised worker process."""
 
-    __slots__ = ("id", "process", "conn", "task", "deadline", "started")
+    __slots__ = ("process", "conn", "task", "deadline", "started")
 
-    def __init__(self, worker_id: int, process, conn) -> None:
-        self.id = worker_id
+    def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         # (spec, attempt, fault_sites) currently in flight, or None.
@@ -239,10 +202,7 @@ class SweepSupervisor:
         self,
         jobs: int,
         timeout: Optional[float] = None,
-        persist_path: Optional[str] = None,
-        collect_cache: bool = False,
         worker_faults: Optional[Dict[str, FrozenSet[str]]] = None,
-        cache_drops: FrozenSet[str] = frozenset(),
         health=None,
         max_worker_restarts: int = 16,
         backoff_base: float = 0.05,
@@ -250,17 +210,13 @@ class SweepSupervisor:
     ) -> None:
         self.jobs = max(jobs, 1)
         self.timeout = timeout
-        self.persist_path = persist_path
-        self.collect_cache = collect_cache
         self.worker_faults = worker_faults or {}
-        self.cache_drops = cache_drops
         self.health = health
         self.max_worker_restarts = max_worker_restarts
         self.backoff_base = backoff_base
         self.quarantine_kills = quarantine_kills
         self._ctx = _mp_context()
         self._workers: List[_Worker] = []
-        self._next_worker_id = 0
         self._restarts = 0
         self._completed: set = set()
         self._hang_seconds = (
@@ -307,23 +263,15 @@ class SweepSupervisor:
     # -- event loop pieces ---------------------------------------------------
 
     def _spawn_worker(self) -> _Worker:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                child_conn,
-                self.persist_path,
-                self.collect_cache,
-                self._hang_seconds,
-            ),
+            args=(child_conn, self._hang_seconds),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        worker = _Worker(worker_id, process, parent_conn)
+        worker = _Worker(process, parent_conn)
         self._workers.append(worker)
         return worker
 
@@ -446,8 +394,6 @@ class SweepSupervisor:
                         None, error, error_type, duration, attempt, False
                     )
                 completed += self._finish(spec, outcome, on_outcome)
-            elif kind == "cache":
-                self._absorb_cache(message[1], message[2])
         return completed
 
     def _finish(self, spec: CellSpec, outcome: tuple, on_outcome) -> int:
@@ -578,26 +524,7 @@ class SweepSupervisor:
             )
         return completed
 
-    # -- shutdown and cache collection ---------------------------------------
-
-    def _absorb_cache(self, worker_id: int, entries: List[tuple]) -> None:
-        if f"worker-{worker_id}" in self.cache_drops:
-            if self.health is not None:
-                self.health.record_cache_drop(
-                    f"injected cache-merge fault: dropped "
-                    f"{len(entries)} entr(ies) from worker {worker_id}"
-                )
-            return
-        if not entries:
-            return
-        from repro.vm import codecache
-
-        cache = codecache.active_cache()
-        if cache is None:
-            return
-        for key, (cm, cycles) in entries:
-            if key not in cache.entries:
-                cache.put(key, cm, cycles)
+    # -- shutdown ------------------------------------------------------------
 
     def _shutdown(self) -> None:
         deadline = time.monotonic() + _SHUTDOWN_GRACE
@@ -607,15 +534,6 @@ class SweepSupervisor:
             except (BrokenPipeError, OSError):
                 continue
         for worker in self._workers:
-            if self.collect_cache:
-                budget = max(deadline - time.monotonic(), 0.0)
-                try:
-                    if worker.conn.poll(budget):
-                        message = worker.conn.recv()
-                        if message[0] == "cache":
-                            self._absorb_cache(message[1], message[2])
-                except (EOFError, OSError):
-                    pass
             worker.process.join(max(deadline - time.monotonic(), 0.1))
             if worker.process.is_alive():
                 worker.process.kill()

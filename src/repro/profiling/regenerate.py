@@ -183,7 +183,7 @@ class PathResolver:
     is LRU-bounded to ``bound`` entries.
     """
 
-    __slots__ = ("dag", "_memo", "_shared")
+    __slots__ = ("dag", "_memo")
 
     def __init__(
         self,
@@ -192,7 +192,6 @@ class PathResolver:
         bound: int = DEFAULT_MEMO_BOUND,
     ) -> None:
         self.dag = dag
-        self._shared = shared
         self._memo = _memo_for(dag, bound) if shared else _SharedMemo(bound)
 
     def is_cached(self, path_number: int) -> bool:
@@ -208,23 +207,6 @@ class PathResolver:
 
     def cached_count(self) -> int:
         return len(self._memo)
-
-    def __getstate__(self):
-        # Shared memos are per-process state: a pickled resolver (engine
-        # worker round-trips) reattaches to its process's registry rather
-        # than dragging the memo contents across the wire.
-        return (
-            self.dag,
-            self._shared,
-            self._memo.bound,
-            None if self._shared else self._memo,
-        )
-
-    def __setstate__(self, state) -> None:
-        dag, shared, bound, memo = state
-        self.dag = dag
-        self._shared = shared
-        self._memo = memo if memo is not None else _memo_for(dag, bound)
 
     def _resolve(
         self, path_number: int, injector=None

@@ -40,7 +40,6 @@ FAULT_SITES = (
     "worker-crash",
     "worker-hang",
     "receipt-write",
-    "cache-merge",
 )
 
 #: The sites the Arnold-Grove sampler checks for each recorded sample,
@@ -65,14 +64,10 @@ SAMPLER_FAULT_SITES = ("sample", "path-reconstruct", "path-table")
 #: * ``receipt-write`` — the journal append for a cell's receipt fails
 #:   after writing a corrupt line (keyed by ``"<cell index>"``); the
 #:   sweep continues, the resume machinery must skip the bad line.
-#: * ``cache-merge``   — the compilation-cache entries a worker ships
-#:   back at shutdown are dropped (keyed by ``"worker-<id>"``); the
-#:   sweep stays correct, only cache warmth is lost.
 ENGINE_FAULT_SITES = (
     "worker-crash",
     "worker-hang",
     "receipt-write",
-    "cache-merge",
 )
 
 

@@ -188,7 +188,6 @@ class SweepHealth:
         "backoff_seconds",
         "journal_recoveries",
         "receipt_failures",
-        "cache_merges_dropped",
         "cell_faults",
         "cell_degradations",
         "cell_warnings",
@@ -212,8 +211,6 @@ class SweepHealth:
         self.journal_recoveries: List[str] = []
         # Receipt appends that failed (the sweep continued without them).
         self.receipt_failures: List[str] = []
-        # Worker cache shipments dropped (cache-merge fault or dead worker).
-        self.cache_merges_dropped = 0
         # Aggregated over per-cell HealthReports: site -> fault count.
         self.cell_faults: Dict[str, int] = {}
         self.cell_degradations = 0
@@ -270,10 +267,6 @@ class SweepHealth:
         self.receipt_failures.append(detail)
         self.record_event("receipt-failure", detail)
 
-    def record_cache_drop(self, detail: str) -> None:
-        self.cache_merges_dropped += 1
-        self.record_event("cache-merge-drop", detail)
-
     def record_resumed(self, count: int) -> None:
         self.resumed_cells += count
 
@@ -296,7 +289,6 @@ class SweepHealth:
             + self.backoff_waits
             + len(self.journal_recoveries)
             + len(self.receipt_failures)
-            + self.cache_merges_dropped
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -313,7 +305,6 @@ class SweepHealth:
             "backoff_seconds": self.backoff_seconds,
             "journal_recoveries": sorted(self.journal_recoveries),
             "receipt_failures": sorted(self.receipt_failures),
-            "cache_merges_dropped": self.cache_merges_dropped,
             "cell_faults": dict(sorted(self.cell_faults.items())),
             "cell_degradations": self.cell_degradations,
             "cell_warnings": self.cell_warnings,
@@ -340,7 +331,6 @@ class SweepHealth:
             f"({self.backoff_seconds:.3f}s total)",
             f"journal recoveries:   {len(self.journal_recoveries)}",
             f"receipt failures:     {len(self.receipt_failures)}",
-            f"cache merges dropped: {self.cache_merges_dropped}",
         ]
         if self.cell_faults:
             lines.append(

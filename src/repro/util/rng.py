@@ -44,9 +44,11 @@ def _jump_table() -> tuple:
 
 
 #: Distinct texts :func:`stable_hash` remembers, least recently used
-#: evicted first.  Compilation-cache fingerprints rehash the same
-#: disassembly texts many times per run; one adaptive pass over the
-#: workload suite hashes about 300 distinct texts.
+#: evicted first.  Its callers hash P-DAG fingerprints (the keys of the
+#: shared path-resolver memos) and RNG stream names, and rehash the same
+#: texts: one pass of a perfbench workload (seed 7) makes 62-114 calls
+#: on 37-83 distinct texts, and a suite-replay pass hashes one text up
+#: to 17 times.
 STABLE_HASH_MEMO = 1024
 
 

@@ -76,15 +76,13 @@ never compiled.  A placeholder called after its name was bound
 (through a reference taken before its first call) forwards to the
 current binding and compiles nothing.
 
-Caching
--------
+Sharing compiled code
+---------------------
 Generated source is attached to the :class:`CompiledMethod`
-(``jit_source``) and rides along when the content-addressed
-:mod:`repro.vm.codecache` persists compiled methods, so warm runs (and
-engine-pool workers, which receive methods by pickle) skip codegen.
-Compiled region code objects are additionally memoised process-wide
-under the source text itself, so a method whose source the process has
-already run binds those regions at once.
+(``jit_source``).  Compiled region code objects are memoised
+process-wide under that source text, so a method whose source the
+process has already run, such as the same method in another image,
+binds those regions at once.
 
 Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 """
@@ -520,9 +518,8 @@ class _MethodCodegen:
             if term[0] == T_BR and term[10]:
                 self._origin_names[block.label] = f"_og{len(self._origin_names)}"
         # Fixed-point accounting verdict (DESIGN.md §15): decided at
-        # lowering time and carried on the method, so lazily regenerated
-        # sources (ensure_jit after a pickle round-trip) always match
-        # the shape the method was certified for.
+        # lowering time and carried on the method, so the source always
+        # has the shape the method was certified for.
         self._fixed = bool(cm.fold_q)
 
     # -- top level ----------------------------------------------------------
@@ -910,24 +907,16 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     """Return the method's entry table, generating source on demand.
 
     The table maps each region root ``(label, ip)`` to its function.
-    The whole source is generated here, because ``jit_source`` is what
-    the codecache persists; each region compiles at its first call.
+    The whole source is generated here, because ``_SEGMENT_CODE`` keys
+    compiled regions on it; each region compiles at its first call.
     Regions whose code the memo already holds are bound as real
-    functions at once; the rest get placeholders.  ``jit_source``
-    survives pickling (codecache persistence, engine-pool workers);
-    ``jit_entries`` holds per-process closures and is always rebuilt
-    here.
+    functions at once; the rest get placeholders.
     """
     entries = cm.jit_entries
     if entries is not None:
         return entries
-    source = cm.jit_source
-    if source is None:
-        cg = _MethodCodegen(cm)
-        source = cm.jit_source = cg.generate()
-        roots = cg.roots
-    else:
-        roots = region_roots(cm)
+    cg = _MethodCodegen(cm)
+    source = cm.jit_source = cg.generate()
     ns = _namespace(cm)
     # What exec() would add; functions built over ``ns`` resolve their
     # builtins through it.
@@ -935,7 +924,7 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     entries = {}
     codes = _SEGMENT_CODE.get(source, {})
     fill = None
-    for bi, block, ip in roots:
+    for bi, block, ip in cg.roots:
         name = f"_f{bi}_{ip}"
         code = codes.get(name)
         if code is not None:

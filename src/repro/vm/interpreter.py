@@ -135,15 +135,15 @@ class CompiledMethod:
         self.static_size = static_size
         self.cost_multiplier = cost_multiplier
         self.profile_key = f"{source_name}#v{version}"
-        # Blockjit artefacts (see repro.vm.blockjit): the generated
-        # source is content (it travels with pickled methods, so the
-        # codecache persists it); the compiled region closures are
-        # per-process and rebuilt lazily.
+        # Blockjit artefacts (see repro.vm.blockjit), both set by
+        # ensure_jit at first execution: the generated source, which
+        # keys the process-wide memo of compiled region code, and the
+        # entry table of region functions.
         self.jit_source: Optional[str] = None
         self.jit_entries: Optional[dict] = None
         # Minimum-coverage edge-probe placement (see repro.vm.pgo /
         # DESIGN.md §14), so the drain can reconstruct the full edge
-        # profile; it pickles with the method.
+        # profile.
         self.probe_plan = None
         # Fixed-point certification verdict (DESIGN.md §15), set by
         # :func:`lower_method`: the grid shift (every lowered charge and
@@ -152,15 +152,6 @@ class CompiledMethod:
         # certification failed (per-method float fallback: textual
         # chains).
         self.fold_q: int = 0
-
-    def __getstate__(self) -> dict:
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["jit_entries"] = None  # closures don't pickle; rebuilt lazily
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot in self.__slots__:
-            setattr(self, slot, state.get(slot))
 
     def attach_dag(self, dag: PDag) -> None:
         self.dag = dag

@@ -13,9 +13,8 @@
 * **Engagement counters** (:func:`engagement_summary`): which tier each
   method's code came from and how its edges were probed.
 
-The probe plan is *content*: it rides pickled CompiledMethods through
-the codecache, and the effective placement bit is part of the cache
-keys, so probed and fully-instrumented artefacts never conflate.
+The probe plan travels on the compiled method (``cm.probe_plan``), so
+the drain reconstructs a method's edge profile from that method alone.
 """
 
 from __future__ import annotations

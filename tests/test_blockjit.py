@@ -3,13 +3,12 @@
 Every test holds the *compiled image* fixed and toggles only the engine:
 same return values, same outputs, same exact
 virtual cycles, same path/edge profiles, same traps with the same
-locations and cycle counts — across every bundled workload, under fault
-injection, and with the codecache warm or cold.
+locations and cycle counts — across every bundled workload and under
+fault injection.
 """
 
 from __future__ import annotations
 
-import pickle
 import re
 
 import pytest
@@ -34,7 +33,7 @@ from repro.harness.experiment import config_to_spec, measure_cell, pep_config
 from repro.persist import payload_checksum
 from repro.resilience import FaultPlan
 from repro.sampling.arnold_grove import make_sampler
-from repro.vm import blockjit, codecache
+from repro.vm import blockjit
 from repro.vm.blockjit import ensure_jit, generate_source
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import OP_CALL, T_BR, T_JMP, lower_method
@@ -555,52 +554,7 @@ def test_fault_injection_parity(plan_spec, monkeypatch):
     assert on == off
 
 
-# -- codecache warm vs cold, pickling ---------------------------------------
-
-
-def test_jit_source_survives_pickle_and_reexecs():
-    costs = CostModel()
-    program = call_program()
-    code = compile_simple(program, mode="pep", costs=costs)
-    vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-    cold = vm.run()
-    cm = code["main"]
-    assert cm.jit_source is not None and cm.jit_entries is not None
-
-    clone = pickle.loads(pickle.dumps(cm))
-    assert clone.jit_source == cm.jit_source  # codegen skipped when warm
-    assert clone.jit_entries is None  # closures are per-process
-    entries = ensure_jit(clone)
-    assert set(entries) == set(cm.jit_entries)
-
-    warm_code = {
-        name: pickle.loads(pickle.dumps(m)) for name, m in code.items()
-    }
-    vm2 = VirtualMachine(warm_code, program.main, costs=costs, blockjit=True)
-    warm = vm2.run()
-    assert (warm.return_value, warm.cycles, list(vm2.output)) == (
-        cold.return_value, cold.cycles, list(vm.output)
-    )
-
-
-def test_codecache_roundtrip_preserves_jit_source(tmp_path):
-    costs = CostModel()
-    program = call_program()
-    code = compile_simple(program, costs=costs)
-    vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-    vm.run()
-    cache = codecache.CompilationCache()
-    for name, cm in code.items():
-        cache.put(("t", name), cm, 10.0)
-    path = str(tmp_path / "cache.pkl")
-    cache.save(path)
-
-    restored = codecache.CompilationCache()
-    assert restored.load(path) == len(code)
-    for name, cm in code.items():
-        loaded, _ = restored.entries[("t", name)]
-        assert loaded.jit_source == cm.jit_source
-        assert loaded.jit_entries is None
+# -- the process-wide code memo ---------------------------------------------
 
 
 def test_generated_source_is_content_addressed():
@@ -624,14 +578,13 @@ def test_generated_source_is_content_addressed():
 # -- engine pool: parallel sweeps under blockjit ----------------------------
 
 
-def test_pool_sweep_digests_blockjit_on_off(monkeypatch, tmp_path):
+def test_pool_sweep_digests_blockjit_on_off(monkeypatch):
     specs = [config_to_spec(pep_config(16, 3))]
     cells = make_sweep_cells(["compress", "db"], specs, scale=0.5)
     digests = {}
     for enabled in (False, True):
         monkeypatch.setenv(blockjit.ENV_DISABLE, "1" if enabled else "0")
-        persist = str(tmp_path / f"cache-{enabled}.pkl")
-        pool = ExperimentPool(jobs=2, strict=True, persist_path=persist)
+        pool = ExperimentPool(jobs=2, strict=True)
         results = pool.run(cells)
         digests[enabled] = [r.metrics["digest"] for r in results]
     assert digests[True] == digests[False]

@@ -12,7 +12,6 @@
 """
 
 import builtins
-import pickle
 
 import pytest
 
@@ -41,9 +40,7 @@ ORACLE_KEYS = (
 
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
-    # Cold memos, so "never compiled" means exactly that; no shared
-    # CompiledMethods from the compilation cache.
-    monkeypatch.setenv("REPRO_CODECACHE", "0")
+    # A cold code memo, so "never compiled" means exactly that.
     monkeypatch.setattr(blockjit, "_SEGMENT_CODE", {})
 
 
@@ -170,17 +167,15 @@ def test_memo_warm_ensure_jit_binds_no_placeholders(compiled):
     cm = code["main"]
     assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
     twin = compile_simple(counting_program(30))["main"]
-    clone = pickle.loads(pickle.dumps(cm))
+    assert twin.jit_source is None
     before = len(compiled)
-    for other in (twin, clone):
-        assert other.jit_source in (None, cm.jit_source)
-        entries = ensure_jit(other)
-        assert other.jit_source == cm.jit_source
-        assert set(entries) == set(cm.jit_entries)
-        for key, fn in entries.items():
-            assert not _is_placeholder(fn)
-            assert fn.__code__ is cm.jit_entries[key].__code__
-            assert fn.__globals__["_cm"] is other
+    entries = ensure_jit(twin)
+    assert twin.jit_source == cm.jit_source
+    assert set(entries) == set(cm.jit_entries)
+    for key, fn in entries.items():
+        assert not _is_placeholder(fn)
+        assert fn.__code__ is cm.jit_entries[key].__code__
+        assert fn.__globals__["_cm"] is twin
     assert len(compiled) == before
 
 

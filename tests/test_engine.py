@@ -139,19 +139,19 @@ def test_failure_in_one_cell_does_not_poison_others():
     assert not results[-1].ok
 
 
-def test_parallel_sweep_persists_worker_cache_entries(tmp_path):
-    # In parallel mode all compilation happens in workers; their cache
-    # entries must make it back to the parent and into the persisted
-    # file (a fresh cache can load them).
-    from repro.vm import codecache
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_pool_rejects_a_timeout_it_cannot_honour(timeout):
+    # NaN and infinity cannot be waited on, and a budget of zero or less
+    # would declare every worker hung and quarantine every cell.
+    with pytest.raises(EngineError, match="timeout"):
+        ExperimentPool(jobs=2, timeout=timeout)
 
-    path = str(tmp_path / "cache.pkl")
-    cells = make_sweep_cells(_WORKLOADS, [config_to_spec(BASE)], scale=_SCALE)
-    ExperimentPool(jobs=2, strict=True, persist_path=path).run(cells)
-    if codecache.active_cache() is None:
-        pytest.skip("compilation cache disabled in this environment")
-    fresh = codecache.CompilationCache()
-    assert fresh.load(path) > 0
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_sweep_cells_reject_fewer_than_one_trial(trials):
+    # Zero trials would run an empty sweep and report success.
+    with pytest.raises(EngineError, match="trials"):
+        make_sweep_cells(_WORKLOADS, _SPECS, scale=_SCALE, trials=trials)
 
 
 def test_timeout_outcomes_are_retried_then_reported():

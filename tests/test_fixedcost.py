@@ -36,12 +36,6 @@ from tests.helpers import hot_helper_program, small_adaptive_run, vm_digest
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 
 
-@pytest.fixture(autouse=True)
-def _isolate(monkeypatch):
-    # Shared codecache entries would leak fold verdicts across tests.
-    monkeypatch.setenv("REPRO_CODECACHE", "0")
-
-
 def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
     """main repeatedly calls a helper whose loop splits three ways.
 

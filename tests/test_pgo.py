@@ -19,8 +19,7 @@ from repro.adaptive.replay import (
 )
 from repro.errors import FuelExhaustedError
 from repro.util import flags
-from repro.vm import codecache, pgo
-from repro.vm.costs import CostModel
+from repro.vm import pgo
 
 from tests.helpers import (
     call_program,
@@ -36,10 +35,6 @@ pytestmark = pytest.mark.usefixtures("_isolated")
 
 @pytest.fixture()
 def _isolated(monkeypatch):
-    # The content-addressed codecache shares CompiledMethod instances
-    # across compiles; flag flips inside one test must never be served
-    # a stale artefact by a previous test's cache entry.
-    monkeypatch.setenv("REPRO_CODECACHE", "0")
     monkeypatch.setattr(flags, "PGO_PROBES", None)
 
 
@@ -187,23 +182,6 @@ def test_engagement_summary_counts_the_tiers():
     row = summary["methods"]["helper"]
     assert row["blockjit"] is True
     assert row["fold"] == "certified"
-
-
-# -- codecache keys ------------------------------------------------------------
-
-
-def test_optimize_key_varies_with_every_pgo_flag(monkeypatch):
-    program = counting_program(10)
-    method = program.method("main")
-    costs = CostModel()
-    keys = set()
-    for probes in (True, False):
-        monkeypatch.setattr(flags, "PGO_PROBES", probes)
-        keys.add(codecache.optimize_key(
-            method, program, 2, "edges", False, 0, costs, None,
-            min_coverage=flags.pgo_probes_enabled(),
-        ))
-    assert len(keys) == 2
 
 
 # -- adaptive runs -------------------------------------------------------------

@@ -116,17 +116,17 @@ def test_fault_sites_cover_the_hot_layers():
         "worker-crash",
         "worker-hang",
         "receipt-write",
-        "cache-merge",
     }
 
 
 @pytest.mark.parametrize(
-    "site", ["warmjit-compile", "tracefast-compile", "superblock-compile"]
+    "site",
+    ["warmjit-compile", "tracefast-compile", "superblock-compile", "cache-merge"],
 )
 def test_retired_warmjit_site_is_unknown(site):
-    # The warm ladder, both trace emitters and their fault sites are
-    # gone: a plan that still names any of them is rejected like any
-    # other unknown site.
+    # The warm ladder, both trace emitters, the compilation cache and
+    # their fault sites are gone: a plan that still names any of them is
+    # rejected like any other unknown site.
     with pytest.raises(ReproError, match="unknown fault site"):
         FaultPlan({site: 1.0})
 

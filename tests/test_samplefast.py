@@ -26,7 +26,6 @@ from repro.resilience import (
     ResilienceManager,
 )
 from repro.sampling.arnold_grove import make_sampler
-from repro.vm import codecache
 from repro.vm.costs import CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import random_program
@@ -108,25 +107,19 @@ PLAN_PAIRS = [
 ]
 
 
-def _routes(monkeypatch, run):
+def _routes(run):
     """``run(plan)`` for each plan pair: the buffered result, then the
-    per-sample one.
-
-    Both compile cold: cached methods arrive with their traces
-    installed, which would empty the second run's trace log.
-    """
-    monkeypatch.setenv(codecache.ENV_DISABLE, "0")
+    per-sample one."""
     return [(run(buffered), run(twin)) for buffered, twin in PLAN_PAIRS]
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_adaptive_datapath_parity(workload, monkeypatch):
+def test_adaptive_datapath_parity(workload):
     """Resilient adaptive runs buffer their samples, bit for bit."""
     spec = get_workload(workload)
     program = spec.build(0.5)
     runs = _routes(
-        monkeypatch,
-        lambda plan: adaptive_run(program, spec.ticks_target, 3, plan),
+        lambda plan: adaptive_run(program, spec.ticks_target, 3, plan)
     )
     for buffered, per_sample in runs:
         assert buffered == per_sample
@@ -134,10 +127,10 @@ def test_adaptive_datapath_parity(workload, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(0, 96, 16))
-def test_random_program_adaptive_datapath_parity(seed, monkeypatch):
+def test_random_program_adaptive_datapath_parity(seed):
     program = random_program(seed, CORPUS_SPEC)
     for buffered, per_sample in _routes(
-        monkeypatch, lambda plan: adaptive_run(program, 200, 11, plan)
+        lambda plan: adaptive_run(program, 200, 11, plan)
     ):
         assert buffered == per_sample
 

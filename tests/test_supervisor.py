@@ -13,9 +13,9 @@ Three load-bearing properties:
    uninterrupted sweep.  Corrupt lines (torn tail writes, injected
    receipt-write faults) are dropped and re-run, never trusted.
 3. **Deterministic engine faults**: the worker-crash / worker-hang /
-   receipt-write / cache-merge schedule is a pure function of the fault
-   plan and the cell list — independent of worker scheduling — so chaos
-   runs are replayable in CI.
+   receipt-write schedule is a pure function of the fault plan and the
+   cell list — independent of worker scheduling — so chaos runs are
+   replayable in CI.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def test_engine_sites_are_valid_fault_sites():
             "worker-crash=0.1",
             "worker-hang=0.2:1",
             "receipt-write=0.3",
-            "cache-merge=1.0",
         ],
         seed=1,
     )
@@ -115,7 +114,6 @@ def test_engine_sites_are_valid_fault_sites():
         "worker-crash",
         "worker-hang",
         "receipt-write",
-        "cache-merge",
     }
 
 
@@ -435,26 +433,6 @@ def test_receipt_write_fault_degrades_and_resume_heals(tmp_path):
     assert _digests(resumed) == _digests(results)
     assert clean.health.resumed_cells == len(cells) - 1
     assert len(clean.health.journal_recoveries) == 1
-
-
-def test_cache_merge_fault_drops_worker_entries(tmp_path):
-    from repro.vm import codecache
-
-    if codecache.active_cache() is None:
-        pytest.skip("compilation cache disabled in this environment")
-    cells = _cells(("compress", "db"), [config_to_spec(BASE)])
-    plan = FaultPlan.parse(["cache-merge=1.0"], seed=2)
-    pool = ExperimentPool(
-        jobs=2,
-        strict=True,
-        fault_plan=plan,
-        persist_path=str(tmp_path / "cache.pkl"),
-    )
-    results = pool.run(cells)
-    assert all(r.ok for r in results)
-    # Every worker's shutdown shipment was dropped; correctness holds,
-    # only warmth is lost.
-    assert pool.health.cache_merges_dropped >= 1
 
 
 # -- sweep health aggregation ------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from repro.profiling.edges import numpy_available
 from repro.sampling.arnold_grove import TimerMethodSampler
 from repro.util.rng import JUMP_BLOCK, DeterministicRng
-from repro.vm import codecache, runtime
+from repro.vm import runtime
 from repro.vm.runtime import BULK_MIN_INTERVALS, VirtualMachine, advance_timer
 from repro.workloads.generator import random_program
 from repro.workloads.suite import benchmark_suite, get_workload
@@ -160,8 +160,6 @@ def test_sampler_hears_each_on_tick_once_in_a_run():
 
 
 def _scalar_and_blocks(monkeypatch, run):
-    # Both runs compile cold, so the second one logs its promotions too.
-    monkeypatch.setenv(codecache.ENV_DISABLE, "0")
     with monkeypatch.context() as patch:
         patch.setattr(runtime, "_np", None)
         scalar = run()
