@@ -28,6 +28,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (0.0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}"
+        )
+    return value
+
+
 def _load_program(path: str):
     from repro.lang import compile_source
 
@@ -421,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes (default: os.cpu_count(); 1 = serial)",
     )
-    sweep_p.add_argument("--scale", type=float, default=2.0)
+    sweep_p.add_argument("--scale", type=_positive_float, default=2.0)
     sweep_p.add_argument(
         "--workloads",
         nargs="*",
@@ -437,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="configs: base, instr, perfect-path, perfect-edge, "
         "classic-blpp, pep:SAMPLES,STRIDE (default: base pep:64,17)",
     )
-    sweep_p.add_argument("--trials", type=int, default=1)
+    sweep_p.add_argument("--trials", type=_positive_int, default=1)
     sweep_p.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="per-cell wall-clock budget in seconds",
     )

@@ -40,31 +40,42 @@ Regions
 Each generated function is a *region*: a root entry followed inline by
 every block whose only CFG predecessor's terminator lies in that
 function.  A jump to such a block falls through into its code; each
-branch arm nests its successor under the arm's ``if``/``else``.  The
-roots (:func:`region_roots`) are the entry block, every block with
-other than one predecessor (a branch whose two arms share a target
-counts twice), every call-resume point ``(block, ip > 0)``, and every
-block that would nest more than :data:`MAX_REGION_DEPTH` arms deep
-(CPython's tokenizer caps indentation at 100 levels).  A region is a
-tree, so each block's code appears exactly once per method source.
-Roots are named ``_f{bi}_{ip}``; a region exits by returning a root's
-closure (jump/branch), the ``_CALL`` sentinel (guest call pushed; the
-driver switches frames), or ``None`` (guest return; value in
-``JitState.ret_value``).
+branch arm nests its successor under the arm's ``if``/``else``.  A
+*join* (a block with two or more predecessors) whose every incoming
+edge lies in tail position in one branch's arms follows that branch's
+``if`` statement at the branch's indentation, and the arms fall into
+it.  The roots (:func:`region_plan`) are the entry block, every block
+with no predecessor, every join no branch absorbs (loop headers among
+them), every call-resume point ``(block, ip > 0)``, and every block
+that would nest more than :data:`MAX_REGION_DEPTH` arms deep (CPython's
+tokenizer caps indentation at 100 levels).  Each block's code appears
+exactly once per method source.  A region whose code jumps back to its
+own root runs as a ``while True:`` loop and takes its back edges with
+``continue``.  Roots are named ``_f{bi}_{ip}``; a region exits by
+returning a root's closure (jump/branch), the ``_CALL`` sentinel (guest
+call pushed; the driver switches frames), or ``None`` (guest return;
+value in ``JitState.ret_value``).
 
 Every block charges its fuel on entry exactly as the interpreter does:
 ``n - ip + 1`` at a root, including resumption after a callee returns,
-and ``n + 1`` at an inlined block.  Fuel and cycles stay in the locals
-``_fuel`` and ``_cyc`` across the region and reach ``st`` at its exits.
+and ``n + 1`` at an inlined block or join, and at each iteration of a
+loop region's root.  Fuel and cycles stay in the locals ``_fuel`` and
+``_cyc`` across the region and reach ``st`` at its exits; an arm that
+falls into a join or takes a back edge adds its pending cost chain to
+``_cyc`` first, the same float add an exit and re-entry would make.
 
 Registers live in locals, bound per path: a register is loaded at its
-first read on each path, even if a sibling arm wrote it.  They reach
+first read on each path, even if a sibling arm wrote it.  Past a join,
+a register written on one arm but unbound on another is loaded before
+the branch where a later read or writeback needs it.  A loop region
+loads the registers it reads before its ``while``.  Registers reach
 ``frame.regs`` only at exits, and only when a later region can read
 them: a backward liveness pass over the method's regions
-(:func:`_live_in`) keeps, at each exit, the registers written on the
-path to it that are live into its successor root (for a call, its
-resume root, less the register the return writes).  Returns and traps
-write nothing back; the frame is dead.
+(:func:`_live_in`) keeps, at each exit, the registers written on some
+path to it (or on an earlier loop iteration) that are live into its
+successor root (for a call, its resume root, less the register the
+return writes).  Returns and traps write nothing back; the frame is
+dead.
 
 Compilation at first entry
 --------------------------
@@ -92,7 +103,7 @@ from __future__ import annotations
 import builtins
 import os
 from types import CellType, CodeType, FunctionType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import FuelExhaustedError, VMError
 from repro.vm.costs import FOLD_SCALE
@@ -132,8 +143,9 @@ _CALL = object()
 #: Deepest a region nests a block under branch arms; the next block
 #: down starts a new root.  CPython's tokenizer rejects more than 100
 #: indentation levels, and a block's code may sit this many arms deep
-#: plus a ``def`` and a guard body.  The value is part of the generated
-#: code's shape (it decides the roots), so it stays fixed.
+#: plus a ``def``, a loop region's ``while`` and a guard body.  The
+#: value is part of the generated code's shape (it decides the roots),
+#: so it stays fixed.
 MAX_REGION_DEPTH = 32
 
 #: Countdown-yieldpoint gate value while the flag is up: every armed
@@ -290,18 +302,46 @@ def _bits(mask: int):
         mask ^= low
 
 
-def region_roots(cm: CompiledMethod) -> List[Tuple[int, LoweredBlock, int]]:
-    """The entries that start a generated function, in block order.
+class RegionPlan(NamedTuple):
+    """How :class:`_MethodCodegen` groups a method's blocks into functions.
 
-    Each root is ``(block index, block, entry ip)``: the method's entry
-    block, every block with other than one CFG predecessor (a branch
-    whose two arms share a target counts twice), every call-resume
-    point ``(block, ip > 0)``, and every block its predecessor's region
-    would nest more than :data:`MAX_REGION_DEPTH` branch arms deep.
-    Any other block is inlined under its only predecessor's terminator.
-    A block no root's tree reaches (an unreachable cycle of
-    single-predecessor blocks) becomes a root too, so every block's
-    code appears exactly once.
+    ``roots`` start functions, as ``(block index, block, entry ip)`` in
+    block order.  ``joins`` maps a branch block's label to the join
+    emitted after its ``if``/``else``.  ``loops`` holds the labels of the
+    roots whose region jumps back to its own start, so that it runs as a
+    ``while True:`` loop.
+    """
+
+    roots: List[Tuple[int, LoweredBlock, int]]
+    joins: Dict[str, LoweredBlock]
+    loops: Set[str]
+
+
+def region_plan(cm: CompiledMethod) -> RegionPlan:
+    """Plan the method's regions in one walk over each region's code.
+
+    The roots are the method's entry block, every block with no
+    predecessor, every call-resume point ``(block, ip > 0)``, every
+    block its predecessor's region would nest more than
+    :data:`MAX_REGION_DEPTH` branch arms deep, and every join that no
+    branch absorbs.  A block with one predecessor is inlined under that
+    predecessor's terminator.
+
+    A *join* (a block with two or more predecessors; a branch whose two
+    arms share a target counts twice) is absorbed by the innermost
+    branch whose arms hold every edge into it in tail position, where
+    falling off the end of the arm reaches the code after the branch's
+    ``if``.  An edge under a nested branch that absorbs a join of its
+    own is not in tail position, nor is one in another region: past a
+    call, past a depth cut, or past a root.  A branch absorbs at most
+    one join (the first in block order); the others stay roots.  Loop
+    headers never qualify: their back edges lie in their own region,
+    which the walk only reaches once the header is a root.  Each open
+    edge counts once and only at the branch that absorbs its target, so
+    a join that fails anywhere is never placed, and it becomes a root
+    when the walk finds it unplaced; a block no root's code reaches
+    (an unreachable cycle) becomes a root the same way.  So every
+    block's code appears exactly once, on any CFG lowering accepts.
     :func:`generate_source` and :func:`ensure_jit` both call this, so
     they agree on every function name.
     """
@@ -318,59 +358,125 @@ def region_roots(cm: CompiledMethod) -> List[Tuple[int, LoweredBlock, int]]:
         elif term[0] == T_BR:
             preds[term[5].label] += 1
             preds[term[6].label] += 1
-    heads = {label for label, n in preds.items() if n != 1}
+    heads = {label for label, n in preds.items() if not n}
     heads.add(cm.entry.label)
-    # Walk each region's tree from its root; a block's depth is the
-    # number of branch arms between it and its root.
-    todo = [(block, 0) for block in blocks if block.label in heads]
-    seen = set()
-    while True:
-        while todo:
-            block, depth = todo.pop()
-            seen.add(block.label)
-            if block.label in resumes:
-                depth = 0  # the terminator sits in the last resume root
+    placed = set()
+    joins: Dict[str, LoweredBlock] = {}
+    loops = set()
+    # Region starts still to walk: (block, root label).  A resume
+    # region's root label is None: its code begins at the block's
+    # terminator, and a jump to the block is not a jump to its start.
+    todo = [(block, block.label) for block in blocks if block.label in heads]
+
+    def walk(block: LoweredBlock, depth: int, root) -> List[str]:
+        """Walk the code that starts with ``block`` ``depth`` arms deep;
+        returns the targets of the open edges at its tail."""
+        while True:
+            if block.label not in placed:
+                placed.add(block.label)
+                if block.label in resumes:
+                    todo.append((block, None))
+                    return []
+            # else: a resume region, whose code is the terminator only
             term = block.term
             if term[0] == T_JMP:
-                succs = (term[2],)
-            elif term[0] == T_BR:
-                succs = (term[5], term[6])
-                depth += 1
-            else:
+                succ = term[2].label
+                if succ in heads:
+                    if succ == root:
+                        loops.add(succ)
+                    return []
+                if preds[succ] > 1:
+                    return [succ]
+                block = term[2]
                 continue
-            for succ in succs:
-                if succ.label in heads:
-                    continue
-                if depth > MAX_REGION_DEPTH:
-                    heads.add(succ.label)
-                    todo.append((succ, 0))
+            if term[0] != T_BR:
+                return []
+            opens: List[str] = []
+            for succ in (term[5], term[6]):
+                target = succ.label
+                if target in heads:
+                    if target == root:
+                        loops.add(target)
+                elif preds[target] > 1:
+                    opens.append(target)
+                elif depth >= MAX_REGION_DEPTH:
+                    heads.add(target)
+                    todo.append((succ, target))
                 else:
-                    todo.append((succ, depth))
-        orphan = next((b for b in blocks if b.label not in seen), None)
-        if orphan is None:
+                    opens.extend(walk(succ, depth + 1, root))
+            counts: Dict[str, int] = {}
+            for target in opens:
+                counts[target] = counts.get(target, 0) + 1
+            done = [t for t, n in counts.items() if n == preds[t]]
+            if not done:
+                return opens
+            if len(done) > 1:
+                done.sort(key=list(cm.blocks).index)
+            joins[block.label] = block = cm.blocks[done[0]]
+            # Every other open edge would fall into the join's code: its
+            # target can never be absorbed, so the walk roots it later.
+
+    scan = 0
+    while True:
+        while todo:
+            block, root = todo.pop()
+            walk(block, 0, root)
+        while scan < len(blocks) and blocks[scan].label in placed:
+            scan += 1
+        if scan == len(blocks):
             break
-        heads.add(orphan.label)
-        todo.append((orphan, 0))
+        heads.add(blocks[scan].label)
+        todo.append((blocks[scan], blocks[scan].label))
     roots = []
     for bi, block in enumerate(blocks):
         if block.label in heads:
             roots.append((bi, block, 0))
         for ip in resumes.get(block.label, ()):
             roots.append((bi, block, ip))
-    return roots
+    return RegionPlan(roots, joins, loops)
+
+
+class _Preload:
+    """Loads emitted before a branch's ``if``, chosen after its join.
+
+    A register written on one arm that falls into the join but unbound
+    on another has a local on only some paths past the join.  Where a
+    later read or a live writeback needs it, it is loaded here, where
+    it was still clean on every path.
+    """
+
+    __slots__ = ("pad", "bits")
+
+    def __init__(self, pad: str) -> None:
+        self.pad = pad
+        self.bits = 0
+
+    def lines(self) -> List[str]:
+        return [f"{self.pad}r{reg} = regs[{reg}]" for reg in _bits(self.bits)]
 
 
 class _Region:
     """One region function's body, accumulated along its paths and
     rendered once liveness is known.
 
-    Register binding is per path: ``bound`` holds the registers with a
-    live local on the path being emitted (a register is loaded at its
-    first read on each path) and ``dirty`` those written on it, both as
-    int bitsets; :meth:`fork` and :meth:`restore` save and reinstate
-    them, with the pending cost chain, around each branch arm.  ``uses``
-    and ``defs`` accumulate over all paths.  ``indent`` counts the
-    branch arms the current path is nested under.
+    Register binding is per path, in int bitsets: ``bound`` holds the
+    registers with a live local on the path being emitted (a register
+    is loaded at its first read on each path), ``dirty`` those written
+    on every path to here and ``wb`` those written on some path to here.
+    The two differ only past a join, where ``dirty`` feeds liveness and
+    ``wb`` the writebacks.  ``split`` holds the registers of ``wb`` that
+    are not bound on every path to here; ``slot_of`` names the
+    :class:`_Preload` that binds each.  :meth:`fork` and :meth:`restore`
+    save and reinstate the state, with the pending cost chain, around
+    each branch arm, and :meth:`merge` combines the arms that fall into
+    a join.  ``uses`` accumulates the registers loaded on any path.
+    ``indent`` counts the branch arms the current path is nested under,
+    plus the ``while`` of a loop region.
+
+    A loop region (``loop``) loads the registers it reads before its
+    ``while True:``, not at their first reads, since a local written on
+    one iteration is read on the next; ``carried`` holds the registers
+    written on some path to its back edge.
 
     ``fixed`` selects the fixed-point accounting shape (DESIGN.md §15):
     per-op cost constants collect in ``pending``, scaled by
@@ -382,45 +488,61 @@ class _Region:
     ``cyc_expr`` degenerates to the literal ``_cyc``, so every emission
     site can read it unconditionally and the textual chain is unchanged.
 
-    Exits record where their writebacks go, with the path's dirty set,
-    instead of emitting them; :meth:`render` fills each with the dirty
-    registers live into that exit's successor.
+    Exits record where their writebacks go instead of emitting them;
+    :meth:`render` fills each with the written registers live into that
+    exit's successor, and binds those a path left unbound.
     """
 
-    def __init__(self, name: str, fixed: bool) -> None:
+    def __init__(self, name: str, root: Optional[str], fixed: bool, loop: bool):
         self.name = name
+        self.root = root  # the root block's label, None for a resume root
+        self.loop = loop
         self.body: List[str] = []
-        self.bound = 0  # registers with a live local on this path
-        self.dirty = 0  # registers written on this path
-        self.uses = 0  # registers loaded on any path
-        self.defs = 0  # registers written on any path
-        self.indent = 0
+        # (body index, preload slot or exit mark), in body order
+        self.marks: list = []
+        self.bound = 0
+        self.dirty = 0
+        self.wb = 0
+        self.split = 0
+        self.slot_of: Dict[int, _Preload] = {}
+        self.uses = 0
+        self.carried = 0
+        self.indent = 1 if loop else 0
         self.fixed = fixed
         self.pending: List[int] = []
-        # (body index, depth, successor root, kill bitset, dirty bitset)
-        self.exits: List[Tuple[int, int, str, int, int]] = []
+        # (successor root, kill bitset, dirty bitset) per exit
+        self.exits: List[Tuple[str, int, int]] = []
+        # join label -> (bound, dirty, wb) at each edge that falls into it
+        self.falls: Dict[str, List[Tuple[int, int, int]]] = {}
 
     def rd(self, reg: int) -> str:
         bit = 1 << reg
         if not self.bound & bit:
             self.bound |= bit
             self.uses |= bit
-            self.body.append("    " * (1 + self.indent) + f"r{reg} = regs[{reg}]")
+            if self.loop:
+                pass  # a loop region loads it before its ``while``
+            elif self.split & bit:  # written on another path: preload it
+                self.slot_of[reg].bits |= bit
+            else:
+                self.body.append("    " * (1 + self.indent) + f"r{reg} = regs[{reg}]")
+            self.split &= ~bit
         return f"r{reg}"
 
     def wr(self, reg: int) -> str:
         bit = 1 << reg
         self.bound |= bit
         self.dirty |= bit
-        self.defs |= bit
+        self.wb |= bit
+        self.split &= ~bit
         return f"r{reg}"
 
     def fork(self) -> tuple:
         """The per-path state at a branch, for :meth:`restore`."""
-        return self.bound, self.dirty, list(self.pending)
+        return self.bound, self.dirty, self.wb, self.split, list(self.pending)
 
     def restore(self, state: tuple) -> None:
-        self.bound, self.dirty, pending = state
+        self.bound, self.dirty, self.wb, self.split, pending = state
         self.pending = list(pending)
 
     def cyc_expr(self) -> str:
@@ -456,23 +578,89 @@ class _Region:
             else:
                 self.emit(f"_cyc += {amount!r}")
 
+    def flush(self) -> None:
+        """Add the pending chain to ``_cyc``: the float add that an exit
+        to a root and that root's ``_cyc = st.cyc`` would make."""
+        if self.pending:
+            self.emit(f"_cyc += {sum(self.pending) / FOLD_SCALE!r}")
+            self.pending = []
+
+    def fall(self, join: str) -> None:
+        """End this path at an edge into ``join``, whose code follows
+        the enclosing ``if`` statement."""
+        self.flush()
+        self.falls.setdefault(join, []).append((self.bound, self.dirty, self.wb))
+
+    def merge(self, join: str, slot: _Preload) -> None:
+        """Take the state past the ``if`` whose arms fall into ``join``;
+        ``slot`` precedes that ``if``."""
+        bound = dirty = -1
+        wb = 0
+        for b, d, w in self.falls.pop(join):
+            bound &= b
+            dirty &= d
+            wb |= w
+        split = wb & ~bound
+        for reg in _bits(split & ~self.wb):  # clean before the ``if``
+            self.slot_of[reg] = slot
+        self.bound = bound
+        self.dirty = dirty
+        self.wb = wb
+        self.split = split
+        self.pending = []  # each arm flushed its chain
+
+    def back_edge(self) -> None:
+        """Jump back to the loop region's own root."""
+        self.flush()
+        self.carried |= self.wb
+        self.emit("continue")
+
+    def slot(self) -> _Preload:
+        """A preload slot at this point of the body."""
+        slot = _Preload("    " * (1 + self.indent))
+        self.marks.append((len(self.body), slot))
+        return slot
+
     def exit_writebacks(self, succ: str, kill: int = 0) -> None:
         """Mark an exit to root ``succ``; :meth:`render` writes back
-        the dirty registers live into it, less the ``kill`` bitset."""
-        self.exits.append(
-            (len(self.body), 1 + self.indent, succ, kill, self.dirty)
-        )
+        the written registers live into it, less the ``kill`` bitset."""
+        self.exits.append((succ, kill, self.dirty))
+        split = self.split
+        splits = [(reg, self.slot_of[reg]) for reg in _bits(split)] if split else ()
+        mark = (1 + self.indent, succ, kill, self.wb, self.bound, splits)
+        self.marks.append((len(self.body), mark))
 
     def render(self, live: Dict[str, int]) -> str:
-        lines = [f"def {self.name}(vm, frame, regs, st):"]
+        carried = self.carried
+        hoist = self.uses
+        stores = []
+        for _, mark in self.marks:
+            if type(mark) is tuple:
+                _, succ, kill, wb, bound, splits = mark
+                out = (wb | carried) & live[succ] & ~kill
+                stores.append(out)
+                if self.loop:
+                    hoist |= out & ~bound
+                else:
+                    for reg, slot in splits:
+                        slot.bits |= out & (1 << reg)
+        lines = [f"def {self.name}(vm, frame, regs, st):", "    _cyc = st.cyc"]
+        if self.loop:
+            lines.append("    _fuel = st.fuel")
+            lines.extend(f"    r{reg} = regs[{reg}]" for reg in _bits(hoist))
+            lines.append("    while True:")
         body = self.body
         start = 0
-        for at, depth, succ, kill, dirty in self.exits:
+        outs = iter(stores)
+        for at, mark in self.marks:
             lines.extend(body[start:at])
-            pad = "    " * depth
-            for reg in _bits(dirty & live[succ] & ~kill):
-                lines.append(f"{pad}regs[{reg}] = r{reg}")
             start = at
+            if type(mark) is tuple:
+                pad = "    " * mark[0]
+                for reg in _bits(next(outs)):
+                    lines.append(f"{pad}regs[{reg}] = r{reg}")
+            else:
+                lines.extend(mark.lines())
         lines.extend(body[start:])
         return "\n".join(lines) + "\n"
 
@@ -483,7 +671,7 @@ def _live_in(regions: List[_Region]) -> Dict[str, int]:
     A region's uses are the registers it loads (each is read before
     written on some path), and each exit passes on what is live into
     its successor root, less its kill set and the registers written on
-    the path to it.  The backward fixed point only grows each set, so
+    every path to it.  The backward fixed point only grows each set, so
     it terminates.
     """
     live = {region.name: region.uses for region in regions}
@@ -493,7 +681,7 @@ def _live_in(regions: List[_Region]) -> Dict[str, int]:
         changed = False
         for region in order:
             new = region.uses
-            for _, _, succ, kill, dirty in region.exits:
+            for succ, kill, dirty in region.exits:
                 new |= live[succ] & ~(kill | dirty)
             if new != live[region.name]:
                 live[region.name] = new
@@ -505,8 +693,12 @@ class _MethodCodegen:
     def __init__(self, cm: CompiledMethod) -> None:
         blocks = list(cm.blocks.values())
         self.block_index = {block.label: bi for bi, block in enumerate(blocks)}
-        self.roots = region_roots(cm)
+        plan = region_plan(cm)
+        self.roots = plan.roots
         self._root_blocks = {block.label for _, block, ip in self.roots if not ip}
+        self._joins = plan.joins
+        self._joined = {join.label for join in plan.joins.values()}
+        self._loops = plan.loops
         # Edge-origin globals are named by *block order* (the traversal
         # of :func:`_edge_origins`, which `_namespace` re-runs to bind
         # them), never by emission order — regions emit their blocks
@@ -531,18 +723,19 @@ class _MethodCodegen:
         header = (
             "# Generated by repro.vm.blockjit — one function per region: "
             "a root (block, entry-ip)\n"
-            "# and the blocks inlined under it.  Injected globals: _pk, "
-            "_cm, _Frame, _trap,\n"
-            "# _fuel_out, _yield_slow, _CALL, _blk*, _og*.\n"
+            "# and the blocks and joins inlined under it.  Injected "
+            "globals: _pk, _cm, _Frame,\n"
+            "# _trap, _fuel_out, _yield_slow, _CALL, _blk*, _og*.\n"
         )
         return header + "\n".join(functions)
 
     # -- regions ------------------------------------------------------------
 
     def _gen_region(self, bi: int, block: LoweredBlock, ip: int) -> _Region:
-        region = _Region(f"_f{bi}_{ip}", self._fixed)
-        region.emit("_cyc = st.cyc")
-        if not self._gen_block(region, block, ip, "st.fuel"):
+        loop = not ip and block.label in self._loops
+        root = None if ip else block.label
+        region = _Region(f"_f{bi}_{ip}", root, self._fixed, loop)
+        if not self._gen_block(region, block, ip, "_fuel" if loop else "st.fuel"):
             self._gen_term(region, block)
         return region
 
@@ -573,9 +766,16 @@ class _MethodCodegen:
         return False
 
     def _gen_succ(self, seg: _Region, succ: LoweredBlock) -> None:
-        """Continue into ``succ``: exit to its root, or inline its code."""
-        if succ.label in self._root_blocks:
-            self._gen_exit(seg, self._succ_name(succ))
+        """Continue into ``succ``: exit to its root, jump back to the
+        loop's start, fall into a join, or inline its code."""
+        label = succ.label
+        if label in self._root_blocks:
+            if seg.loop and label == seg.root:
+                seg.back_edge()
+            else:
+                self._gen_exit(seg, self._succ_name(succ))
+        elif label in self._joined:
+            seg.fall(label)
         elif not self._gen_block(seg, succ):
             self._gen_term(seg, succ)
 
@@ -772,12 +972,20 @@ class _MethodCodegen:
             b = seg.rd(term[4])
             mask = _mask(term[10])
             origin = self._origin_names.get(block.label)
+            join = self._joins.get(block.label)
+            if join is not None:
+                slot = seg.slot()
             # Each arm extends the shared pre-branch chain with its own
-            # penalty/edge constants, then exits or nests its successor.
+            # penalty/edge constants, then exits, nests its successor or
+            # falls into the join that follows the ``if``.
             seg.emit(f"if {a} {_cmp_text(term[2])} {b}:")
             self._gen_arm(seg, True, term, origin if mask & 1 else None, term[5])
             seg.emit("else:")
             self._gen_arm(seg, False, term, origin if mask & 2 else None, term[6])
+            if join is not None:
+                seg.merge(join.label, slot)
+                if not self._gen_block(seg, join):
+                    self._gen_term(seg, join)
         else:  # pragma: no cover - lowering emits only known terminators
             raise VMError(f"blockjit cannot compile terminator {t}")
 
@@ -793,12 +1001,15 @@ class _MethodCodegen:
         record, then its successor."""
         state = seg.fork()
         seg.indent += 1
+        start = len(seg.body)
         if taken != term[7]:
             seg.cost(term[8])
         if origin is not None:
             seg.emit(f"vm.edge_profile.record({origin}, {taken})")
             seg.cost(term[11])
         self._gen_succ(seg, succ)
+        if len(seg.body) == start:
+            seg.emit("pass")
         seg.indent -= 1
         seg.restore(state)
 

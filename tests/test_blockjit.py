@@ -27,6 +27,7 @@ from repro.bytecode.instructions import (
     Ret,
 )
 from repro.bytecode.method import Method, Program
+from repro.cfg import CFG, compute_dominators
 from repro.engine import ExperimentPool, make_sweep_cells
 from repro.errors import FuelExhaustedError, GuestTrapError
 from repro.harness.experiment import config_to_spec, measure_cell, pep_config
@@ -317,14 +318,21 @@ def test_writebacks_only_for_live_registers():
     assert "return _CALL" in region("head")
     call_exit = region("head").split("return _CALL")[0]
     assert "regs[1] = r1" in call_exit  # live across the resume
-    taken, not_taken = region("body", 4).split("    else:\n")
-    # `left` reads r2 from the local, so no exit stores r2, though both
-    # exits to `latch` leave it dirty; the r1 that `left` writes is live
-    # around the loop.
+    # `latch` is `body`'s join: the resume region emits it after the
+    # `if`, so neither arm exits and `latch` has no function of its own.
+    resume = region("body", 4)
+    assert f"def _f{labels.index('latch')}_0(" not in source
+    arms, joined = resume.split("    else:\n")
+    assert "return" not in arms and joined.count("return") == 1
+    # `left` reads r2 from the local, so no exit stores r2, though it is
+    # dirty past the join.  The one exit, after the join, stores the r1
+    # that `left` writes (live around the loop) and the r0 that `latch`
+    # increments (live around the back edge).
     assert "regs[2] =" not in source
-    assert "regs[1] = r1" in taken
-    assert "regs[1] =" not in not_taken  # r1 is clean on this path
-    assert "regs[0] = r0" in region("latch")  # live around the back edge
+    assert "regs[1] = r1" in joined and "regs[0] = r0" in joined
+    # r1 is clean on the not-taken arm, so it is loaded before the `if`
+    # for that exit to store.
+    assert resume.index("r1 = regs[1]") < resume.index("    if r5 < r7:")
 
 
 @pytest.mark.parametrize("mode", [None, "pep", "edges"])
@@ -406,10 +414,11 @@ def test_fuel_runs_out_two_branches_deep():
         blocks.add((seen[1][2], seen[1][3]))
     cm = compile_simple(_arms_program())["main"]
     source = generate_source(cm)
-    # `deep` is inlined, nested under `head`'s and `right`'s arms.
+    # `deep` is inlined, nested under `head`'s and `right`'s arms inside
+    # the loop region's `while`.
     assert f"def _f{list(cm.blocks).index('deep')}_0(" not in source
     (check,) = [line for line in source.splitlines() if "'deep', 0)" in line]
-    assert check.startswith(" " * 16 + "_fuel_out(")
+    assert check.startswith(" " * 20 + "_fuel_out(")
     assert ("deep", 0) in blocks
 
 
@@ -430,17 +439,62 @@ def test_deep_branch_ladder_parity(mode):
 
 
 def _expected_roots(cm) -> list:
-    """Root names from the CFG: entry, blocks with other than one
-    predecessor, call resumes (no program here nests past the bound)."""
-    preds = dict.fromkeys(cm.blocks, 0)
-    for block in cm.blocks.values():
-        term = block.term
-        succs = {T_JMP: term[2:3], T_BR: term[5:7]}.get(term[0], ())
-        for succ in succs:
-            preds[succ.label] += 1
+    """Root names from the CFG, by the dominator form of the join rule.
+
+    A join (two or more predecessors) is emitted after its immediate
+    dominator's `if` when that dominator is a branch, no predecessor is
+    dominated by the join (it heads no loop), and no block on the
+    dominator chain from a predecessor up to the branch makes a call or
+    is a root.  Every other block with other than one predecessor is a
+    root, as are the entry and the call resumes.  No program here nests
+    past the depth bound or leaves an arm past a nested join.
+    """
+    succs = {
+        label: tuple(
+            succ.label
+            for succ in {T_JMP: b.term[2:3], T_BR: b.term[5:7]}.get(b.term[0], ())
+        )
+        for label, b in cm.blocks.items()
+    }
+    cfg = CFG(cm.entry.label, list(cm.blocks), succs)
+    dom = compute_dominators(cfg)
+    calls = {
+        label
+        for label, b in cm.blocks.items()
+        if any(op[0] == OP_CALL for op in b.ops)
+    }
+    joins = {
+        label
+        for label, preds in cfg.preds.items()
+        if len(preds) > 1
+        and label != cfg.entry
+        and cm.blocks[dom.idom[label]].term[0] == T_BR
+        and not any(dom.dominates(label, pred) for pred in preds)
+    }
+
+    def is_root(label):
+        return label == cfg.entry or (
+            len(cfg.preds[label]) != 1 and label not in joins
+        )
+
+    def in_region(pred, owner):
+        while pred != owner:
+            if pred in calls or is_root(pred):
+                return False
+            pred = dom.idom[pred]
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for label in sorted(joins):
+            owner = dom.idom[label]
+            if not all(in_region(pred, owner) for pred in cfg.preds[label]):
+                joins.discard(label)
+                changed = True
     names = []
-    for bi, block in enumerate(cm.blocks.values()):
-        if block is cm.entry or preds[block.label] != 1:
+    for bi, (label, block) in enumerate(cm.blocks.items()):
+        if is_root(label):
             names.append(f"_f{bi}_0")
         for j, op in enumerate(block.ops):
             if op[0] == OP_CALL:
@@ -476,6 +530,237 @@ def test_region_shape(build, mode):
                 assert source.count(f"_pk, {block.label!r}, {ip})") == 1
         inlined += len(cm.blocks) - sum(name.endswith("_0") for name in roots)
     assert inlined > 0
+
+
+def _call_arm_program() -> Program:
+    """A loop whose if/else has one arm that makes a guest call.
+
+    ``join`` follows ``body``'s if/else, but the call arm reaches it from
+    the call's resume root, so ``join`` stays a root.  ``plain`` writes
+    ``r2``, which ``join`` reads: on a call-arm iteration it comes from
+    the frame, where ``plain``'s exit on an earlier iteration stored it.
+    """
+    main = Method("main", num_params=0, num_regs=8)
+    entry = main.new_block("entry")
+    entry.append(Const(0, 0))
+    entry.append(Const(1, 0))
+    entry.append(Const(2, 0))
+    entry.append(Const(6, 9))
+    entry.append(Const(7, 0))
+    entry.terminator = Jmp("head")
+    main.new_block("head").terminator = Br("lt", 0, 6, "body", "done")
+    body = main.new_block("body")
+    body.append(BinOpImm("mod", 3, 0, 3))
+    body.terminator = Br("eq", 3, 7, "callarm", "plain")
+    callarm = main.new_block("callarm")
+    callarm.append(Call(4, "helper", [0]))
+    callarm.terminator = Jmp("join")
+    plain = main.new_block("plain")
+    plain.append(BinOpImm("mul", 4, 0, 5))
+    plain.append(BinOpImm("add", 2, 0, 7))
+    plain.terminator = Jmp("join")
+    join = main.new_block("join")
+    join.append(BinOp("add", 1, 1, 2))
+    join.append(BinOp("add", 1, 1, 4))
+    join.append(BinOpImm("add", 0, 0, 1))
+    join.terminator = Jmp("head")
+    done = main.new_block("done")
+    done.append(Emit(1))
+    done.terminator = Ret(1)
+    main.seal()
+    helper = Method("helper", num_params=1, num_regs=2)
+    hb = helper.new_block("entry")
+    hb.append(BinOpImm("mul", 1, 0, 3))
+    hb.append(BinOpImm("add", 1, 1, 1))
+    hb.terminator = Ret(1)
+    helper.seal()
+    program = Program("callarm", main="main")
+    program.add(main)
+    program.add(helper)
+    return program
+
+
+@pytest.mark.parametrize("mode", [None, "pep", "edges"])
+def test_join_after_call_arm_stays_root_parity(mode):
+    program = _call_arm_program()
+    _assert_identical(*_run_engines(program, mode=mode))
+    cm = compile_simple(program, mode=mode)["main"]
+    labels = list(cm.blocks)
+    assert f"def _f{labels.index('join')}_0(" in generate_source(cm)
+
+
+def test_fuel_sweep_over_call_arm_loop():
+    program = _call_arm_program()
+    costs = CostModel()
+    code = compile_simple(program, costs=costs)
+    fuel = 0
+    while True:
+        fuel += 1
+        seen = []
+        for bj in (False, True):
+            vm = VirtualMachine(code, program.main, costs=costs, blockjit=bj)
+            try:
+                res = vm.run(fuel=fuel)
+            except FuelExhaustedError as err:
+                seen.append(
+                    (err.method, err.block, err.instruction_index, err.cycles)
+                )
+            else:
+                seen.append((res.return_value, vm.output, res.cycles))
+        assert seen[0] == seen[1], fuel
+        if len(seen[1]) == 3:  # the run completed
+            break
+    assert fuel > 50
+
+
+def _loop_trap_program() -> Program:
+    """A loop that reads a five-element array until it runs off the end."""
+    main = Method("main", num_params=0, num_regs=6)
+    entry = main.new_block("entry")
+    entry.append(Const(0, 0))
+    entry.append(Const(1, 5))
+    entry.append(NewArr(2, 1))
+    entry.append(Const(3, 0))
+    entry.append(Const(5, 9))
+    entry.terminator = Jmp("head")
+    main.new_block("head").terminator = Br("lt", 0, 5, "body", "done")
+    body = main.new_block("body")
+    body.append(ALoad(4, 2, 0))
+    body.append(BinOp("add", 3, 3, 4))
+    body.append(BinOpImm("add", 0, 0, 1))
+    body.terminator = Jmp("head")
+    main.new_block("done").terminator = Ret(3)
+    main.seal()
+    program = Program("looptrap", main="main")
+    program.add(main)
+    return program
+
+
+@pytest.mark.parametrize("mode", [None, "pep"])
+def test_trap_inside_loop_region_parity(mode):
+    program = _loop_trap_program()
+    costs = CostModel()
+    code = compile_simple(program, mode=mode, costs=costs)
+    assert "while True:" in generate_source(code["main"])
+    seen = []
+    for bj in (False, True):
+        vm = VirtualMachine(code, program.main, costs=costs, blockjit=bj)
+        with pytest.raises(GuestTrapError) as info:
+            vm.run()
+        trap = info.value
+        seen.append(
+            (str(trap), trap.block, trap.instruction_index, trap.cycles, vm.cycles)
+        )
+    assert "array index 5 out of range" in seen[0][0]
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("seed", range(500, 540))
+def test_engine_equivalence_deep_random_programs_sampled(seed):
+    spec = GeneratorSpec(n_helpers=3, max_depth=5, max_stmts=6, work_budget=400)
+    _assert_identical(
+        *_run_engines(
+            random_program(seed, spec),
+            mode="pep",
+            sampler=(8, 5),
+            tick_interval=400.0,
+        )
+    )
+
+
+def _uninterruptible_program(shape: str) -> Program:
+    """``main`` calls an uninterruptible ``work(n)`` twelve times.
+
+    ``two-entry``: ``work``'s loop between ``a`` and ``b`` is entered at
+    either block, by the parity of ``n`` (an irreducible loop).
+    ``shared``: ``work``'s loop body ends in a branch whose two arms
+    both go to ``latch``.
+    """
+    work = Method("work", num_params=1, num_regs=6, uninterruptible=True)
+    entry = work.new_block("entry")
+    entry.append(Const(1, 0))
+    entry.append(Const(2, 0))
+    entry.append(Const(4, 0))
+    if shape == "two-entry":
+        entry.append(BinOpImm("and", 3, 0, 1))
+        entry.terminator = Br("eq", 3, 4, "a", "b")
+        a = work.new_block("a")
+        a.append(BinOp("add", 1, 1, 2))
+        a.append(BinOpImm("add", 2, 2, 1))
+        a.terminator = Br("lt", 2, 0, "b", "exit")
+        b = work.new_block("b")
+        b.append(BinOp("xor", 1, 1, 2))
+        b.append(BinOpImm("add", 2, 2, 2))
+        b.terminator = Br("lt", 2, 0, "a", "exit")
+    else:
+        entry.terminator = Jmp("head")
+        work.new_block("head").terminator = Br("lt", 2, 0, "body", "exit")
+        body = work.new_block("body")
+        body.append(BinOpImm("and", 3, 2, 1))
+        body.terminator = Br("eq", 3, 4, "latch", "latch")
+        latch = work.new_block("latch")
+        latch.append(BinOp("add", 1, 1, 2))
+        latch.append(BinOpImm("add", 2, 2, 1))
+        latch.terminator = Jmp("head")
+    work.new_block("exit").terminator = Ret(1)
+    work.seal()
+    main = Method("main", num_params=0, num_regs=4)
+    mentry = main.new_block("entry")
+    mentry.append(Const(0, 0))
+    mentry.append(Const(1, 0))
+    mentry.append(Const(2, 12))
+    mentry.terminator = Jmp("head")
+    main.new_block("head").terminator = Br("lt", 0, 2, "body", "done")
+    body = main.new_block("body")
+    body.append(Call(3, "work", [0]))
+    body.append(BinOp("add", 1, 1, 3))
+    body.append(BinOpImm("add", 0, 0, 1))
+    body.terminator = Jmp("head")
+    done = main.new_block("done")
+    done.append(Emit(1))
+    done.terminator = Ret(1)
+    main.seal()
+    program = Program(shape, main="main")
+    program.add(main)
+    program.add(work)
+    return program
+
+
+@pytest.mark.parametrize("shape", ["two-entry", "shared"])
+def test_uninterruptible_unstructured_cfg_parity(shape):
+    # Neither CFG passes verification or loop analysis, and neither has
+    # to: the yieldpoint pass skips uninterruptible methods, so
+    # optimize_method lowers them as they are (at level 0, which inlines
+    # nothing into the interruptible caller).
+    from repro.adaptive.optimizing import optimize_method
+
+    program = _uninterruptible_program(shape)
+    costs = CostModel()
+    code = {
+        method.name: optimize_method(method, program, 0, None, costs)[0]
+        for method in program.iter_methods()
+    }
+    results = []
+    for bj in (False, True):
+        vm = VirtualMachine(code, program.main, costs=costs, blockjit=bj)
+        results.append((vm, vm.run()))
+    _assert_identical(*results)
+    assert code["work"].jit_entries is not None
+
+
+def test_loop_region_source_shape():
+    # counting_program's loop runs in its header's function, and no join
+    # a region absorbs has a function of its own.
+    cm = compile_simple(counting_program(30), mode="pep")["main"]
+    source = generate_source(cm)
+    plan = blockjit.region_plan(cm)
+    labels = list(cm.blocks)
+    assert plan.loops and plan.joins
+    for label in plan.loops:
+        text = blockjit._segment_text(source, f"_f{labels.index(label)}_0")
+        assert "    while True:\n" in text and "continue\n" in text
+    for join in plan.joins.values():
+        assert f"def _f{labels.index(join.label)}_0(" not in source
 
 
 # -- cross-workload digest equivalence (all bundled SPECjvm/DaCapo) ---------

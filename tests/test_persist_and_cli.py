@@ -137,6 +137,29 @@ def test_cli_profile_rejects_zero_ticks(source_file, capsys, mode):
     assert "usage:" in err and "--ticks: must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--trials", "0"),
+        ("--timeout", "nan"),
+        ("--timeout", "inf"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--scale", "nan"),
+        ("--scale", "-1"),
+        ("--scale", "0"),
+    ],
+)
+def test_cli_sweep_rejects_unusable_arguments(capsys, flag, value):
+    # A usage error (exit 2) before any cell runs, like --ticks 0 above.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--jobs", "1", "--workloads", "compress", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    rule = "must be >= 1" if flag == "--trials" else "must be positive and finite"
+    assert "usage:" in err and f"{flag}: {rule}" in err
+
+
 def test_cli_profile_perfect(source_file, capsys):
     assert main(["profile", source_file, "--perfect"]) == 0
     out = capsys.readouterr().out
