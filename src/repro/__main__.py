@@ -222,42 +222,6 @@ def _parse_sweep_config(token: str):
     )
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf-trajectory recorder (scripts/bench_perf.py).
-
-    A thin passthrough so measurements are launchable from the installed
-    CLI (``repro bench --stage sampling``) without knowing the scripts
-    layout.  The script is loaded by file path: it is not a package
-    module, and must stay runnable standalone.
-    """
-    import importlib.util
-    import os
-
-    script = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        "scripts",
-        "bench_perf.py",
-    )
-    if not os.path.exists(script):
-        print(f"repro bench: bench_perf.py not found at {script}")
-        return 2
-    spec = importlib.util.spec_from_file_location("bench_perf", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    for stage in args.stage or []:
-        forwarded += ["--stage", stage]
-    if args.out is not None:
-        forwarded += ["--out", args.out]
-    if args.check is not None:
-        forwarded += ["--check", args.check]
-    if args.history is not None:
-        forwarded += ["--history", args.history]
-    return module.main(forwarded)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import time
@@ -397,30 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench-list", help="list the workload suite")
     bench_p.set_defaults(func=cmd_bench_list)
-
-    perf_p = sub.add_parser(
-        "bench",
-        help="run the perf recorder (scripts/bench_perf.py) — e.g. "
-        "`repro bench --stage sampling --quick`",
-    )
-    perf_p.add_argument("--quick", action="store_true", help="CI-sized run")
-    perf_p.add_argument(
-        "--stage",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only the named stage (repeatable; see bench_perf.py)",
-    )
-    perf_p.add_argument("--out", default=None, help="report output path")
-    perf_p.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="regression-gate against a baseline BENCH_perf.json",
-    )
-    perf_p.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="history JSONL path ('' disables the append)",
-    )
-    perf_p.set_defaults(func=cmd_bench)
 
     sweep_p = sub.add_parser(
         "sweep",

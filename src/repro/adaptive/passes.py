@@ -29,7 +29,9 @@ from repro.bytecode.instructions import (
     used_registers,
 )
 from repro.bytecode.method import BasicBlock, Method, Program
-from repro.errors import CompilationError
+from repro.cfg.graph import CFG
+from repro.cfg.loops import analyze_loops
+from repro.errors import CompilationError, IrreducibleLoopError
 from repro.profiling.edges import EdgeProfile
 
 
@@ -72,8 +74,20 @@ def _find_inline_site(
                 continue
             if _calls_out(callee):
                 continue  # leaf-only inlining: no recursion concerns
+            if callee.uninterruptible and not _reducible(callee):
+                # Its body never sees the yieldpoint pass, so it may hold
+                # an irreducible loop; a copy would fail the caller's.
+                continue
             return label, index
     return None
+
+
+def _reducible(method: Method) -> bool:
+    try:
+        analyze_loops(CFG.from_method(method))
+    except IrreducibleLoopError:
+        return False
+    return True
 
 
 def _calls_out(method: Method) -> bool:

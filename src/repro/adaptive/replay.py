@@ -27,7 +27,6 @@ from repro.adaptive.baseline import compile_baseline
 from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
 from repro.adaptive.optimizing import optimize_method
 from repro.errors import AdviceError
-from repro.util.flags import pgo_probes_enabled
 from repro.vm import pgo
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import CompiledMethod
@@ -149,32 +148,32 @@ def replay_compile(
                 # mid-run recompiles — the only pipeline where
                 # minimum-coverage probe placement (DESIGN.md §14) is
                 # sound, because each method's edge counters see exactly
-                # one placement for the whole run.
-                min_coverage=pgo_probes_enabled(),
+                # one placement for the whole run.  Only the edges mode
+                # places probes.
+                min_coverage=True,
             )
         code[method.name] = cm
         compile_cycles += cycles
-    if pgo_probes_enabled():
-        # Plan soundness is an image property: the optimizer's inliner
-        # copies callee branches (origins included) into callers, and a
-        # probe plan over any multiply-occurring origin double-books the
-        # reconstructed counts.  Those methods are recompiled with full
-        # instrumentation.  Compile cost is mask-independent, so the
-        # already-charged cycles stay bit-identical to probes-off runs;
-        # the recompile moves wall clock only.
-        for name in sorted(pgo.shared_origin_fallbacks(code)):
-            if code[name].probe_plan is None:
-                continue
-            code[name], _ = optimize_method(
-                program.methods[name],
-                program,
-                advice.levels[name],
-                profile,
-                costs,
-                version=0,
-                instrumentation=instrumentation,
-                min_coverage=False,
-            )
+    # Plan soundness is an image property: the optimizer's inliner copies
+    # callee branches (origins included) into callers, and a probe plan
+    # over any multiply-occurring origin double-books the reconstructed
+    # counts.  Those methods are recompiled with full instrumentation.
+    # Compile cost is mask-independent, so the already-charged cycles
+    # stay those of the probed compile; the recompile moves wall clock
+    # only.
+    for name in sorted(pgo.shared_origin_fallbacks(code)):
+        if code[name].probe_plan is None:
+            continue
+        code[name], _ = optimize_method(
+            program.methods[name],
+            program,
+            advice.levels[name],
+            profile,
+            costs,
+            version=0,
+            instrumentation=instrumentation,
+            min_coverage=False,
+        )
     return ReplayImage(code, program.main, compile_cycles, costs)
 
 

@@ -305,29 +305,3 @@ class ExperimentPool:
                     f"cell #{spec.index}: {exc}"
                 )
         return result
-
-    def _merge(
-        self, cells: Sequence[CellSpec], outcomes: List[tuple]
-    ) -> List[CellResult]:
-        """Merge raw outcome tuples into ordered results (retrying failures).
-
-        Outcome tuples are ``(index, metrics, error, error_type,
-        duration[, attempts[, final]])`` — the short five-field form is
-        what pre-supervisor callers produced and is still accepted.
-        """
-        by_index = {o[0]: o for o in outcomes}
-        results: List[CellResult] = []
-        for spec in sorted(cells, key=lambda s: s.index):
-            raw = by_index[spec.index]
-            outcome = (
-                raw[1],
-                raw[2],
-                raw[3],
-                raw[4],
-                raw[5] if len(raw) > 5 else 1,
-                raw[6] if len(raw) > 6 else False,
-            )
-            results.append(
-                self._finish_cell(spec, outcome, None, frozenset())
-            )
-        return results

@@ -10,10 +10,8 @@
 """
 
 from repro.harness.experiment import (
-    BENCH_SCALE_ENV,
     ExperimentContext,
     RunConfig,
-    default_scale,
     pep_config,
     prepare,
     run_config,
@@ -28,10 +26,8 @@ from repro.harness.accuracy import (
 from repro.harness.report import render_accuracy_figure, render_overhead_figure
 
 __all__ = [
-    "BENCH_SCALE_ENV",
     "ExperimentContext",
     "RunConfig",
-    "default_scale",
     "pep_config",
     "prepare",
     "run_config",

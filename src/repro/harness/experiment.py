@@ -17,7 +17,6 @@ with a caller's ``CostModel`` is neither looked up nor stored.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 from repro.bytecode.method import Program
@@ -33,23 +32,9 @@ from repro.vm.costs import CostModel
 from repro.vm.runtime import RunResult, VirtualMachine
 from repro.workloads.suite import Workload
 
-BENCH_SCALE_ENV = "REPRO_BENCH_SCALE"
-_DEFAULT_BENCH_SCALE = 10.0
-
 # Cycles per workload at scale 1.0, used only to seed the advice run's
 # provisional tick interval (the final interval is calibrated from Base).
 _NOMINAL_CYCLES_AT_SCALE_1 = 200_000.0
-
-
-def default_scale() -> float:
-    """Benchmark scale, overridable via the REPRO_BENCH_SCALE env var."""
-    raw = os.environ.get(BENCH_SCALE_ENV)
-    if raw is None:
-        return _DEFAULT_BENCH_SCALE
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{BENCH_SCALE_ENV} must be positive, got {raw!r}")
-    return value
 
 
 class RunConfig:
@@ -151,12 +136,11 @@ _CONTEXT_CACHE: Dict[Tuple[str, float], ExperimentContext] = {}
 
 def prepare(
     workload: Workload,
-    scale: Optional[float] = None,
+    scale: float,
     costs: Optional[CostModel] = None,
     use_cache: bool = True,
 ) -> ExperimentContext:
     """Build, record advice, measure Base, calibrate the timer."""
-    scale = scale if scale is not None else default_scale()
     key = (workload.name, scale)
     # Only default-cost contexts are cached: the key has no cost model.
     use_cache = use_cache and costs is None

@@ -1,14 +1,14 @@
 """Minimum-coverage probe placement and tier engagement (DESIGN.md §14).
 
-* **Minimum-coverage probe placement** (``REPRO_PGO_PROBES``): in the
-  dedicated one-shot edge-instrumentation mode, probe only a
-  spanning-tree complement of the method's closed CFG (Knuth /
-  Ball-Larus minimum instrumentation) and reconstruct the full edge
-  profile from flow conservation at drain time.  Fewer probes means
-  fewer ``edge_count`` charges for the same recoverable profile.
-  Baseline one-time instrumentation and the sweep configurations are
-  untouched, which is what keeps every sweep digest bit-identical
-  under the flip.
+* **Minimum-coverage probe placement**: in the dedicated one-shot
+  edge-instrumentation mode (replay images compiled with
+  ``instrumentation="edges"``, the ``perfect-edge`` configuration's
+  among them), probe only a spanning-tree complement of the method's
+  closed CFG (Knuth / Ball-Larus minimum instrumentation) and
+  reconstruct the full edge profile from flow conservation at drain
+  time.  Fewer probes means fewer ``edge_count`` charges for the same
+  recoverable profile.  Baseline one-time instrumentation and the
+  adaptive run never place probes.
 
 * **Engagement counters** (:func:`engagement_summary`): which tier each
   method's code came from and how its edges were probed.

@@ -352,7 +352,7 @@ class VirtualMachine:
         run; flow conservation recovers the rest once frames stuck
         mid-method (an aborted run's guest stack) are balanced in.
         Runs with no probe plans — every configuration except the
-        one-shot edges mode under ``REPRO_PGO_PROBES`` — skip this.
+        one-shot edges mode — skip this.
         """
         plans = [cm for cm in self.code.values() if cm.probe_plan is not None]
         if not plans:

@@ -726,18 +726,14 @@ def _uninterruptible_program(shape: str) -> Program:
     return program
 
 
-@pytest.mark.parametrize("shape", ["two-entry", "shared"])
-def test_uninterruptible_unstructured_cfg_parity(shape):
-    # Neither CFG passes verification or loop analysis, and neither has
-    # to: the yieldpoint pass skips uninterruptible methods, so
-    # optimize_method lowers them as they are (at level 0, which inlines
-    # nothing into the interruptible caller).
+def _uninterruptible_parity(shape: str, level: int) -> dict:
+    """Compile the program at ``level``; both engines must agree."""
     from repro.adaptive.optimizing import optimize_method
 
     program = _uninterruptible_program(shape)
     costs = CostModel()
     code = {
-        method.name: optimize_method(method, program, 0, None, costs)[0]
+        method.name: optimize_method(method, program, level, None, costs)[0]
         for method in program.iter_methods()
     }
     results = []
@@ -745,7 +741,28 @@ def test_uninterruptible_unstructured_cfg_parity(shape):
         vm = VirtualMachine(code, program.main, costs=costs, blockjit=bj)
         results.append((vm, vm.run()))
     _assert_identical(*results)
+    return code
+
+
+@pytest.mark.parametrize("shape", ["two-entry", "shared"])
+def test_uninterruptible_unstructured_cfg_parity(shape):
+    # Neither CFG passes verification or loop analysis, and neither has
+    # to: the yieldpoint pass skips uninterruptible methods, so
+    # optimize_method lowers them as they are (at level 0, which inlines
+    # nothing into the interruptible caller).
+    code = _uninterruptible_parity(shape, 0)
     assert code["work"].jit_entries is not None
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("shape", ["two-entry", "shared"])
+def test_inliner_skips_irreducible_uninterruptible_callees(shape, level):
+    # A copy of work's two-entry loop would make main's yieldpoint pass
+    # reject main, so the inliner leaves that call in place; work's
+    # reducible loop is still inlined.
+    code = _uninterruptible_parity(shape, level)
+    inlined = any(label.startswith("work.") for label in code["main"].blocks)
+    assert inlined == (shape == "shared")
 
 
 def test_loop_region_source_shape():
@@ -811,6 +828,15 @@ def test_adaptive_recompilation_parity(monkeypatch):
     # blockjit must jit them lazily at first entry and keep old frames
     # running old code, exactly like the interpreter.
     program = benchmark_suite()[0].build(0.5)  # compress
+    off = _adaptive_report(program, monkeypatch, enabled=False)
+    on = _adaptive_report(program, monkeypatch, enabled=True)
+    assert on == off
+
+
+def test_adaptive_run_with_an_irreducible_uninterruptible_callee(monkeypatch):
+    # Recompiling main at level 1 or 2 must not try to inline work's
+    # two-entry loop, so the run completes on both engines.
+    program = _uninterruptible_program("two-entry")
     off = _adaptive_report(program, monkeypatch, enabled=False)
     on = _adaptive_report(program, monkeypatch, enabled=True)
     assert on == off

@@ -155,20 +155,21 @@ def test_sweep_cells_reject_fewer_than_one_trial(trials):
 
 
 def test_timeout_outcomes_are_retried_then_reported():
-    # Exercise the merge/retry path directly with a synthetic timeout
-    # outcome (real budget blowouts are covered in test_supervisor.py).
+    # Exercise the completion/retry path directly with a synthetic
+    # timeout outcome, ``(metrics, error, error_type, duration, attempts,
+    # final)`` (real budget blowouts are covered in test_supervisor.py).
     pool = ExperimentPool(jobs=1, retries=0)
-    cells = [_bad_cell()]
-    outcomes = [
-        (0, None, "cell exceeded budget", CellTimeoutError.__name__, 5.0)
-    ]
-    (result,) = pool._merge(cells, outcomes)
+    cell = _bad_cell()
+    outcome = (
+        None, "cell exceeded budget", CellTimeoutError.__name__, 5.0, 1, False
+    )
+    result = pool._finish_cell(cell, outcome, None, frozenset())
     assert not result.ok
     assert result.error_type == CellTimeoutError.__name__
     # With retries, the parent re-runs the cell serially; here the cell
     # itself is broken, so the retry surfaces the real error instead.
     pool_retry = ExperimentPool(jobs=1, retries=1)
-    (retried,) = pool_retry._merge(cells, outcomes)
+    retried = pool_retry._finish_cell(cell, outcome, None, frozenset())
     assert retried.attempts == 2
     assert retried.error_type == "WorkloadError"
 
@@ -203,16 +204,10 @@ def test_merge_retries_enforce_the_per_cell_budget():
     # stalling the sweep.
     (slow,) = make_sweep_cells(["compress"], [config_to_spec(BASE)], scale=12.0)
     pool = ExperimentPool(jobs=1, retries=1, timeout=0.1)
-    outcomes = [
-        (
-            slow.index,
-            None,
-            "cell exceeded budget",
-            CellTimeoutError.__name__,
-            0.1,
-        )
-    ]
-    (result,) = pool._merge([slow], outcomes)
+    outcome = (
+        None, "cell exceeded budget", CellTimeoutError.__name__, 0.1, 1, False
+    )
+    result = pool._finish_cell(slow, outcome, None, frozenset())
     assert not result.ok
     assert result.attempts == 2
     assert result.error_type == CellTimeoutError.__name__

@@ -48,4 +48,4 @@ def test_readme_knob_table_matches_code():
     code = _code_knobs()
     assert sorted(code - set(rows)) == [], "knobs read but not documented"
     assert sorted(set(rows) - code) == [], "documented knobs nothing reads"
-    assert len(rows) == 6
+    assert len(rows) == 5

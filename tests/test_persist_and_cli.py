@@ -179,6 +179,15 @@ def test_cli_bench_list(capsys):
     assert "compress" in out and "xalan" in out
 
 
+def test_cli_has_no_bench_command(capsys):
+    # The benchmark lives in perfbench/; `bench` is an unknown choice,
+    # not a prefix of `bench-list`.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])

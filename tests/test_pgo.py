@@ -1,9 +1,9 @@
 """Minimum-coverage probe placement and tier engagement (§14).
 
-Probe placement (``REPRO_PGO_PROBES``) lowers the one-shot edges mode's
-charges while recovering the same edge profile.  The tests pin the
-reconstructed profiles, outputs, and abort sites against the flag-off
-run — including aborted runs and shared-origin fallbacks — prove the
+Probe placement lowers the one-shot edges mode's charges while
+recovering the same edge profile.  The tests pin the reconstructed
+profiles, outputs, and abort sites against a full-placement reference
+image — including aborted runs and shared-origin fallbacks — prove the
 placement actually engages (a parity test over code that never ran the
 new path is vacuous), and that adaptive runs never place a probe.
 """
@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adaptive.baseline import compile_baseline
+from repro.adaptive.optimizing import optimize_method
 from repro.adaptive.replay import (
+    ReplayImage,
     record_advice,
     replay_compile,
     run_iteration_with_vm,
 )
 from repro.errors import FuelExhaustedError
-from repro.util import flags
 from repro.vm import pgo
+from repro.workloads.suite import get_workload
 
 from tests.helpers import (
     call_program,
@@ -29,27 +32,6 @@ from tests.helpers import (
     small_adaptive_run,
     vm_digest,
 )
-
-pytestmark = pytest.mark.usefixtures("_isolated")
-
-
-@pytest.fixture()
-def _isolated(monkeypatch):
-    monkeypatch.setattr(flags, "PGO_PROBES", None)
-
-
-# -- flag resolution ---------------------------------------------------------
-
-
-def test_probes_flag_resolution(monkeypatch):
-    monkeypatch.delenv(flags.PGO_PROBES_ENV, raising=False)
-    assert flags.pgo_probes_enabled() is True  # default on
-    monkeypatch.setenv(flags.PGO_PROBES_ENV, "0")
-    assert flags.pgo_probes_enabled() is False
-    # The module pin beats the environment; an explicit argument wins.
-    monkeypatch.setattr(flags, "PGO_PROBES", True)
-    assert flags.pgo_probes_enabled() is True
-    assert flags.pgo_probes_enabled(False) is False
 
 
 # -- minimum-coverage probe placement ----------------------------------------
@@ -85,17 +67,37 @@ def test_apply_min_coverage_sets_per_arm_masks():
     assert probed_bits == plan.probes
 
 
-def _edges_image(program, probes, level=None):
-    old = flags.PGO_PROBES
-    flags.PGO_PROBES = probes
-    try:
-        advice = record_advice(program, tick_interval=400.0)
-        if level is not None:
-            advice.levels = {name: level for name in advice.levels}
-        image = replay_compile(program, advice, instrumentation="edges")
-    finally:
-        flags.PGO_PROBES = old
-    return image
+def _edges_images(program, level=None):
+    """The replayed edges image and its full-placement reference.
+
+    The reference compiles every method the way ``replay_compile``'s
+    shared-origin fallback does: ``min_coverage=False``, so each branch
+    counts every arm.
+    """
+    advice = record_advice(program, tick_interval=400.0)
+    if level is not None:
+        advice.levels = {name: level for name in advice.levels}
+    probed = replay_compile(program, advice, instrumentation="edges")
+    code = {}
+    for method in program.iter_methods():
+        method_level = advice.levels[method.name]
+        if method_level is None:
+            code[method.name], _ = compile_baseline(
+                method, probed.costs, version=0
+            )
+        else:
+            code[method.name], _ = optimize_method(
+                method,
+                program,
+                method_level,
+                advice.onetime_profile,
+                probed.costs,
+                version=0,
+                instrumentation="edges",
+                min_coverage=False,
+            )
+    full = ReplayImage(code, program.main, probed.compile_cycles, probed.costs)
+    return probed, full
 
 
 def _edge_items(vm):
@@ -106,27 +108,39 @@ def _edge_items(vm):
     ))
 
 
+#: Programs whose edges images must place fewer probes than arms.
+_PROBE_PROGRAMS = {
+    "counting": lambda: counting_program(40),
+    "compress": lambda: get_workload("compress").build(1.0),
+}
+
+
 def test_probe_reconstruction_recovers_the_profile_for_fewer_charges():
-    program = counting_program(40)
-    on = _edges_image(program, probes=True)
-    off = _edges_image(program, probes=False)
-    planned = [cm for cm in on.code.values() if cm.probe_plan is not None]
-    assert planned, "no probe plan placed — test is vacuous"
-    assert all(p.probe_plan.probes < p.probe_plan.full_probes
-               for p in planned)
-    vm_on, res_on = run_iteration_with_vm(on)
-    vm_off, res_off = run_iteration_with_vm(off)
-    # The recoverable observables are bit-identical ...
-    assert _edge_items(vm_on) == _edge_items(vm_off)
-    assert sorted(vm_on.path_profile.items()) == sorted(
-        vm_off.path_profile.items()
-    )
-    assert (res_on.return_value, list(vm_on.output)) == (
-        res_off.return_value, list(vm_off.output)
-    )
-    # ... while the probed run charges strictly fewer edge_count costs
-    # (the minimum-coverage win this mode exists to measure).
-    assert res_on.cycles < res_off.cycles
+    for name, build in _PROBE_PROGRAMS.items():
+        on, off = _edges_images(build())
+        planned = [cm for cm in on.code.values() if cm.probe_plan is not None]
+        assert planned, f"{name}: no probe plan placed — test is vacuous"
+        assert all(p.probe_plan.probes <= p.probe_plan.full_probes
+                   for p in planned), name
+        # A plan may save nothing on its own method (compress's main
+        # places 2 of 2), but the image places fewer probes than the
+        # reference, which counts every arm.
+        placed = pgo.engagement_summary(on.code)["totals"]["probes_placed"]
+        full = pgo.engagement_summary(off.code)["totals"]["probes_placed"]
+        assert placed < full, name
+        vm_on, res_on = run_iteration_with_vm(on)
+        vm_off, res_off = run_iteration_with_vm(off)
+        # The recoverable observables are bit-identical ...
+        assert _edge_items(vm_on) == _edge_items(vm_off), name
+        assert sorted(vm_on.path_profile.items()) == sorted(
+            vm_off.path_profile.items()
+        ), name
+        assert (res_on.return_value, list(vm_on.output)) == (
+            res_off.return_value, list(vm_off.output)
+        ), name
+        # ... while the probed run charges strictly fewer edge_count
+        # costs (the minimum-coverage win this mode exists to measure).
+        assert res_on.cycles < res_off.cycles, name
 
 
 def test_probe_reconstruction_exact_on_aborted_runs():
@@ -136,8 +150,7 @@ def test_probe_reconstruction_exact_on_aborted_runs():
     from repro.vm.runtime import VirtualMachine
 
     digests = []
-    for probes in (True, False):
-        image = _edges_image(program, probes=probes)
+    for image in _edges_images(program):
         vm = VirtualMachine(dict(image.code), image.main, costs=image.costs)
         with pytest.raises(FuelExhaustedError) as info:
             vm.run(fuel=700)
@@ -158,14 +171,12 @@ def test_shared_origin_methods_fall_back_to_full_instrumentation():
     # reconstructions would double-book the shared origin's arms).
     program = call_program()
     # Force the optimizing tier: the static inliner runs at level>=1.
-    image = _edges_image(program, probes=True, level=2)
+    image, full = _edges_images(program, level=2)
     shared = pgo.shared_origin_fallbacks(image.code)
     assert "helper" in shared and "main" in shared
     assert all(cm.probe_plan is None for cm in image.code.values())
     vm_on, res_on = run_iteration_with_vm(image)
-    vm_off, res_off = run_iteration_with_vm(
-        _edges_image(program, probes=False, level=2)
-    )
+    vm_off, res_off = run_iteration_with_vm(full)
     assert _edge_items(vm_on) == _edge_items(vm_off)
     assert vm_digest(vm_on, res_on) == vm_digest(vm_off, res_off)
 
@@ -187,12 +198,11 @@ def test_engagement_summary_counts_the_tiers():
 # -- adaptive runs -------------------------------------------------------------
 
 
-def test_adaptive_run_places_no_probes(monkeypatch):
-    # Placement exists only in the one-shot edges pipeline, so adaptive
-    # digests cannot depend on the flag: with it on, nothing is placed.
+def test_adaptive_run_places_no_probes():
+    # Placement exists only in the one-shot edges pipeline: an adaptive
+    # run recompiles methods mid-run, so it places nothing.
     import repro.api as api
 
-    monkeypatch.setattr(flags, "PGO_PROBES", True)
     report = api.profile_adaptive(
         hot_helper_program(), samples=16, stride=3, ticks=100
     )
