@@ -7,9 +7,9 @@ operands are constant-folded into the text, registers become function
 locals, trap guards are inlined with their exact messages and locations,
 and PEP path-register adds / yieldpoint checks are baked in at their
 exact positions.  The source is generated once per method, each of its
-functions is ``compile()``-d at its first call, and the run loop becomes
-region-level dispatch: call the region closure, follow the returned
-successor closure.
+functions is ``compile()``-d once it has been entered often enough to
+pay for it, and the run loop becomes region-level dispatch: call the
+region closure, follow the returned successor closure.
 
 Only the hot path is inlined.  The two cold exits every block can
 take live out of line in module helpers bound into each method's
@@ -77,15 +77,23 @@ successor root (for a call, its resume root, less the register the
 return writes).  Returns and traps write nothing back; the frame is
 dead.
 
-Compilation at first entry
---------------------------
+Tiered regions
+--------------
 :func:`ensure_jit` binds every root name to a *placeholder*
-(:func:`placeholder`): a function over one shared template code object
-whose first call compiles the real region, binds it in the namespace
-and the entry table, and runs it.  A region that is never entered is
-never compiled.  A placeholder called after its name was bound
-(through a reference taken before its first call) forwards to the
-current binding and compiles nothing.
+(:func:`placeholder`): a function over one shared template code object.
+For its first :data:`COLD_ENTRIES` calls it runs the region on the
+tuple interpreter's op loop (:func:`repro.vm.interpreter.run_blocks`),
+from the root up to the next call, return or jump to a root, and
+returns what the compiled region would.  Its next call compiles the
+real region, binds it in the namespace and the entry table, and runs
+it.  A region entered at most :data:`COLD_ENTRIES` times is never
+compiled; a loop region, whose root is re-entered on every cold
+iteration, compiles after that many iterations.  The op loop yields
+through ``vm.dispatch_yieldpoint``, which does not maintain the
+countdown gate, so each cold run re-derives ``st.gate`` for the
+compiled regions after it.  A placeholder called after its name was
+bound (through a reference taken before that) forwards to the current
+binding and compiles nothing.
 
 Sharing compiled code
 ---------------------
@@ -127,18 +135,17 @@ from repro.vm.interpreter import (
     T_BR,
     T_JMP,
     T_RET,
+    _CALL,
     _MAX_ARRAY,
     CompiledMethod,
     Frame,
+    JitState,
     LoweredBlock,
     _trap,
+    run_blocks,
 )
 
 ENV_DISABLE = "REPRO_BLOCKJIT"
-
-#: Sentinel a region returns after pushing a callee frame; the driver
-#: switches to the new frame's entry root.
-_CALL = object()
 
 #: Deepest a region nests a block under branch arms; the next block
 #: down starts a new root.  CPython's tokenizer rejects more than 100
@@ -147,6 +154,13 @@ _CALL = object()
 #: value is part of the generated code's shape (it decides the roots),
 #: so it stays fixed.
 MAX_REGION_DEPTH = 32
+
+#: Entries a region runs on the tuple interpreter's block loop
+#: (:func:`repro.vm.interpreter.run_blocks`) before it is compiled: its
+#: placeholder compiles it at entry ``COLD_ENTRIES + 1``.  Most regions
+#: of a short program never get that far (DESIGN.md §9); 0 compiles each
+#: region at its first entry.
+COLD_ENTRIES = 16
 
 #: Countdown-yieldpoint gate value while the flag is up: every armed
 #: yieldpoint must reach the dispatcher until the burst drains; while
@@ -490,7 +504,10 @@ class _Region:
 
     Exits record where their writebacks go instead of emitting them;
     :meth:`render` fills each with the written registers live into that
-    exit's successor, and binds those a path left unbound.
+    exit's successor, and binds those a path left unbound.  ``open``
+    holds the slots whose ``if`` is being emitted, innermost last, and
+    ``loads`` each load emitted under one, with those slots: a load that
+    one of them also makes is redundant, and :meth:`render` drops it.
     """
 
     def __init__(self, name: str, root: Optional[str], fixed: bool, loop: bool):
@@ -505,6 +522,9 @@ class _Region:
         self.wb = 0
         self.split = 0
         self.slot_of: Dict[int, _Preload] = {}
+        self.open: List[_Preload] = []
+        # (body index, register bit, enclosing open slots) per load
+        self.loads: List[Tuple[int, int, Tuple[_Preload, ...]]] = []
         self.uses = 0
         self.carried = 0
         self.indent = 1 if loop else 0
@@ -525,6 +545,8 @@ class _Region:
             elif self.split & bit:  # written on another path: preload it
                 self.slot_of[reg].bits |= bit
             else:
+                if self.open:
+                    self.loads.append((len(self.body), bit, tuple(self.open)))
                 self.body.append("    " * (1 + self.indent) + f"r{reg} = regs[{reg}]")
             self.split &= ~bit
         return f"r{reg}"
@@ -601,6 +623,7 @@ class _Region:
             dirty &= d
             wb |= w
         split = wb & ~bound
+        self.open.pop()
         for reg in _bits(split & ~self.wb):  # clean before the ``if``
             self.slot_of[reg] = slot
         self.bound = bound
@@ -616,9 +639,11 @@ class _Region:
         self.emit("continue")
 
     def slot(self) -> _Preload:
-        """A preload slot at this point of the body."""
+        """A preload slot at this point of the body, open until
+        :meth:`merge` takes it."""
         slot = _Preload("    " * (1 + self.indent))
         self.marks.append((len(self.body), slot))
+        self.open.append(slot)
         return slot
 
     def exit_writebacks(self, succ: str, kill: int = 0) -> None:
@@ -650,6 +675,14 @@ class _Region:
             lines.extend(f"    r{reg} = regs[{reg}]" for reg in _bits(hoist))
             lines.append("    while True:")
         body = self.body
+        if self.loads:
+            # Nothing writes the register or ``regs`` between a slot and
+            # a load under it that reads the same register: the load
+            # runs only where the path has not bound it.
+            body = list(body)
+            for at, bit, slots in self.loads:
+                if any(slot.bits & bit for slot in slots):
+                    body[at] = None
         start = 0
         outs = iter(stores)
         for at, mark in self.marks:
@@ -662,7 +695,7 @@ class _Region:
             else:
                 lines.extend(mark.lines())
         lines.extend(body[start:])
-        return "\n".join(lines) + "\n"
+        return "\n".join(line for line in lines if line is not None) + "\n"
 
 
 def _live_in(regions: List[_Region]) -> Dict[str, int]:
@@ -1045,7 +1078,7 @@ def _stub_code() -> CodeType:
     def _stub(vm, frame, regs, st):
         current = stub.__globals__[stub.__name__]
         if current is stub:
-            current = fill(stub)
+            return fill(stub, vm, frame, regs, st)
         return current(vm, frame, regs, st)
 
     return _stub.__code__
@@ -1060,11 +1093,12 @@ def placeholder(ns: dict, name: str, fill) -> FunctionType:
     """A region-signature function for ``ns[name]`` that compiles late.
 
     Each call looks ``name`` up in ``ns``.  While the name is still
-    bound to this placeholder, ``fill(placeholder)`` compiles and binds
-    the real function and returns it; otherwise the current binding (the
-    function an earlier fill bound) runs and nothing compiles.
-    ``__globals__`` is ``ns``, so callers that find a method's namespace
-    through its entry table keep working.
+    bound to this placeholder, ``fill(placeholder, vm, frame, regs,
+    st)`` runs the region (cold, or by compiling and binding the real
+    function) and returns what the region returns; otherwise the
+    current binding (the function an earlier fill bound) runs and
+    nothing compiles.  ``__globals__`` is ``ns``, so callers that find a
+    method's namespace through its entry table keep working.
     """
     cells = {"fill": CellType(fill), "stub": CellType()}
     stub = FunctionType(
@@ -1086,16 +1120,42 @@ def _segment_text(source: str, name: str) -> str:
 
 
 class _SegmentFill:
-    """Compiles one method namespace's regions at their first calls."""
+    """Runs one method namespace's regions cold, then compiles them.
 
-    __slots__ = ("source", "entries", "keys")
+    The first :data:`COLD_ENTRIES` calls of a region's placeholder run
+    its blocks on the tuple interpreter's loop, from its root up to the
+    next call, return or jump to a root (``stops``: the labels of the
+    method's ip-0 roots), and return what the compiled region would: the
+    ``_CALL`` sentinel, None, or the entry of the root jumped to.  The
+    next call compiles and binds the region, then runs it.
+    """
 
-    def __init__(self, source: str, entries: dict) -> None:
+    __slots__ = ("source", "entries", "roots", "stops", "runs")
+
+    def __init__(self, source: str, entries: dict, stops) -> None:
         self.source = source
         self.entries = entries
-        self.keys: Dict[str, Tuple[str, int]] = {}  # name -> entry key
+        self.roots: Dict[str, Tuple[LoweredBlock, int]] = {}  # name -> root
+        self.stops = stops
+        self.runs: Dict[str, int] = {}  # name -> cold entries so far
 
-    def __call__(self, stub: FunctionType) -> FunctionType:
+    def __call__(self, stub: FunctionType, vm, frame, regs, st):
+        name = stub.__name__
+        runs = self.runs.get(name, 0)
+        if runs < COLD_ENTRIES:
+            self.runs[name] = runs + 1
+            block, ip = self.roots[name]
+            nxt = run_blocks(vm, frame, st, block, ip, self.stops)
+            # The loop yields through vm.dispatch_yieldpoint, which
+            # leaves the countdown gate of compiled regions as it was.
+            st.gate = _NEG_INF if vm.flag else vm.next_tick
+            if nxt is None or nxt is _CALL:
+                return nxt
+            return self.entries[(nxt.label, 0)]
+        return self.promote(stub)(vm, frame, regs, st)
+
+    def promote(self, stub: FunctionType) -> FunctionType:
+        """Compile and bind the region ``stub`` stands for."""
         name = stub.__name__
         codes = _SEGMENT_CODE.get(self.source)
         if codes is None:
@@ -1110,7 +1170,8 @@ class _SegmentFill:
             codes[name] = code
         fn = FunctionType(code, stub.__globals__, name)
         stub.__globals__[name] = fn
-        self.entries[self.keys[name]] = fn
+        block, ip = self.roots[name]
+        self.entries[(block.label, ip)] = fn
         return fn
 
 
@@ -1119,9 +1180,10 @@ def ensure_jit(cm: CompiledMethod) -> dict:
 
     The table maps each region root ``(label, ip)`` to its function.
     The whole source is generated here, because ``_SEGMENT_CODE`` keys
-    compiled regions on it; each region compiles at its first call.
-    Regions whose code the memo already holds are bound as real
-    functions at once; the rest get placeholders.
+    compiled regions on it; each region runs cold, then compiles at
+    call ``COLD_ENTRIES + 1``.  Regions whose code the memo already
+    holds are bound as real functions at once; the rest get
+    placeholders.
     """
     entries = cm.jit_entries
     if entries is not None:
@@ -1142,8 +1204,9 @@ def ensure_jit(cm: CompiledMethod) -> dict:
             fn = FunctionType(code, ns, name)
         else:
             if fill is None:
-                fill = _SegmentFill(source, entries)
-            fill.keys[name] = (block.label, ip)
+                stops = frozenset(b.label for _, b, i in cg.roots if not i)
+                fill = _SegmentFill(source, entries, stops)
+            fill.roots[name] = (block, ip)
             fn = placeholder(ns, name, fill)
         ns[name] = fn
         entries[(block.label, ip)] = fn
@@ -1154,33 +1217,14 @@ def ensure_jit(cm: CompiledMethod) -> dict:
 # -- the driver -------------------------------------------------------------
 
 
-class JitState:
-    """Mutable scalars threaded through region calls.
-
-    Hot per-op traffic stays in region-function locals; this object is
-    only touched at region boundaries (and at yieldpoints for
-    ``path_reg``).
-    """
-
-    __slots__ = ("cyc", "fuel", "path_reg", "ret_value", "gate")
-
-    def __init__(self, fuel: int) -> None:
-        self.cyc = 0.0
-        self.fuel = fuel
-        self.path_reg = 0
-        self.ret_value = 0
-        # Countdown-yieldpoint trigger threshold (see
-        # :func:`emit_yieldpoint` and :func:`yieldpoint_slow`).
-        self.gate = _NEG_INF
-
-
 def execute_blockjit(vm, fuel: int) -> int:
     """Block-dispatch twin of :func:`repro.vm.interpreter.execute`.
 
     Methods are jitted lazily at first entry — the adaptive system swaps
     recompiled methods into ``vm.code`` mid-run, and callee lookup stays
     dynamic, so a method may first be reached long after the run starts.
-    Regions compile later still, at their own first calls.
+    Regions compile later still, after their first ``COLD_ENTRIES``
+    calls have run on the interpreter's block loop.
     """
     code = vm.code
     main_cm = code.get(vm.main)

@@ -5,10 +5,14 @@ basic blocks lowered to tuples with direct successor references (no label
 lookups at run time) and per-op virtual-cycle costs baked in, including
 the tier multiplier (baseline code runs ~3x slower than optimized code).
 
-The interpreter itself lives in :func:`execute`; it is deliberately a
-single flat loop over tuple-encoded ops — the fastest shape available in
-pure Python — and it is the oracle every generated-code tier must
-reproduce bit for bit (cycles, profiles, traps, fuel).
+The interpreter's op loop is :func:`run_blocks`: one flat loop over
+tuple-encoded ops — the fastest shape available in pure Python — that
+runs one frame until a guest call, a guest return or a jump into one of
+a given set of blocks.  :func:`execute` drives it frame by frame, and is
+the oracle every generated-code tier must reproduce bit for bit (cycles,
+profiles, traps, fuel).  Blockjit drives the same loop for the regions
+it has not compiled yet, so the op semantics live in two places: here
+and in blockjit's code generator.
 """
 
 from __future__ import annotations
@@ -340,26 +344,43 @@ class Frame:
         self.ret_dst: Optional[int] = None
 
 
+class JitState:
+    """Mutable scalars a driver threads through region calls and
+    :func:`run_blocks`.
+
+    Hot per-op traffic stays in locals; this object is only touched at
+    region boundaries (and, in generated code, at yieldpoints for
+    ``path_reg``).
+    """
+
+    __slots__ = ("cyc", "fuel", "path_reg", "ret_value", "gate")
+
+    def __init__(self, fuel: int) -> None:
+        self.cyc = 0.0
+        self.fuel = fuel
+        self.path_reg = 0
+        self.ret_value = 0
+        # Countdown-yieldpoint trigger threshold of generated code
+        # (repro.vm.blockjit.emit_yieldpoint); run_blocks ignores it.
+        self.gate = float("-inf")
+
+
+#: What :func:`run_blocks` (and a blockjit region) returns after pushing
+#: a callee frame; the driver switches to the new frame's entry.
+_CALL = object()
+
+#: ``stops`` of a run that leaves its block loop only at calls and returns.
+_NO_STOPS = frozenset()
+
+
 def execute(vm, fuel: int) -> int:
     """Run the VM's main method to completion; returns its return value.
 
-    ``vm`` is a :class:`repro.vm.runtime.VirtualMachine`; this function is
-    split out so the hot loop has no ``self.`` lookups on its fast paths.
+    ``vm`` is a :class:`repro.vm.runtime.VirtualMachine`.  The ops run in
+    :func:`run_blocks`; this driver only switches frames at guest calls
+    and returns.
     """
-    code = vm.code
-    output = vm.output
-    edge_profile = vm.edge_profile
-    path_profile = vm.path_profile
-    # Hoist per-op attribute lookups out of the dispatch loop: bound
-    # methods and module globals become locals (LOAD_FAST) on every
-    # iteration instead of attribute/global lookups.
-    code_get = code.get
-    out_append = output.append
-    edge_record = edge_profile.record
-    path_record = path_profile.record
-    binop = _binop
-
-    main_cm = code.get(vm.main)
+    main_cm = vm.code.get(vm.main)
     if main_cm is None:
         raise VMError(f"no compiled method for main {vm.main!r}")
 
@@ -368,12 +389,50 @@ def execute(vm, fuel: int) -> int:
     # Expose the live stack so the yieldpoint handler can walk it (the
     # dynamic call graph sampling of paper section 4.1).
     vm.guest_stack = stack
-    cm = main_cm
-    regs = frame.regs
-    block = cm.entry
+    st = JitState(fuel)
+    block = main_cm.entry
     ip = 0
-    path_reg = 0
-    cyc = 0.0
+    call = _CALL
+    while True:
+        if run_blocks(vm, frame, st, block, ip, _NO_STOPS) is call:
+            # Fresh frames start at (entry, 0) with path_reg 0.
+            frame = stack[-1]
+            block = frame.block
+            ip = 0
+            st.path_reg = 0
+            continue
+        value = st.ret_value
+        stack.pop()
+        if not stack:
+            vm.cycles += st.cyc
+            return value
+        dst = frame.ret_dst
+        frame = stack[-1]
+        if dst is not None:
+            frame.regs[dst] = value
+        block = frame.block
+        ip = frame.ip
+        st.path_reg = frame.path_reg
+
+
+def run_blocks(vm, frame: Frame, st: JitState, block: LoweredBlock, ip: int,
+               stops) -> object:
+    """Run ``frame`` from ``block`` at ``ip`` on the tuple op loop.
+
+    Runs until a guest call, which pushes the callee's frame on
+    ``vm.guest_stack`` and returns ``_CALL``; a guest return, which puts
+    the value in ``st.ret_value`` and returns None (the driver pops the
+    frame); or a jump or branch into a block whose label is in
+    ``stops``, which returns that block.  ``st`` carries ``cyc``,
+    ``fuel`` and ``path_reg`` in and out; the path register the driver
+    replaces at a call or a return is not stored.
+    """
+    cm = frame.cm
+    regs = frame.regs
+    binop = _binop
+    cyc = st.cyc
+    fuel = st.fuel
+    path_reg = st.path_reg
 
     try:
         while True:
@@ -390,8 +449,6 @@ def execute(vm, fuel: int) -> int:
                     cycles=vm.cycles,
                 )
             i = ip
-            ip = 0
-            transferred = False
             while i < n:
                 op = ops[i]
                 i += 1
@@ -439,7 +496,7 @@ def execute(vm, fuel: int) -> int:
                         _trap(vm, cyc, cm, f"array index {idx} out of range", block.label, i - 1)
                     arr[idx] = regs[op[4]]
                 elif c == OP_CALL:
-                    callee = code_get(op[3])
+                    callee = vm.code.get(op[3])
                     if callee is None:
                         _trap(vm, cyc, cm, f"call to unknown method {op[3]!r}", block.label, i - 1)
                     frame.block = block
@@ -451,21 +508,17 @@ def execute(vm, fuel: int) -> int:
                     for pos in range(len(args)):
                         new_regs[pos] = regs[args[pos]]
                     new_frame.ret_dst = op[2]
+                    stack = vm.guest_stack
                     stack.append(new_frame)
                     if len(stack) > vm.max_stack_depth:
                         _trap(vm, cyc, cm, "guest stack overflow", block.label, i - 1)
-                    frame = new_frame
-                    cm = callee
-                    regs = new_regs
-                    block = callee.entry
-                    ip = 0
-                    path_reg = 0
-                    transferred = True
-                    break
+                    st.cyc = cyc
+                    st.fuel = fuel
+                    return _CALL
                 elif c == OP_EMIT:
-                    out_append(regs[op[2]])
+                    vm.output.append(regs[op[2]])
                 elif c == OP_PATHCOUNT:
-                    path_record(cm.profile_key, path_reg)
+                    vm.path_profile.record(cm.profile_key, path_reg)
                     vm.path_count_updates += 1
                 elif c == OP_NEWARR:
                     size = regs[op[3]]
@@ -483,8 +536,6 @@ def execute(vm, fuel: int) -> int:
                     regs[op[2]] = len(arr)
                 else:  # pragma: no cover - lowering emits only known codes
                     _trap(vm, cyc, cm, f"unknown opcode {c}", block.label, i - 1)
-            if transferred:
-                continue
 
             term = block.term
             t = term[0]
@@ -511,27 +562,23 @@ def execute(vm, fuel: int) -> int:
                 # mask (bit 0 = taken, bit 1 = not-taken; 3 = classic
                 # full instrumentation, 0 = none).
                 if term[10] & (1 if taken else 2):
-                    edge_record(term[9], taken)
+                    vm.edge_profile.record(term[9], taken)
                     cyc += term[11]
                 block = term[5] if taken else term[6]
             elif t == T_JMP:
                 block = term[2]
             else:  # T_RET
                 src = term[2]
-                value = regs[src] if src is not None else 0
-                stack.pop()
-                if not stack:
-                    vm.cycles += cyc
-                    return value
-                dst = frame.ret_dst
-                frame = stack[-1]
-                cm = frame.cm
-                regs = frame.regs
-                block = frame.block
-                ip = frame.ip
-                path_reg = frame.path_reg
-                if dst is not None:
-                    regs[dst] = value
+                st.ret_value = regs[src] if src is not None else 0
+                st.cyc = cyc
+                st.fuel = fuel
+                return None
+            ip = 0
+            if block.label in stops:
+                st.cyc = cyc
+                st.fuel = fuel
+                st.path_reg = path_reg
+                return block
 
     except GuestTrapError as trap:
         if trap.block is not None or trap.method is None:
@@ -546,6 +593,7 @@ def execute(vm, fuel: int) -> int:
             instruction_index=i - 1,
             cycles=vm.cycles,
         ) from None
+
 
 def _binop(k: int, a, b, cm, vm):
     """Evaluate binop kind ``k``; split out keeps the main loop readable."""

@@ -156,11 +156,12 @@ def apply_min_coverage(method: Method) -> Optional[ProbePlan]:
     bit 1 = not-taken; see ``interpreter._arm_mask``) so lowering and
     every codegen backend charge/record only the probed arms.  Returns
     the plan (to be attached as ``cm.probe_plan`` for drain-time
-    reconstruction) or None when the method is ineligible — the caller
-    falls back to classic full instrumentation.
+    reconstruction) or None, touching no branch, when the method is
+    ineligible or the plan probes every arm (it would save no charge) —
+    the caller falls back to classic full instrumentation.
     """
     plan = plan_min_coverage(method)
-    if plan is None:
+    if plan is None or plan.probes == plan.full_probes:
         return None
     masks: Dict[str, int] = {}
     for edge in plan.edges:

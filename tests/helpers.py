@@ -12,9 +12,13 @@ from repro.bytecode.method import Method, Program
 from repro.persist import edge_profile_to_dict, path_profile_to_dict, payload_checksum
 from repro.resilience import FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import SamplingConfig
+from repro.vm import blockjit
 from repro.vm.costs import CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import GeneratorSpec
+
+#: Blockjit's shipped compile threshold, read before any test pins it.
+COLD_ENTRIES = blockjit.COLD_ENTRIES
 
 #: The generated-corpus program shape the parity tests draw seeds from.
 CORPUS_SPEC = GeneratorSpec(

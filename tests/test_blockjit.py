@@ -5,6 +5,12 @@ same return values, same outputs, same exact
 virtual cycles, same path/edge profiles, same traps with the same
 locations and cycle counts — across every bundled workload and under
 fault injection.
+
+Every test here compiles each region at its first entry
+(``compile_at_first_entry``), so short programs run generated code.
+The ``_tiered`` twins and the cold-region tests run at the shipped
+threshold, where regions start on the tuple interpreter's block loop
+and compile later.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from repro.workloads.suite import benchmark_suite
 
 from tests.compile_util import compile_simple
 from tests.helpers import call_program, counting_program
+
+pytestmark = pytest.mark.usefixtures("compile_at_first_entry")
 
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 
@@ -254,6 +262,74 @@ def test_fuel_exhaustion_parity_on_call_resume():
     assert max(indices) > 0
 
 
+def _is_placeholder(fn) -> bool:
+    return fn.__code__ is blockjit._STUB_CODE
+
+
+@pytest.mark.parametrize("kind", ["div", "index", "badcall"])
+def test_trap_parity_in_cold_region(kind, tiered):
+    test_trap_parity_exact(kind)
+    # The trap ran on the block loop: main's only region never compiled.
+    code = compile_simple(_trap_program(kind))
+    code.pop("missing", None)
+    with pytest.raises(GuestTrapError):
+        VirtualMachine(code, "main", blockjit=True).run()
+    assert all(_is_placeholder(fn) for fn in code["main"].jit_entries.values())
+
+
+def test_stack_overflow_parity_in_cold_region(tiered):
+    # main recurses into itself; at a depth below the threshold the
+    # overflow traps before main's entry region is ever compiled.
+    depth = blockjit.COLD_ENTRIES - 4
+    pb = ProgramBuilder("rec")
+    f = pb.function("main")
+    f.ret(f.call("main"))
+    program = pb.build()
+    costs = CostModel()
+    seen = []
+    for bj in (False, True):
+        code = compile_simple(program, costs=costs)
+        vm = VirtualMachine(
+            code, program.main, costs=costs, max_stack_depth=depth, blockjit=bj
+        )
+        with pytest.raises(GuestTrapError) as info:
+            vm.run()
+        trap = info.value
+        seen.append((str(trap), trap.block, trap.instruction_index, trap.cycles))
+    assert "guest stack overflow" in seen[0][0]
+    assert seen[0] == seen[1]
+    assert all(_is_placeholder(fn) for fn in code["main"].jit_entries.values())
+
+
+def test_fuel_exhaustion_parity_across_promotion(tiered):
+    # Every budget up to the one that completes counting_program's loop:
+    # fuel runs out on the block loop, at the entry that compiles the
+    # loop region, and in the compiled region after it.
+    program = counting_program(2 * blockjit.COLD_ENTRIES)
+    costs = CostModel()
+    fuel = 0
+    while True:
+        fuel += 1
+        code = compile_simple(program, costs=costs)
+        seen = []
+        for bj in (False, True):
+            vm = VirtualMachine(code, program.main, costs=costs, blockjit=bj)
+            try:
+                res = vm.run(fuel=fuel)
+            except FuelExhaustedError as err:
+                seen.append(
+                    (str(err), err.block, err.instruction_index, err.cycles)
+                )
+            else:
+                seen.append((res.return_value, vm.output, res.cycles))
+        assert seen[0] == seen[1], fuel
+        if len(seen[1]) == 3:  # the run completed
+            break
+    entries = code["main"].jit_entries.values()
+    assert any(_is_placeholder(fn) for fn in entries)
+    assert not all(_is_placeholder(fn) for fn in entries)
+
+
 # -- live-only writebacks ----------------------------------------------------
 
 
@@ -331,8 +407,9 @@ def test_writebacks_only_for_live_registers():
     assert "regs[2] =" not in source
     assert "regs[1] = r1" in joined and "regs[0] = r0" in joined
     # r1 is clean on the not-taken arm, so it is loaded before the `if`
-    # for that exit to store.
+    # for that exit to store, and `left` reads that load.
     assert resume.index("r1 = regs[1]") < resume.index("    if r5 < r7:")
+    assert resume.count("r1 = regs[1]") == 1
 
 
 @pytest.mark.parametrize("mode", [None, "pep", "edges"])
@@ -436,6 +513,11 @@ def test_deep_branch_ladder_parity(mode):
         for line in generate_source(cm).splitlines()
     ) // 4
     assert blockjit.MAX_REGION_DEPTH < depth <= blockjit.MAX_REGION_DEPTH + 3
+
+
+@pytest.mark.parametrize("mode", [None, "pep"])
+def test_deep_branch_ladder_parity_tiered(mode, tiered):
+    test_deep_branch_ladder_parity(mode)
 
 
 def _expected_roots(cm) -> list:
@@ -797,6 +879,11 @@ def test_workload_digest_equivalence(workload, monkeypatch):
     assert on == off
 
 
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_workload_digest_equivalence_tiered(workload, monkeypatch, tiered):
+    test_workload_digest_equivalence(workload, monkeypatch)
+
+
 # -- adaptive system and fault injection ------------------------------------
 
 
@@ -842,15 +929,15 @@ def test_adaptive_run_with_an_irreducible_uninterruptible_callee(monkeypatch):
     assert on == off
 
 
-@pytest.mark.parametrize(
-    "plan_spec",
-    [
-        {"sample": 0.4},
-        {"opt-compile": 0.6},
-        {"path-reconstruct": 0.5, "path-table": 0.3},
-        {"sample": 0.3, "opt-compile": 0.3, "advice-load": 0.5},
-    ],
-)
+FAULT_PLANS = [
+    {"sample": 0.4},
+    {"opt-compile": 0.6},
+    {"path-reconstruct": 0.5, "path-table": 0.3},
+    {"sample": 0.3, "opt-compile": 0.3, "advice-load": 0.5},
+]
+
+
+@pytest.mark.parametrize("plan_spec", FAULT_PLANS)
 def test_fault_injection_parity(plan_spec, monkeypatch):
     # Every resilience site fires outside the per-op hot loop (samplers,
     # compilers, resolvers), so an identical fault sequence — and the
@@ -863,6 +950,11 @@ def test_fault_injection_parity(plan_spec, monkeypatch):
         program, monkeypatch, enabled=True, plan=FaultPlan(plan_spec, seed=11)
     )
     assert on == off
+
+
+@pytest.mark.parametrize("plan_spec", FAULT_PLANS)
+def test_fault_injection_parity_tiered(plan_spec, monkeypatch, tiered):
+    test_fault_injection_parity(plan_spec, monkeypatch)
 
 
 # -- the process-wide code memo ---------------------------------------------

@@ -1,30 +1,42 @@
-"""Generated code compiles at its first call, not when it is generated.
+"""Generated code runs cold first and compiles late.
 
 ``ensure_jit`` binds every blockjit region root to a placeholder
-(DESIGN.md §9).  These tests pin what that must and must not change:
+(DESIGN.md §9).  Its first ``COLD_ENTRIES`` calls run the region's
+blocks on the tuple interpreter's loop; the next call compiles the
+region.  These tests pin what that must and must not change:
 
-* a root that is never entered is never compiled;
-* a placeholder called after its first call filled it forwards to the
-  region it bound and compiles nothing;
+* a root entered at most ``COLD_ENTRIES`` times never reaches
+  ``compile()``, however often its neighbours run;
+* a loop that runs longer is promoted mid-run, compiles once and still
+  matches the oracle;
+* a tick taken on the block loop is sampled at the next compiled
+  yieldpoint, and a compiled yieldpoint leaves its fast path only when
+  a tick is due or the flag is up;
+* a placeholder called after its name was bound forwards to the region
+  it bound and compiles nothing;
 * a memo-warm ``ensure_jit`` binds real functions only;
 * adaptive runs of generated programs and of the curated workloads
-  match the tuple-interpreter oracle bit for bit.
+  match the tuple-interpreter oracle bit for bit, at the shipped
+  threshold and compiling at first entry.
 """
 
 import builtins
+from collections import Counter
 
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
+from repro.sampling.arnold_grove import make_sampler
 from repro.vm import blockjit
-from repro.vm.blockjit import JitState, ensure_jit
-from repro.vm.interpreter import Frame
+from repro.vm.blockjit import ensure_jit
+from repro.vm.interpreter import Frame, JitState
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import random_program
 from repro.workloads.suite import benchmark_suite, get_workload
 
 from tests.compile_util import compile_simple
 from tests.helpers import (
+    COLD_ENTRIES,
     CORPUS_SPEC,
     adaptive_run,
     call_program,
@@ -56,6 +68,20 @@ def compiled(monkeypatch):
 
     monkeypatch.setattr(builtins, "compile", spy)
     return sources
+
+
+@pytest.fixture
+def cold_runs(monkeypatch):
+    """Block-loop runs per root, keyed ``(method, label, ip)``."""
+    runs = Counter()
+    real = blockjit.run_blocks
+
+    def count(vm, frame, st, block, ip, stops):
+        runs[frame.cm.source_name, block.label, ip] += 1
+        return real(vm, frame, st, block, ip, stops)
+
+    monkeypatch.setattr(blockjit, "run_blocks", count)
+    return runs
 
 
 def _is_placeholder(fn) -> bool:
@@ -93,22 +119,51 @@ def _oracle(program):
     return _observe(program, compile_simple(program), False)
 
 
-def cold_arm_program():
-    """A loop whose ``i < 0`` arm never runs.
+def cold_arm_program(calls: int):
+    """A loop of ``calls`` iterations whose ``i < 0`` arm never runs.
 
     The arm is inlined in the loop's region, but it calls ``cold``, so
     its call-resume point is a root of its own that is never entered.
+    The other arm calls ``edge``, whose one root is entered ``calls``
+    times; the loop's header is entered once more.
     """
     pb = ProgramBuilder("coldarm")
     g = pb.function("cold", ["n"])
     g.ret(g.p("n") * 2)
+    e = pb.function("edge", ["n"])
+    e.ret(e.p("n") + 1)
     f = pb.function("main")
     total = f.local(0)
     f.for_range(
-        0, 12, 1,
+        0, calls, 1,
         lambda i: f.if_(
             i < 0,
             lambda: f.assign(total, total - f.call("cold", i)),
+            lambda: f.assign(total, total + f.call("edge", i)),
+        ),
+    )
+    f.emit(total)
+    f.ret(total)
+    return pb.build()
+
+
+def rare_call_program(iterations: int = 300, every: int = 20):
+    """A loop that calls ``rare`` on every ``every``-th iteration.
+
+    The loop compiles early; ``rare`` and the call's resume point are
+    entered fewer than ``COLD_ENTRIES`` times, so every call runs them
+    on the block loop between two stretches of compiled code.
+    """
+    pb = ProgramBuilder("rare")
+    r = pb.function("rare", ["n"])
+    r.ret(r.p("n") * 3 + 1)
+    f = pb.function("main")
+    total = f.local(0)
+    f.for_range(
+        0, iterations, 1,
+        lambda i: f.if_(
+            (i % every).eq(0),
+            lambda: f.assign(total, total + f.call("rare", i)),
             lambda: f.assign(total, total + i),
         ),
     )
@@ -120,28 +175,122 @@ def cold_arm_program():
 # -- blockjit regions --------------------------------------------------------
 
 
-def test_never_entered_segment_is_never_compiled(compiled):
-    program = cold_arm_program()
+def test_never_entered_segment_is_never_compiled(compiled, cold_runs):
+    # At the shipped threshold, a root entered at most COLD_ENTRIES
+    # times (never, once, or exactly COLD_ENTRIES) runs every entry on
+    # the block loop, and its text never reaches compile().
+    program = cold_arm_program(COLD_ENTRIES)
+    code = compile_simple(program)
+    assert _observe(program, code, True) == _oracle(program)
+    assert code["cold"].jit_entries is None  # never called
+    assert cold_runs["edge", code["edge"].entry.label, 0] == COLD_ENTRIES
+    cold = ran = 0
+    for name in ("main", "edge"):
+        cm = code[name]
+        memo = blockjit._SEGMENT_CODE.get(cm.jit_source, {})
+        for (label, ip), fn in cm.jit_entries.items():
+            text = blockjit._segment_text(cm.jit_source, fn.__name__)
+            runs = cold_runs[name, label, ip]
+            if _is_placeholder(fn):
+                # Still bound, and its text reached compile() neither
+                # alone nor inside the whole method source.
+                assert runs <= COLD_ENTRIES
+                assert fn.__globals__[fn.__name__] is fn
+                assert fn.__name__ not in memo
+                assert not any(text in src for src in compiled)
+                cold += runs == 0
+            else:
+                # The loop header: compiled once, at the entry after its
+                # last cold one.
+                assert runs == COLD_ENTRIES
+                assert fn.__code__ is memo[fn.__name__]
+                assert compiled.count(text) == 1
+                ran += 1
+    assert cold and ran == len(compiled) == 1
+
+
+def test_loop_is_promoted_mid_run_and_compiles_once(compiled, cold_runs):
+    program = counting_program(3 * COLD_ENTRIES)
     code = compile_simple(program)
     assert _observe(program, code, True) == _oracle(program)
     cm = code["main"]
-    cold = [fn for fn in cm.jit_entries.values() if _is_placeholder(fn)]
-    assert cold, "every root ran — test is vacuous"
-    memo = blockjit._SEGMENT_CODE[cm.jit_source]
+    (loop,) = blockjit.region_plan(cm).loops
+    fn = cm.jit_entries[(loop, 0)]
+    assert not _is_placeholder(fn)
+    # The first COLD_ENTRIES iterations entered the root on the block
+    # loop; the next compiled the region, whose ``while`` ran the rest.
+    assert cold_runs["main", loop, 0] == COLD_ENTRIES
+    assert compiled == [blockjit._segment_text(cm.jit_source, fn.__name__)]
+    assert _is_placeholder(cm.jit_entries[(cm.entry.label, 0)])
 
-    def text(fn):
-        return blockjit._segment_text(cm.jit_source, fn.__name__)
 
-    for fn in cold:
-        # Still bound, and its text reached compile() neither alone nor
-        # inside the whole method source.
-        assert fn.__globals__[fn.__name__] is fn
-        assert fn.__name__ not in memo
-        assert not any(text(fn) in src for src in compiled)
-    ran = [fn for fn in cm.jit_entries.values() if not _is_placeholder(fn)]
-    assert ran and all(fn.__code__ is memo[fn.__name__] for fn in ran)
-    # Each root compiled once, on its own.
-    assert sorted(compiled) == sorted(text(fn) for fn in ran)
+def test_cold_tick_is_sampled_at_next_compiled_yieldpoint(monkeypatch):
+    # rare_call_program under PEP(3,2) with ticks every 37 cycles: ticks
+    # land in rare's cold entry region, and the bursts they start go on
+    # in the compiled loop.  The block loop yields through
+    # vm.dispatch_yieldpoint, so each cold run leaves the countdown
+    # gate to be refreshed after it.
+    program = rare_call_program()
+    events = []
+    depth = [0]
+    real_run, real_slow = blockjit.run_blocks, blockjit.yieldpoint_slow
+
+    def cold(vm, frame, st, block, ip, stops):
+        up, ticks = vm.flag, vm.ticks
+        depth[0] += 1
+        try:
+            return real_run(vm, frame, st, block, ip, stops)
+        finally:
+            depth[0] -= 1
+            # Did the run see the flag up, and does it leave it down?
+            events.append(("cold", up or vm.ticks > ticks, vm.flag))
+
+    def slow(vm, cm, st, t, path_reg, flag):
+        events.append(("slow", t >= vm.next_tick or vm.flag, vm.flag))
+        return real_slow(vm, cm, st, t, path_reg, flag)
+
+    monkeypatch.setattr(blockjit, "run_blocks", cold)
+    monkeypatch.setattr(blockjit, "yieldpoint_slow", slow)
+    runs = []
+    for on in (True, False):
+        code = compile_simple(program, mode="pep")
+        vm = VirtualMachine(
+            code, program.main, tick_interval=37.0,
+            sampler=make_sampler(3, 2), blockjit=on,
+        )
+        if on:
+            tick, dispatch = vm.on_tick, vm.dispatch_yieldpoint
+
+            def on_tick():
+                events.append(("tick", depth[0] > 0, vm.flag))
+                tick()
+
+            def cold_yieldpoint(cm, path_reg, flag):
+                events.append(("yield", True, vm.flag))
+                return dispatch(cm, path_reg, flag)
+
+            vm.on_tick = on_tick
+            vm.dispatch_yieldpoint = cold_yieldpoint
+        result = vm.run()
+        runs.append((
+            result.cycles, result.ticks, result.samples_taken,
+            result.strides_skipped, sorted(vm.path_profile.items()),
+        ))
+    assert runs[0] == runs[1]
+    # A tick on the block loop whose burst the next yieldpoint after its
+    # own (the first to see the flag up) continues in compiled code.
+    handoffs = 0
+    for k, (kind, in_cold, _) in enumerate(events):
+        if kind == "tick" and in_cold:
+            later = [e for e in events[k + 1:] if e[0] in ("yield", "slow")]
+            handoffs += len(later) > 1 and later[1][0] == "slow"
+    assert handoffs
+    # Some cold run ends a burst or takes a tick and leaves the flag
+    # down, so the compiled gate it hands back must rise to next_tick.
+    assert any(up and not flag for kind, up, flag in events if kind == "cold")
+    # The gate is exact: a compiled yieldpoint takes its slow path only
+    # when a tick is due or the flag is up.
+    assert all(due for kind, due, _ in events if kind == "slow")
 
 
 def test_stale_placeholder_forwards_and_compiles_nothing(compiled):
@@ -152,20 +301,30 @@ def test_stale_placeholder_forwards_and_compiles_nothing(compiled):
     stale = ensure_jit(cm)[head]
     assert _is_placeholder(stale)
     first = _call_leaf(program, code, cm, stale, 3)
+    for _ in range(COLD_ENTRIES - 1):
+        assert _call_leaf(program, code, cm, stale, 3) == first
+    assert not compiled and cm.jit_entries[head] is stale
+    # The next call compiles the region and runs it.
+    assert _call_leaf(program, code, cm, stale, 3) == first
+    assert len(compiled) == 1
     filled = cm.jit_entries[head]
     assert not _is_placeholder(filled)
     assert stale.__globals__[stale.__name__] is filled
-    before = len(compiled)
+    # Called again through the old reference, it forwards.
     assert _call_leaf(program, code, cm, stale, 3) == first
-    assert len(compiled) == before
+    assert len(compiled) == 1
 
 
-def test_memo_warm_ensure_jit_binds_no_placeholders(compiled):
+def test_memo_warm_ensure_jit_binds_no_placeholders(compiled, monkeypatch):
+    # Warm the memo with every region of the method compiled ...
+    monkeypatch.setattr(blockjit, "COLD_ENTRIES", 0)
     program = counting_program(30)
     code = compile_simple(program)
     VirtualMachine(code, program.main, blockjit=True).run()
     cm = code["main"]
     assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
+    # ... and a twin binds them at once, skipping the block loop.
+    monkeypatch.setattr(blockjit, "COLD_ENTRIES", COLD_ENTRIES)
     twin = compile_simple(counting_program(30))["main"]
     assert twin.jit_source is None
     before = len(compiled)
@@ -198,3 +357,10 @@ def test_random_program_adaptive_oracle_parity(source, monkeypatch):
     oracle = adaptive_run(program, ticks, 3)
     for key in ORACLE_KEYS:
         assert jit[key] == oracle[key], key
+
+
+@pytest.mark.parametrize("source", ORACLE_PROGRAMS)
+def test_random_program_adaptive_oracle_parity_at_first_entry(
+    source, monkeypatch, compile_at_first_entry
+):
+    test_random_program_adaptive_oracle_parity(source, monkeypatch)

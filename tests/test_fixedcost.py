@@ -33,6 +33,9 @@ from repro.workloads.suite import benchmark_suite
 from tests.compile_util import compile_simple
 from tests.helpers import hot_helper_program, small_adaptive_run, vm_digest
 
+# The folding checked here is in generated code: compile every region.
+pytestmark = pytest.mark.usefixtures("compile_at_first_entry")
+
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 
 

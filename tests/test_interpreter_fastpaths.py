@@ -19,6 +19,9 @@ from repro.workloads.generator import GeneratorSpec, random_program
 from tests.compile_util import compile_simple, run_program
 from tests.helpers import counting_program
 
+# The gate checked here is in generated code: compile every region.
+pytestmark = pytest.mark.usefixtures("compile_at_first_entry")
+
 
 def _assert_identical(a, b):
     vm_a, res_a = a

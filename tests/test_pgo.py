@@ -22,6 +22,7 @@ from repro.adaptive.replay import (
 )
 from repro.errors import FuelExhaustedError
 from repro.vm import pgo
+from repro.vm.interpreter import T_BR
 from repro.workloads.suite import get_workload
 
 from tests.helpers import (
@@ -37,6 +38,28 @@ from tests.helpers import (
 # -- minimum-coverage probe placement ----------------------------------------
 
 
+def _spans_the_cfg(edges) -> bool:
+    """True when the unprobed ``edges`` are a spanning tree of the closed
+    CFG: |V| - 1 of them, closing no (undirected) cycle, touching every
+    node."""
+    nodes = {node for e in edges for node in (e.src, e.dst)}
+    tree = [e for e in edges if not e.probed]
+    parent = {node: node for node in nodes}
+
+    def find(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for e in tree:
+        a, b = find(e.src), find(e.dst)
+        if a == b:
+            return False
+        parent[a] = b
+    touched = {node for e in tree for node in (e.src, e.dst)}
+    return len(tree) == len(nodes) - 1 and touched == nodes
+
+
 def test_plan_min_coverage_spanning_tree_arithmetic():
     method = diamond_loop_method()
     plan = pgo.plan_min_coverage(method)
@@ -48,8 +71,16 @@ def test_plan_min_coverage_spanning_tree_arithmetic():
     # Knuth: |probes| = E - V + 1 over the closed CFG.
     assert plan.probes == len(plan.edges) - len(nodes) + 1
     assert plan.probes < plan.full_probes == len(arms)
-    # The unprobed edges (tree) are acyclic and span every node.
-    assert all(e.probed or e.kind == "arm" or True for e in plan.edges)
+    # The unprobed edges (tree) are acyclic and span every node ...
+    assert _spans_the_cfg(plan.edges)
+    # ... which no longer holds once one probed arm joins them.
+    flipped = next(e for e in plan.edges if e.probed)
+    edges = [
+        pgo.PlanEdge(e.src, e.dst, e.kind, e.origin, e.taken,
+                     e.probed and e is not flipped)
+        for e in plan.edges
+    ]
+    assert not _spans_the_cfg(edges)
 
 
 def test_apply_min_coverage_sets_per_arm_masks():
@@ -120,11 +151,10 @@ def test_probe_reconstruction_recovers_the_profile_for_fewer_charges():
         on, off = _edges_images(build())
         planned = [cm for cm in on.code.values() if cm.probe_plan is not None]
         assert planned, f"{name}: no probe plan placed — test is vacuous"
-        assert all(p.probe_plan.probes <= p.probe_plan.full_probes
+        # Every plan saves a probe: one that would place all of them is
+        # dropped for classic full instrumentation.
+        assert all(p.probe_plan.probes < p.probe_plan.full_probes
                    for p in planned), name
-        # A plan may save nothing on its own method (compress's main
-        # places 2 of 2), but the image places fewer probes than the
-        # reference, which counts every arm.
         placed = pgo.engagement_summary(on.code)["totals"]["probes_placed"]
         full = pgo.engagement_summary(off.code)["totals"]["probes_placed"]
         assert placed < full, name
@@ -141,6 +171,18 @@ def test_probe_reconstruction_recovers_the_profile_for_fewer_charges():
         # ... while the probed run charges strictly fewer edge_count
         # costs (the minimum-coverage win this mode exists to measure).
         assert res_on.cycles < res_off.cycles, name
+
+
+def test_plan_that_saves_nothing_is_dropped():
+    # compress's main has one branch, whose plan would probe both arms:
+    # main keeps classic full instrumentation and no plan.
+    on, _ = _edges_images(get_workload("compress").build(1.0))
+    main = on.code["main"]
+    assert main.probe_plan is None
+    masks = [b.term[10] for b in main.blocks.values() if b.term[0] == T_BR]
+    assert masks == [3]
+    totals = pgo.engagement_summary(on.code)["totals"]
+    assert totals["min_coverage_methods"] == 1
 
 
 def test_probe_reconstruction_exact_on_aborted_runs():
