@@ -58,9 +58,6 @@ class DagEdge:
         self.value = 0  # set by path numbering
         self.weight = 1.0  # estimated frequency, set before smart numbering
 
-    def is_dummy(self) -> bool:
-        return self.kind in (DUMMY_ENTRY, DUMMY_EXIT)
-
     def __repr__(self) -> str:
         return f"<{self.src}->{self.dst} {self.kind} val={self.value}>"
 

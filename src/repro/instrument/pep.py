@@ -38,7 +38,6 @@ from repro.bytecode.method import Method
 from repro.cfg.dag import DUMMY_ENTRY, DUMMY_EXIT, EXIT_EDGE, REAL, PDag
 from repro.cfg.graph import CFG
 from repro.cfg.loops import analyze_loops
-from repro.errors import InstrumentationError
 from repro.profiling.ballarus import assign_ball_larus_values
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.smart import assign_smart_values
@@ -229,13 +228,3 @@ def _instrument_exits(
         block.instrs[insert_at:insert_at] = additions
         result.adds_placed += 1 if value else 0
 
-
-def ensure_not_instrumented(method: Method) -> None:
-    """Guard against double application of PEP to one method."""
-    for block in method.iter_blocks():
-        for instr in block.instrs:
-            if isinstance(instr, (PepInit, PepAdd, PathCount)):
-                raise InstrumentationError(
-                    f"{method.name}: method already carries path "
-                    "instrumentation"
-                )

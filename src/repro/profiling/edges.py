@@ -13,25 +13,15 @@ slot.  The dict-shaped query/merge/clone API is unchanged — an
 the old list-of-two representation — and the slot indirection is what
 lets the buffered sampling datapath (DESIGN.md §10) turn a path's
 expansion into a precomputed integer slot array replayed with
-:meth:`record_slots`.
+:meth:`record_slots`, one plain loop per drained entry.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.bytecode.method import BranchRef
-
-try:  # Optional: accelerates batched slot updates, never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy-backed batch drain can run in this process."""
-    return _np is not None
 
 
 class EdgeProfile:
@@ -76,51 +66,6 @@ class EdgeProfile:
         arr = self._arr
         for slot in slots:
             arr[slot] += count
-
-    # Below this many slots a batch entry is cheaper to apply as a
-    # plain Python loop than to wrap in ndarray views: the NumPy path
-    # costs ~2us of fixed per-entry setup against ~0.1us per looped
-    # slot, so vectorization only pays off for wide entries (measured
-    # crossover ~20 slots; typical sample drains run 4-17).  The drain
-    # runs in the yieldpoint handler, outside any generated method body,
-    # so the codegen tier does not move the crossover.
-    NUMPY_MIN_SLOTS = 32
-
-    def record_slot_batches(
-        self, batches: Sequence[Tuple[Sequence[int], float]]
-    ) -> None:
-        """Apply many :meth:`record_slots` calls, vectorizing wide ones.
-
-        Entries narrower than :data:`NUMPY_MIN_SLOTS` are looped
-        directly; the rest are concatenated and applied as one
-        ``bincount`` add over the backing array.  Callers must finish
-        every :meth:`slot_for` allocation before calling: the float64
-        view over the backing array is taken once, and growing the
-        array would invalidate it.  Counts are integer-valued sample
-        tallies (well below 2**53), so the split and the vectorized
-        accumulation are exact and therefore bit-identical to the
-        sequential pure-Python reference loop regardless of order.
-        """
-        arr = self._arr
-        min_slots = self.NUMPY_MIN_SLOTS
-        idx_parts = []
-        count_parts = []
-        for slots, count in batches:
-            n = len(slots)
-            if n < min_slots:
-                for slot in slots:
-                    arr[slot] += count
-            else:
-                idx_parts.append(_np.frombuffer(slots, dtype=_np.int64))
-                count_parts.append(_np.full(n, count))
-        if not idx_parts:
-            return
-        view = _np.frombuffer(arr, dtype=_np.float64)
-        view += _np.bincount(
-            _np.concatenate(idx_parts),
-            weights=_np.concatenate(count_parts),
-            minlength=len(view),
-        )
 
     def merge(self, other: "EdgeProfile") -> None:
         arr_o = other._arr
@@ -207,18 +152,6 @@ class EdgeProfile:
             other._slots[branch] = len(other._arr)
             other._arr.append(arr[base + 1])
             other._arr.append(arr[base])
-        return other
-
-    def restricted_to(self, branches: Iterable[BranchRef]) -> "EdgeProfile":
-        """Profile containing only the given branches (for comparisons)."""
-        wanted = set(branches)
-        other = EdgeProfile()
-        arr = self._arr
-        for branch, base in self._slots.items():
-            if branch in wanted:
-                other._slots[branch] = len(other._arr)
-                other._arr.append(arr[base])
-                other._arr.append(arr[base + 1])
         return other
 
     def __repr__(self) -> str:

@@ -5,130 +5,52 @@ number (paper section 3.3); the full-instrumentation configurations update
 the same structure at every path end.  Path numbers are only meaningful
 together with the method's P-DAG, which the compiled-code registry keeps.
 
-Storage is hybrid (DESIGN.md §10): a method whose Ball-Larus ``num_paths``
-is known in advance (registered via :meth:`PathProfile.ensure_dense`) gets
-a dense ``array('q')`` counter table indexed by path number — the shape
-the paper's counter arrays have — while unregistered methods, methods
-above the size cap, and non-integral counts fall back to the original
-sparse dict.  Counts are integers in every recording path (increments of
-1), and integer-valued floats below 2**53 add exactly, so the two
-representations are value-identical: every query returns the same floats
-the dict representation returned, and digests cannot differ.
+Each method's table is one dict from path number to frequency
+(DESIGN.md §10), iterated in the order its paths were first recorded.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterator, List, Tuple, Union
-
-#: Methods with more Ball-Larus paths than this keep the sparse dict
-#: representation (a dense table would be allocation-bound, not faster).
-DENSE_PATH_CAP = 1 << 16
-
-_Table = Union[Dict[int, float], "array[int]"]
+from typing import Dict, Iterator, Tuple
 
 
 class PathProfile:
     """Nested counters: method name -> path number -> frequency."""
 
-    __slots__ = ("_counts", "_dense_sizes")
+    __slots__ = ("_counts",)
 
     def __init__(self) -> None:
-        self._counts: Dict[str, _Table] = {}
-        self._dense_sizes: Dict[str, int] = {}
-
-    def ensure_dense(self, method: str, num_paths: int) -> None:
-        """Register a method for dense counters (before its first record).
-
-        A no-op for oversized path spaces, unnumbered DAGs
-        (``num_paths == 0``), and methods that already have a (dict)
-        table — registration never changes existing counts.
-        """
-        if 0 < num_paths <= DENSE_PATH_CAP and method not in self._counts:
-            self._dense_sizes[method] = num_paths
+        self._counts: Dict[str, Dict[int, float]] = {}
 
     def record(self, method: str, path_number: int, count: float = 1.0) -> None:
         table = self._counts.get(method)
-        if type(table) is dict:
+        if table is not None:
             table[path_number] = table.get(path_number, 0.0) + count
-            return
-        if table is None:
-            size = self._dense_sizes.get(method)
-            if size is None:
-                self._counts[method] = {path_number: 0.0 + count}
-                return
-            table = array("q", bytes(8 * size))
-            self._counts[method] = table
-        if 0 <= path_number < len(table):
-            if count == 1.0:
-                table[path_number] += 1
-                return
-            try:
-                c = int(count)
-                if c == count and c != 0:
-                    table[path_number] += c
-                    return
-            except (OverflowError, ValueError):
-                pass
-        # Out-of-range path, zero, non-integral, or overflowing count:
-        # demote this method to the sparse dict, which represents all of
-        # those exactly as before dense tables existed.
-        self._demote(method)
-        self.record(method, path_number, count)
-
-    def _demote(self, method: str) -> None:
-        table = self._counts.get(method)
-        self._dense_sizes.pop(method, None)
-        if type(table) is dict or table is None:
-            return
-        self._counts[method] = {
-            number: float(value) for number, value in enumerate(table) if value
-        }
+        else:
+            self._counts[method] = {path_number: 0.0 + count}
 
     def frequency(self, method: str, path_number: int) -> float:
         table = self._counts.get(method)
         if table is None:
             return 0.0
-        if type(table) is dict:
-            return table.get(path_number, 0.0)
-        if 0 <= path_number < len(table):
-            return float(table[path_number])
-        return 0.0
+        return table.get(path_number, 0.0)
 
     def method_paths(self, method: str) -> Dict[int, float]:
-        table = self._counts.get(method)
-        if table is None:
-            return {}
-        if type(table) is dict:
-            return dict(table)
-        return {
-            number: float(value) for number, value in enumerate(table) if value
-        }
+        return dict(self._counts.get(method, {}))
 
     def methods(self) -> Iterator[str]:
         return iter(self._counts)
 
     def items(self) -> Iterator[Tuple[str, int, float]]:
         for method, table in self._counts.items():
-            if type(table) is dict:
-                for path_number, freq in table.items():
-                    yield method, path_number, freq
-            else:
-                for path_number, value in enumerate(table):
-                    if value:
-                        yield method, path_number, float(value)
+            for path_number, freq in table.items():
+                yield method, path_number, freq
 
     def total_samples(self) -> float:
         return sum(freq for _method, _number, freq in self.items())
 
     def distinct_paths(self) -> int:
-        total = 0
-        for table in self._counts.values():
-            if type(table) is dict:
-                total += len(table)
-            else:
-                total += sum(1 for value in table if value)
-        return total
+        return sum(len(table) for table in self._counts.values())
 
     def merge(self, other: "PathProfile") -> None:
         for method, path_number, freq in other.items():
@@ -137,20 +59,11 @@ class PathProfile:
     def copy(self) -> "PathProfile":
         clone = PathProfile()
         for method, table in self._counts.items():
-            if type(table) is dict:
-                clone._counts[method] = dict(table)
-            else:
-                clone._counts[method] = array("q", table)
-        clone._dense_sizes.update(self._dense_sizes)
+            clone._counts[method] = dict(table)
         return clone
 
     def clear(self) -> None:
         self._counts.clear()
-
-    def top_paths(self, limit: int) -> List[Tuple[str, int, float]]:
-        """The globally hottest paths by raw frequency (debug/report aid)."""
-        ranked = sorted(self.items(), key=lambda item: -item[2])
-        return ranked[:limit]
 
     def __len__(self) -> int:
         return self.distinct_paths()

@@ -40,7 +40,7 @@ BranchEvent = Tuple[BranchRef, bool]
 # Per-memo bound on cached path expansions.  Path-rich methods (the paper
 # caps numbering at ~2**16 paths) could otherwise grow a memo without
 # limit across a long adaptive run.
-DEFAULT_MEMO_BOUND = 4096
+MEMO_BOUND = 4096
 
 # Bound on distinct (method, DAG) memos kept process-wide.
 _REGISTRY_BOUND = 512
@@ -153,13 +153,13 @@ class _SharedMemo:
 _SHARED_MEMOS: Dict[Tuple[str, int], _SharedMemo] = {}
 
 
-def _memo_for(dag: PDag, bound: int) -> _SharedMemo:
+def _memo_for(dag: PDag) -> _SharedMemo:
     key = (dag.method_name, dag_fingerprint(dag))
     memo = _SHARED_MEMOS.get(key)
     if memo is None:
         if len(_SHARED_MEMOS) >= _REGISTRY_BOUND:
             _SHARED_MEMOS.pop(next(iter(_SHARED_MEMOS)))
-        memo = _SharedMemo(bound)
+        memo = _SharedMemo(MEMO_BOUND)
         _SHARED_MEMOS[key] = memo
     return memo
 
@@ -176,23 +176,16 @@ class PathResolver:
     taken?) pairs along the path — which is what the edge-profile update
     needs, plus the path's length in branches for the flow metric.
 
-    With ``shared=True`` (the default) the memo is the process-wide one
-    for this (method, DAG) shape, so recompiled versions of an unchanged
-    method reuse prior expansion work; ``shared=False`` gives a private
-    memo (tests that assert cold-cache behaviour).  Either way the memo
-    is LRU-bounded to ``bound`` entries.
+    The memo is the process-wide one for this (method, DAG) shape, so
+    recompiled versions of an unchanged method reuse prior expansion
+    work; it is LRU-bounded to :data:`MEMO_BOUND` entries.
     """
 
     __slots__ = ("dag", "_memo")
 
-    def __init__(
-        self,
-        dag: PDag,
-        shared: bool = True,
-        bound: int = DEFAULT_MEMO_BOUND,
-    ) -> None:
+    def __init__(self, dag: PDag) -> None:
         self.dag = dag
-        self._memo = _memo_for(dag, bound) if shared else _SharedMemo(bound)
+        self._memo = _memo_for(dag)
 
     def is_cached(self, path_number: int) -> bool:
         """True if this path has been resolved before (memo hit)."""
@@ -245,13 +238,18 @@ def derive_edge_profile(
 ) -> EdgeProfile:
     """Expand a path profile into taken/not-taken counts (section 3.3).
 
-    Paths of methods with no resolver are skipped.
+    Paths of methods with no resolver are skipped.  Methods expand in
+    first-record order and each method's paths in ascending path
+    number: the branches' first records fix the derived profile's slot
+    order, and overlap scores sum per-branch floats in that order, so a
+    table's recording order must not move them.
     """
     edges = EdgeProfile()
-    for key, path_number, freq in paths.items():
+    for key in paths.methods():
         resolver = resolvers.get(key)
         if resolver is None:
             continue
-        for branch, taken in resolver.branch_events(path_number):
-            edges.record(branch, taken, freq)
+        for path_number, freq in sorted(paths.method_paths(key).items()):
+            for branch, taken in resolver.branch_events(path_number):
+                edges.record(branch, taken, freq)
     return edges

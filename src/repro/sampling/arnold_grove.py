@@ -20,11 +20,9 @@ then samples 64 consecutive yieldpoints.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional
 
 from repro.errors import PathReconstructionError, ReproError
-from repro.profiling.edges import numpy_available
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -97,12 +95,10 @@ class ArnoldGroveSampler:
 
     __slots__ = (
         "config",
-        "record_paths",
         "_state",
         "_skip_left",
         "_samples_left",
         "_rotation",
-        "_np_drain",
         "_between",
         "_buf_cm",
         "_buf_path",
@@ -120,18 +116,12 @@ class ArnoldGroveSampler:
         "_c_expand",
     )
 
-    def __init__(self, config: SamplingConfig, record_paths: bool = True) -> None:
+    def __init__(self, config: SamplingConfig) -> None:
         self.config = config
-        self.record_paths = record_paths
         self._state = _IDLE
         self._skip_left = 0
         self._samples_left = 0
         self._rotation = 0
-        # Batch the drain's edge-slot updates through NumPy when it is
-        # importable; without NumPy the pure-Python loop runs.
-        # Bit-identical either way: counts are integer-valued floats, so
-        # add order cannot matter.
-        self._np_drain = numpy_available()
         self._between = not config.simplified and config.stride > 1
         # Run-length-encoded sample buffer (DESIGN.md §10): parallel
         # lists of (method, path, repeat count), drained in batches.
@@ -208,7 +198,7 @@ class ArnoldGroveSampler:
         if state == _SAMPLING:
             cost = self._c_sample
             vm.samples_taken += 1
-            if is_sample_point and self.record_paths:
+            if is_sample_point:
                 if (
                     cm is self._buf_last_cm
                     and path_reg == self._buf_last_path
@@ -399,7 +389,7 @@ class ArnoldGroveSampler:
         self._rc_res = resilience
 
     def _drain(self, vm: VirtualMachine) -> None:
-        """Apply buffered samples: aggregate, then batch-update tables.
+        """Apply buffered samples: aggregate, then update the tables.
 
         Sample order is preserved in aggregate: counters are integers,
         so ``+k`` equals k successive ``+1``s exactly, and first-
@@ -424,14 +414,6 @@ class ArnoldGroveSampler:
         slot_cache = vm.edge_slot_cache
         slot_cache_get = slot_cache.get
         record_slots = edge_profile.record_slots
-        # Resolution (slot allocation + path recording) stays sequential
-        # in entry order — it is what assigns slot indices, and the path
-        # profile is a dict/dense-array hybrid with its own ordering.
-        # Only the edge-slot accumulation batches: either the reference
-        # loop per entry, or one NumPy scatter-add over all entries
-        # (taken after resolution, since slot_for may grow the array).
-        np_drain = self._np_drain
-        pending: List = []
         for (cm, path_reg), k in agg.items():
             profile_key = cm.profile_key
             count = float(k)
@@ -440,34 +422,16 @@ class ArnoldGroveSampler:
             if slots is None:
                 events = cm.resolver.branch_events(path_reg)
                 slot_for = edge_profile.slot_for
-                slots = array(
-                    "q", [slot_for(branch, taken) for branch, taken in events]
-                )
+                slots = tuple(slot_for(branch, taken) for branch, taken in events)
                 slot_cache[ckey] = slots
             path_profile.record(profile_key, path_reg, count)
-            if np_drain:
-                pending.append((slots, count))
-            else:
-                record_slots(slots, count)
-        if pending:
-            edge_profile.record_slot_batches(pending)
+            record_slots(slots, count)
 
 
 def make_sampler(
-    samples: int,
-    stride: int,
-    simplified: bool = True,
-    record_paths: bool = True,
+    samples: int, stride: int, simplified: bool = True
 ) -> ArnoldGroveSampler:
     """Convenience constructor mirroring the paper's PEP(S,K) notation."""
     return ArnoldGroveSampler(
-        SamplingConfig(samples, stride, simplified=simplified),
-        record_paths=record_paths,
+        SamplingConfig(samples, stride, simplified=simplified)
     )
-
-
-def sampler_for(config: Optional[SamplingConfig]):
-    """Build a sampler from an optional config (None = no sampling)."""
-    if config is None:
-        return None
-    return ArnoldGroveSampler(config)

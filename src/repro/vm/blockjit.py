@@ -24,15 +24,14 @@ observable: virtual cycles, path/edge profiles, emitted output, trap
 messages and locations, fuel accounting (charged per block (re)entry,
 exactly as the interpreter does), and fault-injection behavior
 (yieldpoints call the same ``vm.dispatch_yieldpoint``, so every
-``repro.resilience`` site fires unchanged).  Cost accounting comes in
-two certified-equal shapes (DESIGN.md §15): when the method's
-fixed-point certification passed (``cm.fold_q`` truthy), straight-line
-cost chains fold to one scaled-integer constant per flush point — exact
-because every charge lies on the 2**-20 grid where float addition never
-rounds; otherwise (``cm.fold_q == 0``: a caller's cost model put a
-charge off the grid) float adds are emitted per-op, in the same order,
-on a local accumulator — never pre-summed, because float addition is
-non-associative off the grid.  ``tests/test_blockjit.py`` proves the
+``repro.resilience`` site fires unchanged).  Straight-line cost chains
+fold to one scaled-integer constant per flush point (DESIGN.md §15),
+which is exact because the method's fixed-point certification
+(``cm.fold_q``) puts every charge on the 2**-20 grid, where float
+addition never rounds.  A method whose cost model put a charge off the
+grid (``cm.fold_q == 0``) gets no generated source: every region of it
+runs on the tuple interpreter's block loop, which charges op by op and
+is exact for any model.  ``tests/test_blockjit.py`` proves the
 contract across all bundled workloads.
 
 Regions
@@ -87,8 +86,9 @@ from the root up to the next call, return or jump to a root, and
 returns what the compiled region would.  Its next call compiles the
 real region, binds it in the namespace and the entry table, and runs
 it.  A region entered at most :data:`COLD_ENTRIES` times is never
-compiled; a loop region, whose root is re-entered on every cold
-iteration, compiles after that many iterations.  The op loop yields
+compiled, and neither is any region of an uncertified method; a loop
+region, whose root is re-entered on every cold iteration, compiles
+after that many iterations.  The op loop yields
 through ``vm.dispatch_yieldpoint``, which does not maintain the
 countdown gate, so each cold run re-derives ``st.gate`` for the
 compiled regions after it.  A placeholder called after its name was
@@ -279,18 +279,6 @@ def _bin_expr(kind: int, a: str, b: str) -> str:
     if 12 <= kind <= 17:
         return f"(1 if {a} {_cmp_text(kind)} {b} else 0)"
     raise VMError(f"unknown binop code {kind}")  # pragma: no cover
-
-
-def _mask(counted) -> int:
-    """Per-arm probe mask of a lowered ``count_arms`` field.
-
-    Bit 0 counts the taken arm, bit 1 the not-taken arm.  Lowering
-    emits ints (``interpreter._arm_mask``); a legacy boolean True still
-    normalises to both arms.
-    """
-    if counted is True:
-        return 3
-    return int(counted or 0)
 
 
 def _edge_origins(cm: CompiledMethod) -> List[object]:
@@ -492,15 +480,11 @@ class _Region:
     one iteration is read on the next; ``carried`` holds the registers
     written on some path to its back edge.
 
-    ``fixed`` selects the fixed-point accounting shape (DESIGN.md §15):
-    per-op cost constants collect in ``pending``, scaled by
-    ``FOLD_SCALE`` to exact integers, instead of emitting an eager
-    ``_cyc += c`` each, and every point that observes the accumulator
-    reads :meth:`cyc_expr` — one folded constant per chain.
-    Certification (``CompiledMethod.fold_q``) guarantees the fold is
-    bit-identical; with ``fixed`` off, ``pending`` stays empty and
-    ``cyc_expr`` degenerates to the literal ``_cyc``, so every emission
-    site can read it unconditionally and the textual chain is unchanged.
+    Per-op cost constants collect in ``pending``, scaled by
+    ``FOLD_SCALE`` to exact integers (DESIGN.md §15), and every point
+    that observes the accumulator reads :meth:`cyc_expr`: one folded
+    constant per chain.  Certification (``CompiledMethod.fold_q``)
+    guarantees the fold is bit-identical.
 
     Exits record where their writebacks go instead of emitting them;
     :meth:`render` fills each with the written registers live into that
@@ -510,7 +494,7 @@ class _Region:
     one of them also makes is redundant, and :meth:`render` drops it.
     """
 
-    def __init__(self, name: str, root: Optional[str], fixed: bool, loop: bool):
+    def __init__(self, name: str, root: Optional[str], loop: bool):
         self.name = name
         self.root = root  # the root block's label, None for a resume root
         self.loop = loop
@@ -528,7 +512,6 @@ class _Region:
         self.uses = 0
         self.carried = 0
         self.indent = 1 if loop else 0
-        self.fixed = fixed
         self.pending: List[int] = []
         # (successor root, kill bitset, dirty bitset) per exit
         self.exits: List[Tuple[str, int, int]] = []
@@ -595,10 +578,7 @@ class _Region:
         # Zero adds are skipped: x + 0.0 == x bitwise for the
         # non-negative accumulator values that occur here.
         if amount != 0.0:
-            if self.fixed:
-                self.pending.append(int(amount * FOLD_SCALE))
-            else:
-                self.emit(f"_cyc += {amount!r}")
+            self.pending.append(int(amount * FOLD_SCALE))
 
     def flush(self) -> None:
         """Add the pending chain to ``_cyc``: the float add that an exit
@@ -742,10 +722,6 @@ class _MethodCodegen:
             term = block.term
             if term[0] == T_BR and term[10]:
                 self._origin_names[block.label] = f"_og{len(self._origin_names)}"
-        # Fixed-point accounting verdict (DESIGN.md §15): decided at
-        # lowering time and carried on the method, so the source always
-        # has the shape the method was certified for.
-        self._fixed = bool(cm.fold_q)
 
     # -- top level ----------------------------------------------------------
 
@@ -767,7 +743,7 @@ class _MethodCodegen:
     def _gen_region(self, bi: int, block: LoweredBlock, ip: int) -> _Region:
         loop = not ip and block.label in self._loops
         root = None if ip else block.label
-        region = _Region(f"_f{bi}_{ip}", root, self._fixed, loop)
+        region = _Region(f"_f{bi}_{ip}", root, loop)
         if not self._gen_block(region, block, ip, "_fuel" if loop else "st.fuel"):
             self._gen_term(region, block)
         return region
@@ -1003,7 +979,7 @@ class _MethodCodegen:
         elif t == T_BR:
             a = seg.rd(term[3])
             b = seg.rd(term[4])
-            mask = _mask(term[10])
+            mask = term[10]
             origin = self._origin_names.get(block.label)
             join = self._joins.get(block.label)
             if join is not None:
@@ -1127,7 +1103,8 @@ class _SegmentFill:
     next call, return or jump to a root (``stops``: the labels of the
     method's ip-0 roots), and return what the compiled region would: the
     ``_CALL`` sentinel, None, or the entry of the root jumped to.  The
-    next call compiles and binds the region, then runs it.
+    next call compiles and binds the region, then runs it.  With no
+    ``source`` (an uncertified method) every call runs cold.
     """
 
     __slots__ = ("source", "entries", "roots", "stops", "runs")
@@ -1142,7 +1119,7 @@ class _SegmentFill:
     def __call__(self, stub: FunctionType, vm, frame, regs, st):
         name = stub.__name__
         runs = self.runs.get(name, 0)
-        if runs < COLD_ENTRIES:
+        if runs < COLD_ENTRIES or self.source is None:
             self.runs[name] = runs + 1
             block, ip = self.roots[name]
             nxt = run_blocks(vm, frame, st, block, ip, self.stops)
@@ -1183,13 +1160,20 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     compiled regions on it; each region runs cold, then compiles at
     call ``COLD_ENTRIES + 1``.  Regions whose code the memo already
     holds are bound as real functions at once; the rest get
-    placeholders.
+    placeholders.  An uncertified method (``cm.fold_q == 0``) gets no
+    source, so ``jit_source`` stays None and its placeholders run every
+    entry on the block loop: folded chains are exact only on the grid.
     """
     entries = cm.jit_entries
     if entries is not None:
         return entries
-    cg = _MethodCodegen(cm)
-    source = cm.jit_source = cg.generate()
+    if cm.fold_q:
+        cg = _MethodCodegen(cm)
+        source = cm.jit_source = cg.generate()
+        roots = cg.roots
+    else:
+        source = None
+        roots = region_plan(cm).roots
     ns = _namespace(cm)
     # What exec() would add; functions built over ``ns`` resolve their
     # builtins through it.
@@ -1197,14 +1181,14 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     entries = {}
     codes = _SEGMENT_CODE.get(source, {})
     fill = None
-    for bi, block, ip in cg.roots:
+    for bi, block, ip in roots:
         name = f"_f{bi}_{ip}"
         code = codes.get(name)
         if code is not None:
             fn = FunctionType(code, ns, name)
         else:
             if fill is None:
-                stops = frozenset(b.label for _, b, i in cg.roots if not i)
+                stops = frozenset(b.label for _, b, i in roots if not i)
                 fill = _SegmentFill(source, entries, stops)
             fill.roots[name] = (block, ip)
             fn = placeholder(ns, name, fill)

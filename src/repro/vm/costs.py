@@ -52,20 +52,6 @@ FOLD_SHIFT = 20
 FOLD_SCALE = float(1 << FOLD_SHIFT)
 FOLD_BOUND = 2.0 ** 24
 
-#: Methods whose lowered charges failed :func:`fold_clean` certification
-#: (``fold_q == 0``) and so emit textual float chains.  The bench fold_coverage
-#: gate and the tier-1 suite both assert this stays zero under the default
-#: cost model; only genuinely unrepresentable *injected* costs (ablation
-#: benches mutating fields to non-dyadic values) bump it.
-FOLD_REJECTIONS = 0
-
-
-def record_fold_rejection() -> None:
-    """Count one method falling back to float accumulation."""
-    global FOLD_REJECTIONS
-    FOLD_REJECTIONS += 1
-
-
 def fold_clean(value: float) -> bool:
     """True when ``value`` lies on the fixed-point grid.
 

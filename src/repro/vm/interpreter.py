@@ -24,12 +24,7 @@ from repro.bytecode.method import Method
 from repro.cfg.dag import PDag
 from repro.errors import FuelExhaustedError, GuestTrapError, VMError
 from repro.profiling.regenerate import PathResolver
-from repro.vm.costs import (
-    FOLD_SHIFT,
-    CostModel,
-    fold_clean,
-    record_fold_rejection,
-)
+from repro.vm.costs import FOLD_SHIFT, CostModel, fold_clean
 
 # Binop kind codes (comparisons are >= _CMP_BASE).
 KIND_CODES = {
@@ -141,7 +136,8 @@ class CompiledMethod:
         self.profile_key = f"{source_name}#v{version}"
         # Blockjit artefacts (see repro.vm.blockjit), both set by
         # ensure_jit at first execution: the generated source, which
-        # keys the process-wide memo of compiled region code, and the
+        # keys the process-wide memo of compiled region code (None when
+        # ``fold_q`` is 0: such a method is never compiled), and the
         # entry table of region functions.
         self.jit_source: Optional[str] = None
         self.jit_entries: Optional[dict] = None
@@ -150,11 +146,11 @@ class CompiledMethod:
         # profile.
         self.probe_plan = None
         # Fixed-point certification verdict (DESIGN.md §15), set by
-        # :func:`lower_method`: the grid shift (every lowered charge and
-        # cost-model injectable is an exact multiple of ``2**-fold_q``,
-        # so codegen may fold whole cost chains), or ``0`` when
-        # certification failed (per-method float fallback: textual
-        # chains).
+        # :func:`lower_method`: the grid shift (every charge the cost
+        # model can make is an exact multiple of ``2**-fold_q``, so
+        # codegen folds whole cost chains), or ``0`` when the model put
+        # a charge off the grid (the method is never compiled and runs
+        # on the interpreter's block loop).
         self.fold_q: int = 0
 
     def attach_dag(self, dag: PDag) -> None:
@@ -218,40 +214,25 @@ def lower_method(
     if method.entry is None:
         raise VMError(f"{method.name}: no entry block")
     cm.entry = cm.blocks[method.entry]
-    if _fold_certified(cm, costs):
+    if _fold_certified(costs):
         cm.fold_q = FOLD_SHIFT
-    else:
-        record_fold_rejection()
     return cm
 
 
-def _fold_certified(cm: CompiledMethod, costs: CostModel) -> bool:
+def _fold_certified(costs: CostModel) -> bool:
     """True when every charge the accumulator can absorb lies on the
-    fixed-point grid: all lowered op/terminator costs (including the
-    mislayout penalties and edge-probe charges branches add
-    conditionally) plus the model's full cross-tier chargeable set.
+    fixed-point grid.
 
-    The cross-tier scan (``CostModel.chargeable_values``) is what makes
-    *entry-based* folding sound: the carried ``st.cyc`` arrives at a
-    method entry bearing other methods' charges at other tiers, so the
-    chain base is provably grid-valued only when the whole program's
-    cost universe is."""
-    clean = fold_clean
-    for value in costs.chargeable_values():
-        if not clean(value):
-            return False
-    for block in cm.blocks.values():
-        for op in block.ops:
-            if not clean(op[1]):
-                return False
-        term = block.term
-        if term is None:
-            continue
-        if not clean(term[1]):
-            return False
-        if term[0] == T_BR and not (clean(term[8]) and clean(term[11])):
-            return False
-    return True
+    Every lowered op and terminator charge (mislayout penalties and
+    edge-probe charges included) is a base cost times a tier
+    multiplier, so the model's cross-tier chargeable set holds them
+    all, with the charges the runtime injects.  The cross-tier scan
+    (``CostModel.chargeable_values``) is what makes *entry-based*
+    folding sound: the carried ``st.cyc`` arrives at a method entry
+    bearing other methods' charges at other tiers, so the chain base is
+    provably grid-valued only when the whole program's cost universe
+    is."""
+    return all(fold_clean(value) for value in costs.chargeable_values())
 
 
 def _arm_mask(count_arms) -> int:

@@ -346,9 +346,10 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         "probes_placed": 0,
         "probes_full": 0,
         # Fixed-point fold coverage (DESIGN.md §15): methods whose
-        # lowering certified the Q20 grid vs. methods that fell back to
-        # float chains.  ``fold_rejected`` should be 0 under the
-        # default cost model (the bench gates fold_coverage == 1.0).
+        # lowering certified the Q20 grid vs. methods whose cost model
+        # put a charge off it, which never compile and run on the
+        # interpreter's block loop.  ``fold_rejected`` is 0 under the
+        # default cost model (tests/test_fixedcost.py pins it).
         "fold_certified": 0,
         "fold_rejected": 0,
     }

@@ -216,21 +216,11 @@ class VirtualMachine:
         self.edge_profile = EdgeProfile()
         self.path_profile = PathProfile()
         self.call_graph = CallGraphProfile()
-        # (profile_key, path) -> array of edge-profile arm slots: the
-        # sampler's drain replays a path's branch events as a batched
-        # integer loop (DESIGN.md §10).  Per-VM, like the profiles the
-        # slots index into.
+        # (profile_key, path) -> tuple of edge-profile arm slots: the
+        # sampler's drain replays a path's branch events as one integer
+        # loop (DESIGN.md §10).  Per-VM, like the profiles the slots
+        # index into.
         self.edge_slot_cache: Dict = {}
-        # Pre-size dense path tables from each method's Ball-Larus path
-        # count.  Methods compiled into the run later (adaptive
-        # recompiles) keep the sparse dict: the controller's dominance
-        # checks read them back in full, which a dict does in its few
-        # sampled paths.
-        for _cm in code.values():
-            if _cm.dag is not None:
-                self.path_profile.ensure_dense(
-                    _cm.profile_key, _cm.dag.num_paths
-                )
         self.guest_stack: Optional[list] = None  # set by execute()
 
         # Timer state.  Jitter models the real timer's phase noise relative

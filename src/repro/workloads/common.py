@@ -63,15 +63,6 @@ def mix_kernel(f: FunctionBuilder, a: Value, b: Value, rounds: int = 3) -> None:
         f.assign(b, (b ^ (a >> 3)) & 0xFFFF)
 
 
-def fill_array(f: FunctionBuilder, arr: Value, length: int, state: Value) -> None:
-    """Fill a guest array with LCG-derived values."""
-    def body(i: Value) -> None:
-        value = lcg_bits(f, state, 10)
-        f.store(arr, i, value)
-
-    f.for_range(0, length, 1, body)
-
-
 def branchy_segment(
     f: FunctionBuilder,
     state: Value,

@@ -116,14 +116,15 @@ def test_engine_equivalence_every_tier(tier):
 def test_engine_equivalence_dirty_tier_multiplier(tier):
     # A genuinely non-dyadic multiplier (the pre-§15 nominal 1.15/1.05)
     # makes per-op costs off-grid: lowering must reject fixed-point
-    # certification and fall back to the legacy float path, whose exact
-    # cycle equality proves that codegen never re-associates.
+    # certification, so no method is ever compiled and every region
+    # runs on the block loop, whose exact cycle equality proves that
+    # nothing re-associates.
     costs = CostModel()
     costs.tier_multipliers["opt0"] = 1.15
     costs.tier_multipliers["opt1"] = 1.05
-    _assert_identical(
-        *_run_engines(call_program(), mode="pep", tier=tier, costs=costs)
-    )
+    runs = _run_engines(call_program(), mode="pep", tier=tier, costs=costs)
+    _assert_identical(*runs)
+    assert all(cm.jit_source is None for cm in runs[1][0].code.values())
 
 
 @pytest.mark.parametrize("seed", range(10))

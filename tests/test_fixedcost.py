@@ -3,11 +3,12 @@
 Bit-identity with the sequential interpreter:
 
 * **Universal folding.**  ``lower_method`` certifies a method against
-  the Q20 grid (``costs.fold_clean`` over ``chargeable_values()``) and
-  stamps ``cm.fold_q``; generated code then folds every straight-line
-  cost chain to one constant with *no* per-constant cleanliness gate.
-  A rejected method (``fold_q == 0``) emits textual chains instead, and
-  the verdict must be a pure wall-clock choice.
+  the Q20 grid (``costs.fold_clean`` over ``chargeable_values()``, the
+  cost model alone) and stamps ``cm.fold_q``; generated code then
+  folds every straight-line cost chain to one constant with *no*
+  per-constant cleanliness gate.  A rejected method (``fold_q == 0``)
+  is never compiled: every region of it runs on the interpreter's
+  block loop, and the verdict must be a pure wall-clock choice.
 * **No dominant path.**  A method whose path samples spread evenly
   runs on plain blockjit and matches the interpreter oracle.
 """
@@ -20,7 +21,8 @@ from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.method import Program
 from repro.errors import FuelExhaustedError
 from repro.persist import payload_checksum
-from repro.vm import blockjit, costs as costs_mod, interpreter
+from repro.sampling.arnold_grove import make_sampler
+from repro.vm import blockjit, interpreter, pgo
 from repro.vm.costs import (
     FOLD_BOUND,
     FOLD_SHIFT,
@@ -31,7 +33,12 @@ from repro.vm.runtime import VirtualMachine
 from repro.workloads.suite import benchmark_suite
 
 from tests.compile_util import compile_simple
-from tests.helpers import hot_helper_program, small_adaptive_run, vm_digest
+from tests.helpers import (
+    counting_program,
+    hot_helper_program,
+    small_adaptive_run,
+    vm_digest,
+)
 
 # The folding checked here is in generated code: compile every region.
 pytestmark = pytest.mark.usefixtures("compile_at_first_entry")
@@ -112,44 +119,118 @@ def test_default_model_is_entirely_on_grid():
 
 
 @pytest.mark.parametrize("tier", ["baseline", "opt0", "opt1", "opt2"])
-def test_every_workload_certifies_at_every_tier(tier, monkeypatch):
-    monkeypatch.setattr(costs_mod, "FOLD_REJECTIONS", 0)
+def test_every_workload_certifies_at_every_tier(tier):
     for workload in benchmark_suite():
         program = workload.build(0.3)
         code = compile_simple(program, mode="pep", tier=tier)
         for name, cm in code.items():
             assert cm.fold_q == FOLD_SHIFT, (workload.name, name)
-    assert costs_mod.FOLD_REJECTIONS == 0
+        assert pgo.engagement_summary(code)["totals"]["fold_rejected"] == 0
 
 
-def test_dirty_tier_multiplier_demotes_and_counts(monkeypatch):
+def test_dirty_tier_multiplier_demotes_and_counts():
     # Certification is cross-tier: carried st.cyc crosses method and
     # tier boundaries, so a dirty opt0 multiplier must demote even a
     # method compiled at opt2.
-    monkeypatch.setattr(costs_mod, "FOLD_REJECTIONS", 0)
     dirty = CostModel()
     dirty.tier_multipliers = dict(dirty.tier_multipliers)
     dirty.tier_multipliers["opt0"] = 1.15
     code = compile_simple(hot_helper_program(), tier="opt2", costs=dirty)
     assert all(cm.fold_q == 0 for cm in code.values())
-    assert costs_mod.FOLD_REJECTIONS == len(code)
+    totals = pgo.engagement_summary(code)["totals"]
+    assert totals["fold_rejected"] == len(code)
+    assert totals["fold_certified"] == 0
 
 
-def test_dirty_injected_charge_demotes(monkeypatch):
+def test_dirty_injected_charge_demotes():
     # The lowered op stream is clean, but a handler could add this
     # charge mid-chain — rejection is the only sound verdict.
-    monkeypatch.setattr(costs_mod, "FOLD_REJECTIONS", 0)
     dirty = CostModel()
     dirty.pep_pass_cost_per_instr = 0.1
     code = compile_simple(hot_helper_program(), costs=dirty)
     assert all(cm.fold_q == 0 for cm in code.values())
-    assert costs_mod.FOLD_REJECTIONS == len(code)
+
+
+#: Every per-op base cost: lowering charges each times a tier multiplier.
+BASE_COSTS = [
+    "simple_op",
+    "mem_op",
+    "newarr_op",
+    "call_op",
+    "ret_op",
+    "emit_op",
+    "jmp_op",
+    "branch_op",
+    "branch_mislayout_penalty",
+    "yieldpoint_op",
+    "pep_init",
+    "pep_add",
+    "path_count_hash",
+    "path_count_array",
+    "edge_count",
+]
+
+
+def _off_grid(field: str) -> CostModel:
+    model = CostModel()
+    if field == "tier_multipliers":
+        model.tier_multipliers = dict(model.tier_multipliers, opt1=1.05)
+    else:
+        setattr(model, field, 0.1)
+    return model
+
+
+@pytest.mark.parametrize(
+    "field", BASE_COSTS + ["tier_multipliers", "handler_sample"]
+)
+def test_model_only_certification_rejects_any_off_grid_charge(field):
+    # Lowering certifies from the cost model alone, so one off-grid
+    # base cost, tier multiplier or injected charge must reject every
+    # method, whether or not the method's own ops charge it.
+    code = compile_simple(
+        counting_program(5), mode="pep", costs=_off_grid(field)
+    )
+    assert code and all(cm.fold_q == 0 for cm in code.values())
+
+
+def test_off_grid_model_never_compiles(monkeypatch):
+    # An uncertified method gets no generated source: with the compile
+    # threshold at 0, nothing reaches compile(), jit_source stays None,
+    # and the run still equals the tuple-interpreter oracle.
+    compiled = []
+
+    def spy(*args, **kwargs):
+        compiled.append(args[0])
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(blockjit, "compile", spy, raising=False)
+    monkeypatch.setattr(blockjit, "_SEGMENT_CODE", {})
+    program = hot_helper_program(calls=30, inner=12)
+    for costs, certified in ((_off_grid("tier_multipliers"), False),
+                             (CostModel(), True)):
+        code = compile_simple(program, mode="pep", tier="opt1", costs=costs)
+        runs = []
+        for bj in (False, True):
+            vm = VirtualMachine(
+                code, program.main, costs=costs, tick_interval=500.0,
+                sampler=make_sampler(4, 3), blockjit=bj,
+            )
+            runs.append((vm, vm.run()))
+        assert vm_digest(*runs[0]) == vm_digest(*runs[1])
+        assert all(cm.jit_entries is not None for cm in code.values())
+        if certified:
+            assert compiled  # the spy sees a certified method compile
+            assert all(cm.jit_source for cm in code.values())
+        else:
+            assert compiled == []
+            assert all(cm.jit_source is None for cm in code.values())
 
 
 def test_demoted_method_runs_bit_identically():
-    # fold_q == 0 falls back to textual chains; the digest must not
-    # move.  (The dirty multiplier itself changes cycles, so both runs
-    # use the same dirty model and only the verdict differs.)
+    # A method with fold_q == 0 is never compiled and runs on the block
+    # loop; the digest must not move.  (The dirty multiplier itself
+    # changes cycles, so both runs use the same dirty model and only the
+    # verdict differs.)
     program = hot_helper_program(calls=60, inner=24)
     digests = []
     for force_reject in (False, True):
@@ -172,7 +253,8 @@ def test_fuel_abort_parity_across_folding(fuel):
     # Fuel exhaustion can land anywhere inside a folded chain; the trap
     # path must reconstruct the exact sequential cycle count.  The
     # abort signature (site + cycles) must agree across the
-    # interpreter, blockjit, and both fold verdicts.
+    # interpreter, blockjit, and both fold verdicts (a rejected method
+    # is never compiled and runs on the block loop).
     program = hot_helper_program(calls=40, inner=24)
     seen = set()
     for reject in (False, True):
@@ -212,13 +294,14 @@ def test_no_dominant_path_stays_on_plain_blockjit(monkeypatch):
 # -- whole-suite fold-verdict parity (all bundled workloads) ---------------
 
 
-def _flag_checksum(workload: str) -> str:
+def _flag_run(workload: str):
+    """The run's checksum and its image's engagement totals."""
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
     program = suite[workload].build(0.3)
     report = api.profile_adaptive(program, samples=16, stride=3, ticks=100)
-    return payload_checksum(
+    checksum = payload_checksum(
         {
             "paths": sorted(report.paths.items()),
             "edges": sorted((repr(b), c) for b, c in report.edges.items()),
@@ -230,14 +313,18 @@ def _flag_checksum(workload: str) -> str:
             "health": report.health.to_dict(),
         }
     )
+    return checksum, report.engagement()["totals"]
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_workload_digest_parity_every_flag_combo(workload, monkeypatch):
-    # Certified lowering (folded chains) against forced rejection
-    # (textual chains) on every method of the adaptive run.
-    certified = _flag_checksum(workload)
-    monkeypatch.setattr(costs_mod, "FOLD_REJECTIONS", 0)
-    monkeypatch.setattr(interpreter, "_fold_certified", lambda cm, costs: False)
-    assert _flag_checksum(workload) == certified
-    assert costs_mod.FOLD_REJECTIONS > 0, "no method was rejected — vacuous"
+    # Certified lowering (folded chains) against forced rejection (never
+    # compiled: every region on the block loop) on every method of the
+    # adaptive run.
+    certified, totals = _flag_run(workload)
+    assert totals["fold_rejected"] == 0
+    monkeypatch.setattr(interpreter, "_fold_certified", lambda costs: False)
+    rejected, totals = _flag_run(workload)
+    assert rejected == certified
+    assert totals["fold_rejected"] > 0, "no method was rejected — vacuous"
+    assert totals["fold_certified"] == 0

@@ -1,9 +1,8 @@
-"""Fast-path equivalence: blockjit's countdown yieldpoint gate and the
-NumPy batch drain.
+"""Fast-path equivalence: blockjit's countdown yieldpoint gate.
 
-Each fast path must be observationally identical to its reference —
-same outputs, same return values, same *exact* virtual cycles, same
-path and edge profiles.
+The gate must be observationally identical to the interpreter's plain
+yieldpoint — same outputs, same return values, same *exact* virtual
+cycles, same path and edge profiles.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.vm.costs import CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import GeneratorSpec, random_program
 
-from tests.compile_util import compile_simple, run_program
+from tests.compile_util import compile_simple
 from tests.helpers import counting_program
 
 # The gate checked here is in generated code: compile every region.
@@ -94,101 +93,4 @@ def test_interpreter_gate_equivalence_random_programs(seed):
     )
     _assert_gate_matches_interpreter(
         program, mode="pep", sampler_args=(4, 5), tick_interval=200.0
-    )
-
-
-# -- NumPy batch drain -------------------------------------------------------
-
-
-def test_numpy_drain_digest_equivalence(monkeypatch):
-    # Satellite of DESIGN.md §10: draining the sampler's RLE buffer
-    # through record_slot_batches must be bit-identical to the
-    # pure-Python reference loop (counts are integer-valued floats, so
-    # the adds are exact in any order).  The sampler picks its drain at
-    # construction, so hiding NumPy from it forces the reference loop.
-    from repro.profiling.edges import numpy_available
-    from repro.sampling import arnold_grove
-
-    if not numpy_available():
-        pytest.skip("NumPy not importable in this environment")
-    program = counting_program(400)
-    with_np = run_program(
-        program, mode="pep", sampler=make_sampler(8, 3),
-        tick_interval=300.0,
-    )
-    monkeypatch.setattr(arnold_grove, "numpy_available", lambda: False)
-    reference = run_program(
-        program, mode="pep", sampler=make_sampler(8, 3),
-        tick_interval=300.0,
-    )
-    _assert_identical(with_np, reference)
-
-
-def test_numpy_drain_batch_path_is_exercised():
-    # Guard against the scatter path silently never running: when NumPy
-    # is importable, the drain must route through record_slot_batches
-    # (and never the reference loop).
-    from repro.profiling.edges import EdgeProfile, numpy_available
-
-    if not numpy_available():
-        pytest.skip("NumPy not importable in this environment")
-    calls = {"batch": 0, "slots": 0}
-    orig_batch = EdgeProfile.record_slot_batches
-    orig_slots = EdgeProfile.record_slots
-
-    def spy_batch(self, batches):
-        calls["batch"] += 1
-        return orig_batch(self, batches)
-
-    def spy_slots(self, slots, count):
-        calls["slots"] += 1
-        return orig_slots(self, slots, count)
-
-    EdgeProfile.record_slot_batches = spy_batch
-    EdgeProfile.record_slots = spy_slots
-    try:
-        run_program(
-            counting_program(400), mode="pep", sampler=make_sampler(8, 3),
-            tick_interval=300.0,
-        )
-    finally:
-        EdgeProfile.record_slot_batches = orig_batch
-        EdgeProfile.record_slots = orig_slots
-    assert calls["batch"] > 0
-    assert calls["slots"] == 0
-
-
-def test_record_slot_batches_vectorized_exactness():
-    # Sample drains rarely cross NUMPY_MIN_SLOTS, so the vectorized
-    # bincount arm needs direct coverage: mixed narrow/wide entries
-    # with duplicate slots must land bit-identical to the sequential
-    # reference, including the narrow/wide split inside one call.
-    import random
-    from array import array
-
-    from repro.profiling.edges import EdgeProfile, numpy_available
-
-    if not numpy_available():
-        pytest.skip("NumPy not importable in this environment")
-    rng = random.Random(7)
-    vectorized = EdgeProfile()
-    reference = EdgeProfile()
-    for profile in (vectorized, reference):
-        for branch in range(64):
-            profile.slot_for(branch, True)
-    nslots = len(vectorized._arr)
-    batches = []
-    for _ in range(20):
-        width = rng.choice([1, 4, EdgeProfile.NUMPY_MIN_SLOTS - 1,
-                            EdgeProfile.NUMPY_MIN_SLOTS, 64, 200])
-        slots = array(
-            "q", [rng.randrange(nslots) for _ in range(width)]
-        )
-        batches.append((slots, float(rng.randrange(1, 9))))
-    vectorized.record_slot_batches(batches)
-    for slots, count in batches:
-        reference.record_slots(slots, count)
-    assert vectorized._arr == reference._arr
-    assert any(
-        len(slots) >= EdgeProfile.NUMPY_MIN_SLOTS for slots, _ in batches
     )

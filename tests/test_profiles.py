@@ -9,7 +9,6 @@ from repro.profiling.paths import PathProfile
 
 B0 = BranchRef("m", 0)
 B1 = BranchRef("m", 1)
-B2 = BranchRef("other", 0)
 
 
 def test_edge_profile_record_and_bias():
@@ -62,14 +61,6 @@ def test_edge_profile_copy_independent():
     assert q.arm_count(B0, True) == 2
 
 
-def test_edge_profile_restriction():
-    p = EdgeProfile()
-    p.record(B0, True)
-    p.record(B2, False)
-    r = p.restricted_to([B0])
-    assert B0 in r and B2 not in r
-
-
 def test_edge_profile_total_executions():
     p = EdgeProfile()
     p.record(B0, True, 2)
@@ -102,16 +93,6 @@ def test_path_profile_merge_and_copy():
     c = a.copy()
     c.record("m", 1)
     assert a.frequency("m", 1) == 3
-
-
-def test_path_profile_top_paths():
-    p = PathProfile()
-    p.record("m", 0, 5)
-    p.record("m", 1, 10)
-    p.record("n", 2, 7)
-    top = p.top_paths(2)
-    assert top[0] == ("m", 1, 10)
-    assert top[1] == ("n", 2, 7)
 
 
 def test_path_profile_clear():

@@ -1,10 +1,21 @@
-"""Tests for path reconstruction and the PathResolver cache."""
+"""Tests for path reconstruction, the PathResolver cache and path-derived
+edge profiles."""
 
 import pytest
 
+from repro.bytecode.method import BranchRef
+from repro.cfg.dag import DagEdge, PDag
 from repro.errors import PathReconstructionError
 from repro.profiling.ballarus import assign_ball_larus_values
-from repro.profiling.regenerate import PathResolver, reconstruct_path
+from repro.profiling.edges import EdgeProfile
+from repro.profiling.paths import PathProfile
+from repro.profiling.regenerate import (
+    PathResolver,
+    _SharedMemo,
+    clear_shared_memos,
+    derive_edge_profile,
+    reconstruct_path,
+)
 
 from tests.helpers import diamond_loop_method
 from tests.test_cfg_dag import pep_dag_for
@@ -58,23 +69,22 @@ def test_resolver_caches():
     method = diamond_loop_method()
     dag, _ = pep_dag_for(method)
     assign_ball_larus_values(dag)
-    # shared=False: this test asserts cold-cache behaviour, which the
-    # process-wide shared memo would otherwise make order-dependent.
-    resolver = PathResolver(dag, shared=False)
+    # A cold memo: another test may have warmed this DAG's shared one.
+    clear_shared_memos()
+    resolver = PathResolver(dag)
     assert not resolver.is_cached(0)
     resolver.branch_events(0)
     assert resolver.is_cached(0)
     assert resolver.cached_count() == 1
     resolver.branch_events(0)
     assert resolver.cached_count() == 1
+    clear_shared_memos()
 
 
 def test_resolvers_share_memo_across_instances():
     method = diamond_loop_method()
     dag, _ = pep_dag_for(method)
     assign_ball_larus_values(dag)
-    from repro.profiling.regenerate import clear_shared_memos
-
     clear_shared_memos()
     first = PathResolver(dag)
     first.branch_events(0)
@@ -87,18 +97,56 @@ def test_resolvers_share_memo_across_instances():
 
 
 def test_resolver_memo_lru_bound():
-    method = diamond_loop_method()
-    dag, _ = pep_dag_for(method)
-    n = assign_ball_larus_values(dag)
-    assert n >= 3
-    resolver = PathResolver(dag, shared=False, bound=2)
+    memo = _SharedMemo(2)
     for i in range(3):
-        resolver.branch_events(i)
-    assert resolver.cached_count() == 2
-    assert not resolver.is_cached(0)  # oldest evicted
-    assert resolver.is_cached(1) and resolver.is_cached(2)
+        memo.put(i, ([], i))
+    assert len(memo) == 2
+    assert memo.get(0) is None  # oldest evicted
+    assert memo.get(1) == ([], 1) and memo.get(2) == ([], 2)
     # Touching an entry refreshes its recency.
-    resolver.branch_events(1)
-    resolver.branch_events(0)
-    assert not resolver.is_cached(2)
-    assert resolver.is_cached(1) and resolver.is_cached(0)
+    memo.get(1)
+    memo.put(0, ([], 0))
+    assert memo.get(2) is None
+    assert memo.get(1) == ([], 1) and memo.get(0) == ([], 0)
+
+
+def _split_dag() -> PDag:
+    """``a`` branches (b0) to ``b`` or ``c``; each branches again, ``b``
+    on b1 and ``c`` on b2, so the paths through b1 and b2 first record
+    different branches."""
+    dag = PDag("split#v0", "a")
+    for node in "abcz":
+        dag.add_node(node)
+    b0, b1, b2 = (BranchRef("split", i) for i in range(3))
+    for src, dst, origin, taken in [
+        ("a", "b", b0, True),
+        ("a", "c", b0, False),
+        ("b", "z", b1, True),
+        ("b", "z", b1, False),
+        ("c", "z", b2, True),
+        ("c", "z", b2, False),
+    ]:
+        dag.add_edge(DagEdge(src, dst, "real", origin, taken))
+    assert assign_ball_larus_values(dag) == 4
+    return dag
+
+
+def test_derived_edge_profile_allocates_in_ascending_path_order():
+    dag = _split_dag()
+    resolver = PathResolver(dag)
+    paths = PathProfile()
+    for number in (3, 0, 2):
+        paths.record(dag.method_name, number, float(number + 1))
+    derived = derive_edge_profile(paths, {dag.method_name: resolver})
+
+    def expansion(order):
+        edges = EdgeProfile()
+        for number in order:
+            for branch, taken in resolver.branch_events(number):
+                edges.record(branch, taken, float(number + 1))
+        return list(edges.items())
+
+    # Slots follow the ascending expansion, not the recording order,
+    # and the two orders differ here.
+    assert list(derived.items()) == expansion([0, 2, 3])
+    assert expansion([0, 2, 3]) != expansion([3, 0, 2])

@@ -9,8 +9,8 @@ forces every sample through ``_record`` without firing a fault, so it
 is the reference the buffered route is checked against: every digest,
 cycle count, tick count, and HealthReport must be bit-identical.  These
 tests pin that equivalence across the workload suite, on replay-style
-and resilient adaptive runs, and exercise the flat tables' dict-shaped
-API directly.
+and resilient adaptive runs, and exercise the per-method path dicts and
+the flat edge table directly.
 """
 
 import pytest
@@ -18,7 +18,7 @@ import pytest
 from repro.bytecode.method import BranchRef
 from repro.persist import edge_profile_to_dict, path_profile_to_dict
 from repro.profiling.edges import EdgeProfile
-from repro.profiling.paths import DENSE_PATH_CAP, PathProfile
+from repro.profiling.paths import PathProfile
 from repro.resilience import (
     SAMPLER_FAULT_SITES,
     DegradationPolicy,
@@ -213,65 +213,72 @@ def test_k_strikes_sequence_datapath_parity(sequence, disabled):
     assert health["reconstruction_failures"] == sequence.count(None)
 
 
-# -- flat path tables --------------------------------------------------------
+# -- path tables -------------------------------------------------------------
 
 
-def test_dense_path_table_matches_dict_semantics():
-    dense = PathProfile()
-    dense.ensure_dense("m#v1", 8)
-    sparse = PathProfile()
-    for path, count in [(0, 1.0), (3, 2.0), (0, 1.0), (7, 5.0)]:
-        dense.record("m#v1", path, count)
-        sparse.record("m#v1", path, count)
-    assert sorted(dense.items()) == sorted(sparse.items())
-    assert dense.frequency("m#v1", 0) == 2.0
-    assert dense.method_paths("m#v1") == sparse.method_paths("m#v1")
-    assert dense.total_samples() == sparse.total_samples()
-    assert dense.distinct_paths() == sparse.distinct_paths()
-
-
-def test_dense_table_is_lazy_and_respects_cap():
+def test_path_table_iterates_in_first_record_order():
     profile = PathProfile()
-    profile.ensure_dense("big#v1", DENSE_PATH_CAP + 1)  # stays sparse
-    profile.ensure_dense("small#v1", 4)
-    # Registration alone creates no method entries: an untouched method
-    # must stay invisible to items()/digests.
-    assert list(profile.items()) == []
-    assert len(profile) == 0
-    profile.record("small#v1", 2, 1.0)
-    profile.record("big#v1", 123456, 1.0)
-    assert profile.frequency("small#v1", 2) == 1.0
-    assert profile.frequency("big#v1", 123456) == 1.0
+    for method, path in [("m#v1", 7), ("n#v1", 0), ("m#v1", 3), ("m#v1", 7)]:
+        profile.record(method, path)
+    # Methods and each method's paths iterate in first-record order.
+    assert list(profile.items()) == [
+        ("m#v1", 7, 2.0),
+        ("m#v1", 3, 1.0),
+        ("n#v1", 0, 1.0),
+    ]
+    assert list(profile.methods()) == ["m#v1", "n#v1"]
+    assert profile.frequency("m#v1", 7) == 2.0
+    assert profile.frequency("m#v1", 0) == 0.0
+    assert profile.frequency("absent#v1", 0) == 0.0
+    assert profile.method_paths("absent#v1") == {}
+    paths = profile.method_paths("m#v1")
+    paths[3] = 99.0  # a copy: the table does not change
+    assert profile.frequency("m#v1", 3) == 1.0
+    assert profile.distinct_paths() == len(profile) == 3
 
 
-def test_dense_table_demotes_on_irregular_counts():
+def test_path_table_keeps_non_integral_counts():
     profile = PathProfile()
-    profile.ensure_dense("m#v1", 4)
     profile.record("m#v1", 1, 1.0)
-    profile.record("m#v1", 1, 0.5)  # non-integral -> dict fallback
-    profile.record("m#v1", 99, 1.0)  # out of range for the dense size
+    profile.record("m#v1", 1, 0.5)
+    profile.record("m#v1", 1 << 40, 0.25)  # any path number
+    profile.record("m#v1", 2, 0.0)  # a zero count is a recorded path
     assert profile.frequency("m#v1", 1) == 1.5
-    assert profile.frequency("m#v1", 99) == 1.0
-    assert profile.total_samples() == 2.5
+    assert profile.frequency("m#v1", 1 << 40) == 0.25
+    assert profile.method_paths("m#v1") == {1: 1.5, 1 << 40: 0.25, 2: 0.0}
+    assert profile.total_samples() == 1.75
+    assert profile.distinct_paths() == 3
 
 
-def test_merge_and_copy_across_representations():
+def test_path_table_merge_copy_and_clear():
     a = PathProfile()
-    a.ensure_dense("m#v1", 4)
     a.record("m#v1", 1, 2.0)
-    b = PathProfile()  # plain sparse profile
+    b = PathProfile()
+    b.record("n#v1", 0, 1.0)
+    b.record("m#v1", 3, 1.5)
     b.record("m#v1", 1, 3.0)
-    b.record("m#v1", 3, 1.0)
     a.merge(b)
-    assert a.frequency("m#v1", 1) == 5.0
-    assert a.frequency("m#v1", 3) == 1.0
+    assert list(a.items()) == [
+        ("m#v1", 1, 5.0),
+        ("m#v1", 3, 1.5),
+        ("n#v1", 0, 1.0),
+    ]
     clone = a.copy()
     clone.record("m#v1", 1, 1.0)
+    clone.record("p#v1", 4, 1.0)
     assert a.frequency("m#v1", 1) == 5.0  # copies do not alias
+    assert a.frequency("p#v1", 4) == 0.0
+    assert list(clone.items())[:3] == [
+        ("m#v1", 1, 6.0),
+        ("m#v1", 3, 1.5),
+        ("n#v1", 0, 1.0),
+    ]
     clone.clear()
+    assert list(clone.items()) == [] and len(clone) == 0
     assert clone.total_samples() == 0.0
-    clone.record("m#v1", 2, 1.0)  # dense registration survives clear()
-    assert clone.frequency("m#v1", 2) == 1.0
+    clone.record("m#v1", 2, 1.0)
+    assert list(clone.items()) == [("m#v1", 2, 1.0)]
+    assert a.frequency("m#v1", 2) == 0.0
 
 
 # -- flat edge tables --------------------------------------------------------
@@ -294,7 +301,7 @@ def test_edge_slot_recording_matches_record():
     assert direct.total_executions() == slotted.total_executions()
 
 
-def test_edge_profile_copy_flip_restrict_preserve_counts():
+def test_edge_profile_copy_and_flip_preserve_counts():
     profile = EdgeProfile()
     left, right = BranchRef("m", 0), BranchRef("m", 1)
     profile.record(left, True, 3.0)
@@ -303,9 +310,9 @@ def test_edge_profile_copy_flip_restrict_preserve_counts():
     clone = profile.copy()
     clone.record(left, True, 1.0)
     assert profile.arm_count(left, True) == 3.0
+    assert clone.arm_count(left, True) == 4.0
     flipped = profile.flipped()
     assert flipped.arm_count(left, True) == 1.0
     assert flipped.arm_count(left, False) == 3.0
-    restricted = profile.restricted_to([right])
-    assert list(restricted.branches()) == [right]
-    assert restricted.arm_count(right, True) == 2.0
+    assert list(flipped.branches()) == [left, right]
+    assert flipped.arm_count(right, False) == 2.0

@@ -12,7 +12,11 @@ import random
 
 import pytest
 
-from repro.profiling.edges import numpy_available
+try:
+    import numpy
+except ImportError:  # the block path is skipped without NumPy
+    numpy = None
+
 from repro.sampling.arnold_grove import TimerMethodSampler
 from repro.util.rng import JUMP_BLOCK, DeterministicRng
 from repro.vm import runtime
@@ -24,7 +28,7 @@ from tests.compile_util import compile_simple
 from tests.helpers import CORPUS_SPEC, adaptive_run, counting_program
 
 needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the block path needs NumPy"
+    numpy is None, reason="the block path needs NumPy"
 )
 
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]

@@ -6,7 +6,11 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.profiling.edges import numpy_available
+try:
+    import numpy
+except ImportError:  # random_block is skipped without NumPy
+    numpy = None
+
 from repro.util.rng import JUMP_BLOCK, STABLE_HASH_MEMO, DeterministicRng, stable_hash
 
 
@@ -143,7 +147,7 @@ def test_chance_extremes():
     assert all(rng.chance(1.0) for _ in range(50))
 
 
-@pytest.mark.skipif(not numpy_available(), reason="random_block needs NumPy")
+@pytest.mark.skipif(numpy is None, reason="random_block needs NumPy")
 @pytest.mark.parametrize("n", [1, 2, 17, JUMP_BLOCK])
 def test_random_block_equals_scalar_draws(n):
     for seed in (0, 7, 2**63 + 5):
