@@ -49,8 +49,9 @@ def bench_scale() -> float:
 def engine_jobs() -> int:
     """Worker count for sweep benches (``REPRO_JOBS``, default 1).
 
-    Defaults to serial so pytest-benchmark timings stay comparable run to
-    run; set ``REPRO_JOBS=0`` for ``os.cpu_count()``.
+    Defaults to one supervised worker so pytest-benchmark timings stay
+    comparable run to run; set ``REPRO_JOBS=0`` (or any value below 1)
+    for ``os.cpu_count()``.
     """
     raw = os.environ.get("REPRO_JOBS")
     if not raw:
@@ -81,9 +82,10 @@ def sweep_normalized(configs) -> Dict[str, Dict[str, float]]:
     """Run (suite x configs) through the engine; returns normalized cycles.
 
     The result is ``{config name: {workload name: cycles / Base cycles}}``
-    — exactly what the fig6-style benches tabulate.  With
-    ``engine_jobs() == 1`` this runs serially in-process; either way the
-    numbers are byte-identical (the engine's determinism contract).
+    — exactly what the fig6-style benches tabulate.  The cells run on
+    ``engine_jobs()`` supervised workers, one by default; the numbers
+    are byte-identical at any worker count (the engine's determinism
+    contract).
     """
     from repro.engine import ExperimentPool, make_sweep_cells, sweep_fingerprint
     from repro.harness.experiment import config_to_spec

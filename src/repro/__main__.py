@@ -18,14 +18,23 @@ import sys
 from typing import List, Optional
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -249,7 +258,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pool = ExperimentPool(
         jobs=args.jobs,
         timeout=args.timeout,
-        retries=args.retries,
         fault_plan=fault_plan,
         max_worker_restarts=args.max_worker_restarts,
     )
@@ -369,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="worker processes (default: os.cpu_count(); 1 = serial)",
+        help="supervised worker processes (default: os.cpu_count())",
     )
     sweep_p.add_argument("--scale", type=_positive_float, default=2.0)
     sweep_p.add_argument(
@@ -396,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-cell wall-clock budget in seconds",
     )
-    sweep_p.add_argument("--retries", type=int, default=1)
     sweep_p.add_argument("--seed", type=int, default=0)
     sweep_p.add_argument(
         "--resume",
@@ -408,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--max-worker-restarts",
-        type=int,
+        type=_non_negative_int,
         default=16,
         help="total worker respawns allowed before the sweep degrades "
-        "remaining cells to errors (default 16)",
+        "remaining cells to errors (default 16; 0 never respawns)",
     )
     sweep_p.add_argument(
         "--inject",

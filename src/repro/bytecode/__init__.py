@@ -21,7 +21,6 @@ from repro.bytecode.instructions import (
     Br,
     Call,
     Const,
-    EdgeCount,
     Emit,
     Instr,
     Jmp,
@@ -52,7 +51,6 @@ __all__ = [
     "Br",
     "Call",
     "Const",
-    "EdgeCount",
     "Emit",
     "Instr",
     "Jmp",

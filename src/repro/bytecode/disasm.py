@@ -45,9 +45,6 @@ def format_instr(instr: Instr) -> str:
         return f"r_path += {instr.value}"
     if op == "path_count":
         return f"count[r_path]++  ({instr.mode})"
-    if op == "edge_count":
-        arm = "taken" if instr.taken else "not-taken"
-        return f"edge_count {instr.branch} {arm}"
     if op == "yieldpoint":
         suffix = " (sample point)" if instr.sample_point else ""
         return f"yieldpoint <{instr.kind}>{suffix}"

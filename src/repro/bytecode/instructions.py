@@ -6,8 +6,8 @@ Two families:
 * terminators (``Br``, ``Jmp``, ``Ret``), exactly one per block.
 
 Instrumentation instructions (``PepInit``, ``PepAdd``, ``PathCount``,
-``EdgeCount``, ``Yieldpoint``) are inserted only by compiler passes, never by
-guest authors; the verifier enforces this for *sealed* user programs and the
+``Yieldpoint``) are inserted only by compiler passes, never by guest
+authors; the verifier enforces this for *sealed* user programs and the
 instrumentation passes re-verify afterwards with instrumentation allowed.
 """
 
@@ -258,26 +258,6 @@ class PathCount(Instr):
         return PathCount(self.mode)
 
 
-class EdgeCount(Instr):
-    """Increment the taken or not-taken counter of a bytecode branch.
-
-    ``branch`` is a :class:`~repro.bytecode.method.BranchRef`; ``taken`` says
-    which of the branch's two counters to bump.  This is the baseline
-    compiler's one-time edge instrumentation (paper section 4.2) and the
-    perfect-edge-profile instrumentation (section 5.1).
-    """
-
-    __slots__ = ("branch", "taken")
-    op = "edge_count"
-
-    def __init__(self, branch: "BranchRefLike", taken: bool) -> None:
-        self.branch = branch
-        self.taken = bool(taken)
-
-    def clone(self) -> "EdgeCount":
-        return EdgeCount(self.branch, self.taken)
-
-
 class Yieldpoint(Instr):
     """A VM thread-switch point; checks the global flag.
 
@@ -439,7 +419,7 @@ class Ret(Terminator):
 BranchRefLike = object
 
 INSTRUMENTATION_OPS = frozenset(
-    {"pep_init", "pep_add", "path_count", "edge_count", "yieldpoint"}
+    {"pep_init", "pep_add", "path_count", "yieldpoint"}
 )
 
 

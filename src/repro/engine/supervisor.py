@@ -5,19 +5,21 @@ The pre-supervisor engine handed whole workload shards to a
 cell stalled its entire shard until the *shard* budget expired, and a
 SIGKILLed worker erased every outcome the shard had already produced.
 This module replaces that with per-cell tasks dispatched to long-lived
-worker processes that the parent actively supervises:
+worker processes that the parent actively supervises.  It is the only
+way the engine runs a cell: ``jobs=1`` is one supervised worker.
 
-* each worker owns a duplex pipe; it acknowledges every task with a
-  ``start`` heartbeat and reports a ``done``/``fail`` outcome per cell,
-  so the parent always knows which single cell is in flight where;
+* each worker owns a duplex pipe and reports a ``done``/``fail``
+  outcome per cell, so the parent always knows which single cell is in
+  flight where; the per-cell deadline is armed when the task is sent;
 * the parent's event loop multiplexes worker pipes *and* process
   sentinels through :func:`multiprocessing.connection.wait`, so a worker
   that dies (SIGKILL, OOM, segfault) is detected the moment its sentinel
   fires, and a worker that exceeds its per-cell wall budget is detected
   when its deadline passes — both are killed, joined, and respawned;
-* the in-flight cell of a lost worker is retried with deterministic
-  exponential backoff (``backoff_base * 2**(kills-1)``, no jitter), and
-  a cell that kills its worker ``quarantine_kills`` times (default 2) is
+* a cell that raises is final: cells are pure functions of their spec,
+  so a rerun would only raise again;
+* the in-flight cell of a lost worker is retried at once on a fresh
+  worker, and a cell that loses :data:`QUARANTINE_KILLS` workers is
   quarantined into an error outcome instead of looping the restart
   machinery;
 * total respawns are bounded by ``max_worker_restarts``; exhausting the
@@ -40,6 +42,7 @@ import os
 import signal
 import time
 from collections import deque
+from multiprocessing.connection import wait as mp_wait
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.engine.cells import CellSpec, run_cell
@@ -48,12 +51,17 @@ from repro.errors import (
     CellTimeoutError,
     WorkerCrashError,
 )
+from repro.resilience.health import SweepHealth
 
+# A cell is quarantined when it has lost this many workers; it is also
+# the number of dispatch attempts a cell can get, which sizes the fault
+# planner's (cell, attempt) keys.
+QUARANTINE_KILLS = 2
 # A worker that hangs (injected worker-hang fault) sleeps this long when
 # no per-cell budget exists to derive a longer stall from; the sweep
 # then completes late instead of deadlocking an unbudgeted run.
 _DEFAULT_HANG_SECONDS = 5.0
-# How long to wait for a stopping worker to exit.
+# How long to wait for an idle worker to exit after ``stop``.
 _SHUTDOWN_GRACE = 10.0
 
 
@@ -65,11 +73,10 @@ def _mp_context():
 
 
 def _worker_main(conn, hang_seconds: float) -> None:
-    """Long-lived worker loop: recv task, ack, run cell, send outcome.
+    """Long-lived worker loop: recv task, run cell, send outcome.
 
     Messages from the parent: ``("run", spec, attempt, fault_sites)`` or
     ``("stop",)``, on which the worker exits.  Messages to the parent:
-    ``("start", index, attempt)`` (the heartbeat ack),
     ``("done", index, attempt, metrics, duration)`` and
     ``("fail", index, attempt, error, error_type, duration)``.
     """
@@ -81,10 +88,6 @@ def _worker_main(conn, hang_seconds: float) -> None:
         if message[0] == "stop":
             return
         _, spec, attempt, fault_sites = message
-        try:
-            conn.send(("start", spec.index, attempt))
-        except (BrokenPipeError, OSError):
-            return
         if "worker-crash" in fault_sites:
             # Model a hard worker death mid-cell: no cleanup, no goodbye.
             os.kill(os.getpid(), signal.SIGKILL)
@@ -119,69 +122,17 @@ def _worker_main(conn, hang_seconds: float) -> None:
             return
 
 
-def run_cell_budgeted(
-    spec: CellSpec, budget: float
-) -> Tuple[Optional[Dict], Optional[str], Optional[str]]:
-    """Run one cell in a throwaway child under a wall-clock budget.
-
-    This is what enforces the per-cell ``timeout`` on in-parent retries
-    (the old engine re-ran a timed-out cell inline with *no* budget): the
-    child is SIGKILLed when the budget expires.  Returns the outcome
-    triple ``(metrics, error, error_type)`` — a budget overrun becomes a
-    ``CellTimeoutError`` entry, a dead child a ``WorkerCrashError`` one.
-    """
-    ctx = _mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_budgeted_main, args=(child_conn, spec), daemon=True
-    )
-    proc.start()
-    child_conn.close()
-    try:
-        if parent_conn.poll(budget):
-            try:
-                return parent_conn.recv()
-            except (EOFError, OSError):
-                return (
-                    None,
-                    f"retry process for cell #{spec.index} died",
-                    WorkerCrashError.__name__,
-                )
-        return (
-            None,
-            f"cell #{spec.index} exceeded {budget:.1f}s wall-clock budget "
-            f"on retry",
-            CellTimeoutError.__name__,
-        )
-    finally:
-        if proc.is_alive():
-            proc.kill()
-        proc.join()
-        parent_conn.close()
-
-
-def _budgeted_main(conn, spec: CellSpec) -> None:
-    try:
-        metrics = run_cell(spec)
-        conn.send((metrics, None, None))
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except BaseException as exc:  # noqa: BLE001
-        conn.send((None, str(exc), type(exc).__name__))
-
-
 class _Worker:
     """Parent-side handle for one supervised worker process."""
 
-    __slots__ = ("process", "conn", "task", "deadline", "started")
+    __slots__ = ("process", "conn", "task", "deadline")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        # (spec, attempt, fault_sites) currently in flight, or None.
-        self.task: Optional[Tuple[CellSpec, int, FrozenSet[str]]] = None
+        # (spec, attempt) currently in flight, or None.
+        self.task: Optional[Tuple[CellSpec, int]] = None
         self.deadline: Optional[float] = None
-        self.started = False  # saw the "start" heartbeat for this task
 
     @property
     def busy(self) -> bool:
@@ -192,29 +143,24 @@ class SweepSupervisor:
     """Dispatches cells to supervised workers; survives their deaths.
 
     ``run(cells, on_outcome)`` executes every cell and invokes
-    ``on_outcome(spec, outcome)`` as each reaches a final state, where
-    ``outcome`` is ``(metrics, error, error_type, duration, attempts,
-    final)``; ``final=True`` marks quarantined/abandoned cells the
-    caller must not retry further.
+    ``on_outcome(spec, outcome)`` once per cell, where ``outcome`` is
+    ``(metrics, error, error_type, duration, attempts)``.  Supervision
+    events land on ``health``.
     """
 
     def __init__(
         self,
         jobs: int,
-        timeout: Optional[float] = None,
-        worker_faults: Optional[Dict[str, FrozenSet[str]]] = None,
-        health=None,
-        max_worker_restarts: int = 16,
-        backoff_base: float = 0.05,
-        quarantine_kills: int = 2,
+        timeout: Optional[float],
+        worker_faults: Dict[str, FrozenSet[str]],
+        health: SweepHealth,
+        max_worker_restarts: int,
     ) -> None:
-        self.jobs = max(jobs, 1)
+        self.jobs = jobs
         self.timeout = timeout
-        self.worker_faults = worker_faults or {}
+        self.worker_faults = worker_faults
         self.health = health
         self.max_worker_restarts = max_worker_restarts
-        self.backoff_base = backoff_base
-        self.quarantine_kills = quarantine_kills
         self._ctx = _mp_context()
         self._workers: List[_Worker] = []
         self._restarts = 0
@@ -230,39 +176,29 @@ class SweepSupervisor:
         cells: Sequence[CellSpec],
         on_outcome: Callable[[CellSpec, tuple], None],
     ) -> None:
-        if not cells:
-            return
-        # (spec, attempt, eligible_at); attempt is 1-based and counts
-        # dispatches, i.e. it only advances when a worker is lost.
-        pending: deque = deque((spec, 1, 0.0) for spec in cells)
-        kills: Dict[int, int] = {}
+        # (spec, attempt); attempt is 1-based and counts dispatches, so
+        # it only advances when a worker is lost with the cell in flight.
+        pending: deque = deque((spec, 1) for spec in cells)
         self._completed = set()
-        total = len(cells)
-        want = min(self.jobs, total)
         try:
-            for _ in range(want):
+            for _ in range(min(self.jobs, len(cells))):
                 self._spawn_worker()
-            while len(self._completed) < total:
-                now = time.monotonic()
-                self._dispatch_eligible(pending, now)
-                if not any(w.busy for w in self._workers) and not pending:
-                    # Nothing in flight and nothing queued, yet cells
-                    # remain unfinished: the restart budget ran dry.
+            while len(self._completed) < len(cells):
+                self._dispatch(pending)
+                if not any(w.busy for w in self._workers):
+                    # Nothing could be dispatched: every worker is gone
+                    # and the restart budget is spent.
+                    self._abandon(pending, on_outcome)
                     break
-                if not self._workers and pending:
-                    self._abandon_pending(pending, on_outcome)
-                    continue
-                ready = self._wait(pending, now)
-                self._handle_ready(ready, pending, kills, on_outcome)
-                self._handle_deadlines(pending, kills, on_outcome)
-                if not self._workers and pending:
-                    self._abandon_pending(pending, on_outcome)
+                ready = set(self._wait())
+                self._handle_ready(ready, pending, on_outcome)
+                self._handle_deadlines(pending, on_outcome)
         finally:
             self._shutdown()
 
     # -- event loop pieces ---------------------------------------------------
 
-    def _spawn_worker(self) -> _Worker:
+    def _spawn_worker(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
@@ -271,31 +207,20 @@ class SweepSupervisor:
         )
         process.start()
         child_conn.close()
-        worker = _Worker(process, parent_conn)
-        self._workers.append(worker)
-        return worker
+        self._workers.append(_Worker(process, parent_conn))
 
     def _task_fault_sites(self, index: int, attempt: int) -> FrozenSet[str]:
         key = f"{index}:{attempt}"
         return frozenset(
             site
             for site in ("worker-crash", "worker-hang")
-            if key in self.worker_faults.get(site, frozenset())
+            if key in self.worker_faults[site]
         )
 
-    def _dispatch_eligible(self, pending: deque, now: float) -> None:
+    def _dispatch(self, pending: deque) -> None:
         idle = [w for w in self._workers if not w.busy]
         while idle and pending:
-            # Pending is kept in (eligible_at-agnostic) FIFO order; skip
-            # over backoff-delayed tasks without starving ready ones.
-            for _ in range(len(pending)):
-                spec, attempt, eligible_at = pending[0]
-                if eligible_at <= now:
-                    pending.popleft()
-                    break
-                pending.rotate(-1)
-            else:
-                return  # every pending task is still backing off
+            spec, attempt = pending.popleft()
             worker = idle.pop()
             sites = self._task_fault_sites(spec.index, attempt)
             try:
@@ -303,117 +228,73 @@ class SweepSupervisor:
             except (BrokenPipeError, OSError):
                 # Worker died before it ever got the task; this is not
                 # the cell's fault — requeue without a kill strike.
-                pending.appendleft((spec, attempt, eligible_at))
-                self._replace_worker(worker, respawn=True)
+                pending.appendleft((spec, attempt))
+                self._replace_worker(worker)
                 idle = [w for w in self._workers if not w.busy]
                 continue
-            worker.task = (spec, attempt, sites)
-            worker.started = False
-            worker.deadline = (
-                now + self.timeout if self.timeout is not None else None
-            )
+            worker.task = (spec, attempt)
+            if self.timeout is not None:
+                worker.deadline = time.monotonic() + self.timeout
 
-    def _wait(self, pending: deque, now: float):
-        from multiprocessing.connection import wait as mp_wait
-
+    def _wait(self) -> list:
+        """Block until a busy worker reports, dies, or hits its deadline."""
         handles = []
+        deadlines = []
         for worker in self._workers:
             if worker.busy:
-                handles.append(worker.conn)
-                handles.append(worker.process.sentinel)
+                handles += [worker.conn, worker.process.sentinel]
+                if worker.deadline is not None:
+                    deadlines.append(worker.deadline)
         timeout = None
-        deadlines = [
-            w.deadline
-            for w in self._workers
-            if w.busy and w.deadline is not None
-        ]
         if deadlines:
-            timeout = max(min(deadlines) - now, 0.0)
-        if pending:
-            eligible = min(entry[2] for entry in pending)
-            idle_exists = any(not w.busy for w in self._workers)
-            if idle_exists:
-                backoff_wait = max(eligible - now, 0.0) + 0.001
-                timeout = (
-                    backoff_wait if timeout is None
-                    else min(timeout, backoff_wait)
-                )
-        if not handles:
-            if timeout:
-                time.sleep(min(timeout, 1.0))
-            return []
+            timeout = max(min(deadlines) - time.monotonic(), 0.0)
         return mp_wait(handles, timeout)
 
-    def _handle_ready(
-        self,
-        ready,
-        pending: deque,
-        kills: Dict[int, int],
-        on_outcome,
-    ) -> int:
-        completed = 0
-        ready_set = set(ready)
+    def _handle_ready(self, ready: set, pending: deque, on_outcome) -> None:
         for worker in list(self._workers):
-            if worker.conn in ready_set:
-                completed += self._drain_worker(worker, on_outcome)
-            if worker.process.sentinel in ready_set:
+            if worker.conn in ready:
+                self._drain_worker(worker, on_outcome)
+            if worker.process.sentinel in ready:
                 # Drain any buffered final message first: a worker that
                 # completed its cell and *then* died mid-idle must not
                 # lose the outcome it already sent.
-                completed += self._drain_worker(worker, on_outcome)
-                if worker in self._workers:
-                    completed += self._worker_lost(
-                        worker, "crash", pending, kills, on_outcome
-                    )
-        return completed
+                self._drain_worker(worker, on_outcome)
+                self._worker_lost(worker, "crash", pending, on_outcome)
 
-    def _drain_worker(self, worker: _Worker, on_outcome) -> int:
-        completed = 0
+    def _drain_worker(self, worker: _Worker, on_outcome) -> None:
         while True:
             try:
                 if not worker.conn.poll():
-                    break
+                    return
                 message = worker.conn.recv()
             except (EOFError, OSError):
-                break
-            kind = message[0]
-            if kind == "start":
-                worker.started = True
-            elif kind in ("done", "fail"):
-                if worker.task is None:  # pragma: no cover - protocol bug
-                    continue
-                spec = worker.task[0]
-                worker.task = None
-                worker.deadline = None
-                if kind == "done":
-                    _, _index, attempt, metrics, duration = message
-                    outcome = (metrics, None, None, duration, attempt, False)
-                else:
-                    _, _index, attempt, error, error_type, duration = message
-                    outcome = (
-                        None, error, error_type, duration, attempt, False
-                    )
-                completed += self._finish(spec, outcome, on_outcome)
-        return completed
+                return
+            if worker.task is None:  # pragma: no cover - protocol bug
+                continue
+            spec = worker.task[0]
+            worker.task = None
+            worker.deadline = None
+            if message[0] == "done":
+                _, _index, attempt, metrics, duration = message
+                outcome = (metrics, None, None, duration, attempt)
+            else:
+                _, _index, attempt, error, error_type, duration = message
+                outcome = (None, error, error_type, duration, attempt)
+            self._finish(spec, outcome, on_outcome)
 
-    def _finish(self, spec: CellSpec, outcome: tuple, on_outcome) -> int:
+    def _finish(self, spec: CellSpec, outcome: tuple, on_outcome) -> None:
         """Record a final outcome exactly once per cell.
 
         A kill/complete race (the worker's ``done`` landing in the pipe
         in the same instant the supervisor declares it hung) could
         otherwise double-report a cell; the first outcome wins.
         """
-        if spec.index in self._completed:
-            return 0
-        self._completed.add(spec.index)
-        on_outcome(spec, outcome)
-        return 1
+        if spec.index not in self._completed:
+            self._completed.add(spec.index)
+            on_outcome(spec, outcome)
 
-    def _handle_deadlines(
-        self, pending: deque, kills: Dict[int, int], on_outcome
-    ) -> int:
+    def _handle_deadlines(self, pending: deque, on_outcome) -> None:
         now = time.monotonic()
-        completed = 0
         for worker in list(self._workers):
             if (
                 worker.busy
@@ -422,68 +303,79 @@ class SweepSupervisor:
             ):
                 # Drain first: an outcome already sitting in the pipe
                 # means the cell finished just under the wire.
-                completed += self._drain_worker(worker, on_outcome)
-                if not worker.busy:
-                    continue
-                completed += self._worker_lost(
-                    worker, "hang", pending, kills, on_outcome
-                )
-        return completed
+                self._drain_worker(worker, on_outcome)
+                if worker.busy:
+                    self._worker_lost(worker, "hang", pending, on_outcome)
 
     def _worker_lost(
-        self,
-        worker: _Worker,
-        cause: str,
-        pending: deque,
-        kills: Dict[int, int],
-        on_outcome,
-    ) -> int:
+        self, worker: _Worker, cause: str, pending: deque, on_outcome
+    ) -> None:
         """A worker died or blew its deadline; recover its in-flight cell."""
         task = worker.task
-        self._replace_worker(worker, respawn=True)
+        self._replace_worker(worker)
         if task is None:
-            return 0
-        spec, attempt, _sites = task
+            return
+        spec, attempt = task
         if spec.index in self._completed:  # outcome already recorded
-            return 0
-        strikes = kills.get(spec.index, 0) + 1
-        kills[spec.index] = strikes
-        if self.health is not None:
-            if cause == "hang":
-                self.health.record_hang(
-                    spec.index, attempt, self.timeout or 0.0
-                )
-            else:
-                self.health.record_crash(spec.index, attempt)
-        if strikes >= self.quarantine_kills:
-            if cause == "hang":
-                error_type = CellTimeoutError.__name__
-                error = (
-                    f"quarantined after {strikes} worker kill(s): cell "
-                    f"exceeded its {self.timeout or 0.0:.1f}s wall budget "
-                    f"repeatedly"
-                )
-            else:
-                error_type = WorkerCrashError.__name__
-                error = (
-                    f"quarantined after {strikes} worker kill(s): cell "
-                    f"killed its worker repeatedly"
-                )
-            if self.health is not None:
-                self.health.record_quarantine(spec.index, error)
-            return self._finish(
-                spec, (None, error, error_type, 0.0, attempt, True), on_outcome
+            return
+        # Each lost worker costs the cell one attempt, so the attempt
+        # number is also its kill count.
+        if cause == "hang":
+            self.health.record_hang(spec.index, attempt, self.timeout)
+        else:
+            self.health.record_crash(spec.index, attempt)
+        if attempt < QUARANTINE_KILLS:
+            pending.append((spec, attempt + 1))
+            return
+        if cause == "hang":
+            error_type = CellTimeoutError.__name__
+            error = (
+                f"quarantined after {attempt} worker kill(s): cell "
+                f"exceeded its {self.timeout:g}s wall budget repeatedly"
             )
-        delay = self.backoff_base * (2 ** (strikes - 1))
-        if self.health is not None:
-            self.health.record_backoff(spec.index, delay)
-        pending.append((spec, attempt + 1, time.monotonic() + delay))
-        return 0
+        else:
+            error_type = WorkerCrashError.__name__
+            error = (
+                f"quarantined after {attempt} worker kill(s): cell "
+                f"killed its worker repeatedly"
+            )
+        self.health.record_quarantine(spec.index, error)
+        self._finish(spec, (None, error, error_type, 0.0, attempt), on_outcome)
 
-    def _replace_worker(self, worker: _Worker, respawn: bool) -> None:
+    def _replace_worker(self, worker: _Worker) -> None:
         """Kill/join/forget a worker; respawn if the budget allows."""
-        if worker in self._workers:
-            self._workers.remove(worker)
+        self._workers.remove(worker)
+        self._reap(worker)
+        if self._restarts >= self.max_worker_restarts:
+            self.health.record_event(
+                "restart-budget",
+                f"worker restart budget ({self.max_worker_restarts}) "
+                f"exhausted; not respawning",
+            )
+            return
+        self._restarts += 1
+        self._spawn_worker()
+        self.health.record_restart()
+
+    def _abandon(self, pending: deque, on_outcome) -> None:
+        """Restart budget exhausted with no workers left: degrade, don't hang."""
+        while pending:
+            spec, attempt = pending.popleft()
+            error = (
+                f"worker restart budget ({self.max_worker_restarts}) "
+                f"exhausted before cell could run"
+            )
+            self.health.record_quarantine(spec.index, error)
+            self._finish(
+                spec,
+                (None, error, CellQuarantinedError.__name__, 0.0, attempt),
+                on_outcome,
+            )
+
+    # -- shutdown ------------------------------------------------------------
+
+    @staticmethod
+    def _reap(worker: _Worker) -> None:
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join()
@@ -491,55 +383,23 @@ class SweepSupervisor:
             worker.conn.close()
         except OSError:  # pragma: no cover
             pass
-        if not respawn:
-            return
-        if self._restarts >= self.max_worker_restarts:
-            if self.health is not None:
-                self.health.record_event(
-                    "restart-budget",
-                    f"worker restart budget ({self.max_worker_restarts}) "
-                    f"exhausted; not respawning",
-                )
-            return
-        self._restarts += 1
-        self._spawn_worker()
-        if self.health is not None:
-            self.health.record_restart()
-
-    def _abandon_pending(self, pending: deque, on_outcome) -> int:
-        """Restart budget exhausted with no workers left: degrade, don't hang."""
-        completed = 0
-        while pending:
-            spec, attempt, _eligible = pending.popleft()
-            error = (
-                f"worker restart budget ({self.max_worker_restarts}) "
-                f"exhausted before cell could run"
-            )
-            if self.health is not None:
-                self.health.record_quarantine(spec.index, error)
-            completed += self._finish(
-                spec,
-                (None, error, CellQuarantinedError.__name__, 0.0, attempt, True),
-                on_outcome,
-            )
-        return completed
-
-    # -- shutdown ------------------------------------------------------------
 
     def _shutdown(self) -> None:
+        """Stop every worker; a busy one holds an abandoned cell, so kill it.
+
+        Workers are busy here only when the sweep is being aborted (an
+        interrupt, or a strict-mode error raised from ``on_outcome``).
+        """
         deadline = time.monotonic() + _SHUTDOWN_GRACE
         for worker in self._workers:
+            if worker.busy:
+                continue
             try:
                 worker.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 continue
         for worker in self._workers:
-            worker.process.join(max(deadline - time.monotonic(), 0.1))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            if not worker.busy:
+                worker.process.join(max(deadline - time.monotonic(), 0.1))
+            self._reap(worker)
         self._workers = []

@@ -114,7 +114,7 @@ class CellTimeoutError(EngineError):
 
 
 class CellExecutionError(EngineError):
-    """An experiment cell failed in a worker (and in the serial retry)."""
+    """A strict sweep stopped at a cell that failed or was quarantined."""
 
 
 class WorkerCrashError(EngineError):
@@ -122,12 +122,14 @@ class WorkerCrashError(EngineError):
 
 
 class CellQuarantinedError(EngineError):
-    """A cell killed its worker repeatedly and was quarantined.
+    """A cell was abandoned because no worker was left to run it.
 
-    The supervisor retries a cell whose worker crashed or hung, but a
-    cell that takes a worker down twice is presumed to be the cause and
-    is turned into an error :class:`~repro.engine.cells.CellResult`
-    instead of looping the restart machinery forever.
+    The supervisor respawns lost workers only while its
+    ``max_worker_restarts`` budget lasts.  Once every worker is gone and
+    the budget is spent, each cell still queued becomes an error
+    :class:`~repro.engine.cells.CellResult` of this type.  A cell that
+    takes its own worker down twice is quarantined too, but as a
+    :class:`WorkerCrashError` or :class:`CellTimeoutError` result.
     """
 
 

@@ -239,11 +239,12 @@ def measure_cell(
 ) -> Dict:
     """Measure one (workload, config) cell; returns plain picklable data.
 
-    This is the unit the parallel engine ships to worker processes: the
-    worker re-prepares the workload context from scratch (deterministic),
-    runs the configuration, and returns metrics plus a SHA-256 digest of
-    the run's profiles and outputs — the digest is what the engine's
-    serial-vs-parallel identity checks compare.
+    This is the unit the engine ships to its supervised worker
+    processes: the worker re-prepares the workload context from scratch
+    (deterministic), runs the configuration, and returns metrics plus a
+    SHA-256 digest of the run's profiles and outputs — the digest is
+    what the engine's determinism checks compare between sweeps and
+    in-process :func:`~repro.engine.cells.run_cell` calls.
     """
     from repro.persist import (
         edge_profile_to_dict,

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bytecode.instructions import (
-    Br,
     Jmp,
     PathCount,
     PepAdd,

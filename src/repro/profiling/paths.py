@@ -46,9 +46,6 @@ class PathProfile:
             for path_number, freq in table.items():
                 yield method, path_number, freq
 
-    def total_samples(self) -> float:
-        return sum(freq for _method, _number, freq in self.items())
-
     def distinct_paths(self) -> int:
         return sum(len(table) for table in self._counts.values())
 

@@ -164,11 +164,6 @@ def _memo_for(dag: PDag) -> _SharedMemo:
     return memo
 
 
-def clear_shared_memos() -> None:
-    """Drop every shared expansion memo (tests; memory pressure)."""
-    _SHARED_MEMOS.clear()
-
-
 class PathResolver:
     """Memoising wrapper around :func:`reconstruct_path` for one method.
 
@@ -187,19 +182,12 @@ class PathResolver:
         self.dag = dag
         self._memo = _memo_for(dag)
 
-    def is_cached(self, path_number: int) -> bool:
-        """True if this path has been resolved before (memo hit)."""
-        return path_number in self._memo.entries
-
     def branch_events(self, path_number: int, injector=None) -> List[BranchEvent]:
         return self._resolve(path_number, injector)[0]
 
     def branch_length(self, path_number: int, injector=None) -> int:
         """Number of conditional-branch executions along the path (b_p)."""
         return self._resolve(path_number, injector)[1]
-
-    def cached_count(self) -> int:
-        return len(self._memo)
 
     def _resolve(
         self, path_number: int, injector=None

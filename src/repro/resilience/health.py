@@ -165,7 +165,7 @@ class SweepHealth:
 
     One :class:`HealthReport` describes a single VM run; a sweep is many
     runs plus the supervision machinery around them (worker restarts,
-    quarantines, backoff waits, journal recoveries).  ``SweepHealth``
+    quarantines, journal recoveries).  ``SweepHealth``
     aggregates both so ``repro sweep`` can print one ledger for the whole
     sweep, and tests can assert the supervisor took exactly the expected
     recovery actions under an injected fault plan.
@@ -184,8 +184,6 @@ class SweepHealth:
         "worker_crashes",
         "worker_hangs",
         "quarantined",
-        "backoff_waits",
-        "backoff_seconds",
         "journal_recoveries",
         "receipt_failures",
         "cell_faults",
@@ -205,8 +203,6 @@ class SweepHealth:
         self.worker_hangs = 0
         # (cell index, reason) per quarantined cell.
         self.quarantined: List[Tuple[int, str]] = []
-        self.backoff_waits = 0
-        self.backoff_seconds = 0.0
         # Corrupt/unusable journal lines skipped during resume.
         self.journal_recoveries: List[str] = []
         # Receipt appends that failed (the sweep continued without them).
@@ -240,7 +236,7 @@ class SweepHealth:
         self.worker_hangs += 1
         self.record_event(
             "worker-hang",
-            f"cell #{index} attempt {attempt} exceeded {budget:.1f}s; "
+            f"cell #{index} attempt {attempt} exceeded {budget:g}s; "
             f"worker killed",
         )
 
@@ -251,13 +247,6 @@ class SweepHealth:
     def record_quarantine(self, index: int, reason: str) -> None:
         self.quarantined.append((index, reason))
         self.record_event("quarantine", f"cell #{index}: {reason}")
-
-    def record_backoff(self, index: int, delay: float) -> None:
-        self.backoff_waits += 1
-        self.backoff_seconds += delay
-        self.record_event(
-            "backoff", f"cell #{index} retry delayed {delay:.3f}s"
-        )
 
     def record_journal_recovery(self, detail: str) -> None:
         self.journal_recoveries.append(detail)
@@ -286,7 +275,6 @@ class SweepHealth:
             self.worker_crashes
             + self.worker_hangs
             + len(self.quarantined)
-            + self.backoff_waits
             + len(self.journal_recoveries)
             + len(self.receipt_failures)
         )
@@ -301,8 +289,6 @@ class SweepHealth:
             "worker_crashes": self.worker_crashes,
             "worker_hangs": self.worker_hangs,
             "quarantined": [list(entry) for entry in sorted(self.quarantined)],
-            "backoff_waits": self.backoff_waits,
-            "backoff_seconds": self.backoff_seconds,
             "journal_recoveries": sorted(self.journal_recoveries),
             "receipt_failures": sorted(self.receipt_failures),
             "cell_faults": dict(sorted(self.cell_faults.items())),
@@ -327,8 +313,6 @@ class SweepHealth:
                 if self.quarantined
                 else ""
             ),
-            f"backoff waits:        {self.backoff_waits} "
-            f"({self.backoff_seconds:.3f}s total)",
             f"journal recoveries:   {len(self.journal_recoveries)}",
             f"receipt failures:     {len(self.receipt_failures)}",
         ]

@@ -187,6 +187,11 @@ def small_adaptive_run(program: Program):
     return system, vm, vm.run()
 
 
+def total_samples(profile) -> float:
+    """Sum of every path count in a :class:`PathProfile`."""
+    return sum(freq for _method, _number, freq in profile.items())
+
+
 def vm_digest(vm, result) -> str:
     """Checksum of a finished run's results, profiles and counters."""
     return payload_checksum(

@@ -15,6 +15,8 @@ from repro.errors import AdviceError, CompilationError
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.vm.costs import CostModel
 
+from tests.helpers import total_samples
+
 
 def hot_loop_program(iters=4000):
     pb = ProgramBuilder("hot")
@@ -80,7 +82,7 @@ def test_adaptive_with_pep_collects_profiles():
     vm = system.make_vm(tick_interval=2000.0)
     result = vm.run()
     assert result.samples_taken > 0
-    assert vm.path_profile.total_samples() > 0
+    assert total_samples(vm.path_profile) > 0
     assert len(vm.edge_profile) > 0
 
 
@@ -116,7 +118,7 @@ def test_replay_with_pep_sampling_collects_profiles():
         image, tick_interval=1500.0, sampling=SamplingConfig(16, 5)
     )
     assert result.samples_taken > 0
-    assert vm.path_profile.total_samples() > 0
+    assert total_samples(vm.path_profile) > 0
     assert image.resolvers()
 
 

@@ -10,7 +10,6 @@ from repro.bytecode.instructions import (
     Br,
     Call,
     Const,
-    EdgeCount,
     Emit,
     Jmp,
     Move,
@@ -64,7 +63,6 @@ def test_is_instrumentation():
     assert is_instrumentation(PepInit())
     assert is_instrumentation(PepAdd(3))
     assert is_instrumentation(PathCount())
-    assert is_instrumentation(EdgeCount(BranchRef("m", 0), True))
     assert is_instrumentation(Yieldpoint("entry"))
     assert not is_instrumentation(Const(0, 1))
     assert not is_instrumentation(Move(0, 1))

@@ -14,7 +14,6 @@ from repro.bytecode.instructions import (
     BinOpImm,
     Br,
     Call,
-    EdgeCount,
     Emit,
     Jmp,
     PathCount,
@@ -39,7 +38,6 @@ def test_format_instr_variants():
     assert format_instr(PepInit()) == "r_path = 0"
     assert format_instr(PepAdd(7)) == "r_path += 7"
     assert "count[r_path]++" in format_instr(PathCount("hash"))
-    assert "taken" in format_instr(EdgeCount(BranchRef("m", 0), True))
     assert "(sample point)" in format_instr(Yieldpoint("header", True))
     assert "(sample point)" not in format_instr(Yieldpoint("entry"))
 

@@ -1,8 +1,9 @@
 """The parallel experiment engine: determinism, ordering, degradation.
 
 The load-bearing property is the determinism contract: a cell's result
-depends only on its spec, so a parallel sweep is byte-identical (profile
-digests included) to a serial sweep of the same cells.
+depends only on its spec, so a sweep on any number of workers is
+byte-identical (profile digests included) to running ``run_cell`` on
+each cell in process.
 """
 
 from __future__ import annotations
@@ -69,14 +70,13 @@ def test_cellspec_pickle_roundtrip():
 
 def test_parallel_results_identical_to_serial():
     cells = make_sweep_cells(_WORKLOADS, _SPECS, scale=_SCALE)
-    serial = ExperimentPool(jobs=1, strict=True).run(cells)
-    parallel = ExperimentPool(jobs=2, strict=True).run(cells)
-    assert [r.index for r in serial] == [r.index for r in parallel]
-    for s, p in zip(serial, parallel):
-        assert s.ok and p.ok
-        assert s.metrics["digest"] == p.metrics["digest"]
+    reference = [run_cell(c) for c in cells]
+    for jobs in (1, 2):
+        results = ExperimentPool(jobs=jobs, strict=True).run(cells)
+        assert [r.index for r in results] == [c.index for c in cells]
+        assert all(r.ok for r in results)
         # Not just the digest: every reported number matches.
-        assert s.metrics == p.metrics
+        assert [r.metrics for r in results] == reference
 
 
 def test_results_ordered_by_index_regardless_of_input_order():
@@ -115,17 +115,19 @@ def _bad_cell(index: int = 0) -> CellSpec:
 
 
 def test_failed_cell_degrades_to_error_result():
-    results = ExperimentPool(jobs=1, retries=1).run([_bad_cell()])
+    results = ExperimentPool(jobs=1).run([_bad_cell()])
     (result,) = results
     assert not result.ok
-    assert result.attempts == 2  # first try + one serial retry
+    # A cell that raises is final: a rerun of a pure cell would only
+    # raise again.
+    assert result.attempts == 1
     assert result.error_type == "WorkloadError"
     assert "no-such-workload" in result.error
 
 
 def test_failed_cell_raises_in_strict_mode():
     with pytest.raises(CellExecutionError) as info:
-        ExperimentPool(jobs=1, retries=0, strict=True).run([_bad_cell()])
+        ExperimentPool(jobs=1, strict=True).run([_bad_cell()])
     assert "no-such-workload" in str(info.value)
     # Engine errors slot into the PR-1 error taxonomy.
     assert isinstance(info.value, EngineError)
@@ -134,7 +136,7 @@ def test_failed_cell_raises_in_strict_mode():
 def test_failure_in_one_cell_does_not_poison_others():
     good = make_sweep_cells(["compress"], [config_to_spec(BASE)], scale=_SCALE)
     bad = _bad_cell(index=len(good))
-    results = ExperimentPool(jobs=2, retries=0).run(good + [bad])
+    results = ExperimentPool(jobs=2).run(good + [bad])
     assert results[0].ok
     assert not results[-1].ok
 
@@ -147,31 +149,26 @@ def test_pool_rejects_a_timeout_it_cannot_honour(timeout):
         ExperimentPool(jobs=2, timeout=timeout)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"jobs": 0}, {"jobs": -3}, {"max_worker_restarts": -1}],
+    ids=["jobs=0", "jobs=-3", "max_worker_restarts=-1"],
+)
+def test_pool_rejects_a_size_it_cannot_honour(kwargs):
+    # Zero or negative jobs used to run one worker silently, and a
+    # negative restart budget quarantined the first crashed cell.
+    (name,) = kwargs
+    with pytest.raises(EngineError, match=name):
+        ExperimentPool(**kwargs)
+    # No respawns at all is a usable budget.
+    assert ExperimentPool(jobs=1, max_worker_restarts=0).max_worker_restarts == 0
+
+
 @pytest.mark.parametrize("trials", [0, -2])
 def test_sweep_cells_reject_fewer_than_one_trial(trials):
     # Zero trials would run an empty sweep and report success.
     with pytest.raises(EngineError, match="trials"):
         make_sweep_cells(_WORKLOADS, _SPECS, scale=_SCALE, trials=trials)
-
-
-def test_timeout_outcomes_are_retried_then_reported():
-    # Exercise the completion/retry path directly with a synthetic
-    # timeout outcome, ``(metrics, error, error_type, duration, attempts,
-    # final)`` (real budget blowouts are covered in test_supervisor.py).
-    pool = ExperimentPool(jobs=1, retries=0)
-    cell = _bad_cell()
-    outcome = (
-        None, "cell exceeded budget", CellTimeoutError.__name__, 5.0, 1, False
-    )
-    result = pool._finish_cell(cell, outcome, None, frozenset())
-    assert not result.ok
-    assert result.error_type == CellTimeoutError.__name__
-    # With retries, the parent re-runs the cell serially; here the cell
-    # itself is broken, so the retry surfaces the real error instead.
-    pool_retry = ExperimentPool(jobs=1, retries=1)
-    retried = pool_retry._finish_cell(cell, outcome, None, frozenset())
-    assert retried.attempts == 2
-    assert retried.error_type == "WorkloadError"
 
 
 def test_slow_cell_times_out_then_recovers_via_retry():
@@ -187,9 +184,7 @@ def test_slow_cell_times_out_then_recovers_via_retry():
     )
     canonical = run_cell(cells[0])
     plan = FaultPlan.parse(["worker-hang=1.0:1"], seed=0)
-    pool = ExperimentPool(
-        jobs=2, strict=True, timeout=3.0, fault_plan=plan, backoff_base=0.01
-    )
+    pool = ExperimentPool(jobs=2, strict=True, timeout=3.0, fault_plan=plan)
     (result,) = pool.run(cells)
     assert result.ok
     assert result.attempts == 2  # timed out once, recovered on retry
@@ -197,39 +192,43 @@ def test_slow_cell_times_out_then_recovers_via_retry():
     assert pool.health.worker_hangs == 1
 
 
-def test_merge_retries_enforce_the_per_cell_budget():
-    # Regression: in-parent retries used to re-run a timed-out cell with
-    # *no* budget at all.  With a timeout configured, the retry runs in
-    # a budgeted child and a still-slow cell times out again instead of
-    # stalling the sweep.
+def test_one_worker_enforces_the_per_cell_budget():
+    # Regression: one job used to run the cell in the parent with no
+    # budget, so a cell that two jobs quarantined came back ok.  A slow
+    # cell now overruns its budget on its first and its second worker,
+    # whatever the worker count.
     (slow,) = make_sweep_cells(["compress"], [config_to_spec(BASE)], scale=12.0)
-    pool = ExperimentPool(jobs=1, retries=1, timeout=0.1)
-    outcome = (
-        None, "cell exceeded budget", CellTimeoutError.__name__, 0.1, 1, False
-    )
-    result = pool._finish_cell(slow, outcome, None, frozenset())
-    assert not result.ok
-    assert result.attempts == 2
-    assert result.error_type == CellTimeoutError.__name__
-    assert "retry" in result.error
+    outcomes = {}
+    for jobs in (1, 2):
+        pool = ExperimentPool(jobs=jobs, timeout=0.1)
+        (result,) = pool.run([slow])
+        assert not result.ok
+        assert result.error_type == CellTimeoutError.__name__
+        assert "quarantined" in result.error and "0.1s" in result.error
+        assert result.attempts == 2
+        assert pool.health.worker_hangs == 2
+        outcomes[jobs] = (result.error, result.attempts, pool.health)
+    assert outcomes[1] == outcomes[2]
 
 
 def test_keyboard_interrupt_is_not_swallowed(monkeypatch):
     # Regression: the engine used to fold KeyboardInterrupt/SystemExit
     # into error payloads, so Ctrl-C kept the sweep grinding on.  Both
-    # must propagate out of a serial run.
-    import repro.engine.pool as pool_module
+    # must propagate out of the parent's wait, and the aborted sweep
+    # must leave no worker process behind.
+    import multiprocessing
 
+    from repro.engine import SweepSupervisor
+
+    cells = make_sweep_cells(["compress"], [config_to_spec(BASE)], scale=_SCALE)
     for exc_type in (KeyboardInterrupt, SystemExit):
-        def _boom(spec, _exc=exc_type):
+        def _interrupted(self, _exc=exc_type):
             raise _exc()
 
-        monkeypatch.setattr(pool_module, "run_cell", _boom)
-        cells = make_sweep_cells(
-            ["compress"], [config_to_spec(BASE)], scale=_SCALE
-        )
+        monkeypatch.setattr(SweepSupervisor, "_wait", _interrupted)
         with pytest.raises(exc_type):
             ExperimentPool(jobs=1).run(cells)
+        assert multiprocessing.active_children() == []
 
 
 def test_make_sweep_cells_propagates_include_compile_cycles():

@@ -27,7 +27,7 @@ from repro.resilience import DegradationPolicy, FaultPlan, ResilienceManager
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.workloads.suite import get_workload
 
-from tests.helpers import counting_program
+from tests.helpers import counting_program, total_samples
 
 SCALE = 0.6  # tiny runs: these are correctness tests, not measurements
 
@@ -117,7 +117,7 @@ def test_prepare_does_not_cache_custom_cost_contexts():
 
 def test_perfect_profiles_consistency(ctx):
     perfect = collect_perfect_profiles(ctx)
-    assert perfect.paths.total_samples() > 0
+    assert total_samples(perfect.paths) > 0
     # Path-derived edges must agree exactly with direct edge counts on
     # branches both cover (the section 5.1 equivalence), up to paths lost
     # at uninterruptible headers (none in this workload).
@@ -211,7 +211,7 @@ def test_api_profile_basic():
 def test_api_profile_perfect_mode():
     report = api.profile(counting_program(500), perfect=True)
     assert report.result.samples_taken == 0
-    assert report.paths.total_samples() > 0
+    assert total_samples(report.paths) > 0
     # Perfect edges cover the loop branch with exact counts.
     total = sum(
         report.edges.total(branch) for branch in report.edges.branches()

@@ -137,6 +137,13 @@ def test_cli_profile_rejects_zero_ticks(source_file, capsys, mode):
     assert "usage:" in err and "--ticks: must be >= 1" in err
 
 
+_SWEEP_RULES = {
+    "--trials": "must be >= 1",
+    "--jobs": "must be >= 1",
+    "--max-worker-restarts": "must be >= 0",
+}
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -148,6 +155,9 @@ def test_cli_profile_rejects_zero_ticks(source_file, capsys, mode):
         ("--scale", "nan"),
         ("--scale", "-1"),
         ("--scale", "0"),
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
+        ("--max-worker-restarts", "-1"),
     ],
 )
 def test_cli_sweep_rejects_unusable_arguments(capsys, flag, value):
@@ -156,8 +166,16 @@ def test_cli_sweep_rejects_unusable_arguments(capsys, flag, value):
         main(["sweep", "--jobs", "1", "--workloads", "compress", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    rule = "must be >= 1" if flag == "--trials" else "must be positive and finite"
+    rule = _SWEEP_RULES.get(flag, "must be positive and finite")
     assert "usage:" in err and f"{flag}: {rule}" in err
+
+
+def test_cli_sweep_has_no_retries_flag(capsys):
+    # A cell that raises is final, so there is nothing to retry.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--jobs", "1", "--workloads", "compress", "--retries", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --retries" in capsys.readouterr().err
 
 
 def test_cli_profile_perfect(source_file, capsys):

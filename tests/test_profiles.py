@@ -6,6 +6,8 @@ from repro.bytecode.method import BranchRef
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import PathProfile
 
+from tests.helpers import total_samples
+
 
 B0 = BranchRef("m", 0)
 B1 = BranchRef("m", 1)
@@ -78,7 +80,7 @@ def test_path_profile_record_and_query():
     assert p.frequency("m#v0", 99) == 0
     assert p.frequency("nope", 0) == 0
     assert p.distinct_paths() == 2
-    assert p.total_samples() == pytest.approx(4.5)
+    assert total_samples(p) == pytest.approx(4.5)
 
 
 def test_path_profile_merge_and_copy():

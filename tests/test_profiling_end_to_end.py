@@ -16,7 +16,7 @@ from repro.sampling.arnold_grove import make_sampler
 from repro.workloads.generator import GeneratorSpec, random_program
 
 from tests.compile_util import compile_simple, expand_path_profile, run_program
-from tests.helpers import call_program, counting_program
+from tests.helpers import call_program, counting_program, total_samples
 
 
 def edge_counts(profile: EdgeProfile):
@@ -78,7 +78,7 @@ def test_path_count_updates_match_path_ends():
     vm.run()
     # Loop runs 10 iterations: the header is crossed 11 times (10 body
     # entries + the final exit test), and main exits once.
-    assert vm.path_profile.total_samples() == 12
+    assert total_samples(vm.path_profile) == 12
     assert vm.path_count_updates == 12
 
 

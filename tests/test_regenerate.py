@@ -8,11 +8,11 @@ from repro.cfg.dag import DagEdge, PDag
 from repro.errors import PathReconstructionError
 from repro.profiling.ballarus import assign_ball_larus_values
 from repro.profiling.edges import EdgeProfile
+from repro.profiling import regenerate
 from repro.profiling.paths import PathProfile
 from repro.profiling.regenerate import (
     PathResolver,
     _SharedMemo,
-    clear_shared_memos,
     derive_edge_profile,
     reconstruct_path,
 )
@@ -65,35 +65,34 @@ def test_resolver_branch_events_and_lengths():
             assert isinstance(taken, bool)
 
 
-def test_resolver_caches():
+def test_resolver_caches(monkeypatch):
     method = diamond_loop_method()
     dag, _ = pep_dag_for(method)
     assign_ball_larus_values(dag)
     # A cold memo: another test may have warmed this DAG's shared one.
-    clear_shared_memos()
+    monkeypatch.setattr(regenerate, "_SHARED_MEMOS", {})
     resolver = PathResolver(dag)
-    assert not resolver.is_cached(0)
+    assert len(resolver._memo) == 0
     resolver.branch_events(0)
-    assert resolver.is_cached(0)
-    assert resolver.cached_count() == 1
+    assert resolver._memo.get(0) is not None
+    assert len(resolver._memo) == 1
     resolver.branch_events(0)
-    assert resolver.cached_count() == 1
-    clear_shared_memos()
+    assert len(resolver._memo) == 1
 
 
-def test_resolvers_share_memo_across_instances():
+def test_resolvers_share_memo_across_instances(monkeypatch):
     method = diamond_loop_method()
     dag, _ = pep_dag_for(method)
     assign_ball_larus_values(dag)
-    clear_shared_memos()
+    monkeypatch.setattr(regenerate, "_SHARED_MEMOS", {})
     first = PathResolver(dag)
     first.branch_events(0)
     # A second resolver over the same DAG shape (adaptive recompilation)
     # sees the warm memo instead of starting cold.
     second = PathResolver(dag)
-    assert second.is_cached(0)
+    assert second._memo is first._memo
+    assert second._memo.get(0) is not None
     assert second.branch_events(0) == first.branch_events(0)
-    clear_shared_memos()
 
 
 def test_resolver_memo_lru_bound():

@@ -22,6 +22,7 @@ from repro.resilience import (
 )
 from repro.sampling.arnold_grove import SamplingConfig
 
+from tests.helpers import total_samples
 from tests.test_adaptive_system import hot_loop_program
 
 
@@ -265,7 +266,7 @@ def test_adaptive_path_faults_degrade_to_edge_only():
     # unhandled PathReconstructionError escapes.
     assert res.health.path_disabled
     assert res.health.samples_dropped > 0
-    assert vm.path_profile.total_samples() == 0
+    assert total_samples(vm.path_profile) == 0
     assert result.return_value == result.output[0]
 
 
@@ -337,7 +338,7 @@ def test_path_table_faults_drop_table_updates_but_keep_edges():
         ticks=150,
         fault_plan=FaultPlan({"path-table": 1.0}, seed=6),
     )
-    assert report.paths.total_samples() == 0
+    assert total_samples(report.paths) == 0
     assert report.health.samples_dropped > 0
     # The edge derivation still ran for every dropped table update.
     assert len(report.edges) == len(clean.edges)

@@ -32,7 +32,12 @@ from repro.workloads.generator import random_program
 from repro.workloads.suite import benchmark_suite, get_workload
 
 from tests.compile_util import compile_simple
-from tests.helpers import CORPUS_SPEC, adaptive_run, counting_program
+from tests.helpers import (
+    CORPUS_SPEC,
+    adaptive_run,
+    counting_program,
+    total_samples,
+)
 from tests.test_adaptive_system import hot_loop_program
 
 ALL_WORKLOADS = [w.name for w in benchmark_suite()]
@@ -246,7 +251,7 @@ def test_path_table_keeps_non_integral_counts():
     assert profile.frequency("m#v1", 1) == 1.5
     assert profile.frequency("m#v1", 1 << 40) == 0.25
     assert profile.method_paths("m#v1") == {1: 1.5, 1 << 40: 0.25, 2: 0.0}
-    assert profile.total_samples() == 1.75
+    assert total_samples(profile) == 1.75
     assert profile.distinct_paths() == 3
 
 
@@ -275,7 +280,7 @@ def test_path_table_merge_copy_and_clear():
     ]
     clone.clear()
     assert list(clone.items()) == [] and len(clone) == 0
-    assert clone.total_samples() == 0.0
+    assert total_samples(clone) == 0.0
     clone.record("m#v1", 2, 1.0)
     assert list(clone.items()) == [("m#v1", 2, 1.0)]
     assert a.frequency("m#v1", 2) == 0.0

@@ -4,9 +4,9 @@ Three load-bearing properties:
 
 1. **Supervision**: a worker that dies (SIGKILL) or exceeds its
    per-cell wall budget is detected, killed, and respawned; the
-   in-flight cell retries with deterministic backoff and is quarantined
-   after killing its worker twice — and none of this changes a single
-   byte of the sweep's output.
+   in-flight cell retries at once on a fresh worker and is quarantined
+   after killing its worker twice — on one worker or several — and none
+   of this changes a single byte of the sweep's output.
 2. **Journaled resume**: every completed cell appends a checksummed
    receipt; an interrupted sweep resumed from its journal re-runs only
    un-journaled cells and merges to digests byte-identical to an
@@ -29,7 +29,7 @@ from repro.engine import (
     ExperimentPool,
     SweepJournal,
     make_sweep_cells,
-    run_cell_budgeted,
+    run_cell,
     sweep_fingerprint,
 )
 from repro.engine.cells import CellResult
@@ -46,8 +46,6 @@ from repro.resilience.health import SweepHealth
 
 _SPECS = [config_to_spec(BASE), config_to_spec(pep_config(64, 17))]
 _SCALE = 1.0
-# Fast backoff so crash-retry tests don't sleep their way through CI.
-_BACKOFF = 0.01
 
 
 def _cells(workloads=("compress", "db"), specs=_SPECS, **kwargs):
@@ -60,9 +58,8 @@ def _digests(results):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """Digests of a clean, serial, unfaulted sweep of the standard cells."""
-    cells = _cells()
-    return _digests(ExperimentPool(jobs=1, strict=True).run(cells))
+    """Digests of the standard cells, each run in process by ``run_cell``."""
+    return [run_cell(cell)["digest"] for cell in _cells()]
 
 
 # -- fault planning determinism ---------------------------------------------
@@ -123,20 +120,29 @@ def test_engine_sites_are_valid_fault_sites():
 def test_sigkilled_workers_leave_digests_byte_identical(serial_reference):
     # Acceptance criterion: every cell SIGKILLs its first worker
     # mid-cell; the supervisor respawns and retries; the merged sweep is
-    # byte-identical to the unfaulted serial sweep.
+    # byte-identical to running each cell in process.
     cells = _cells()
     plan = FaultPlan.parse([f"worker-crash=1.0:{len(cells)}"], seed=3)
-    pool = ExperimentPool(
-        jobs=2, strict=True, fault_plan=plan, backoff_base=_BACKOFF
-    )
+    pool = ExperimentPool(jobs=2, strict=True, fault_plan=plan)
     results = pool.run(cells)
     assert _digests(results) == serial_reference
     # Every cell took exactly one crash + one successful retry.
     assert [r.attempts for r in results] == [2] * len(cells)
     assert pool.health.worker_crashes == len(cells)
     assert pool.health.worker_restarts == len(cells)
-    assert pool.health.backoff_waits == len(cells)
     assert pool.health.quarantined == []
+
+
+def test_one_worker_takes_worker_faults():
+    # Regression: one job used to run its cells in the parent, where the
+    # worker fault sites did nothing; now it is one supervised worker.
+    (cell,) = _cells(("compress",), [config_to_spec(BASE)])
+    plan = FaultPlan.parse(["worker-crash=1.0:1"], seed=0)
+    pool = ExperimentPool(jobs=1, strict=True, fault_plan=plan)
+    (result,) = pool.run([cell])
+    assert result.attempts == 2
+    assert pool.health.worker_crashes == 1
+    assert result.metrics["digest"] == run_cell(cell)["digest"]
 
 
 def test_hung_worker_is_killed_and_cell_recovers(serial_reference):
@@ -145,13 +151,7 @@ def test_hung_worker_is_killed_and_cell_recovers(serial_reference):
     # and the retry produces the canonical bytes.
     cells = _cells()
     plan = FaultPlan.parse(["worker-hang=1.0:1"], seed=3)
-    pool = ExperimentPool(
-        jobs=2,
-        strict=True,
-        timeout=3.0,
-        fault_plan=plan,
-        backoff_base=_BACKOFF,
-    )
+    pool = ExperimentPool(jobs=2, strict=True, timeout=3.0, fault_plan=plan)
     results = pool.run(cells)
     assert _digests(results) == serial_reference
     assert pool.health.worker_hangs == 1
@@ -163,9 +163,7 @@ def test_hung_worker_is_killed_and_cell_recovers(serial_reference):
 def test_cell_that_kills_its_worker_twice_is_quarantined():
     cells = _cells(("compress",), [config_to_spec(BASE)])
     plan = FaultPlan.parse(["worker-crash=1.0"], seed=1)  # every attempt
-    pool = ExperimentPool(
-        jobs=2, retries=0, fault_plan=plan, backoff_base=_BACKOFF
-    )
+    pool = ExperimentPool(jobs=2, fault_plan=plan)
     (result,) = pool.run(cells)
     assert not result.ok
     assert result.error_type == WorkerCrashError.__name__
@@ -177,13 +175,7 @@ def test_cell_that_kills_its_worker_twice_is_quarantined():
 def test_repeated_hangs_quarantine_with_timeout_error():
     cells = _cells(("compress",), [config_to_spec(BASE)])
     plan = FaultPlan.parse(["worker-hang=1.0"], seed=1)
-    pool = ExperimentPool(
-        jobs=2,
-        retries=0,
-        timeout=1.0,
-        fault_plan=plan,
-        backoff_base=_BACKOFF,
-    )
+    pool = ExperimentPool(jobs=2, timeout=1.0, fault_plan=plan)
     (result,) = pool.run(cells)
     assert not result.ok
     assert result.error_type == CellTimeoutError.__name__
@@ -194,9 +186,7 @@ def test_repeated_hangs_quarantine_with_timeout_error():
 def test_quarantine_raises_in_strict_mode():
     cells = _cells(("compress",), [config_to_spec(BASE)])
     plan = FaultPlan.parse(["worker-crash=1.0"], seed=1)
-    pool = ExperimentPool(
-        jobs=2, strict=True, fault_plan=plan, backoff_base=_BACKOFF
-    )
+    pool = ExperimentPool(jobs=2, strict=True, fault_plan=plan)
     with pytest.raises(CellExecutionError) as info:
         pool.run(cells)
     assert "quarantined" in str(info.value)
@@ -208,13 +198,7 @@ def test_restart_budget_exhaustion_degrades_not_hangs():
     # results instead of the sweep hanging or crashing.
     cells = _cells(("compress",), [config_to_spec(BASE)], trials=2)
     plan = FaultPlan.parse(["worker-crash=1.0"], seed=1)
-    pool = ExperimentPool(
-        jobs=2,
-        retries=0,
-        fault_plan=plan,
-        max_worker_restarts=1,
-        backoff_base=_BACKOFF,
-    )
+    pool = ExperimentPool(jobs=2, fault_plan=plan, max_worker_restarts=1)
     results = pool.run(cells)
     assert len(results) == 2
     assert not any(r.ok for r in results)
@@ -223,20 +207,6 @@ def test_restart_budget_exhaustion_degrades_not_hangs():
         CellQuarantinedError.__name__,
     }
     assert pool.health.worker_restarts <= 1
-
-
-def test_backoff_is_deterministic_exponential():
-    cells = _cells(("compress",), [config_to_spec(BASE)])
-    plan = FaultPlan.parse(["worker-crash=1.0"], seed=1)
-    pool = ExperimentPool(
-        jobs=2, retries=0, fault_plan=plan, backoff_base=0.02
-    )
-    pool.run(cells)
-    # Two kills before quarantine: delays 0.02 * 2**0, 0.02 * 2**1 —
-    # wait, the second kill quarantines immediately, so exactly one
-    # backoff wait is recorded, at the base delay.
-    assert pool.health.backoff_waits == 1
-    assert pool.health.backoff_seconds == pytest.approx(0.02)
 
 
 def test_faulted_sweep_health_is_replayable():
@@ -248,38 +218,10 @@ def test_faulted_sweep_health_is_replayable():
     plan = FaultPlan.parse(["worker-crash=0.5"], seed=11)
     healths = []
     for _ in range(2):
-        pool = ExperimentPool(
-            jobs=2, retries=0, fault_plan=plan, backoff_base=_BACKOFF
-        )
+        pool = ExperimentPool(jobs=2, fault_plan=plan)
         pool.run(cells)
         healths.append(pool.health)
     assert healths[0] == healths[1]
-
-
-# -- budgeted in-parent retries ---------------------------------------------
-
-
-def test_run_cell_budgeted_times_out_slow_cell():
-    (slow,) = make_sweep_cells(
-        ["compress"], [config_to_spec(BASE)], scale=12.0
-    )
-    metrics, error, error_type = run_cell_budgeted(slow, 0.1)
-    assert metrics is None
-    assert error_type == CellTimeoutError.__name__
-    assert "wall-clock budget" in error
-
-
-def test_run_cell_budgeted_passes_through_success_and_failure():
-    (good,) = _cells(("compress",), [config_to_spec(BASE)])
-    metrics, error, error_type = run_cell_budgeted(good, 60.0)
-    assert metrics is not None and error is None and error_type is None
-    bad = make_sweep_cells(
-        ["compress"], [config_to_spec(BASE)], scale=_SCALE
-    )[0]
-    bad.workload = "no-such-workload"
-    metrics, error, error_type = run_cell_budgeted(bad, 60.0)
-    assert metrics is None
-    assert error_type == "WorkloadError"
 
 
 # -- the sweep journal -------------------------------------------------------
@@ -378,7 +320,7 @@ def test_interrupted_sweep_resumes_to_identical_digests(
 ):
     # Acceptance criterion: interrupt a journaled sweep (simulated by
     # tearing the journal's tail), resume it, and the merged digests are
-    # byte-identical to an uninterrupted serial sweep.
+    # byte-identical to running each cell in process.
     cells = _cells()
     path = str(tmp_path / "sweep.jsonl")
     ExperimentPool(jobs=1, strict=True).run(cells, resume_path=path)
@@ -458,7 +400,6 @@ def test_sweep_health_to_dict_is_json_clean_and_comparable():
     health = SweepHealth()
     health.cells_total = 4
     health.record_crash(0, 1)
-    health.record_backoff(0, 0.05)
     health.record_restart()
     health.record_quarantine(1, "boom")
     payload = health.to_dict()
@@ -468,7 +409,6 @@ def test_sweep_health_to_dict_is_json_clean_and_comparable():
     # Same events in a different arrival order compare equal.
     clone.record_quarantine(1, "boom")
     clone.record_restart()
-    clone.record_backoff(0, 0.05)
     clone.record_crash(0, 1)
     assert health == clone
     assert "restarts" in health.summary()

@@ -10,7 +10,7 @@ from repro.vm.costs import CostModel
 from repro.vm.runtime import VirtualMachine
 
 from tests.compile_util import compile_simple
-from tests.helpers import counting_program
+from tests.helpers import counting_program, total_samples
 
 
 def make_vm(program, **kwargs):
@@ -101,7 +101,7 @@ def test_sampling_without_pep_instrumentation_is_harmless():
     # Yieldpoints exist (inserted by compile), samples are taken, but no
     # paths can be delivered without a P-DAG.
     assert result.samples_taken > 0
-    assert vm.path_profile.total_samples() == 0
+    assert total_samples(vm.path_profile) == 0
     assert len(vm.edge_profile) == 0
 
 
