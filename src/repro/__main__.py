@@ -236,6 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from repro.engine import ExperimentPool, make_sweep_cells
+    from repro.errors import EngineError
     from repro.harness.experiment import config_to_spec
     from repro.resilience import FaultPlan
     from repro.workloads.suite import benchmark_suite, get_workload
@@ -255,12 +256,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         master_seed=args.seed,
     )
-    pool = ExperimentPool(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        fault_plan=fault_plan,
-        max_worker_restarts=args.max_worker_restarts,
-    )
+    try:
+        pool = ExperimentPool(
+            jobs=args.jobs,
+            timeout=args.timeout,
+            fault_plan=fault_plan,
+            max_worker_restarts=args.max_worker_restarts,
+        )
+    except EngineError as exc:
+        # The argument types already rule out the pool's other errors.
+        args.usage_error(str(exc))
     start = time.perf_counter()
     results = pool.run(cells, resume_path=args.resume)
     elapsed = time.perf_counter() - start
@@ -427,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SITE=PROB[:MAX]",
         help="inject deterministic engine faults, e.g. --inject "
         "worker-crash=0.5 --inject worker-hang=1.0:1 (sites: "
-        "worker-crash, worker-hang, receipt-write)",
+        "worker-crash, worker-hang, receipt-write; worker-hang needs "
+        "--timeout)",
     )
     sweep_p.add_argument(
         "--fault-seed",
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the fault-injection RNG streams (default 0)",
     )
     sweep_p.add_argument("--json", action="store_true")
-    sweep_p.set_defaults(func=cmd_sweep)
+    sweep_p.set_defaults(func=cmd_sweep, usage_error=sweep_p.error)
     return parser
 
 

@@ -57,8 +57,10 @@ class ExperimentPool:
     positive finite number: NaN and infinity cannot be waited on, and a
     budget of zero or less would declare every worker hung.
     ``fault_plan`` enables the engine-level injection sites
-    (worker-crash, worker-hang, receipt-write).  ``max_worker_restarts``
-    bounds total worker respawns; 0 never respawns.
+    (worker-crash, worker-hang, receipt-write); a plan that names
+    worker-hang needs a ``timeout``, since only the budget detects a
+    hung worker.  ``max_worker_restarts`` bounds total worker respawns;
+    0 never respawns.
 
     After ``run``, :attr:`health` holds the sweep's
     :class:`~repro.resilience.health.SweepHealth` ledger.
@@ -85,6 +87,13 @@ class ExperimentPool:
             raise EngineError(
                 f"max_worker_restarts must be at least 0, got "
                 f"{max_worker_restarts!r}"
+            )
+        if timeout is None and fault_plan is not None and (
+            "worker-hang" in fault_plan.specs
+        ):
+            raise EngineError(
+                "a worker-hang fault needs a per-cell timeout: only the "
+                "budget detects a hung worker"
             )
         self.jobs = jobs
         self.timeout = timeout

@@ -22,9 +22,11 @@ way the engine runs a cell: ``jobs=1`` is one supervised worker.
   worker, and a cell that loses :data:`QUARANTINE_KILLS` workers is
   quarantined into an error outcome instead of looping the restart
   machinery;
-* total respawns are bounded by ``max_worker_restarts``; exhausting the
-  budget degrades the remaining cells to error outcomes — the sweep
-  still returns, it does not crash or hang.
+* a lost worker is respawned for its requeued cell, or when no worker
+  is left for a pending cell, and total respawns are bounded by
+  ``max_worker_restarts``; exhausting the budget degrades the remaining
+  cells to error outcomes — the sweep still returns, it does not crash
+  or hang.
 
 Determinism: a cell's *result* never depends on which worker ran it or
 how many times it was retried (cells are pure functions of their spec),
@@ -57,10 +59,6 @@ from repro.resilience.health import SweepHealth
 # the number of dispatch attempts a cell can get, which sizes the fault
 # planner's (cell, attempt) keys.
 QUARANTINE_KILLS = 2
-# A worker that hangs (injected worker-hang fault) sleeps this long when
-# no per-cell budget exists to derive a longer stall from; the sweep
-# then completes late instead of deadlocking an unbudgeted run.
-_DEFAULT_HANG_SECONDS = 5.0
 # How long to wait for an idle worker to exit after ``stop``.
 _SHUTDOWN_GRACE = 10.0
 
@@ -72,7 +70,7 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _worker_main(conn, hang_seconds: float) -> None:
+def _worker_main(conn, hang_seconds: Optional[float]) -> None:
     """Long-lived worker loop: recv task, run cell, send outcome.
 
     Messages from the parent: ``("run", spec, attempt, fault_sites)`` or
@@ -92,8 +90,7 @@ def _worker_main(conn, hang_seconds: float) -> None:
             # Model a hard worker death mid-cell: no cleanup, no goodbye.
             os.kill(os.getpid(), signal.SIGKILL)
         if "worker-hang" in fault_sites:
-            # Stall well past the parent's per-cell budget; if the run
-            # is unbudgeted the stall is bounded so the sweep still ends.
+            # Stall well past the parent's per-cell budget.
             time.sleep(hang_seconds)
         start = time.perf_counter()
         try:
@@ -165,9 +162,9 @@ class SweepSupervisor:
         self._workers: List[_Worker] = []
         self._restarts = 0
         self._completed: set = set()
-        self._hang_seconds = (
-            max(timeout * 4.0, 1.0) if timeout else _DEFAULT_HANG_SECONDS
-        )
+        # Only a budget detects a hang, so ExperimentPool rejects a
+        # worker-hang fault without one; no hang fires when this is None.
+        self._hang_seconds = max(timeout * 4.0, 1.0) if timeout else None
 
     # -- public API ----------------------------------------------------------
 
@@ -229,7 +226,8 @@ class SweepSupervisor:
                 # Worker died before it ever got the task; this is not
                 # the cell's fault — requeue without a kill strike.
                 pending.appendleft((spec, attempt))
-                self._replace_worker(worker)
+                self._retire(worker)
+                self._respawn()
                 idle = [w for w in self._workers if not w.busy]
                 continue
             worker.task = (spec, attempt)
@@ -310,14 +308,30 @@ class SweepSupervisor:
     def _worker_lost(
         self, worker: _Worker, cause: str, pending: deque, on_outcome
     ) -> None:
-        """A worker died or blew its deadline; recover its in-flight cell."""
+        """A worker died or blew its deadline: requeue or quarantine its
+        in-flight cell.
+
+        A requeued cell gets a fresh worker.  Any other loss respawns
+        only when no worker is left for a pending cell: pending cells
+        wait for the surviving workers, so the restart count follows
+        from the lost cells' fates, not from which worker freed up
+        first, and the last cell's quarantine respawns nothing.
+        """
+        self._retire(worker)
         task = worker.task
-        self._replace_worker(worker)
-        if task is None:
-            return
+        requeued = False
+        # An outcome the cell already recorded stands.
+        if task is not None and task[0].index not in self._completed:
+            requeued = self._recover(task, cause, pending, on_outcome)
+        if requeued or (pending and not self._workers):
+            self._respawn()
+
+    def _recover(
+        self, task: tuple, cause: str, pending: deque, on_outcome
+    ) -> bool:
+        """Requeue a lost worker's cell (returns True), or quarantine it
+        at its last attempt."""
         spec, attempt = task
-        if spec.index in self._completed:  # outcome already recorded
-            return
         # Each lost worker costs the cell one attempt, so the attempt
         # number is also its kill count.
         if cause == "hang":
@@ -326,7 +340,7 @@ class SweepSupervisor:
             self.health.record_crash(spec.index, attempt)
         if attempt < QUARANTINE_KILLS:
             pending.append((spec, attempt + 1))
-            return
+            return True
         if cause == "hang":
             error_type = CellTimeoutError.__name__
             error = (
@@ -341,11 +355,15 @@ class SweepSupervisor:
             )
         self.health.record_quarantine(spec.index, error)
         self._finish(spec, (None, error, error_type, 0.0, attempt), on_outcome)
+        return False
 
-    def _replace_worker(self, worker: _Worker) -> None:
-        """Kill/join/forget a worker; respawn if the budget allows."""
+    def _retire(self, worker: _Worker) -> None:
+        """Kill, join and forget a worker."""
         self._workers.remove(worker)
         self._reap(worker)
+
+    def _respawn(self) -> None:
+        """Start a worker in place of a lost one, if the budget allows."""
         if self._restarts >= self.max_worker_restarts:
             self.health.record_event(
                 "restart-budget",

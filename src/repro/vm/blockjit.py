@@ -6,10 +6,11 @@ it by *generating Python source* for every :class:`LoweredBlock`:
 operands are constant-folded into the text, registers become function
 locals, trap guards are inlined with their exact messages and locations,
 and PEP path-register adds / yieldpoint checks are baked in at their
-exact positions.  The source is generated once per method, each of its
-functions is ``compile()``-d once it has been entered often enough to
-pay for it, and the run loop becomes region-level dispatch: call the
-region closure, follow the returned successor closure.
+exact positions.  Each function is ``compile()``-d once it has been
+entered often enough to pay for it, and the method's source is
+generated once, for the first of them; the run loop becomes
+region-level dispatch: call the region closure, follow the returned
+successor closure.
 
 Only the hot path is inlined.  The two cold exits every block can
 take live out of line in module helpers bound into each method's
@@ -78,18 +79,21 @@ dead.
 
 Tiered regions
 --------------
-:func:`ensure_jit` binds every root name to a *placeholder*
-(:func:`placeholder`): a function over one shared template code object.
-For its first :data:`COLD_ENTRIES` calls it runs the region on the
-tuple interpreter's op loop (:func:`repro.vm.interpreter.run_blocks`),
-from the root up to the next call, return or jump to a root, and
-returns what the compiled region would.  Its next call compiles the
-real region, binds it in the namespace and the entry table, and runs
-it.  A region entered at most :data:`COLD_ENTRIES` times is never
-compiled, and neither is any region of an uncertified method; a loop
-region, whose root is re-entered on every cold iteration, compiles
-after that many iterations.  The op loop yields
-through ``vm.dispatch_yieldpoint``, which does not maintain the
+:func:`ensure_jit` plans the method's regions and binds every root name
+to a *placeholder* (:func:`placeholder`): a function over one shared
+template code object.  It generates no source.  For its first
+:data:`COLD_ENTRIES` calls a placeholder runs the region on the tuple
+interpreter's op loop (:func:`repro.vm.interpreter.run_blocks`), from
+the root up to the next call, return or jump to a root, and returns
+what the compiled region would.  Its next call compiles the real
+region, binds it in the namespace and the entry table, and runs it.
+The method's source is generated at the first promotion the code memo
+cannot serve, once, as one text per root.  A region entered at most
+:data:`COLD_ENTRIES` times is never compiled, a method none of whose
+regions gets that far generates nothing, and neither happens to an
+uncertified method; a loop region, whose root is re-entered on every
+cold iteration, compiles after that many iterations.  The op loop
+yields through ``vm.dispatch_yieldpoint``, which does not maintain the
 countdown gate, so each cold run re-derives ``st.gate`` for the
 compiled regions after it.  A placeholder called after its name was
 bound (through a reference taken before that) forwards to the current
@@ -97,11 +101,12 @@ binding and compiles nothing.
 
 Sharing compiled code
 ---------------------
-Generated source is attached to the :class:`CompiledMethod`
-(``jit_source``).  Compiled region code objects are memoised
-process-wide under that source text, so a method whose source the
-process has already run, such as the same method in another image,
-binds those regions at once.
+Compiled region code objects are memoised process-wide under the
+method's fingerprint (:func:`_fingerprint`): an exact encoding of
+everything the generator reads.  Equal fingerprints give equal source,
+so a method whose regions the process has already compiled, such as
+the same method in another image, binds them at once, without
+generating any text.
 
 Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 """
@@ -109,6 +114,7 @@ Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 from __future__ import annotations
 
 import builtins
+import marshal
 import os
 from types import CellType, CodeType, FunctionType
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
@@ -167,13 +173,11 @@ COLD_ENTRIES = 16
 #: the flag is down the gate is exactly ``next_tick``.
 _NEG_INF = float("-inf")
 
-# Process-wide memo of compiled code, keyed by the generated source
-# text itself (true content addressing: identical lowered bodies produce
-# identical source): ``_SEGMENT_CODE`` maps a blockjit method source to
-# the code objects of the regions compiled so far.  It is bounded
-# crudely at ``_CODE_OBJECTS_BOUND`` sources — an occasional flush only
-# costs a recompile.
-_SEGMENT_CODE: Dict[str, Dict[str, CodeType]] = {}
+# Process-wide memo of compiled code: ``_SEGMENT_CODE`` maps a method's
+# fingerprint (:func:`_fingerprint`) to the code objects of the regions
+# compiled so far.  It is bounded crudely at ``_CODE_OBJECTS_BOUND``
+# methods — an occasional flush only costs a recompile.
+_SEGMENT_CODE: Dict[bytes, Dict[str, CodeType]] = {}
 _CODE_OBJECTS_BOUND = 4096
 
 
@@ -285,8 +289,8 @@ def _edge_origins(cm: CompiledMethod) -> List[object]:
     """Edge-instrumentation origin objects, in deterministic block order.
 
     Codegen names them positionally (``_og0``, ``_og1``, ...) by this
-    same traversal, so a namespace built for *persisted* source still
-    binds the right objects.
+    same traversal, so code compiled for another method with the same
+    fingerprint still binds this method's objects.
     """
     origins: List[object] = []
     for block in cm.blocks.values():
@@ -294,6 +298,31 @@ def _edge_origins(cm: CompiledMethod) -> List[object]:
         if term[0] == T_BR and term[10]:
             origins.append(term[9])
     return origins
+
+
+def _fingerprint(cm: CompiledMethod) -> bytes:
+    """The code memo's key: an exact encoding of what codegen reads.
+
+    That is the entry label and, in block order, each block's label,
+    ops and terminator, with successors written as labels.  The
+    edge-origin object is left out: the source names it by position
+    (``_og{j}``, see :func:`_edge_origins`).  ``marshal`` writes each
+    value's type with it, so keys tell apart operands that ``==``
+    equates (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``), and
+    version 2 writes no back-references, so the bytes do not depend on
+    which objects are shared.  Equal fingerprints give equal source.
+    """
+    key: list = [cm.entry.label]
+    for block in cm.blocks.values():
+        term = block.term
+        if term[0] == T_JMP:
+            term = (T_JMP, term[1], term[2].label)
+        elif term[0] == T_BR:
+            term = (
+                term[:5] + (term[5].label, term[6].label) + term[7:9] + term[10:]
+            )
+        key += (block.label, block.ops, term)
+    return marshal.dumps(key, 2)
 
 
 def _bits(mask: int):
@@ -344,8 +373,9 @@ def region_plan(cm: CompiledMethod) -> RegionPlan:
     when the walk finds it unplaced; a block no root's code reaches
     (an unreachable cycle) becomes a root the same way.  So every
     block's code appears exactly once, on any CFG lowering accepts.
-    :func:`generate_source` and :func:`ensure_jit` both call this, so
-    they agree on every function name.
+    :func:`ensure_jit` calls this once per method and hands the plan to
+    codegen, so both agree on every function name.  It reads only what
+    :func:`_fingerprint` encodes.
     """
     blocks = list(cm.blocks.values())
     preds = dict.fromkeys(cm.blocks, 0)
@@ -703,10 +733,9 @@ def _live_in(regions: List[_Region]) -> Dict[str, int]:
 
 
 class _MethodCodegen:
-    def __init__(self, cm: CompiledMethod) -> None:
+    def __init__(self, cm: CompiledMethod, plan: RegionPlan) -> None:
         blocks = list(cm.blocks.values())
         self.block_index = {block.label: bi for bi, block in enumerate(blocks)}
-        plan = region_plan(cm)
         self.roots = plan.roots
         self._root_blocks = {block.label for _, block, ip in self.roots if not ip}
         self._joins = plan.joins
@@ -725,18 +754,11 @@ class _MethodCodegen:
 
     # -- top level ----------------------------------------------------------
 
-    def generate(self) -> str:
+    def generate(self) -> Dict[str, str]:
+        """Each region function's text, by root name in root order."""
         regions = [self._gen_region(bi, block, ip) for bi, block, ip in self.roots]
         live = _live_in(regions)
-        functions = [region.render(live) for region in regions]
-        header = (
-            "# Generated by repro.vm.blockjit — one function per region: "
-            "a root (block, entry-ip)\n"
-            "# and the blocks and joins inlined under it.  Injected "
-            "globals: _pk, _cm, _Frame,\n"
-            "# _trap, _fuel_out, _yield_slow, _CALL, _blk*, _og*.\n"
-        )
-        return header + "\n".join(functions)
+        return {region.name: region.render(live) for region in regions}
 
     # -- regions ------------------------------------------------------------
 
@@ -1024,8 +1046,21 @@ class _MethodCodegen:
 
 
 def generate_source(cm: CompiledMethod) -> str:
-    """Generate the method's blockjit source (pure function of its blocks)."""
-    return _MethodCodegen(cm).generate()
+    """The method's blockjit source (pure function of its blocks): every
+    region function in root order, under a comment header.
+
+    Blockjit itself compiles each region from its own text; this
+    joined form is for reading.
+    """
+    texts = _MethodCodegen(cm, region_plan(cm)).generate()
+    header = (
+        "# Generated by repro.vm.blockjit — one function per region: "
+        "a root (block, entry-ip)\n"
+        "# and the blocks and joins inlined under it.  Injected "
+        "globals: _pk, _cm, _Frame,\n"
+        "# _trap, _fuel_out, _yield_slow, _CALL, _blk*, _og*.\n"
+    )
+    return header + "\n".join(texts.values())
 
 
 # -- compiling and binding --------------------------------------------------
@@ -1085,16 +1120,6 @@ def placeholder(ns: dict, name: str, fill) -> FunctionType:
     return stub
 
 
-def _segment_text(source: str, name: str) -> str:
-    """The text of root ``name``'s function in a blockjit method source.
-
-    Region bodies are indented, so each column-0 ``def`` starts one.
-    """
-    start = source.index(f"\ndef {name}(") + 1
-    end = source.find("\ndef ", start)
-    return source[start:] if end < 0 else source[start:end]
-
-
 class _SegmentFill:
     """Runs one method namespace's regions cold, then compiles them.
 
@@ -1104,22 +1129,30 @@ class _SegmentFill:
     method's ip-0 roots), and return what the compiled region would: the
     ``_CALL`` sentinel, None, or the entry of the root jumped to.  The
     next call compiles and binds the region, then runs it.  With no
-    ``source`` (an uncertified method) every call runs cold.
+    memo ``key`` (an uncertified method) every call runs cold.
     """
 
-    __slots__ = ("source", "entries", "roots", "stops", "runs")
+    __slots__ = ("cm", "plan", "key", "texts", "entries", "roots", "stops", "runs")
 
-    def __init__(self, source: str, entries: dict, stops) -> None:
-        self.source = source
+    def __init__(
+        self, cm: CompiledMethod, plan: RegionPlan, key: Optional[bytes],
+        entries: dict,
+    ) -> None:
+        self.cm = cm
+        self.plan = plan
+        self.key = key
+        self.texts: Optional[Dict[str, str]] = None  # generated on demand
         self.entries = entries
-        self.roots: Dict[str, Tuple[LoweredBlock, int]] = {}  # name -> root
-        self.stops = stops
+        self.roots: Dict[str, Tuple[LoweredBlock, int]] = {
+            f"_f{bi}_{ip}": (block, ip) for bi, block, ip in plan.roots
+        }
+        self.stops = frozenset(b.label for _, b, ip in plan.roots if not ip)
         self.runs: Dict[str, int] = {}  # name -> cold entries so far
 
     def __call__(self, stub: FunctionType, vm, frame, regs, st):
         name = stub.__name__
         runs = self.runs.get(name, 0)
-        if runs < COLD_ENTRIES or self.source is None:
+        if runs < COLD_ENTRIES or self.key is None:
             self.runs[name] = runs + 1
             block, ip = self.roots[name]
             nxt = run_blocks(vm, frame, st, block, ip, self.stops)
@@ -1132,17 +1165,23 @@ class _SegmentFill:
         return self.promote(stub)(vm, frame, regs, st)
 
     def promote(self, stub: FunctionType) -> FunctionType:
-        """Compile and bind the region ``stub`` stands for."""
+        """Compile and bind the region ``stub`` stands for.
+
+        The memo may have gained its code since :func:`ensure_jit` (a
+        twin promoted it); otherwise the method's source is generated
+        here, once, and the region compiled from its own text.
+        """
         name = stub.__name__
-        codes = _SEGMENT_CODE.get(self.source)
+        codes = _SEGMENT_CODE.get(self.key)
         if codes is None:
             if len(_SEGMENT_CODE) >= _CODE_OBJECTS_BOUND:
                 _SEGMENT_CODE.clear()
-            codes = _SEGMENT_CODE[self.source] = {}
+            codes = _SEGMENT_CODE[self.key] = {}
         code = codes.get(name)
         if code is None:
-            text = _segment_text(self.source, name)
-            module = compile(text, "<blockjit>", "exec")
+            if self.texts is None:
+                self.texts = _MethodCodegen(self.cm, self.plan).generate()
+            module = compile(self.texts[name], "<blockjit>", "exec")
             code = next(c for c in module.co_consts if isinstance(c, CodeType))
             codes[name] = code
         fn = FunctionType(code, stub.__globals__, name)
@@ -1153,44 +1192,37 @@ class _SegmentFill:
 
 
 def ensure_jit(cm: CompiledMethod) -> dict:
-    """Return the method's entry table, generating source on demand.
+    """Return the method's entry table, building it on demand.
 
     The table maps each region root ``(label, ip)`` to its function.
-    The whole source is generated here, because ``_SEGMENT_CODE`` keys
-    compiled regions on it; each region runs cold, then compiles at
-    call ``COLD_ENTRIES + 1``.  Regions whose code the memo already
-    holds are bound as real functions at once; the rest get
-    placeholders.  An uncertified method (``cm.fold_q == 0``) gets no
-    source, so ``jit_source`` stays None and its placeholders run every
-    entry on the block loop: folded chains are exact only on the grid.
+    Roots whose code the memo holds under the method's fingerprint are
+    bound as real functions at once; the rest get placeholders, which
+    run cold and compile at call ``COLD_ENTRIES + 1``.  Nothing is
+    generated here: the source waits for the first promotion the memo
+    cannot serve.  An uncertified method (``cm.fold_q == 0``) gets no
+    fingerprint, and its placeholders run every entry on the block
+    loop: folded chains are exact only on the grid.
     """
     entries = cm.jit_entries
     if entries is not None:
         return entries
-    if cm.fold_q:
-        cg = _MethodCodegen(cm)
-        source = cm.jit_source = cg.generate()
-        roots = cg.roots
-    else:
-        source = None
-        roots = region_plan(cm).roots
+    plan = region_plan(cm)
+    key = _fingerprint(cm) if cm.fold_q else None
+    codes = _SEGMENT_CODE.get(key, {})
     ns = _namespace(cm)
     # What exec() would add; functions built over ``ns`` resolve their
     # builtins through it.
     ns["__builtins__"] = builtins
     entries = {}
-    codes = _SEGMENT_CODE.get(source, {})
     fill = None
-    for bi, block, ip in roots:
+    for bi, block, ip in plan.roots:
         name = f"_f{bi}_{ip}"
         code = codes.get(name)
         if code is not None:
             fn = FunctionType(code, ns, name)
         else:
             if fill is None:
-                stops = frozenset(b.label for _, b, i in roots if not i)
-                fill = _SegmentFill(source, entries, stops)
-            fill.roots[name] = (block, ip)
+                fill = _SegmentFill(cm, plan, key, entries)
             fn = placeholder(ns, name, fill)
         ns[name] = fn
         entries[(block.label, ip)] = fn

@@ -108,7 +108,6 @@ class CompiledMethod:
         "static_size",
         "cost_multiplier",
         "profile_key",
-        "jit_source",
         "jit_entries",
         "probe_plan",
         "fold_q",
@@ -134,12 +133,11 @@ class CompiledMethod:
         self.static_size = static_size
         self.cost_multiplier = cost_multiplier
         self.profile_key = f"{source_name}#v{version}"
-        # Blockjit artefacts (see repro.vm.blockjit), both set by
-        # ensure_jit at first execution: the generated source, which
-        # keys the process-wide memo of compiled region code (None when
-        # ``fold_q`` is 0: such a method is never compiled), and the
-        # entry table of region functions.
-        self.jit_source: Optional[str] = None
+        # Blockjit's entry table of region functions (see
+        # repro.vm.blockjit), set by ensure_jit at first execution.  The
+        # method's source is not kept here: it is generated only when a
+        # region first compiles and the process-wide code memo, keyed by
+        # a fingerprint of these blocks, lacks it.
         self.jit_entries: Optional[dict] = None
         # Minimum-coverage edge-probe placement (see repro.vm.pgo /
         # DESIGN.md §14), so the drain can reconstruct the full edge

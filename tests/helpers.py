@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
 from repro.adaptive.optimizing import optimize_method
@@ -24,6 +24,17 @@ COLD_ENTRIES = blockjit.COLD_ENTRIES
 CORPUS_SPEC = GeneratorSpec(
     n_helpers=8, max_depth=2, max_stmts=5, max_trip=3, work_budget=300
 )
+
+
+def region_texts(cm) -> Dict[str, str]:
+    """Each blockjit region function's text, by root name: what a
+    promotion compiles.  ``generate_source`` joins them."""
+    return blockjit._MethodCodegen(cm, blockjit.region_plan(cm)).generate()
+
+
+def is_placeholder(fn) -> bool:
+    """True while a blockjit entry still runs cold (not yet compiled)."""
+    return fn.__code__ is blockjit._STUB_CODE
 
 
 def diamond_loop_method(name: str = "m") -> Method:

@@ -43,13 +43,18 @@ from repro.sampling.arnold_grove import make_sampler
 from repro.vm import blockjit
 from repro.vm.blockjit import ensure_jit, generate_source
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import OP_CALL, T_BR, T_JMP, lower_method
+from repro.vm.interpreter import OP_CALL, OP_CONST, T_BR, T_JMP, lower_method
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import GeneratorSpec, random_program
 from repro.workloads.suite import benchmark_suite
 
 from tests.compile_util import compile_simple
-from tests.helpers import call_program, counting_program
+from tests.helpers import (
+    call_program,
+    counting_program,
+    is_placeholder,
+    region_texts,
+)
 
 pytestmark = pytest.mark.usefixtures("compile_at_first_entry")
 
@@ -124,7 +129,11 @@ def test_engine_equivalence_dirty_tier_multiplier(tier):
     costs.tier_multipliers["opt1"] = 1.05
     runs = _run_engines(call_program(), mode="pep", tier=tier, costs=costs)
     _assert_identical(*runs)
-    assert all(cm.jit_source is None for cm in runs[1][0].code.values())
+    assert all(
+        is_placeholder(fn)
+        for cm in runs[1][0].code.values()
+        for fn in (cm.jit_entries or {}).values()
+    )
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -263,10 +272,6 @@ def test_fuel_exhaustion_parity_on_call_resume():
     assert max(indices) > 0
 
 
-def _is_placeholder(fn) -> bool:
-    return fn.__code__ is blockjit._STUB_CODE
-
-
 @pytest.mark.parametrize("kind", ["div", "index", "badcall"])
 def test_trap_parity_in_cold_region(kind, tiered):
     test_trap_parity_exact(kind)
@@ -275,7 +280,7 @@ def test_trap_parity_in_cold_region(kind, tiered):
     code.pop("missing", None)
     with pytest.raises(GuestTrapError):
         VirtualMachine(code, "main", blockjit=True).run()
-    assert all(_is_placeholder(fn) for fn in code["main"].jit_entries.values())
+    assert all(is_placeholder(fn) for fn in code["main"].jit_entries.values())
 
 
 def test_stack_overflow_parity_in_cold_region(tiered):
@@ -299,7 +304,7 @@ def test_stack_overflow_parity_in_cold_region(tiered):
         seen.append((str(trap), trap.block, trap.instruction_index, trap.cycles))
     assert "guest stack overflow" in seen[0][0]
     assert seen[0] == seen[1]
-    assert all(_is_placeholder(fn) for fn in code["main"].jit_entries.values())
+    assert all(is_placeholder(fn) for fn in code["main"].jit_entries.values())
 
 
 def test_fuel_exhaustion_parity_across_promotion(tiered):
@@ -327,8 +332,8 @@ def test_fuel_exhaustion_parity_across_promotion(tiered):
         if len(seen[1]) == 3:  # the run completed
             break
     entries = code["main"].jit_entries.values()
-    assert any(_is_placeholder(fn) for fn in entries)
-    assert not all(_is_placeholder(fn) for fn in entries)
+    assert any(is_placeholder(fn) for fn in entries)
+    assert not all(is_placeholder(fn) for fn in entries)
 
 
 # -- live-only writebacks ----------------------------------------------------
@@ -383,10 +388,11 @@ def _liveness_program() -> Program:
 def test_writebacks_only_for_live_registers():
     cm = compile_simple(_liveness_program())["main"]
     source = generate_source(cm)
+    texts = region_texts(cm)
     labels = list(cm.blocks)
 
     def region(label, ip=0):
-        return blockjit._segment_text(source, f"_f{labels.index(label)}_{ip}")
+        return texts[f"_f{labels.index(label)}_{ip}"]
 
     # The temporary and the spent call argument are never written back.
     assert "regs[3] =" not in source
@@ -852,15 +858,15 @@ def test_loop_region_source_shape():
     # counting_program's loop runs in its header's function, and no join
     # a region absorbs has a function of its own.
     cm = compile_simple(counting_program(30), mode="pep")["main"]
-    source = generate_source(cm)
+    texts = region_texts(cm)
     plan = blockjit.region_plan(cm)
     labels = list(cm.blocks)
     assert plan.loops and plan.joins
     for label in plan.loops:
-        text = blockjit._segment_text(source, f"_f{labels.index(label)}_0")
+        text = texts[f"_f{labels.index(label)}_0"]
         assert "    while True:\n" in text and "continue\n" in text
     for join in plan.joins.values():
-        assert f"def _f{labels.index(join.label)}_0(" not in source
+        assert f"_f{labels.index(join.label)}_0" not in texts
 
 
 # -- cross-workload digest equivalence (all bundled SPECjvm/DaCapo) ---------
@@ -961,6 +967,93 @@ def test_fault_injection_parity_tiered(plan_spec, monkeypatch, tiered):
 # -- the process-wide code memo ---------------------------------------------
 
 
+def _edges_main():
+    return compile_simple(counting_program(30), mode="edges")["main"]
+
+
+def _edit_first_op(cm, code, edit):
+    """Replace the first op with opcode ``code``, in block order, by
+    ``edit`` of it."""
+    for block in cm.blocks.values():
+        for j, op in enumerate(block.ops):
+            if op[0] == code:
+                block.ops[j] = edit(op)
+                return
+    raise AssertionError(f"no op {code}")
+
+
+def _edit_first_branch(cm, edit):
+    block = next(b for b in cm.blocks.values() if b.term[0] == T_BR)
+    block.term = edit(block.term)
+
+
+def _relabel(cm):
+    label = list(cm.blocks)[1]
+    cm.blocks[label].label = "renamed"
+    cm.blocks = {("renamed" if k == label else k): b for k, b in cm.blocks.items()}
+
+
+def _swap_last_blocks(cm):
+    *head, a, b = cm.blocks.items()
+    cm.blocks = dict([*head, b, a])
+
+
+def test_fingerprint_tells_apart_every_input_codegen_reads():
+    fingerprint = blockjit._fingerprint
+    base = fingerprint(_edges_main())
+    assert fingerprint(_edges_main()) == base  # two lowerings of one method
+
+    def variant(edit):
+        cm = _edges_main()
+        edit(cm)
+        return fingerprint(cm)
+
+    def const(value):
+        return lambda cm: _edit_first_op(cm, OP_CONST, lambda op: op[:3] + (value,))
+
+    def cost(value):
+        return lambda cm: _edit_first_op(
+            cm, OP_CONST, lambda op: (op[0], value, *op[2:])
+        )
+
+    def branch(edit):
+        return lambda cm: _edit_first_branch(cm, edit)
+
+    # Operands that == equates are still different inputs.
+    assert len({variant(const(v)) for v in (1, 1.0, True)}) == 3
+    assert variant(cost(0.0)) != variant(cost(-0.0))
+    edits = {
+        "cost": cost(123.0),
+        "label": _relabel,
+        "block order": _swap_last_blocks,
+        "entry": lambda cm: setattr(cm, "entry", list(cm.blocks.values())[1]),
+        "branch mask": branch(lambda t: t[:10] + (t[10] ^ 1,) + t[11:]),
+        "layout flag": branch(lambda t: t[:7] + (not t[7],) + t[8:]),
+    }
+    for name, edit in edits.items():
+        assert variant(edit) != base, name
+
+
+def test_equal_fingerprints_give_equal_source():
+    # Equal keys must mean equal text, or a method would bind another
+    # method's code; lowerings across tiers, modes and twins are
+    # compared.  Here the key is also no finer than the text (distinct
+    # keys, distinct texts), so the memo hits wherever a text key would.
+    sources = {}
+    methods = 0
+    for seed in range(4):
+        program = random_program(seed, GeneratorSpec(n_helpers=2, work_budget=300))
+        for tier in ("baseline", "opt0", "opt1", "opt2"):
+            for mode in (None, "pep", "edges", "full-hash"):
+                for _ in range(2):  # a twin of each method
+                    for cm in compile_simple(program, mode=mode, tier=tier).values():
+                        text = generate_source(cm)
+                        key = blockjit._fingerprint(cm)
+                        assert sources.setdefault(key, text) == text
+                        methods += 1
+    assert len(set(sources.values())) == len(sources) < methods
+
+
 def test_generated_source_is_content_addressed():
     # Two identical lowered bodies produce byte-identical source (names
     # and labels are positional/injected), so the process-wide code
@@ -1017,8 +1110,8 @@ def test_blockjit_actually_engaged():
     vm = VirtualMachine(code, program.main, blockjit=True)
     vm.run()
     cm = code["main"]
-    assert cm.jit_source is not None
     assert cm.jit_entries
+    assert not all(is_placeholder(fn) for fn in cm.jit_entries.values())
     assert all(callable(fn) for fn in cm.jit_entries.values())
     vm2_code = compile_simple(program)
     vm2 = VirtualMachine(vm2_code, program.main, blockjit=False)

@@ -14,7 +14,10 @@ region.  These tests pin what that must and must not change:
   a tick is due or the flag is up;
 * a placeholder called after its name was bound forwards to the region
   it bound and compiles nothing;
-* a memo-warm ``ensure_jit`` binds real functions only;
+* a method source is generated only at a promotion: a program none of
+  whose regions runs more than ``COLD_ENTRIES`` entries generates none;
+* a memo-warm ``ensure_jit`` binds real functions only, and a twin the
+  memo serves runs compiled code without generating any source;
 * adaptive runs of generated programs and of the curated workloads
   match the tuple-interpreter oracle bit for bit, at the shipped
   threshold and compiling at first entry.
@@ -41,6 +44,8 @@ from tests.helpers import (
     adaptive_run,
     call_program,
     counting_program,
+    is_placeholder,
+    region_texts,
 )
 
 #: The observables an adaptive run of the oracle must reproduce.
@@ -71,6 +76,20 @@ def compiled(monkeypatch):
 
 
 @pytest.fixture
+def generated(monkeypatch):
+    """One entry per method source generated (``_MethodCodegen.generate``)."""
+    calls = []
+    real = blockjit._MethodCodegen.generate
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(blockjit._MethodCodegen, "generate", spy)
+    return calls
+
+
+@pytest.fixture
 def cold_runs(monkeypatch):
     """Block-loop runs per root, keyed ``(method, label, ip)``."""
     runs = Counter()
@@ -82,10 +101,6 @@ def cold_runs(monkeypatch):
 
     monkeypatch.setattr(blockjit, "run_blocks", count)
     return runs
-
-
-def _is_placeholder(fn) -> bool:
-    return fn.__code__ is blockjit._STUB_CODE
 
 
 def _observe(program, code, on: bool):
@@ -187,13 +202,13 @@ def test_never_entered_segment_is_never_compiled(compiled, cold_runs):
     cold = ran = 0
     for name in ("main", "edge"):
         cm = code[name]
-        memo = blockjit._SEGMENT_CODE.get(cm.jit_source, {})
+        memo = blockjit._SEGMENT_CODE.get(blockjit._fingerprint(cm), {})
+        texts = region_texts(cm)
         for (label, ip), fn in cm.jit_entries.items():
-            text = blockjit._segment_text(cm.jit_source, fn.__name__)
+            text = texts[fn.__name__]
             runs = cold_runs[name, label, ip]
-            if _is_placeholder(fn):
-                # Still bound, and its text reached compile() neither
-                # alone nor inside the whole method source.
+            if is_placeholder(fn):
+                # Still bound, and its text never reached compile().
                 assert runs <= COLD_ENTRIES
                 assert fn.__globals__[fn.__name__] is fn
                 assert fn.__name__ not in memo
@@ -209,6 +224,20 @@ def test_never_entered_segment_is_never_compiled(compiled, cold_runs):
     assert cold and ran == len(compiled) == 1
 
 
+@pytest.mark.parametrize("calls, sources", [(COLD_ENTRIES - 1, 0), (COLD_ENTRIES, 1)])
+def test_source_is_generated_only_at_a_promotion(calls, sources, generated):
+    # With COLD_ENTRIES - 1 iterations no root is entered more than
+    # COLD_ENTRIES times (the loop header once more than the body), so
+    # nothing compiles and no method source is generated.  One more
+    # iteration promotes main's loop: main's source is generated once,
+    # and edge, entered COLD_ENTRIES times, still generates nothing.
+    program = cold_arm_program(calls)
+    code = compile_simple(program)
+    assert _observe(program, code, True) == _oracle(program)
+    assert all(cm.jit_entries for name, cm in code.items() if name != "cold")
+    assert len(generated) == sources
+
+
 def test_loop_is_promoted_mid_run_and_compiles_once(compiled, cold_runs):
     program = counting_program(3 * COLD_ENTRIES)
     code = compile_simple(program)
@@ -216,12 +245,12 @@ def test_loop_is_promoted_mid_run_and_compiles_once(compiled, cold_runs):
     cm = code["main"]
     (loop,) = blockjit.region_plan(cm).loops
     fn = cm.jit_entries[(loop, 0)]
-    assert not _is_placeholder(fn)
+    assert not is_placeholder(fn)
     # The first COLD_ENTRIES iterations entered the root on the block
     # loop; the next compiled the region, whose ``while`` ran the rest.
     assert cold_runs["main", loop, 0] == COLD_ENTRIES
-    assert compiled == [blockjit._segment_text(cm.jit_source, fn.__name__)]
-    assert _is_placeholder(cm.jit_entries[(cm.entry.label, 0)])
+    assert compiled == [region_texts(cm)[fn.__name__]]
+    assert is_placeholder(cm.jit_entries[(cm.entry.label, 0)])
 
 
 def test_cold_tick_is_sampled_at_next_compiled_yieldpoint(monkeypatch):
@@ -299,7 +328,7 @@ def test_stale_placeholder_forwards_and_compiles_nothing(compiled):
     cm = code["helper"]
     head = (cm.entry.label, 0)
     stale = ensure_jit(cm)[head]
-    assert _is_placeholder(stale)
+    assert is_placeholder(stale)
     first = _call_leaf(program, code, cm, stale, 3)
     for _ in range(COLD_ENTRIES - 1):
         assert _call_leaf(program, code, cm, stale, 3) == first
@@ -308,7 +337,7 @@ def test_stale_placeholder_forwards_and_compiles_nothing(compiled):
     assert _call_leaf(program, code, cm, stale, 3) == first
     assert len(compiled) == 1
     filled = cm.jit_entries[head]
-    assert not _is_placeholder(filled)
+    assert not is_placeholder(filled)
     assert stale.__globals__[stale.__name__] is filled
     # Called again through the old reference, it forwards.
     assert _call_leaf(program, code, cm, stale, 3) == first
@@ -322,19 +351,38 @@ def test_memo_warm_ensure_jit_binds_no_placeholders(compiled, monkeypatch):
     code = compile_simple(program)
     VirtualMachine(code, program.main, blockjit=True).run()
     cm = code["main"]
-    assert not any(_is_placeholder(fn) for fn in cm.jit_entries.values())
+    assert not any(is_placeholder(fn) for fn in cm.jit_entries.values())
     # ... and a twin binds them at once, skipping the block loop.
     monkeypatch.setattr(blockjit, "COLD_ENTRIES", COLD_ENTRIES)
     twin = compile_simple(counting_program(30))["main"]
-    assert twin.jit_source is None
+    assert blockjit._fingerprint(twin) == blockjit._fingerprint(cm)
     before = len(compiled)
     entries = ensure_jit(twin)
-    assert twin.jit_source == cm.jit_source
     assert set(entries) == set(cm.jit_entries)
     for key, fn in entries.items():
-        assert not _is_placeholder(fn)
+        assert not is_placeholder(fn)
         assert fn.__code__ is cm.jit_entries[key].__code__
         assert fn.__globals__["_cm"] is twin
+    assert len(compiled) == before
+
+
+def test_memo_served_twin_generates_nothing(
+    compiled, cold_runs, generated, monkeypatch
+):
+    # Compile every region an image of call_program enters ...
+    monkeypatch.setattr(blockjit, "COLD_ENTRIES", 0)
+    program = call_program()
+    assert _observe(program, compile_simple(program), True) == _oracle(program)
+    assert len(generated) == 2  # main and helper
+    # ... and a second image at the shipped threshold runs that code
+    # from its first entry: no cold run, no source, no compile().
+    monkeypatch.setattr(blockjit, "COLD_ENTRIES", COLD_ENTRIES)
+    before = len(compiled)
+    cold_runs.clear()
+    del generated[:]
+    twin = compile_simple(program)
+    assert _observe(program, twin, True) == _oracle(program)
+    assert not cold_runs and not generated
     assert len(compiled) == before
 
 

@@ -36,6 +36,7 @@ from tests.compile_util import compile_simple
 from tests.helpers import (
     counting_program,
     hot_helper_program,
+    is_placeholder,
     small_adaptive_run,
     vm_digest,
 )
@@ -195,8 +196,8 @@ def test_model_only_certification_rejects_any_off_grid_charge(field):
 
 def test_off_grid_model_never_compiles(monkeypatch):
     # An uncertified method gets no generated source: with the compile
-    # threshold at 0, nothing reaches compile(), jit_source stays None,
-    # and the run still equals the tuple-interpreter oracle.
+    # threshold at 0, nothing reaches compile(), every entry stays a
+    # placeholder, and the run still equals the tuple-interpreter oracle.
     compiled = []
 
     def spy(*args, **kwargs):
@@ -218,12 +219,16 @@ def test_off_grid_model_never_compiles(monkeypatch):
             runs.append((vm, vm.run()))
         assert vm_digest(*runs[0]) == vm_digest(*runs[1])
         assert all(cm.jit_entries is not None for cm in code.values())
+        compiled_entries = [
+            not all(is_placeholder(fn) for fn in cm.jit_entries.values())
+            for cm in code.values()
+        ]
         if certified:
             assert compiled  # the spy sees a certified method compile
-            assert all(cm.jit_source for cm in code.values())
+            assert all(compiled_entries)
         else:
             assert compiled == []
-            assert all(cm.jit_source is None for cm in code.values())
+            assert not any(compiled_entries)
 
 
 def test_demoted_method_runs_bit_identically():

@@ -170,6 +170,17 @@ def test_cli_sweep_rejects_unusable_arguments(capsys, flag, value):
     assert "usage:" in err and f"{flag}: {rule}" in err
 
 
+def test_cli_sweep_rejects_a_hang_it_cannot_detect(capsys):
+    # Without --timeout nothing detects a hung worker: a usage error
+    # (exit 2) before any cell runs.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--jobs", "1", "--workloads", "compress",
+              "--configs", "base", "--inject", "worker-hang=1.0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "worker-hang fault needs a per-cell timeout" in err
+
+
 def test_cli_sweep_has_no_retries_flag(capsys):
     # A cell that raises is final, so there is nothing to retry.
     with pytest.raises(SystemExit) as exc:

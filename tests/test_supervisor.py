@@ -37,6 +37,7 @@ from repro.errors import (
     CellExecutionError,
     CellQuarantinedError,
     CellTimeoutError,
+    EngineError,
     JournalError,
     WorkerCrashError,
 )
@@ -169,6 +170,7 @@ def test_cell_that_kills_its_worker_twice_is_quarantined():
     assert result.error_type == WorkerCrashError.__name__
     assert "quarantined" in result.error
     assert pool.health.worker_crashes == 2
+    assert pool.health.worker_restarts == 1  # none after the quarantine
     assert pool.health.quarantined == [(0, result.error)]
 
 
@@ -181,6 +183,32 @@ def test_repeated_hangs_quarantine_with_timeout_error():
     assert result.error_type == CellTimeoutError.__name__
     assert "quarantined" in result.error
     assert pool.health.worker_hangs == 2
+
+
+@pytest.mark.parametrize("budget", [1, 16])
+def test_no_respawn_once_no_cell_is_pending(budget):
+    # One cell hangs on both attempts.  Its first loss respawns a worker
+    # for the retry; its second quarantines it with no cell left to run,
+    # so nothing is respawned, and a budget of 1 is not exhausted.
+    cells = _cells(("compress",), [config_to_spec(BASE)])
+    plan = FaultPlan.parse(["worker-hang=1.0"], seed=1)
+    pool = ExperimentPool(
+        jobs=1, timeout=0.2, fault_plan=plan, max_worker_restarts=budget
+    )
+    (result,) = pool.run(cells)
+    assert result.error_type == CellTimeoutError.__name__
+    assert pool.health.worker_hangs == 2
+    assert pool.health.worker_restarts == 1
+    assert [kind for kind, _ in pool.health.events].count("restart-budget") == 0
+
+
+def test_worker_hang_needs_a_timeout():
+    # Only the per-cell budget detects a hung worker: without one, an
+    # injected hang would stall its worker and leave no trace.
+    plan = FaultPlan.parse(["worker-hang=1.0"], seed=0)
+    with pytest.raises(EngineError, match="timeout"):
+        ExperimentPool(jobs=1, fault_plan=plan)
+    assert ExperimentPool(jobs=1, timeout=1.0, fault_plan=plan).timeout == 1.0
 
 
 def test_quarantine_raises_in_strict_mode():
