@@ -49,6 +49,50 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _fault_spec(text: str, sites):
+    """One ``--inject SITE=PROB[:MAX]`` value, at one of ``sites``."""
+    from repro.errors import ReproError
+    from repro.resilience import FaultPlan
+
+    try:
+        (spec,) = FaultPlan.parse([text]).specs.values()
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if spec.site not in sites:
+        raise argparse.ArgumentTypeError(
+            f"{spec.site!r} is not a site this command injects "
+            f"(sites: {', '.join(sites)})"
+        )
+    return spec
+
+
+def _profile_fault(text: str):
+    """An ``--inject`` value of ``repro profile``: a site its runs check."""
+    from repro.resilience.faults import SAMPLER_FAULT_SITES
+
+    return _fault_spec(text, ("opt-compile",) + SAMPLER_FAULT_SITES)
+
+
+def _sweep_fault(text: str):
+    """An ``--inject`` value of ``repro sweep``: an engine site."""
+    from repro.resilience.faults import ENGINE_FAULT_SITES
+
+    return _fault_spec(text, ENGINE_FAULT_SITES)
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The plan of a command's ``--inject`` specs, or None without any."""
+    from repro.errors import ReproError
+    from repro.resilience import FaultPlan
+
+    if not args.inject:
+        return None
+    try:
+        return FaultPlan(args.inject, seed=args.fault_seed)
+    except ReproError as exc:  # the same site twice
+        args.usage_error(str(exc))
+
+
 def _load_program(path: str):
     from repro.lang import compile_source
 
@@ -80,12 +124,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro import api
-    from repro.resilience import FaultPlan
 
-    fault_plan = None
-    if args.inject:
-        fault_plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
-
+    fault_plan = _fault_plan(args)
     program = _load_program(args.source)
     if args.adaptive:
         report = api.profile_adaptive(
@@ -238,7 +278,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine import ExperimentPool, make_sweep_cells
     from repro.errors import EngineError
     from repro.harness.experiment import config_to_spec
-    from repro.resilience import FaultPlan
     from repro.workloads.suite import benchmark_suite, get_workload
 
     if args.workloads:
@@ -246,9 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         names = [w.name for w in benchmark_suite()]
     configs = [_parse_sweep_config(t) for t in (args.configs or ["base", "pep:64,17"])]
-    fault_plan = None
-    if args.inject:
-        fault_plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
+    fault_plan = _fault_plan(args)
     cells = make_sweep_cells(
         names,
         [config_to_spec(c) for c in configs],
@@ -354,11 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument(
         "--inject",
         action="append",
+        type=_profile_fault,
         default=[],
         metavar="SITE=PROB[:MAX]",
         help="inject deterministic faults, e.g. --inject opt-compile=0.1 "
         "--inject path-reconstruct=0.05:3 (sites: opt-compile, sample, "
-        "path-reconstruct, path-table, advice-load)",
+        "path-reconstruct, path-table)",
     )
     prof_p.add_argument(
         "--fault-seed",
@@ -366,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the fault-injection RNG streams (default 0)",
     )
-    prof_p.set_defaults(func=cmd_profile)
+    prof_p.set_defaults(func=cmd_profile, usage_error=prof_p.error)
 
     dis_p = sub.add_parser("disasm", help="print compiled bytecode")
     dis_p.add_argument("source")
@@ -428,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--inject",
         action="append",
+        type=_sweep_fault,
         default=[],
         metavar="SITE=PROB[:MAX]",
         help="inject deterministic engine faults, e.g. --inject "

@@ -15,7 +15,7 @@ from repro.bytecode.method import Method
 from repro.instrument.edge_instr import apply_edge_instrumentation
 from repro.instrument.yieldpoints import insert_yieldpoints
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import CompiledMethod, lower_method
+from repro.vm.interpreter import CompiledMethod, deferred_method, lower_method
 
 
 def compile_baseline(
@@ -26,9 +26,18 @@ def compile_baseline(
     """Compile one method at the baseline tier.
 
     Returns the compiled method and the compile-time cycles charged.
+    The method comes back unbuilt: its passes and lowering run at its
+    first entry (DESIGN.md §8), as Jikes RVM compiles a method when it
+    is first invoked.
     """
-    clone = method.clone()
-    insert_yieldpoints(clone)
-    apply_edge_instrumentation(clone)
-    cm = lower_method(clone, "baseline", costs, version=version)
+    def build() -> CompiledMethod:
+        clone = method.clone()
+        insert_yieldpoints(clone)
+        apply_edge_instrumentation(clone)
+        return lower_method(clone, "baseline", costs, version=version)
+
+    cm = deferred_method(
+        method.name, version, "baseline", costs.tier_multiplier("baseline"),
+        build,
+    )
     return cm, costs.compile_cost("baseline", method.instruction_count())

@@ -84,7 +84,14 @@ class AdaptiveSystem:
         self._bootstrap()
 
     def _bootstrap(self) -> None:
-        """Baseline-compile every method, as class loading would."""
+        """Baseline-compile every method and charge every compile to
+        start-up (paper §4.1 charges compilation to the run).
+
+        ``compile_baseline`` prices a method at once but builds its
+        body at its first entry, as Jikes RVM compiles a method when it
+        is first invoked: a method the run never enters is never built,
+        and a pipeline error surfaces at the first entry.
+        """
         for method in self.program.iter_methods():
             cm, cycles = compile_baseline(method, self.costs, version=0)
             self.code[method.name] = cm

@@ -16,6 +16,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.bytecode.method import Method, Program
+from repro.cfg.graph import CFG
+from repro.cfg.loops import analyze_loops
 from repro.errors import CompilationError
 from repro.instrument.blpp_full import apply_full_blpp
 from repro.instrument.edge_instr import apply_edge_instrumentation
@@ -30,7 +32,7 @@ from repro.adaptive.passes import (
 from repro.profiling.edges import EdgeProfile
 from repro.vm import pgo
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import CompiledMethod, lower_method
+from repro.vm.interpreter import CompiledMethod, deferred_method, lower_method
 
 # Profiling instrumentation the optimizing compiler can attach:
 #   None          - plain optimized code (the paper's Base)
@@ -49,6 +51,9 @@ INSTRUMENTATION_MODES = (
     "classic-blpp",
     "edges",
 )
+
+#: The modes :func:`repro.instrument.pep.apply_pep` places.
+_PEP_MODES = ("pep", "pep-nosmart", "pep-hot")
 
 
 def optimize_method(
@@ -85,7 +90,11 @@ def optimize_method(
     flow-conservation solve.
 
     Returns the compiled method and the compile-time cycles charged
-    (including PEP's extra pass cost when instrumenting).
+    (including PEP's extra pass cost when instrumenting).  The checks,
+    the fault draw and the price happen here; with no edge profile and
+    no instrumentation the method comes back unbuilt, and its passes
+    and lowering run at its first entry (a pipeline error surfaces
+    there, or never).
     """
     if level not in (0, 1, 2):
         raise CompilationError(f"unknown optimization level {level}")
@@ -98,6 +107,37 @@ def optimize_method(
             f"{method.name}: injected opt-compile fault (level {level})"
         )
 
+    tier = f"opt{level}"
+    compile_cycles = costs.compile_cost(tier, method.instruction_count())
+    if instrumentation is not None:
+        compile_cycles += costs.pep_pass_cost_per_instr * method.instruction_count()
+
+    def build() -> CompiledMethod:
+        return _build(method, program, level, edge_profile, costs, version,
+                      instrumentation, unroll, min_coverage)
+
+    if edge_profile is None and instrumentation is None:
+        # Reads no live profile and attaches no P-DAG: build the body at
+        # the method's first entry (DESIGN.md §8), or never.
+        cm = deferred_method(
+            method.name, version, tier, costs.tier_multiplier(tier), build
+        )
+        return cm, compile_cycles
+    return build(), compile_cycles
+
+
+def _build(
+    method: Method,
+    program: Program,
+    level: int,
+    edge_profile: Optional[EdgeProfile],
+    costs: CostModel,
+    version: int,
+    instrumentation: Optional[str],
+    unroll: bool,
+    min_coverage: bool,
+) -> CompiledMethod:
+    """The pass pipeline and lowering of :func:`optimize_method`."""
     clone = method.clone()
     if level >= 1:
         inline_small_methods(clone, program)
@@ -109,15 +149,22 @@ def optimize_method(
 
         unroll_simple_loops(clone)
     apply_branch_layout(clone, edge_profile)
-    insert_yieldpoints(clone, skip_trivial_leaves=True)
+    loops = None
+    if instrumentation in _PEP_MODES and any(True for _ in clone.iter_branches()):
+        # Yieldpoints add no edges, so the yieldpoint pass and PEP share
+        # one loop analysis (PEP skips a branch-free method unanalysed).
+        loops = analyze_loops(CFG.from_method(clone))
+    insert_yieldpoints(clone, loops=loops, skip_trivial_leaves=True)
 
     inst: Optional[PepInstrumentation] = None
     if instrumentation == "pep":
-        inst = apply_pep(clone, edge_profile, smart=True)
+        inst = apply_pep(clone, edge_profile, smart=True, loops=loops)
     elif instrumentation == "pep-nosmart":
-        inst = apply_pep(clone, edge_profile, smart=False)
+        inst = apply_pep(clone, edge_profile, smart=False, loops=loops)
     elif instrumentation == "pep-hot":
-        inst = apply_pep(clone, edge_profile, smart=True, invert_smart=True)
+        inst = apply_pep(
+            clone, edge_profile, smart=True, invert_smart=True, loops=loops
+        )
     elif instrumentation == "full-path":
         inst = apply_full_blpp(
             clone, edge_profile, style="pep", count_mode="hash"
@@ -133,13 +180,8 @@ def optimize_method(
         if probe_plan is None:
             apply_edge_instrumentation(clone)
 
-    tier = f"opt{level}"
-    cm = lower_method(clone, tier, costs, version=version)
+    cm = lower_method(clone, f"opt{level}", costs, version=version)
     if inst is not None:
         cm.attach_dag(inst.dag)
     cm.probe_plan = probe_plan
-
-    compile_cycles = costs.compile_cost(tier, method.instruction_count())
-    if instrumentation is not None:
-        compile_cycles += costs.pep_pass_cost_per_instr * method.instruction_count()
-    return cm, compile_cycles
+    return cm

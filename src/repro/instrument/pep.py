@@ -36,7 +36,7 @@ from repro.bytecode.instructions import (
 from repro.bytecode.method import Method
 from repro.cfg.dag import DUMMY_ENTRY, DUMMY_EXIT, EXIT_EDGE, REAL, PDag
 from repro.cfg.graph import CFG
-from repro.cfg.loops import analyze_loops
+from repro.cfg.loops import LoopInfo, analyze_loops
 from repro.profiling.ballarus import assign_ball_larus_values
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.smart import assign_smart_values
@@ -82,16 +82,21 @@ def apply_pep(
     smart: bool = True,
     invert_smart: bool = False,
     count_mode: Optional[str] = None,
+    loops: Optional[LoopInfo] = None,
 ) -> Optional[PepInstrumentation]:
     """Instrument ``method`` in place; returns None for trivial methods.
 
     A method with no conditional branch has exactly one path, so its
-    profile is trivial and PEP skips it (paper section 4.3).
+    profile is trivial and PEP skips it (paper section 4.3).  ``loops``
+    is the method's loop analysis when the caller already has it (the
+    optimizing compiler shares one with the yieldpoint pass, which adds
+    no edges); by default the pass analyses the method itself.
     """
     if not any(True for _ in method.iter_branches()):
         return None
 
-    loops = analyze_loops(CFG.from_method(method))
+    if loops is None:
+        loops = analyze_loops(CFG.from_method(method))
     if method.entry in loops.headers:
         ensure_entry_preheader(method)
 

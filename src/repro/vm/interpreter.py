@@ -4,6 +4,9 @@ A :class:`CompiledMethod` is the runnable artefact both compilers produce:
 basic blocks lowered to tuples with direct successor references (no label
 lookups at run time) and per-op virtual-cycle costs baked in, including
 the tier multiplier (baseline code runs ~3x slower than optimized code).
+A compiler may hand it out unbuilt (:func:`deferred_method`): its body is
+then lowered at the first read, which the method's first :class:`Frame`
+makes (DESIGN.md §8, building at first entry).
 
 The interpreter's op loop is :func:`run_blocks`: one flat loop over
 tuple-encoded ops — the fastest shape available in pure Python — that
@@ -159,6 +162,88 @@ class CompiledMethod:
         return f"<CompiledMethod {self.profile_key} tier={self.tier}>"
 
 
+#: The slots lowering fills: a method's *body*.  The rest (name,
+#: version, tier, profile key, cost multiplier, ``probe_plan``) is its
+#: head, known before any pass runs.
+BODY_SLOTS = (
+    "num_regs",
+    "entry",
+    "blocks",
+    "fold_q",
+    "dag",
+    "resolver",
+    "static_size",
+    "jit_entries",
+)
+
+_BODY = tuple(CompiledMethod.__dict__[name] for name in BODY_SLOTS)
+
+#: Where an unbuilt method keeps its build function until it runs.
+_BUILD = CompiledMethod.__dict__["blocks"]
+
+
+class _Unbuilt(CompiledMethod):
+    """A :class:`CompiledMethod` whose body is built at its first read.
+
+    Reading or writing any body slot calls the build function, copies
+    the body of the method it returns into this object and makes it a
+    plain :class:`CompiledMethod` (``__class__`` assignment: the layout
+    is the same), so no hot path ever goes through this class.  A build
+    that raises leaves the object unbuilt, and the next read raises
+    again.
+    """
+
+    __slots__ = ()
+
+    def _build(self) -> None:
+        built = _BUILD.__get__(self)()
+        for slot in _BODY:
+            slot.__set__(self, slot.__get__(built))
+        self.__class__ = CompiledMethod
+
+
+def _body_property(slot) -> property:
+    def read(self):
+        self._build()
+        return slot.__get__(self)
+
+    def write(self, value) -> None:
+        self._build()
+        slot.__set__(self, value)
+
+    return property(read, write)
+
+
+for _slot in _BODY:
+    setattr(_Unbuilt, _slot.__name__, _body_property(_slot))
+del _slot
+
+
+def deferred_method(
+    source_name: str,
+    version: int,
+    tier: str,
+    cost_multiplier: float,
+    build,
+) -> CompiledMethod:
+    """A compiled method whose body ``build()`` makes at the first read.
+
+    ``build`` returns a built :class:`CompiledMethod` with this head.
+    Its body (:data:`BODY_SLOTS`) is read by the method's first
+    :class:`Frame`, on either engine, so a method that is never entered
+    is never built; its head and ``probe_plan`` (None) are set at once.
+    """
+    cm = object.__new__(_Unbuilt)
+    cm.source_name = source_name
+    cm.version = version
+    cm.tier = tier
+    cm.cost_multiplier = cost_multiplier
+    cm.profile_key = f"{source_name}#v{version}"
+    cm.probe_plan = None
+    _BUILD.__set__(cm, build)
+    return cm
+
+
 def lower_method(
     method: Method,
     tier: str,
@@ -217,6 +302,14 @@ def lower_method(
     return cm
 
 
+#: Certification verdicts keyed by a model's chargeable values, so a
+#: model is scanned once however many methods it lowers, and a model
+#: whose values change gets a fresh verdict.  Bounded crudely, like
+#: blockjit's code memo: a flush only costs a rescan.
+_FOLD_VERDICTS: Dict[tuple, bool] = {}
+_FOLD_VERDICTS_BOUND = 64
+
+
 def _fold_certified(costs: CostModel) -> bool:
     """True when every charge the accumulator can absorb lies on the
     fixed-point grid.
@@ -229,8 +322,17 @@ def _fold_certified(costs: CostModel) -> bool:
     folding sound: the carried ``st.cyc`` arrives at a method entry
     bearing other methods' charges at other tiers, so the chain base is
     provably grid-valued only when the whole program's cost universe
-    is."""
-    return all(fold_clean(value) for value in costs.chargeable_values())
+    is.  Values that compare equal (``1`` and ``1.0``, ``0.0`` and
+    ``-0.0``) lie on the grid alike, so equal keys share a verdict."""
+    values = tuple(costs.chargeable_values())
+    verdict = _FOLD_VERDICTS.get(values)
+    if verdict is None:
+        if len(_FOLD_VERDICTS) >= _FOLD_VERDICTS_BOUND:
+            _FOLD_VERDICTS.clear()
+        verdict = _FOLD_VERDICTS[values] = all(
+            fold_clean(value) for value in values
+        )
+    return verdict
 
 
 def _arm_mask(count_arms) -> int:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adaptive import optimizing
 from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
 from repro.adaptive.optimizing import optimize_method
 from repro.adaptive.replay import (
@@ -11,9 +12,14 @@ from repro.adaptive.replay import (
     run_iteration_with_vm,
 )
 from repro.bytecode.builder import ProgramBuilder
+from repro.cfg.loops import analyze_loops
 from repro.errors import AdviceError, CompilationError
+from repro.instrument import pep, yieldpoints
+from repro.profiling.edges import EdgeProfile
 from repro.sampling.arnold_grove import SamplingConfig
+from repro.vm import blockjit
 from repro.vm.costs import CostModel
+from repro.vm.interpreter import OP_PEPADD
 
 from tests.helpers import total_samples
 
@@ -155,6 +161,51 @@ def test_optimize_method_rejects_bad_inputs():
         optimize_method(
             method, program, 1, None, CostModel(), instrumentation="magic"
         )
+
+
+def _pep_shape(cm):
+    """The P-DAG, its path count and the placed path-register adds."""
+    edges = [(e.src, e.dst, e.kind, e.value) for e in cm.dag.edges]
+    adds = [
+        (label, op[2])
+        for label, block in cm.blocks.items()
+        for op in block.ops
+        if op[0] == OP_PEPADD
+    ]
+    return edges, cm.dag.num_paths, adds
+
+
+@pytest.mark.parametrize("mode", ["pep", "pep-nosmart", "pep-hot"])
+def test_pep_compile_analyses_loops_once(monkeypatch, mode):
+    # Yieldpoints add no edges, so the yieldpoint pass and PEP share the
+    # clone's loop analysis; analysing twice must give the same code.
+    calls = []
+
+    def counting(cfg, dom=None):
+        calls.append(cfg.method_name)
+        return analyze_loops(cfg, dom)
+
+    for module in (optimizing, yieldpoints, pep):
+        monkeypatch.setattr(module, "analyze_loops", counting)
+    program = hot_loop_program(100)
+    method = program.method("main")
+    profile = EdgeProfile()
+
+    def compile_main():
+        del calls[:]
+        cm, _ = optimize_method(
+            method, program, 2, profile, CostModel(), instrumentation=mode
+        )
+        return cm, len(calls)
+
+    shared, analyses = compile_main()
+    assert analyses == 1
+    monkeypatch.setattr(optimizing, "_PEP_MODES", ())
+    afresh, analyses = compile_main()
+    assert analyses == 2
+    assert _pep_shape(shared) == _pep_shape(afresh)
+    assert shared.dag.num_paths > 1 and _pep_shape(shared)[2]
+    assert blockjit._fingerprint(shared) == blockjit._fingerprint(afresh)
 
 
 def test_instrumentation_modes_all_compile_and_run():

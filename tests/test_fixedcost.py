@@ -152,6 +152,55 @@ def test_dirty_injected_charge_demotes():
     assert all(cm.fold_q == 0 for cm in code.values())
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """Certification scans, counted in ``fold_clean`` calls, from an
+    empty verdict table."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return fold_clean(value)
+
+    monkeypatch.setattr(interpreter, "_FOLD_VERDICTS", {})
+    monkeypatch.setattr(interpreter, "fold_clean", counting)
+    return calls
+
+
+def test_many_lowerings_under_one_model_scan_once(scans):
+    costs = CostModel()
+    for workload in benchmark_suite()[:4]:
+        for tier in ("baseline", "opt2"):
+            code = compile_simple(workload.build(0.3), costs=costs, tier=tier)
+            assert all(cm.fold_q == FOLD_SHIFT for cm in code.values())
+    # An equal model shares the verdict: the key is the values.
+    compile_simple(hot_helper_program(), costs=CostModel())
+    assert len(scans) == len(costs.chargeable_values())
+
+
+def test_a_changed_model_gets_a_fresh_verdict(scans):
+    # The dirty opt0 multiplier of test_dirty_tier_multiplier_demotes_and_counts,
+    # set on a model after it certified.
+    costs = CostModel()
+    costs.tier_multipliers = dict(costs.tier_multipliers)
+    program = hot_helper_program()
+
+    def verdicts() -> set:
+        return {cm.fold_q for cm in compile_simple(program, costs=costs).values()}
+
+    clean = costs.tier_multipliers["opt0"]
+    assert verdicts() == {FOLD_SHIFT}
+    costs.tier_multipliers["opt0"] = 1.15
+    assert verdicts() == {0}
+    costs.tier_multipliers["opt0"] = clean
+    assert verdicts() == {FOLD_SHIFT}
+    # Two scans, as the clean model's verdict was kept; the dirty one
+    # stops at its first off-grid value.
+    values = costs.chargeable_values()
+    assert scans[: len(values)] == values
+    assert len(values) < len(scans) < 2 * len(values)
+
+
 #: Every per-op base cost: lowering charges each times a tier multiplier.
 BASE_COSTS = [
     "simple_op",

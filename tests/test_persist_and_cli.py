@@ -181,6 +181,75 @@ def test_cli_sweep_rejects_a_hang_it_cannot_detect(capsys):
     assert "usage:" in err and "worker-hang fault needs a per-cell timeout" in err
 
 
+_MALFORMED_INJECTS = [
+    ("worker-hang", "expected site=prob[:max]"),
+    ("worker-hung=1.0", "unknown fault site 'worker-hung'"),
+    ("opt-compile=1.5", "must be in [0, 1], got 1.5"),
+    ("sample=-0.1", "must be in [0, 1], got -0.1"),
+    ("sample=nan", "must be in [0, 1], got nan"),
+    ("sample=0.5:x", "expected site=prob[:max]"),
+]
+
+
+def _cli_usage_error(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    return err
+
+
+@pytest.mark.parametrize("value, message", _MALFORMED_INJECTS)
+def test_cli_rejects_a_malformed_inject(source_file, capsys, value, message):
+    # A usage error (exit 2) before any work, on both commands.
+    for argv in (
+        ["profile", "--adaptive", source_file, "--inject", value],
+        ["sweep", "--jobs", "1", "--workloads", "compress", "--configs",
+         "base", "--timeout", "5", "--inject", value],
+    ):
+        err = _cli_usage_error(capsys, argv)
+        assert "argument --inject:" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "command, site",
+    [
+        ("profile", "worker-crash=1.0"),
+        ("profile", "worker-hang=1.0"),
+        ("profile", "receipt-write=1.0"),
+        ("profile", "advice-load=1.0"),
+        ("sweep", "opt-compile=1.0"),
+        ("sweep", "sample=0.3"),
+        ("sweep", "path-table=0.3"),
+    ],
+)
+def test_cli_rejects_a_site_the_command_cannot_inject(
+    source_file, capsys, command, site
+):
+    # Profile runs check the compile and sampler sites, and a sweep's
+    # cells get no plan: a fault at another site would never fire.
+    argv = (
+        ["profile", source_file] if command == "profile"
+        else ["sweep", "--jobs", "1", "--workloads", "compress", "--configs",
+              "base", "--timeout", "5"]
+    )
+    err = _cli_usage_error(capsys, [*argv, "--inject", site])
+    name = site.partition("=")[0]
+    assert f"argument --inject: {name!r} is not a site this command" in err
+
+
+@pytest.mark.parametrize("command", ["profile", "sweep"])
+def test_cli_rejects_the_same_site_twice(source_file, capsys, command):
+    argv = (
+        ["profile", source_file, "--inject", "sample=0.2", "--inject",
+         "sample=0.3"] if command == "profile"
+        else ["sweep", "--jobs", "1", "--workloads", "compress", "--inject",
+              "worker-crash=0.5", "--inject", "worker-crash=0.2"]
+    )
+    assert "duplicate fault site" in _cli_usage_error(capsys, argv)
+
+
 def test_cli_sweep_has_no_retries_flag(capsys):
     # A cell that raises is final, so there is nothing to retry.
     with pytest.raises(SystemExit) as exc:

@@ -412,13 +412,17 @@ def test_cli_profile_with_injection_prints_health(cli_source, capsys):
     assert "opt-compile" in out
 
 
-def test_cli_profile_rejects_bad_inject_spec(cli_source):
+def test_cli_profile_rejects_bad_inject_spec(cli_source, capsys):
     from repro.__main__ import main
 
-    # A made-up site, and the retired superblock trace tier's site.
+    # A made-up site, and the retired superblock trace tier's site: a
+    # usage error (exit 2) that names the site, before any run.
     for spec in ("bogus-site=0.5", "superblock-compile=0.5"):
-        with pytest.raises(ReproError):
+        with pytest.raises(SystemExit) as exc:
             main(["profile", cli_source, "--inject", spec])
+        assert exc.value.code == 2
+        site = spec.partition("=")[0]
+        assert f"unknown fault site {site!r}" in capsys.readouterr().err
 
 
 # -- enriched VM errors (satellite) -------------------------------------------
