@@ -160,8 +160,11 @@ def replay_compile(
     # counts.  Those methods are recompiled with full instrumentation.
     # Compile cost is mask-independent, so the already-charged cycles
     # stay those of the probed compile; the recompile moves wall clock
-    # only.
-    for name in sorted(pgo.shared_origin_fallbacks(code)):
+    # only.  The scan reads every method's branches, which builds the
+    # deferred ones, so an image without probe plans (``probe_plan`` is
+    # a head slot) skips it.
+    probed = any(cm.probe_plan is not None for cm in code.values())
+    for name in sorted(pgo.shared_origin_fallbacks(code) if probed else ()):
         if code[name].probe_plan is None:
             continue
         code[name], _ = optimize_method(

@@ -12,7 +12,7 @@ PEP computes a path's edges only on first sample and caches the result
 resolvers into the edge profile it implies, which is how the perfect
 edge profile is derived from the perfect path profile (section 5.1).
 
-The memo is *shared* per (method name, DAG fingerprint): adaptive
+The memo is *shared* per DAG (:func:`dag_key`, its exact text): adaptive
 recompilation produces a new :class:`~repro.vm.interpreter.CompiledMethod`
 (and a new resolver) for every version bump, but the P-DAG — and therefore
 every path expansion — is usually unchanged, so resolvers for structurally
@@ -33,7 +33,6 @@ from repro.cfg.dag import DagEdge, PDag
 from repro.errors import PathReconstructionError
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import PathProfile
-from repro.util.rng import stable_hash
 
 BranchEvent = Tuple[BranchRef, bool]
 
@@ -100,13 +99,13 @@ def reconstruct_path(
     return edges
 
 
-def dag_fingerprint(dag: PDag) -> int:
-    """A stable structural fingerprint of a numbered P-DAG.
+def dag_key(dag: PDag) -> str:
+    """An exact text of a numbered P-DAG, the key of its shared memo.
 
-    Two DAGs with the same fingerprint assign the same edge sequence to
-    every path number, so their resolvers may share one expansion memo.
-    Uses :func:`repro.util.rng.stable_hash` (process-salt-free), so the
-    fingerprint is also identical across worker processes.
+    Two DAGs with the same key assign the same edge sequence to every
+    path number, so their resolvers may share one expansion memo.  The
+    text itself is the key, not a hash of it, so no two DAGs share
+    expansions through a collision.
     """
     parts = [
         dag.method_name,
@@ -119,7 +118,7 @@ def dag_fingerprint(dag: PDag) -> int:
             f"{edge.src}>{edge.dst}|{edge.kind}|{edge.origin}"
             f"|{edge.taken}|{edge.value}"
         )
-    return stable_hash("\x1f".join(parts))
+    return "\x1f".join(parts)
 
 
 class _SharedMemo:
@@ -150,11 +149,11 @@ class _SharedMemo:
         return len(self.entries)
 
 
-_SHARED_MEMOS: Dict[Tuple[str, int], _SharedMemo] = {}
+_SHARED_MEMOS: Dict[str, _SharedMemo] = {}
 
 
 def _memo_for(dag: PDag) -> _SharedMemo:
-    key = (dag.method_name, dag_fingerprint(dag))
+    key = dag_key(dag)
     memo = _SHARED_MEMOS.get(key)
     if memo is None:
         if len(_SHARED_MEMOS) >= _REGISTRY_BOUND:

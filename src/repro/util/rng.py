@@ -43,22 +43,12 @@ def _jump_table() -> tuple:
     return mul, add
 
 
-#: Distinct texts :func:`stable_hash` remembers, least recently used
-#: evicted first.  Its callers hash P-DAG fingerprints (the keys of the
-#: shared path-resolver memos) and RNG stream names, and rehash the same
-#: texts: one pass of a perfbench workload (seed 7) makes 62-114 calls
-#: on 37-83 distinct texts, and a suite-replay pass hashes one text up
-#: to 17 times.
-STABLE_HASH_MEMO = 1024
-
-
-@functools.lru_cache(maxsize=STABLE_HASH_MEMO)
 def stable_hash(text: str) -> int:
     """Return a deterministic 64-bit hash of ``text``.
 
     ``hash()`` is salted per-process for strings, so it cannot be used to
     derive reproducible seeds.  This is FNV-1a, which is stable everywhere.
-    The byte loop runs once per distinct text (see :data:`STABLE_HASH_MEMO`).
+    Its callers hash short RNG stream names (:meth:`DeterministicRng.from_name`).
     """
     value = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):

@@ -12,11 +12,11 @@ generated once, for the first of them; the run loop becomes
 region-level dispatch: call the region closure, follow the returned
 successor closure.
 
-Only the hot path is inlined.  The two cold exits every block can
-take live out of line in module helpers bound into each method's
-namespace: :func:`out_of_fuel` (the fuel counterpart of
-``interpreter._trap``) and :func:`yieldpoint_slow` (the countdown
-yieldpoint's tick/sample/dispatch sequence).
+Only the hot path is inlined.  The cold exits live out of line: a
+region entered with less fuel than its *headroom* runs that entry on
+the tuple interpreter's block loop (:class:`_ColdRun`, bound as
+``_cold`` in each method's namespace), and :func:`yieldpoint_slow`
+runs the countdown yieldpoint's tick/sample/dispatch sequence.
 
 Bit-identity contract
 ---------------------
@@ -56,13 +56,23 @@ returning a root's closure (jump/branch), the ``_CALL`` sentinel (guest
 call pushed; the driver switches frames), or ``None`` (guest return;
 value in ``JitState.ret_value``).
 
-Every block charges its fuel on entry exactly as the interpreter does:
-``n - ip + 1`` at a root, including resumption after a callee returns,
-and ``n + 1`` at an inlined block or join, and at each iteration of a
-loop region's root.  Fuel and cycles stay in the locals ``_fuel`` and
-``_cyc`` across the region and reach ``st`` at its exits; an arm that
-falls into a join or takes a back edge adds its pending cost chain to
-``_cyc`` first, the same float add an exit and re-entry would make.
+Fuel is checked once per region, against its headroom: the most fuel
+any path from the check can charge before the region's next exit,
+call, return or back edge, counting ``n - ip + 1`` at the root (as the
+interpreter charges each block (re)entry, resumption after a callee
+returns included) and ``n + 1`` at each inlined block or join.  A
+region checks on entry, a loop region at the top of each iteration.
+With ``_fuel`` below the headroom the entry runs on the block loop,
+which raises ``FuelExhaustedError`` exactly where the interpreter does;
+a loop region's failed check first leaves the loop like an exit to its
+own root.  At or above it no block of the entry can exhaust the fuel,
+so the region carries each path's charges unsubtracted, like its cost
+chain, and subtracts them once at each exit, return, back edge and arm
+that falls into a join.  Fuel and cycles stay in the locals ``_fuel``
+and ``_cyc`` across the region and reach ``st`` at its exits; an arm
+that falls into a join or takes a back edge adds its pending cost
+chain to ``_cyc`` first, the same float add an exit and re-entry would
+make.
 
 Registers live in locals, bound per path: a register is loaded at its
 first read on each path, even if a sibling arm wrote it.  Past a join,
@@ -119,7 +129,7 @@ import os
 from types import CellType, CodeType, FunctionType
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.errors import FuelExhaustedError, VMError
+from repro.errors import VMError
 from repro.vm.costs import FOLD_SCALE
 from repro.vm.interpreter import (
     OP_ALEN,
@@ -188,23 +198,6 @@ def blockjit_enabled() -> bool:
 
 
 # -- cold exits, out of line -------------------------------------------------
-
-
-def out_of_fuel(vm, cyc: float, method, block: str, index: int) -> None:
-    """Fuel exhaustion: the fuel counterpart of ``interpreter._trap``.
-
-    Flushes the accumulated ``cyc`` into ``vm.cycles`` and raises the
-    interpreter's exact error.  ``method`` is a profile key, so an
-    inlined callee's site can pass its own.
-    """
-    vm.cycles += cyc
-    raise FuelExhaustedError(
-        "instruction budget exhausted",
-        method=method,
-        block=block,
-        instruction_index=index,
-        cycles=vm.cycles,
-    )
 
 
 def yieldpoint_slow(vm, cm, st, t: float, path_reg: int, flag) -> float:
@@ -499,11 +492,11 @@ class _Region:
     ``wb`` the writebacks.  ``split`` holds the registers of ``wb`` that
     are not bound on every path to here; ``slot_of`` names the
     :class:`_Preload` that binds each.  :meth:`fork` and :meth:`restore`
-    save and reinstate the state, with the pending cost chain, around
-    each branch arm, and :meth:`merge` combines the arms that fall into
-    a join.  ``uses`` accumulates the registers loaded on any path.
-    ``indent`` counts the branch arms the current path is nested under,
-    plus the ``while`` of a loop region.
+    save and reinstate the state, with the pending cost chain and fuel,
+    around each branch arm, and :meth:`merge` combines the arms that
+    fall into a join.  ``uses`` accumulates the registers loaded on any
+    path.  ``indent`` counts the branch arms the current path is nested
+    under, plus the ``while`` of a loop region.
 
     A loop region (``loop``) loads the registers it reads before its
     ``while True:``, not at their first reads, since a local written on
@@ -514,7 +507,12 @@ class _Region:
     ``FOLD_SCALE`` to exact integers (DESIGN.md §15), and every point
     that observes the accumulator reads :meth:`cyc_expr`: one folded
     constant per chain.  Certification (``CompiledMethod.fold_q``)
-    guarantees the fold is bit-identical.
+    guarantees the fold is bit-identical.  Fuel is carried the same
+    way: ``fuel`` is what the path has charged since ``_fuel`` last
+    took a subtraction, ``reach`` what it has charged since the
+    region's check, and ``headroom`` the largest ``reach`` at any
+    exit, return or back edge, which :meth:`render` writes into the
+    check.
 
     Exits record where their writebacks go instead of emitting them;
     :meth:`render` fills each with the written registers live into that
@@ -524,10 +522,11 @@ class _Region:
     one of them also makes is redundant, and :meth:`render` drops it.
     """
 
-    def __init__(self, name: str, root: Optional[str], loop: bool):
+    def __init__(self, name: str, root: Optional[str], loop: bool, start: str):
         self.name = name
         self.root = root  # the root block's label, None for a resume root
         self.loop = loop
+        self.start = start  # the root as ``_cold`` arguments
         self.body: List[str] = []
         # (body index, preload slot or exit mark), in body order
         self.marks: list = []
@@ -543,10 +542,13 @@ class _Region:
         self.carried = 0
         self.indent = 1 if loop else 0
         self.pending: List[int] = []
+        self.fuel = 0
+        self.reach = 0
+        self.headroom = 0
         # (successor root, kill bitset, dirty bitset) per exit
         self.exits: List[Tuple[str, int, int]] = []
-        # join label -> (bound, dirty, wb) at each edge that falls into it
-        self.falls: Dict[str, List[Tuple[int, int, int]]] = {}
+        # join label -> (bound, dirty, wb, reach) at each edge into it
+        self.falls: Dict[str, List[Tuple[int, int, int, int]]] = {}
 
     def rd(self, reg: int) -> str:
         bit = 1 << reg
@@ -574,10 +576,12 @@ class _Region:
 
     def fork(self) -> tuple:
         """The per-path state at a branch, for :meth:`restore`."""
-        return self.bound, self.dirty, self.wb, self.split, list(self.pending)
+        return (self.bound, self.dirty, self.wb, self.split, list(self.pending),
+                self.fuel, self.reach)
 
     def restore(self, state: tuple) -> None:
-        self.bound, self.dirty, self.wb, self.split, pending = state
+        (self.bound, self.dirty, self.wb, self.split, pending,
+         self.fuel, self.reach) = state
         self.pending = list(pending)
 
     def cyc_expr(self) -> str:
@@ -610,28 +614,49 @@ class _Region:
         if amount != 0.0:
             self.pending.append(int(amount * FOLD_SCALE))
 
+    def charge(self, fuel: int) -> None:
+        """Charge a block's fuel to the path; nothing is emitted."""
+        self.fuel += fuel
+        self.reach += fuel
+
     def flush(self) -> None:
-        """Add the pending chain to ``_cyc``: the float add that an exit
-        to a root and that root's ``_cyc = st.cyc`` would make."""
+        """Add the pending chain to ``_cyc`` and take the pending fuel
+        from ``_fuel``: the float add that an exit to a root and that
+        root's ``_cyc = st.cyc`` would make, and the subtraction its
+        ``st.fuel`` store would."""
         if self.pending:
             self.emit(f"_cyc += {sum(self.pending) / FOLD_SCALE!r}")
             self.pending = []
+        self.emit(f"_fuel -= {self.fuel}")
+        self.fuel = 0
+
+    def leave(self) -> None:
+        """Store the path's fuel and cycles to ``st`` as it leaves the
+        function."""
+        self.emit(f"st.fuel = _fuel - {self.fuel}")
+        self.emit(f"st.cyc = {self.cyc_expr()}")
+        self.pending = []
+        self.fuel = 0
+        self.headroom = max(self.headroom, self.reach)
 
     def fall(self, join: str) -> None:
         """End this path at an edge into ``join``, whose code follows
         the enclosing ``if`` statement."""
         self.flush()
-        self.falls.setdefault(join, []).append((self.bound, self.dirty, self.wb))
+        self.falls.setdefault(join, []).append(
+            (self.bound, self.dirty, self.wb, self.reach)
+        )
 
     def merge(self, join: str, slot: _Preload) -> None:
         """Take the state past the ``if`` whose arms fall into ``join``;
         ``slot`` precedes that ``if``."""
         bound = dirty = -1
-        wb = 0
-        for b, d, w in self.falls.pop(join):
+        wb = reach = 0
+        for b, d, w, r in self.falls.pop(join):
             bound &= b
             dirty &= d
             wb |= w
+            reach = max(reach, r)
         split = wb & ~bound
         self.open.pop()
         for reg in _bits(split & ~self.wb):  # clean before the ``if``
@@ -640,11 +665,14 @@ class _Region:
         self.dirty = dirty
         self.wb = wb
         self.split = split
-        self.pending = []  # each arm flushed its chain
+        self.pending = []  # each arm flushed its chain and its fuel
+        self.fuel = 0
+        self.reach = reach
 
     def back_edge(self) -> None:
         """Jump back to the loop region's own root."""
         self.flush()
+        self.headroom = max(self.headroom, self.reach)
         self.carried |= self.wb
         self.emit("continue")
 
@@ -679,11 +707,25 @@ class _Region:
                 else:
                     for reg, slot in splits:
                         slot.bits |= out & (1 << reg)
-        lines = [f"def {self.name}(vm, frame, regs, st):", "    _cyc = st.cyc"]
+        lines = [
+            f"def {self.name}(vm, frame, regs, st):",
+            "    _cyc = st.cyc",
+            "    _fuel = st.fuel",
+        ]
+        # The check: below the headroom, run this entry on the block
+        # loop, which raises where the interpreter does.
+        guard = [f"if _fuel < {self.headroom}:"]
         if self.loop:
-            lines.append("    _fuel = st.fuel")
+            # Leave the loop like an exit to its own root.
+            out = carried & live[self.name]
+            hoist |= out
+            guard.extend(f"    regs[{reg}] = r{reg}" for reg in _bits(out))
+            guard += ["    st.fuel = _fuel", "    st.cyc = _cyc"]
             lines.extend(f"    r{reg} = regs[{reg}]" for reg in _bits(hoist))
             lines.append("    while True:")
+        guard.append(f"    return _cold(vm, frame, st, {self.start})")
+        pad = "    " * (1 + self.loop)
+        lines.extend(pad + line for line in guard)
         body = self.body
         if self.loads:
             # Nothing writes the register or ``regs`` between a slot and
@@ -765,29 +807,25 @@ class _MethodCodegen:
     def _gen_region(self, bi: int, block: LoweredBlock, ip: int) -> _Region:
         loop = not ip and block.label in self._loops
         root = None if ip else block.label
-        region = _Region(f"_f{bi}_{ip}", root, loop)
-        if not self._gen_block(region, block, ip, "_fuel" if loop else "st.fuel"):
+        region = _Region(f"_f{bi}_{ip}", root, loop, f"_blk{bi}, {ip}")
+        if not self._gen_block(region, block, ip):
             self._gen_term(region, block)
         return region
 
-    def _gen_block(
-        self, seg: _Region, block: LoweredBlock, ip: int = 0, fuel: str = "_fuel"
-    ) -> bool:
+    def _gen_block(self, seg: _Region, block: LoweredBlock, ip: int = 0) -> bool:
         """Emit ``block`` from ``ip`` up to its terminator or first call.
 
-        The fuel prologue charges the block's fuel on entry, exactly
-        like the interpreter's ``fuel -= n - ip + 1`` at each block
-        (re)entry, taking it from ``fuel``: ``st.fuel`` at a root, the
-        local ``_fuel`` in an inlined block.  The exhaustion
-        exit observes the folded pending chain.  Returns True when a
-        call ended the block (the call is an exit).
+        The block's fuel, ``n - ip + 1`` as the interpreter charges at
+        each block (re)entry, goes to the path; the region's check
+        covers it and an exit subtracts it.  A comment names the block
+        and ``ip``.  Returns True when a call ended the block (the call
+        is an exit).
         """
         ops = block.ops
         n = len(ops)
         label = block.label
-        seg.emit(f"_fuel = {fuel} - {n - ip + 1}")
-        seg.emit("if _fuel < 0:")
-        seg.emit(f"_fuel_out(vm, {seg.cyc_expr()}, _pk, {label!r}, {ip})", 2)
+        seg.emit(f"# {label!r} from {ip}")
+        seg.charge(n - ip + 1)
         for j in range(ip, n):
             op = ops[j]
             if op[0] == OP_CALL:
@@ -816,9 +854,7 @@ class _MethodCodegen:
         """Leave the function for root ``succ``, returning ``value``
         (by default ``succ``'s function)."""
         seg.exit_writebacks(succ, kill)
-        seg.emit("st.fuel = _fuel")
-        seg.emit(f"st.cyc = {seg.cyc_expr()}")
-        seg.pending = []
+        seg.leave()
         seg.emit(f"return {value or succ}")
 
     # -- ops ----------------------------------------------------------------
@@ -991,9 +1027,7 @@ class _MethodCodegen:
         if t == T_RET:
             value = seg.rd(term[2]) if term[2] is not None else "0"
             # No register write-backs: the frame is dead.
-            seg.emit("st.fuel = _fuel")
-            seg.emit(f"st.cyc = {seg.cyc_expr()}")
-            seg.pending = []
+            seg.leave()
             seg.emit(f"st.ret_value = {value}")
             seg.emit("return None")
         elif t == T_JMP:
@@ -1032,15 +1066,14 @@ class _MethodCodegen:
         record, then its successor."""
         state = seg.fork()
         seg.indent += 1
-        start = len(seg.body)
         if taken != term[7]:
             seg.cost(term[8])
         if origin is not None:
             seg.emit(f"vm.edge_profile.record({origin}, {taken})")
             seg.cost(term[11])
+        # Never empty: every path charged fuel, which an exit, a back
+        # edge or a fall into the join takes from ``_fuel``.
         self._gen_succ(seg, succ)
-        if len(seg.body) == start:
-            seg.emit("pass")
         seg.indent -= 1
         seg.restore(state)
 
@@ -1058,7 +1091,7 @@ def generate_source(cm: CompiledMethod) -> str:
         "a root (block, entry-ip)\n"
         "# and the blocks and joins inlined under it.  Injected "
         "globals: _pk, _cm, _Frame,\n"
-        "# _trap, _fuel_out, _yield_slow, _CALL, _blk*, _og*.\n"
+        "# _trap, _cold, _yield_slow, _CALL, _blk*, _og*.\n"
     )
     return header + "\n".join(texts.values())
 
@@ -1072,7 +1105,6 @@ def _namespace(cm: CompiledMethod) -> dict:
         "_cm": cm,
         "_Frame": Frame,
         "_trap": _trap,
-        "_fuel_out": out_of_fuel,
         "_yield_slow": yieldpoint_slow,
         "_CALL": _CALL,
     }
@@ -1120,33 +1152,58 @@ def placeholder(ns: dict, name: str, fill) -> FunctionType:
     return stub
 
 
+class _ColdRun:
+    """Runs one entry of a method's region on the tuple interpreter.
+
+    Bound as ``_cold`` in the method's namespace.  ``run_blocks`` runs
+    the frame from ``block`` at ``ip`` up to the next call, return or
+    jump to a root (``stops``: the labels of the method's ip-0 roots),
+    and the call returns what the compiled region would: the ``_CALL``
+    sentinel, None, or the current entry of the root jumped to.  The
+    placeholders run their cold entries here, and a compiled region
+    its entries below the headroom, so that fuel runs out exactly
+    where the interpreter's does.
+    """
+
+    __slots__ = ("stops", "entries")
+
+    def __init__(self, stops: frozenset, entries: dict) -> None:
+        self.stops = stops
+        self.entries = entries
+
+    def __call__(self, vm, frame, st, block: LoweredBlock, ip: int):
+        nxt = run_blocks(vm, frame, st, block, ip, self.stops)
+        # The loop yields through vm.dispatch_yieldpoint, which leaves
+        # the countdown gate of compiled regions as it was.
+        st.gate = _NEG_INF if vm.flag else vm.next_tick
+        if nxt is None or nxt is _CALL:
+            return nxt
+        return self.entries[(nxt.label, 0)]
+
+
 class _SegmentFill:
     """Runs one method namespace's regions cold, then compiles them.
 
     The first :data:`COLD_ENTRIES` calls of a region's placeholder run
-    its blocks on the tuple interpreter's loop, from its root up to the
-    next call, return or jump to a root (``stops``: the labels of the
-    method's ip-0 roots), and return what the compiled region would: the
-    ``_CALL`` sentinel, None, or the entry of the root jumped to.  The
-    next call compiles and binds the region, then runs it.  With no
-    memo ``key`` (an uncertified method) every call runs cold.
+    it through ``cold`` (:class:`_ColdRun`).  The next call compiles
+    and binds the region, then runs it.  With no memo ``key`` (an
+    uncertified method) every call runs cold.
     """
 
-    __slots__ = ("cm", "plan", "key", "texts", "entries", "roots", "stops", "runs")
+    __slots__ = ("cm", "plan", "key", "texts", "cold", "roots", "runs")
 
     def __init__(
         self, cm: CompiledMethod, plan: RegionPlan, key: Optional[bytes],
-        entries: dict,
+        cold: _ColdRun,
     ) -> None:
         self.cm = cm
         self.plan = plan
         self.key = key
         self.texts: Optional[Dict[str, str]] = None  # generated on demand
-        self.entries = entries
+        self.cold = cold
         self.roots: Dict[str, Tuple[LoweredBlock, int]] = {
             f"_f{bi}_{ip}": (block, ip) for bi, block, ip in plan.roots
         }
-        self.stops = frozenset(b.label for _, b, ip in plan.roots if not ip)
         self.runs: Dict[str, int] = {}  # name -> cold entries so far
 
     def __call__(self, stub: FunctionType, vm, frame, regs, st):
@@ -1155,13 +1212,7 @@ class _SegmentFill:
         if runs < COLD_ENTRIES or self.key is None:
             self.runs[name] = runs + 1
             block, ip = self.roots[name]
-            nxt = run_blocks(vm, frame, st, block, ip, self.stops)
-            # The loop yields through vm.dispatch_yieldpoint, which
-            # leaves the countdown gate of compiled regions as it was.
-            st.gate = _NEG_INF if vm.flag else vm.next_tick
-            if nxt is None or nxt is _CALL:
-                return nxt
-            return self.entries[(nxt.label, 0)]
+            return self.cold(vm, frame, st, block, ip)
         return self.promote(stub)(vm, frame, regs, st)
 
     def promote(self, stub: FunctionType) -> FunctionType:
@@ -1187,7 +1238,7 @@ class _SegmentFill:
         fn = FunctionType(code, stub.__globals__, name)
         stub.__globals__[name] = fn
         block, ip = self.roots[name]
-        self.entries[(block.label, ip)] = fn
+        self.cold.entries[(block.label, ip)] = fn
         return fn
 
 
@@ -1214,6 +1265,9 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     # builtins through it.
     ns["__builtins__"] = builtins
     entries = {}
+    cold = ns["_cold"] = _ColdRun(
+        frozenset(block.label for _, block, ip in plan.roots if not ip), entries
+    )
     fill = None
     for bi, block, ip in plan.roots:
         name = f"_f{bi}_{ip}"
@@ -1222,7 +1276,7 @@ def ensure_jit(cm: CompiledMethod) -> dict:
             fn = FunctionType(code, ns, name)
         else:
             if fill is None:
-                fill = _SegmentFill(cm, plan, key, entries)
+                fill = _SegmentFill(cm, plan, key, cold)
             fn = placeholder(ns, name, fill)
         ns[name] = fn
         entries[(block.label, ip)] = fn

@@ -14,8 +14,10 @@ runs one frame until a guest call, a guest return or a jump into one of
 a given set of blocks.  :func:`execute` drives it frame by frame, and is
 the oracle every generated-code tier must reproduce bit for bit (cycles,
 profiles, traps, fuel).  Blockjit drives the same loop for the regions
-it has not compiled yet, so the op semantics live in two places: here
-and in blockjit's code generator.
+it has not compiled yet, and for the entries of a compiled region that
+has less fuel than the region's paths can charge, so fuel runs out only
+here.  The op semantics live in two places: here and in blockjit's
+code generator.
 """
 
 from __future__ import annotations
@@ -163,15 +165,15 @@ class CompiledMethod:
 
 
 #: The slots lowering fills: a method's *body*.  The rest (name,
-#: version, tier, profile key, cost multiplier, ``probe_plan``) is its
-#: head, known before any pass runs.
+#: version, tier, profile key, cost multiplier, ``probe_plan``, ``dag``
+#: and ``resolver``) is its head, which a method built at its first
+#: entry has before any pass runs: no probe plan and no P-DAG, since
+#: compiles that place probes or attach one build at once.
 BODY_SLOTS = (
     "num_regs",
     "entry",
     "blocks",
     "fold_q",
-    "dag",
-    "resolver",
     "static_size",
     "jit_entries",
 )
@@ -231,7 +233,9 @@ def deferred_method(
     ``build`` returns a built :class:`CompiledMethod` with this head.
     Its body (:data:`BODY_SLOTS`) is read by the method's first
     :class:`Frame`, on either engine, so a method that is never entered
-    is never built; its head and ``probe_plan`` (None) are set at once.
+    is never built; its head is set at once, with ``probe_plan``,
+    ``dag`` and ``resolver`` None: compiles that attach a P-DAG or
+    place probes build at once.
     """
     cm = object.__new__(_Unbuilt)
     cm.source_name = source_name
@@ -240,6 +244,8 @@ def deferred_method(
     cm.cost_multiplier = cost_multiplier
     cm.profile_key = f"{source_name}#v{version}"
     cm.probe_plan = None
+    cm.dag = None
+    cm.resolver = None
     _BUILD.__set__(cm, build)
     return cm
 

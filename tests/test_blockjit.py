@@ -50,10 +50,12 @@ from repro.workloads.suite import benchmark_suite
 
 from tests.compile_util import compile_simple
 from tests.helpers import (
+    COLD_ENTRIES,
     call_program,
     counting_program,
     is_placeholder,
     region_texts,
+    vm_digest,
 )
 
 pytestmark = pytest.mark.usefixtures("compile_at_first_entry")
@@ -336,6 +338,59 @@ def test_fuel_exhaustion_parity_across_promotion(tiered):
     assert not all(is_placeholder(fn) for fn in entries)
 
 
+#: Generated programs small enough to run at every fuel budget (a few
+#: hundred each).  They loop, call and join, and seed 6 compiles a
+#: region past the shipped threshold.
+FUEL_SWEEP_SPEC = GeneratorSpec(
+    n_helpers=2, max_depth=3, max_stmts=4, max_trip=8, work_budget=150
+)
+
+
+@pytest.mark.parametrize("cold_entries", [0, COLD_ENTRIES])
+@pytest.mark.parametrize("seed", [1, 6, 7, 12, 14, 15])
+def test_fuel_parity_on_generated_programs(seed, cold_entries, monkeypatch):
+    # Every budget up to the run's full need gives the interpreter's
+    # error: a headroom too small would let a compiled region run out
+    # at the wrong block, or not at all.
+    monkeypatch.setattr(blockjit, "COLD_ENTRIES", cold_entries)
+    memo: dict = {}
+    monkeypatch.setattr(blockjit, "_SEGMENT_CODE", memo)
+    program = random_program(seed, FUEL_SWEEP_SPEC)
+    costs = CostModel()
+    oracle = compile_simple(program, mode="edges", costs=costs)
+    jit = compile_simple(program, mode="edges", costs=costs)
+    fuel = 0
+    while True:
+        fuel += 1
+        if cold_entries:
+            # Fresh placeholders and an empty memo: the run starts cold.
+            for cm in jit.values():
+                cm.jit_entries = None
+            memo.clear()
+        seen = []
+        for code, on in ((oracle, False), (jit, True)):
+            vm = VirtualMachine(code, program.main, costs=costs, blockjit=on)
+            try:
+                result = vm.run(fuel=fuel)
+            except FuelExhaustedError as err:
+                seen.append((
+                    str(err), err.method, err.block, err.instruction_index,
+                    err.cycles, list(vm.output),
+                    sorted((repr(b), c) for b, c in vm.edge_profile.items()),
+                ))
+            else:
+                seen.append(vm_digest(vm, result))
+        assert seen[0] == seen[1], fuel
+        if isinstance(seen[1], str):  # the run completed
+            break
+    assert fuel > 100
+    compiled = [
+        fn for cm in jit.values() for fn in (cm.jit_entries or {}).values()
+        if not is_placeholder(fn)
+    ]
+    assert bool(compiled) == (cold_entries == 0 or seed == 6)
+
+
 # -- live-only writebacks ----------------------------------------------------
 
 
@@ -403,7 +458,11 @@ def test_writebacks_only_for_live_registers():
     assert "regs[1] = r1" in call_exit  # live across the resume
     # `latch` is `body`'s join: the resume region emits it after the
     # `if`, so neither arm exits and `latch` has no function of its own.
-    resume = region("body", 4)
+    # The region opens with its fuel check, whose cold run returns.
+    guard, resume = region("body", 4).split(
+        f"return _cold(vm, frame, st, _blk{labels.index('body')}, 4)\n"
+    )
+    assert re.search(r"\n    if _fuel < \d+:\n        $", guard)
     assert f"def _f{labels.index('latch')}_0(" not in source
     arms, joined = resume.split("    else:\n")
     assert "return" not in arms and joined.count("return") == 1
@@ -499,10 +558,12 @@ def test_fuel_runs_out_two_branches_deep():
     cm = compile_simple(_arms_program())["main"]
     source = generate_source(cm)
     # `deep` is inlined, nested under `head`'s and `right`'s arms inside
-    # the loop region's `while`.
+    # the loop region's `while`, and has no fuel check of its own: its
+    # region's one check is the loop's, at the top of each iteration.
     assert f"def _f{list(cm.blocks).index('deep')}_0(" not in source
-    (check,) = [line for line in source.splitlines() if "'deep', 0)" in line]
-    assert check.startswith(" " * 20 + "_fuel_out(")
+    (text,) = [t for t in region_texts(cm).values() if "# 'deep' from 0" in t]
+    (check,) = [line for line in text.splitlines() if "_fuel <" in line]
+    assert check.startswith(" " * 8 + "if _fuel < ")
     assert ("deep", 0) in blocks
 
 
@@ -591,7 +652,8 @@ def _expected_roots(cm) -> list:
     return names
 
 
-@pytest.mark.parametrize(
+#: Programs whose regions the shape and headroom tests check.
+SHAPE_PROGRAMS = pytest.mark.parametrize(
     "build, mode",
     [
         (_arms_program, None),
@@ -602,6 +664,9 @@ def _expected_roots(cm) -> list:
     ],
     ids=["arms", "liveness-pep", "calls-edges", "counting-pep", "random-pep"],
 )
+
+
+@SHAPE_PROGRAMS
 def test_region_shape(build, mode):
     code = compile_simple(build(), mode=mode)
     inlined = 0
@@ -609,16 +674,58 @@ def test_region_shape(build, mode):
         source = generate_source(cm)
         roots = _expected_roots(cm)
         assert re.findall(r"^def (\w+)\(", source, re.M) == roots
-        # Each entry's fuel check appears exactly once: every block's
-        # code appears once in the method source.
+        # Each entry's marker comment appears exactly once: every
+        # block's code appears once in the method source.
         for block in cm.blocks.values():
             ips = [0] + [
                 j + 1 for j, op in enumerate(block.ops) if op[0] == OP_CALL
             ]
             for ip in ips:
-                assert source.count(f"_pk, {block.label!r}, {ip})") == 1
+                assert source.count(f"# {block.label!r} from {ip}\n") == 1
         inlined += len(cm.blocks) - sum(name.endswith("_0") for name in roots)
     assert inlined > 0
+
+
+def _longest_charges(cm) -> dict:
+    """Each region's headroom from the CFG, by root name: the most fuel
+    a path from the root charges before it reaches a root (a back edge
+    among them), a call or a return, at ``n - ip + 1`` for the root and
+    ``n + 1`` for each block after it."""
+    plan = blockjit.region_plan(cm)
+    stops = {block.label for _, block, ip in plan.roots if not ip}
+    after: dict = {}  # label -> the most charged from entering it
+
+    def charge(block, ip):
+        total = len(block.ops) - ip + 1
+        if any(op[0] == OP_CALL for op in block.ops[ip:]):
+            return total
+        term = block.term
+        succs = {T_JMP: term[2:3], T_BR: term[5:7]}.get(term[0], ())
+        for succ in succs:
+            if succ.label not in stops and succ.label not in after:
+                after[succ.label] = charge(succ, 0)
+        return total + max(
+            (after[s.label] for s in succs if s.label not in stops), default=0
+        )
+
+    return {f"_f{bi}_{ip}": charge(block, ip) for bi, block, ip in plan.roots}
+
+
+@SHAPE_PROGRAMS
+def test_headroom_is_the_longest_path_charge(build, mode):
+    # Each region checks its fuel once, at its entry or at the top of
+    # its loop, against the most any path can charge before it leaves.
+    code = compile_simple(build(), mode=mode)
+    for cm in code.values():
+        checks = {
+            name: re.findall(r"^ +if _fuel < (\d+):$", text, re.M)
+            for name, text in region_texts(cm).items()
+        }
+        assert all(len(found) == 1 for found in checks.values())
+        headrooms = {name: int(found[0]) for name, found in checks.items()}
+        assert headrooms == _longest_charges(cm)
+        source = generate_source(cm)
+        assert "_fuel_out" not in source and "if _fuel < 0" not in source
 
 
 def _call_arm_program() -> Program:

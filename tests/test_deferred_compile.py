@@ -14,6 +14,9 @@ region.  These tests pin what that must and must not change:
   a tick is due or the flag is up;
 * a placeholder called after its name was bound forwards to the region
   it bound and compiles nothing;
+* a compiled region entered below its fuel headroom runs that entry on
+  the block loop, which raises the interpreter's error, and with ample
+  fuel never does;
 * a method source is generated only at a promotion: a program none of
   whose regions runs more than ``COLD_ENTRIES`` entries generates none;
 * a memo-warm ``ensure_jit`` binds real functions only, and a twin the
@@ -24,15 +27,17 @@ region.  These tests pin what that must and must not change:
 """
 
 import builtins
+import re
 from collections import Counter
 
 import pytest
 
 from repro.bytecode.builder import ProgramBuilder
+from repro.errors import FuelExhaustedError
 from repro.sampling.arnold_grove import make_sampler
 from repro.vm import blockjit
 from repro.vm.blockjit import ensure_jit
-from repro.vm.interpreter import Frame, JitState
+from repro.vm.interpreter import Frame, JitState, run_blocks
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import random_program
 from repro.workloads.suite import benchmark_suite, get_workload
@@ -47,6 +52,7 @@ from tests.helpers import (
     is_placeholder,
     region_texts,
 )
+from tests.test_blockjit import _arms_program
 
 #: The observables an adaptive run of the oracle must reproduce.
 ORACLE_KEYS = (
@@ -115,19 +121,58 @@ def _observe(program, code, on: bool):
     )
 
 
-def _call_leaf(program, code, cm, fn, *args):
-    """One call of leaf method ``cm`` entered at root ``fn``, driven
-    the way ``execute_blockjit`` drives it (no timer, no sampler)."""
-    vm = VirtualMachine(code, program.main, blockjit=True)
+def _leaf_state(program, code, cm, args, fuel: int, on: bool):
+    vm = VirtualMachine(code, program.main, blockjit=on)
     frame = Frame(cm)
     frame.regs[: len(args)] = args
     vm.guest_stack = [frame]
-    st = JitState(10**9)
+    st = JitState(fuel)
     st.gate = vm.next_tick
-    nxt = fn(vm, frame, frame.regs, st)
-    while nxt is not None:
-        nxt = nxt(vm, frame, frame.regs, st)
-    return st.ret_value, st.cyc, st.fuel
+    return vm, frame, st
+
+
+def _call_leaf(program, code, cm, fn, *args, fuel=10**9):
+    """One call of leaf method ``cm`` entered at root ``fn``, driven
+    the way ``execute_blockjit`` drives it (no timer, no sampler).
+
+    Returns the return value, the cycles and ``st.fuel`` after each
+    exit to another root or return: a loop region whose check fails
+    returns itself after each cold iteration, which is no exit.
+    """
+    vm, frame, st = _leaf_state(program, code, cm, args, fuel, True)
+    fuels = []
+    while fn is not None:
+        nxt = fn(vm, frame, frame.regs, st)
+        if nxt is None or nxt.__name__ != fn.__name__:
+            fuels.append(st.fuel)
+        fn = nxt
+    return st.ret_value, st.cyc, fuels
+
+
+def _run_leaf(program, code, cm, *args, fuel=10**9):
+    """:func:`_call_leaf` on the interpreter's block loop, stopping at
+    the same roots; a back edge to a loop root runs on, as the loop
+    region's ``while`` does."""
+    vm, frame, st = _leaf_state(program, code, cm, args, fuel, False)
+    plan = blockjit.region_plan(cm)
+    stops = frozenset(block.label for _, block, ip in plan.roots if not ip)
+    block, fuels = cm.entry, []
+    while block is not None:
+        nxt = run_blocks(vm, frame, st, block, 0, stops)
+        if nxt is not block:
+            fuels.append(st.fuel)
+        block = nxt
+    return st.ret_value, st.cyc, fuels
+
+
+def _outcome(drive, *args, **kwargs):
+    """``(what drive returns, None)``, or ``(None, its fuel error's
+    fields)``."""
+    try:
+        return drive(*args, **kwargs), None
+    except FuelExhaustedError as err:
+        return None, (str(err), err.method, err.block, err.instruction_index,
+                      err.cycles)
 
 
 def _oracle(program):
@@ -342,6 +387,58 @@ def test_stale_placeholder_forwards_and_compiles_nothing(compiled):
     # Called again through the old reference, it forwards.
     assert _call_leaf(program, code, cm, stale, 3) == first
     assert len(compiled) == 1
+
+
+# -- the fuel check -----------------------------------------------------------
+
+
+def _headrooms(cm) -> dict:
+    """Each region's headroom, read from its check, by root key."""
+    texts = region_texts(cm)
+    return {
+        (block.label, ip): int(
+            re.search(r"if _fuel < (\d+):", texts[f"_f{bi}_{ip}"]).group(1)
+        )
+        for bi, block, ip in blockjit.region_plan(cm).roots
+    }
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: counting_program(30), _arms_program], ids=["counting", "arms"]
+)
+def test_a_region_runs_cold_only_below_its_headroom(build, monkeypatch):
+    # Compiled at first entry, with ample fuel the regions never reach
+    # the block loop.  Below a region's headroom, its entry runs there,
+    # and every budget that runs out raises the interpreter's error.
+    # ``st.fuel`` after each region exit is the interpreter's too.
+    monkeypatch.setattr(blockjit, "COLD_ENTRIES", 0)
+    program = build()
+    code = compile_simple(program)
+    cm = code["main"]
+    headrooms = _headrooms(cm)
+    runs = []
+    real = blockjit.run_blocks
+
+    def spy(vm, frame, st, block, ip, stops):
+        runs.append(st.fuel < headrooms[block.label, ip])
+        return real(vm, frame, st, block, ip, stops)
+
+    monkeypatch.setattr(blockjit, "run_blocks", spy)
+    entry = ensure_jit(cm)[(cm.entry.label, 0)]
+    full = _call_leaf(program, code, cm, entry)
+    assert not runs
+    assert full == _run_leaf(program, code, cm)
+    need = 10**9 - full[2][-1]
+    for fuel in range(need + 1):
+        del runs[:]
+        jit = _outcome(_call_leaf, program, code, cm, entry, fuel=fuel)
+        assert jit == _outcome(_run_leaf, program, code, cm, fuel=fuel), fuel
+        assert all(runs)
+        # Only the block loop raises: a budget short of the need ran
+        # some entry cold.
+        error = jit[1]
+        assert (error is not None) == (fuel < need)
+        assert runs or error is None
 
 
 def test_memo_warm_ensure_jit_binds_no_placeholders(compiled, monkeypatch):

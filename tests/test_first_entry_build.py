@@ -22,13 +22,16 @@ from repro.api import profile_adaptive
 from repro.bytecode.instructions import Const, Emit, Ret
 from repro.bytecode.method import Method
 from repro.errors import IrreducibleLoopError
+from repro.harness import accuracy, experiment
 from repro.lang import compile_source
+from repro.metrics import overlap, wall
 from repro.sampling.arnold_grove import SamplingConfig
 from repro.vm import blockjit, pgo
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import BODY_SLOTS, CompiledMethod
 from repro.vm.runtime import VirtualMachine
 from repro.workloads.generator import random_program
+from repro.workloads.suite import get_workload
 
 from tests.helpers import CORPUS_SPEC, vm_digest
 from tests.test_blockjit import _uninterruptible_program
@@ -193,6 +196,7 @@ def test_reading_the_head_builds_nothing(lowered):
         assert cm.profile_key == "helper#v0"
         assert cm.cost_multiplier == CostModel().tier_multiplier(tier)
         assert cm.probe_plan is None
+        assert cm.dag is None and cm.resolver is None
         assert repr(cm) == f"<CompiledMethod helper#v0 tier={tier}>"
         assert type(cm) is not CompiledMethod
     assert lowered == []
@@ -284,6 +288,28 @@ def test_a_pipeline_error_surfaces_at_first_entry_on_both_engines():
             work.blocks
         assert str(again.value) == messages[-1]
     assert messages[0] == messages[1]
+
+
+def test_a_pep_replay_image_builds_only_what_its_runs_enter():
+    # Compiling a pep replay image runs no probe-soundness scan (it has
+    # no probe plan), and its resolvers are read from the head, so the
+    # iteration-2 run, ground truth and scoring leave every baseline
+    # method they never enter unbuilt.
+    ctx = experiment.prepare(get_workload("jess"), scale=0.3, use_cache=False)
+    vm, _result = experiment.run_config(ctx, experiment.pep_config(64, 17))
+    perfect = accuracy.collect_perfect_profiles(ctx)
+    wall.path_profile_accuracy(perfect.paths, vm.path_profile, perfect.resolvers)
+    overlap.relative_overlap(perfect.edges, vm.edge_profile)
+    for mode in ("pep", "full-path"):
+        image = ctx.image(mode)
+        assert image.resolvers()
+        baseline_methods = [
+            cm for name, cm in image.code.items() if ctx.advice.levels[name] is None
+        ]
+        assert any(type(cm) is not CompiledMethod for cm in baseline_methods)
+        for cm in baseline_methods:
+            # A built method ran: blockjit planned its regions.
+            assert type(cm) is not CompiledMethod or cm.jit_entries is not None
 
 
 def test_engagement_summary_equals_an_eager_build(request):

@@ -11,11 +11,11 @@ try:
 except ImportError:  # random_block is skipped without NumPy
     numpy = None
 
-from repro.util.rng import JUMP_BLOCK, STABLE_HASH_MEMO, DeterministicRng, stable_hash
+from repro.util.rng import JUMP_BLOCK, DeterministicRng, stable_hash
 
 
 def fnv1a(text: str) -> int:
-    """The byte-wise FNV-1a loop that :func:`stable_hash` memoises."""
+    """The byte-wise FNV-1a loop, written out independently."""
     value = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         value ^= byte
@@ -61,18 +61,14 @@ def test_stable_hash_memo_matches_fnv1a():
     texts = [
         "".join(draw.choice(alphabet) for _ in range(draw.randint(0, 40)))
         for alphabet in alphabets
-        for _ in range(STABLE_HASH_MEMO)
+        for _ in range(1024)
     ]
-    # More distinct texts than the memo holds, each hashed twice: once
-    # cold and once after later texts may have evicted it.
-    assert len(set(texts)) > STABLE_HASH_MEMO
     for _ in range(2):
         for text in texts:
             assert stable_hash(text) == fnv1a(text)
-    # Repeated calls on a hot text hit the memo and agree.
+    # Repeated calls on one long text agree.
     hot = "\x1f".join(texts[:50])
     assert {stable_hash(hot) for _ in range(5)} == {fnv1a(hot)}
-    assert stable_hash.cache_info().currsize <= STABLE_HASH_MEMO
 
 
 @given(st.integers(min_value=-100, max_value=100), st.integers(min_value=0, max_value=200))
